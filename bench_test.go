@@ -135,7 +135,8 @@ func BenchmarkCheckerCovered(b *testing.B) {
 // BenchmarkCoveredInto measures the zero-allocation hot path: the
 // same pipeline as BenchmarkCheckerCovered but through CoveredInto
 // with a reused Result, the way stores and brokers drive it. Expect 0
-// allocs/op in steady state (covered decisions).
+// allocs/op in steady state (covered decisions). dense is the narrow
+// mix against a 1200-row active set at the production trial cap.
 func BenchmarkCoveredInto(b *testing.B) {
 	for _, tc := range []struct{ name, scenario string }{
 		{"covered", "cover"},
@@ -143,6 +144,7 @@ func BenchmarkCoveredInto(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) { benchcases.CoveredInto(b, tc.scenario) })
 	}
+	b.Run("dense", benchcases.CoveredIntoDense)
 }
 
 // BenchmarkCheckerNonCover measures the pipeline when fast paths can
@@ -305,6 +307,7 @@ func BenchmarkStoreSubscribe(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) { benchcases.StoreSubscribe(b, tc.policy, tc.pruning) })
 	}
+	b.Run("dense", benchcases.StoreSubscribeDense)
 }
 
 // BenchmarkStoreSubscribeSparse is the large-active-set regime the

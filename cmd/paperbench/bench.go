@@ -114,6 +114,7 @@ func microBenchmarks() []struct {
 		}},
 		{"CoveredInto/covered", func(b *testing.B) { benchcases.CoveredInto(b, "cover") }},
 		{"CoveredInto/noncover", func(b *testing.B) { benchcases.CoveredInto(b, "noncover") }},
+		{"CoveredInto/dense", benchcases.CoveredIntoDense},
 		{"StoreSubscribe/pairwise", func(b *testing.B) {
 			benchcases.StoreSubscribe(b, store.PolicyPairwise, true)
 		}},
@@ -126,6 +127,7 @@ func microBenchmarks() []struct {
 		{"StoreSubscribe/group-noprune", func(b *testing.B) {
 			benchcases.StoreSubscribe(b, store.PolicyGroup, false)
 		}},
+		{"StoreSubscribe/dense", benchcases.StoreSubscribeDense},
 		{"TableSubscribeBatch/peritem", func(b *testing.B) {
 			benchcases.TableSubscribeBatch(b, false, 1)
 		}},

@@ -89,12 +89,26 @@ func run() error {
 	case core.ReasonPolyhedronWitness:
 		fmt.Printf("polyhedron witness: %v (Corollary 3)\n", res.PolyhedronWitness)
 	case core.ReasonPointWitness:
-		fmt.Printf("point witness: %v\n", res.PointWitness)
+		if res.ExecutedTrials == 0 {
+			fmt.Printf("point witness: %v (left over after subtracting every subscription from s)\n", res.PointWitness)
+		} else {
+			fmt.Printf("point witness: %v (RSPC trial %d)\n", res.PointWitness, res.ExecutedTrials)
+		}
 	case core.ReasonEmptyMCS:
 		fmt.Println("minimized cover set is empty: nothing can jointly cover s")
 	case core.ReasonTrialsExhausted:
 		fmt.Printf("no witness in %d trials; error probability <= %g\n", res.ExecutedTrials, *delta)
 		fmt.Printf("reduced set after MCS: %d of %d subscriptions\n", len(res.ReducedSet), len(set))
+		if res.DCapped {
+			fmt.Printf("the trial bound d = 10^%.1f exceeded the cap: that error probability is NOT guaranteed\n", res.Log10D)
+		}
+	case core.ReasonResidualCover:
+		fmt.Printf("exact: subtracting the set from s left nothing (%d box tests)\n", res.ResidualTests)
+		fmt.Print("covered by subscriptions")
+		for _, i := range res.ReducedSet {
+			fmt.Printf(" #%d", i+1)
+		}
+		fmt.Println(" together")
 	}
 	return nil
 }

@@ -65,6 +65,46 @@ func CoveredInto(b *testing.B, scenario string) {
 	}
 }
 
+// CoveredIntoDense is CoveredInto on the dense regime a broker under
+// churn sees: 64 arrivals of the narrow mix, each checked against the
+// ~1200 subscriptions 1500 earlier arrivals left active — the whole
+// active set, no candidate index in front — at the production trial
+// cap. Four answers in five are a NO with a witness, the rest covers
+// (one in four of those by no single subscription).
+func CoveredIntoDense(b *testing.B) {
+	rng := rand.New(rand.NewPCG(31, 32))
+	stream, err := workload.NewComparisonStream(rng, workload.NarrowComparisonConfig(6))
+	if err != nil {
+		b.Fatal(err)
+	}
+	checker, err := core.NewChecker(core.WithSeed(1, 2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var active []subscription.Subscription
+	var res core.Result
+	for i := 0; i < 1500; i++ {
+		s := stream.Next()
+		if err := checker.CoveredInto(&res, s, active); err != nil {
+			b.Fatal(err)
+		}
+		if !res.Decision.IsCovered() {
+			active = append(active, s)
+		}
+	}
+	probes := make([]subscription.Subscription, 64)
+	for i := range probes {
+		probes[i] = stream.Next()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := checker.CoveredInto(&res, probes[i%len(probes)], active); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // tableBurstSchema is the burst-workload attribute space.
 func tableBurstSchema() *subsume.Schema { return subsume.UniformSchema(6, 0, 9999) }
 
@@ -233,14 +273,26 @@ func TableUnsubscribeBatch(b *testing.B, batch bool, shards int) {
 // subscribe/unsubscribe round-trip against a store pre-filled with
 // 1500 Section 6.4 comparison-workload subscriptions.
 func StoreSubscribe(b *testing.B, policy store.Policy, pruning bool) {
+	storeSubscribe(b, workload.DefaultComparisonConfig(8), policy, pruning, core.WithMaxTrials(2000))
+}
+
+// StoreSubscribeDense is StoreSubscribe under the group policy on the
+// narrow mix at the production trial cap: the dense regime, where the
+// candidate index sheds nothing and the arrival's cost is the
+// checker's.
+func StoreSubscribeDense(b *testing.B) {
+	storeSubscribe(b, workload.NarrowComparisonConfig(6), store.PolicyGroup, true)
+}
+
+func storeSubscribe(b *testing.B, cfg workload.ComparisonConfig, policy store.Policy, pruning bool, copts ...core.Option) {
 	rng := rand.New(rand.NewPCG(31, 32))
-	stream, err := workload.NewComparisonStream(rng, workload.DefaultComparisonConfig(8))
+	stream, err := workload.NewComparisonStream(rng, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	opts := []store.Option{store.WithCandidatePruning(pruning)}
 	if policy == store.PolicyGroup {
-		checker, err := core.NewChecker(core.WithSeed(33, 34), core.WithMaxTrials(2000))
+		checker, err := core.NewChecker(append(copts, core.WithSeed(33, 34))...)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -674,6 +674,27 @@ func (b *Broker) NeighborTableMetrics(id string) (subsume.TableMetrics, bool) {
 	return t.Metrics(), true
 }
 
+// CheckerStats sums the checker accounting of every coverage table
+// the broker keeps — one per neighbor plus one per routed (neighbor,
+// rendezvous) pair; tables are never dropped, so the sums only grow.
+// It is what an operator reads to see whether δ is being honoured:
+// decisions by reason, RSPC trials, capped probabilistic answers,
+// candidate rows, and re-checks per removal.
+func (b *Broker) CheckerStats() store.CheckerStats {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	var sum store.CheckerStats
+	for _, t := range b.out {
+		sum.Add(t.Metrics().Checker)
+	}
+	for _, byTarget := range b.routeOut {
+		for _, t := range byTarget {
+			sum.Add(t.Metrics().Checker)
+		}
+	}
+	return sum
+}
+
 // dedupSize reports the tracked publication-ID count (test hook for
 // the WithDedupLimit memory bound).
 func (b *Broker) dedupSize() int { return b.seenPubs.size() }

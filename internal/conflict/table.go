@@ -90,30 +90,34 @@ func (t *Table) Reset(s subscription.Subscription, subs []subscription.Subscript
 		t.defined = make([]bool, n)
 	} else {
 		t.defined = t.defined[:n]
-		clear(t.defined)
 	}
 	if cap(t.ti) < len(subs) {
 		t.ti = make([]int, len(subs))
 	} else {
 		t.ti = t.ti[:len(subs)]
 	}
+	sBounds := s.Bounds
 	for i, si := range subs {
 		if si.Len() != m {
 			return fmt.Errorf("conflict: subscription %d has %d attributes, want %d: %w",
 				i, si.Len(), m, subscription.ErrSchemaMismatch)
 		}
-		base := i * 2 * m
+		// Every cell of the row is written, so reused storage needs no
+		// clearing; comparisons are stored rather than branched on —
+		// whether an entry is defined is data the predictor cannot
+		// learn.
+		row := t.defined[i*2*m : (i+1)*2*m]
 		count := 0
-		for a := 0; a < m; a++ {
-			sb := s.Bounds[a]
-			// {x_a < lo_i} intersects s iff s reaches below lo_i.
-			if si.Bounds[a].Lo > sb.Lo {
-				t.defined[base+2*a] = true
+		for a, b := range si.Bounds {
+			sb := sBounds[a]
+			// {x_a < lo_i} intersects s iff s reaches below lo_i;
+			// {x_a > hi_i} intersects s iff s reaches above hi_i.
+			low, high := b.Lo > sb.Lo, b.Hi < sb.Hi
+			row[2*a], row[2*a+1] = low, high
+			if low {
 				count++
 			}
-			// {x_a > hi_i} intersects s iff s reaches above hi_i.
-			if si.Bounds[a].Hi < sb.Hi {
-				t.defined[base+2*a+1] = true
+			if high {
 				count++
 			}
 		}

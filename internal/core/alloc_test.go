@@ -11,29 +11,41 @@ import (
 // the hot path: once the checker's scratch and the reused Result have
 // grown to the workload's high-water mark, a covered decision (the
 // steady state of a broker absorbing redundant subscriptions) performs
-// no heap allocations at all.
+// no heap allocations at all — whether the residual stage decides it
+// or, with the stage off, MCS and RSPC do.
 func TestCoveredIntoZeroAllocSteadyState(t *testing.T) {
-	rng := rand.New(rand.NewPCG(101, 102))
-	in := workload.RedundantCovering(rng, workload.Config{K: 100, M: 10})
-	checker, err := NewChecker(WithSeed(1, 2), WithMaxTrials(200))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res Result
-	// Warm up: grow every buffer.
-	if err := checker.CoveredInto(&res, in.S, in.Set); err != nil {
-		t.Fatal(err)
-	}
-	if !res.Decision.IsCovered() {
-		t.Fatalf("warm-up decision = %v, want covered", res.Decision)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := checker.CoveredInto(&res, in.S, in.Set); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("CoveredInto steady state allocates %.1f allocs/op, want 0", allocs)
+	for _, tc := range []struct {
+		name     string
+		residual bool
+		want     Reason
+	}{
+		{"residual", true, ReasonResidualCover},
+		{"rspc", false, ReasonTrialsExhausted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(101, 102))
+			in := workload.RedundantCovering(rng, workload.Config{K: 100, M: 10})
+			checker, err := NewChecker(WithSeed(1, 2), WithMaxTrials(200), WithResidual(tc.residual))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var res Result
+			// Warm up: grow every buffer.
+			if err := checker.CoveredInto(&res, in.S, in.Set); err != nil {
+				t.Fatal(err)
+			}
+			if res.Reason != tc.want {
+				t.Fatalf("warm-up decided by %v, want %v", res.Reason, tc.want)
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := checker.CoveredInto(&res, in.S, in.Set); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("CoveredInto steady state allocates %.1f allocs/op, want 0", allocs)
+			}
+		})
 	}
 }
 
@@ -112,9 +124,9 @@ func TestCoveredIntoMatchesCovered(t *testing.T) {
 // a subscription MCS removed as redundant).
 func TestRSPCFlatWitnessExact(t *testing.T) {
 	rng := rand.New(rand.NewPCG(107, 108))
-	// Fast paths and MCS off so non-cover is decided by RSPC alone,
-	// not by the polyhedron witness or empty-MCS short-circuits.
-	checker, err := NewChecker(WithSeed(9, 10), WithFastPaths(false), WithMCS(false))
+	// Fast paths, residual stage and MCS off so non-cover is decided by
+	// RSPC alone, not by a deterministic witness or an empty MCS.
+	checker, err := NewChecker(WithSeed(9, 10), WithFastPaths(false), WithResidual(false), WithMCS(false))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 
 	"probsum/internal/conflict"
 	"probsum/internal/subscription"
@@ -59,17 +60,26 @@ func WithFastPaths(enabled bool) Option {
 	return func(c *Checker) { c.useFast = enabled }
 }
 
+// WithResidual enables or disables the exact residual stage that
+// decides dense instances by bounded box subtraction before MCS and
+// RSPC run. Disabling it reproduces the paper's pipeline decision for
+// decision, which is what the figure runs measure.
+func WithResidual(enabled bool) Option {
+	return func(c *Checker) { c.useResidual = enabled }
+}
+
 // Checker answers group-subsumption questions with the full pipeline of
 // Algorithm 4. The zero value is not usable; construct with NewChecker.
 // A Checker is not safe for concurrent use (it owns a random stream and
 // the reusable hot-path buffers); create one per goroutine or table —
 // see CheckerPool for concurrent callers.
 type Checker struct {
-	delta     float64
-	maxTrials int
-	useMCS    bool
-	useFast   bool
-	rng       *rand.Rand
+	delta       float64
+	maxTrials   int
+	useMCS      bool
+	useFast     bool
+	useResidual bool
+	rng         *rand.Rand
 
 	// sc holds the per-checker scratch the zero-allocation path writes
 	// into; buffers grow to the workload's high-water mark and are
@@ -85,18 +95,20 @@ type scratch struct {
 	alive []bool
 	point []int64
 	flat  flatSet
+	resid residual
 }
 
 // NewChecker returns a Checker with the paper's defaults: δ = 1e-6,
-// MCS and fast paths enabled, trial cap 100 000, and an unseeded
-// (process-random) PCG stream unless WithSeed is given.
+// MCS, fast paths and the residual stage enabled, trial cap 100 000,
+// and an unseeded (process-random) PCG stream unless WithSeed is given.
 func NewChecker(opts ...Option) (*Checker, error) {
 	c := &Checker{
-		delta:     DefaultErrorProbability,
-		maxTrials: DefaultMaxTrials,
-		useMCS:    true,
-		useFast:   true,
-		rng:       rand.New(rand.NewPCG(rand.Uint64(), rand.Uint64())),
+		delta:       DefaultErrorProbability,
+		maxTrials:   DefaultMaxTrials,
+		useMCS:      true,
+		useFast:     true,
+		useResidual: true,
+		rng:         rand.New(rand.NewPCG(rand.Uint64(), rand.Uint64())),
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -121,9 +133,14 @@ func (c *Checker) Delta() float64 { return c.delta }
 //     covers s: definite YES;
 //  3. Corollary 3 — if the sorted-row condition holds, greedily build
 //     and verify a polyhedron witness: definite NO;
-//  4. Algorithm 3 — reduce to the minimized cover set S'; if S' is
+//  4. residual stage (not in the paper) — subtract the rows from s
+//     depth-first, at most MaxTrials fragment-vs-row tests: nothing
+//     left is a definite YES with the rows that did the cutting as the
+//     cover, a fragment outside every row is a definite NO; an
+//     exhausted bound decides nothing and the pipeline continues;
+//  5. Algorithm 3 — reduce to the minimized cover set S'; if S' is
 //     empty: definite NO;
-//  5. Algorithms 2+1 — estimate ρw on S', derive the trial bound d for
+//  6. Algorithms 2+1 — estimate ρw on S', derive the trial bound d for
 //     δ, cap it at MaxTrials, and run RSPC: a point witness is a
 //     definite NO, otherwise a probabilistic YES.
 func (c *Checker) Covered(s subscription.Subscription, set []subscription.Subscription) (Result, error) {
@@ -173,6 +190,24 @@ func (c *Checker) CoveredInto(res *Result, s subscription.Subscription, set []su
 				res.PolyhedronWitness = witness
 				return nil
 			}
+		}
+	}
+
+	if c.useResidual {
+		c.sc.flat.build(s, set, nil)
+		verdict, tests := c.sc.resid.subtract(&c.sc.flat, c.maxTrials)
+		res.ResidualTests = tests
+		switch {
+		case verdict == residualCovered:
+			res.Decision = Covered
+			res.Reason = ReasonResidualCover
+			res.ReducedSet = c.sc.resid.appendUsed(res.ReducedSet, &c.sc.flat)
+			return nil
+		case verdict == residualWitness && !c.sc.flat.contains(c.sc.resid.curLo):
+			res.Decision = NotCovered
+			res.Reason = ReasonPointWitness
+			res.PointWitness = slices.Clone(c.sc.resid.curLo)
+			return nil
 		}
 	}
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -72,20 +73,33 @@ func TestExhaustiveCoverLimit(t *testing.T) {
 }
 
 func TestCheckerPaperCoverExample(t *testing.T) {
-	c := mustChecker(t, WithSeed(1, 2), WithErrorProbability(1e-6))
 	s, set := paperCoverExample()
+
+	// The paper's pipeline: neither row covers s alone, so the YES is
+	// RSPC's.
+	c := mustChecker(t, WithSeed(1, 2), WithErrorProbability(1e-6), WithResidual(false))
 	res, err := c.Covered(s, set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Decision.IsCovered() {
-		t.Fatalf("decision = %v, want covered", res.Decision)
-	}
 	if res.Decision != CoveredProbably || res.Reason != ReasonTrialsExhausted {
-		t.Errorf("expected probabilistic YES via exhausted trials, got %v/%v", res.Decision, res.Reason)
+		t.Errorf("paper pipeline: expected probabilistic YES via exhausted trials, got %v/%v", res.Decision, res.Reason)
 	}
 	if res.ExecutedTrials == 0 {
-		t.Error("expected at least one executed trial")
+		t.Error("paper pipeline: expected at least one executed trial")
+	}
+
+	// The default pipeline subtracts s1 and s2 from s, finds nothing
+	// left and names both as the cover.
+	c = mustChecker(t, WithSeed(1, 2), WithErrorProbability(1e-6))
+	if res, err = c.Covered(s, set); err != nil {
+		t.Fatal(err)
+	}
+	if res.Decision != Covered || res.Reason != ReasonResidualCover {
+		t.Errorf("expected exact YES via the residual stage, got %v/%v", res.Decision, res.Reason)
+	}
+	if res.ExecutedTrials != 0 || !slices.Equal(res.ReducedSet, []int{0, 1}) {
+		t.Errorf("trials = %d, cover = %v; want 0 trials and cover [0 1]", res.ExecutedTrials, res.ReducedSet)
 	}
 }
 
@@ -161,7 +175,7 @@ func TestCheckerOptionValidation(t *testing.T) {
 func TestCheckerSeedReproducibility(t *testing.T) {
 	s, set := paperNonCoverExample()
 	run := func() Result {
-		c := mustChecker(t, WithSeed(7, 9), WithFastPaths(false), WithMCS(false))
+		c := mustChecker(t, WithSeed(7, 9), WithFastPaths(false), WithMCS(false), WithResidual(false))
 		res, err := c.Covered(s, set)
 		if err != nil {
 			t.Fatal(err)
@@ -375,12 +389,14 @@ func TestCheckerWitnessesAreGenuine(t *testing.T) {
 }
 
 func TestCheckerAblationsAgreeWithOracle(t *testing.T) {
-	// Disabling MCS and/or fast paths must not change soundness.
+	// Disabling MCS and/or fast paths must not change soundness, with
+	// the residual stage off (so RSPC does the deciding) or alone.
 	cfg := &quick.Config{MaxCount: 80}
 	checkers := []*Checker{
-		mustChecker(t, WithSeed(1, 1), WithMCS(false), WithErrorProbability(1e-9)),
-		mustChecker(t, WithSeed(2, 2), WithFastPaths(false), WithErrorProbability(1e-9)),
-		mustChecker(t, WithSeed(3, 3), WithMCS(false), WithFastPaths(false), WithErrorProbability(1e-9)),
+		mustChecker(t, WithSeed(1, 1), WithResidual(false), WithMCS(false), WithErrorProbability(1e-9)),
+		mustChecker(t, WithSeed(2, 2), WithResidual(false), WithFastPaths(false), WithErrorProbability(1e-9)),
+		mustChecker(t, WithSeed(3, 3), WithResidual(false), WithMCS(false), WithFastPaths(false), WithErrorProbability(1e-9)),
+		mustChecker(t, WithSeed(4, 4), WithMCS(false), WithFastPaths(false), WithErrorProbability(1e-9)),
 	}
 	f := func(seed1, seed2 uint64) bool {
 		r := rand.New(rand.NewPCG(seed1, seed2))
@@ -536,6 +552,7 @@ func TestDecisionAndReasonStrings(t *testing.T) {
 		ReasonEmptyMCS:          "empty-mcs",
 		ReasonPointWitness:      "point-witness",
 		ReasonTrialsExhausted:   "trials-exhausted",
+		ReasonResidualCover:     "residual-cover",
 		Reason(99):              "unknown",
 	} {
 		if got := r.String(); got != want {
@@ -544,5 +561,10 @@ func TestDecisionAndReasonStrings(t *testing.T) {
 	}
 	if NotCovered.IsCovered() || !Covered.IsCovered() || !CoveredProbably.IsCovered() {
 		t.Error("IsCovered misclassifies")
+	}
+	// bench/replay sizes its reason tally by ReasonTrialsExhausted, so
+	// the paper's reasons keep their values and new ones go after it.
+	if ReasonPairwiseCover != 1 || ReasonTrialsExhausted != 5 || ReasonResidualCover != 6 {
+		t.Error("Reason values moved")
 	}
 }

@@ -6,6 +6,8 @@
 //   - fast deterministic decisions read off the conflict table
 //     (Algorithm 4: Corollary 1 pairwise cover, Corollary 3 polyhedron
 //     witness, empty minimized cover set),
+//   - an exact residual stage that subtracts the candidate boxes from
+//     s under a work bound and decides the dense instances outright,
 //   - the Minimized Cover Set reduction (Algorithm 3, MCS), and
 //   - the Monte-Carlo Random Simple Predicates Cover (Algorithm 1,
 //     RSPC) whose trial budget d is derived from a caller-chosen error
@@ -13,8 +15,10 @@
 //
 // A NO answer is always exact: it is backed by an explicit point or
 // polyhedron witness. A YES answer is exact on the pairwise path and
-// probabilistic otherwise, wrong with probability at most δ ≤ (1-ρw)^d
-// (Proposition 1).
+// whenever the residual stage decides; only when that stage runs out
+// of its work bound is the YES probabilistic, wrong with probability
+// at most δ ≤ (1-ρw)^d (Proposition 1) — and that only when d was not
+// capped (Result.DCapped).
 package core
 
 import (
@@ -28,7 +32,8 @@ type Decision int
 const (
 	// NotCovered is a definite NO: a witness proves s ⋢ S.
 	NotCovered Decision = iota + 1
-	// Covered is a definite YES: a single subscription covers s.
+	// Covered is a definite YES: a single subscription covers s, or
+	// the residual stage subtracted the set from s and nothing was left.
 	Covered
 	// CoveredProbably is RSPC's probabilistic YES: no witness was found
 	// in d trials, so s ⊑ S with error probability at most δ.
@@ -74,6 +79,11 @@ const (
 	// ReasonTrialsExhausted: RSPC performed all d trials without
 	// finding a witness.
 	ReasonTrialsExhausted
+	// ReasonResidualCover: the residual stage subtracted the set from
+	// s and nothing was left — an exact YES. Appended after the
+	// paper's reasons (it runs between the polyhedron witness and
+	// MCS) so their values stay what earlier builds recorded.
+	ReasonResidualCover
 )
 
 // String returns a human-readable reason name.
@@ -89,6 +99,8 @@ func (r Reason) String() string {
 		return "point-witness"
 	case ReasonTrialsExhausted:
 		return "trials-exhausted"
+	case ReasonResidualCover:
+		return "residual-cover"
 	default:
 		return "unknown"
 	}
@@ -105,7 +117,9 @@ type Result struct {
 	CoveringRow int
 
 	// PointWitness is the witness point when Reason is
-	// ReasonPointWitness; nil otherwise. The point lies inside s and
+	// ReasonPointWitness; nil otherwise. Found by the residual stage
+	// (ExecutedTrials is 0) it lies inside s and outside every
+	// subscription of the set. Found by RSPC it lies inside s and
 	// outside every subscription of the minimized cover set
 	// (ReducedSet); by Proposition 4 that proves s is not covered by
 	// the full set either, although the point itself may lie inside a
@@ -116,8 +130,11 @@ type Result struct {
 	// ReasonPolyhedronWitness.
 	PolyhedronWitness subscription.Subscription
 
-	// ReducedSet lists the indices surviving MCS (the non-reducible
-	// cover set S'); nil when MCS was disabled or not reached.
+	// ReducedSet lists, in ascending order, the indices surviving MCS
+	// (the non-reducible cover set S'); nil when MCS was disabled or
+	// not reached. When Reason is ReasonResidualCover it lists instead
+	// the subscriptions that cut or swallowed a fragment of s — their
+	// union alone covers s, and it is typically far smaller than S'.
 	ReducedSet []int
 
 	// Rho is the witness-density estimate ρw computed by Algorithm 2
@@ -133,6 +150,11 @@ type Result struct {
 	Log10D         float64
 	ExecutedTrials int
 	DCapped        bool
+
+	// ResidualTests is the number of fragment-vs-row tests the residual
+	// stage performed (0 when it is disabled or was not reached); it
+	// is the checker's MaxTrials when the stage gave up.
+	ResidualTests int
 }
 
 // resetForReuse clears the result for the next CoveredInto call while

@@ -71,7 +71,9 @@ func pointInAnyAlive(p []int64, set []subscription.Subscription, alive []bool) b
 //     change any membership answer), and
 //   - ordered by descending |row ∩ s|, so the rows most likely to
 //     contain a uniform random point of s are tested first and the
-//     expected early-exit comes sooner.
+//     expected early-exit comes sooner — and so the residual stage,
+//     which subtracts the rows from s in this order, lets the rows
+//     that swallow the most cut first.
 //
 // Neither transform changes whether a point is a witness; only the
 // constant factor of the search drops.
@@ -87,8 +89,15 @@ type flatSet struct {
 	sLo    []int64
 	sWidth []uint64
 
-	idx  []int     // scratch: selected row indices during build
-	keys []float64 // scratch: per-row ordering key, indexed by original row
+	// order lists the selected rows in layout order: order[r].idx is
+	// the index in the original set of the subscription in row r.
+	order []rowKey
+}
+
+// rowKey is a selected row's ordering key and original index.
+type rowKey struct {
+	size float64
+	idx  int
 }
 
 // build populates the flat layout from the alive rows of set (nil
@@ -107,12 +116,7 @@ func (f *flatSet) build(s subscription.Subscription, set []subscription.Subscrip
 		f.sLo[a] = b.Lo
 		f.sWidth[a] = uint64(b.Hi-b.Lo) + 1
 	}
-	if cap(f.keys) < len(set) {
-		f.keys = make([]float64, len(set))
-	} else {
-		f.keys = f.keys[:len(set)]
-	}
-	idx := f.idx[:0]
+	order := f.order[:0]
 	for i := range set {
 		if alive != nil && !alive[i] {
 			continue
@@ -128,18 +132,24 @@ func (f *flatSet) build(s subscription.Subscription, set []subscription.Subscrip
 				empty = true
 				break
 			}
-			size *= float64(iv.Hi-iv.Lo) + 1
+			size *= float64(uint64(iv.Hi-iv.Lo)) + 1
 		}
 		if empty {
 			continue
 		}
-		f.keys[i] = size
-		idx = append(idx, i)
+		order = append(order, rowKey{size: size, idx: i})
 	}
-	f.idx = idx
-	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(f.keys[b], f.keys[a]) })
+	f.order = order
+	// Descending size, ties in set order: a total order, so the
+	// unstable sort is deterministic.
+	slices.SortFunc(order, func(a, b rowKey) int {
+		if c := cmp.Compare(b.size, a.size); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
 
-	f.rows = len(idx)
+	f.rows = len(order)
 	n := f.rows * m
 	if cap(f.lo) < n {
 		f.lo = make([]int64, n)
@@ -148,9 +158,9 @@ func (f *flatSet) build(s subscription.Subscription, set []subscription.Subscrip
 		f.lo = f.lo[:n]
 		f.hi = f.hi[:n]
 	}
-	for r, i := range idx {
+	for r, k := range order {
 		base := r * m
-		for a, b := range set[i].Bounds {
+		for a, b := range set[k.idx].Bounds {
 			f.lo[base+a] = b.Lo
 			f.hi[base+a] = b.Hi
 		}

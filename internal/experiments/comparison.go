@@ -70,6 +70,7 @@ func runComparison(cfg ComparisonConfig) (map[int]comparisonSeries, error) {
 			core.WithErrorProbability(cfg.Delta),
 			core.WithSeed(seed|1, seed^0xbeef),
 			core.WithMaxTrials(cfg.MaxTrials),
+			core.WithResidual(false),
 		)
 		if err != nil {
 			return nil, err

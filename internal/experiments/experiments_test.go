@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -266,5 +267,27 @@ func TestTableRendering(t *testing.T) {
 	}
 	if got := buf.String(); got != "a,long-column\n1,2\n333,4\n" {
 		t.Errorf("CSV = %q", got)
+	}
+}
+
+// TestFiguresRunThePaperPipeline pins the figure runs to the paper's
+// Algorithm 4: they build their checkers with the residual stage off,
+// so the RSPC curves keep their meaning. The hash is of every
+// checker-driven table's CSV at a small scale, computed at the build
+// before the stage existed.
+func TestFiguresRunThePaperPipeline(t *testing.T) {
+	const want = "23e38eb7e47d8425"
+	h := fnv.New64a()
+	for _, id := range []string{"fig10", "fig11", "fig11x", "fig12", "fig13", "fig14"} {
+		tbl, err := Run(id, 0.01)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if err := tbl.WriteCSV(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := strconv.FormatUint(h.Sum64(), 16); got != want {
+		t.Fatalf("figure output hash = %s, want %s: a figure run no longer follows the paper's pipeline", got, want)
 	}
 }

@@ -74,6 +74,7 @@ func runExtreme(cfg ExtremeConfig) (map[[2]int]extremePoint, error) {
 					core.WithSeed(seed|1, seed^0xfeed),
 					core.WithMCS(false),
 					core.WithFastPaths(false),
+					core.WithResidual(false),
 					core.WithMaxTrials(core.DefaultMaxTrials),
 				)
 				if err != nil {
@@ -168,6 +169,7 @@ func Fig11x(cfg ExtremeConfig) (*Table, error) {
 			checker, err := core.NewChecker(
 				core.WithErrorProbability(cfg.Deltas[0]),
 				core.WithSeed(seed|1, seed^0xfeed),
+				core.WithResidual(false),
 			)
 			if err != nil {
 				return nil, err

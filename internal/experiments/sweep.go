@@ -98,6 +98,7 @@ func runSweep(cfg SweepConfig, measureTrials bool, gen func(rng *rand.Rand, k, m
 						core.WithErrorProbability(cfg.Delta),
 						core.WithSeed(seed|1, seed^0xabcdef),
 						core.WithMaxTrials(core.DefaultMaxTrials),
+						core.WithResidual(false),
 					)
 					if err != nil {
 						return nil, err

@@ -220,6 +220,10 @@ type ShardedMetrics struct {
 	// from the public API without a separate Snapshot call.
 	ShardPlacements []uint64
 	ShardOccupancy  []int
+	// Checker sums the shards' checker accounting (see CheckerStats).
+	// Its Unsubscribes is counted per store, so unlike Unsubscribes
+	// above it includes the withdrawals a cross-shard migration makes.
+	Checker CheckerStats
 }
 
 // NewSharded builds a sharded table. PolicyGroup shards draw their
@@ -765,6 +769,7 @@ func (sh *Sharded) Metrics() ShardedMetrics {
 		m.ShardPlacements[j] = sh.metrics.placed[j].Load()
 		slot.mu.Lock()
 		m.ShardOccupancy[j] = slot.st.Len()
+		m.Checker.Add(slot.st.CheckerStats())
 		slot.mu.Unlock()
 	}
 	return m

@@ -112,6 +112,45 @@ type UnsubscribeResult struct {
 	Promoted []ID
 }
 
+// CheckerStats accounts for what the probabilistic checker did on a
+// store's behalf, counted where the decision is taken. It is how an
+// operator sees whether the configured δ is being honoured: exact
+// decisions (every reason but ReasonTrialsExhausted) carry no error,
+// a ReasonTrialsExhausted decision carries at most δ — unless it is
+// also counted in Capped, in which case the trial cap cut the run
+// short and the bound does not hold.
+type CheckerStats struct {
+	// Calls counts checker runs: admissions plus the re-checks counted
+	// in RecheckCalls. CandidateRows sums the rows handed to them.
+	Calls         uint64
+	CandidateRows uint64
+	// Unsubscribes counts removals of present subscriptions;
+	// RecheckCalls counts the checker runs those removals caused to
+	// re-validate covered subscriptions naming the retiree as coverer.
+	Unsubscribes uint64
+	RecheckCalls uint64
+	// Decisions counts outcomes by core.Reason (index 0 is unused).
+	Decisions [core.ReasonResidualCover + 1]uint64
+	// Trials sums the RSPC guesses executed.
+	Trials uint64
+	// Capped counts probabilistic YES answers whose theoretical trial
+	// bound d exceeded the checker's cap.
+	Capped uint64
+}
+
+// Add accumulates o into s.
+func (s *CheckerStats) Add(o CheckerStats) {
+	s.Calls += o.Calls
+	s.CandidateRows += o.CandidateRows
+	s.Unsubscribes += o.Unsubscribes
+	s.RecheckCalls += o.RecheckCalls
+	for i, n := range o.Decisions {
+		s.Decisions[i] += n
+	}
+	s.Trials += o.Trials
+	s.Capped += o.Capped
+}
+
 // Option configures a Store.
 type Option func(*Store)
 
@@ -160,6 +199,8 @@ type Store struct {
 	candIDs   []ID
 	candSubs  []subscription.Subscription
 	checkRes  core.Result
+
+	stats CheckerStats
 }
 
 // New returns an empty store with the given policy. PolicyGroup
@@ -187,6 +228,10 @@ func New(policy Policy, opts ...Option) (*Store, error) {
 
 // Policy returns the store's coverage policy.
 func (st *Store) Policy() Policy { return st.policy }
+
+// CheckerStats returns the cumulative checker accounting; all zero
+// but Unsubscribes under policies that never call the checker.
+func (st *Store) CheckerStats() CheckerStats { return st.stats }
 
 // activate inserts n into the sorted active caches and the candidate
 // index. Nodes whose attribute count disagrees with the index are
@@ -300,6 +345,13 @@ func (st *Store) decideCoverage(s subscription.Subscription) (Status, []ID, core
 		ids, subs := st.candidates(s)
 		if err := st.checker.CoveredInto(&st.checkRes, s, subs); err != nil {
 			return 0, nil, core.Result{}, err
+		}
+		st.stats.Calls++
+		st.stats.CandidateRows += uint64(len(subs))
+		st.stats.Decisions[st.checkRes.Reason]++
+		st.stats.Trials += uint64(st.checkRes.ExecutedTrials)
+		if st.checkRes.Decision == core.CoveredProbably && st.checkRes.DCapped {
+			st.stats.Capped++
 		}
 		// Copy the result: checkRes and its ReducedSet are reused by
 		// the next check, while SubscribeResult.Checker escapes to the
@@ -476,6 +528,7 @@ func (st *Store) Unsubscribe(id ID) (UnsubscribeResult, error) {
 		return UnsubscribeResult{}, nil
 	}
 	res := UnsubscribeResult{Existed: true, WasActive: n.status == StatusActive}
+	st.stats.Unsubscribes++
 
 	// Unlink from coverers.
 	for c := range n.coverers {
@@ -499,28 +552,45 @@ func (st *Store) Unsubscribe(id ID) (UnsubscribeResult, error) {
 	for _, cid := range children {
 		child := st.nodes[cid]
 		delete(child.coverers, id)
-		status, coverers, _, err := st.decideCoverage(child.sub)
+		promoted, err := st.revalidate(child)
 		if err != nil {
 			return res, err
 		}
-		// Detach from remaining coverers before rewiring.
-		for c := range child.coverers {
-			delete(st.nodes[c].children, cid)
+		if promoted {
+			res.Promoted = append(res.Promoted, cid)
 		}
-		child.coverers = make(map[ID]struct{}, len(coverers))
-		if status == StatusCovered {
-			for _, c := range coverers {
-				child.coverers[c] = struct{}{}
-				st.nodes[c].children[cid] = struct{}{}
-			}
-			child.status = StatusCovered
-			continue
-		}
-		child.status = StatusActive
-		st.activate(child)
-		res.Promoted = append(res.Promoted, cid)
 	}
 	return res, nil
+}
+
+// revalidate re-decides coverage for a covered node that lost a
+// coverer (already deleted from child.coverers) against the current
+// active set: it is rewired to the new cover, or promoted to active
+// when there is none.
+func (st *Store) revalidate(child *node) (promoted bool, err error) {
+	status, coverers, _, err := st.decideCoverage(child.sub)
+	if err != nil {
+		return false, err
+	}
+	if st.policy == PolicyGroup {
+		st.stats.RecheckCalls++
+	}
+	// Detach from remaining coverers before rewiring.
+	for c := range child.coverers {
+		delete(st.nodes[c].children, child.id)
+	}
+	child.coverers = make(map[ID]struct{}, len(coverers))
+	if status == StatusCovered {
+		for _, c := range coverers {
+			child.coverers[c] = struct{}{}
+			st.nodes[c].children[child.id] = struct{}{}
+		}
+		child.status = StatusCovered
+		return false, nil
+	}
+	child.status = StatusActive
+	st.activate(child)
+	return true, nil
 }
 
 // Match implements the multi-level optimization of Section 4.4: match

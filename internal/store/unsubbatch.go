@@ -51,6 +51,7 @@ func (st *Store) UnsubscribeBatch(ids []ID) (UnsubscribeBatchResult, error) {
 		}
 		removed[id] = struct{}{}
 		res.Removed++
+		st.stats.Unsubscribes++
 		for c := range n.coverers {
 			if cn, ok := st.nodes[c]; ok {
 				delete(cn.children, id)
@@ -85,26 +86,13 @@ func (st *Store) UnsubscribeBatch(ids []ID) (UnsubscribeBatchResult, error) {
 				delete(child.coverers, c)
 			}
 		}
-		status, coverers, _, err := st.decideCoverage(child.sub)
+		promoted, err := st.revalidate(child)
 		if err != nil {
 			return res, err
 		}
-		// Detach from remaining coverers before rewiring.
-		for c := range child.coverers {
-			delete(st.nodes[c].children, cid)
+		if promoted {
+			res.Promoted = append(res.Promoted, cid)
 		}
-		child.coverers = make(map[ID]struct{}, len(coverers))
-		if status == StatusCovered {
-			for _, c := range coverers {
-				child.coverers[c] = struct{}{}
-				st.nodes[c].children[cid] = struct{}{}
-			}
-			child.status = StatusCovered
-			continue
-		}
-		child.status = StatusActive
-		st.activate(child)
-		res.Promoted = append(res.Promoted, cid)
 	}
 	return res, nil
 }

@@ -49,6 +49,19 @@ func DefaultComparisonConfig(m int) ComparisonConfig {
 	}
 }
 
+// NarrowComparisonConfig is the comparison mix narrowed to what a
+// broker under churn sees and the system benchmark admits: three to
+// five constrained attributes per subscription, ranges of 4% ± 2% of
+// the domain. The candidate index cannot shed rows here (every
+// arrival meets hundreds of actives) and ρw comes out near 1e-15, so
+// it is the dense regime where RSPC alone runs into its trial cap.
+func NarrowComparisonConfig(m int) ComparisonConfig {
+	cfg := DefaultComparisonConfig(m)
+	cfg.WidthMeanFrac, cfg.WidthStdFrac = 0.04, 0.02
+	cfg.MinAttrs, cfg.MaxAttrs = 3, 5
+	return cfg
+}
+
 // ComparisonStream generates the subscription arrival sequence.
 type ComparisonStream struct {
 	cfg    ComparisonConfig

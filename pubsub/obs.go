@@ -8,10 +8,13 @@ package pubsub
 // hot paths never touch the registry.
 
 import (
+	"strings"
 	"time"
 
 	"probsum/internal/broker"
+	"probsum/internal/core"
 	"probsum/internal/obs"
+	"probsum/internal/store"
 )
 
 // Registry names for the publish-stage histograms. The full publish
@@ -76,6 +79,33 @@ func registerBrokerMetrics(reg *obs.Registry, core *broker.Broker) {
 	} {
 		pick := pick
 		reg.RegisterCounter(name, func() int64 { return int64(pick(core.Metrics())) })
+	}
+	registerCheckerMetrics(reg, core)
+}
+
+// registerCheckerMetrics exposes the coverage checker's accounting,
+// summed over the broker's tables: the paper's quantities as live
+// series. A probabilistic YES (broker_checker_decisions_trials_
+// exhausted) is wrong with probability at most δ unless it is also
+// counted in broker_checker_capped; every other decision is exact.
+// broker_checker_recheck_calls over broker_table_unsubscribes is the
+// checker cost of one removal.
+func registerCheckerMetrics(reg *obs.Registry, b *broker.Broker) {
+	for name, pick := range map[string]func(store.CheckerStats) uint64{
+		"broker_checker_calls":          func(s store.CheckerStats) uint64 { return s.Calls },
+		"broker_checker_candidate_rows": func(s store.CheckerStats) uint64 { return s.CandidateRows },
+		"broker_checker_recheck_calls":  func(s store.CheckerStats) uint64 { return s.RecheckCalls },
+		"broker_table_unsubscribes":     func(s store.CheckerStats) uint64 { return s.Unsubscribes },
+		"broker_checker_rspc_trials":    func(s store.CheckerStats) uint64 { return s.Trials },
+		"broker_checker_capped":         func(s store.CheckerStats) uint64 { return s.Capped },
+	} {
+		pick := pick
+		reg.RegisterCounter(name, func() int64 { return int64(pick(b.CheckerStats())) })
+	}
+	for r := core.ReasonPairwiseCover; r <= core.ReasonResidualCover; r++ {
+		r := r
+		name := "broker_checker_decisions_" + strings.ReplaceAll(r.String(), "-", "_")
+		reg.RegisterCounter(name, func() int64 { return int64(b.CheckerStats().Decisions[r]) })
 	}
 }
 

@@ -177,3 +177,86 @@ func TestClientStatsUnknownDeliveryIgnored(t *testing.T) {
 		t.Fatalf("pending = %d, want 0", cs.Pending())
 	}
 }
+
+// TestTCPCheckerAccountingExposed: the coverage checker's accounting —
+// decisions by reason, RSPC trials, capped answers, re-checks per
+// removal — is scraped from the broker that takes the decisions, under
+// fixed names.
+func TestTCPCheckerAccountingExposed(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	tr, err := pubsub.NewTCPTransport(pubsub.Group, pubsub.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Shutdown(context.Background())
+	if _, err := tr.AddBroker("B1"); err != nil {
+		t.Fatal(err)
+	}
+	b2, err := tr.AddBroker("B2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Connect("B1", "B2"); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := tr.Open(ctx, "S", "B2")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// B2's table toward B1 sees: two actives, then s3 covered by their
+	// union (no single one covers it), then the retirement of s1, which
+	// re-checks s3 — named s1 as a coverer — and promotes it.
+	schema := subsume.UniformSchema(2, 0, 100)
+	box := func(lo, hi int64) subsume.Subscription {
+		return subsume.NewSubscription(schema).Range("x1", lo, hi).Build()
+	}
+	for id, s := range map[string]subsume.Subscription{"s1": box(0, 60), "s2": box(40, 100)} {
+		if err := sub.Subscribe(ctx, id, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Settle(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := sub.Subscribe(ctx, "s3", box(10, 90)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Settle(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := sub.Unsubscribe(ctx, "s1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Settle(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	got := b2.Observability().JSON().Counters
+	for name, want := range map[string]int64{
+		"broker_checker_calls":                        4, // s1, s2, s3, s3 again
+		"broker_checker_candidate_rows":               0 + 1 + 2 + 1,
+		"broker_checker_recheck_calls":                1,
+		"broker_table_unsubscribes":                   1,
+		"broker_checker_rspc_trials":                  0,
+		"broker_checker_capped":                       0,
+		"broker_checker_decisions_residual_cover":     1,
+		"broker_checker_decisions_trials_exhausted":   0,
+		"broker_checker_decisions_pairwise_cover":     0,
+		"broker_checker_decisions_polyhedron_witness": 2,
+		"broker_checker_decisions_empty_mcs":          1, // s1 against the empty table
+		"broker_checker_decisions_point_witness":      0,
+	} {
+		v, ok := got[name]
+		if !ok {
+			t.Errorf("counter %s is not registered", name)
+		} else if v != want {
+			t.Errorf("%s = %d, want %d", name, v, want)
+		}
+	}
+	if t.Failed() {
+		t.Logf("counters: %v", got)
+	}
+}

@@ -12,8 +12,10 @@
 // Monte-Carlo pipeline: deterministic fast paths, the minimized cover
 // set reduction, and randomized point-witness search with a
 // caller-chosen error probability δ. NO answers are always exact and
-// carry an explicit witness; YES answers are exact on the pairwise
-// path and wrong with probability at most δ otherwise.
+// carry an explicit witness; YES answers are exact (Covered) when a
+// single subscription covers s or when subtracting the set from s box
+// by box leaves nothing within the work bound, and otherwise
+// probabilistic (CoveredProbably), wrong with probability at most δ.
 //
 // Basic use:
 //
@@ -163,7 +165,8 @@ type Decision = core.Decision
 const (
 	// NotCovered is a definite NO backed by a witness.
 	NotCovered = core.NotCovered
-	// Covered is a definite YES (single-subscription cover).
+	// Covered is a definite YES (a single subscription covers s, or
+	// exact box subtraction left nothing of it).
 	Covered = core.Covered
 	// CoveredProbably is a probabilistic YES with error at most δ.
 	CoveredProbably = core.CoveredProbably
@@ -198,7 +201,9 @@ func (r Result) PolyhedronWitness() Subscription { return r.inner.PolyhedronWitn
 func (r Result) CoveringIndex() int { return r.inner.CoveringRow }
 
 // ReducedSet returns the indices surviving the minimized-cover-set
-// reduction (the paper's S'), or nil.
+// reduction (the paper's S'), or nil. For an exact YES found by box
+// subtraction it is instead the (usually much smaller) set of
+// subscriptions whose union was shown to cover s.
 func (r Result) ReducedSet() []int { return r.inner.ReducedSet }
 
 // Trials returns the number of Monte-Carlo guesses executed.
@@ -315,13 +320,14 @@ func MatchesBox(s Subscription, box Subscription, mode BoxMatchMode) bool {
 	return s.MatchesBox(box, mode)
 }
 
-// Exact answers the subsumption question by exhaustive enumeration.
-// It is exponential in the number of attributes and refuses boxes with
-// more than ~4M points; intended for tests and tiny domains.
+// Exact answers the subsumption question exactly, over domains of any
+// size, by subtracting the set from s box by box (the checker's
+// residual stage run without a work bound). Its cost depends on how
+// the boxes overlap, not on how many points s has; the problem is
+// co-NP complete, so adversarial inputs (fine tilings in many
+// attributes) can take exponential time. Intended for auditing
+// decisions and for tests.
 func Exact(s Subscription, set []Subscription) (bool, error) {
-	covered, err := core.ExhaustiveCover(s, set)
-	if err != nil {
-		return false, err
-	}
-	return covered, nil
+	covered, _, err := core.ExactCover(s, set)
+	return covered, err
 }

@@ -185,3 +185,26 @@ func TestCoveredIntoAndPool(t *testing.T) {
 		}
 	}
 }
+
+// TestExactAuditsRealisticDomains: Exact is the audit oracle, so it
+// must answer over domains no enumeration can walk (here 10^24
+// points) and still reject malformed input.
+func TestExactAuditsRealisticDomains(t *testing.T) {
+	schema := subsume.UniformSchema(6, 0, 9999)
+	half := func(lo, hi int64) subsume.Subscription {
+		return subsume.NewSubscription(schema).Range("x3", lo, hi).Build()
+	}
+	s := subsume.NewSubscription(schema).Build()
+
+	covered, err := subsume.Exact(s, []subsume.Subscription{half(0, 4999), half(5000, 9999)})
+	if err != nil || !covered {
+		t.Fatalf("two halves: covered = %v, err = %v; want an exact YES", covered, err)
+	}
+	covered, err = subsume.Exact(s, []subsume.Subscription{half(0, 4999), half(5001, 9999)})
+	if err != nil || covered {
+		t.Fatalf("missing hyperplane: covered = %v, err = %v; want an exact NO", covered, err)
+	}
+	if _, err := subsume.Exact(s, []subsume.Subscription{subsume.FromIntervals([2]int64{0, 9999})}); err == nil {
+		t.Fatal("a 1-attribute row against a 6-attribute subscription was accepted")
+	}
+}
