@@ -38,12 +38,11 @@
 // address, so there each side must list the other as a -peer (and
 // cluster topologies must declare concrete listen addresses).
 //
-// Frames travel the length-prefixed binary codec wherever both ends
-// negotiated it in the hello/ack handshake and newline-delimited JSON
-// otherwise; -codec json pins a daemon to the PR-3 format, -codec
-// binary-v1 to the PR-4 vocabulary (no publish batches). Cluster
-// control frames are only ever sent to peers that advertised the
-// membership protocol — old daemons mix freely in the same overlay.
+// Every frame, the hello/ack handshake included, is one length-prefixed
+// binary frame under one header version; a daemon or client speaking
+// any other version is refused at the handshake. Cluster control
+// frames are only ever sent to peers that advertised the membership
+// protocol — hand-wired daemons mix freely with clustered ones.
 //
 // With -data-dir the broker is durable: every state-changing arrival
 // is appended to a CRC-framed journal in that directory (fsynced in
@@ -109,7 +108,6 @@ func run() error {
 		seed        = flag.Uint64("seed", 1, "group policy random seed")
 		retries     = flag.Int("peer-retries", 10, "dial attempts per -peer link (1s apart)")
 		drain       = flag.Duration("drain", 5*time.Second, "graceful shutdown drain budget")
-		codecIn     = flag.String("codec", "binary", "wire codec cap: binary | binary-v1 (PR-4 compatible) | json (PR-3 compatible)")
 		clusterFile = flag.String("cluster", "", "cluster topology file (JSON, see pubsub/cluster.Topology): membership, gossip, and self-healing links")
 		mesh        = flag.Bool("mesh", false, "run the cluster layer with no seeds — the form for the FIRST broker of a seed-node cluster (later ones point -seed-node at it)")
 		pingEvery   = flag.Duration("ping-interval", 500*time.Millisecond, "cluster failure-detector ping interval")
@@ -128,17 +126,14 @@ func run() error {
 	if *clusterFile != "" && (len(seeds) > 0 || *mesh) {
 		return fmt.Errorf("-cluster and -seed-node/-mesh are mutually exclusive (a topology file already names every member)")
 	}
-	codec, err := pubsub.ParseWireCodec(*codecIn)
-	if err != nil {
-		return err
-	}
 	ccfg := cluster.Config{PingEvery: *pingEvery}
-	opts := []pubsub.TCPOption{pubsub.WithWireCodec(codec)}
+	var opts []pubsub.TCPOption
 	if *dataDir != "" {
-		opts = append(opts,
+		opts = []pubsub.TCPOption{
 			pubsub.WithDataDir(*dataDir),
 			pubsub.WithJournalSync(*journalSync),
-			pubsub.WithSnapshotInterval(*snapEvery))
+			pubsub.WithSnapshotInterval(*snapEvery),
+		}
 	}
 
 	var (
@@ -155,8 +150,8 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("brokerd %s listening on %s (topology %s, %d members, codec %s)\n",
-			*id, b.Addr(), *clusterFile, len(topo.Nodes), codec)
+		fmt.Printf("brokerd %s listening on %s (topology %s, %d members)\n",
+			*id, b.Addr(), *clusterFile, len(topo.Nodes))
 	case len(seeds) > 0 || *mesh:
 		policy, err := pubsub.ParsePolicy(*policyIn)
 		if err != nil {
@@ -169,8 +164,8 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("brokerd %s listening on %s (policy %s, codec %s, joining via %v)\n",
-			*id, b.Addr(), policy, codec, map[string]string(seeds))
+		fmt.Printf("brokerd %s listening on %s (policy %s, joining via %v)\n",
+			*id, b.Addr(), policy, map[string]string(seeds))
 	default:
 		policy, err := pubsub.ParsePolicy(*policyIn)
 		if err != nil {
@@ -183,7 +178,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("brokerd %s listening on %s (policy %s, codec %s)\n", *id, b.Addr(), policy, codec)
+		fmt.Printf("brokerd %s listening on %s (policy %s)\n", *id, b.Addr(), policy)
 	}
 
 	if rs, ok := b.Recovery(); ok {

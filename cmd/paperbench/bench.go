@@ -20,7 +20,6 @@ import (
 	"probsum/internal/core"
 	"probsum/internal/obs"
 	"probsum/internal/store"
-	"probsum/pubsub"
 	"probsum/pubsub/cluster/scale"
 )
 
@@ -143,32 +142,23 @@ func microBenchmarks() []struct {
 		{"TableUnsubscribeBatch/batch", func(b *testing.B) {
 			benchcases.TableUnsubscribeBatch(b, true, 1)
 		}},
-		{"WireCodec/pub-encode/json", func(b *testing.B) {
-			benchcases.WireCodecEncode(b, pubsub.CodecJSON, "pub")
-		}},
 		{"WireCodec/pub-encode/binary", func(b *testing.B) {
-			benchcases.WireCodecEncode(b, pubsub.CodecBinary, "pub")
-		}},
-		{"WireCodec/pub-decode/json", func(b *testing.B) {
-			benchcases.WireCodecDecode(b, pubsub.CodecJSON, "pub")
+			benchcases.WireCodecEncode(b, "pub")
 		}},
 		{"WireCodec/pub-decode/binary", func(b *testing.B) {
-			benchcases.WireCodecDecode(b, pubsub.CodecBinary, "pub")
+			benchcases.WireCodecDecode(b, "pub")
 		}},
 		{"WireCodec/subbatch-encode/binary", func(b *testing.B) {
-			benchcases.WireCodecEncode(b, pubsub.CodecBinary, "subbatch")
+			benchcases.WireCodecEncode(b, "subbatch")
 		}},
 		{"WireCodec/subbatch-decode/binary", func(b *testing.B) {
-			benchcases.WireCodecDecode(b, pubsub.CodecBinary, "subbatch")
+			benchcases.WireCodecDecode(b, "subbatch")
 		}},
-		// End-to-end wire benchmarks over real loopback sockets: json
-		// is the PR-3 codec baseline the binary path must beat (the
-		// ISSUE 4 acceptance bar); they are recorded in the snapshot
-		// but stay outside the regression gate because wall clock over
-		// sockets absorbs scheduler noise the 30% margin is not meant
-		// to cover.
-		{"TCPPublish/json", benchcases.TCPPublishJSON},
-		{"TCPPublish/binary", benchcases.TCPPublishBinary},
+		// End-to-end wire benchmarks over real loopback sockets: they
+		// are recorded in the snapshot but stay outside the regression
+		// gate because wall clock over sockets absorbs scheduler noise
+		// the 30% margin is not meant to cover.
+		{"TCPPublish/binary", benchcases.TCPPublish},
 		{"TCPPublish/pubbatch", benchcases.TCPPublishBatch},
 		{"TCPSubscribeBurst/peritem", func(b *testing.B) {
 			benchcases.TCPSubscribeBurst(b, false)

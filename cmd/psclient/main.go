@@ -22,8 +22,9 @@
 //	psclient -broker localhost:7001 -name probe -stats -count 50 \
 //	         -subscribe '{"x1":[0,500]}' -publish '{"x1":42,"x2":7}' -schema '...'
 //
-// Frames use the binary wire codec once the broker's ack advertises
-// it; -codec json pins the client to the PR-3 JSON format.
+// The connection speaks the broker's one binary frame dialect; a
+// broker on another frame version refuses the handshake and psclient
+// exits with the error.
 package main
 
 import (
@@ -67,7 +68,6 @@ func run() error {
 		subID      = flag.String("sub-id", "", "subscription id prefix (default <name>/1..N)")
 		pubID      = flag.String("pub-id", "", "publication id (default <name>/p1)")
 		timeout    = flag.Duration("timeout", 10*time.Second, "per-operation deadline")
-		codecIn    = flag.String("codec", "binary", "wire codec cap: binary (negotiated) | json (PR-3 compatible)")
 		stats      = flag.Bool("stats", false, "self-probe latency mode: subscribe, publish -count probes matching the subscription, print the publish-to-notify latency histogram")
 		count      = flag.Int("count", 20, "probe publications to send in -stats mode")
 	)
@@ -84,13 +84,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	codec, err := pubsub.ParseWireCodec(*codecIn)
-	if err != nil {
-		return err
-	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-	client, err := pubsub.Dial(ctx, *brokerAddr, *name, pubsub.WithDialCodec(codec))
+	client, err := pubsub.Dial(ctx, *brokerAddr, *name)
 	cancel()
 	if err != nil {
 		return err
@@ -106,7 +102,7 @@ func run() error {
 		// The broker never notifies a publication's own source port, so
 		// the self-probe publishes through a second connection.
 		ctx, cancel := opCtx()
-		pubClient, err := pubsub.Dial(ctx, *brokerAddr, *name+"-pub", pubsub.WithDialCodec(codec))
+		pubClient, err := pubsub.Dial(ctx, *brokerAddr, *name+"-pub")
 		cancel()
 		if err != nil {
 			return err

@@ -14,7 +14,6 @@
 //	go run ./examples/brokernet -transport sim   # simulator only
 //	go run ./examples/brokernet -transport tcp   # real sockets only
 //	go run ./examples/brokernet -policy group    # probabilistic coverage
-//	go run ./examples/brokernet -codec json      # pin TCP to the PR-3 JSON codec
 //
 // The scenario ends with a subscription burst sent as ONE batch frame
 // (SUBBATCH): the brokers admit it into each coverage table as a
@@ -37,14 +36,9 @@ import (
 func main() {
 	transport := flag.String("transport", "both", "sim | tcp | both")
 	policyIn := flag.String("policy", "pairwise", "coverage policy: flood | pairwise | group")
-	codecIn := flag.String("codec", "binary", "TCP wire codec cap: binary | json")
 	flag.Parse()
 
 	policy, err := pubsub.ParsePolicy(*policyIn)
-	if err != nil {
-		log.Fatal(err)
-	}
-	codec, err := pubsub.ParseWireCodec(*codecIn)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,8 +53,7 @@ func main() {
 			}
 			return tr
 		case "tcp":
-			tr, err := pubsub.NewTCPTransport(policy, cfg,
-				pubsub.WithWireCodec(codec), pubsub.WithDialWireCodec(codec))
+			tr, err := pubsub.NewTCPTransport(policy, cfg)
 			if err != nil {
 				log.Fatal(err)
 			}

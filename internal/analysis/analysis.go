@@ -7,7 +7,7 @@
 // brokervet pass shares:
 //
 //   - annotation parsing: `+guarded_by:<lock>` on struct fields,
-//     `+mustlock:<lock>` on methods, `+wirecheck:gate` on send paths
+//     `+mustlock:<lock>` on methods
 //   - suppression comments: `//brokervet:allow <analyzer> <reason>`
 //   - a package loader (load.go) and the lock-state walker
 //     (lockstate.go)
@@ -88,7 +88,6 @@ func (p *Pass) NonTestFiles() []*ast.File {
 var (
 	guardedRe  = regexp.MustCompile(`\+guarded_by:([A-Za-z_][A-Za-z0-9_]*)(\s*\(writes\))?`)
 	mustlockRe = regexp.MustCompile(`\+mustlock:([A-Za-z_][A-Za-z0-9_]*)(\s*\(shared\))?`)
-	gateRe     = regexp.MustCompile(`\+wirecheck:gate`)
 )
 
 // FieldGuard is one `+guarded_by:<lock>` annotation on a struct field:
@@ -249,12 +248,6 @@ func CollectMustLocks(pass *Pass, files []*ast.File, report bool) map[*types.Fun
 		}
 	}
 	return out
-}
-
-// IsGateFunc reports whether the declaration carries a
-// `+wirecheck:gate` annotation.
-func IsGateFunc(fd *ast.FuncDecl) bool {
-	return fd.Doc != nil && gateRe.MatchString(fd.Doc.Text())
 }
 
 // recvNamed returns the named type of a method's receiver (through a

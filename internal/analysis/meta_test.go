@@ -71,7 +71,7 @@ func TestGuardAnnotationsPresent(t *testing.T) {
 			"pubDedup": {"gens"},
 		},
 		"probsum/pubsub": {
-			"tcpServer":     {"ports", "readers", "peerCodec", "peerClu", "hooks"},
+			"tcpServer":     {"ports", "readers", "peerClu", "hooks"},
 			"BrokerJournal": {"unsynced", "err"},
 			"notifyQueue":   {"stats"},
 			"Client":        {"stats"},

@@ -1,8 +1,7 @@
-// Package a is the wirecheck violation fixture: a miniature versioned
-// codec where one kind is missing everywhere (MsgD), one is missing
-// from the decode switch (MsgB), one has asymmetric fields (MsgC), one
-// has an ungated send case (MsgE), and one has no gate case at all
-// (MsgF). MsgA and MsgG are fully correct.
+// Package a is the wirecheck violation fixture: a miniature codec
+// where one kind is missing everywhere (MsgD), one is missing from the
+// decode switch (MsgB), and one has asymmetric fields (MsgC). MsgA is
+// fully correct.
 package a
 
 type MsgKind uint8
@@ -12,9 +11,6 @@ const (
 	MsgB
 	MsgC
 	MsgD
-	MsgE
-	MsgF
-	MsgG
 )
 
 type Message struct {
@@ -23,26 +19,6 @@ type Message struct {
 	B    int
 	C1   string
 	C2   string
-	E    int
-	F    int
-	G    int
-}
-
-type WireCodec uint8
-
-const (
-	CodecJSON WireCodec = iota
-	CodecBinary
-	CodecBinary2
-)
-
-var frameMinCodec = map[MsgKind]WireCodec{ // want `MsgD has no frameMinCodec entry`
-	MsgA: CodecJSON,
-	MsgB: CodecJSON,
-	MsgC: CodecJSON,
-	MsgE: CodecBinary2,
-	MsgF: CodecBinary, // want `MsgF requires codec ≥ 1 but no \+wirecheck:gate function has a case for it`
-	MsgG: CodecBinary,
 }
 
 func MarshalFrame(m *Message) []byte { // want `MsgD is not handled in the encode switch reachable from MarshalFrame`
@@ -61,12 +37,6 @@ func encodeBody(m *Message) []byte {
 	case MsgC: // want `field C2 of MsgC is serialized in the encode switch but never decoded`
 		buf = appendString(buf, m.C1)
 		buf = appendString(buf, m.C2)
-	case MsgE:
-		buf = append(buf, byte(m.E))
-	case MsgF:
-		buf = append(buf, byte(m.F))
-	case MsgG:
-		buf = append(buf, byte(m.G))
 	}
 	return buf
 }
@@ -80,30 +50,8 @@ func UnmarshalFrame(data []byte) *Message { // want `MsgB is not handled in the 
 	case MsgC: // want `field B of MsgC is decoded but never serialized in the encode switch`
 		m.C1 = string(data[1:])
 		m.B = len(data)
-	case MsgE:
-		m.E = int(data[1])
-	case MsgF:
-		m.F = int(data[1])
-	case MsgG:
-		m.G = int(data[1])
 	}
 	return &m
-}
-
-// send is the version-gated vocabulary switch of this fixture.
-//
-// +wirecheck:gate
-func send(peer WireCodec, m *Message) []byte {
-	switch m.Kind {
-	case MsgE: // want `MsgE requires codec ≥ 2 but this gate case has no negotiated-version check`
-		return MarshalFrame(m)
-	case MsgG:
-		if peer < CodecBinary {
-			return nil
-		}
-		return MarshalFrame(m)
-	}
-	return MarshalFrame(m)
 }
 
 func appendString(buf []byte, s string) []byte {

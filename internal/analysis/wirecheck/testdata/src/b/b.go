@@ -1,6 +1,5 @@
-// Package b is the wirecheck clean fixture: a complete codec — total
-// registry, symmetric switches, a guarded gate case — that must
-// produce no diagnostics.
+// Package b is the wirecheck clean fixture: a complete codec with
+// symmetric switches that must produce no diagnostics.
 package b
 
 type MsgKind uint8
@@ -14,18 +13,6 @@ type Message struct {
 	Kind MsgKind
 	X    string
 	Y    int
-}
-
-type WireCodec uint8
-
-const (
-	CodecJSON WireCodec = iota
-	CodecBinary
-)
-
-var frameMinCodec = map[MsgKind]WireCodec{
-	MsgX: CodecJSON,
-	MsgY: CodecBinary,
 }
 
 func MarshalFrame(m *Message) []byte {
@@ -50,17 +37,4 @@ func UnmarshalFrame(data []byte) *Message {
 		m.Y = int(data[1])
 	}
 	return &m
-}
-
-// send gates version-dependent kinds on the negotiated codec.
-//
-// +wirecheck:gate
-func send(peer WireCodec, m *Message) []byte {
-	switch m.Kind {
-	case MsgY:
-		if peer < CodecBinary {
-			return nil
-		}
-	}
-	return MarshalFrame(m)
 }

@@ -1,18 +1,11 @@
 // Package wirecheck machine-checks the wire protocol's growth rules.
-// The codec is versioned (hello/ack-negotiated, DESIGN.md §§9–11) and
-// every PR that adds a frame kind or a field must keep three promises
+// Every PR that adds a frame kind or a field must keep two promises
 // that historically lived in review comments:
 //
 //  1. exhaustiveness — every Msg* kind of the MsgKind enum is handled
 //     in the binary encode switch reachable from MarshalFrame and the
 //     decode switch reachable from UnmarshalFrame;
-//  2. a total version registry — the codec package declares
-//     frameMinCodec mapping every kind to the minimum negotiated
-//     codec that may carry it, and every kind above the JSON baseline
-//     has a version-gated case in a `+wirecheck:gate` send path (the
-//     "added a frame, forgot the gate" bug class the fuzz corpus only
-//     finds after the fact);
-//  3. field symmetry — within the binary switches, a Message field
+//  2. field symmetry — within the binary switches, a Message field
 //     serialized for a kind must be decoded for that kind and vice
 //     versa (the "added a field on one side" bug class).
 //
@@ -23,7 +16,6 @@ package wirecheck
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"sort"
@@ -35,7 +27,7 @@ import (
 // Analyzer is the wirecheck pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "wirecheck",
-	Doc:  "check Msg* codec exhaustiveness, frameMinCodec totality, version gating, and encode/decode field symmetry",
+	Doc:  "check Msg* codec exhaustiveness and encode/decode field symmetry",
 	Run:  run,
 }
 
@@ -63,29 +55,7 @@ func run(pass *analysis.Pass) error {
 	reportMissingKinds(pass, marshal, "encode switch reachable from MarshalFrame", kinds, encode)
 	reportMissingKinds(pass, unmarshal, "decode switch reachable from UnmarshalFrame", kinds, decode)
 
-	// Rule 2: frameMinCodec totality + version gating.
-	reg := findRegistry(pass, files, kindType)
-	if reg == nil {
-		if marshal != nil {
-			pass.Reportf(marshal.Pos(),
-				"package declares MarshalFrame but no frameMinCodec registry: map every MsgKind to the minimum negotiated codec that may carry it")
-		}
-	} else {
-		var missing []string
-		for name := range kinds {
-			if _, ok := reg.min[name]; !ok {
-				missing = append(missing, name)
-			}
-		}
-		sort.Strings(missing)
-		for _, name := range missing {
-			pass.Reportf(reg.pos,
-				"%s has no frameMinCodec entry: every frame kind must declare the minimum codec that may carry it", name)
-		}
-		checkGates(pass, files, kindType, reg)
-	}
-
-	// Rule 3: encode/decode field symmetry per kind.
+	// Rule 2: encode/decode field symmetry per kind.
 	if marshal != nil && unmarshal != nil {
 		checkFieldSymmetry(pass, kinds, encode, decode)
 	}
@@ -214,7 +184,7 @@ func reachableDecls(pass *analysis.Pass, graph map[*types.Func][]*ast.FuncDecl, 
 
 // sideInfo is what one side (encode or decode) of the codec covers.
 type sideInfo struct {
-	covered map[string]token.Pos      // kind → first case clause position
+	covered map[string]token.Pos       // kind → first case clause position
 	fields  map[string]map[string]bool // kind → Message fields touched in its cases
 }
 
@@ -389,206 +359,6 @@ func reportMissingKinds(pass *analysis.Pass, root *ast.FuncDecl, where string, k
 	for _, name := range missing {
 		pass.Reportf(root.Pos(), "%s is not handled in the %s", name, where)
 	}
-}
-
-// ---------------------------------------------------------------------------
-// frameMinCodec registry + gates
-
-type registry struct {
-	pos       token.Pos
-	min       map[string]int64  // kind name → minimum codec
-	entryPos  map[string]token.Pos
-	codecType *types.Named // the registry's value type (WireCodec)
-}
-
-// findRegistry locates the package-level frameMinCodec composite
-// literal and decodes its constant entries.
-func findRegistry(pass *analysis.Pass, files []*ast.File, kindType *types.Named) *registry {
-	for _, f := range files {
-		for _, d := range f.Decls {
-			gd, ok := d.(*ast.GenDecl)
-			if !ok || gd.Tok != token.VAR {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, name := range vs.Names {
-					if name.Name != "frameMinCodec" || i >= len(vs.Values) {
-						continue
-					}
-					cl, ok := vs.Values[i].(*ast.CompositeLit)
-					if !ok {
-						continue
-					}
-					reg := &registry{
-						pos:      name.Pos(),
-						min:      make(map[string]int64),
-						entryPos: make(map[string]token.Pos),
-					}
-					if obj := pass.TypesInfo.Defs[name]; obj != nil {
-						if m, ok := obj.Type().Underlying().(*types.Map); ok {
-							if n, ok := types.Unalias(m.Elem()).(*types.Named); ok {
-								reg.codecType = n
-							}
-						}
-					}
-					for _, elt := range cl.Elts {
-						kv, ok := elt.(*ast.KeyValueExpr)
-						if !ok {
-							continue
-						}
-						kname, ok := kindConstName(pass, kv.Key, kindType)
-						if !ok {
-							continue
-						}
-						tv, ok := pass.TypesInfo.Types[kv.Value]
-						if !ok || tv.Value == nil {
-							continue
-						}
-						v, ok := constant.Int64Val(tv.Value)
-						if !ok {
-							continue
-						}
-						reg.min[kname] = v
-						reg.entryPos[kname] = kv.Key.Pos()
-					}
-					return reg
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// checkGates verifies that every kind above the JSON baseline has a
-// version-gated case in a +wirecheck:gate function.
-func checkGates(pass *analysis.Pass, files []*ast.File, kindType *types.Named, reg *registry) {
-	var gated []string
-	for name, v := range reg.min {
-		if v >= 1 {
-			gated = append(gated, name)
-		}
-	}
-	if len(gated) == 0 {
-		return
-	}
-	sort.Strings(gated)
-
-	var gateFuncs []*ast.FuncDecl
-	for _, f := range files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && analysis.IsGateFunc(fd) {
-				gateFuncs = append(gateFuncs, fd)
-			}
-		}
-	}
-	if len(gateFuncs) == 0 {
-		pass.Reportf(reg.pos,
-			"frameMinCodec has kinds above the JSON baseline but no function is annotated +wirecheck:gate to version-gate their sends")
-		return
-	}
-
-	// kind → (seen in a gate case, that case is guarded, case pos)
-	type gateState struct {
-		seen    bool
-		guarded bool
-		pos     token.Pos
-	}
-	states := make(map[string]*gateState)
-	for _, name := range gated {
-		states[name] = &gateState{}
-	}
-	for _, fd := range gateFuncs {
-		if fd.Body == nil {
-			continue
-		}
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			sw, ok := n.(*ast.SwitchStmt)
-			if !ok || sw.Tag == nil {
-				return true
-			}
-			tv, ok := pass.TypesInfo.Types[sw.Tag]
-			if !ok || !sameNamed(tv.Type, kindType) {
-				return true
-			}
-			for _, c := range sw.Body.List {
-				cc, ok := c.(*ast.CaseClause)
-				if !ok {
-					continue
-				}
-				guarded := caseHasVersionGuard(pass, cc, reg.codecType)
-				for _, e := range cc.List {
-					name, ok := kindConstName(pass, e, kindType)
-					if !ok {
-						continue
-					}
-					st, tracked := states[name]
-					if !tracked {
-						continue
-					}
-					if !st.seen {
-						st.seen, st.guarded, st.pos = true, guarded, cc.Pos()
-					} else if guarded {
-						st.guarded = true
-					}
-				}
-			}
-			return true
-		})
-	}
-	for _, name := range gated {
-		st := states[name]
-		switch {
-		case !st.seen:
-			pass.Reportf(reg.entryPos[name],
-				"%s requires codec ≥ %d but no +wirecheck:gate function has a case for it: sends to older peers are unguarded",
-				name, reg.min[name])
-		case !st.guarded:
-			pass.Reportf(st.pos,
-				"%s requires codec ≥ %d but this gate case has no negotiated-version check (compare the peer's codec or cluster version before sending)",
-				name, reg.min[name])
-		}
-	}
-}
-
-// caseHasVersionGuard looks for a comparison against the negotiated
-// codec type or an atomic .Load() (the cluster-version handshake bit)
-// inside the case body.
-func caseHasVersionGuard(pass *analysis.Pass, cc *ast.CaseClause, codecType *types.Named) bool {
-	found := false
-	for _, s := range cc.Body {
-		ast.Inspect(s, func(n ast.Node) bool {
-			be, ok := n.(*ast.BinaryExpr)
-			if !ok || !isComparison(be.Op) {
-				return true
-			}
-			for _, operand := range []ast.Expr{be.X, be.Y} {
-				if codecType != nil {
-					if tv, ok := pass.TypesInfo.Types[operand]; ok && sameNamed(tv.Type, codecType) {
-						found = true
-					}
-				}
-				if call, ok := operand.(*ast.CallExpr); ok {
-					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Load" {
-						found = true
-					}
-				}
-			}
-			return true
-		})
-	}
-	return found
-}
-
-func isComparison(op token.Token) bool {
-	switch op {
-	case token.LSS, token.LEQ, token.GTR, token.GEQ, token.EQL, token.NEQ:
-		return true
-	}
-	return false
 }
 
 // ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ func TestWirecheckViolations(t *testing.T) {
 }
 
 func TestWirecheckClean(t *testing.T) {
-	// Package b is a complete, correctly gated codec: zero diagnostics
+	// Package b is a complete, symmetric codec: zero diagnostics
 	// expected (the fixture has no want comments).
 	analysistest.Run(t, wirecheck.Analyzer, filepath.Join("testdata", "src", "b"))
 }

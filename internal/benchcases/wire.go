@@ -1,6 +1,6 @@
 package benchcases
 
-// Wire benchmarks (ISSUE 4): codec micro-benchmarks and end-to-end
+// Wire benchmarks: codec micro-benchmarks and end-to-end
 // TCP bodies shared between pubsub's bench tests and cmd/paperbench's
 // benchjson snapshot, so the BENCH_*.json trajectory lines up with
 // `go test -bench` output.
@@ -53,14 +53,14 @@ func wireFrame(shape string) *pubsub.Frame {
 }
 
 // WireCodecEncode measures marshaling one frame into a reused buffer.
-func WireCodecEncode(b *testing.B, codec pubsub.WireCodec, shape string) {
+func WireCodecEncode(b *testing.B, shape string) {
 	fr := wireFrame(shape)
 	var buf []byte
 	var err error
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, err = pubsub.MarshalFrame(codec, buf[:0], fr)
+		buf, err = pubsub.MarshalFrame(pubsub.CodecBinary5, buf[:0], fr)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,8 +68,8 @@ func WireCodecEncode(b *testing.B, codec pubsub.WireCodec, shape string) {
 }
 
 // WireCodecDecode measures decoding one pre-encoded frame.
-func WireCodecDecode(b *testing.B, codec pubsub.WireCodec, shape string) {
-	data, err := pubsub.MarshalFrame(codec, nil, wireFrame(shape))
+func WireCodecDecode(b *testing.B, shape string) {
+	data, err := pubsub.MarshalFrame(pubsub.CodecBinary5, nil, wireFrame(shape))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -90,11 +90,10 @@ const TCPPublishPublishers = 4
 // through one TCP broker with 4 subscriber connections × 256 random
 // boxes and 4 concurrent publisher connections. The reported µs/pub
 // covers client encode, socket, broker decode + coalesced dispatch,
-// matching, and notification fan-out. dialCodec caps the clients so a
-// JSON-pinned run is JSON end to end.
-func TCPPublish(b *testing.B, dialCodec pubsub.WireCodec, opts ...pubsub.TCPOption) {
+// matching, and notification fan-out.
+func TCPPublish(b *testing.B) {
 	ctx := context.Background()
-	hub, err := pubsub.ListenBroker("HUB", "127.0.0.1:0", pubsub.Pairwise, pubsub.Config{}, opts...)
+	hub, err := pubsub.ListenBroker("HUB", "127.0.0.1:0", pubsub.Pairwise, pubsub.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -111,7 +110,7 @@ func TCPPublish(b *testing.B, dialCodec pubsub.WireCodec, opts ...pubsub.TCPOpti
 	)
 	var drainers sync.WaitGroup
 	for i := 0; i < subClients; i++ {
-		sub, err := pubsub.Dial(ctx, hub.Addr(), fmt.Sprintf("sub%d", i), pubsub.WithDialCodec(dialCodec))
+		sub, err := pubsub.Dial(ctx, hub.Addr(), fmt.Sprintf("sub%d", i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -135,7 +134,7 @@ func TCPPublish(b *testing.B, dialCodec pubsub.WireCodec, opts ...pubsub.TCPOpti
 
 	pubs := make([]*pubsub.Client, TCPPublishPublishers)
 	for i := range pubs {
-		c, err := pubsub.Dial(ctx, hub.Addr(), fmt.Sprintf("pub%d", i), pubsub.WithDialCodec(dialCodec))
+		c, err := pubsub.Dial(ctx, hub.Addr(), fmt.Sprintf("pub%d", i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -165,25 +164,6 @@ func TCPPublish(b *testing.B, dialCodec pubsub.WireCodec, opts ...pubsub.TCPOpti
 	// merely when the frame left the client.
 	waitFor(b, 60*time.Second, func() bool { return hub.Metrics().PubsReceived >= before+b.N })
 	b.StopTimer()
-}
-
-// TCPPublishJSON runs TCPPublish pinned to the PR-3 JSON codec on
-// both sides — the committed baseline the binary codec is compared
-// against in BENCH_*.json.
-func TCPPublishJSON(b *testing.B) {
-	TCPPublish(b, pubsub.CodecJSON, pubsub.WithWireCodec(pubsub.CodecJSON))
-}
-
-// TCPPublishBinary runs TCPPublish with binary negotiation (the
-// default production path).
-func TCPPublishBinary(b *testing.B) {
-	TCPPublish(b, pubsub.CodecBinary)
-}
-
-// TCPPublishSerialized is the pre-pipeline ablation: one global
-// dispatch mutex, inline encode (JSON, as the old server was).
-func TCPPublishSerialized(b *testing.B) {
-	TCPPublish(b, pubsub.CodecJSON, pubsub.WithWireCodec(pubsub.CodecJSON), pubsub.WithSerializedDispatch())
 }
 
 // TCPPublishBatchSize is the per-frame burst of the pubbatch variant.

@@ -63,8 +63,8 @@ const (
 	MsgPong
 	// MsgGossip carries an anti-entropy snapshot of the sender's member
 	// list (cluster membership). It may piggyback a LinkDigest of the
-	// subscriptions the sender believes this link carries (wire v3);
-	// the receiving broker compares it against what it actually
+	// subscriptions the sender believes this link carries; the
+	// receiving broker compares it against what it actually
 	// received and starts a sync exchange on mismatch.
 	MsgGossip
 	// MsgSyncRequest asks a neighbor to re-sync this link: the sender's
@@ -77,24 +77,22 @@ const (
 	// receiver as ONE batch; received subscriptions in those buckets
 	// that are absent from the frame are stale and garbage-collected.
 	MsgSyncRoots
-	// MsgPingReq is the SWIM indirect probe (wire v4). With Ack unset
+	// MsgPingReq is the SWIM indirect probe. With Ack unset
 	// it asks the receiving relay to ping Target on the origin's
 	// behalf; with Ack set it is the relay's answer back to the origin
 	// confirming Target responded. Either direction may piggyback
 	// membership deltas in Members.
 	MsgPingReq
 	// MsgGossipDelta carries a bounded batch of membership updates
-	// (wire v4) instead of MsgGossip's full member-list snapshot. Like
+	// instead of MsgGossip's full member-list snapshot. Like
 	// MsgGossip it may piggyback a LinkDigest for subscription-set
 	// reconciliation on the link.
 	MsgGossipDelta
 	// MsgRouteAnnounce routes a batch of subscriptions hop-by-hop
-	// toward the rendezvous broker named in Target (wire v5) instead of
-	// flooding them on every link. Each broker on the path installs the
-	// normal reverse-path state and relays the uncovered subset one hop
-	// closer; at the rendezvous the announce terminates. Peers that
-	// predate the kind receive the flood form (MsgSubscribeBatch)
-	// instead — see the transport's version gate.
+	// toward the rendezvous broker named in Target instead of flooding
+	// them on every link. Each broker on the path installs the normal
+	// reverse-path state and relays the uncovered subset one hop
+	// closer; at the rendezvous the announce terminates.
 	MsgRouteAnnounce
 )
 
@@ -137,7 +135,7 @@ func (k MsgKind) String() string {
 }
 
 // IsControl reports whether k is an overlay-control kind (cluster
-// ping/pong/gossip and the v4 indirect-probe/delta-gossip kinds)
+// ping/pong/gossip and the indirect-probe/delta-gossip kinds)
 // rather than routing traffic. Control messages are dispatched to the
 // ControlHandler and never touch coverage tables.
 func (k MsgKind) IsControl() bool {
@@ -151,15 +149,15 @@ func (k MsgKind) IsControl() bool {
 // BatchSub pairs a subscription with its globally unique identifier
 // inside a MsgSubscribeBatch burst.
 type BatchSub struct {
-	SubID string                    `json:"sub_id"`
-	Sub   subscription.Subscription `json:"sub"`
+	SubID string
+	Sub   subscription.Subscription
 }
 
 // BatchPub pairs a publication with its globally unique identifier
 // inside a MsgPublishBatch burst.
 type BatchPub struct {
-	PubID string                   `json:"pub_id"`
-	Pub   subscription.Publication `json:"pub"`
+	PubID string
+	Pub   subscription.Publication
 }
 
 // Member states carried in gossip frames. The numeric order matters:
@@ -173,51 +171,49 @@ const (
 // MemberInfo is one member-list entry of a MsgGossip frame: the wire
 // form of the cluster layer's membership record.
 type MemberInfo struct {
-	ID          string `json:"id"`
-	Addr        string `json:"addr,omitempty"`
-	Incarnation uint64 `json:"inc"`
-	State       uint8  `json:"state"`
+	ID          string
+	Addr        string
+	Incarnation uint64
+	State       uint8
 }
 
 // Message is the single wire format exchanged between ports (neighbor
 // brokers and local clients).
 type Message struct {
-	Kind MsgKind `json:"kind"`
+	Kind MsgKind
 	// SubID is the globally unique subscription identifier for
 	// subscribe/unsubscribe; Notify echoes the matched subscription.
-	SubID string `json:"sub_id,omitempty"`
+	SubID string
 	// Sub is the subscription payload for MsgSubscribe.
-	Sub subscription.Subscription `json:"sub,omitempty"`
+	Sub subscription.Subscription
 	// PubID uniquely identifies a publication for duplicate
 	// suppression on cyclic overlays.
-	PubID string `json:"pub_id,omitempty"`
+	PubID string
 	// Pub is the publication payload for MsgPublish / MsgNotify.
-	Pub subscription.Publication `json:"pub,omitempty"`
+	Pub subscription.Publication
 	// Subs is the MsgSubscribeBatch payload, in arrival order.
-	Subs []BatchSub `json:"subs,omitempty"`
+	Subs []BatchSub
 	// SubIDs is the MsgUnsubscribeBatch payload.
-	SubIDs []string `json:"sub_ids,omitempty"`
+	SubIDs []string
 	// Pubs is the MsgPublishBatch payload, in arrival order.
-	Pubs []BatchPub `json:"pubs,omitempty"`
+	Pubs []BatchPub
 	// Seq is the MsgPing sequence number, echoed by MsgPong; for
 	// MsgPingReq it is the origin's request sequence, echoed by the
 	// relay's ack.
-	Seq uint64 `json:"seq,omitempty"`
+	Seq uint64
 	// Members is the MsgGossip payload (the sender's full member
 	// list), the MsgGossipDelta payload (a bounded update batch), or a
-	// piggybacked delta batch on MsgPing/MsgPong/MsgPingReq (wire v4;
-	// stripped toward older peers).
-	Members []MemberInfo `json:"members,omitempty"`
+	// piggybacked delta batch on MsgPing/MsgPong/MsgPingReq.
+	Members []MemberInfo
 	// Target names the member a MsgPingReq asks a relay to probe (or,
 	// on the ack, the member the relay confirmed alive).
-	Target string `json:"target,omitempty"`
+	Target string
 	// Ack marks a MsgPingReq as the relay's answer to the origin
 	// rather than a probe request toward the relay.
-	Ack bool `json:"ack,omitempty"`
+	Ack bool
 	// Digest optionally piggybacks on MsgGossip / MsgGossipDelta: the
-	// sender's subscription-set digest for this link (wire v3;
-	// stripped toward older peers).
-	Digest *LinkDigest `json:"digest,omitempty"`
+	// sender's subscription-set digest for this link.
+	Digest *LinkDigest
 	// MemberHash is the MsgGossipDelta anti-entropy digest: an
 	// order-independent hash of the sender's entire member view (never
 	// zero on the wire). A receiver whose own view still hashes
@@ -225,13 +221,13 @@ type Message struct {
 	// full snapshot — the completeness backstop that lets steady-state
 	// dissemination stay delta-only without rumors starving on their
 	// retransmit budgets.
-	MemberHash uint64 `json:"member_hash,omitempty"`
+	MemberHash uint64
 	// Buckets is the MsgSyncRequest payload: the requester's
 	// DigestBuckets per-bucket hashes of what it received on the link.
-	Buckets []uint64 `json:"buckets,omitempty"`
+	Buckets []uint64
 	// Mask marks which digest buckets a MsgSyncRoots frame re-syncs
 	// (bit i set = bucket i's full root set is in Subs).
-	Mask uint64 `json:"mask,omitempty"`
+	Mask uint64
 }
 
 // Outbound pairs a message with its destination port.
@@ -1304,8 +1300,7 @@ func (b *Broker) handleUnsubscribeBatch(from string, msg Message) ([]Outbound, e
 // per-publication path (dedup, local delivery, reverse-path matching);
 // forwards are re-grouped into ONE MsgPublishBatch per neighbor,
 // preserving arrival order, so the burst stays batched end to end
-// across the overlay (the wire layer splits it again for peers that
-// predate the kind).
+// across the overlay.
 //
 // +mustlock:mu (shared)
 func (b *Broker) handlePublishBatchMsg(from string, msg Message) ([]Outbound, error) {

@@ -12,7 +12,7 @@
 // included).
 //
 // The exchange rides the membership layer: gossip toward a link
-// piggybacks the sender's LinkDigest (wire v3). On mismatch the
+// piggybacks the sender's LinkDigest. On mismatch the
 // receiver answers with ONE MsgSyncRequest carrying its per-bucket
 // hashes; the sender replies with ONE MsgSyncRoots carrying only the
 // differing buckets' roots; the receiver admits missing roots as ONE
@@ -40,9 +40,9 @@ const DigestBuckets = 64
 // link carries. Two views agree iff Count and Root both match.
 type LinkDigest struct {
 	// Count is the number of subscriptions in the set.
-	Count uint32 `json:"count"`
+	Count uint32
 	// Root folds the DigestBuckets bucket hashes and the count.
-	Root uint64 `json:"root"`
+	Root uint64
 }
 
 // subDigestHash maps a subscription ID into the digest space. The raw

@@ -488,6 +488,7 @@ func (b *Broker) routePublishLocked(from string, msg Message, out []Outbound) []
 // (a rendezvous died, a closer overlay path appeared). Old paths are
 // left in place: extra reverse-path state only widens delivery and is
 // garbage-collected by unsubscribe and digest reconciliation.
+//
 //brokervet:allow journalcheck route state is re-derived, never journaled: replay runs with no router attached (subscriptions flood, which is always correct) and the cluster layer kicks ReannounceRoutes again after recovery
 func (b *Broker) ReannounceRoutes() []Outbound {
 	r := b.routerLocked()
@@ -606,10 +607,10 @@ func (b *Broker) RouteTargetLoad() map[string]int {
 }
 
 // CountControlDrop counts one control frame dropped before reaching a
-// peer (its cluster capability still unknown mid-handshake, or its
-// wire vocabulary predates the kind). The transport calls it at every
-// silent-drop site so lost probes are visible in Metrics instead of
-// surfacing only as spurious suspicion.
+// peer (it advertised no cluster layer, or its cluster capability is
+// still unknown mid-handshake). The transport calls it at its drop
+// site so lost probes are visible in Metrics instead of surfacing
+// only as spurious suspicion.
 func (b *Broker) CountControlDrop() { b.metrics.controlDropped.Add(1) }
 
 // sentActiveLocked visits every subscription this broker actively

@@ -9,39 +9,27 @@ package pubsub_test
 //	go test -run '^$' -bench BenchmarkWireCodec ./pubsub
 
 import (
-	"fmt"
 	"testing"
 
 	"probsum/internal/benchcases"
-	"probsum/pubsub"
 )
 
-// BenchmarkTCPPublish dimensions: serialized is the pre-redesign
-// one-mutex ablation; json is the concurrent pipeline on the PR-3
-// JSON codec (the committed baseline the binary codec must beat);
-// binary is the negotiated length-prefixed codec with publish
-// coalescing — the production path; pubbatch batches deliberately on
-// the producer side (Client.PublishBatch, 16 per PUBBATCH frame).
+// BenchmarkTCPPublish dimensions: binary is one frame per publication
+// with publish coalescing on the broker's reader — the production
+// path; pubbatch batches deliberately on the producer side
+// (Client.PublishBatch, 16 per PUBBATCH frame).
 func BenchmarkTCPPublish(b *testing.B) {
-	b.Run("serialized", benchcases.TCPPublishSerialized)
-	b.Run("json", benchcases.TCPPublishJSON)
-	b.Run("binary", benchcases.TCPPublishBinary)
+	b.Run("binary", benchcases.TCPPublish)
 	b.Run("pubbatch", benchcases.TCPPublishBatch)
 }
 
-// BenchmarkWireCodec measures frame marshal/unmarshal for both codecs
-// on the wire-dominant shapes: single publish frames and 64-item
+// BenchmarkWireCodec measures frame marshal/unmarshal on the
+// wire-dominant shapes: single publish frames and 64-item
 // subscription-batch frames.
 func BenchmarkWireCodec(b *testing.B) {
 	for _, shape := range []string{"pub", "subbatch"} {
-		for _, codec := range []pubsub.WireCodec{pubsub.CodecJSON, pubsub.CodecBinary} {
-			b.Run(fmt.Sprintf("%s-encode/%s", shape, codec), func(b *testing.B) {
-				benchcases.WireCodecEncode(b, codec, shape)
-			})
-			b.Run(fmt.Sprintf("%s-decode/%s", shape, codec), func(b *testing.B) {
-				benchcases.WireCodecDecode(b, codec, shape)
-			})
-		}
+		b.Run(shape+"-encode/binary", func(b *testing.B) { benchcases.WireCodecEncode(b, shape) })
+		b.Run(shape+"-decode/binary", func(b *testing.B) { benchcases.WireCodecDecode(b, shape) })
 	}
 }
 

@@ -37,22 +37,8 @@ func (l tcpLink) ClusterCapable(peer string) bool {
 // recovery.
 func (l tcpLink) SyncOnConnect() bool { return true }
 
-// Digest offers the broker's sender-side link digest only toward
-// peers whose advertised wire vocabulary includes the sync frames a
-// mismatch would trigger — older peers keep receiving the exact
-// digest-less gossip bytes they always did.
 func (l tcpLink) Digest(peer string) (broker.LinkDigest, bool) {
-	if l.b.PeerWireCodec(peer) < pubsub.CodecBinary3 {
-		return broker.LinkDigest{}, false
-	}
 	return l.b.LinkDigest(peer)
-}
-
-// DeltaCapable gates the SWIM vocabulary on the peer's advertised
-// wire codec: ping-req, gossip-delta, and ping/pong member tails
-// exist only from wire v4 on.
-func (l tcpLink) DeltaCapable(peer string) bool {
-	return l.b.PeerWireCodec(peer) >= pubsub.CodecBinary4
 }
 
 // Attach binds a membership node to a listening TCP broker: the

@@ -19,10 +19,9 @@ import (
 type Link interface {
 	// Self returns the local broker's identifier.
 	Self() string
-	// Send queues one protocol message toward a peer, best-effort,
-	// under the transport's wire-vocabulary negotiation. It reports
-	// whether a live (and, for control kinds, cluster-capable) link
-	// existed.
+	// Send queues one protocol message toward a peer, best-effort. It
+	// reports whether a live (and, for control kinds, cluster-capable)
+	// link existed.
 	Send(peer string, msg broker.Message) bool
 	// Connect (re)establishes the link to a peer and reports the
 	// result through done: established says whether THIS attempt
@@ -47,17 +46,10 @@ type Link interface {
 	// whose "dials" are logical), the node sends the announcement.
 	SyncOnConnect() bool
 	// Digest returns the broker's sender-side subscription digest for
-	// the link to peer, false when the link has no digest to offer or
-	// the peer cannot decode one (pre-v3 wire vocabulary). Gossip
-	// toward the peer piggybacks it, which is what arms the
+	// the link to peer, false when the link has no digest to offer.
+	// Gossip toward the peer piggybacks it, which is what arms the
 	// anti-entropy reconciliation.
 	Digest(peer string) (broker.LinkDigest, bool)
-	// DeltaCapable reports whether the peer's advertised wire
-	// vocabulary includes the SWIM kinds (ping-req, gossip-delta, and
-	// delta piggybacks — wire v4). Toward peers that are not, the
-	// node falls back to full-snapshot gossip and never asks them to
-	// relay an indirect probe.
-	DeltaCapable(peer string) bool
 }
 
 // Config tunes a membership node. Zero values select the defaults
@@ -72,9 +64,8 @@ type Config struct {
 	// declared dead (4 × PingEvery).
 	DeadAfter time.Duration
 	// GossipEvery is the anti-entropy interval: a gossip frame (a
-	// bounded delta batch toward v4 peers, the full member list toward
-	// older ones) goes to every live linked peer this often
-	// (2 × PingEvery).
+	// bounded delta batch, or the full member list under LegacyGossip)
+	// goes to every live linked peer this often (2 × PingEvery).
 	GossipEvery time.Duration
 	// ReconnectMin / ReconnectMax bound the re-dial backoff for down
 	// links: attempts double from Min to Max with seeded jitter
@@ -118,9 +109,9 @@ type Config struct {
 	// one control frame (6).
 	MaxDeltasPerFrame int
 	// LegacyGossip forces full-snapshot gossip toward every peer and
-	// disables delta piggybacks/indirect relays' delta tails even when
-	// the peer is v4-capable — the full-snapshot oracle the delta
-	// convergence tests compare against, and a rollback knob.
+	// disables delta piggybacks and indirect probes — the
+	// full-snapshot oracle the delta convergence tests compare
+	// against.
 	LegacyGossip bool
 }
 
@@ -198,7 +189,7 @@ type NodeMetrics struct {
 	IndirectAcks     uint64 // members kept alive by a relay's ack
 	MemberSyncs      uint64 // full snapshots pushed on a view-hash mismatch
 	// ControlBytesSent estimates the wire bytes of every control frame
-	// sent (v4 binary encoding) — the scale harness's traffic gauge.
+	// sent (binary encoding) — the scale harness's traffic gauge.
 	ControlBytesSent uint64
 }
 
@@ -511,12 +502,6 @@ func (n *Node) wireMembersLocked() []broker.MemberInfo {
 	return out
 }
 
-// deltaPeer reports whether dissemination toward id may use the v4
-// delta vocabulary (the peer decodes it and the oracle knob is off).
-func (n *Node) deltaPeer(id string) bool {
-	return !n.cfg.LegacyGossip && n.link.DeltaCapable(id)
-}
-
 // memberRecordHash digests one member record. Field lengths are mixed
 // in so (id, addr) pairs cannot alias across the boundary.
 func memberRecordHash(mi broker.MemberInfo) uint64 {
@@ -620,8 +605,8 @@ func (n *Node) takeDeltasLocked(max int) []broker.MemberInfo {
 // Tick runs one round of the time-driven machinery at the injected
 // clock's current instant: direct probes for ProbeFanout random due
 // members, indirect probes through relays for the unanswered ones,
-// suspect→dead timeouts, gossip fan-out (deltas toward v4 peers, full
-// snapshots toward older ones), reconnect attempts for down links,
+// suspect→dead timeouts, gossip fan-out, reconnect attempts for down
+// links,
 // and the debounced membership persistence. TCP-attached nodes call
 // it from a background ticker; simulator tests call it between clock
 // advances (then run the network).
@@ -650,7 +635,7 @@ func (n *Node) Tick() {
 	if gossipDue {
 		n.lastGossip = now
 	}
-	var snapshot []broker.MemberInfo // legacy full-gossip form, built lazily
+	var snapshot []broker.MemberInfo // full-gossip form, built lazily
 
 	// SWIM probe selection: of the linked live members due for a
 	// probe, ping at most ProbeFanout random ones this tick. Small
@@ -675,7 +660,7 @@ func (n *Node) Tick() {
 		st.lastPing = now
 		n.metrics.PingsSent++
 		ping := broker.Message{Kind: broker.MsgPing, Seq: st.seq}
-		if n.deltaPeer(st.ID) {
+		if !n.cfg.LegacyGossip {
 			ping.Members = n.takeDeltasLocked(n.cfg.MaxDeltasPerFrame)
 		}
 		sends = append(sends, sendOp{to: st.ID, msg: ping, probe: st})
@@ -715,7 +700,7 @@ func (n *Node) Tick() {
 				n.enqueueUpdateLocked(st.wire())
 			}
 			if gossipDue && st.State == StateAlive && st.synced {
-				if n.deltaPeer(st.ID) {
+				if !n.cfg.LegacyGossip {
 					n.metrics.DeltaFramesSent++
 					sends = append(sends, sendOp{
 						to: st.ID,
@@ -847,7 +832,7 @@ func (n *Node) relayTargetsLocked(target string) []*memberState {
 		if st.ID == target || !st.linkUp || st.State != StateAlive {
 			continue
 		}
-		if !n.link.ClusterCapable(st.ID) || !n.deltaPeer(st.ID) {
+		if n.cfg.LegacyGossip || !n.link.ClusterCapable(st.ID) {
 			continue
 		}
 		cands = append(cands, st)
@@ -1056,7 +1041,7 @@ func (n *Node) HandleControl(from string, msg broker.Message) []broker.Outbound 
 		}
 		pong := broker.Message{Kind: broker.MsgPong, Seq: msg.Seq}
 		n.mu.Lock()
-		if n.deltaPeer(from) {
+		if !n.cfg.LegacyGossip {
 			pong.Members = n.takeDeltasLocked(n.cfg.MaxDeltasPerFrame)
 		}
 		n.metrics.ControlBytesSent += uint64(controlFrameSize(&pong))
@@ -1131,7 +1116,7 @@ func (n *Node) relayProbe(from string, msg broker.Message, now time.Time) []brok
 	n.pendingRelay[msg.Target] = append(n.pendingRelay[msg.Target],
 		relayReq{origin: from, seq: msg.Seq, expires: now.Add(2 * n.cfg.PingEvery)})
 	ping := broker.Message{Kind: broker.MsgPing, Seq: st.seq}
-	if n.deltaPeer(msg.Target) {
+	if !n.cfg.LegacyGossip {
 		ping.Members = n.takeDeltasLocked(n.cfg.MaxDeltasPerFrame)
 	}
 	n.metrics.ControlBytesSent += uint64(controlFrameSize(&ping))
@@ -1148,7 +1133,7 @@ func (n *Node) relayAcks(target string) []broker.Outbound {
 	var outs []broker.Outbound
 	for _, r := range reqs {
 		ack := broker.Message{Kind: broker.MsgPingReq, Ack: true, Target: target, Seq: r.seq}
-		if n.deltaPeer(r.origin) {
+		if !n.cfg.LegacyGossip {
 			ack.Members = n.takeDeltasLocked(n.cfg.MaxDeltasPerFrame)
 		}
 		n.metrics.ControlBytesSent += uint64(controlFrameSize(&ack))
@@ -1389,7 +1374,7 @@ func (n *Node) String() string {
 }
 
 // ---------------------------------------------------------------------------
-// Wire-size estimation: exact arithmetic mirror of the v4 binary
+// Wire-size estimation: exact arithmetic mirror of the binary
 // encoding of the control kinds, so traffic accounting costs no
 // second encode pass. Kept in lockstep with pubsub's codec (the codec
 // tests cross-check the sizes).
@@ -1414,7 +1399,7 @@ func wireMembersLen(ms []broker.MemberInfo) int {
 }
 
 // controlFrameSize estimates the on-wire bytes of a control frame
-// under the v4 binary codec: 6-byte header, kind byte, payload.
+// under the binary codec: 6-byte header, kind byte, payload.
 func controlFrameSize(msg *broker.Message) int {
 	const hdr = 7
 	switch msg.Kind {

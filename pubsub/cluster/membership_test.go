@@ -52,7 +52,6 @@ func (l *nullLink) SyncOnConnect() bool                 { return false }
 func (l *nullLink) Digest(peer string) (broker.LinkDigest, bool) {
 	return broker.LinkDigest{}, false
 }
-func (l *nullLink) DeltaCapable(peer string) bool { return true }
 
 // sentKinds filters the captured sends down to one message kind.
 func (l *nullLink) sentKinds(k broker.MsgKind) []broker.Outbound {

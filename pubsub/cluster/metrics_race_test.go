@@ -30,7 +30,6 @@ func (l *discardLink) Roots(string) []broker.BatchSub          { return nil }
 func (l *discardLink) ClusterCapable(string) bool              { return true }
 func (l *discardLink) SyncOnConnect() bool                     { return true }
 func (l *discardLink) Digest(string) (broker.LinkDigest, bool) { return broker.LinkDigest{}, false }
-func (l *discardLink) DeltaCapable(string) bool                { return true }
 
 func TestNodeMetricsConcurrent(t *testing.T) {
 	var nanos atomic.Int64

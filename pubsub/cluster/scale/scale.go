@@ -180,7 +180,6 @@ func (l *link) Roots(peer string) []broker.BatchSub          { return nil }
 func (l *link) ClusterCapable(peer string) bool              { return true }
 func (l *link) SyncOnConnect() bool                          { return true }
 func (l *link) Digest(peer string) (broker.LinkDigest, bool) { return broker.LinkDigest{}, false }
-func (l *link) DeltaCapable(peer string) bool                { return true }
 
 // deliver drains the frame queue to empty, routing every reply. FIFO
 // order keeps runs reproducible. Control frames dispatch to the

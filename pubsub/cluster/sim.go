@@ -59,8 +59,7 @@ func (l *simLink) ClusterCapable(peer string) bool { return true }
 // re-announcement.
 func (l *simLink) SyncOnConnect() bool { return false }
 
-// Simulated brokers all speak the full vocabulary; the digest is
-// gated only on the coverage table existing.
+// The digest is gated only on the coverage table existing.
 func (l *simLink) Digest(peer string) (broker.LinkDigest, bool) {
 	b := l.net.Broker(l.id)
 	if b == nil {
@@ -68,9 +67,6 @@ func (l *simLink) Digest(peer string) (broker.LinkDigest, bool) {
 	}
 	return b.LinkDigest(peer)
 }
-
-// Simulated brokers all speak wire v4.
-func (l *simLink) DeltaCapable(peer string) bool { return true }
 
 // NewSimNode binds a membership node to a broker that already exists
 // in a simulator network. No background ticker starts: the test (or

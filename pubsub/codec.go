@@ -1,45 +1,43 @@
 package pubsub
 
-// Wire codecs: how a Frame becomes bytes on a TCP connection.
+// The wire codec: how a Frame becomes bytes on a TCP connection.
 //
-// Two codecs share the stream:
-//
-//   - CodecJSON is the PR-3 format — one JSON object per line, as
-//     written by encoding/json. It remains the format of the
-//     handshake (hello and ack frames are ALWAYS JSON, so version
-//     negotiation itself never depends on the negotiated version) and
-//     the fallback for peers that never advertised anything newer.
-//   - CodecBinary is the length-prefixed binary format: a 6-byte
-//     header (magic 0xBF, version, uint32 little-endian payload
-//     length) followed by a varint-encoded payload. 0xBF is a UTF-8
-//     continuation byte, so no JSON value can start with it — every
-//     frame on the wire is self-describing and a decoder handles
-//     mixed streams without per-connection state.
-//
-// A sender may emit binary frames only after the remote end said it
-// decodes them (the `codec` field of its hello or ack); see tcp.go
-// for the negotiation. Decoding is therefore strictly more liberal
-// than encoding, which is what keeps old JSON-only peers working
-// against new brokers in both directions.
-//
-// # Binary frame layout (version 1)
+// There is one grammar. Every frame — the hello and ack of the
+// handshake included — is a 6-byte header followed by a varint-encoded
+// payload:
 //
 //	offset 0      magic 0xBF
-//	offset 1      version (0x01)
+//	offset 1      version (binVersion)
 //	offset 2..5   payload length, uint32 little-endian (≤ 16 MiB)
 //	offset 6..    payload
 //
-//	payload       kind byte (broker.MsgKind), then kind-specific:
+//	payload       kind byte, then kind-specific:
+//	  hello              flags (bit 0 = client), name, addr, cluster byte
+//	  ack                name, cluster byte
 //	  subscribe          subID, subscription
 //	  unsubscribe        subID
 //	  publish            pubID, publication
 //	  notify             subID, pubID, publication
 //	  subscribe-batch    uvarint n, then n × (subID, subscription)
 //	  unsubscribe-batch  uvarint n, then n × subID
+//	  publish-batch      uvarint n, then n × (pubID, publication)
+//	  ping, pong         uvarint seq, optional member list
+//	  gossip             member list, optional link digest
+//	  gossip-delta       member list, uint64 member-view hash, optional link digest
+//	  ping-req           flags (bit 0 = ack), target, uvarint seq, member list
+//	  sync-request       uvarint n, then n × uint64 bucket hash
+//	  sync-roots         uint64 mask, uvarint n, then n × (subID, subscription)
+//	  route-announce     target, uvarint n, then n × (subID, subscription)
 //
-//	string        uvarint byte length, raw bytes
+//	string        uvarint byte length, raw bytes (valid UTF-8)
 //	subscription  uvarint bound count, then per bound varint lo, hi
 //	publication   uvarint value count, then varint values
+//	member list   uvarint n, then n × (id, addr, uvarint incarnation, state byte)
+//	link digest   presence byte 1, uvarint count, uint64 root
+//
+// A header whose first byte is not the magic, or whose version byte is
+// not binVersion, is a decode error like any other corrupt frame: the
+// connection closes. The next protocol change bumps that one byte.
 //
 // Encoding appends into pooled buffers and writes each frame with one
 // Write call; decoding parses in place from the connection's read
@@ -48,9 +46,7 @@ package pubsub
 // materialized.
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"unicode/utf8"
@@ -60,172 +56,25 @@ import (
 	"probsum/internal/subscription"
 )
 
-// WireCodec identifies a frame encoding on the TCP transport.
+// WireCodec names a frame encoding; its value is the header version
+// byte.
 type WireCodec uint8
 
-// Wire codecs. The numeric value doubles as the version advertised in
-// hello/ack frames: 0 means "JSON only" (what PR-3 peers implicitly
-// advertise by omitting the field), 1 means "binary v1 decoded here"
-// (PR-4 builds), 2 means "binary v2": the same framing and payload
-// grammar as v1 extended with the PUBBATCH and cluster-control
-// (ping/pong/gossip) message kinds. The version a peer advertises
-// therefore caps both the FRAMING it is sent and the VOCABULARY:
-// senders split publish batches (and never send control kinds) toward
-// peers that advertised less than 2, exactly as PR-4 already split
-// SUBBATCH toward peers that advertised nothing.
-const (
-	// CodecJSON is newline-delimited JSON — the PR-3 wire format.
-	CodecJSON WireCodec = 0
-	// CodecBinary is the length-prefixed binary format, version 1.
-	CodecBinary WireCodec = 1
-	// CodecBinary2 adds the publish-batch and cluster-control kinds.
-	CodecBinary2 WireCodec = 2
-	// CodecBinary3 adds the durability/reconciliation vocabulary: the
-	// optional link-digest field piggybacked on gossip frames and the
-	// sync-request / sync-roots anti-entropy kinds. Toward peers that
-	// advertised less, senders strip the digest and drop sync frames —
-	// the link then simply keeps PR-5 semantics (forward healing only).
-	CodecBinary3 WireCodec = 3
-	// CodecBinary4 adds the SWIM-scale membership vocabulary: the
-	// ping-req indirect-probe and gossip-delta kinds, plus optional
-	// membership deltas piggybacked on ping/pong frames. Toward peers
-	// that advertised less, senders drop the new kinds and strip the
-	// piggybacked deltas — the link then keeps PR-5/6 full-snapshot
-	// gossip semantics.
-	CodecBinary4 WireCodec = 4
-	// CodecBinary5 adds the structured-routing vocabulary: the
-	// route-announce kind that carries subscriptions hop-by-hop toward
-	// a rendezvous broker. Toward peers that advertised less, senders
-	// rewrite a route announce as its flood form (a subscribe-batch
-	// with the same items) — the link then keeps flood semantics, which
-	// routed delivery is a strict subset of.
-	CodecBinary5 WireCodec = 5
-)
-
-// String returns the codec name.
-func (c WireCodec) String() string {
-	switch c {
-	case CodecJSON:
-		return "json"
-	case CodecBinary:
-		return "binary-v1"
-	case CodecBinary2:
-		return "binary-v2"
-	case CodecBinary3:
-		return "binary-v3"
-	case CodecBinary4:
-		return "binary-v4"
-	case CodecBinary5:
-		return "binary"
-	default:
-		return fmt.Sprintf("codec(%d)", uint8(c))
-	}
-}
-
-// ParseWireCodec parses a codec name as accepted by the CLI tools:
-// "json", "binary" (the latest binary version), and the pinned
-// historical vocabularies "binary-v1" (PR-4), "binary-v2" (PR-5),
-// "binary-v3" (PR-6/7), and "binary-v4" (PR-8), for interop tests and
-// staged rollouts.
-func ParseWireCodec(s string) (WireCodec, error) {
-	switch s {
-	case "json":
-		return CodecJSON, nil
-	case "binary":
-		return CodecBinary5, nil
-	case "binary-v1":
-		return CodecBinary, nil
-	case "binary-v2":
-		return CodecBinary2, nil
-	case "binary-v3":
-		return CodecBinary3, nil
-	case "binary-v4":
-		return CodecBinary4, nil
-	default:
-		return 0, fmt.Errorf("pubsub: unknown wire codec %q (want json | binary | binary-v1 | binary-v2 | binary-v3 | binary-v4)", s)
-	}
-}
-
-// negotiate returns the codec to write with, given our own cap and
-// what the remote advertised it decodes: the smaller of the two binary
-// versions when both sides decode binary, JSON otherwise.
-func (c WireCodec) negotiate(remote WireCodec) WireCodec {
-	if c >= CodecBinary && remote >= CodecBinary {
-		return min(c, remote)
-	}
-	return CodecJSON
-}
+// CodecBinary5 is the wire dialect — the only one MarshalFrame accepts.
+const CodecBinary5 WireCodec = 5
 
 const (
-	binMagic = 0xBF
-	// binVersion and binVersion2 are the header version bytes. The
-	// byte is tied to the MESSAGE KIND, not the negotiated codec: the
-	// PR-4 kinds keep emitting byte-identical v1 frames (so v1 decoders
-	// and the committed fuzz corpus are untouched), while the kinds v1
-	// decoders do not know travel under the v2 byte — a v1 peer that is
-	// accidentally sent one fails at the header, the cheapest place.
-	binVersion  = 1
-	binVersion2 = 2
-	binVersion3 = 3
-	binVersion4 = 4
-	binVersion5 = 5
-	binHeader   = 6
+	binMagic   = 0xBF
+	binVersion = byte(CodecBinary5)
+	binHeader  = 6
 	// maxBinaryPayload bounds a decoded frame; hostile length fields
 	// cannot force large allocations past it.
 	maxBinaryPayload = 16 << 20
+
+	// Handshake payload kinds, outside the broker.MsgKind range.
+	kindHello = 0xF0
+	kindAck   = 0xF1
 )
-
-// frameMinCodec is the wire vocabulary registry: for every frame
-// kind, the minimum negotiated codec a destination must have
-// advertised before a frame of that kind may be sent to it. brokervet's
-// wirecheck pass enforces that the registry stays total over the Msg*
-// kinds and that every kind above the JSON baseline keeps a
-// version-gated case in the transport's send path (tcpServer.send),
-// so "added a frame kind, forgot the gate" fails the build instead of
-// the fuzz corpus.
-var frameMinCodec = map[broker.MsgKind]WireCodec{
-	broker.MsgSubscribe:        CodecJSON,
-	broker.MsgUnsubscribe:      CodecJSON,
-	broker.MsgPublish:          CodecJSON,
-	broker.MsgNotify:           CodecJSON,
-	broker.MsgSubscribeBatch:   CodecBinary,
-	broker.MsgUnsubscribeBatch: CodecBinary,
-	broker.MsgPublishBatch:     CodecBinary2,
-	broker.MsgPing:             CodecBinary2,
-	broker.MsgPong:             CodecBinary2,
-	broker.MsgGossip:           CodecBinary2,
-	broker.MsgSyncRequest:      CodecBinary3,
-	broker.MsgSyncRoots:        CodecBinary3,
-	broker.MsgPingReq:          CodecBinary4,
-	broker.MsgGossipDelta:      CodecBinary4,
-	broker.MsgRouteAnnounce:    CodecBinary5,
-}
-
-// wireVersionOf returns the header version byte for a message. The
-// byte is tied to the VOCABULARY the frame uses, not the negotiated
-// codec: PR-4 kinds keep emitting byte-identical v1 frames, PR-5
-// kinds v2 frames, and only the durability vocabulary — the sync
-// kinds, and gossip when it actually piggybacks a digest — travels
-// under the v3 byte, so an older peer accidentally sent one fails at
-// the header, the cheapest place. The kind→vocabulary mapping is
-// frameMinCodec's; kinds at the JSON baseline ride the v1 binary
-// framing.
-func wireVersionOf(m *broker.Message) byte {
-	switch m.Kind {
-	case broker.MsgGossip:
-		if m.Digest != nil {
-			return binVersion3
-		}
-	case broker.MsgPing, broker.MsgPong:
-		if len(m.Members) > 0 {
-			return binVersion4
-		}
-	}
-	if v := frameMinCodec[m.Kind]; v >= CodecBinary {
-		return byte(v)
-	}
-	return binVersion
-}
 
 // encBufPool pools encode scratch buffers across writers, readers'
 // replies, and client sends.
@@ -236,61 +85,36 @@ var encBufPool = sync.Pool{
 func getEncBuf() *[]byte  { return encBufPool.Get().(*[]byte) }
 func putEncBuf(b *[]byte) { *b = (*b)[:0]; encBufPool.Put(b) }
 
-// MarshalFrame appends the wire encoding of fr under the given codec
-// to buf and returns the extended slice. JSON frames are terminated
-// by a newline, binary frames by their length prefix. Handshake
-// frames (hello and ack) are JSON-only by protocol; marshaling one as
-// binary is an error.
+// MarshalFrame appends the wire encoding of fr to buf and returns the
+// extended slice. codec must be CodecBinary5. A frame is a hello
+// (Hello set), an ack (Ack set), or a message (Msg set).
 func MarshalFrame(codec WireCodec, buf []byte, fr *Frame) ([]byte, error) {
-	switch codec {
-	case CodecJSON:
-		data, err := json.Marshal(fr)
-		if err != nil {
-			return buf, err
-		}
-		buf = append(buf, data...)
-		return append(buf, '\n'), nil
-	case CodecBinary, CodecBinary2, CodecBinary3, CodecBinary4, CodecBinary5:
-		return appendBinaryFrame(buf, fr)
-	default:
+	if codec != CodecBinary5 {
 		return buf, fmt.Errorf("pubsub: cannot marshal under codec %d", codec)
 	}
-}
-
-// UnmarshalFrame decodes the first frame in data — either codec,
-// sniffed from the first byte — returning the frame and the number of
-// bytes consumed. A JSON frame without a trailing newline consumes
-// the whole input; a binary frame needs its full length-prefixed
-// extent present or an error is returned.
-func UnmarshalFrame(data []byte) (Frame, int, error) {
-	var fr Frame
-	if len(data) == 0 {
-		return fr, 0, fmt.Errorf("pubsub: empty frame")
-	}
-	if data[0] == binMagic {
-		n, err := decodeBinaryFrame(data, &fr)
-		return fr, n, err
-	}
-	end := len(data)
-	if i := bytes.IndexByte(data, '\n'); i >= 0 {
-		end = i + 1
-	}
-	if err := json.Unmarshal(data[:end], &fr); err != nil {
-		return Frame{}, 0, fmt.Errorf("pubsub: json frame: %w", err)
-	}
-	return fr, end, nil
-}
-
-// appendBinaryFrame appends the binary encoding of fr to buf.
-func appendBinaryFrame(buf []byte, fr *Frame) ([]byte, error) {
-	if fr.Msg == nil {
-		return buf, fmt.Errorf("pubsub: binary codec carries only message frames (handshake stays JSON)")
-	}
 	start := len(buf)
-	buf = append(buf, binMagic, wireVersionOf(fr.Msg), 0, 0, 0, 0)
-	var err error
-	if buf, err = appendBinaryMessage(buf, fr.Msg); err != nil {
-		return buf[:start], err
+	buf = append(buf, binMagic, binVersion, 0, 0, 0, 0)
+	switch {
+	case fr.Msg != nil:
+		var err error
+		if buf, err = appendBinaryMessage(buf, fr.Msg); err != nil {
+			return buf[:start], err
+		}
+	case fr.Hello != "":
+		var flags byte
+		if fr.Client {
+			flags = 1
+		}
+		buf = append(buf, kindHello, flags)
+		buf = appendString(buf, fr.Hello)
+		buf = appendString(buf, fr.Addr)
+		buf = append(buf, fr.Cluster)
+	case fr.Ack != "":
+		buf = append(buf, kindAck)
+		buf = appendString(buf, fr.Ack)
+		buf = append(buf, fr.Cluster)
+	default:
+		return buf[:start], fmt.Errorf("pubsub: cannot marshal an empty frame")
 	}
 	payload := len(buf) - start - binHeader
 	if payload > maxBinaryPayload {
@@ -298,6 +122,27 @@ func appendBinaryFrame(buf []byte, fr *Frame) ([]byte, error) {
 	}
 	binary.LittleEndian.PutUint32(buf[start+2:start+binHeader], uint32(payload))
 	return buf, nil
+}
+
+// UnmarshalFrame decodes the first frame in data, returning the frame
+// and the number of bytes consumed. The frame's full length-prefixed
+// extent must be present.
+func UnmarshalFrame(data []byte) (Frame, int, error) {
+	var fr Frame
+	if len(data) < binHeader {
+		return fr, 0, fmt.Errorf("pubsub: truncated frame header (%d bytes)", len(data))
+	}
+	n, err := parseBinaryHeader(data)
+	if err != nil {
+		return fr, 0, err
+	}
+	if len(data) < binHeader+n {
+		return fr, 0, fmt.Errorf("pubsub: truncated frame (%d of %d payload bytes)", len(data)-binHeader, n)
+	}
+	if err := decodePayload(data[binHeader:binHeader+n], &fr); err != nil {
+		return Frame{}, 0, err
+	}
+	return fr, binHeader + n, nil
 }
 
 func appendBinaryMessage(buf []byte, m *broker.Message) ([]byte, error) {
@@ -334,28 +179,20 @@ func appendBinaryMessage(buf []byte, m *broker.Message) ([]byte, error) {
 		}
 	case broker.MsgPing, broker.MsgPong:
 		buf = binary.AppendUvarint(buf, m.Seq)
-		// Optional piggybacked membership deltas (v4). Like the gossip
-		// digest below, absence keeps the frame byte-identical to the
-		// v2 encoding; v2/v3 decoders reject trailing bytes, so deltas
-		// only travel toward peers that advertised v4 (see tcp.go).
+		// Optional piggybacked membership deltas.
 		if len(m.Members) > 0 {
 			buf = appendMembers(buf, m.Members)
 		}
 	case broker.MsgGossip, broker.MsgGossipDelta:
 		buf = appendMembers(buf, m.Members)
-		// The delta frame (v4, new vocabulary) carries a REQUIRED
-		// member-view hash between the update batch and the optional
-		// link digest — the anti-entropy trigger that keeps delta-only
-		// dissemination complete.
+		// The delta frame carries a REQUIRED member-view hash between
+		// the update batch and the optional link digest — the
+		// anti-entropy trigger that keeps delta-only dissemination
+		// complete.
 		if m.Kind == broker.MsgGossipDelta {
 			buf = binary.LittleEndian.AppendUint64(buf, m.MemberHash)
 		}
-		// Optional link digest (v3): presence byte, count, fixed root.
-		// Absent, the full-gossip frame is byte-identical to the v2
-		// encoding — the invariant that keeps v2 decoders and the
-		// committed corpus working (v2 decoders reject trailing bytes,
-		// so a digest can only travel toward peers that advertised v3;
-		// see tcp.go).
+		// Optional link digest: presence byte, count, fixed root.
 		if m.Digest != nil {
 			buf = append(buf, 1)
 			buf = binary.AppendUvarint(buf, uint64(m.Digest.Count))
@@ -401,7 +238,7 @@ func appendString(buf []byte, s string) []byte {
 }
 
 // appendMembers appends a uvarint-counted member-record list — the
-// shared payload shape of gossip, gossip-delta, ping-req, and the v4
+// shared payload shape of gossip, gossip-delta, ping-req, and the
 // ping/pong piggyback tail.
 func appendMembers(buf []byte, ms []broker.MemberInfo) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(ms)))
@@ -431,13 +268,16 @@ func appendPublication(buf []byte, p subscription.Publication) []byte {
 	return buf
 }
 
-// parseBinaryHeader validates a complete 6-byte binary frame header
-// (hdr[0] is known to be the magic byte) and returns the payload
-// length — the single copy of the header contract shared by
-// UnmarshalFrame and the stream reader's blocking and buffered paths.
+// parseBinaryHeader validates a complete 6-byte frame header and
+// returns the payload length — the single copy of the header contract
+// (magic, version, size cap) shared by UnmarshalFrame and the stream
+// reader's blocking and buffered paths.
 func parseBinaryHeader(hdr []byte) (int, error) {
-	if hdr[1] < binVersion || hdr[1] > binVersion5 {
-		return 0, fmt.Errorf("pubsub: unsupported binary frame version %d", hdr[1])
+	if hdr[0] != binMagic {
+		return 0, fmt.Errorf("pubsub: bad frame magic 0x%02x", hdr[0])
+	}
+	if hdr[1] != binVersion {
+		return 0, fmt.Errorf("pubsub: unsupported frame version %d (this build speaks %d)", hdr[1], binVersion)
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[2:binHeader]))
 	if n > maxBinaryPayload {
@@ -446,26 +286,38 @@ func parseBinaryHeader(hdr []byte) (int, error) {
 	return n, nil
 }
 
-// decodeBinaryFrame decodes one header-prefixed binary frame from
-// data, returning the bytes consumed. data[0] is known to be the
-// magic byte.
-func decodeBinaryFrame(data []byte, fr *Frame) (int, error) {
-	if len(data) < binHeader {
-		return 0, fmt.Errorf("pubsub: truncated binary header (%d bytes)", len(data))
+// decodePayload parses one frame payload in place into fr: a handshake
+// frame by its kind byte, anything else as a protocol message.
+func decodePayload(payload []byte, fr *Frame) error {
+	if len(payload) > 0 && (payload[0] == kindHello || payload[0] == kindAck) {
+		d := binDecoder{buf: payload[1:]}
+		*fr = Frame{}
+		if payload[0] == kindHello {
+			flags := d.byte()
+			if d.err == nil && flags > 1 {
+				d.fail("bad hello flags byte %d", flags)
+			}
+			fr.Client = flags == 1
+			fr.Hello = d.string()
+			fr.Addr = d.string()
+		} else {
+			fr.Ack = d.string()
+		}
+		fr.Cluster = d.byte()
+		if d.err == nil && fr.Hello == "" && fr.Ack == "" {
+			d.fail("handshake frame without a name")
+		}
+		if d.err == nil && len(d.buf) != 0 {
+			d.fail("%d trailing bytes after handshake payload", len(d.buf))
+		}
+		return d.err
 	}
-	n, err := parseBinaryHeader(data)
+	msg, err := decodeBinaryMessage(payload)
 	if err != nil {
-		return 0, err
-	}
-	if len(data) < binHeader+n {
-		return 0, fmt.Errorf("pubsub: truncated binary frame (%d of %d payload bytes)", len(data)-binHeader, n)
-	}
-	msg, err := decodeBinaryMessage(data[binHeader : binHeader+n])
-	if err != nil {
-		return 0, err
+		return err
 	}
 	*fr = Frame{Msg: msg}
-	return binHeader + n, nil
+	return nil
 }
 
 // decodeBinaryMessage parses a payload in place: the input slice is
@@ -518,7 +370,7 @@ func decodeBinaryMessage(payload []byte) (*broker.Message, error) {
 		}
 	case broker.MsgPing, broker.MsgPong:
 		msg.Seq = d.uvarint()
-		// Optional v4 piggybacked membership deltas after the seq.
+		// Optional piggybacked membership deltas after the seq.
 		if d.err == nil && len(d.buf) > 0 {
 			msg.Members = d.members()
 		}
@@ -530,7 +382,7 @@ func decodeBinaryMessage(payload []byte) (*broker.Message, error) {
 				d.fail("zero gossip-delta member hash")
 			}
 		}
-		// Optional v3 link digest: presence byte after the member list.
+		// Optional link digest: presence byte after the member list.
 		if d.err == nil && len(d.buf) > 0 {
 			if p := d.byte(); p != 1 {
 				d.fail("bad gossip digest presence byte %d", p)
@@ -678,8 +530,7 @@ func (d *binDecoder) count(minBytes int) int {
 }
 
 // string reads a length-prefixed identifier. IDs are UTF-8 text by
-// protocol (the JSON codec could not represent anything else
-// faithfully), so invalid bytes are a decode error.
+// protocol, so invalid bytes are a decode error.
 func (d *binDecoder) string() string {
 	n := d.count(1)
 	if d.err != nil {

@@ -1,9 +1,8 @@
 package pubsub
 
 // frameReader: the stream side of the codec. One instance wraps each
-// inbound connection; it sniffs every frame (JSON line or binary
-// header, see codec.go) so mixed-codec streams need no per-connection
-// mode, reuses one payload buffer across frames (pooled decode: a
+// inbound connection; it validates every frame header (see codec.go),
+// reuses one payload buffer across frames (pooled decode: a
 // connection's frames never allocate fresh payload storage once the
 // buffer has grown to the connection's frame sizes), and exposes a
 // non-blocking tryRead so readers can coalesce frames that are
@@ -11,9 +10,6 @@ package pubsub
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"io"
 	"time"
 
@@ -44,11 +40,6 @@ func (fr *frameReader) instrument(hist *obs.Histogram, clock func() time.Time) {
 	fr.hist, fr.clock = hist, clock
 }
 
-// observeDecode records one decode duration starting at t0.
-func (fr *frameReader) observeDecode(t0 time.Time) {
-	fr.hist.Observe(fr.clock().Sub(t0))
-}
-
 // grow returns the reusable payload buffer resized to n bytes.
 func (fr *frameReader) grow(n int) []byte {
 	if cap(fr.payload) < n {
@@ -57,61 +48,39 @@ func (fr *frameReader) grow(n int) []byte {
 	return fr.payload[:n]
 }
 
+// decode parses one payload into f, timing it when instrumented.
+func (fr *frameReader) decode(payload []byte, f *Frame) error {
+	if fr.hist == nil {
+		return decodePayload(payload, f)
+	}
+	t0 := fr.clock()
+	err := decodePayload(payload, f)
+	fr.hist.Observe(fr.clock().Sub(t0))
+	return err
+}
+
 // read blocks until one full frame is decoded (or the stream errors).
 func (fr *frameReader) read(f *Frame) error {
-	first, err := fr.r.Peek(1)
+	var hdr [binHeader]byte
+	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
+		return err
+	}
+	n, err := parseBinaryHeader(hdr[:])
 	if err != nil {
 		return err
 	}
-	if first[0] == binMagic {
-		var hdr [binHeader]byte
-		if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
-			return err
-		}
-		n, err := parseBinaryHeader(hdr[:])
-		if err != nil {
-			return err
-		}
-		payload := fr.grow(n)
-		if _, err := io.ReadFull(fr.r, payload); err != nil {
-			return err
-		}
-		var t0 time.Time
-		if fr.hist != nil {
-			t0 = fr.clock()
-		}
-		msg, err := decodeBinaryMessage(payload)
-		if fr.hist != nil {
-			fr.observeDecode(t0)
-		}
-		// One outsized frame must not pin its buffer for the life of
-		// the connection — drop anything beyond the bufio window and
-		// fall back to the steady-state size on the next frame.
-		if cap(fr.payload) > frameReaderBufSize {
-			fr.payload = nil
-		}
-		if err != nil {
-			return err
-		}
-		*f = Frame{Msg: msg}
-		return nil
-	}
-	line, err := fr.r.ReadBytes('\n')
-	if err != nil {
+	payload := fr.grow(n)
+	if _, err := io.ReadFull(fr.r, payload); err != nil {
 		return err
 	}
-	var t0 time.Time
-	if fr.hist != nil {
-		t0 = fr.clock()
+	err = fr.decode(payload, f)
+	// One outsized frame must not pin its buffer for the life of
+	// the connection — drop anything beyond the bufio window and
+	// fall back to the steady-state size on the next frame.
+	if cap(fr.payload) > frameReaderBufSize {
+		fr.payload = nil
 	}
-	*f = Frame{}
-	if err := json.Unmarshal(line, f); err != nil {
-		return fmt.Errorf("pubsub: json frame: %w", err)
-	}
-	if fr.hist != nil {
-		fr.observeDecode(t0)
-	}
-	return nil
+	return err
 }
 
 // tryRead decodes the next frame ONLY if it is already fully buffered
@@ -121,56 +90,23 @@ func (fr *frameReader) read(f *Frame) error {
 // when the stream runs dry mid-frame.
 func (fr *frameReader) tryRead(f *Frame) (bool, error) {
 	n := fr.r.Buffered()
-	if n == 0 {
+	if n < binHeader {
 		return false, nil
 	}
 	buf, err := fr.r.Peek(n)
 	if err != nil {
 		return false, err
 	}
-	if buf[0] == binMagic {
-		if n < binHeader {
-			return false, nil
-		}
-		plen, err := parseBinaryHeader(buf)
-		if err != nil {
-			return false, err
-		}
-		if n < binHeader+plen {
-			return false, nil
-		}
-		var t0 time.Time
-		if fr.hist != nil {
-			t0 = fr.clock()
-		}
-		msg, err := decodeBinaryMessage(buf[binHeader : binHeader+plen])
-		if fr.hist != nil {
-			fr.observeDecode(t0)
-		}
-		if err != nil {
-			return false, err
-		}
-		fr.r.Discard(binHeader + plen)
-		*f = Frame{Msg: msg}
-		return true, nil
+	plen, err := parseBinaryHeader(buf)
+	if err != nil {
+		return false, err
 	}
-	i := bytes.IndexByte(buf, '\n')
-	if i < 0 {
-		// No full JSON line buffered (possibly a frame larger than the
-		// window); let the blocking path handle it.
+	if n < binHeader+plen {
 		return false, nil
 	}
-	var t0 time.Time
-	if fr.hist != nil {
-		t0 = fr.clock()
+	if err := fr.decode(buf[binHeader:binHeader+plen], f); err != nil {
+		return false, err
 	}
-	*f = Frame{}
-	if err := json.Unmarshal(buf[:i+1], f); err != nil {
-		return false, fmt.Errorf("pubsub: json frame: %w", err)
-	}
-	if fr.hist != nil {
-		fr.observeDecode(t0)
-	}
-	fr.r.Discard(i + 1)
+	fr.r.Discard(binHeader + plen)
 	return true, nil
 }

@@ -27,8 +27,8 @@ func codecTestFrames() []Frame {
 			{SubID: "b/2", Sub: sub2},
 		}}},
 		{Msg: &broker.Message{Kind: broker.MsgUnsubscribeBatch, SubIDs: []string{"b/1", "b/2"}}},
-		// The v2 vocabulary: producer-side publish batches and the
-		// cluster membership control frames.
+		// Producer-side publish batches and the cluster membership
+		// control frames.
 		{Msg: &broker.Message{Kind: broker.MsgPublishBatch, Pubs: []broker.BatchPub{
 			{PubID: "p-1", Pub: pub},
 			{PubID: "p-2", Pub: subscription.NewPublication(3)},
@@ -39,8 +39,8 @@ func codecTestFrames() []Frame {
 			{ID: "B1", Addr: "10.0.0.7:7001", Incarnation: 3, State: broker.MemberAlive},
 			{ID: "B2", Incarnation: 1, State: broker.MemberDead},
 		}}},
-		// The v3 vocabulary: gossip piggybacking a link digest, and the
-		// digest-mismatch sync exchange.
+		// Gossip piggybacking a link digest, and the digest-mismatch
+		// sync exchange.
 		{Msg: &broker.Message{Kind: broker.MsgGossip, Members: []broker.MemberInfo{
 			{ID: "B1", Addr: "10.0.0.7:7001", Incarnation: 3, State: broker.MemberAlive},
 		}, Digest: &broker.LinkDigest{Count: 7, Root: 0xC0FFEE}}},
@@ -48,9 +48,9 @@ func codecTestFrames() []Frame {
 		{Msg: &broker.Message{Kind: broker.MsgSyncRoots, Mask: 0b1010, Subs: []broker.BatchSub{
 			{SubID: "b/1", Sub: sub},
 		}}},
-		// The v4 vocabulary: indirect probes (both directions) and
-		// bounded delta gossip with its required member-view hash, plus
-		// the ping/pong piggyback tail.
+		// Indirect probes (both directions) and bounded delta gossip
+		// with its required member-view hash, plus the ping/pong
+		// piggyback tail.
 		{Msg: &broker.Message{Kind: broker.MsgPingReq, Target: "B3", Seq: 9, Members: []broker.MemberInfo{
 			{ID: "B4", Addr: "10.0.0.9:7001", Incarnation: 2, State: broker.MemberSuspect},
 		}}},
@@ -72,11 +72,27 @@ func codecTestFrames() []Frame {
 	}
 }
 
-// canonMsg reduces a message to its canonical JSON so nil-vs-empty
-// slice differences (invisible on the wire) do not fail comparisons.
+// canonMsg renders a message for comparison, with empty slices
+// reduced to nil: the nil-vs-empty difference is invisible on the wire.
 func canonMsg(t testing.TB, m *broker.Message) string {
 	t.Helper()
-	data, err := json.Marshal(m)
+	c := *m
+	if len(c.Subs) == 0 {
+		c.Subs = nil
+	}
+	if len(c.SubIDs) == 0 {
+		c.SubIDs = nil
+	}
+	if len(c.Pubs) == 0 {
+		c.Pubs = nil
+	}
+	if len(c.Members) == 0 {
+		c.Members = nil
+	}
+	if len(c.Buckets) == 0 {
+		c.Buckets = nil
+	}
+	data, err := json.Marshal(c)
 	if err != nil {
 		t.Fatalf("canon: %v", err)
 	}
@@ -84,77 +100,67 @@ func canonMsg(t testing.TB, m *broker.Message) string {
 }
 
 func TestCodecRoundTrip(t *testing.T) {
-	for _, codec := range []WireCodec{CodecJSON, CodecBinary} {
-		for _, fr := range codecTestFrames() {
-			data, err := MarshalFrame(codec, nil, &fr)
-			if err != nil {
-				t.Fatalf("%v marshal %+v: %v", codec, fr.Msg, err)
-			}
-			got, n, err := UnmarshalFrame(data)
-			if err != nil {
-				t.Fatalf("%v unmarshal %+v: %v", codec, fr.Msg, err)
-			}
-			if n != len(data) {
-				t.Fatalf("%v consumed %d of %d bytes", codec, n, len(data))
-			}
-			if got.Msg == nil {
-				t.Fatalf("%v round trip lost the message", codec)
-			}
-			if canonMsg(t, got.Msg) != canonMsg(t, fr.Msg) {
-				t.Fatalf("%v round trip:\n in  %s\n out %s", codec, canonMsg(t, fr.Msg), canonMsg(t, got.Msg))
-			}
-		}
-	}
-}
-
-// TestCodecCrossDecode pins that the two codecs agree on the shared
-// message fields: binary-encoded frames re-encoded as JSON decode to
-// the same message, and vice versa.
-func TestCodecCrossDecode(t *testing.T) {
 	for _, fr := range codecTestFrames() {
-		bin, err := MarshalFrame(CodecBinary, nil, &fr)
+		data, err := MarshalFrame(CodecBinary5, nil, &fr)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("marshal %+v: %v", fr.Msg, err)
 		}
-		viaBin, _, err := UnmarshalFrame(bin)
+		got, n, err := UnmarshalFrame(data)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("unmarshal %+v: %v", fr.Msg, err)
 		}
-		jsn, err := MarshalFrame(CodecJSON, nil, &viaBin)
-		if err != nil {
-			t.Fatal(err)
+		if n != len(data) {
+			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
-		viaJSON, _, err := UnmarshalFrame(jsn)
-		if err != nil {
-			t.Fatal(err)
+		if got.Msg == nil {
+			t.Fatalf("round trip lost the message")
 		}
-		if canonMsg(t, viaJSON.Msg) != canonMsg(t, fr.Msg) {
-			t.Fatalf("binary→json cross decode:\n in  %s\n out %s",
-				canonMsg(t, fr.Msg), canonMsg(t, viaJSON.Msg))
+		if canonMsg(t, got.Msg) != canonMsg(t, fr.Msg) {
+			t.Fatalf("round trip:\n in  %s\n out %s", canonMsg(t, fr.Msg), canonMsg(t, got.Msg))
 		}
 	}
 }
 
-func TestCodecHandshakeFramesAreJSONOnly(t *testing.T) {
-	hello := Frame{Hello: "B1", Codec: uint8(CodecBinary)}
-	if _, err := MarshalFrame(CodecBinary, nil, &hello); err == nil {
-		t.Fatal("binary marshal of a hello frame succeeded")
+// handshakeTestFrames is one hello of each shape and an ack.
+func handshakeTestFrames() []Frame {
+	return []Frame{
+		{Hello: "alice", Client: true},
+		{Hello: "B1", Addr: "127.0.0.1:7001", Cluster: 1},
+		{Hello: "B1"},
+		{Ack: "B2", Cluster: 1},
+		{Ack: "B2"},
 	}
-	data, err := MarshalFrame(CodecJSON, nil, &hello)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestCodecHandshakeRoundTrip pins that hello and ack travel the same
+// frame grammar as every message.
+func TestCodecHandshakeRoundTrip(t *testing.T) {
+	for _, fr := range handshakeTestFrames() {
+		data, err := MarshalFrame(CodecBinary5, nil, &fr)
+		if err != nil {
+			t.Fatalf("marshal %+v: %v", fr, err)
+		}
+		if data[0] != binMagic || data[1] != binVersion {
+			t.Fatalf("handshake frame header % x", data[:binHeader])
+		}
+		got, n, err := UnmarshalFrame(data)
+		if err != nil || n != len(data) {
+			t.Fatalf("unmarshal %+v: consumed %d of %d, err %v", fr, n, len(data), err)
+		}
+		if got != fr {
+			t.Fatalf("handshake round trip:\n in  %+v\n out %+v", fr, got)
+		}
 	}
-	got, _, err := UnmarshalFrame(data)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := MarshalFrame(CodecBinary5, nil, &Frame{}); err == nil {
+		t.Fatal("marshal of an empty frame succeeded")
 	}
-	if got.Hello != "B1" || WireCodec(got.Codec) != CodecBinary {
-		t.Fatalf("hello round trip = %+v", got)
+	if _, err := MarshalFrame(WireCodec(4), nil, &Frame{Hello: "B1"}); err == nil {
+		t.Fatal("marshal under a foreign codec succeeded")
 	}
 }
 
 func TestCodecDecodeRejects(t *testing.T) {
-	valid, err := MarshalFrame(CodecBinary, nil, &codecTestFrames()[0])
+	valid, err := MarshalFrame(CodecBinary5, nil, &codecTestFrames()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,46 +173,25 @@ func TestCodecDecodeRejects(t *testing.T) {
 		"truncated header":  valid[:3],
 		"truncated payload": valid[:len(valid)-1],
 		"bad version":       {binMagic, 0x7F, 0, 0, 0, 0},
+		"older version":     {binMagic, binVersion - 1, 2, 0, 0, 0, byte(broker.MsgUnsubscribe), 0},
 		"trailing bytes":    trailing,
 		"oversized length":  {binMagic, binVersion, 0xFF, 0xFF, 0xFF, 0xFF},
 		"hostile count":     {binMagic, binVersion, 3, 0, 0, 0, byte(broker.MsgUnsubscribeBatch), 0xFF, 0x7F},
 		"unknown kind":      {binMagic, binVersion, 1, 0, 0, 0, 0x63},
-		"not json":          []byte("garbage\n"),
-		// v4 grammar rejects: the delta member-view hash is required and
-		// never zero; the ping-req flags byte has two defined values.
-		"zero delta hash":   {binMagic, binVersion4, 10, 0, 0, 0, byte(broker.MsgGossipDelta), 0, 0, 0, 0, 0, 0, 0, 0, 0},
-		"bad pingreq flags": {binMagic, binVersion4, 2, 0, 0, 0, byte(broker.MsgPingReq), 2},
+		"not a frame":       []byte("garbage\n"),
+		"json line":         []byte(`{"hello":"B1","client":true}` + "\n"),
+		// The delta member-view hash is required and never zero; the
+		// ping-req and hello flags bytes have two defined values; a
+		// handshake frame names its sender.
+		"bad hello flags":   {binMagic, binVersion, 6, 0, 0, 0, kindHello, 2, 1, 'B', 0, 0},
+		"nameless hello":    {binMagic, binVersion, 5, 0, 0, 0, kindHello, 0, 0, 0, 0},
+		"nameless ack":      {binMagic, binVersion, 3, 0, 0, 0, kindAck, 0, 0},
+		"zero delta hash":   {binMagic, binVersion, 10, 0, 0, 0, byte(broker.MsgGossipDelta), 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		"bad pingreq flags": {binMagic, binVersion, 2, 0, 0, 0, byte(broker.MsgPingReq), 2},
 	}
 	for name, data := range cases {
 		if _, _, err := UnmarshalFrame(data); err == nil {
 			t.Errorf("%s: decode succeeded", name)
-		}
-	}
-}
-
-// TestFrameReaderMixedStream feeds one stream holding JSON and binary
-// frames back to back and checks the reader sniffs each correctly.
-func TestFrameReaderMixedStream(t *testing.T) {
-	frames := codecTestFrames()
-	var stream []byte
-	var err error
-	for i, fr := range frames {
-		codec := CodecJSON
-		if i%2 == 1 {
-			codec = CodecBinary
-		}
-		if stream, err = MarshalFrame(codec, stream, &fr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := newFrameReader(bytes.NewReader(stream))
-	for i, want := range frames {
-		var got Frame
-		if err := r.read(&got); err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if canonMsg(t, got.Msg) != canonMsg(t, want.Msg) {
-			t.Fatalf("frame %d:\n in  %s\n out %s", i, canonMsg(t, want.Msg), canonMsg(t, got.Msg))
 		}
 	}
 }
@@ -222,12 +207,12 @@ func TestFrameReaderTryReadCoalesces(t *testing.T) {
 	var err error
 	for _, id := range []string{"p1", "p2", "p3"} {
 		fr := pubFrame(id)
-		if stream, err = MarshalFrame(CodecBinary, stream, &fr); err != nil {
+		if stream, err = MarshalFrame(CodecBinary5, stream, &fr); err != nil {
 			t.Fatal(err)
 		}
 	}
 	tail := pubFrame("p4")
-	tailBytes, err := MarshalFrame(CodecBinary, nil, &tail)
+	tailBytes, err := MarshalFrame(CodecBinary5, nil, &tail)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,10 @@
 package pubsub
 
-// Fuzz layer pinning the wire codec (ISSUE 4): decoding arbitrary
-// bytes never panics or over-reads, and every decodable frame
-// round-trips identically through both codecs — including the
-// JSON↔binary cross-decode of the shared message fields. The seed
-// corpus under testdata/fuzz/ holds one well-formed frame per message
-// kind in each codec plus malformed prefixes; regenerate it with
+// Fuzz layer pinning the wire codec: decoding arbitrary bytes never
+// panics or over-reads, and every decodable frame round-trips
+// identically. The seed corpus under testdata/fuzz/ holds one
+// well-formed frame per message kind, the handshake frames, a
+// truncation of each, and malformed prefixes; regenerate it with
 //
 //	go test ./pubsub -run TestWriteFuzzCorpus -write-fuzz-corpus
 
@@ -21,99 +20,40 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"unicode/utf8"
 )
 
-// wireKind reports whether k is a protocol message kind both codecs
-// express — through MsgGossipDelta since the v4 vocabulary (indirect
-// probes and bounded delta gossip).
-func wireKind(k broker.MsgKind) bool {
-	return k >= broker.MsgSubscribe && k <= broker.MsgGossipDelta
-}
-
-// wireClean reports whether every identifier in the message is valid
-// UTF-8. The binary codec enforces this on decode (IDs are text by
-// protocol); hostile JSON can still smuggle invalid bytes into a
-// decoded string, and such messages cannot round-trip through
-// encoding/json (which substitutes U+FFFD on encode), so the fuzz
-// properties skip them.
-func wireClean(m *broker.Message) bool {
-	if !utf8.ValidString(m.SubID) || !utf8.ValidString(m.PubID) || !utf8.ValidString(m.Target) {
-		return false
-	}
-	// The binary decoder rejects a gossip-delta frame without its
-	// member-view hash (the anti-entropy trigger is not optional), but
-	// schemaless JSON can omit the field; such a message cannot
-	// round-trip through the binary codec, so the properties skip it.
-	if m.Kind == broker.MsgGossipDelta && m.MemberHash == 0 {
-		return false
-	}
-	for _, it := range m.Subs {
-		if !utf8.ValidString(it.SubID) {
-			return false
-		}
-	}
-	for _, id := range m.SubIDs {
-		if !utf8.ValidString(id) {
-			return false
-		}
-	}
-	for _, it := range m.Pubs {
-		if !utf8.ValidString(it.PubID) {
-			return false
-		}
-	}
-	for _, mb := range m.Members {
-		if !utf8.ValidString(mb.ID) || !utf8.ValidString(mb.Addr) {
-			return false
-		}
-	}
-	return true
-}
-
 // fuzzSeeds returns the seed inputs shared by both fuzz targets and
-// the checked-in corpus: every message kind in both codecs, plus
-// malformed variants.
+// the checked-in corpus: every message kind and the handshake frames,
+// each whole and cut one byte short, and malformed variants.
 func fuzzSeeds(tb testing.TB) [][]byte {
 	var seeds [][]byte
-	for _, fr := range codecTestFrames() {
-		for _, codec := range []WireCodec{CodecJSON, CodecBinary} {
-			data, err := MarshalFrame(codec, nil, &fr)
-			if err != nil {
-				tb.Fatal(err)
-			}
-			seeds = append(seeds, data)
+	for _, fr := range append(codecTestFrames(), handshakeTestFrames()...) {
+		data, err := MarshalFrame(CodecBinary5, nil, &fr)
+		if err != nil {
+			tb.Fatal(err)
 		}
-	}
-	hello, err := MarshalFrame(CodecJSON, nil, &Frame{Hello: "B1", Client: true, Addr: "127.0.0.1:7001", Codec: 1})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	ack, err := MarshalFrame(CodecJSON, nil, &Frame{Ack: "B2", Codec: 1})
-	if err != nil {
-		tb.Fatal(err)
+		seeds = append(seeds, data, data[:len(data)-1])
 	}
 	seeds = append(seeds,
-		hello,
-		ack,
-		[]byte("{\n"),
-		[]byte("null\n"),
+		[]byte("{\"hello\":\"B1\"}\n"),
 		[]byte{binMagic},
+		[]byte{binMagic, binVersion - 1, 2, 0, 0, 0, byte(broker.MsgUnsubscribe), 0x00},
 		[]byte{binMagic, binVersion, 0xFF, 0xFF, 0xFF, 0x00},
+		[]byte{binMagic, binVersion, 0xFF, 0xFF, 0xFF, 0x7F},
 		[]byte{binMagic, binVersion, 2, 0, 0, 0, 0x05, 0xFF},
-		// v2-header malformed variants: truncated gossip member count,
-		// and a v2 frame carrying a v1 kind (legal — version bytes cap
-		// the vocabulary, not the payload grammar).
-		[]byte{binMagic, binVersion2, 2, 0, 0, 0, 0x0a, 0xFF},
-		[]byte{binMagic, binVersion2, 0xFF, 0xFF, 0xFF, 0x7F},
-		// v4-header malformed variants: a gossip-delta truncated before
-		// its required member-view hash, a gossip-delta whose hash is
-		// the reserved zero, a ping-req with an undefined flags byte,
-		// and a ping-req truncated before its piggyback member list.
-		[]byte{binMagic, binVersion4, 2, 0, 0, 0, byte(broker.MsgGossipDelta), 0x00},
-		[]byte{binMagic, binVersion4, 10, 0, 0, 0, byte(broker.MsgGossipDelta), 0x00, 0, 0, 0, 0, 0, 0, 0, 0},
-		[]byte{binMagic, binVersion4, 2, 0, 0, 0, byte(broker.MsgPingReq), 0x02},
-		[]byte{binMagic, binVersion4, 6, 0, 0, 0, byte(broker.MsgPingReq), 0x00, 0x02, 'B', '3', 0x07},
+		// A truncated gossip member count; a gossip-delta truncated
+		// before its required member-view hash; a gossip-delta whose
+		// hash is the reserved zero; a ping-req with an undefined flags
+		// byte; a ping-req truncated before its piggyback member list;
+		// a hello with an undefined flags byte; a hello cut before its
+		// cluster byte.
+		[]byte{binMagic, binVersion, 2, 0, 0, 0, byte(broker.MsgGossip), 0xFF},
+		[]byte{binMagic, binVersion, 2, 0, 0, 0, byte(broker.MsgGossipDelta), 0x00},
+		[]byte{binMagic, binVersion, 10, 0, 0, 0, byte(broker.MsgGossipDelta), 0x00, 0, 0, 0, 0, 0, 0, 0, 0},
+		[]byte{binMagic, binVersion, 2, 0, 0, 0, byte(broker.MsgPingReq), 0x02},
+		[]byte{binMagic, binVersion, 6, 0, 0, 0, byte(broker.MsgPingReq), 0x00, 0x02, 'B', '3', 0x07},
+		[]byte{binMagic, binVersion, 6, 0, 0, 0, kindHello, 0x02, 0x01, 'B', 0x00, 0x00},
+		[]byte{binMagic, binVersion, 5, 0, 0, 0, kindHello, 0x00, 0x01, 'B', 0x00},
 	)
 	return seeds
 }
@@ -133,67 +73,42 @@ func FuzzFrameDecode(f *testing.F) {
 		if n <= 0 || n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
-		if fr.Msg == nil {
-			return // handshake or empty frame
-		}
-		if !wireKind(fr.Msg.Kind) || !wireClean(fr.Msg) {
-			// JSON (being schemaless) can carry kinds outside the
-			// protocol and non-UTF-8 identifier bytes; the binary codec
-			// rejects both and the broker kills such connections at
-			// dispatch.
-			return
-		}
-		// Whatever decoded must re-encode under both codecs.
-		if _, err := MarshalFrame(CodecBinary, nil, &fr); err != nil {
-			t.Fatalf("binary re-encode of decoded frame: %v", err)
-		}
-		if _, err := MarshalFrame(CodecJSON, nil, &fr); err != nil {
-			t.Fatalf("json re-encode of decoded frame: %v", err)
+		if _, err := MarshalFrame(CodecBinary5, nil, &fr); err != nil {
+			t.Fatalf("re-encode of decoded frame: %v", err)
 		}
 	})
 }
 
 // FuzzFrameRoundTrip: any decodable input must survive
-// decode → encode → decode identically in BOTH codecs — the binary
-// re-encode pins round-trip identity, the JSON re-encode pins the
-// cross-codec agreement on shared fields.
+// decode → encode → decode identically.
 func FuzzFrameRoundTrip(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, _, err := UnmarshalFrame(data)
-		if err != nil || fr.Msg == nil || !wireKind(fr.Msg.Kind) || !wireClean(fr.Msg) {
+		if err != nil {
 			return
 		}
-		// Canonicalize through the binary codec first: it encodes
-		// exactly the kind's protocol fields, where schemaless (and
-		// case-insensitive) JSON can smuggle extras — e.g. a batch
-		// payload on a plain subscribe — that no encoder emits.
-		bin, err := MarshalFrame(CodecBinary, nil, &fr)
+		enc, err := MarshalFrame(CodecBinary5, nil, &fr)
 		if err != nil {
-			t.Fatalf("binary canonicalization encode: %v", err)
+			t.Fatalf("encode: %v", err)
 		}
-		canon, _, err := UnmarshalFrame(bin)
+		got, n, err := UnmarshalFrame(enc)
 		if err != nil {
-			t.Fatalf("binary canonicalization decode: %v", err)
+			t.Fatalf("re-decode: %v", err)
 		}
-		want := canonMsg(t, canon.Msg)
-		for _, codec := range []WireCodec{CodecJSON, CodecBinary} {
-			enc, err := MarshalFrame(codec, nil, &canon)
-			if err != nil {
-				t.Fatalf("%v encode: %v", codec, err)
+		if n != len(enc) {
+			t.Fatalf("re-decode consumed %d of %d bytes", n, len(enc))
+		}
+		if fr.Msg == nil {
+			if got != fr {
+				t.Fatalf("handshake round trip:\n in  %+v\n out %+v", fr, got)
 			}
-			got, n, err := UnmarshalFrame(enc)
-			if err != nil {
-				t.Fatalf("%v re-decode: %v", codec, err)
-			}
-			if n != len(enc) {
-				t.Fatalf("%v re-decode consumed %d of %d bytes", codec, n, len(enc))
-			}
-			if got.Msg == nil || canonMsg(t, got.Msg) != want {
-				t.Fatalf("%v round trip:\n in  %s\n out %+v", codec, want, got.Msg)
-			}
+			return
+		}
+		if got.Msg == nil || canonMsg(t, got.Msg) != canonMsg(t, fr.Msg) {
+			t.Fatalf("round trip:\n in  %s\n out %+v", canonMsg(t, fr.Msg), got.Msg)
 		}
 	})
 }

@@ -159,7 +159,6 @@ func (s simBroker) sendPeer(id string, msg broker.Message) bool { return false }
 func (s simBroker) setPeerHooks(up, down func(peer string))     {}
 func (s simBroker) setControlHandler(h broker.ControlHandler)   { s.b.SetControlHandler(h) }
 func (s simBroker) peerCluster(id string) uint8                 { return 0 }
-func (s simBroker) peerWireCodec(id string) WireCodec           { return CodecBinary3 }
 func (s simBroker) journalRef() *BrokerJournal                  { return nil }
 func (s simBroker) recoveryStats() (RecoveryStats, bool)        { return RecoveryStats{}, false }
 func (s simBroker) observability() *obs.Registry                { return nil }

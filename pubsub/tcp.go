@@ -1,23 +1,18 @@
 package pubsub
 
-// TCP transport: brokers over real sockets — the deployable stack,
-// promoted out of the former internal/wire package and rebuilt around
-// a concurrent pipeline with a negotiated binary wire codec.
+// TCP transport: brokers over real sockets — the deployable stack: a
+// concurrent reader/writer pipeline around the binary wire codec.
 //
 // # Wire protocol
 //
-// The first frame on any connection is a hello identifying the sender
-// (and whether it is a client or a peer broker); the accepting side
-// answers with an ack naming its broker. Hello and ack are ALWAYS
-// newline-delimited JSON and both carry a `codec` field advertising
-// the highest binary wire version the sender decodes — a side may
-// switch its data frames to the length-prefixed binary codec (see
-// codec.go) only after the remote end advertised it, so PR-3 peers
-// that know neither the field nor the format keep working in both
-// directions: they never advertise (so they are sent JSON), the ack
-// reaches them as a frame with no message (which they ignore), and
-// their JSON frames decode here because every frame is sniffed by its
-// first byte.
+// Every frame on a connection is one length-prefixed binary frame (see
+// codec.go). The first is a hello identifying the sender (and whether
+// it is a client or a peer broker); the accepting side answers with an
+// ack naming its broker. Both advertise whether the sender runs a
+// cluster layer. A hello the acceptor cannot accept — a foreign header
+// version, bytes that are not a frame, a frame that is not a hello —
+// closes the connection with one handshake_refused flight event and
+// nothing else; an ack the dialer cannot accept is a lost link.
 //
 // Every frame after the handshake carries one broker.Message —
 // including the SUBBATCH/UNSUBBATCH bursts that feed batch admission.
@@ -28,8 +23,7 @@ package pubsub
 //
 // # Concurrency model
 //
-// The old wire server serialized every message behind one mutex. The
-// pipeline here has three stages, and the serialization boundary is
+// The pipeline has three stages, and the serialization boundary is
 // exactly the broker's own locking discipline (see internal/broker):
 //
 //   - one READER goroutine per inbound connection decodes frames and
@@ -58,6 +52,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sort"
 	"sync"
@@ -69,32 +64,26 @@ import (
 	"probsum/internal/persist"
 )
 
-// Frame is the on-the-wire envelope of the TCP transport.
+// Frame is the on-the-wire envelope of the TCP transport: a hello
+// (Hello set), an ack (Ack set), or a message (Msg set).
 type Frame struct {
 	// Hello identifies the sender on the first frame of a connection.
-	Hello string `json:"hello,omitempty"`
+	Hello string
 	// Client marks a hello as coming from a client (not a broker).
-	Client bool `json:"client,omitempty"`
+	Client bool
 	// Addr carries a dialing broker's own listen address so the
 	// accepting side can dial back and complete the bidirectional
 	// link without being configured with the peer itself (best-effort:
 	// useful when the address is reachable from the acceptor).
-	Addr string `json:"addr,omitempty"`
-	// Ack identifies the accepting broker on its first frame back —
-	// the handshake reply that completes codec negotiation. Peers that
-	// predate it see a frame without a message and ignore it.
-	Ack string `json:"ack,omitempty"`
-	// Codec advertises, on hello and ack frames, the highest binary
-	// wire version the sender decodes (0 = JSON only, the implicit
-	// advertisement of peers that predate the field).
-	Codec uint8 `json:"codec,omitempty"`
+	Addr string
+	// Ack identifies the accepting broker on its first frame back.
+	Ack string
 	// Cluster advertises, on hello and ack frames, the cluster
-	// membership protocol version the sender speaks (0 = none, the
-	// implicit advertisement of peers without a cluster layer — such
+	// membership protocol version the sender speaks (0 = none: such
 	// peers are never sent ping/pong/gossip frames).
-	Cluster uint8 `json:"cluster,omitempty"`
+	Cluster uint8
 	// Msg carries one protocol message on subsequent frames.
-	Msg *broker.Message `json:"msg,omitempty"`
+	Msg *broker.Message
 }
 
 // clusterProtoVersion is the membership protocol spoken by this build's
@@ -106,42 +95,11 @@ const clusterProtoVersion = 1
 type TCPOption func(*tcpConfig)
 
 type tcpConfig struct {
-	serialized bool
-	queueLen   int
-	codec      WireCodec // broker-side cap: what this server advertises and may send
-	dialCodec  WireCodec // client-side cap used by Transport.Open
+	queueLen int
 
 	dataDir      string        // durability directory ("" = in-memory only)
 	syncEvery    int           // journal fsync batch (0 = BrokerJournal default)
 	snapInterval time.Duration // periodic snapshot cadence (0 = 30s)
-}
-
-func defaultTCPConfig() tcpConfig {
-	return tcpConfig{codec: CodecBinary5, dialCodec: CodecBinary5}
-}
-
-// WithWireCodec caps the codec a broker advertises and sends.
-// CodecBinary5 (the default) negotiates the binary format and the
-// full message vocabulary — including the rendezvous route-announce
-// frame — with every peer that also decodes it; CodecBinary4 pins
-// the PR-8 vocabulary (SWIM indirect probes and delta gossip, no
-// route announces), CodecBinary3 the PR-6/7 vocabulary
-// (full-snapshot gossip only, no ping-req/delta frames), CodecBinary2
-// the PR-5 vocabulary (no sync frames, digest-less gossip),
-// CodecBinary the PR-4 vocabulary (no publish batches, no cluster
-// frames), and CodecJSON the PR-3 JSON format — on the wire those
-// behave exactly like the older builds, which is how the
-// cross-version interop tests model old peers. Decoding always
-// accepts every format regardless.
-func WithWireCodec(c WireCodec) TCPOption {
-	return func(cfg *tcpConfig) { cfg.codec = c }
-}
-
-// WithDialWireCodec caps the codec clients opened through
-// Transport.Open advertise and send (default CodecBinary5). The
-// cross-process form is Dial's WithDialCodec.
-func WithDialWireCodec(c WireCodec) TCPOption {
-	return func(cfg *tcpConfig) { cfg.dialCodec = c }
 }
 
 // WithDataDir makes the broker durable: subscriptions, port
@@ -170,28 +128,11 @@ func WithSnapshotInterval(d time.Duration) TCPOption {
 	return func(c *tcpConfig) { c.snapInterval = d }
 }
 
-// WithSerializedDispatch restores the pre-pipeline behavior of
-// handling every inbound message — broker state machine AND outbound
-// frame encoding — under one global mutex. It exists as the ablation
-// baseline for the concurrency model (see BenchmarkTCPPublish);
-// production code should never set it.
-func WithSerializedDispatch() TCPOption {
-	return func(c *tcpConfig) { c.serialized = true }
-}
-
 // WithSendQueue sets the per-port outbound queue length (default 256
 // frames). A full queue applies backpressure to the readers that are
 // producing for it.
 func WithSendQueue(n int) TCPOption {
 	return func(c *tcpConfig) { c.queueLen = n }
-}
-
-// wireItem is one entry of a port's outbound queue: a protocol
-// message, or a pre-built control frame (the handshake ack, always
-// JSON).
-type wireItem struct {
-	msg  broker.Message
-	ctrl *Frame
 }
 
 // tcpPort is one outbound destination: a connection, its writer
@@ -200,31 +141,14 @@ type tcpPort struct {
 	name string
 	peer bool // a neighbor broker (as opposed to a client)
 	conn net.Conn
-	// codec is the negotiated write codec for this destination. Client
-	// ports fix it at hello time; peer ports start at JSON and upgrade
-	// when the peer's hello or ack arrives (learnPeerCodec), so it is
-	// an atomic the writer loads per frame.
-	codec atomic.Uint32
-	// remote is the codec version the destination ADVERTISED (as
-	// opposed to the negotiated minimum above). A destination that
-	// never advertised anything (0) may be a pre-batch build, so
-	// batch messages bound for it are split into per-item frames —
-	// message-kind vocabulary, unlike framing, cannot be sniffed.
-	// Destinations below CodecBinary2 additionally get publish
-	// batches split (they predate the PUBBATCH kind).
-	remote atomic.Uint32
 	// cluster is the membership protocol version the destination
 	// advertised; control frames (ping/pong/gossip) are dropped when
 	// it is 0 — peers without a cluster layer must never see them.
+	// Peer ports learn it when the peer's hello or ack arrives.
 	cluster atomic.Uint32
-	// wmu serializes connection writes: normally only the writer
-	// goroutine writes, but the serialized-dispatch ablation encodes
-	// inline on dispatching goroutines while the writer still owns the
-	// shutdown drain.
-	wmu  sync.Mutex
-	ch   chan wireItem
-	dead chan struct{} // closed when the port is torn down mid-stream
-	once sync.Once
+	ch      chan broker.Message
+	dead    chan struct{} // closed when the port is torn down mid-stream
+	once    sync.Once
 
 	// stats counts frames queued toward this destination by wire kind
 	// (atomic fixed-array adds — zero allocations on the frame path);
@@ -235,42 +159,45 @@ type tcpPort struct {
 	clock     func() time.Time
 }
 
-func (p *tcpPort) writeCodec() WireCodec { return WireCodec(p.codec.Load()) }
-
-// writeFrame encodes one queue item with the port's current codec
-// into a pooled buffer and writes it in a single call.
-func (p *tcpPort) writeFrame(it wireItem) error {
-	var t0 time.Time
-	if p.writeHist != nil {
-		t0 = p.clock()
-	}
+// writeFrame encodes one handshake or message frame into a pooled
+// buffer and writes it in a single call.
+func writeFrame(conn net.Conn, fr *Frame) error {
 	buf := getEncBuf()
 	defer putEncBuf(buf)
-	var (
-		data []byte
-		err  error
-	)
-	if it.ctrl != nil {
-		data, err = MarshalFrame(CodecJSON, (*buf)[:0], it.ctrl)
-	} else {
-		data, err = MarshalFrame(p.writeCodec(), (*buf)[:0], &Frame{Msg: &it.msg})
-	}
+	data, err := MarshalFrame(CodecBinary5, (*buf)[:0], fr)
 	*buf = data[:0]
 	if err != nil {
 		return err
 	}
-	p.wmu.Lock()
-	_, err = p.conn.Write(data)
-	p.wmu.Unlock()
-	if p.writeHist != nil {
-		p.writeHist.Observe(p.clock().Sub(t0))
-	}
+	_, err = conn.Write(data)
+	return err
+}
+
+// write sends one queued message, timing the encode+write stage.
+func (p *tcpPort) write(msg *broker.Message) error {
+	t0 := p.clock()
+	err := writeFrame(p.conn, &Frame{Msg: msg})
+	p.writeHist.Observe(p.clock().Sub(t0))
 	return err
 }
 
 // kill marks the port dead: senders stop enqueueing and the writer
-// exits without draining.
-func (p *tcpPort) kill() { p.once.Do(func() { close(p.dead) }) }
+// exits without draining. It reports whether this call was the one
+// that killed it.
+func (p *tcpPort) kill() (first bool) {
+	p.once.Do(func() { close(p.dead); first = true })
+	return first
+}
+
+// alive reports whether the port has not been killed.
+func (p *tcpPort) alive() bool {
+	select {
+	case <-p.dead:
+		return false
+	default:
+		return true
+	}
+}
 
 // tcpServer hosts one broker behind a TCP listener.
 type tcpServer struct {
@@ -278,22 +205,14 @@ type tcpServer struct {
 	ln  net.Listener
 	cfg tcpConfig
 
-	// smu is the serialized-dispatch ablation mutex (see
-	// WithSerializedDispatch); unused in the concurrent mode.
-	smu sync.Mutex
-
 	mu sync.Mutex
 	// +guarded_by:mu
 	ports map[string]*tcpPort
 	// +guarded_by:mu
 	readers map[net.Conn]struct{}
-	// peerCodec records, per peer broker, the highest binary wire
-	// version it advertised (hello on its inbound connection, or ack
-	// on our outbound one), so the outbound port to it can upgrade.
-	// +guarded_by:mu
-	peerCodec map[string]WireCodec
 	// peerClu records, per peer broker, the cluster protocol version
-	// it advertised alongside the codec.
+	// it advertised (hello on its inbound connection, or ack on our
+	// outbound one).
 	// +guarded_by:mu
 	peerClu map[string]uint8
 	// hooks are the cluster layer's peer-link callbacks (up on an
@@ -345,15 +264,14 @@ func newTCPServer(b *broker.Broker, addr string, cfg tcpConfig) (*tcpServer, err
 		return nil, fmt.Errorf("pubsub: listen %s: %w", addr, err)
 	}
 	s := &tcpServer{
-		b:         b,
-		ln:        ln,
-		cfg:       cfg,
-		ports:     make(map[string]*tcpPort),
-		readers:   make(map[net.Conn]struct{}),
-		peerCodec: make(map[string]WireCodec),
-		peerClu:   make(map[string]uint8),
-		stopping:  make(chan struct{}),
-		closed:    make(chan struct{}),
+		b:        b,
+		ln:       ln,
+		cfg:      cfg,
+		ports:    make(map[string]*tcpPort),
+		readers:  make(map[net.Conn]struct{}),
+		peerClu:  make(map[string]uint8),
+		stopping: make(chan struct{}),
+		closed:   make(chan struct{}),
 	}
 	s.reg = newServerRegistry(b)
 	s.hDecode = s.reg.Histogram(histFrameDecode)
@@ -381,25 +299,16 @@ var errPortExists = errors.New("pubsub: port already connected")
 // port is killed; with replace=false (peers: concurrent dials from
 // ConnectPeer and the hello dial-back converge on one link) a live
 // existing port wins and errPortExists is returned.
-//
-// Client ports (peer=false) write with the fixed codec negotiated
-// from the client's hello; peer ports take whatever the peer has
-// advertised so far (peerCodec, possibly upgraded later). A non-nil
-// ack frame is queued ahead of any other traffic — it enters the
-// channel before the port becomes visible to senders.
-func (s *tcpServer) addPort(name string, conn net.Conn, replace, peer bool, clientCodec WireCodec, ack *Frame) (*tcpPort, error) {
+func (s *tcpServer) addPort(name string, conn net.Conn, replace, peer bool) (*tcpPort, error) {
 	p := &tcpPort{
 		name:      name,
 		peer:      peer,
 		conn:      conn,
-		ch:        make(chan wireItem, s.cfg.queueLen),
+		ch:        make(chan broker.Message, s.cfg.queueLen),
 		dead:      make(chan struct{}),
 		stats:     s.reg.Link(name),
 		writeHist: s.hWrite,
 		clock:     s.obsClock,
-	}
-	if ack != nil {
-		p.ch <- wireItem{ctrl: ack}
 	}
 	s.mu.Lock()
 	select {
@@ -409,23 +318,14 @@ func (s *tcpServer) addPort(name string, conn net.Conn, replace, peer bool, clie
 	default:
 	}
 	if peer {
-		p.codec.Store(uint32(s.cfg.codec.negotiate(s.peerCodec[name])))
-		p.remote.Store(uint32(s.peerCodec[name]))
 		p.cluster.Store(uint32(s.peerClu[name]))
-	} else {
-		p.codec.Store(uint32(clientCodec))
-		p.remote.Store(uint32(clientCodec))
 	}
 	if old, ok := s.ports[name]; ok {
-		if !replace {
-			select {
-			case <-old.dead:
-				// The previous link broke; take over.
-			default:
-				s.mu.Unlock()
-				return nil, errPortExists
-			}
+		if !replace && old.alive() {
+			s.mu.Unlock()
+			return nil, errPortExists
 		}
+		// A client redial, or a peer link that broke: take over.
 		old.kill()
 	}
 	s.ports[name] = p
@@ -448,11 +348,11 @@ func (s *tcpServer) runWriter(p *tcpPort) {
 		select {
 		case <-p.dead:
 			return
-		case it, ok := <-p.ch:
+		case msg, ok := <-p.ch:
 			if !ok {
 				return
 			}
-			if err := p.writeFrame(it); err != nil {
+			if err := p.write(&msg); err != nil {
 				// The destination vanished; message loss on broken links
 				// is the lossy-environment behavior the protocol already
 				// tolerates. A lost peer link is surfaced to the cluster
@@ -526,80 +426,40 @@ func (s *tcpServer) peerCluster(id string) uint8 {
 	return s.peerClu[id]
 }
 
-// peerWireCodec reports the wire codec a peer advertised (CodecJSON
-// when it never advertised one). The cluster layer gates digest
-// piggybacking on it.
-func (s *tcpServer) peerWireCodec(id string) WireCodec {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.peerCodec[id]
-}
-
 // journalRef and recoveryStats expose the durability layer.
 func (s *tcpServer) journalRef() *BrokerJournal           { return s.journal }
 func (s *tcpServer) recoveryStats() (RecoveryStats, bool) { return s.recovery, s.durable }
 func (s *tcpServer) observability() *obs.Registry         { return s.reg }
 
-// sendPeer queues one message for a peer broker, subject to the same
-// vocabulary negotiation as broker-originated traffic (legacy splits,
-// control-frame gating). It reports whether a live link to the peer
-// existed — delivery itself stays best-effort, like all sends.
+// sendPeer queues one message for a peer broker. It reports whether a
+// live link to the peer existed and the message passed the cluster
+// gate — delivery itself stays best-effort, like all sends.
 func (s *tcpServer) sendPeer(id string, msg broker.Message) bool {
 	s.mu.Lock()
 	p := s.ports[id]
 	s.mu.Unlock()
-	if p == nil || !p.peer {
+	if p == nil || !p.peer || !p.alive() {
 		return false
 	}
-	select {
-	case <-p.dead:
-		return false
-	default:
-	}
-	if msg.Kind.IsControl() && p.cluster.Load() == 0 {
-		// The peer has not (yet) advertised a cluster layer — either a
-		// legacy build that never will, or a fresh link whose ack is
-		// still in flight. Count the drop so the loss is observable; if
-		// the ack later reveals a cluster layer, learnPeer re-fires the
-		// peer-up hook and the membership layer re-arms its probes.
-		s.b.CountControlDrop()
-		return false
-	}
-	s.send(broker.Outbound{To: id, Msg: msg})
-	return true
+	return s.sendTo(p, msg)
 }
 
-// learnPeerCodec records what a peer broker advertised it decodes and
-// re-negotiates the live outbound port. The LATEST advertisement
-// wins in both directions: every hello/ack comes from a live
-// connection, so a peer redialing after a rollback to a JSON-only
-// build (advertising nothing) downgrades the port instead of being
-// sent binary frames its decoder would choke on.
-func (s *tcpServer) learnPeerCodec(id string, advertised WireCodec) {
-	s.learnPeer(id, advertised, 0)
-}
-
-// learnPeer records what a peer broker advertised (codec version and
-// cluster protocol) and re-negotiates the live outbound port. A peer
-// whose advertisement reveals a cluster layer for the first time gets
-// the peer-up hook re-fired: until this moment every control frame
-// toward it was dropped (sendPeer's cluster gate), so the membership
-// layer must restart its probe cycle now that pings can flow.
-func (s *tcpServer) learnPeer(id string, advertised WireCodec, cluster uint8) {
+// learnPeer records the cluster protocol version a peer broker
+// advertised and applies it to the live outbound port. The LATEST
+// advertisement wins: every hello/ack comes from a live connection. A
+// peer whose advertisement reveals a cluster layer for the first time
+// gets the peer-up hook re-fired: until this moment every control
+// frame toward it was dropped (sendTo's cluster gate), so the
+// membership layer must restart its probe cycle now that pings can
+// flow.
+func (s *tcpServer) learnPeer(id string, cluster uint8) {
 	s.mu.Lock()
 	prevClu := s.peerClu[id]
-	s.peerCodec[id] = advertised
 	s.peerClu[id] = cluster
 	linked := false
 	if p, ok := s.ports[id]; ok {
-		p.codec.Store(uint32(s.cfg.codec.negotiate(advertised)))
-		p.remote.Store(uint32(advertised))
 		p.cluster.Store(uint32(cluster))
-		select {
-		case <-p.dead:
-		default:
-			linked = true
-		}
+		linked = p.alive()
 	}
 	s.mu.Unlock()
 	if linked && prevClu == 0 && cluster != 0 {
@@ -607,152 +467,46 @@ func (s *tcpServer) learnPeer(id string, advertised WireCodec, cluster uint8) {
 	}
 }
 
-// send queues one outbound message. It blocks when the destination's
-// queue is full (backpressure) and drops when the destination is
-// unknown, dead, or the server is hard-closing — the same
-// transient-absence tolerance as the old implementation, minus its
-// head-of-line blocking.
-//
-// Messages whose kind the destination never advertised it decodes are
-// split into the older frames it knows first: a peer that advertised
-// no binary codec version may be a pre-batch build whose state
-// machine would reject SUBBATCH/UNSUBBATCH, and one that advertised
-// less than v2 predates PUBBATCH. The splits preserve per-destination
-// order (one goroutine enqueues the items sequentially) and are merely
-// the un-amortized form of the same protocol traffic; new JSON-pinned
-// brokers receive them too, which is exactly how they promise to be
-// indistinguishable from old ones. Control frames (ping/pong/gossip)
-// have no older form: they are dropped toward destinations without a
-// cluster layer — membership simply does not extend to them.
-//
-// +wirecheck:gate — this switch IS the wire-vocabulary gate: every
-// frame kind above the JSON baseline in frameMinCodec must keep a
-// version-checked case here (enforced by brokervet's wirecheck).
+// send queues one outbound message; it drops when the destination is
+// unknown.
 func (s *tcpServer) send(o broker.Outbound) {
 	s.mu.Lock()
 	p := s.ports[o.To]
 	s.mu.Unlock()
-	if p == nil {
-		return
+	if p != nil {
+		s.sendTo(p, o.Msg)
 	}
-	remote := WireCodec(p.remote.Load())
-	switch o.Msg.Kind {
-	case broker.MsgSubscribeBatch:
-		if remote == CodecJSON {
-			for _, it := range o.Msg.Subs {
-				s.sendTo(p, broker.Message{Kind: broker.MsgSubscribe, SubID: it.SubID, Sub: it.Sub})
-			}
-			return
-		}
-	case broker.MsgUnsubscribeBatch:
-		if remote == CodecJSON {
-			for _, id := range o.Msg.SubIDs {
-				s.sendTo(p, broker.Message{Kind: broker.MsgUnsubscribe, SubID: id})
-			}
-			return
-		}
-	case broker.MsgPublishBatch:
-		if remote < CodecBinary2 {
-			for _, it := range o.Msg.Pubs {
-				s.sendTo(p, broker.Message{Kind: broker.MsgPublish, PubID: it.PubID, Pub: it.Pub})
-			}
-			return
-		}
-	case broker.MsgPing, broker.MsgPong, broker.MsgGossip:
-		if p.cluster.Load() == 0 {
-			s.b.CountControlDrop()
-			s.reg.Flight().Record("frame_drop", s.b.ID(), o.To+" "+o.Msg.Kind.String())
-			return
-		}
-		if o.Msg.Kind == broker.MsgGossip && o.Msg.Digest != nil && remote < CodecBinary3 {
-			// Pre-v3 decoders reject gossip frames with a digest tail;
-			// strip it — the peer cannot answer a sync round anyway.
-			stripped := o.Msg
-			stripped.Digest = nil
-			s.sendTo(p, stripped)
-			return
-		}
-		if o.Msg.Kind != broker.MsgGossip && len(o.Msg.Members) > 0 && remote < CodecBinary4 {
-			// Pre-v4 decoders reject ping/pong frames with a delta
-			// tail; strip the piggyback — the peer keeps learning
-			// membership from full-snapshot gossip instead.
-			stripped := o.Msg
-			stripped.Members = nil
-			s.sendTo(p, stripped)
-			return
-		}
-	case broker.MsgPingReq, broker.MsgGossipDelta:
-		if p.cluster.Load() == 0 {
-			s.b.CountControlDrop()
-			s.reg.Flight().Record("frame_drop", s.b.ID(), o.To+" "+o.Msg.Kind.String())
-			return
-		}
-		if remote < CodecBinary4 {
-			// The SWIM vocabulary has no older form: a pre-v4 peer is
-			// never asked to relay a probe, and deltas toward it ride
-			// the legacy full-snapshot gossip the cluster layer still
-			// emits for exactly this case.
-			return
-		}
-	case broker.MsgSyncRequest, broker.MsgSyncRoots:
-		if remote < CodecBinary3 {
-			// Sync frames have no older form: a peer that never saw our
-			// digest never asks, and one that predates the vocabulary
-			// must never see the kinds.
-			return
-		}
-	case broker.MsgRouteAnnounce:
-		if remote < CodecBinary5 {
-			// A route announce IS a subscription announcement with a
-			// rendezvous address attached; toward a peer that predates
-			// the kind, send its flood form — the same items as a
-			// subscribe-batch. The link then degrades to flood
-			// semantics, which routed delivery is a strict subset of,
-			// and the recursive send applies the older splits in turn.
-			s.send(broker.Outbound{To: o.To, Msg: broker.Message{
-				Kind: broker.MsgSubscribeBatch,
-				Subs: o.Msg.Subs,
-			}})
-			return
-		}
-	}
-	s.sendTo(p, o.Msg)
 }
 
-// sendTo queues one message onto a resolved port.
-func (s *tcpServer) sendTo(p *tcpPort, msg broker.Message) {
-	p.stats.Sent(int(msg.Kind))
-	if s.cfg.serialized {
-		// Ablation baseline: encode inline on the dispatching
-		// goroutine (which holds the global mutex), exactly as the old
-		// wire server did. The port's writer goroutine idles; only the
-		// shutdown drain uses it.
-		select {
-		case <-p.dead:
-			return
-		default:
-		}
-		if err := p.writeFrame(wireItem{msg: msg}); err != nil {
-			p.kill()
-		}
-		return
+// sendTo queues one message onto a resolved port and reports whether
+// it passed the cluster gate. It blocks when the port's queue is full
+// (backpressure) and drops when the port is dead or the server is
+// hard-closing — transient absence is the lossy-link behavior the
+// protocol already tolerates. Control frames (ping, pong, gossip,
+// ping-req, gossip-delta) are dropped, counted, toward destinations
+// that advertised no cluster layer — a hand-wired peer, or a fresh
+// link whose ack is still in flight: membership does not extend to
+// them.
+func (s *tcpServer) sendTo(p *tcpPort, msg broker.Message) bool {
+	if msg.Kind.IsControl() && p.cluster.Load() == 0 {
+		s.b.CountControlDrop()
+		s.reg.Flight().Record("frame_drop", s.b.ID(), p.name+" "+msg.Kind.String())
+		return false
 	}
+	p.stats.Sent(int(msg.Kind))
 	t0 := s.obsClock()
 	select {
-	case p.ch <- wireItem{msg: msg}:
+	case p.ch <- msg:
 	case <-p.dead:
 	case <-s.closed:
 	}
 	s.hEnqueue.Observe(s.obsClock().Sub(t0))
+	return true
 }
 
 // dispatch runs one inbound message through the broker and fans the
 // results out to the per-port queues.
 func (s *tcpServer) dispatch(from string, msg broker.Message) error {
-	if s.cfg.serialized {
-		s.smu.Lock()
-		defer s.smu.Unlock()
-	}
 	outs, err := s.b.Handle(from, msg)
 	if err != nil {
 		return err
@@ -816,52 +570,35 @@ func (s *tcpServer) untrackReader(conn net.Conn) {
 	s.mu.Unlock()
 }
 
-// writeJSONFrame encodes one handshake frame through a pooled buffer
-// and writes it in a single call.
-func writeJSONFrame(conn net.Conn, fr *Frame) error {
-	buf := getEncBuf()
-	defer putEncBuf(buf)
-	data, err := MarshalFrame(CodecJSON, (*buf)[:0], fr)
-	*buf = data[:0]
-	if err != nil {
-		return err
-	}
-	_, err = conn.Write(data)
-	return err
-}
-
 // maxPublishCoalesce caps how many already-buffered publish frames a
 // reader folds into one HandlePublishBatch call, bounding the latency
 // a coalesced run can add ahead of a queued subscribe.
 const maxPublishCoalesce = 64
 
-// serveConn reads the hello, registers the port, answers with the
-// codec-advertising ack, then feeds messages into the dispatch
-// pipeline, coalescing buffered publish runs.
+// serveConn reads the hello, answers with the ack, registers the port,
+// then feeds messages into the dispatch pipeline, coalescing buffered
+// publish runs.
 func (s *tcpServer) serveConn(conn net.Conn) {
 	defer s.readerWg.Done()
 	reader := newFrameReader(conn)
 	var hello Frame
 	if err := reader.read(&hello); err != nil || hello.Hello == "" {
+		// Refused: a foreign header version, bytes that are not a frame,
+		// or a frame that is not a hello. A connection that closed before
+		// saying anything is not worth an event.
+		if !errors.Is(err, io.EOF) {
+			s.reg.Flight().Record("handshake_refused", s.b.ID(), conn.RemoteAddr().String())
+		}
 		conn.Close()
 		return
 	}
 	from := hello.Hello
 	reader.instrument(s.hDecode, s.obsClock)
 	linkStats := s.reg.Link(from)
-	ack := &Frame{Ack: s.b.ID(), Codec: uint8(s.cfg.codec), Cluster: s.clusterVer()}
+	ack := &Frame{Ack: s.b.ID(), Cluster: s.clusterVer()}
 
-	var port *tcpPort
 	if hello.Client {
 		s.b.AttachClient(from)
-		// The client's hello fixes what it decodes; the ack (queued
-		// ahead of any notification) tells it what we decode.
-		p, err := s.addPort(from, conn, true, false, s.cfg.codec.negotiate(WireCodec(hello.Codec)), ack)
-		if err != nil {
-			conn.Close()
-			return
-		}
-		port = p
 	} else {
 		// Inbound peer link: the neighbor dialed us; data frames flow
 		// only inward on this connection (we reply over our own dial).
@@ -869,25 +606,33 @@ func (s *tcpServer) serveConn(conn net.Conn) {
 			conn.Close()
 			return
 		}
-		// What the peer decodes governs our outbound port to it.
-		s.learnPeer(from, WireCodec(hello.Codec), hello.Cluster)
-		// Answer with the ack directly (nobody else writes on an
-		// inbound peer connection): its ack reader learns our codec.
-		// Old peers never read this side and simply leave it buffered.
-		if err := writeJSONFrame(conn, ack); err != nil {
+		s.learnPeer(from, hello.Cluster)
+	}
+	// The ack goes out before a client's port exists, so it precedes
+	// any notification; on an inbound peer connection it is the only
+	// frame we ever write.
+	if err := writeFrame(conn, ack); err != nil {
+		conn.Close()
+		return
+	}
+	var port *tcpPort
+	if hello.Client {
+		p, err := s.addPort(from, conn, true, false)
+		if err != nil {
 			conn.Close()
 			return
 		}
-		// If we have no outbound channel to this neighbor yet and it
+		port = p
+	} else if hello.Addr != "" {
+		// If we have no live outbound channel to this neighbor and it
 		// told us where it listens, dial back so the link becomes
-		// bidirectional without explicit two-sided configuration.
-		if hello.Addr != "" {
-			s.mu.Lock()
-			_, have := s.ports[from]
-			s.mu.Unlock()
-			if !have {
-				go s.connectPeer(from, hello.Addr)
-			}
+		// bidirectional without explicit two-sided configuration — and
+		// so a neighbor that restarted is re-linked by its own hello.
+		s.mu.Lock()
+		p := s.ports[from]
+		s.mu.Unlock()
+		if p == nil || !p.alive() {
+			go s.connectPeer(from, hello.Addr)
 		}
 	}
 	if !s.trackReader(conn) {
@@ -907,8 +652,8 @@ func (s *tcpServer) serveConn(conn net.Conn) {
 	// of course (ConnectPeer's errPortExists path), and treating those
 	// closes as link loss makes membership flap through spurious
 	// down→recover→re-announce cycles. The authoritative loss signals
-	// are the outbound writer failing (firePeerDown in runWriter) and
-	// the cluster layer's own ping timeouts.
+	// are the outbound connection failing (its writer or its ack
+	// reader, see dialPeer) and the cluster layer's own ping timeouts.
 
 	fail := func() {
 		if port != nil {
@@ -932,7 +677,7 @@ func (s *tcpServer) serveConn(conn net.Conn) {
 			continue
 		}
 		linkStats.Recv(int(fr.Msg.Kind))
-		if fr.Msg.Kind != broker.MsgPublish || s.cfg.serialized {
+		if fr.Msg.Kind != broker.MsgPublish {
 			if err := s.dispatch(from, *fr.Msg); err != nil {
 				fail()
 				return
@@ -989,17 +734,14 @@ func (s *tcpServer) connectPeer(id, addr string) error {
 // matters to the cluster reconnect loop — a no-op dial against an
 // existing connection proves nothing about the peer (the connection
 // may be stalled), so treating it as a recovery would let a hung peer
-// flap dead→alive forever. The hello advertises what we decode; a
-// goroutine watches the (otherwise silent) connection for the
-// acceptor's ack so the port can upgrade to the binary codec once the
-// peer has advertised it.
+// flap dead→alive forever.
 func (s *tcpServer) dialPeer(id, addr string) (bool, error) {
 	conn, err := net.DialTimeout("tcp", addr, peerDialTimeout)
 	if err != nil {
 		return false, fmt.Errorf("pubsub: dial peer %s at %s: %w", id, addr, err)
 	}
-	hello := &Frame{Hello: s.b.ID(), Addr: s.advertiseAddr(), Codec: uint8(s.cfg.codec), Cluster: s.clusterVer()}
-	if err := writeJSONFrame(conn, hello); err != nil {
+	hello := &Frame{Hello: s.b.ID(), Addr: s.advertiseAddr(), Cluster: s.clusterVer()}
+	if err := writeFrame(conn, hello); err != nil {
 		conn.Close()
 		return false, fmt.Errorf("pubsub: hello to %s: %w", id, err)
 	}
@@ -1007,7 +749,8 @@ func (s *tcpServer) dialPeer(id, addr string) (bool, error) {
 		conn.Close()
 		return false, err
 	}
-	if _, err := s.addPort(id, conn, false, true, 0, nil); err != nil {
+	p, err := s.addPort(id, conn, false, true)
+	if err != nil {
 		conn.Close()
 		if errors.Is(err, errPortExists) {
 			// A concurrent dial (ours or the peer's dial-back) already
@@ -1023,26 +766,25 @@ func (s *tcpServer) dialPeer(id, addr string) (bool, error) {
 	// reconnect (or toward a neighbor registered while no port
 	// existed) this is the healing re-announcement: the peer drops
 	// what it already knows and fills the gaps, so routing state
-	// converges without any transport replaying lost frames. send()
-	// splits it per-item for peers that predate batch frames.
+	// converges without any transport replaying lost frames.
 	if roots := s.b.NeighborRoots(id); len(roots) > 0 {
 		s.send(broker.Outbound{To: id, Msg: broker.Message{Kind: broker.MsgSubscribeBatch, Subs: roots}})
 	}
 	// Tell the cluster layer the link is up.
 	s.firePeerUp(id)
-	// The acceptor's only traffic on this connection is its ack (old
-	// peers send nothing); the goroutine exits when the port's writer
-	// closes the connection.
+	// The acceptor's only traffic on this connection is its ack, so
+	// the read after it blocks until the connection ends. Anything
+	// else — a refused or foreign-version ack, a frame that is not an
+	// ack, the peer going away — is a lost link: kill the port so a
+	// returning peer's hello finds it dead and dials back.
 	go func() {
 		r := newFrameReader(conn)
 		var fr Frame
-		for {
-			if err := r.read(&fr); err != nil {
-				return
-			}
-			if fr.Ack != "" {
-				s.learnPeer(id, WireCodec(fr.Codec), fr.Cluster)
-			}
+		for r.read(&fr) == nil && fr.Ack != "" {
+			s.learnPeer(id, fr.Cluster)
+		}
+		if p.kill() {
+			s.firePeerDown(id)
 		}
 	}()
 	return true, nil
@@ -1175,7 +917,7 @@ func ListenBroker(id, addr string, policy Policy, cfg Config, opts ...TCPOption)
 	if err != nil {
 		return nil, err
 	}
-	tc := defaultTCPConfig()
+	var tc tcpConfig
 	for _, opt := range opts {
 		opt(&tc)
 	}
@@ -1230,10 +972,9 @@ var _ brokerImpl = (*tcpServer)(nil)
 // deployable stack; multi-process deployments use ListenBroker and
 // Dial directly.
 type TCPTransport struct {
-	policy    Policy
-	cfg       Config
-	opts      []TCPOption
-	dialCodec WireCodec // resolved client-side codec cap for Open
+	policy Policy
+	cfg    Config
+	opts   []TCPOption
 
 	mu       sync.Mutex
 	brokers  map[string]*Broker
@@ -1252,16 +993,11 @@ func NewTCPTransport(policy Policy, cfg Config, opts ...TCPOption) (*TCPTranspor
 	if cfg.DropRate > 0 || cfg.DupRate > 0 {
 		return nil, fmt.Errorf("pubsub: failure injection is simulator-only; TCP transports take real losses")
 	}
-	tc := defaultTCPConfig()
-	for _, opt := range opts {
-		opt(&tc)
-	}
 	return &TCPTransport{
-		policy:    policy,
-		cfg:       cfg,
-		opts:      opts,
-		dialCodec: tc.dialCodec,
-		brokers:   make(map[string]*Broker),
+		policy:  policy,
+		cfg:     cfg,
+		opts:    opts,
+		brokers: make(map[string]*Broker),
 	}, nil
 }
 
@@ -1337,7 +1073,7 @@ func (t *TCPTransport) Open(ctx context.Context, clientName, brokerID string) (*
 	if !ok {
 		return nil, fmt.Errorf("pubsub: unknown broker %s", brokerID)
 	}
-	c, err := Dial(ctx, b.Addr(), clientName, WithDialCodec(t.dialCodec))
+	c, err := Dial(ctx, b.Addr(), clientName)
 	if err != nil {
 		return nil, err
 	}
@@ -1416,152 +1152,58 @@ func (t *TCPTransport) Shutdown(ctx context.Context) error {
 	return firstErr
 }
 
-// DialOption tunes a client connection.
-type DialOption func(*dialConfig)
-
-type dialConfig struct {
-	codec WireCodec
-}
-
-// WithDialCodec caps the codec the client advertises and sends
-// (default CodecBinary2). CodecJSON makes the client behave exactly
-// like a pre-binary build: it never advertises the binary format (so
-// the broker sends it JSON) and never upgrades its own sends;
-// CodecBinary pins the PR-4 vocabulary (publish batches split).
-func WithDialCodec(c WireCodec) DialOption {
-	return func(cfg *dialConfig) { cfg.codec = c }
-}
-
 // tcpClient is the socket side of a Client.
 type tcpClient struct {
 	conn net.Conn
 	mu   sync.Mutex // serializes writes
-	// maxCodec is what we are willing to send; wcodec is what we
-	// actually send — JSON until the broker's ack advertises that it
-	// decodes binary (readLoop stores the upgrade).
-	maxCodec WireCodec
-	wcodec   atomic.Uint32
-	// acked closes when the broker's ack arrives; remoteVer is the
-	// codec version it advertised. A broker that never acks is a
-	// pre-binary build, so batch messages are split into the per-item
-	// frames its state machine knows (see send).
-	ackOnce   sync.Once
-	acked     chan struct{}
-	remoteVer atomic.Uint32
-}
-
-// legacyAckWait bounds how long a batch send waits for the broker's
-// ack before concluding the broker predates it.
-const legacyAckWait = 3 * time.Second
-
-// supportsVocab reports whether the broker advertised at least the
-// given wire version — the vocabulary gate for batch kinds (v1) and
-// publish-batch (v2) — waiting (bounded by the context and a fixed
-// cap) for the handshake ack on a fresh connection. Like the
-// broker-side split, a server that advertised no codec version is
-// treated as predating the kind — JSON-pinned new brokers accept the
-// per-item form by design.
-func (c *tcpClient) supportsVocab(ctx context.Context, minVer WireCodec) bool {
-	timeout := legacyAckWait
-	if d, ok := ctx.Deadline(); ok {
-		// Leave at least half the caller's budget for the write that
-		// follows the verdict.
-		if until := time.Until(d) / 2; until < timeout {
-			timeout = until
-		}
-	}
-	select {
-	case <-c.acked:
-		return WireCodec(c.remoteVer.Load()) >= minVer
-	case <-time.After(timeout):
-		return false
-	case <-ctx.Done():
-		return false
-	}
 }
 
 // Dial connects a client to a broker's listen address — the
 // cross-process form of Transport.Open, used by cmd/psclient. The
 // name identifies the client on its broker; redialing with the same
 // name replaces the previous connection and resumes its
-// subscriptions.
-func Dial(ctx context.Context, addr, name string, opts ...DialOption) (*Client, error) {
+// subscriptions. Dial returns once the broker's ack has arrived, so a
+// refused handshake (a broker speaking another frame version, a
+// listener that is not a broker) is an error here; the context bounds
+// the wait.
+func Dial(ctx context.Context, addr, name string) (*Client, error) {
 	if name == "" {
 		return nil, fmt.Errorf("pubsub: empty client name")
-	}
-	cfg := dialConfig{codec: CodecBinary}
-	for _, opt := range opts {
-		opt(&cfg)
 	}
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("pubsub: dial %s: %w", addr, err)
 	}
-	tc := &tcpClient{conn: conn, maxCodec: cfg.codec, acked: make(chan struct{})}
-	if err := writeJSONFrame(conn, &Frame{Hello: name, Client: true, Codec: uint8(cfg.codec)}); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("pubsub: hello: %w", err)
+	// Closing the connection is what unblocks the handshake when the
+	// context ends first.
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	r := newFrameReader(conn)
+	var ack Frame
+	err = writeFrame(conn, &Frame{Hello: name, Client: true})
+	if err == nil {
+		err = r.read(&ack)
 	}
-	c := &Client{name: name, impl: tc, q: newNotifyQueue()}
-	go tc.readLoop(c.q)
+	if err == nil && ack.Ack == "" {
+		err = fmt.Errorf("first frame from the broker is not an ack")
+	}
+	if !stop() {
+		err = ctx.Err()
+	}
+	if err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("pubsub: handshake with %s: %w", addr, err)
+	}
+	c := &Client{name: name, impl: &tcpClient{conn: conn}, q: newNotifyQueue()}
+	go readNotifications(r, c.q)
 	return c, nil
 }
 
-// send encodes one message with the negotiated codec into a pooled
-// buffer and writes it in one call, honoring the context's deadline.
-// A batch message bound for a broker that never advertised a codec
-// version is re-encoded as its per-item frames — in the same buffer
-// and the same write, so ordering stays atomic.
+// send encodes one message into a pooled buffer and writes it in one
+// call, honoring the context's deadline.
 func (c *tcpClient) send(ctx context.Context, msg broker.Message) error {
 	if err := ctx.Err(); err != nil {
 		return err
-	}
-	var split bool
-	switch msg.Kind { // waits for the ack, which may upgrade wcodec
-	case broker.MsgSubscribeBatch, broker.MsgUnsubscribeBatch:
-		split = !c.supportsVocab(ctx, CodecBinary)
-	case broker.MsgPublishBatch:
-		split = !c.supportsVocab(ctx, CodecBinary2)
-	}
-	codec := WireCodec(c.wcodec.Load())
-	buf := getEncBuf()
-	defer putEncBuf(buf)
-	var (
-		data []byte
-		err  error
-	)
-	switch {
-	case msg.Kind == broker.MsgSubscribeBatch && split:
-		data = (*buf)[:0]
-		for _, it := range msg.Subs {
-			m := broker.Message{Kind: broker.MsgSubscribe, SubID: it.SubID, Sub: it.Sub}
-			if data, err = MarshalFrame(codec, data, &Frame{Msg: &m}); err != nil {
-				break
-			}
-		}
-	case msg.Kind == broker.MsgUnsubscribeBatch && split:
-		data = (*buf)[:0]
-		for _, id := range msg.SubIDs {
-			m := broker.Message{Kind: broker.MsgUnsubscribe, SubID: id}
-			if data, err = MarshalFrame(codec, data, &Frame{Msg: &m}); err != nil {
-				break
-			}
-		}
-	case msg.Kind == broker.MsgPublishBatch && split:
-		data = (*buf)[:0]
-		for _, it := range msg.Pubs {
-			m := broker.Message{Kind: broker.MsgPublish, PubID: it.PubID, Pub: it.Pub}
-			if data, err = MarshalFrame(codec, data, &Frame{Msg: &m}); err != nil {
-				break
-			}
-		}
-	default:
-		data, err = MarshalFrame(codec, (*buf)[:0], &Frame{Msg: &msg})
-	}
-	*buf = data[:0]
-	if err != nil {
-		return fmt.Errorf("pubsub: send: %w", err)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1569,32 +1211,22 @@ func (c *tcpClient) send(ctx context.Context, msg broker.Message) error {
 		c.conn.SetWriteDeadline(d)
 		defer c.conn.SetWriteDeadline(time.Time{})
 	}
-	if _, err := c.conn.Write(data); err != nil {
+	if err := writeFrame(c.conn, &Frame{Msg: &msg}); err != nil {
 		return fmt.Errorf("pubsub: send: %w", err)
 	}
 	return nil
 }
 
-// readLoop handles the broker's ack (codec upgrade) and feeds pushed
-// notifications into the queue until the connection closes.
-func (c *tcpClient) readLoop(q *notifyQueue) {
-	r := newFrameReader(c.conn)
+// readNotifications feeds pushed notifications into the queue until
+// the connection closes.
+func readNotifications(r *frameReader, q *notifyQueue) {
 	var fr Frame
-	for {
-		if err := r.read(&fr); err != nil {
-			q.finish()
-			return
-		}
-		if fr.Ack != "" {
-			c.remoteVer.Store(uint32(fr.Codec))
-			c.wcodec.Store(uint32(c.maxCodec.negotiate(WireCodec(fr.Codec))))
-			c.ackOnce.Do(func() { close(c.acked) })
-			continue
-		}
+	for r.read(&fr) == nil {
 		if fr.Msg != nil && fr.Msg.Kind == broker.MsgNotify {
 			q.push(Notification{SubID: fr.Msg.SubID, PubID: fr.Msg.PubID, Pub: fr.Msg.Pub})
 		}
 	}
+	q.finish()
 }
 
 func (c *tcpClient) close() error { return c.conn.Close() }

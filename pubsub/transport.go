@@ -78,9 +78,9 @@ type brokerImpl interface {
 	// core exposes the underlying protocol state machine (root-set
 	// export, control-handler attachment).
 	core() *broker.Broker
-	// sendPeer queues one message toward a peer broker under the
-	// transport's vocabulary negotiation; false when no live link (or,
-	// for control kinds, no cluster-capable link) exists.
+	// sendPeer queues one message toward a peer broker; false when no
+	// live link (or, for control kinds, no cluster-capable link)
+	// exists.
 	sendPeer(id string, msg broker.Message) bool
 	// setPeerHooks registers link up/down callbacks; setControlHandler
 	// attaches the cluster control dispatcher and turns on the cluster
@@ -90,8 +90,6 @@ type brokerImpl interface {
 	// peerCluster reports the cluster protocol version a peer
 	// advertised (0 = none).
 	peerCluster(id string) uint8
-	// peerWireCodec reports the wire codec a peer advertised.
-	peerWireCodec(id string) WireCodec
 	// journalRef returns the durability journal (nil without one);
 	// recoveryStats the boot-time replay summary.
 	journalRef() *BrokerJournal
@@ -138,9 +136,9 @@ func (b *Broker) DialPeer(id, addr string) (established bool, err error) {
 func (b *Broker) Shutdown(ctx context.Context) error { return b.impl.shutdown(ctx) }
 
 // SendPeer queues one protocol message toward a peer broker, under the
-// same wire-vocabulary negotiation as broker-originated traffic
-// (legacy splits for batches, control-frame gating). It reports
-// whether a live link existed; delivery stays best-effort. This is the
+// same control-frame gate as broker-originated traffic. It reports
+// whether a live (and, for control kinds, cluster-capable) link
+// existed; delivery stays best-effort. This is the
 // cluster layer's send primitive — ordinary applications publish
 // through clients, not through broker links.
 func (b *Broker) SendPeer(peer string, msg broker.Message) bool {
@@ -180,14 +178,6 @@ func (b *Broker) Core() *broker.Broker { return b.impl.core() }
 // advertised in its hello or ack (0 = no cluster layer).
 func (b *Broker) PeerClusterVersion(peer string) uint8 {
 	return b.impl.peerCluster(peer)
-}
-
-// PeerWireCodec reports the wire codec a peer advertised in its hello
-// or ack (CodecJSON when it never advertised one). The cluster layer
-// uses it to piggyback link digests only toward peers whose decoder
-// accepts them.
-func (b *Broker) PeerWireCodec(peer string) WireCodec {
-	return b.impl.peerWireCodec(peer)
 }
 
 // LinkDigest returns this broker's sender-side digest of the

@@ -153,19 +153,9 @@ func runBrokernet(t *testing.T, tr pubsub.Transport) map[string][]string {
 // TestTransportEquivalence is the acceptance check of the transport
 // redesign: the same client program — including SUBBATCH/UNSUBBATCH
 // bursts — produces identical notification sets on the deterministic
-// simulator and over real TCP sockets, for every coverage policy and
-// every codec pairing (all-binary, JSON-pinned brokers modeling old
-// peers, JSON-pinned clients modeling old clients).
+// simulator and over real TCP sockets, for every coverage policy.
 func TestTransportEquivalence(t *testing.T) {
 	cfg := pubsub.Config{ErrorProbability: 1e-9, Seed: 7}
-	tcpVariants := []struct {
-		name string
-		opts []pubsub.TCPOption
-	}{
-		{"tcp-binary", nil},
-		{"tcp-json-brokers", []pubsub.TCPOption{pubsub.WithWireCodec(pubsub.CodecJSON)}},
-		{"tcp-json-clients", []pubsub.TCPOption{pubsub.WithDialWireCodec(pubsub.CodecJSON)}},
-	}
 	for _, policy := range []pubsub.Policy{pubsub.Flood, pubsub.Pairwise, pubsub.Group} {
 		t.Run(policy.String(), func(t *testing.T) {
 			sim, err := pubsub.NewSimTransport(policy, cfg)
@@ -174,25 +164,23 @@ func TestTransportEquivalence(t *testing.T) {
 			}
 			simOut := runBrokernet(t, sim)
 
-			for _, variant := range tcpVariants {
-				t.Run(variant.name, func(t *testing.T) {
-					tcp, err := pubsub.NewTCPTransport(policy, cfg, variant.opts...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					tcpOut := runBrokernet(t, tcp)
+			t.Run("tcp-binary", func(t *testing.T) {
+				tcp, err := pubsub.NewTCPTransport(policy, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tcpOut := runBrokernet(t, tcp)
 
-					for client, wantSet := range simOut {
-						gotSet := tcpOut[client]
-						if fmt.Sprint(wantSet) != fmt.Sprint(gotSet) {
-							t.Errorf("%s: sim %v != tcp %v", client, wantSet, gotSet)
-						}
+				for client, wantSet := range simOut {
+					gotSet := tcpOut[client]
+					if fmt.Sprint(wantSet) != fmt.Sprint(gotSet) {
+						t.Errorf("%s: sim %v != tcp %v", client, wantSet, gotSet)
 					}
-					if len(tcpOut) != len(simOut) {
-						t.Errorf("client sets differ: sim %v, tcp %v", simOut, tcpOut)
-					}
-				})
-			}
+				}
+				if len(tcpOut) != len(simOut) {
+					t.Errorf("client sets differ: sim %v, tcp %v", simOut, tcpOut)
+				}
+			})
 		})
 	}
 }

@@ -1,13 +1,11 @@
 package pubsub
 
-// Wire-level tests for the binary codec negotiation and the batch
-// frames (ISSUE 4): bursts reach batch admission as single calls,
-// codec upgrades happen end to end, and peers that speak only the
-// PR-3 JSON dialect still interoperate in both directions.
+// Wire-level tests: batch frames reach batch admission as single
+// calls, a handshake in any other dialect is refused on both sides,
+// and a hand-wired link survives its neighbor restarting.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"testing"
@@ -132,370 +130,6 @@ func TestTCPBatchCoverageWithinBurst(t *testing.T) {
 	}
 }
 
-// TestTCPCodecNegotiation pins the upgrade handshake: a binary-capable
-// client against a binary-capable broker ends up sending binary, while
-// either side pinned to JSON keeps the whole conversation working.
-func TestTCPCodecNegotiation(t *testing.T) {
-	cases := []struct {
-		name        string
-		brokerCodec WireCodec
-		dialCodec   WireCodec
-		wantUpgrade bool
-	}{
-		{"binary-binary", CodecBinary, CodecBinary, true},
-		{"json-broker", CodecJSON, CodecBinary, false},
-		{"json-client", CodecBinary, CodecJSON, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			b := listenTestBroker(t, "B1", Pairwise, WithWireCodec(tc.brokerCodec))
-			ctx := testCtx(t)
-			c, err := Dial(ctx, b.Addr(), "alice", WithDialCodec(tc.dialCodec))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			pub := dialTest(t, b.Addr(), "bob")
-
-			if err := c.Subscribe(ctx, "s1", box(0, 50, 0, 50)); err != nil {
-				t.Fatal(err)
-			}
-			waitMetric(t, b, 2*time.Second, func(m Metrics) bool { return m.SubsReceived == 1 })
-			// The ack has necessarily arrived before any notification
-			// could; publish → notify forces the full round trip.
-			if err := pub.Publish(ctx, "p1", subscription.NewPublication(10, 10)); err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := recvOne(t, c, 2*time.Second); !ok {
-				t.Fatal("notification did not arrive")
-			}
-			tcpC := c.impl.(*tcpClient)
-			upgraded := WireCodec(tcpC.wcodec.Load()) == CodecBinary
-			if upgraded != tc.wantUpgrade {
-				t.Fatalf("client write codec upgraded = %v, want %v", upgraded, tc.wantUpgrade)
-			}
-			// Post-negotiation traffic keeps flowing.
-			if err := pub.Publish(ctx, "p2", subscription.NewPublication(20, 20)); err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := recvOne(t, c, 2*time.Second); !ok {
-				t.Fatal("post-negotiation notification did not arrive")
-			}
-		})
-	}
-}
-
-// TestTCPLegacyJSONClient drives a hand-rolled PR-3 wire client — raw
-// json.Encoder/Decoder, no codec field, ignores frames without a
-// message — against a binary-capable broker. It proves old peers
-// interoperate: the broker must never send such a client a binary
-// frame (the json.Decoder would choke on 0xBF) and must decode its
-// JSON frames.
-func TestTCPLegacyJSONClient(t *testing.T) {
-	b := listenTestBroker(t, "B1", Pairwise)
-	conn, err := net.Dial("tcp", b.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := json.NewEncoder(conn)
-	dec := json.NewDecoder(conn)
-	// PR-3 hello: no codec field at all.
-	if err := enc.Encode(map[string]any{"hello": "legacy", "client": true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Encode(Frame{Msg: &broker.Message{Kind: broker.MsgSubscribe, SubID: "s1", Sub: box(0, 50, 0, 50)}}); err != nil {
-		t.Fatal(err)
-	}
-	waitMetric(t, b, 2*time.Second, func(m Metrics) bool { return m.SubsReceived == 1 })
-
-	pub := dialTest(t, b.Addr(), "bob")
-	if err := pub.Publish(testCtx(t), "p1", subscription.NewPublication(25, 25)); err != nil {
-		t.Fatal(err)
-	}
-	// The legacy loop: decode frames, skip everything without a
-	// notify. The ack frame arrives first and must parse as JSON.
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	for {
-		var fr Frame
-		if err := dec.Decode(&fr); err != nil {
-			t.Fatalf("legacy client failed to decode broker stream: %v", err)
-		}
-		if fr.Msg == nil || fr.Msg.Kind != broker.MsgNotify {
-			continue
-		}
-		if fr.Msg.SubID != "s1" || fr.Msg.PubID != "p1" {
-			t.Fatalf("legacy notify = %+v", fr.Msg)
-		}
-		break
-	}
-}
-
-// TestTCPLegacyJSONPeer models a PR-3 peer broker (binary pinned off
-// via WithWireCodec) against a binary one: the overlay works and the
-// binary side never upgrades its port to the peer.
-func TestTCPLegacyJSONPeer(t *testing.T) {
-	oldB := listenTestBroker(t, "OLD", Pairwise, WithWireCodec(CodecJSON))
-	newB := listenTestBroker(t, "NEW", Pairwise)
-	if err := oldB.ConnectPeer("NEW", newB.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if err := newB.ConnectPeer("OLD", oldB.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	ctx := testCtx(t)
-	sub := dialTest(t, oldB.Addr(), "alice")
-	pub := dialTest(t, newB.Addr(), "bob")
-	if err := sub.Subscribe(ctx, "s1", box(0, 50, 0, 50)); err != nil {
-		t.Fatal(err)
-	}
-	waitMetric(t, newB, 2*time.Second, func(m Metrics) bool { return m.SubsReceived == 1 })
-	if err := pub.Publish(ctx, "p1", subscription.NewPublication(10, 10)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := recvOne(t, sub, 2*time.Second); !ok {
-		t.Fatal("cross-version notification did not arrive")
-	}
-	// The new broker's outbound port to OLD must still write JSON: OLD
-	// advertised codec 0 in its hello and ack.
-	srvNew := newB.impl.(*tcpServer)
-	srvNew.mu.Lock()
-	p := srvNew.ports["OLD"]
-	srvNew.mu.Unlock()
-	if p == nil {
-		t.Fatal("NEW has no port to OLD")
-	}
-	if got := p.writeCodec(); got != CodecJSON {
-		t.Fatalf("NEW writes %v to the JSON-only peer", got)
-	}
-}
-
-// TestTCPBatchSplitForLegacyPeer pins the vocabulary downgrade: a
-// peer that never advertised a binary codec version may be a
-// pre-batch build, so batch messages bound for it must be split into
-// the per-item SUB/UNSUB frames its state machine knows. The peer
-// here is a raw JSON acceptor that fails the test on any post-PR-3
-// message kind.
-func TestTCPBatchSplitForLegacyPeer(t *testing.T) {
-	a := listenTestBroker(t, "A", Pairwise)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	type frameRec struct {
-		kind  broker.MsgKind
-		subID string
-	}
-	got := make(chan frameRec, 64)
-	fail := make(chan error, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			fail <- err
-			return
-		}
-		defer conn.Close()
-		// A PR-3 acceptor: json.Decoder over the inbound peer stream,
-		// hello first, then messages; an unknown kind kills the link.
-		dec := json.NewDecoder(conn)
-		var hello Frame
-		if err := dec.Decode(&hello); err != nil || hello.Hello != "A" {
-			fail <- fmt.Errorf("bad hello %+v: %v", hello, err)
-			return
-		}
-		for {
-			var fr Frame
-			if err := dec.Decode(&fr); err != nil {
-				return // connection closed at shutdown
-			}
-			if fr.Msg == nil {
-				continue
-			}
-			if fr.Msg.Kind > broker.MsgNotify {
-				fail <- fmt.Errorf("pre-batch peer received kind %v", fr.Msg.Kind)
-				return
-			}
-			got <- frameRec{kind: fr.Msg.Kind, subID: fr.Msg.SubID}
-		}
-	}()
-	if err := a.ConnectPeer("OLD", ln.Addr().String()); err != nil {
-		t.Fatal(err)
-	}
-
-	ctx := testCtx(t)
-	c := dialTest(t, a.Addr(), "alice")
-	const n = 5
-	subs := make([]BatchSub, n)
-	for i := range subs {
-		subs[i] = BatchSub{SubID: fmt.Sprintf("s%d", i), Sub: tile(int64(i))}
-	}
-	if err := c.SubscribeBatch(ctx, subs); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		select {
-		case rec := <-got:
-			if rec.kind != broker.MsgSubscribe || rec.subID != fmt.Sprintf("s%d", i) {
-				t.Fatalf("frame %d = %+v, want per-item subscribe of s%d", i, rec, i)
-			}
-		case err := <-fail:
-			t.Fatal(err)
-		case <-time.After(5 * time.Second):
-			t.Fatalf("legacy peer received %d of %d split frames", i, n)
-		}
-	}
-	if err := c.UnsubscribeBatch(ctx, []string{"s0", "s1"}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		select {
-		case rec := <-got:
-			if rec.kind != broker.MsgUnsubscribe || rec.subID != fmt.Sprintf("s%d", i) {
-				t.Fatalf("unsub frame %d = %+v", i, rec)
-			}
-		case err := <-fail:
-			t.Fatal(err)
-		case <-time.After(5 * time.Second):
-			t.Fatal("legacy peer did not receive split unsubscribes")
-		}
-	}
-}
-
-// TestTCPClientBatchSplitForLegacyBroker is the client-side mirror of
-// the vocabulary downgrade: a broker that never acks is a pre-binary
-// build, so Client.SubscribeBatch must reach it as per-item SUB
-// frames after the bounded ack wait.
-func TestTCPClientBatchSplitForLegacyBroker(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	type frameRec struct {
-		kind  broker.MsgKind
-		subID string
-	}
-	got := make(chan frameRec, 16)
-	fail := make(chan error, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			fail <- err
-			return
-		}
-		defer conn.Close()
-		// A PR-3 broker: reads the hello, never acks, json-decodes
-		// frames, dies on unknown kinds.
-		dec := json.NewDecoder(conn)
-		var hello Frame
-		if err := dec.Decode(&hello); err != nil || hello.Hello != "alice" || !hello.Client {
-			fail <- fmt.Errorf("bad hello %+v: %v", hello, err)
-			return
-		}
-		for {
-			var fr Frame
-			if err := dec.Decode(&fr); err != nil {
-				return
-			}
-			if fr.Msg == nil {
-				continue
-			}
-			if fr.Msg.Kind > broker.MsgNotify {
-				fail <- fmt.Errorf("pre-batch broker received kind %v", fr.Msg.Kind)
-				return
-			}
-			got <- frameRec{kind: fr.Msg.Kind, subID: fr.Msg.SubID}
-		}
-	}()
-
-	c, err := Dial(testCtx(t), ln.Addr().String(), "alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	// A short deadline bounds the ack wait; the broker never acks, so
-	// the batch splits.
-	sctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
-	defer cancel()
-	if err := c.SubscribeBatch(sctx, []BatchSub{
-		{SubID: "s0", Sub: tile(0)},
-		{SubID: "s1", Sub: tile(1)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		select {
-		case rec := <-got:
-			if rec.kind != broker.MsgSubscribe || rec.subID != fmt.Sprintf("s%d", i) {
-				t.Fatalf("frame %d = %+v, want per-item subscribe of s%d", i, rec, i)
-			}
-		case err := <-fail:
-			t.Fatal(err)
-		case <-time.After(5 * time.Second):
-			t.Fatalf("legacy broker received %d of 2 split frames", i)
-		}
-	}
-}
-
-// TestTCPPeerCodecDowngrade pins that a peer's LATEST advertisement
-// wins: after a binary peer re-hellos with no codec (a rollback to a
-// JSON-only build), the outbound port must drop back to JSON.
-func TestTCPPeerCodecDowngrade(t *testing.T) {
-	a := listenTestBroker(t, "A", Pairwise)
-	srv := a.impl.(*tcpServer)
-	// Stand in for the peer's connections with direct advertisement
-	// events (hello/ack handling funnels through learnPeerCodec).
-	srv.learnPeerCodec("B", CodecBinary)
-	srv.mu.Lock()
-	up := srv.peerCodec["B"]
-	srv.mu.Unlock()
-	if up != CodecBinary {
-		t.Fatalf("after binary hello peerCodec = %v", up)
-	}
-	srv.learnPeerCodec("B", CodecJSON)
-	srv.mu.Lock()
-	down := srv.peerCodec["B"]
-	srv.mu.Unlock()
-	if down != CodecJSON {
-		t.Fatalf("rollback hello did not downgrade: peerCodec = %v", down)
-	}
-}
-
-// TestTCPPeerBinaryUpgrade is the positive peer case: two binary
-// brokers end up with binary ports in both directions once hellos and
-// acks have crossed — at the v5 vocabulary, since both default builds
-// advertise it.
-func TestTCPPeerBinaryUpgrade(t *testing.T) {
-	a := listenTestBroker(t, "A", Pairwise)
-	b := listenTestBroker(t, "B", Pairwise)
-	if err := a.ConnectPeer("B", b.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.ConnectPeer("A", a.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for _, pair := range []struct {
-		srv  *tcpServer
-		peer string
-	}{{a.impl.(*tcpServer), "B"}, {b.impl.(*tcpServer), "A"}} {
-		for {
-			pair.srv.mu.Lock()
-			p := pair.srv.ports[pair.peer]
-			pair.srv.mu.Unlock()
-			if p != nil && p.writeCodec() == CodecBinary5 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s port to %s never upgraded to binary v5", pair.srv.b.ID(), pair.peer)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-}
-
 // TestTCPPublishBatchDelivery drives Client.PublishBatch end to end
 // over a two-broker overlay: one PUBBATCH frame in, every publication
 // delivered to the matching subscriber on the far side.
@@ -545,10 +179,10 @@ func TestTCPPublishBatchDelivery(t *testing.T) {
 	}
 }
 
-// TestTCPPublishBatchStaysBatchedForV2Peer pins that a producer batch
-// crosses the overlay as ONE PUBBATCH frame when the peer advertised
-// the v2 vocabulary.
-func TestTCPPublishBatchStaysBatchedForV2Peer(t *testing.T) {
+// TestTCPPublishBatchStaysBatched pins that a producer batch crosses
+// the overlay as ONE PUBBATCH frame. The peer is a raw socket speaking
+// the frame grammar by hand.
+func TestTCPPublishBatchStaysBatched(t *testing.T) {
 	a := listenTestBroker(t, "A", Pairwise)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -567,14 +201,10 @@ func TestTCPPublishBatchStaysBatchedForV2Peer(t *testing.T) {
 		if err := r.read(&fr); err != nil || fr.Hello != "A" {
 			return
 		}
-		// A v2-capable peer: the ack advertises binary v2.
-		if err := writeJSONFrame(conn, &Frame{Ack: "P", Codec: uint8(CodecBinary2)}); err != nil {
+		if err := writeFrame(conn, &Frame{Ack: "P"}); err != nil {
 			return
 		}
-		for {
-			if err := r.read(&fr); err != nil {
-				return
-			}
+		for r.read(&fr) == nil {
 			if fr.Msg != nil {
 				frames <- *fr.Msg
 			}
@@ -590,10 +220,10 @@ func TestTCPPublishBatchStaysBatchedForV2Peer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer peerConn.Close()
-	if err := writeJSONFrame(peerConn, &Frame{Hello: "P", Codec: uint8(CodecBinary2)}); err != nil {
+	if err := writeFrame(peerConn, &Frame{Hello: "P"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeJSONFrame(peerConn, &Frame{Msg: &broker.Message{Kind: broker.MsgSubscribe, SubID: "ps", Sub: box(0, 100, 0, 100)}}); err != nil {
+	if err := writeFrame(peerConn, &Frame{Msg: &broker.Message{Kind: broker.MsgSubscribe, SubID: "ps", Sub: box(0, 100, 0, 100)}}); err != nil {
 		t.Fatal(err)
 	}
 	waitMetric(t, a, 5*time.Second, func(m Metrics) bool { return m.SubsReceived == 1 })
@@ -615,157 +245,6 @@ func TestTCPPublishBatchStaysBatchedForV2Peer(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("forwarded publish batch never arrived")
-	}
-}
-
-// TestTCPPublishBatchSplitForV1Peer pins the vocabulary downgrade: a
-// peer that advertised only binary v1 (a PR-4 build) predates the
-// PUBBATCH kind, so the batch reaches it as per-item publish frames.
-func TestTCPPublishBatchSplitForV1Peer(t *testing.T) {
-	a := listenTestBroker(t, "A", Pairwise)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	frames := make(chan broker.Message, 16)
-	fail := make(chan error, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			fail <- err
-			return
-		}
-		defer conn.Close()
-		r := newFrameReader(conn)
-		var fr Frame
-		if err := r.read(&fr); err != nil || fr.Hello != "A" {
-			fail <- fmt.Errorf("bad hello %+v: %v", fr, err)
-			return
-		}
-		if err := writeJSONFrame(conn, &Frame{Ack: "P", Codec: uint8(CodecBinary)}); err != nil {
-			fail <- err
-			return
-		}
-		for {
-			if err := r.read(&fr); err != nil {
-				return
-			}
-			if fr.Msg == nil {
-				continue
-			}
-			if fr.Msg.Kind > broker.MsgUnsubscribeBatch {
-				fail <- fmt.Errorf("v1 peer received kind %v", fr.Msg.Kind)
-				return
-			}
-			frames <- *fr.Msg
-		}
-	}()
-	if err := a.ConnectPeer("P", ln.Addr().String()); err != nil {
-		t.Fatal(err)
-	}
-	peerConn, err := net.Dial("tcp", a.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer peerConn.Close()
-	if err := writeJSONFrame(peerConn, &Frame{Hello: "P", Codec: uint8(CodecBinary)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeJSONFrame(peerConn, &Frame{Msg: &broker.Message{Kind: broker.MsgSubscribe, SubID: "ps", Sub: box(0, 100, 0, 100)}}); err != nil {
-		t.Fatal(err)
-	}
-	waitMetric(t, a, 5*time.Second, func(m Metrics) bool { return m.SubsReceived == 1 })
-
-	ctx := testCtx(t)
-	c := dialTest(t, a.Addr(), "bob")
-	const n = 4
-	batch := make([]BatchPub, n)
-	for i := range batch {
-		batch[i] = BatchPub{PubID: fmt.Sprintf("q%d", i), Pub: subscription.NewPublication(int64(i), int64(i))}
-	}
-	if err := c.PublishBatch(ctx, batch); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		select {
-		case msg := <-frames:
-			if msg.Kind != broker.MsgPublish || msg.PubID != fmt.Sprintf("q%d", i) {
-				t.Fatalf("frame %d = %v %s, want per-item publish of q%d", i, msg.Kind, msg.PubID, i)
-			}
-		case err := <-fail:
-			t.Fatal(err)
-		case <-time.After(5 * time.Second):
-			t.Fatalf("v1 peer received %d of %d split frames", i, n)
-		}
-	}
-}
-
-// TestTCPClientPublishBatchSplitForV1Broker is the client-side mirror:
-// a broker that acked only binary v1 receives Client.PublishBatch as
-// per-item publish frames.
-func TestTCPClientPublishBatchSplitForV1Broker(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	frames := make(chan broker.Message, 16)
-	fail := make(chan error, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			fail <- err
-			return
-		}
-		defer conn.Close()
-		r := newFrameReader(conn)
-		var fr Frame
-		if err := r.read(&fr); err != nil || fr.Hello != "alice" || !fr.Client {
-			fail <- fmt.Errorf("bad hello %+v: %v", fr, err)
-			return
-		}
-		if err := writeJSONFrame(conn, &Frame{Ack: "B", Codec: uint8(CodecBinary)}); err != nil {
-			fail <- err
-			return
-		}
-		for {
-			if err := r.read(&fr); err != nil {
-				return
-			}
-			if fr.Msg == nil {
-				continue
-			}
-			if fr.Msg.Kind > broker.MsgUnsubscribeBatch {
-				fail <- fmt.Errorf("v1 broker received kind %v", fr.Msg.Kind)
-				return
-			}
-			frames <- *fr.Msg
-		}
-	}()
-
-	c, err := Dial(testCtx(t), ln.Addr().String(), "alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.PublishBatch(testCtx(t), []BatchPub{
-		{PubID: "q0", Pub: subscription.NewPublication(1, 1)},
-		{PubID: "q1", Pub: subscription.NewPublication(2, 2)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		select {
-		case msg := <-frames:
-			if msg.Kind != broker.MsgPublish || msg.PubID != fmt.Sprintf("q%d", i) {
-				t.Fatalf("frame %d = %v %s", i, msg.Kind, msg.PubID)
-			}
-		case err := <-fail:
-			t.Fatal(err)
-		case <-time.After(5 * time.Second):
-			t.Fatal("v1 broker did not receive split publishes")
-		}
 	}
 }
 
@@ -810,4 +289,216 @@ func TestSimPublishBatch(t *testing.T) {
 	if !got["p0"] || !got["p1"] || !got["p2"] {
 		t.Fatalf("sim deliveries = %v", got)
 	}
+}
+
+// flightCount counts the broker's flight-recorder events of one kind.
+func flightCount(b *Broker, kind string) int {
+	n := 0
+	for _, ev := range b.Observability().Flight().Events() {
+		if ev.Kind == kind {
+			n++
+		}
+	}
+	return n
+}
+
+// foreignHello returns a well-formed handshake frame from a build
+// that speaks another header version.
+func foreignHello(t *testing.T, fr *Frame) []byte {
+	t.Helper()
+	data, err := MarshalFrame(CodecBinary5, nil, fr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[1] = binVersion - 1
+	return data
+}
+
+// TestTCPHandshakeRefusal pins the acceptor's behavior at the version
+// edge: a hello under another header version and a newline-JSON hello
+// (the dialect of this repository's earliest builds) are each closed
+// with exactly one handshake_refused flight event, and nothing that
+// followed on the connection — here a subscribe — is processed.
+func TestTCPHandshakeRefusal(t *testing.T) {
+	sub, err := MarshalFrame(CodecBinary5, nil, &Frame{Msg: &broker.Message{Kind: broker.MsgSubscribe, SubID: "s1", Sub: box(0, 50, 0, 50)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string][]byte{
+		"client hello v4": foreignHello(t, &Frame{Hello: "alice", Client: true}),
+		"peer hello v4":   foreignHello(t, &Frame{Hello: "OLD", Addr: "127.0.0.1:1"}),
+		"json hello":      []byte(`{"hello":"alice","client":true}` + "\n"),
+		"not a hello":     sub,
+	}
+	for name, first := range cases {
+		t.Run(name, func(t *testing.T) {
+			b := listenTestBroker(t, "B1", Pairwise)
+			conn, err := net.Dial("tcp", b.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(append(append([]byte{}, first...), sub...)); err != nil {
+				t.Fatal(err)
+			}
+			// The broker closes without answering.
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			var one [1]byte
+			n, err := conn.Read(one[:])
+			if ne, ok := err.(net.Error); n != 0 || err == nil || (ok && ne.Timeout()) {
+				t.Fatalf("refused connection read %d bytes, err %v; want a bare close", n, err)
+			}
+			if refused := flightCount(b, "handshake_refused"); refused != 1 {
+				t.Fatalf("%d handshake_refused flight events, want 1", refused)
+			}
+			srv := b.impl.(*tcpServer)
+			srv.mu.Lock()
+			ports := len(srv.ports)
+			srv.mu.Unlock()
+			if ports != 0 {
+				t.Fatalf("refused handshake left %d ports", ports)
+			}
+			if m := b.Metrics(); m.SubsReceived != 0 {
+				t.Fatalf("refused connection's subscribe was processed: %+v", m)
+			}
+			if _, attached := srv.b.NeighborTableMetrics("OLD"); attached {
+				t.Fatal("refused peer hello registered a neighbor")
+			}
+		})
+	}
+}
+
+// TestTCPDialRefusedByForeignAck pins the dialing side of the version
+// edge: an acceptor that answers the hello with an ack under another
+// header version makes Dial fail — and makes a dialing broker drop
+// the link and report it down.
+func TestTCPDialRefusedByForeignAck(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	foreignAck := foreignHello(t, &Frame{Ack: "OLD"})
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				r := newFrameReader(conn)
+				var fr Frame
+				if r.read(&fr) != nil {
+					return
+				}
+				conn.Write(foreignAck)
+				r.read(&fr) // hold the connection until the dialer gives up
+			}()
+		}
+	}()
+
+	if c, err := Dial(testCtx(t), ln.Addr().String(), "alice"); err == nil {
+		c.Close()
+		t.Fatal("Dial succeeded against a foreign-version ack")
+	}
+
+	a := listenTestBroker(t, "A", Pairwise)
+	down := make(chan string, 4)
+	a.SetPeerHooks(func(string) {}, func(peer string) { down <- peer })
+	if err := a.ConnectPeer("OLD", ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case peer := <-down:
+		if peer != "OLD" {
+			t.Fatalf("peer-down for %q, want OLD", peer)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("foreign-version ack never took the link down")
+	}
+	srv := a.impl.(*tcpServer)
+	srv.mu.Lock()
+	p := srv.ports["OLD"]
+	srv.mu.Unlock()
+	if p == nil || p.alive() {
+		t.Fatal("port to the refused peer is still alive")
+	}
+}
+
+// TestTCPDialBoundedByContext pins that Dial's wait for the ack ends
+// with its context: a listener that accepts and says nothing is an
+// error, not a hang.
+func TestTCPDialBoundedByContext(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if c, err := Dial(ctx, ln.Addr().String(), "alice"); err == nil {
+		c.Close()
+		t.Fatal("Dial returned without an ack")
+	}
+}
+
+// TestTCPRestartedNeighborIsRedialed is the hand-wired re-dial
+// regression. Only R is configured with its neighbor (R dials S); S
+// reaches R through the dial-back R's hello triggers. R is then shut
+// down hard and comes back on the same address with the same wiring.
+// S must notice its outbound link died and dial back again when the
+// new R's hello arrives — with no action on S — or publications at S
+// never reach R's subscribers again.
+func TestTCPRestartedNeighborIsRedialed(t *testing.T) {
+	s := listenTestBroker(t, "S", Pairwise)
+	startR := func(addr string) *Broker {
+		t.Helper()
+		r, err := ListenBroker("R", addr, Pairwise, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.ConnectPeer("S", s.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	ctx := testCtx(t)
+	pub := dialTest(t, s.Addr(), "bob")
+	// deliver subscribes at r and publishes at S until one arrives.
+	deliver := func(r *Broker, round string) {
+		t.Helper()
+		sub := dialTest(t, r.Addr(), "alice")
+		if err := sub.Subscribe(ctx, "s-"+round, box(0, 50, 0, 50)); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for i := 0; time.Now().Before(deadline); i++ {
+			if err := pub.Publish(ctx, fmt.Sprintf("p-%s-%d", round, i), subscription.NewPublication(10, 10)); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := recvOne(t, sub, 100*time.Millisecond); ok {
+				return
+			}
+		}
+		t.Fatalf("%s: no publication from S reached R's subscriber", round)
+	}
+
+	r := startR("127.0.0.1:0")
+	addr := r.Addr()
+	deliver(r, "first-life")
+
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	r.Shutdown(dead) // hard: queued frames abandoned, connections closed
+	// A restart takes longer than a FIN: S has seen the link die.
+	for deadline := time.Now().Add(5 * time.Second); flightCount(s, "peer_down") == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("S never noticed its link to R died")
+		}
+	}
+
+	r = startR(addr)
+	defer r.Shutdown(ctx)
+	deliver(r, "second-life")
 }
