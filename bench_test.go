@@ -399,19 +399,10 @@ func BenchmarkStoreSubscribeSparse(b *testing.B) {
 // versus through SubscribeBatch (which re-sorts by volume inside one
 // critical section, so parents admit first and children take the
 // pairwise fast path). The acceptance target is batch ≥ 2x per-item
-// on this workload; batch-4shards adds the sharded variant.
+// on this workload.
 func BenchmarkTableSubscribeBatch(b *testing.B) {
-	for _, tc := range []struct {
-		name   string
-		batch  bool
-		shards int
-	}{
-		{"peritem", false, 1},
-		{"batch", true, 1},
-		{"batch-4shards", true, 4},
-	} {
-		b.Run(tc.name, func(b *testing.B) { benchcases.TableSubscribeBatch(b, tc.batch, tc.shards) })
-	}
+	b.Run("peritem", func(b *testing.B) { benchcases.TableSubscribeBatch(b, false) })
+	b.Run("batch", func(b *testing.B) { benchcases.TableSubscribeBatch(b, true) })
 }
 
 // BenchmarkTableUnsubscribeBatch measures a cancellation burst — the
@@ -420,17 +411,8 @@ func BenchmarkTableSubscribeBatch(b *testing.B) {
 // UnsubscribeBatch (one shared cascade frontier: every orphaned child
 // is re-validated exactly once against the post-removal set).
 func BenchmarkTableUnsubscribeBatch(b *testing.B) {
-	for _, tc := range []struct {
-		name   string
-		batch  bool
-		shards int
-	}{
-		{"peritem", false, 1},
-		{"batch", true, 1},
-		{"batch-4shards", true, 4},
-	} {
-		b.Run(tc.name, func(b *testing.B) { benchcases.TableUnsubscribeBatch(b, tc.batch, tc.shards) })
-	}
+	b.Run("peritem", func(b *testing.B) { benchcases.TableUnsubscribeBatch(b, false) })
+	b.Run("batch", func(b *testing.B) { benchcases.TableUnsubscribeBatch(b, true) })
 }
 
 func benchStoreSetup(b *testing.B) (*store.Store, []subscription.Publication) {

@@ -128,19 +128,16 @@ func microBenchmarks() []struct {
 		}},
 		{"StoreSubscribe/dense", benchcases.StoreSubscribeDense},
 		{"TableSubscribeBatch/peritem", func(b *testing.B) {
-			benchcases.TableSubscribeBatch(b, false, 1)
+			benchcases.TableSubscribeBatch(b, false)
 		}},
 		{"TableSubscribeBatch/batch", func(b *testing.B) {
-			benchcases.TableSubscribeBatch(b, true, 1)
-		}},
-		{"TableSubscribeBatch/batch-4shards", func(b *testing.B) {
-			benchcases.TableSubscribeBatch(b, true, 4)
+			benchcases.TableSubscribeBatch(b, true)
 		}},
 		{"TableUnsubscribeBatch/peritem", func(b *testing.B) {
-			benchcases.TableUnsubscribeBatch(b, false, 1)
+			benchcases.TableUnsubscribeBatch(b, false)
 		}},
 		{"TableUnsubscribeBatch/batch", func(b *testing.B) {
-			benchcases.TableUnsubscribeBatch(b, true, 1)
+			benchcases.TableUnsubscribeBatch(b, true)
 		}},
 		{"WireCodec/pub-encode/binary", func(b *testing.B) {
 			benchcases.WireCodecEncode(b, "pub")

@@ -38,17 +38,8 @@ func main() {
 		subsume.Attr("price", 0, priceMax), // cents
 		subsume.Attr("size", 0, 1_000_000),
 	)
-	// Rendezvous placement spreads the desk piles: covered trader
-	// subscriptions live with their desk-level coverer, so under the
-	// default locality-first router one shard used to hold 245 of the
-	// 392 subscriptions; load-aware placement keeps every shard under
-	// ~40% (see TableMetrics.ShardOccupancy).
 	table, err := subsume.NewTable(subsume.Group,
-		subsume.WithShards(4),
-		subsume.WithTableSchema(schema),
-		subsume.WithTableSeed(2026),
-		subsume.WithRendezvousPlacement(),
-	)
+		subsume.WithTableChecker(subsume.WithSeed(2026, 1)))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -88,11 +79,6 @@ func main() {
 	snap := table.Snapshot()
 	fmt.Printf("subscriptions: %d total, %d active, %d covered (%.0f%% suppressed)\n",
 		snap.Len, snap.Active, snap.Covered, 100*float64(snap.Covered)/float64(snap.Len))
-	fmt.Printf("shards: %d, per-shard sizes:", len(snap.Shards))
-	for _, s := range snap.Shards {
-		fmt.Printf(" %d", s.Len)
-	}
-	fmt.Println()
 
 	// Phase 2: tickers publish trades concurrently while a churn
 	// goroutine cancels and re-adds desk subscriptions (promoting and
@@ -133,6 +119,6 @@ func main() {
 
 	m := table.Metrics()
 	fmt.Printf("routed %d trades, %d matches delivered\n", tickers*tickerN, delivered.Load())
-	fmt.Printf("table metrics: %d subscribes (%d batched), %d suppressed (%d cross-shard), %d promotions, %d migrations\n",
-		m.Subscribes, m.BatchItems, m.Suppressed, m.CrossShardSuppressed, m.Promotions, m.Migrations)
+	fmt.Printf("table metrics: %d subscribes (%d batched), %d suppressed, %d promotions\n",
+		m.Subscribes, m.BatchItems, m.Suppressed, m.Promotions)
 }

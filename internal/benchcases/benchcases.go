@@ -154,17 +154,13 @@ func TableBurst(size int) ([]subsume.ID, []subsume.Subscription) {
 // through SubscribeBatch (batch=true) or per-item Subscribe in
 // arrival order (batch=false). Table construction is excluded from
 // the timing.
-func TableSubscribeBatch(b *testing.B, batch bool, shards int) {
+func TableSubscribeBatch(b *testing.B, batch bool) {
 	ids, subs := TableBurst(512)
-	schema := tableBurstSchema()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		tbl, err := subsume.NewTable(subsume.Group,
-			subsume.WithShards(shards),
-			subsume.WithTableSchema(schema),
-			subsume.WithTableSeed(7),
 			subsume.WithTableChecker(subsume.WithSeed(43, 44), subsume.WithMaxTrials(2000)),
 		)
 		if err != nil {
@@ -235,17 +231,13 @@ func UnsubBurst() (ids []subsume.ID, subs []subsume.Subscription, burst []subsum
 // orphaned child is re-validated exactly once against the
 // post-removal set). Table construction and admission are excluded
 // from the timing.
-func TableUnsubscribeBatch(b *testing.B, batch bool, shards int) {
+func TableUnsubscribeBatch(b *testing.B, batch bool) {
 	ids, subs, burst := UnsubBurst()
-	schema := tableBurstSchema()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		tbl, err := subsume.NewTable(subsume.Group,
-			subsume.WithShards(shards),
-			subsume.WithTableSchema(schema),
-			subsume.WithTableSeed(7),
 			subsume.WithTableChecker(subsume.WithSeed(43, 44), subsume.WithMaxTrials(2000)),
 		)
 		if err != nil {

@@ -16,6 +16,7 @@ package broker
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -733,12 +734,10 @@ func fnv1a(s string) uint64 {
 }
 
 // ConnectNeighbor registers a neighbor port and creates its outgoing
-// coverage table through the public subsume.Table API. Tables are
-// single-shard: a broker serializes access itself, and one shard keeps
-// the exact sequential coverage semantics the simulator equivalence
-// tests pin. The per-neighbor checker seed is applied after any
-// caller-supplied table options, so every table keeps an independent,
-// reproducible stream (see WithSeed).
+// coverage table through the public subsume.Table API. The
+// per-neighbor checker seed is applied after any caller-supplied table
+// options, so every table keeps an independent, reproducible stream
+// (see WithSeed).
 func (b *Broker) ConnectNeighbor(id string) error {
 	if id == b.id {
 		return fmt.Errorf("broker %s: cannot neighbor itself", b.id)
@@ -752,10 +751,10 @@ func (b *Broker) ConnectNeighbor(id string) error {
 	if err != nil {
 		return fmt.Errorf("broker %s: neighbor %s: %w", b.id, id, err)
 	}
-	// Caller options first; WithShards(1) and the per-neighbor seed
-	// come after so they always win — single-shard tables and
-	// independent checker streams are broker invariants, not knobs.
-	opts := append(append([]subsume.TableOption{}, b.tableOpts...), subsume.WithShards(1))
+	// Caller options first; the per-neighbor seed comes after so it
+	// always wins — independent checker streams are a broker
+	// invariant, not a knob.
+	opts := slices.Clone(b.tableOpts)
 	if b.policy == store.PolicyGroup {
 		opts = append(opts, subsume.WithTableChecker(
 			subsume.WithSeed(b.seed^fnv1a(b.id), fnv1a(id)|1),

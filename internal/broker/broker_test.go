@@ -350,22 +350,6 @@ func TestPublishItreeMatchesLinearReference(t *testing.T) {
 	}
 }
 
-// TestConnectNeighborPinsSingleShard guards the broker invariant that
-// per-neighbor tables are single-shard with independent per-neighbor
-// checker streams, even when caller table options say otherwise.
-func TestConnectNeighborPinsSingleShard(t *testing.T) {
-	b, err := New("B", store.PolicyGroup, WithTableOptions(subsume.WithShards(4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.ConnectNeighbor("n1"); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.out["n1"].Shards(); got != 1 {
-		t.Fatalf("per-neighbor table has %d shards, want 1", got)
-	}
-}
-
 // TestDupAnnouncementCreatesReversePath pins the cycle-gradient fix:
 // when a subscription already known via one port is announced again
 // over another (the inevitable duplicate on any cyclic overlay), the

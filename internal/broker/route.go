@@ -26,6 +26,7 @@ package broker
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"probsum/internal/match"
@@ -106,7 +107,7 @@ func (b *Broker) routeTableLocked(hop, target string) (*subsume.Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("broker %s: route table %s->%s: %w", b.id, hop, target, err)
 	}
-	opts := append(append([]subsume.TableOption{}, b.tableOpts...), subsume.WithShards(1))
+	opts := slices.Clone(b.tableOpts)
 	if b.policy == store.PolicyGroup {
 		opts = append(opts, subsume.WithTableChecker(
 			subsume.WithSeed(b.seed^fnv1a(b.id), fnv1a(hop+"\x00"+target)|1),

@@ -29,9 +29,7 @@ import (
 )
 
 // batchOrder returns the processing order for a burst: indices sorted
-// by descending box log-volume, ties broken by ascending ID. Shared by
-// Store.SubscribeBatch and Sharded.SubscribeBatch so the two paths
-// make identical decision sequences.
+// by descending box log-volume, ties broken by ascending ID.
 func batchOrder(ids []ID, subs []subscription.Subscription) []int {
 	measure := make([]float64, len(subs))
 	for i, s := range subs {

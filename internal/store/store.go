@@ -405,60 +405,16 @@ func (st *Store) activePos(id ID) int {
 
 // Subscribe inserts a subscription under a fresh ID and classifies it.
 func (st *Store) Subscribe(id ID, s subscription.Subscription) (SubscribeResult, error) {
-	res, ok, err := st.SubscribeCovered(id, s)
-	if err != nil || ok {
-		return res, err
-	}
-	// SubscribeCovered already validated id and s.
-	ares := st.activateNew(id, s)
-	// Keep the decision detail from the coverage check the active
-	// placement was based on.
-	ares.Checker = res.Checker
-	return ares, nil
-}
-
-// SubscribeCovered decides coverage for s against the current active
-// set and inserts it ONLY when covered, reporting ok=true. When the
-// set does not cover s nothing is inserted; the returned result still
-// carries the checker detail so the caller can reuse the decision.
-// Together with activateNew it is the building block the sharded
-// store uses to consult several shards before activating anywhere;
-// Subscribe is exactly SubscribeCovered followed by activateNew.
-func (st *Store) SubscribeCovered(id ID, s subscription.Subscription) (SubscribeResult, bool, error) {
 	if _, dup := st.nodes[id]; dup {
-		return SubscribeResult{}, false, fmt.Errorf("%w: %d", ErrDuplicateID, id)
+		return SubscribeResult{}, fmt.Errorf("%w: %d", ErrDuplicateID, id)
 	}
 	if !s.IsSatisfiable() {
-		return SubscribeResult{}, false, core.ErrUnsatisfiable
+		return SubscribeResult{}, core.ErrUnsatisfiable
 	}
 	status, coverers, checkRes, err := st.decideCoverage(s)
 	if err != nil {
-		return SubscribeResult{}, false, err
+		return SubscribeResult{}, err
 	}
-	if status != StatusCovered {
-		return SubscribeResult{Status: StatusActive, Checker: checkRes}, false, nil
-	}
-	st.insert(id, s, StatusCovered, coverers)
-	return SubscribeResult{Status: StatusCovered, Coverers: coverers, Checker: checkRes}, true, nil
-}
-
-// activateNew inserts s directly into the active set, skipping the
-// coverage decision — the caller has already decided (for example the
-// sharded store, after finding no shard whose active set covers s) and
-// guarantees id is fresh and s satisfiable. Reverse pruning, when
-// enabled, still demotes actives s covers.
-func (st *Store) activateNew(id ID, s subscription.Subscription) SubscribeResult {
-	n := st.insert(id, s, StatusActive, nil)
-	res := SubscribeResult{Status: StatusActive}
-	if st.reversePrune {
-		res.Demoted = st.demoteCoveredBy(n)
-	}
-	return res
-}
-
-// insert links a decided subscription into the forest and, when
-// active, the sorted caches and candidate index.
-func (st *Store) insert(id ID, s subscription.Subscription, status Status, coverers []ID) *node {
 	n := &node{
 		id:       id,
 		sub:      s,
@@ -471,25 +427,14 @@ func (st *Store) insert(id ID, s subscription.Subscription, status Status, cover
 		st.nodes[c].children[id] = struct{}{}
 	}
 	st.nodes[id] = n
+	res := SubscribeResult{Status: status, Coverers: coverers, Checker: checkRes}
 	if status == StatusActive {
 		st.activate(n)
+		if st.reversePrune {
+			res.Demoted = st.demoteCoveredBy(n)
+		}
 	}
-	return n
-}
-
-// removeActiveLeaf removes an active subscription that has no covered
-// dependents, without running the promotion cascade (nothing depends
-// on it). It reports whether the removal happened; the sharded store
-// uses it to retire an active original after migrating it into
-// another shard as covered.
-func (st *Store) removeActiveLeaf(id ID) bool {
-	n, ok := st.nodes[id]
-	if !ok || n.status != StatusActive || len(n.children) > 0 {
-		return false
-	}
-	delete(st.nodes, id)
-	st.deactivate(n)
-	return true
+	return res, nil
 }
 
 // demoteCoveredBy moves active subscriptions covered by the new node

@@ -17,10 +17,7 @@ package store
 // covers it), but borderline probabilistic decisions see different
 // active sets. Two stores fed the same burst agree exactly.
 
-import (
-	"slices"
-	"sort"
-)
+import "sort"
 
 // UnsubscribeBatchResult reports what UnsubscribeBatch did.
 type UnsubscribeBatchResult struct {
@@ -94,87 +91,5 @@ func (st *Store) UnsubscribeBatch(ids []ID) (UnsubscribeBatchResult, error) {
 			res.Promoted = append(res.Promoted, cid)
 		}
 	}
-	return res, nil
-}
-
-// UnsubscribeBatch removes a burst across shards: burst members are
-// grouped by their home shard and each shard runs its shared-frontier
-// cascade once; promotions then go through the cross-shard re-cover
-// (and migration) exactly like single unsubscribes. The placement lock
-// is held throughout, so the burst is atomic with respect to
-// concurrent lookups.
-func (sh *Sharded) UnsubscribeBatch(ids []ID) (UnsubscribeBatchResult, error) {
-	var res UnsubscribeBatchResult
-	if len(ids) == 0 {
-		return res, nil
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-
-	perShard := make([][]ID, len(sh.shards))
-	for _, id := range ids {
-		j, ok := sh.placement[id]
-		if !ok || j == placePending {
-			continue
-		}
-		perShard[j] = append(perShard[j], id)
-	}
-
-	var promoted []struct {
-		shard int
-		id    ID
-	}
-	for j, group := range perShard {
-		if len(group) == 0 {
-			continue
-		}
-		slot := sh.shards[j]
-		slot.mu.Lock()
-		sres, err := slot.st.UnsubscribeBatch(group)
-		slot.mu.Unlock()
-		// The store's removal phase always completes before its cascade
-		// can error, so this shard's group is gone either way; drop the
-		// placements only now, so an error leaves LATER shards' groups
-		// still placed (and removable) rather than stranded.
-		for _, id := range group {
-			delete(sh.placement, id)
-		}
-		res.Removed += sres.Removed
-		sh.metrics.unsubscribes.Add(uint64(sres.Removed))
-		if err != nil {
-			// Promotions already made stay active (sound); report what
-			// we know and stop.
-			res.Promoted = append(res.Promoted, sres.Promoted...)
-			return res, err
-		}
-		for _, pid := range sres.Promoted {
-			promoted = append(promoted, struct {
-				shard int
-				id    ID
-			}{j, pid})
-		}
-	}
-
-	if len(sh.shards) == 1 {
-		for _, p := range promoted {
-			res.Promoted = append(res.Promoted, p.id)
-		}
-	} else {
-		for _, p := range promoted {
-			migrated, err := sh.recoverPromoted(p.shard, p.id)
-			if err != nil {
-				res.Promoted = append(res.Promoted, p.id)
-				slices.Sort(res.Promoted)
-				return res, err
-			}
-			if !migrated {
-				res.Promoted = append(res.Promoted, p.id)
-			}
-		}
-		// Promotions were collected shard by shard; restore the
-		// documented ID order.
-		slices.Sort(res.Promoted)
-	}
-	sh.metrics.promotions.Add(uint64(len(res.Promoted)))
 	return res, nil
 }

@@ -159,87 +159,3 @@ func TestUnsubscribeBatchEdgeCases(t *testing.T) {
 		t.Fatalf("empty burst: res=%+v err=%v", res, err)
 	}
 }
-
-// TestShardedUnsubscribeBatch exercises the cross-shard path: removal
-// groups per shard, promotions re-offered (and possibly migrated) to
-// other shards, placement map consistent afterwards.
-func TestShardedUnsubscribeBatch(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("%dshards", shards), func(t *testing.T) {
-			sh, err := NewSharded(PolicyPairwise, WithShards(shards))
-			if err != nil {
-				t.Fatal(err)
-			}
-			subs := randomBoxes(11, 160)
-			for i, s := range subs {
-				if _, err := sh.Subscribe(ID(i), s); err != nil {
-					t.Fatal(err)
-				}
-			}
-			burst := []ID{0, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40} // the broad parents
-			res, err := sh.UnsubscribeBatch(burst)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Removed != len(burst) {
-				t.Fatalf("Removed = %d, want %d", res.Removed, len(burst))
-			}
-			for _, id := range burst {
-				if _, _, ok := sh.Get(id); ok {
-					t.Fatalf("id %d still present", id)
-				}
-			}
-			if got := sh.Snapshot().Len; got != len(subs)-len(burst) {
-				t.Fatalf("Len = %d, want %d", got, len(subs)-len(burst))
-			}
-			// Every survivor is reachable and every promoted ID active.
-			for _, pid := range res.Promoted {
-				_, status, ok := sh.Get(pid)
-				if !ok || status != StatusActive {
-					t.Fatalf("promoted %d: ok=%v status=%v", pid, ok, status)
-				}
-			}
-			m := sh.Metrics()
-			if m.Unsubscribes != uint64(len(burst)) {
-				t.Fatalf("Unsubscribes = %d, want %d", m.Unsubscribes, len(burst))
-			}
-		})
-	}
-}
-
-// TestShardedMetricsPerShard pins the new occupancy metrics: the
-// per-shard occupancy sums to the snapshot total and placements cover
-// every admitted subscription.
-func TestShardedMetricsPerShard(t *testing.T) {
-	sh, err := NewSharded(PolicyPairwise, WithShards(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	subs := randomBoxes(13, 100)
-	for i, s := range subs {
-		if _, err := sh.Subscribe(ID(i), s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m := sh.Metrics()
-	if len(m.ShardOccupancy) != 4 || len(m.ShardPlacements) != 4 {
-		t.Fatalf("per-shard slices sized %d/%d, want 4/4", len(m.ShardOccupancy), len(m.ShardPlacements))
-	}
-	occ, placed := 0, uint64(0)
-	for j := range m.ShardOccupancy {
-		occ += m.ShardOccupancy[j]
-		placed += m.ShardPlacements[j]
-	}
-	snap := sh.Snapshot()
-	if occ != snap.Len {
-		t.Fatalf("sum(ShardOccupancy) = %d, snapshot Len = %d", occ, snap.Len)
-	}
-	if placed < uint64(len(subs)) {
-		t.Fatalf("sum(ShardPlacements) = %d, want >= %d", placed, len(subs))
-	}
-	for j, s := range snap.Shards {
-		if m.ShardOccupancy[j] != s.Len {
-			t.Fatalf("shard %d occupancy %d != snapshot %d", j, m.ShardOccupancy[j], s.Len)
-		}
-	}
-}

@@ -3,8 +3,7 @@
 // The Router implements broker.Router on top of a membership Node: it
 // slices attribute 0 into fixed-width cells, assigns each cell a
 // rendezvous broker by highest-random-weight hashing over the alive
-// member set (the same rendezvous idiom as the store's
-// WithRendezvousPlacement), and picks overlay next hops by greedy
+// member set, and picks overlay next hops by greedy
 // distance over the sorted member order — on the scale harness's
 // ring+chords overlay (ring edges are sorted-adjacent, chords are
 // shortcuts) every greedy step strictly shrinks the remaining

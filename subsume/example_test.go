@@ -64,17 +64,13 @@ func ExampleSubscription_Matches() {
 // actually asks: admit a burst of subscriptions, suppress the ones the
 // active set already covers, route publications, and promote covered
 // subscriptions when their coverer cancels. Tables are safe for
-// concurrent callers; sharding distributes the load.
+// concurrent callers.
 func ExampleTable() {
 	schema := subsume.NewSchema(
 		subsume.Attr("price", 0, 10_000),
 		subsume.Attr("qty", 0, 1_000),
 	)
-	tbl, _ := subsume.NewTable(subsume.Group,
-		subsume.WithShards(4),
-		subsume.WithTableSchema(schema),
-		subsume.WithTableSeed(1),
-	)
+	tbl, _ := subsume.NewTable(subsume.Group)
 
 	broad := subsume.NewSubscription(schema).Range("price", 0, 5000).Build()
 	mid := subsume.NewSubscription(schema).Range("price", 4000, 8000).Build()
@@ -82,8 +78,7 @@ func ExampleTable() {
 		Range("price", 1000, 2000).Range("qty", 0, 500).Build()
 
 	// One arrival burst: the batch path admits the broad subscriptions
-	// first, so narrow is suppressed on arrival — whichever shard its
-	// coverer lives in.
+	// first, so narrow is suppressed on arrival.
 	results, _ := tbl.SubscribeBatch(
 		[]subsume.ID{1, 2, 3},
 		[]subsume.Subscription{broad, mid, narrow},

@@ -2,12 +2,11 @@ package subsume_test
 
 // TestTableOracleEquivalence (ISSUE 4): randomized subscribe /
 // unsubscribe / batch workloads checked against the exact pairwise
-// oracle — brute-force interval mathematics over the live set —
-// across shard counts {1, 4}, and then re-checked over the wire: the
-// same workload fed through a TCP broker as SUBBATCH/UNSUBBATCH
-// frames must notify exactly the brute-force matching set for every
-// probe. It extends the per-op store oracle tests (internal/store) to
-// the batch and wire-fed paths.
+// oracle — brute-force interval mathematics over the live set — and
+// then re-checked over the wire: the same workload fed through a TCP
+// broker as SUBBATCH/UNSUBBATCH frames must notify exactly the
+// brute-force matching set for every probe. It extends the per-op
+// store oracle tests (internal/store) to the batch and wire-fed paths.
 
 import (
 	"context"
@@ -166,49 +165,46 @@ func TestTableOracleEquivalence(t *testing.T) {
 	const steps = 120
 	ops, subs := buildOracleWorkload(0xC0DEC, steps)
 
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
-			tbl, err := subsume.NewTable(subsume.Pairwise,
-				subsume.WithShards(shards), subsume.WithTableSchema(oracleSchema))
-			if err != nil {
-				t.Fatal(err)
-			}
-			probeRNG := rand.New(rand.NewPCG(99, 7))
-			live := make(map[subsume.ID]subsume.Subscription)
-			for step, op := range ops {
-				switch {
-				case len(op.subscribe) == 1:
-					id := op.subscribe[0]
-					if _, err := tbl.Subscribe(id, subs[id]); err != nil {
-						t.Fatalf("step %d: %v", step, err)
-					}
-					live[id] = subs[id]
-				case len(op.subscribe) > 1:
-					bodies := make([]subsume.Subscription, len(op.subscribe))
-					for i, id := range op.subscribe {
-						bodies[i] = subs[id]
-						live[id] = subs[id]
-					}
-					if _, err := tbl.SubscribeBatch(op.subscribe, bodies); err != nil {
-						t.Fatalf("step %d: %v", step, err)
-					}
-				case len(op.unsubscribe) == 1:
-					if _, err := tbl.Unsubscribe(op.unsubscribe[0]); err != nil {
-						t.Fatalf("step %d: %v", step, err)
-					}
-					delete(live, op.unsubscribe[0])
-				default:
-					if _, err := tbl.UnsubscribeBatch(op.unsubscribe); err != nil {
-						t.Fatalf("step %d: %v", step, err)
-					}
-					for _, id := range op.unsubscribe {
-						delete(live, id)
-					}
+	t.Run("table", func(t *testing.T) {
+		tbl, err := subsume.NewTable(subsume.Pairwise)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probeRNG := rand.New(rand.NewPCG(99, 7))
+		live := make(map[subsume.ID]subsume.Subscription)
+		for step, op := range ops {
+			switch {
+			case len(op.subscribe) == 1:
+				id := op.subscribe[0]
+				if _, err := tbl.Subscribe(id, subs[id]); err != nil {
+					t.Fatalf("step %d: %v", step, err)
 				}
-				checkTableAgainstOracle(t, step, tbl, live, probeRNG)
+				live[id] = subs[id]
+			case len(op.subscribe) > 1:
+				bodies := make([]subsume.Subscription, len(op.subscribe))
+				for i, id := range op.subscribe {
+					bodies[i] = subs[id]
+					live[id] = subs[id]
+				}
+				if _, err := tbl.SubscribeBatch(op.subscribe, bodies); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+			case len(op.unsubscribe) == 1:
+				if _, err := tbl.Unsubscribe(op.unsubscribe[0]); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				delete(live, op.unsubscribe[0])
+			default:
+				if _, err := tbl.UnsubscribeBatch(op.unsubscribe); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				for _, id := range op.unsubscribe {
+					delete(live, id)
+				}
 			}
-		})
-	}
+			checkTableAgainstOracle(t, step, tbl, live, probeRNG)
+		}
+	})
 
 	t.Run("wire-fed", func(t *testing.T) { oracleOverWire(t, ops, subs) })
 }

@@ -2,13 +2,14 @@
 // A broker does not ask one-shot Covered questions — it keeps the set
 // of forwarded subscriptions and suppresses arrivals the active set
 // already covers. Table packages that machinery (internal/store) as an
-// embeddable, concurrency-safe component: hash-sharded stores, a
-// cross-shard merge for coverage decisions that span shards, batch
-// admission for arrival bursts, and Algorithm 5 matching.
+// embeddable, concurrency-safe component: one store behind one mutex,
+// with batch admission and cancellation for bursts and Algorithm 5
+// matching.
 package subsume
 
 import (
 	"fmt"
+	"sync"
 
 	"probsum/internal/core"
 	"probsum/internal/store"
@@ -82,14 +83,32 @@ type UnsubscribeResult = store.UnsubscribeResult
 // removed and which covered subscriptions the burst promoted.
 type UnsubscribeBatchResult = store.UnsubscribeBatchResult
 
-// ShardStats sizes one shard of a Table.
-type ShardStats = store.ShardStats
-
-// TableSnapshot is a point-in-time size report, per shard and total.
-type TableSnapshot = store.ShardedSnapshot
+// TableSnapshot is a point-in-time size report.
+type TableSnapshot struct {
+	Len     int
+	Active  int
+	Covered int
+}
 
 // TableMetrics are a Table's cumulative operation counters.
-type TableMetrics = store.ShardedMetrics
+type TableMetrics struct {
+	// Subscribes counts admitted subscriptions: Subscribe calls plus
+	// SubscribeBatch items.
+	Subscribes uint64
+	// Suppressed counts arrivals admitted covered.
+	Suppressed uint64
+	// Batches and BatchItems count SubscribeBatch calls and their items.
+	Batches    uint64
+	BatchItems uint64
+	// Unsubscribes counts removals of present subscriptions; Promotions
+	// counts covered subscriptions those removals re-activated.
+	Unsubscribes uint64
+	Promotions   uint64
+	// Matches counts Match calls.
+	Matches uint64
+	// Checker is the store's checker accounting (see store.CheckerStats).
+	Checker store.CheckerStats
+}
 
 // ErrDuplicateID is returned when subscribing an ID already in use.
 var ErrDuplicateID = store.ErrDuplicateID
@@ -98,99 +117,43 @@ var ErrDuplicateID = store.ErrDuplicateID
 type TableOption func(*tableConfig)
 
 type tableConfig struct {
-	shards       int
-	seed         uint64
 	copts        []core.Option
 	reversePrune bool
 	pruning      bool
-	schema       *Schema
-	router       Router
-	rendezvous   bool
-}
-
-// Router maps a subscription to a shard-selection hash — under the
-// default placement the shard is the hash modulo the shard count;
-// under WithRendezvousPlacement it is the rendezvous placement key.
-// See WithShardRouter.
-type Router = store.Router
-
-// WithShards sets the shard count (default 1). A single shard keeps
-// the exact semantics of one sequential coverage table; more shards
-// add concurrency at a documented cost: group coverage weakens to
-// PER-SHARD unions, so a set of subscriptions spread across shards is
-// never considered jointly and a sharded table may keep subscriptions
-// active that a one-shard table would suppress. The weakening is sound
-// (it errs toward forwarding, never toward losing publications).
-func WithShards(n int) TableOption {
-	return func(c *tableConfig) { c.shards = n }
-}
-
-// WithTableSeed seeds the checker pool per-shard checkers are drawn
-// from under Group (default 1). With one shard the checker is built
-// directly from the WithTableChecker options instead, so an explicit
-// WithSeed there is honored exactly.
-func WithTableSeed(seed uint64) TableOption {
-	return func(c *tableConfig) { c.seed = seed }
 }
 
 // WithTableChecker appends checker options (WithErrorProbability,
-// WithMaxTrials, …) applied to every per-shard checker under Group.
+// WithMaxTrials, WithSeed, …) for the table's checker under Group.
 func WithTableChecker(opts ...Option) TableOption {
 	return func(c *tableConfig) { c.copts = append(c.copts, opts...) }
 }
 
 // WithTableReversePrune enables demoting existing active subscriptions
-// that an arrival covers (the Section 4.4 multi-level forest). With
-// more than one shard, demotion scans only the arrival's home shard.
+// that an arrival covers (the Section 4.4 multi-level forest).
 func WithTableReversePrune(enabled bool) TableOption {
 	return func(c *tableConfig) { c.reversePrune = enabled }
 }
 
-// WithTableCandidatePruning toggles the per-attribute candidate index
-// in every shard (default on).
+// WithTableCandidatePruning toggles the store's per-attribute
+// candidate index (default on).
 func WithTableCandidatePruning(enabled bool) TableOption {
 	return func(c *tableConfig) { c.pruning = enabled }
 }
 
-// WithTableSchema makes shard routing schema-aware: the dominant
-// (most selective) bound is judged relative to its domain, so boxes
-// concentrated in the same region of the same attribute tend to share
-// a shard and coverage relations stay intra-shard.
-func WithTableSchema(schema *Schema) TableOption {
-	return func(c *tableConfig) { c.schema = schema }
-}
-
-// WithShardRouter replaces the shard-placement hash entirely with a
-// custom function. Routing is a placement heuristic only; correctness
-// never depends on it.
-func WithShardRouter(r Router) TableOption {
-	return func(c *tableConfig) { c.router = r }
-}
-
-// WithRendezvousPlacement switches the table to balance-first shard
-// placement: subscriptions carry a fine-grained dominant-bound key
-// (or the WithShardRouter value), every shard ranks the key by salted
-// rendezvous hash, and activation takes the less-occupied of the two
-// top-ranked shards. Use it when the default locality-first router
-// clumps a skewed workload into one shard — covered subscriptions
-// always live with their coverer, so a broad subscription drags its
-// covered population into its own shard and only load-aware placement
-// spreads those piles (measure with TableMetrics.ShardOccupancy). The
-// tradeoff is weaker placement locality: coverage leans more on the
-// (sound) cross-shard admission scan.
-func WithRendezvousPlacement() TableOption {
-	return func(c *tableConfig) { c.rendezvous = true }
-}
-
-// Table is a maintained coverage table, safe for concurrent callers.
-// Subscriptions are admitted covered when the active set (per shard)
-// already covers them and active otherwise; Match answers publication
-// routing across the whole table. Concurrency races always resolve
-// toward keeping subscriptions active — the direction that forwards
-// more and never loses publications.
+// Table is a maintained coverage table, safe for concurrent callers:
+// one mutex serializes every operation on the store beneath, so each
+// call is atomic and the table behaves exactly as a sequential store
+// fed the calls in lock order. Subscriptions are admitted covered when
+// the active set already covers them and active otherwise; Match
+// answers publication routing across the whole table.
 type Table struct {
-	sh     *store.Sharded
 	policy Policy
+
+	mu sync.Mutex
+	// +guarded_by:mu
+	st *store.Store
+	// +guarded_by:mu
+	metrics TableMetrics // Checker is filled from st on read
 }
 
 // NewTable builds a coverage table under the given policy.
@@ -199,44 +162,50 @@ func NewTable(policy Policy, opts ...TableOption) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := tableConfig{shards: 1, seed: 1, pruning: true}
+	cfg := tableConfig{pruning: true}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	sopts := []store.ShardedOption{
-		store.WithShards(cfg.shards),
-		store.WithShardSeed(cfg.seed),
-		store.WithShardReversePrune(cfg.reversePrune),
-		store.WithShardCandidatePruning(cfg.pruning),
+	sopts := []store.Option{
+		store.WithReversePrune(cfg.reversePrune),
+		store.WithCandidatePruning(cfg.pruning),
 	}
-	if len(cfg.copts) > 0 {
-		sopts = append(sopts, store.WithShardCheckerOptions(cfg.copts...))
+	if policy == Group {
+		checker, err := core.NewChecker(cfg.copts...)
+		if err != nil {
+			return nil, err
+		}
+		sopts = append(sopts, store.WithChecker(checker))
 	}
-	if cfg.schema != nil {
-		sopts = append(sopts, store.WithShardSchema(cfg.schema))
-	}
-	if cfg.router != nil {
-		sopts = append(sopts, store.WithShardRouter(cfg.router))
-	}
-	if cfg.rendezvous {
-		sopts = append(sopts, store.WithShardRendezvous(true))
-	}
-	sh, err := store.NewSharded(sp, sopts...)
+	st, err := store.New(sp, sopts...)
 	if err != nil {
 		return nil, err
 	}
-	return &Table{sh: sh, policy: policy}, nil
+	return &Table{policy: policy, st: st}, nil
 }
 
 // Policy returns the table's coverage policy.
 func (t *Table) Policy() Policy { return t.policy }
 
-// Shards returns the shard count.
-func (t *Table) Shards() int { return t.sh.ShardCount() }
-
 // Subscribe admits one subscription under a caller-chosen unique ID.
 func (t *Table) Subscribe(id ID, s Subscription) (SubscribeResult, error) {
-	return t.sh.Subscribe(id, s)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	res, err := t.st.Subscribe(id, s)
+	if err == nil {
+		t.countAdmitted(res)
+	}
+	return res, err
+}
+
+// countAdmitted tallies one admitted subscription.
+//
+// +mustlock:mu
+func (t *Table) countAdmitted(res SubscribeResult) {
+	t.metrics.Subscribes++
+	if res.Status == StatusCovered {
+		t.metrics.Suppressed++
+	}
 }
 
 // SubscribeBatch admits an arrival burst in one call. The burst is
@@ -247,14 +216,31 @@ func (t *Table) Subscribe(id ID, s Subscription) (SubscribeResult, error) {
 // substantially faster than per-item Subscribe (see
 // BenchmarkTableSubscribeBatch).
 func (t *Table) SubscribeBatch(ids []ID, subs []Subscription) ([]SubscribeResult, error) {
-	return t.sh.SubscribeBatch(ids, subs)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out, err := t.st.SubscribeBatch(ids, subs)
+	if err != nil {
+		return nil, err
+	}
+	t.metrics.Batches++
+	t.metrics.BatchItems += uint64(len(ids))
+	for _, res := range out {
+		t.countAdmitted(res)
+	}
+	return out, nil
 }
 
 // Unsubscribe removes id, promoting covered subscriptions whose cover
-// no longer holds (and, across shards, re-covering promoted ones into
-// shards that still cover them). Removing an unknown ID is a no-op.
+// no longer holds. Removing an unknown ID is a no-op.
 func (t *Table) Unsubscribe(id ID) (UnsubscribeResult, error) {
-	return t.sh.Unsubscribe(id)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	res, err := t.st.Unsubscribe(id)
+	if res.Existed {
+		t.metrics.Unsubscribes++
+	}
+	t.metrics.Promotions += uint64(len(res.Promoted))
+	return res, err
 }
 
 // UnsubscribeBatch removes a cancellation burst in one call, sharing a
@@ -265,30 +251,70 @@ func (t *Table) Unsubscribe(id ID) (UnsubscribeResult, error) {
 // IDs are skipped; Promoted lists the subscriptions left active, in
 // ID order.
 func (t *Table) UnsubscribeBatch(ids []ID) (UnsubscribeBatchResult, error) {
-	return t.sh.UnsubscribeBatch(ids)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	res, err := t.st.UnsubscribeBatch(ids)
+	t.metrics.Unsubscribes += uint64(res.Removed)
+	t.metrics.Promotions += uint64(len(res.Promoted))
+	return res, err
 }
 
 // Match returns the sorted IDs of every stored subscription matching
 // p — active and covered, via the paper's Algorithm 5 descent.
-func (t *Table) Match(p Publication) []ID { return t.sh.Match(p) }
+func (t *Table) Match(p Publication) []ID {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.metrics.Matches++
+	return t.st.Match(p)
+}
 
 // Get returns the subscription and status for id.
-func (t *Table) Get(id ID) (Subscription, Status, bool) { return t.sh.Get(id) }
+func (t *Table) Get(id ID) (Subscription, Status, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.st.Get(id)
+}
 
-// ActiveIDs returns the sorted IDs of the active set across shards.
-func (t *Table) ActiveIDs() []ID { return t.sh.ActiveIDs() }
+// ActiveIDs returns the sorted IDs of the active set.
+func (t *Table) ActiveIDs() []ID {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.st.ActiveIDs()
+}
 
 // Len returns the total number of stored subscriptions.
-func (t *Table) Len() int { return t.Snapshot().Len }
+func (t *Table) Len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.st.Len()
+}
 
-// ActiveLen returns the active-set size across shards.
-func (t *Table) ActiveLen() int { return t.Snapshot().Active }
+// ActiveLen returns the active-set size.
+func (t *Table) ActiveLen() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.st.ActiveLen()
+}
 
-// CoveredLen returns the covered-set size across shards.
-func (t *Table) CoveredLen() int { return t.Snapshot().Covered }
+// CoveredLen returns the covered-set size.
+func (t *Table) CoveredLen() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.st.CoveredLen()
+}
 
-// Snapshot reports current sizes, per shard and total.
-func (t *Table) Snapshot() TableSnapshot { return t.sh.Snapshot() }
+// Snapshot reports current sizes.
+func (t *Table) Snapshot() TableSnapshot {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return TableSnapshot{Len: t.st.Len(), Active: t.st.ActiveLen(), Covered: t.st.CoveredLen()}
+}
 
 // Metrics reports cumulative operation counters.
-func (t *Table) Metrics() TableMetrics { return t.sh.Metrics() }
+func (t *Table) Metrics() TableMetrics {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	m := t.metrics
+	m.Checker = t.st.CheckerStats()
+	return m
+}

@@ -1,6 +1,7 @@
 package subsume_test
 
 import (
+	"errors"
 	"math/rand/v2"
 	"slices"
 	"sync"
@@ -26,16 +27,15 @@ func randomTableSub(rng *rand.Rand, schema *subsume.Schema) subsume.Subscription
 		Build()
 }
 
-// TestTableSingleShardStoreParity drives a churn script with batches
-// through the public Table (one shard, explicit seed) and a raw
-// internal store with an identically seeded checker: statuses, active
-// sets, and Match results must agree exactly — the acceptance pin
-// that WithShards(1) is the sequential coverage table.
-func TestTableSingleShardStoreParity(t *testing.T) {
+// TestTableStoreParity drives a churn script with subscribe and
+// unsubscribe batches through the public Table (explicit seed) and a
+// raw internal store with an identically seeded checker: statuses,
+// active sets, promotions, Match results and checker accounting must
+// agree exactly — the acceptance pin that a Table is the sequential
+// coverage table behind a lock.
+func TestTableStoreParity(t *testing.T) {
 	schema := tableSchema()
 	tbl, err := subsume.NewTable(subsume.Group,
-		subsume.WithShards(1),
-		subsume.WithTableSchema(schema),
 		subsume.WithTableChecker(subsume.WithSeed(7, 8), subsume.WithMaxTrials(5000)),
 	)
 	if err != nil {
@@ -53,6 +53,7 @@ func TestTableSingleShardStoreParity(t *testing.T) {
 	rng := rand.New(rand.NewPCG(81, 82))
 	var live []subsume.ID
 	next := subsume.ID(0)
+	removed := 0
 	for step := 0; step < 200; step++ {
 		switch op := rng.IntN(10); {
 		case op < 4:
@@ -93,10 +94,11 @@ func TestTableSingleShardStoreParity(t *testing.T) {
 				}
 			}
 			live = append(live, ids...)
-		case len(live) > 0:
+		case op < 9 && len(live) > 0:
 			i := rng.IntN(len(live))
 			id := live[i]
 			live = slices.Delete(live, i, i+1)
+			removed++
 			got, err := tbl.Unsubscribe(id)
 			if err != nil {
 				t.Fatal(err)
@@ -106,6 +108,25 @@ func TestTableSingleShardStoreParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got.Existed != want.Existed || !slices.Equal(got.Promoted, want.Promoted) {
+				t.Fatalf("step %d: %+v vs oracle %+v", step, got, want)
+			}
+		case len(live) >= 4:
+			burst := make([]subsume.ID, 2+rng.IntN(3))
+			for i := range burst {
+				j := rng.IntN(len(live))
+				burst[i] = live[j]
+				live = slices.Delete(live, j, j+1)
+			}
+			removed += len(burst)
+			got, err := tbl.UnsubscribeBatch(burst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := oracle.UnsubscribeBatch(burst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Removed != want.Removed || !slices.Equal(got.Promoted, want.Promoted) {
 				t.Fatalf("step %d: %+v vs oracle %+v", step, got, want)
 			}
 		}
@@ -122,24 +143,32 @@ func TestTableSingleShardStoreParity(t *testing.T) {
 			tbl.Len(), tbl.ActiveLen(), tbl.CoveredLen(),
 			oracle.Len(), oracle.ActiveLen(), oracle.CoveredLen())
 	}
+	m := tbl.Metrics()
+	if m.Subscribes != uint64(next) || m.Unsubscribes != uint64(removed) {
+		t.Fatalf("metrics count %d subscribes, %d unsubscribes; script made %d and %d",
+			m.Subscribes, m.Unsubscribes, next, removed)
+	}
+	if m.Checker != oracle.CheckerStats() {
+		t.Fatalf("checker accounting diverged: table %+v oracle %+v", m.Checker, oracle.CheckerStats())
+	}
 }
 
 // TestTableConcurrent exercises the full public surface from
-// concurrent goroutines on a sharded Group table (run under -race)
-// and checks the accounting afterwards.
+// concurrent goroutines on a Group table (run under -race) and checks
+// the accounting afterwards: every operation is atomic under the
+// table's lock, so the counters are exact.
 func TestTableConcurrent(t *testing.T) {
 	schema := tableSchema()
 	tbl, err := subsume.NewTable(subsume.Group,
-		subsume.WithShards(4),
-		subsume.WithTableSchema(schema),
-		subsume.WithTableSeed(99),
 		subsume.WithTableChecker(subsume.WithMaxTrials(2000)),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const goroutines = 6
-	counts := make([]int, goroutines) // surviving subscriptions per goroutine
+	counts := make([]int, goroutines)    // surviving subscriptions per goroutine
+	submitted := make([]int, goroutines) // IDs subscribed per goroutine
+	cancelled := make([]int, goroutines) // IDs unsubscribed per goroutine
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -157,6 +186,7 @@ func TestTableConcurrent(t *testing.T) {
 						return
 					}
 					mine = append(mine, id)
+					submitted[g]++
 				case op < 6:
 					n := 2 + rng.IntN(4)
 					ids := make([]subsume.ID, n)
@@ -170,6 +200,7 @@ func TestTableConcurrent(t *testing.T) {
 						return
 					}
 					mine = append(mine, ids...)
+					submitted[g] += n
 				case op < 7 && len(mine) > 0:
 					j := rng.IntN(len(mine))
 					if _, err := tbl.Unsubscribe(mine[j]); err != nil {
@@ -177,6 +208,7 @@ func TestTableConcurrent(t *testing.T) {
 						return
 					}
 					mine = slices.Delete(mine, j, j+1)
+					cancelled[g]++
 				case op == 7 && len(mine) > 3:
 					// Cancellation burst through the shared-frontier path.
 					n := 2 + rng.IntN(2)
@@ -194,6 +226,7 @@ func TestTableConcurrent(t *testing.T) {
 						return
 					}
 					mine = mine[:len(mine)-n]
+					cancelled[g] += n
 				case op < 9:
 					tbl.Match(subsume.NewPublication(rng.Int64N(1000), rng.Int64N(1000)))
 				default:
@@ -207,9 +240,11 @@ func TestTableConcurrent(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	want := 0
-	for _, c := range counts {
-		want += c
+	want, subscribed, unsubscribed := 0, 0, 0
+	for g := range counts {
+		want += counts[g]
+		subscribed += submitted[g]
+		unsubscribed += cancelled[g]
 	}
 	snap := tbl.Snapshot()
 	if snap.Len != want {
@@ -219,7 +254,11 @@ func TestTableConcurrent(t *testing.T) {
 		t.Fatalf("active %d + covered %d != %d", snap.Active, snap.Covered, snap.Len)
 	}
 	m := tbl.Metrics()
-	if m.Subscribes == 0 || m.Batches == 0 || m.Unsubscribes == 0 || m.Matches == 0 {
+	if m.Subscribes != uint64(subscribed) || m.Unsubscribes != uint64(unsubscribed) {
+		t.Fatalf("metrics count %d subscribes, %d unsubscribes; goroutines made %d and %d",
+			m.Subscribes, m.Unsubscribes, subscribed, unsubscribed)
+	}
+	if m.Batches == 0 || m.Matches == 0 {
 		t.Fatalf("metrics missed activity: %+v", m)
 	}
 	if m.BatchItems < m.Batches*2 {
@@ -249,7 +288,7 @@ func TestTableBatchSuppression(t *testing.T) {
 	}
 
 	newTable := func() *subsume.Table {
-		tbl, err := subsume.NewTable(subsume.Pairwise, subsume.WithTableSchema(schema))
+		tbl, err := subsume.NewTable(subsume.Pairwise)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,25 +320,47 @@ func TestTableValidation(t *testing.T) {
 	if _, err := subsume.NewTable(subsume.Policy(42)); err == nil {
 		t.Error("invalid policy accepted")
 	}
-	if _, err := subsume.NewTable(subsume.Group, subsume.WithShards(-1)); err == nil {
-		t.Error("negative shard count accepted")
-	}
 	tbl, err := subsume.NewTable(subsume.Flood)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Policy() != subsume.Flood || tbl.Shards() != 1 {
-		t.Fatalf("defaults off: policy=%v shards=%d", tbl.Policy(), tbl.Shards())
+	if tbl.Policy() != subsume.Flood {
+		t.Fatalf("defaults off: policy=%v", tbl.Policy())
 	}
 	s := subsume.FromIntervals([2]int64{0, 9})
 	if _, err := tbl.Subscribe(1, s); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.Subscribe(1, s); err == nil {
-		t.Error("duplicate ID accepted")
+	if _, err := tbl.Subscribe(1, s); !errors.Is(err, subsume.ErrDuplicateID) {
+		t.Errorf("duplicate ID: err = %v, want ErrDuplicateID", err)
 	}
 	if _, _, ok := tbl.Get(1); !ok {
 		t.Error("Get lost the subscription")
+	}
+	bad := subsume.FromIntervals([2]int64{9, 0})
+	if _, err := tbl.Subscribe(2, bad); !errors.Is(err, subsume.ErrUnsatisfiable) {
+		t.Errorf("unsatisfiable subscription: err = %v, want ErrUnsatisfiable", err)
+	}
+	if _, err := tbl.Subscribe(2, s); err != nil {
+		t.Errorf("ID 2 should be usable after a rejected admission: %v", err)
+	}
+	if _, err := tbl.SubscribeBatch([]subsume.ID{3, 3}, []subsume.Subscription{s, s}); !errors.Is(err, subsume.ErrDuplicateID) {
+		t.Errorf("in-batch duplicate: err = %v, want ErrDuplicateID", err)
+	}
+	if _, err := tbl.SubscribeBatch([]subsume.ID{4, 5}, []subsume.Subscription{s, bad}); !errors.Is(err, subsume.ErrUnsatisfiable) {
+		t.Errorf("unsatisfiable batch item: err = %v, want ErrUnsatisfiable", err)
+	}
+	if _, err := tbl.SubscribeBatch([]subsume.ID{4}, nil); err == nil {
+		t.Error("length mismatch accepted")
+	}
+	if tbl.Len() != 2 {
+		t.Errorf("rejected batches left state behind: Len = %d, want 2", tbl.Len())
+	}
+	if res, err := tbl.Unsubscribe(999); err != nil || res.Existed {
+		t.Errorf("unknown unsubscribe = (%+v, %v)", res, err)
+	}
+	if m := tbl.Metrics(); m.Subscribes != 2 || m.Unsubscribes != 0 {
+		t.Errorf("rejected operations were counted: %+v", m)
 	}
 	for _, p := range []subsume.Policy{subsume.Flood, subsume.Pairwise, subsume.Group, subsume.Policy(0)} {
 		if p.String() == "" {
