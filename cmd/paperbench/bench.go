@@ -55,7 +55,7 @@ type BenchReport struct {
 }
 
 // ScaleResult is one membership scale-harness measurement, plus the
-// routed-vs-flood content-layer comparison of the same size and seed.
+// content-layer flood of the same size and seed.
 type ScaleResult struct {
 	N                         int     `json:"n"`
 	Links                     int     `json:"links"`
@@ -65,16 +65,12 @@ type ScaleResult struct {
 	SteadyFullGossipFrames    uint64  `json:"steady_full_gossip_frames"`
 	SteadyDeltaFrames         uint64  `json:"steady_delta_frames"`
 	TotalControlBytes         uint64  `json:"total_control_bytes"`
-	// Flood/RoutedSubFramesPerLink are the subscription-announcement
-	// frames per directed overlay link each mode cost for the same
-	// injected workload; runBenchJSON refuses to write a snapshot
-	// where routed does not beat flood or the delivery sets diverge.
-	FloodSubFramesPerLink  float64 `json:"flood_sub_frames_per_link"`
-	RoutedSubFramesPerLink float64 `json:"routed_sub_frames_per_link"`
-	// RoutedRouteEntries is the total routed coverage-table footprint;
-	// Deliveries the (identical) notification count of both modes.
-	RoutedRouteEntries int `json:"routed_route_entries"`
-	Deliveries         int `json:"deliveries"`
+	// FloodSubFramesPerLink is the subscription-announcement frames per
+	// directed overlay link the injected workload cost; Deliveries its
+	// notification count, which scale.Run has already checked against
+	// the brute-force delivery oracle.
+	FloodSubFramesPerLink float64 `json:"flood_sub_frames_per_link"`
+	Deliveries            int     `json:"deliveries"`
 }
 
 // microBenchmarks is the hot-path set, with bodies shared with the
@@ -339,24 +335,6 @@ func runBenchJSON(dir string) (string, BenchReport, error) {
 			fmt.Fprintln(os.Stderr, "FAILED")
 			return "", BenchReport{}, fmt.Errorf("scale n=%d: %w", n, err)
 		}
-		routed, err := scale.Run(scale.Config{N: n, Seed: 1, Subs: subs, Pubs: pubs, Routed: true})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "FAILED")
-			return "", BenchReport{}, fmt.Errorf("scale n=%d routed: %w", n, err)
-		}
-		// The routing gate: structured routing must beat flooding on
-		// announcement traffic while delivering identically, or the
-		// snapshot is refused.
-		if routed.Deliveries != flood.Deliveries || routed.DeliveryHash != flood.DeliveryHash {
-			return "", BenchReport{}, fmt.Errorf(
-				"scale n=%d: routed deliveries diverge from flood oracle (%d/%#x vs %d/%#x)",
-				n, routed.Deliveries, routed.DeliveryHash, flood.Deliveries, flood.DeliveryHash)
-		}
-		if routed.SubFramesPerLink >= flood.SubFramesPerLink {
-			return "", BenchReport{}, fmt.Errorf(
-				"scale n=%d: routed sub frames/link %.2f did not beat flood %.2f",
-				n, routed.SubFramesPerLink, flood.SubFramesPerLink)
-		}
 		res := ScaleResult{
 			N:                         flood.N,
 			Links:                     flood.Links,
@@ -367,12 +345,10 @@ func runBenchJSON(dir string) (string, BenchReport, error) {
 			SteadyDeltaFrames:         flood.SteadyDeltaFrames,
 			TotalControlBytes:         flood.TotalControlBytes,
 			FloodSubFramesPerLink:     flood.SubFramesPerLink,
-			RoutedSubFramesPerLink:    routed.SubFramesPerLink,
-			RoutedRouteEntries:        routed.RouteEntries,
-			Deliveries:                routed.Deliveries,
+			Deliveries:                flood.Deliveries,
 		}
-		fmt.Fprintf(os.Stderr, "converged in %d rounds, %.0f B/member/round steady, sub frames/link %.2f flood vs %.2f routed\n",
-			res.ConvergedRounds, res.SteadyBytesPerMemberRound, res.FloodSubFramesPerLink, res.RoutedSubFramesPerLink)
+		fmt.Fprintf(os.Stderr, "converged in %d rounds, %.0f B/member/round steady, sub frames/link %.2f, %d deliveries\n",
+			res.ConvergedRounds, res.SteadyBytesPerMemberRound, res.FloodSubFramesPerLink, res.Deliveries)
 		report.Scale = append(report.Scale, res)
 	}
 	path := filepath.Join(dir, "BENCH_"+time.Now().UTC().Format("2006-01-02")+".json")

@@ -140,8 +140,6 @@ func run() error {
 	}
 	for _, series := range []string{
 		"probsum_send_queue_depth_total",
-		"probsum_route_tables",
-		"probsum_route_entries",
 		`probsum_link_frames_sent_total{link="B2",kind="publish"}`,
 	} {
 		if !strings.Contains(text, series) {

@@ -89,12 +89,6 @@ const (
 	// MsgGossip it may piggyback a LinkDigest for subscription-set
 	// reconciliation on the link.
 	MsgGossipDelta
-	// MsgRouteAnnounce routes a batch of subscriptions hop-by-hop
-	// toward the rendezvous broker named in Target instead of flooding
-	// them on every link. Each broker on the path installs the normal
-	// reverse-path state and relays the uncovered subset one hop
-	// closer; at the rendezvous the announce terminates.
-	MsgRouteAnnounce
 )
 
 // String returns the message kind name.
@@ -128,8 +122,6 @@ func (k MsgKind) String() string {
 		return "ping-req"
 	case MsgGossipDelta:
 		return "gossip-delta"
-	case MsgRouteAnnounce:
-		return "route-announce"
 	default:
 		return "unknown"
 	}
@@ -254,9 +246,6 @@ type Metrics struct {
 	SyncRootsResent int // roots re-sent while answering sync requests
 	SyncStalePruned int // stale reverse-path entries pruned by sync
 	ControlDropped  int // control frames dropped before reaching a peer
-	RoutedSubs      int // client subscriptions routed toward rendezvous
-	RouteForwards   int // route-announce forwards sent to neighbors
-	RoutedPubs      int // publications forwarded toward their rendezvous
 }
 
 // Add accumulates another broker's counters into m — the one
@@ -277,9 +266,6 @@ func (m *Metrics) Add(o Metrics) {
 	m.SyncRootsResent += o.SyncRootsResent
 	m.SyncStalePruned += o.SyncStalePruned
 	m.ControlDropped += o.ControlDropped
-	m.RoutedSubs += o.RoutedSubs
-	m.RouteForwards += o.RouteForwards
-	m.RoutedPubs += o.RoutedPubs
 }
 
 // counters is the internal, atomically updated form of Metrics, so the
@@ -299,9 +285,6 @@ type counters struct {
 	syncRootsResent atomic.Int64
 	syncStalePruned atomic.Int64
 	controlDropped  atomic.Int64
-	routedSubs      atomic.Int64
-	routeForwards   atomic.Int64
-	routedPubs      atomic.Int64
 }
 
 // snapshot converts the counters to the public Metrics form.
@@ -321,9 +304,6 @@ func (c *counters) snapshot() Metrics {
 		SyncRootsResent: int(c.syncRootsResent.Load()),
 		SyncStalePruned: int(c.syncStalePruned.Load()),
 		ControlDropped:  int(c.controlDropped.Load()),
-		RoutedSubs:      int(c.routedSubs.Load()),
-		RouteForwards:   int(c.routeForwards.Load()),
-		RoutedPubs:      int(c.routedPubs.Load()),
 	}
 }
 
@@ -434,23 +414,6 @@ type Broker struct {
 	// +guarded_by:mu
 	recv map[string]map[string]bool
 
-	// routeOut holds the routed counterpart of out: per neighbor, per
-	// rendezvous target, the coverage table of subscriptions forwarded
-	// to that neighbor toward that target (see route.go). Subscriptions
-	// bound for different rendezvous never suppress each other.
-	// +guarded_by:mu
-	routeOut map[string]map[string]*subsume.Table
-	// routeFwd records, per routed subscription, the forwarding
-	// decision taken per rendezvous target: the neighbor the announce
-	// went to, or "" when it terminated here or degraded to flood.
-	// +guarded_by:mu
-	routeFwd map[string]map[string]string
-	// router, when attached, supplies rendezvous routing decisions.
-	// Atomic because the publish path consults it under the shared
-	// lock. Nil means flood mode — the pre-routing behavior and the
-	// rollback knob.
-	router atomic.Pointer[Router]
-
 	// seenPubs deduplicates publications on cyclic overlays. It is a
 	// bounded generation ring (see pubDedup) so long-running brokers
 	// do not grow memory without limit; lookups and inserts run under
@@ -497,10 +460,11 @@ func (b *Broker) SetControlHandler(h ControlHandler) {
 }
 
 // PublishObserver times the broker-side stages of the publish path:
-// matching (interval-tree stabbing plus neighbor reverse-path scan)
-// and routing (rendezvous forwarding). The clock is injected so
-// simulated harnesses time with simulated clocks and the broker stays
-// clockcheck-clean; both histograms and the clock must be non-nil.
+// matching (interval-tree stabbing of the local clients' tables) and
+// routing (the neighbor reverse-path scan and outbound ordering). The
+// clock is injected so simulated harnesses time with simulated clocks
+// and the broker stays clockcheck-clean; both histograms and the clock
+// must be non-nil.
 // Observation is two clock reads and two atomic adds per publication
 // — zero allocations (pinned by TestPublishObserverZeroAlloc).
 type PublishObserver struct {
@@ -626,8 +590,6 @@ func New(id string, policy store.Policy, opts ...Option) (*Broker, error) {
 		matchers:   make(map[string]*match.ITreeIndex),
 		source:     make(map[string]string),
 		recv:       make(map[string]map[string]bool),
-		routeOut:   make(map[string]map[string]*subsume.Table),
-		routeFwd:   make(map[string]map[string]string),
 	}
 	for _, opt := range opts {
 		opt(b)
@@ -671,12 +633,11 @@ func (b *Broker) NeighborTableMetrics(id string) (subsume.TableMetrics, bool) {
 	return t.Metrics(), true
 }
 
-// CheckerStats sums the checker accounting of every coverage table
-// the broker keeps — one per neighbor plus one per routed (neighbor,
-// rendezvous) pair; tables are never dropped, so the sums only grow.
-// It is what an operator reads to see whether δ is being honoured:
-// decisions by reason, RSPC trials, capped probabilistic answers,
-// candidate rows, and re-checks per removal.
+// CheckerStats sums the checker accounting of the broker's coverage
+// tables, one per neighbor; tables are never dropped, so the sums only
+// grow. It is what an operator reads to see whether δ is being
+// honoured: decisions by reason, RSPC trials, capped probabilistic
+// answers, candidate rows, and re-checks per removal.
 func (b *Broker) CheckerStats() store.CheckerStats {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -684,13 +645,15 @@ func (b *Broker) CheckerStats() store.CheckerStats {
 	for _, t := range b.out {
 		sum.Add(t.Metrics().Checker)
 	}
-	for _, byTarget := range b.routeOut {
-		for _, t := range byTarget {
-			sum.Add(t.Metrics().Checker)
-		}
-	}
 	return sum
 }
+
+// CountControlDrop counts one control frame dropped before reaching a
+// peer (it advertised no cluster layer, or its cluster capability is
+// still unknown mid-handshake). The transport calls it at its drop
+// site so lost probes are visible in Metrics instead of surfacing
+// only as spurious suspicion.
+func (b *Broker) CountControlDrop() { b.metrics.controlDropped.Add(1) }
 
 // dedupSize reports the tracked publication-ID count (test hook for
 // the WithDedupLimit memory bound).
@@ -825,7 +788,7 @@ func (b *Broker) AttachClient(id string) {
 // run concurrently (see the type comment).
 func (b *Broker) Handle(from string, msg Message) ([]Outbound, error) {
 	switch msg.Kind {
-	case MsgSubscribe, MsgUnsubscribe, MsgSubscribeBatch, MsgUnsubscribeBatch, MsgSyncRoots, MsgRouteAnnounce:
+	case MsgSubscribe, MsgUnsubscribe, MsgSubscribeBatch, MsgUnsubscribeBatch, MsgSyncRoots:
 		// State-changing kinds: handled under the exclusive lock and —
 		// on success — journaled inside the same critical section, so
 		// the journal's record order is exactly the application order.
@@ -844,8 +807,6 @@ func (b *Broker) Handle(from string, msg Message) ([]Outbound, error) {
 			out, err = b.handleUnsubscribeBatch(from, msg)
 		case MsgSyncRoots:
 			out, err = b.handleSyncRoots(from, msg)
-		case MsgRouteAnnounce:
-			out, err = b.handleRouteAnnounce(from, msg)
 		}
 		if err == nil {
 			if j := b.journal.Load(); j != nil {
@@ -962,13 +923,6 @@ func (b *Broker) handleSubscribe(from string, msg Message) ([]Outbound, error) {
 
 	id := b.storeID(msg.SubID)
 	b.matcher(from).Add(match.ID(id), msg.Sub)
-	// Routed path first: with a router attached, a client subscription
-	// travels toward its rendezvous brokers instead of every link. A
-	// declined route (no router, relayed arrival, unroutable target)
-	// falls through to the flood below.
-	if outs, routed, err := b.routeSubLocked(from, msg.SubID, msg.Sub); routed || err != nil {
-		return outs, err
-	}
 	var out []Outbound
 	for _, n := range sortedKeys(b.neighbors) {
 		if n == from {
@@ -999,7 +953,7 @@ func (b *Broker) handleSubscribe(from string, msg Message) ([]Outbound, error) {
 // exactly these duplicates. Dropping them without recording the port
 // severs that gradient and silently loses deliveries to any covered
 // subscription off the covering root's own tree (caught at n=200 by
-// the scale harness's flood-vs-routed delivery gate).
+// the scale harness's delivery oracle, TestScaleFloodMatchesOracle).
 //
 // +mustlock:mu
 func (b *Broker) recordDupPathLocked(from, subID string, sub subscription.Subscription) {
@@ -1078,12 +1032,7 @@ func (b *Broker) handleUnsubscribe(from string, msg Message) ([]Outbound, error)
 	delete(b.outIDs, msg.SubID)
 	delete(b.idToSub, id)
 
-	// Tear down the routed forwarding state first: the cancellation
-	// follows the announce path toward each rendezvous (see route.go).
-	out, err := b.routeUnsubLocked(msg.SubID, id)
-	if err != nil {
-		return nil, err
-	}
+	var out []Outbound
 	for _, n := range sortedKeys(b.neighbors) {
 		if n == from {
 			continue
@@ -1164,21 +1113,13 @@ func (b *Broker) handleSubscribeBatch(from string, msg Message) ([]Outbound, err
 	if len(fresh) == 0 {
 		return nil, nil
 	}
-	// Routed path first (see handleSubscribe): routable items leave as
-	// route announces, the rest flood as one batch per neighbor.
-	out, fresh, err := b.routeSubBatchLocked(from, fresh)
-	if err != nil {
-		return nil, err
-	}
-	if len(fresh) == 0 {
-		return out, nil
-	}
 	ids := make([]subsume.ID, len(fresh))
 	subs := make([]subscription.Subscription, len(fresh))
 	for i, it := range fresh {
 		ids[i] = b.outIDs[it.SubID]
 		subs[i] = it.Sub
 	}
+	var out []Outbound
 	for _, n := range sortedKeys(b.neighbors) {
 		if n == from {
 			continue
@@ -1240,14 +1181,6 @@ func (b *Broker) handleUnsubscribeBatch(from string, msg Message) ([]Outbound, e
 		return nil, nil
 	}
 	var out []Outbound
-	// Routed teardown first, per item (see route.go).
-	for i, subID := range subIDs {
-		o, err := b.routeUnsubLocked(subID, ids[i])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, o...)
-	}
 	for _, n := range sortedKeys(b.neighbors) {
 		if n == from {
 			continue
@@ -1333,12 +1266,10 @@ func (b *Broker) handlePublishBatchMsg(from string, msg Message) ([]Outbound, er
 // NeighborRoots exports the ACTIVE subscriptions announced to a
 // neighbor — the forwarding roots the neighbor must know for routing
 // to work, exactly the set a healed or restarted peer is re-announced
-// as one SUBBATCH (cluster healing protocol). The set unions the
-// flood table with every routed (neighbor, target) table, each
-// subscription once. Covered subscriptions are omitted by
-// construction: the neighbor never saw them, and their coverers are
-// in the set. Flood-table IDs come first in admission order
-// (ascending numeric ID), routed ones after, per target.
+// as one SUBBATCH (cluster healing protocol). It is the neighbor's
+// coverage table's active set, in admission order (ascending numeric
+// ID). Covered subscriptions are omitted by construction: the
+// neighbor never saw them, and their coverers are in the set.
 func (b *Broker) NeighborRoots(id string) []BatchSub {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -1406,6 +1337,11 @@ func (b *Broker) handlePublish(from string, msg Message) ([]Outbound, error) {
 			}})
 		}
 	}
+	if po != nil {
+		t1 := po.Clock()
+		po.Match.Observe(t1.Sub(stageT0))
+		stageT0 = t1
+	}
 	// Reverse-path forwarding: send to every neighbor that announced a
 	// matching subscription.
 	for _, n := range sortedKeys(b.neighbors) {
@@ -1421,19 +1357,10 @@ func (b *Broker) handlePublish(from string, msg Message) ([]Outbound, error) {
 			out = append(out, Outbound{To: n, Msg: msg})
 		}
 	}
-	if po != nil {
-		t1 := po.Clock()
-		po.Match.Observe(t1.Sub(stageT0))
-		stageT0 = t1
-	}
-	// With a router attached, also push the publication toward the
-	// rendezvous of its cell, where the reverse paths of every matching
-	// subscription converge (see route.go).
-	out = b.routePublishLocked(from, msg, out)
+	sortOutbound(out)
 	if po != nil {
 		po.Route.Observe(po.Clock().Sub(stageT0))
 	}
-	sortOutbound(out)
 	return out, nil
 }
 

@@ -122,10 +122,27 @@ func (b *Broker) recvDelAll(subID string) {
 	}
 }
 
-// outDigestLocked digests the active set announced to peer — the
-// flood table unioned with every routed (peer, target) table, each
-// subscription once (see sentActiveLocked; double-counting would XOR
-// a hash out of its bucket). Shared lock must be held.
+// sentActiveLocked visits every subscription this broker actively
+// announced toward peer — the active set of peer's coverage table, the
+// sender-side ground truth the link digest and the sync listing are
+// built from. It reports false when peer is not a neighbor.
+//
+// +mustlock:mu (shared)
+func (b *Broker) sentActiveLocked(peer string, visit func(subID string, sid subsume.ID, tbl *subsume.Table)) bool {
+	tbl, ok := b.out[peer]
+	if !ok {
+		return false
+	}
+	for _, sid := range tbl.ActiveIDs() {
+		if subID := b.idToSub[sid]; subID != "" {
+			visit(subID, sid, tbl)
+		}
+	}
+	return true
+}
+
+// outDigestLocked digests the active set announced to peer (see
+// sentActiveLocked). Shared lock must be held.
 //
 // +mustlock:mu (shared)
 func (b *Broker) outDigestLocked(peer string) (LinkDigest, [DigestBuckets]uint64, bool) {

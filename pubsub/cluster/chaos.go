@@ -51,17 +51,6 @@ type ChaosConfig struct {
 	// MaxHealRounds bounds the gossip rounds the heal phase may take
 	// to converge every link digest (24).
 	MaxHealRounds int
-	// Routed attaches a rendezvous router to every broker, so client
-	// subscriptions route toward their cell owners instead of flooding
-	// the chain. The flood oracle of the same seed stays the delivery
-	// comparison surface.
-	Routed bool
-	// KillRendezvous overrides the scripted fault of the middle round
-	// to crash the broker owning the schedule's rendezvous cell — the
-	// worst-case routing fault. The override applies in the oracle run
-	// too (crashIdx shapes the operation schedule) and draws nothing
-	// from the RNG, so both runs stay op-for-op aligned.
-	KillRendezvous bool
 }
 
 func (c ChaosConfig) withDefaults() ChaosConfig {
@@ -112,11 +101,6 @@ type ChaosReport struct {
 	SyncRequests int
 	RootsResent  int
 	StalePruned  int
-	// RoutedSubs / RoutedPubs aggregate how much of the run's traffic
-	// actually took the rendezvous path (zero in flood mode) — the
-	// non-vacuousness check for routed runs.
-	RoutedSubs int
-	RoutedPubs int
 	// Probes is the number of probe publications; Deliveries the
 	// per-client sets of "subID/pubID" probe notifications — the
 	// oracle comparison surface.
@@ -131,23 +115,17 @@ type ChaosReport struct {
 
 // chaosRun carries one run's live state.
 type chaosRun struct {
-	cfg     ChaosConfig
-	rng     *rand.Rand
-	net     *simnet.Network
-	clock   *simnet.Clock
-	ids     []string
-	edges   [][2]string
-	nodes   map[string]*Node
-	stores  map[string]*persist.MemStore
-	routers map[string]*Router
-	flight  *obs.FlightRecorder
-	report  ChaosReport
+	cfg    ChaosConfig
+	rng    *rand.Rand
+	net    *simnet.Network
+	clock  *simnet.Clock
+	ids    []string
+	edges  [][2]string
+	nodes  map[string]*Node
+	stores map[string]*persist.MemStore
+	flight *obs.FlightRecorder
+	report ChaosReport
 }
-
-// chaosRendezvousProbe is the attribute-0 value whose cell owner the
-// KillRendezvous schedule crashes — the midpoint of the range client
-// subscriptions draw from, so live routes cross it.
-const chaosRendezvousProbe = 450
 
 // RunChaos executes one seeded chaos (or oracle) run and returns its
 // report. Errors are structural (a broker refused an operation), not
@@ -156,12 +134,11 @@ const chaosRendezvousProbe = 450
 func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	cfg = cfg.withDefaults()
 	r := &chaosRun{
-		cfg:     cfg,
-		rng:     rand.New(rand.NewPCG(cfg.Seed, cfg.Seed|1)),
-		clock:   simnet.NewClock(),
-		nodes:   make(map[string]*Node),
-		stores:  make(map[string]*persist.MemStore),
-		routers: make(map[string]*Router),
+		cfg:    cfg,
+		rng:    rand.New(rand.NewPCG(cfg.Seed, cfg.Seed|1)),
+		clock:  simnet.NewClock(),
+		nodes:  make(map[string]*Node),
+		stores: make(map[string]*persist.MemStore),
 	}
 	r.flight = obs.NewFlightRecorder(512, r.clock.Now)
 	var opts []simnet.Option
@@ -211,11 +188,6 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		r.nodes[e[0]].AddMember(Member{ID: e[1], Addr: e[1]}, true)
 		r.nodes[e[1]].AddMember(Member{ID: e[0], Addr: e[0]}, true)
 	}
-	if cfg.Routed {
-		for _, id := range r.ids {
-			r.routers[id] = AttachRouter(r.nodes[id], r.net.Broker(id), RouterConfig{})
-		}
-	}
 	for _, id := range r.ids {
 		if err := r.net.AttachClient("c-"+id, id); err != nil {
 			return nil, err
@@ -248,16 +220,6 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 			crashIdx = r.rng.IntN(cfg.Brokers)
 		case 1:
 			cutEdge = r.rng.IntN(len(r.edges))
-		}
-		if cfg.KillRendezvous && round == cfg.Rounds/2 {
-			// Crash the rendezvous owner of the schedule's home cell
-			// this round, whatever the script drew.
-			owner := RendezvousOwner(chaosRendezvousProbe, RouterConfig{}, r.ids)
-			for i, id := range r.ids {
-				if id == owner {
-					crashIdx, cutEdge = i, -1
-				}
-			}
 		}
 		if crashIdx >= 0 {
 			r.report.Crashes++
@@ -392,8 +354,6 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		r.report.SyncRequests += m.SyncRequests
 		r.report.RootsResent += m.SyncRootsResent
 		r.report.StalePruned += m.SyncStalePruned
-		r.report.RoutedSubs += m.RoutedSubs
-		r.report.RoutedPubs += m.RoutedPubs
 	}
 	return &r.report, nil
 }
@@ -442,12 +402,8 @@ func (r *chaosRun) restart(id string) error {
 		return err
 	}
 	// The recovered broker keeps its membership node; only the control
-	// handler (and the router, when routing is on) must be re-pointed
-	// at the new broker object.
+	// handler must be re-pointed at the new broker object.
 	b.SetControlHandler(r.nodes[id].HandleControl)
-	if rt := r.routers[id]; rt != nil {
-		rt.Rebind(b)
-	}
 	return nil
 }
 

@@ -67,54 +67,3 @@ func TestChaosConvergesToOracle(t *testing.T) {
 		})
 	}
 }
-
-// TestChaosKillRendezvousRoutes crashes the rendezvous owner of the
-// schedule's home cell mid-run while subscriptions route toward it,
-// and requires the routed, faulted run to deliver the post-heal
-// probes exactly as the flood, fault-free oracle of the same seed —
-// re-routing after a rendezvous death must lose nothing the flood
-// protocol would have delivered.
-func TestChaosKillRendezvousRoutes(t *testing.T) {
-	for _, seed := range []uint64{1, 7, 42} {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			oracle, err := RunChaos(ChaosConfig{Seed: seed, KillRendezvous: true})
-			if err != nil {
-				t.Fatalf("oracle run: %v", err)
-			}
-			routed, err := RunChaos(ChaosConfig{Seed: seed, KillRendezvous: true, Faults: true, Routed: true})
-			if err != nil {
-				t.Fatalf("routed chaos run: %v", err)
-			}
-			if routed.Crashes == 0 {
-				t.Fatal("no crash scheduled; the rendezvous was never killed")
-			}
-			if routed.RoutedSubs == 0 {
-				t.Fatal("no subscription took the rendezvous path; the routed run is vacuous")
-			}
-			if oracle.RoutedSubs != 0 {
-				t.Fatalf("flood oracle routed %d subscriptions, want 0", oracle.RoutedSubs)
-			}
-			if !routed.Converged {
-				t.Fatalf("link digests did not converge within the heal bound (%d rounds)", routed.HealRounds)
-			}
-			total := 0
-			for _, set := range oracle.Deliveries {
-				total += len(set)
-			}
-			if total == 0 {
-				t.Fatal("oracle delivered nothing; the comparison proves nothing")
-			}
-			for client, want := range oracle.Deliveries {
-				got := routed.Deliveries[client]
-				if !setsEqual(got, want) {
-					t.Errorf("%s probe deliveries diverge from flood oracle:\n routed %v\n oracle %v", client, got, want)
-				}
-			}
-			if t.Failed() {
-				dumpFlight(t, "routed", routed.FlightDump)
-			}
-			t.Logf("seed %d: %d crashes, %d partitions, healed in %d rounds, %d probes, %d deliveries",
-				seed, routed.Crashes, routed.Partitions, routed.HealRounds, routed.Probes, total)
-		})
-	}
-}

@@ -6,7 +6,6 @@ import (
 	"math/rand/v2"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"probsum/internal/broker"
@@ -268,17 +267,6 @@ type Node struct {
 	// +guarded_by:mu
 	viewDirty bool
 
-	// routeEpoch counts member-view mutations (new members, state or
-	// incarnation changes, link health transitions). The attached
-	// router's cached rendezvous view rebuilds lazily when it falls
-	// behind this counter (see route.go).
-	routeEpoch atomic.Uint64
-
-	// router, when attached, recomputes rendezvous routes after
-	// membership changes: Tick kicks it once per call, and the kick
-	// no-ops until routeEpoch moves.
-	router atomic.Pointer[Router]
-
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -398,7 +386,6 @@ func (n *Node) adoptRecovered(ms []broker.MemberInfo) int {
 // +mustlock:mu
 func (n *Node) trackLocked(st *memberState) {
 	n.viewDirty = true
-	n.routeEpoch.Add(1)
 	n.members[st.ID] = st
 	i := sort.Search(len(n.order), func(i int) bool { return n.order[i].ID >= st.ID })
 	n.order = append(n.order, nil)
@@ -415,7 +402,6 @@ func (n *Node) linkLocked(st *memberState) {
 		return
 	}
 	st.linked = true
-	n.routeEpoch.Add(1)
 	i := sort.Search(len(n.linkedOrder), func(i int) bool { return n.linkedOrder[i].ID >= st.ID })
 	n.linkedOrder = append(n.linkedOrder, nil)
 	copy(n.linkedOrder[i+1:], n.linkedOrder[i:])
@@ -555,7 +541,6 @@ func (n *Node) memberHashLocked() uint64 {
 func (n *Node) enqueueUpdateLocked(mi broker.MemberInfo) {
 	n.persistDirty = true
 	n.viewDirty = true
-	n.routeEpoch.Add(1)
 	budget := n.cfg.RetransmitMult * bits.Len(uint(len(n.members)+2))
 	if qu := n.updates[mi.ID]; qu != nil {
 		qu.info = mi
@@ -813,12 +798,6 @@ func (n *Node) Tick() {
 	if persistFn != nil {
 		persistFn(persistSnap)
 	}
-	if r := n.router.Load(); r != nil {
-		// Membership moved (or may have): let the router re-evaluate
-		// rendezvous ownership and re-announce routed subscriptions
-		// whose next hop changed. No-ops until routeEpoch advances.
-		r.kick()
-	}
 }
 
 // relayTargetsLocked picks up to IndirectRelays random linked live
@@ -873,7 +852,6 @@ func (n *Node) dialDone(id string, established bool, err error) {
 			st.linkUp = true
 			st.backoff = 0
 			st.nextDial = time.Time{}
-			n.routeEpoch.Add(1)
 		}
 		n.mu.Unlock()
 		return
@@ -905,7 +883,6 @@ func (n *Node) PeerDown(id string) {
 		st.linkUp = false
 		st.lossy = true
 		st.synced = false
-		n.routeEpoch.Add(1)
 		if st.State == StateAlive && !st.dialing {
 			st.State = StateSuspect
 			st.suspectSince = now

@@ -49,15 +49,9 @@ type Config struct {
 	// carries (default 0: membership-only run).
 	Subs int
 	// Pubs publishes that many probe publications through injected
-	// subscriptions and records the delivery set (default 0; needs
-	// Subs > 0).
+	// subscriptions and checks the delivery set against a brute-force
+	// oracle (default 0; needs Subs > 0).
 	Pubs int
-	// Routed attaches a rendezvous router to every broker, so
-	// subscriptions route toward their cell owners instead of flooding
-	// every link. A flood run of the same seed is the oracle: its
-	// DeliveryHash must match and its SubFramesPerLink is the baseline
-	// structured routing has to beat.
-	Routed bool
 }
 
 func (c Config) withDefaults() Config {
@@ -109,20 +103,15 @@ type Report struct {
 	// the whole run, bootstrap included.
 	TotalControlBytes uint64
 	// SubFrames counts the subscription-announcement frames (SUB,
-	// SUBBATCH, route-announce) that crossed broker links during the
-	// subscription phase; SubFramesPerLink is the same count per
-	// directed overlay link — the headline routing-vs-flood metric.
+	// SUBBATCH) that crossed broker links during the subscription
+	// phase; SubFramesPerLink is the same count per directed overlay
+	// link — what per-link coverage leaves of a flood.
 	SubFrames        uint64
 	SubFramesPerLink float64
-	// RouteTables / RouteEntries sum the routed per-(link, target)
-	// coverage tables and their entries across brokers (zero in flood
-	// mode).
-	RouteTables  int
-	RouteEntries int
 	// Deliveries counts probe notifications reaching clients;
 	// DeliveryHash folds every (client, sub, pub) delivery
-	// order-independently. A routed run and the flood run of the same
-	// seed must agree on both — the delivery-equivalence gate.
+	// order-independently. Run fails unless both equal what the
+	// brute-force oracle expects — the delivery-equivalence gate.
 	Deliveries   int
 	DeliveryHash uint64
 	// FramesByKind counts every frame the router carried over the whole
@@ -206,7 +195,7 @@ func (h *harness) deliver() {
 			continue
 		}
 		switch f.msg.Kind {
-		case broker.MsgSubscribe, broker.MsgSubscribeBatch, broker.MsgRouteAnnounce:
+		case broker.MsgSubscribe, broker.MsgSubscribeBatch:
 			h.subFrames++
 		}
 		outs, err := h.brokers[i].Handle(f.from, f.msg)
@@ -313,9 +302,6 @@ func Run(cfg Config) (Report, error) {
 		}
 		h.brokers[i] = b
 		b.AttachClient("c-" + id)
-		if cfg.Routed {
-			cluster.AttachRouter(h.nodes[i], b, cluster.RouterConfig{})
-		}
 	}
 
 	// Overlay: ring + chords. Each link is registered on both ends, so
@@ -390,44 +376,57 @@ func Run(cfg Config) (Report, error) {
 	rep.TotalControlBytes = bytes1
 
 	// Phase 3: content layer. Inject client subscriptions over the
-	// converged overlay (every draw comes from the same seeded stream,
-	// so a routed and a flood run issue identical operations), count
-	// the announcement frames they cost, then probe with publications
-	// and fold the delivery set.
+	// converged overlay, count the announcement frames they cost, then
+	// probe with publications and fold the delivery set. The oracle is
+	// computed from the same draws: a publication reaches every
+	// subscription whose box contains it, except those of the
+	// publishing client (handlePublish skips the arrival port).
 	if cfg.Subs > 0 {
-		type subRec struct{ lo, hi int64 }
+		type subRec struct {
+			origin int
+			id     string
+			sub    subscription.Subscription
+		}
 		subs := make([]subRec, cfg.Subs)
 		frames0 := h.subFrames
 		for k := range subs {
 			origin := rng.IntN(cfg.N)
 			lo := int64(rng.IntN(4000))
 			width := int64(16 + rng.IntN(112))
-			subs[k] = subRec{lo, lo + width}
 			s := subscription.New(interval.New(lo, lo+width), interval.New(lo, lo+width))
-			h.inject(origin, broker.Message{Kind: broker.MsgSubscribe, SubID: fmt.Sprintf("s%05d", k), Sub: s})
+			subs[k] = subRec{origin, fmt.Sprintf("s%05d", k), s}
+			h.inject(origin, broker.Message{Kind: broker.MsgSubscribe, SubID: subs[k].id, Sub: s})
 			if h.err != nil {
 				return rep, h.err
 			}
 		}
 		rep.SubFrames = h.subFrames - frames0
 		rep.SubFramesPerLink = float64(rep.SubFrames) / float64(2*links)
-		for _, b := range h.brokers {
-			t, e := b.RouteTableStats()
-			rep.RouteTables += t
-			rep.RouteEntries += e
-		}
+		var want int
+		var wantHash uint64
 		for k := 0; k < cfg.Pubs; k++ {
-			sr := subs[k%len(subs)]
-			mid := (sr.lo + sr.hi) / 2
+			x := subs[k%len(subs)].sub.Bounds[0]
+			mid := (x.Lo + x.Hi) / 2
 			origin := rng.IntN(cfg.N)
-			h.inject(origin, broker.Message{Kind: broker.MsgPublish, PubID: fmt.Sprintf("p%05d", k),
-				Pub: subscription.NewPublication(mid, mid)})
+			pubID := fmt.Sprintf("p%05d", k)
+			pub := subscription.NewPublication(mid, mid)
+			h.inject(origin, broker.Message{Kind: broker.MsgPublish, PubID: pubID, Pub: pub})
 			if h.err != nil {
 				return rep, h.err
+			}
+			for _, sr := range subs {
+				if sr.origin != origin && sr.sub.Matches(pub) {
+					want++
+					wantHash ^= hash64("c-" + h.ids[sr.origin] + "|" + sr.id + "|" + pubID)
+				}
 			}
 		}
 		rep.Deliveries = h.deliveries
 		rep.DeliveryHash = h.deliveryHash
+		if rep.Deliveries != want || rep.DeliveryHash != wantHash {
+			return rep, fmt.Errorf("scale: delivery divergence: %d (%#x) delivered, oracle expects %d (%#x)",
+				rep.Deliveries, rep.DeliveryHash, want, wantHash)
+		}
 	}
 	rep.FramesByKind = h.framesByKind
 	return rep, nil

@@ -54,40 +54,22 @@ func TestScaleDeterministic(t *testing.T) {
 	}
 }
 
-// TestScaleRoutedBeatsFlood pins the point of rendezvous routing: at
-// the same size, seed, and operation schedule, routed subscriptions
-// cost measurably fewer announcement frames per link than flooding —
-// while delivering exactly the same notifications to exactly the same
-// clients (the flood run is the delivery oracle). Sized at n=200 with
-// enough subscriptions for coverage suppression to bite: this exact
+// TestScaleFloodMatchesOracle pins reverse-path flooding's delivery:
+// every probe publication reaches exactly the clients whose
+// subscriptions contain it, as a brute-force oracle over the run's own
+// draws computes (Run fails on divergence). Sized at n=200 with enough
+// subscriptions for coverage suppression to bite: this exact
 // configuration caught the cycle-gradient delivery loss fixed by
 // Broker.recordDupPathLocked, so it stays the regression net for it.
-func TestScaleRoutedBeatsFlood(t *testing.T) {
-	flood, err := Run(Config{N: 200, Seed: 1, Subs: 100, Pubs: 100})
+func TestScaleFloodMatchesOracle(t *testing.T) {
+	rep, err := Run(Config{N: 200, Seed: 1, Subs: 100, Pubs: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	routed, err := Run(Config{N: 200, Seed: 1, Subs: 100, Pubs: 100, Routed: true})
-	if err != nil {
-		t.Fatal(err)
+	if rep.SubFrames == 0 || rep.Deliveries == 0 {
+		t.Fatalf("flood run did no work: %+v", rep)
 	}
-	if flood.SubFrames == 0 || flood.Deliveries == 0 {
-		t.Fatalf("flood oracle did no work: %+v", flood)
-	}
-	if routed.RouteEntries == 0 {
-		t.Fatal("routed run installed no route-table entries — router not engaged")
-	}
-	if flood.RouteEntries != 0 {
-		t.Fatalf("flood run installed %d route entries, want 0", flood.RouteEntries)
-	}
-	if routed.Deliveries != flood.Deliveries || routed.DeliveryHash != flood.DeliveryHash {
-		t.Fatalf("delivery divergence: routed %d (%#x) vs flood %d (%#x)",
-			routed.Deliveries, routed.DeliveryHash, flood.Deliveries, flood.DeliveryHash)
-	}
-	if routed.SubFramesPerLink*2 > flood.SubFramesPerLink {
-		t.Fatalf("routed sub frames/link %.2f not at least 2x below flood %.2f",
-			routed.SubFramesPerLink, flood.SubFramesPerLink)
-	}
+	t.Logf("n=200: %d deliveries (%#x), %.2f sub frames/link", rep.Deliveries, rep.DeliveryHash, rep.SubFramesPerLink)
 }
 
 // TestScaleDeltaCheaperThanLegacy pins the point of the v4 protocol:

@@ -292,7 +292,7 @@ func TestClusterNoControlFramesWithoutClusterLayer(t *testing.T) {
 	// control frame reaching it.
 	time.Sleep(500 * time.Millisecond)
 	recv := fromA.Snapshot().Recv
-	for kind := broker.MsgSubscribe; kind <= broker.MsgRouteAnnounce; kind++ {
+	for kind := broker.MsgSubscribe; kind <= broker.MsgGossipDelta; kind++ {
 		if kind.IsControl() && recv[kind] != 0 {
 			t.Errorf("plain peer received %d %v frames", recv[kind], kind)
 		}

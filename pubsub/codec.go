@@ -27,7 +27,6 @@ package pubsub
 //	  ping-req           flags (bit 0 = ack), target, uvarint seq, member list
 //	  sync-request       uvarint n, then n × uint64 bucket hash
 //	  sync-roots         uint64 mask, uvarint n, then n × (subID, subscription)
-//	  route-announce     target, uvarint n, then n × (subID, subscription)
 //
 //	string        uvarint byte length, raw bytes (valid UTF-8)
 //	subscription  uvarint bound count, then per bound varint lo, hi
@@ -214,13 +213,6 @@ func appendBinaryMessage(buf []byte, m *broker.Message) ([]byte, error) {
 		}
 	case broker.MsgSyncRoots:
 		buf = binary.LittleEndian.AppendUint64(buf, m.Mask)
-		buf = binary.AppendUvarint(buf, uint64(len(m.Subs)))
-		for _, it := range m.Subs {
-			buf = appendString(buf, it.SubID)
-			buf = appendSubscription(buf, it.Sub)
-		}
-	case broker.MsgRouteAnnounce:
-		buf = appendString(buf, m.Target)
 		buf = binary.AppendUvarint(buf, uint64(len(m.Subs)))
 		for _, it := range m.Subs {
 			buf = appendString(buf, it.SubID)
@@ -416,16 +408,6 @@ func decodeBinaryMessage(payload []byte) (*broker.Message, error) {
 		}
 	case broker.MsgSyncRoots:
 		msg.Mask = d.u64()
-		n := d.count(2)
-		if d.err == nil {
-			msg.Subs = make([]broker.BatchSub, n)
-			for i := range msg.Subs {
-				msg.Subs[i].SubID = d.string()
-				msg.Subs[i].Sub = d.subscription()
-			}
-		}
-	case broker.MsgRouteAnnounce:
-		msg.Target = d.string()
 		n := d.count(2)
 		if d.err == nil {
 			msg.Subs = make([]broker.BatchSub, n)

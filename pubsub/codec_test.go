@@ -188,6 +188,9 @@ func TestCodecDecodeRejects(t *testing.T) {
 		"nameless ack":      {binMagic, binVersion, 3, 0, 0, 0, kindAck, 0, 0},
 		"zero delta hash":   {binMagic, binVersion, 10, 0, 0, 0, byte(broker.MsgGossipDelta), 0, 0, 0, 0, 0, 0, 0, 0, 0},
 		"bad pingreq flags": {binMagic, binVersion, 2, 0, 0, 0, byte(broker.MsgPingReq), 2},
+		// Kind 15 was the deleted route-announce: a payload that parsed
+		// as one (target, one item) is now an unknown kind.
+		"deleted kind 15": {binMagic, binVersion, 10, 0, 0, 0, 15, 2, 'B', '3', 1, 1, 's', 1, 0, 0},
 	}
 	for name, data := range cases {
 		if _, _, err := UnmarshalFrame(data); err == nil {

@@ -2,10 +2,10 @@ package pubsub
 
 // Observability wiring for the TCP transport: every tcpServer owns an
 // obs.Registry and threads its histograms and per-link frame stats
-// through the frame path. The broker core's counters, routing-table
-// footprint, rendezvous-owner load, recovery stats, and send-queue
-// depths are registered as pull callbacks — scrapes read them, the
-// hot paths never touch the registry.
+// through the frame path. The broker core's counters, checker
+// accounting, recovery stats, and send-queue depths are registered as
+// pull callbacks — scrapes read them, the hot paths never touch the
+// registry.
 
 import (
 	"strings"
@@ -29,7 +29,7 @@ const (
 
 // newServerRegistry builds the registry for one tcpServer and wires
 // the broker core into it: publish-stage observer, counter callbacks,
-// route-table gauges, and the flight recorder.
+// and the flight recorder.
 func newServerRegistry(core *broker.Broker) *obs.Registry {
 	reg := obs.NewRegistry(obs.NewFlightRecorder(512, time.Now))
 	reg.SetKindNamer(func(k int) string { return broker.MsgKind(k).String() })
@@ -39,19 +39,6 @@ func newServerRegistry(core *broker.Broker) *obs.Registry {
 		Route: reg.Histogram(histRoute),
 	})
 	registerBrokerMetrics(reg, core)
-	reg.RegisterGauge("route_tables", func() int64 {
-		tables, _ := core.RouteTableStats()
-		return int64(tables)
-	})
-	reg.RegisterGauge("route_entries", func() int64 {
-		_, entries := core.RouteTableStats()
-		return int64(entries)
-	})
-	reg.RegisterGaugeVec("rendezvous_owner_load", func(emit func(string, int64)) {
-		for target, n := range core.RouteTargetLoad() {
-			emit(target, int64(n))
-		}
-	})
 	return reg
 }
 
@@ -73,9 +60,6 @@ func registerBrokerMetrics(reg *obs.Registry, core *broker.Broker) {
 		"broker_sync_roots_resent": func(m broker.Metrics) int { return m.SyncRootsResent },
 		"broker_sync_stale_pruned": func(m broker.Metrics) int { return m.SyncStalePruned },
 		"broker_control_dropped":   func(m broker.Metrics) int { return m.ControlDropped },
-		"broker_routed_subs":       func(m broker.Metrics) int { return m.RoutedSubs },
-		"broker_route_forwards":    func(m broker.Metrics) int { return m.RouteForwards },
-		"broker_routed_pubs":       func(m broker.Metrics) int { return m.RoutedPubs },
 	} {
 		pick := pick
 		reg.RegisterCounter(name, func() int64 { return int64(pick(core.Metrics())) })

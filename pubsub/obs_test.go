@@ -106,8 +106,7 @@ func TestTCPObservabilityEndToEnd(t *testing.T) {
 	}
 	out := sb.String()
 	// Core series the CI smoke also greps for: broker counters,
-	// per-link frames by kind, stage histograms, queue depth, route
-	// footprint.
+	// per-link frames by kind, stage histograms, queue depth.
 	for _, want := range []string{
 		"probsum_broker_pubs_received",
 		`probsum_link_frames_sent_total{link="B2",kind="publish"}`,
@@ -117,8 +116,6 @@ func TestTCPObservabilityEndToEnd(t *testing.T) {
 		"probsum_publish_stage_write_ns_count",
 		"probsum_publish_stage_decode_ns_count",
 		"probsum_send_queue_depth_total",
-		"probsum_route_tables",
-		"probsum_route_entries",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("scrape missing %q", want)

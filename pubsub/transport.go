@@ -170,8 +170,9 @@ func (b *Broker) PeerRoots(peer string) []BatchSub {
 	return b.impl.core().NeighborRoots(peer)
 }
 
-// Core returns the underlying broker engine — the handle
-// cluster.AttachRouter wires rendezvous routing through.
+// Core returns the underlying broker engine, for callers that need
+// the state machine's own API (checker stats, publish observers)
+// beyond what the transport exposes.
 func (b *Broker) Core() *broker.Broker { return b.impl.core() }
 
 // PeerClusterVersion reports the cluster protocol version a peer
