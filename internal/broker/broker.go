@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -374,10 +375,13 @@ type Broker struct {
 	// unsubscribe / topology changes, shared for publish.
 	mu sync.RWMutex
 
+	// neighbors and clients are the registered ports, kept sorted at
+	// insertion (ports are never removed), so the publish path walks
+	// them in order without sorting or allocating.
 	// +guarded_by:mu
-	neighbors map[string]bool
+	neighbors portSet
 	// +guarded_by:mu
-	clients map[string]bool
+	clients portSet
 
 	// out holds one coverage table per neighbor: the subscriptions this
 	// broker has forwarded to that neighbor, reduced under the policy.
@@ -581,8 +585,6 @@ func New(id string, policy store.Policy, opts ...Option) (*Broker, error) {
 		policy:     policy,
 		seed:       1,
 		dedupLimit: 65536,
-		neighbors:  make(map[string]bool),
-		clients:    make(map[string]bool),
 		out:        make(map[string]*subsume.Table),
 		outIDs:     make(map[string]subsume.ID),
 		idToSub:    make(map[subsume.ID]string),
@@ -663,14 +665,45 @@ func (b *Broker) dedupSize() int { return b.seenPubs.size() }
 func (b *Broker) Neighbors() []string {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return sortedKeys(b.neighbors)
+	return slices.Clone(b.neighbors)
 }
 
 // Clients returns the attached client ports, sorted.
 func (b *Broker) Clients() []string {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return sortedKeys(b.clients)
+	return slices.Clone(b.clients)
+}
+
+// MatchRebuilds sums how many times the per-port matchers have built
+// their interval trees: the first build of each, plus every merge that
+// subscription churn forced on a publication (see match.ITreeIndex).
+func (b *Broker) MatchRebuilds() uint64 {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	var n uint64
+	for _, m := range b.matchers {
+		n += m.Rebuilds()
+	}
+	return n
+}
+
+// portSet is a sorted set of port names.
+type portSet []string
+
+func (s portSet) has(id string) bool {
+	_, ok := slices.BinarySearch(s, id)
+	return ok
+}
+
+// add inserts id in order and reports whether it was new.
+func (s *portSet) add(id string) bool {
+	i, ok := slices.BinarySearch(*s, id)
+	if ok {
+		return false
+	}
+	*s = slices.Insert(*s, i, id)
+	return true
 }
 
 func sortedKeys(set map[string]bool) []string {
@@ -707,7 +740,7 @@ func (b *Broker) ConnectNeighbor(id string) error {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.neighbors[id] {
+	if b.neighbors.has(id) {
 		return nil
 	}
 	policy, err := tablePolicy(b.policy)
@@ -756,7 +789,7 @@ func (b *Broker) ConnectNeighbor(id string) error {
 			return fmt.Errorf("broker %s: neighbor %s backfill: %w", b.id, id, err)
 		}
 	}
-	b.neighbors[id] = true
+	b.neighbors.add(id)
 	b.out[id] = tbl
 	if j := b.journal.Load(); j != nil {
 		(*j).RecordAttach(id, false)
@@ -770,8 +803,7 @@ func (b *Broker) ConnectNeighbor(id string) error {
 func (b *Broker) AttachClient(id string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	fresh := !b.clients[id]
-	b.clients[id] = true
+	fresh := b.clients.add(id)
 	if b.in[id] == nil {
 		b.in[id] = make(map[string]subscription.Subscription)
 	}
@@ -924,7 +956,7 @@ func (b *Broker) handleSubscribe(from string, msg Message) ([]Outbound, error) {
 	id := b.storeID(msg.SubID)
 	b.matcher(from).Add(match.ID(id), msg.Sub)
 	var out []Outbound
-	for _, n := range sortedKeys(b.neighbors) {
+	for _, n := range b.neighbors {
 		if n == from {
 			continue
 		}
@@ -957,7 +989,7 @@ func (b *Broker) handleSubscribe(from string, msg Message) ([]Outbound, error) {
 //
 // +mustlock:mu
 func (b *Broker) recordDupPathLocked(from, subID string, sub subscription.Subscription) {
-	if !b.neighbors[from] || b.source[subID] == from {
+	if !b.neighbors.has(from) || b.source[subID] == from {
 		return
 	}
 	if b.in[from] == nil {
@@ -1033,7 +1065,7 @@ func (b *Broker) handleUnsubscribe(from string, msg Message) ([]Outbound, error)
 	delete(b.idToSub, id)
 
 	var out []Outbound
-	for _, n := range sortedKeys(b.neighbors) {
+	for _, n := range b.neighbors {
 		if n == from {
 			continue
 		}
@@ -1120,7 +1152,7 @@ func (b *Broker) handleSubscribeBatch(from string, msg Message) ([]Outbound, err
 		subs[i] = it.Sub
 	}
 	var out []Outbound
-	for _, n := range sortedKeys(b.neighbors) {
+	for _, n := range b.neighbors {
 		if n == from {
 			continue
 		}
@@ -1181,7 +1213,7 @@ func (b *Broker) handleUnsubscribeBatch(from string, msg Message) ([]Outbound, e
 		return nil, nil
 	}
 	var out []Outbound
-	for _, n := range sortedKeys(b.neighbors) {
+	for _, n := range b.neighbors {
 		if n == from {
 			continue
 		}
@@ -1245,7 +1277,7 @@ func (b *Broker) handlePublishBatchMsg(from string, msg Message) ([]Outbound, er
 			return out, fmt.Errorf("broker %s: publish batch item %d: %w", b.id, i, err)
 		}
 		for _, ob := range o {
-			if ob.Msg.Kind == MsgPublish && b.neighbors[ob.To] {
+			if ob.Msg.Kind == MsgPublish && b.neighbors.has(ob.To) {
 				if fwd == nil {
 					fwd = make(map[string][]BatchPub)
 				}
@@ -1255,7 +1287,7 @@ func (b *Broker) handlePublishBatchMsg(from string, msg Message) ([]Outbound, er
 			}
 		}
 	}
-	for _, n := range sortedKeys(b.neighbors) {
+	for _, n := range b.neighbors {
 		if batch := fwd[n]; len(batch) > 0 {
 			out = append(out, Outbound{To: n, Msg: Message{Kind: MsgPublishBatch, Pubs: batch}})
 		}
@@ -1315,7 +1347,7 @@ func (b *Broker) handlePublish(from string, msg Message) ([]Outbound, error) {
 	// Deliver to local clients whose subscriptions match. The per-port
 	// interval-tree matcher answers in O(m log k + hits) instead of
 	// scanning the port's reverse-path table linearly.
-	for _, c := range sortedKeys(b.clients) {
+	for _, c := range b.clients {
 		if c == from {
 			continue
 		}
@@ -1344,7 +1376,7 @@ func (b *Broker) handlePublish(from string, msg Message) ([]Outbound, error) {
 	}
 	// Reverse-path forwarding: send to every neighbor that announced a
 	// matching subscription.
-	for _, n := range sortedKeys(b.neighbors) {
+	for _, n := range b.neighbors {
 		if n == from {
 			continue
 		}
@@ -1368,10 +1400,10 @@ func (b *Broker) handlePublish(from string, msg Message) ([]Outbound, error) {
 // subscription ID) so simulation runs are reproducible regardless of
 // map iteration order.
 func sortOutbound(out []Outbound) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].To != out[j].To {
-			return out[i].To < out[j].To
+	slices.SortFunc(out, func(a, b Outbound) int {
+		if c := strings.Compare(a.To, b.To); c != 0 {
+			return c
 		}
-		return out[i].Msg.SubID < out[j].Msg.SubID
+		return strings.Compare(a.Msg.SubID, b.Msg.SubID)
 	})
 }

@@ -317,9 +317,9 @@ func TestPublishItreeMatchesLinearReference(t *testing.T) {
 					if !sub.Matches(pub) {
 						continue
 					}
-					if b.clients[port] {
+					if b.clients.has(port) {
 						wantNotify[port+"/"+subID] = true
-					} else if b.neighbors[port] {
+					} else if b.neighbors.has(port) {
 						wantForward[port] = true
 					}
 				}
@@ -414,5 +414,48 @@ func TestDupAnnouncementCreatesReversePath(t *testing.T) {
 	}
 	if to := pubTargets("p4"); len(to) != 0 {
 		t.Errorf("publication forwarded to %v after full cancellation", to)
+	}
+}
+
+// TestChurnRebuildsStayBounded: 100 churn operations interleaved with
+// 1,000 publications on a 600-subscription client port rebuild that
+// port's matcher at most ⌈100/64⌉+1 times, the first build included.
+// Rebuilding on every change took 100.
+func TestChurnRebuildsStayBounded(t *testing.T) {
+	b := newBroker(t, store.PolicyNone)
+	b.AttachClient("S")
+	b.AttachClient("P")
+	rng := rand.New(rand.NewPCG(7, 8))
+	subscribe := func(i int) {
+		lo1, lo2 := rng.Int64N(90), rng.Int64N(90)
+		msg := Message{Kind: MsgSubscribe, SubID: fmt.Sprintf("s%d", i), Sub: box(lo1, lo1+10, lo2, lo2+10)}
+		if _, err := b.Handle("S", msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const subs, pubs, churn = 600, 1000, 100
+	for i := 0; i < subs; i++ {
+		subscribe(i)
+	}
+	oldest, next := 0, subs
+	for i := 0; i < pubs; i++ {
+		if i%(pubs/churn) == 0 {
+			if i%(2*pubs/churn) == 0 {
+				if _, err := b.Handle("S", Message{Kind: MsgUnsubscribe, SubID: fmt.Sprintf("s%d", oldest)}); err != nil {
+					t.Fatal(err)
+				}
+				oldest++
+			} else {
+				subscribe(next)
+				next++
+			}
+		}
+		pub := subscription.NewPublication(rng.Int64N(101), rng.Int64N(101))
+		if _, err := b.Handle("P", Message{Kind: MsgPublish, PubID: fmt.Sprintf("p%d", i), Pub: pub}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, limit := b.MatchRebuilds(), uint64((churn+63)/64+1); got == 0 || got > limit {
+		t.Fatalf("MatchRebuilds = %d, want 1..%d", got, limit)
 	}
 }

@@ -89,7 +89,7 @@ func foldDigest(count int, buckets *[DigestBuckets]uint64) LinkDigest {
 //
 // +mustlock:mu
 func (b *Broker) recvAdd(from, subID string) {
-	if !b.neighbors[from] {
+	if !b.neighbors.has(from) {
 		return
 	}
 	set := b.recv[from]
@@ -217,7 +217,7 @@ func (b *Broker) KnowsSubscription(subID string) (source string, ok bool) {
 func (b *Broker) checkLinkDigest(from string, d LinkDigest) []Outbound {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	if !b.neighbors[from] {
+	if !b.neighbors.has(from) {
 		return nil
 	}
 	mine, buckets := b.recvDigestLocked(from)
@@ -238,7 +238,7 @@ func (b *Broker) checkLinkDigest(from string, d LinkDigest) []Outbound {
 //
 // +mustlock:mu (shared)
 func (b *Broker) handleSyncRequest(from string, msg Message) ([]Outbound, error) {
-	if !b.neighbors[from] {
+	if !b.neighbors.has(from) {
 		return nil, nil
 	}
 	_, mine, ok := b.outDigestLocked(from)
@@ -298,7 +298,7 @@ func (b *Broker) handleSyncRequest(from string, msg Message) ([]Outbound, error)
 //
 // +mustlock:mu
 func (b *Broker) handleSyncRoots(from string, msg Message) ([]Outbound, error) {
-	if !b.neighbors[from] {
+	if !b.neighbors.has(from) {
 		return nil, nil
 	}
 	listed := make(map[string]bool, len(msg.Subs))

@@ -1,7 +1,7 @@
 package match
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"probsum/internal/interval"
@@ -9,11 +9,18 @@ import (
 )
 
 // ITreeIndex is a dynamic matcher over the per-attribute centered
-// interval trees: Add and Remove mark the index dirty, and the next
-// Match rebuilds the trees lazily, so maintenance is O(1) per change
-// and the O(k log k) rebuild is amortized over the publications
-// between changes — the broker regime, where publications far
-// outnumber subscription churn.
+// interval trees. It keeps an immutable base generation — the trees
+// built from every live subscription at the last merge — plus a small
+// mutable delta. Add of a new ID appends to the delta; Remove or
+// replacement of a base ID tombstones its base position; Remove of a
+// delta ID just drops it. A Match stabs the base, skips tombstoned
+// positions and scans the delta linearly. Once the delta and the
+// tombstones together pass max(deltaFloor, base/8), the next Match or
+// MatchAny merges: it rebuilds the base from the live set and empties
+// both. One subscription change thus costs O(1), every publication
+// scans a delta bounded by a fraction of the base, and a burst of any
+// size still pays one O(k log k) rebuild — the broker regime, where
+// publications far outnumber subscription churn.
 //
 // Unlike CountingIndex it needs no schema, yet it keeps the counting
 // algorithm's trivial-predicate optimization by inferring a
@@ -25,31 +32,61 @@ import (
 // predicate on that attribute (all are within the hull), so the whole
 // bucket misses. On realistic workloads most predicates are the
 // unconstrained full domain, which the hull test recovers without
-// being told the domain.
+// being told the domain. The hulls are the base's: they gate the base
+// stab only, never the delta scan.
 //
 // Subscriptions are bucketed by attribute count, so sets fed from
 // mixed schemas stay matchable: a publication consults only the
 // bucket with its own attribute count, mirroring Subscription.Matches
 // (which rejects on length mismatch).
 //
-// All methods are safe for concurrent use. Match and MatchAny run in
-// parallel with each other: a bucket's tree structure is immutable
-// after its rebuild, and the counting-stab scratch is drawn from a
-// per-bucket pool, so concurrent stabs never share state. Add and
-// Remove only mark the index dirty under the write lock; the rebuild
-// itself happens inside whichever Match observes the dirty flag
-// first, with later readers either waiting on the lock or stabbing
-// the previous (still-valid) generation they already hold.
+// All methods are safe for concurrent use. Match and MatchAny hold the
+// read lock for the whole call, so they run in parallel with each
+// other against one consistent base, tombstone set and delta; the
+// counting-stab scratch is drawn from a per-bucket pool, so concurrent
+// stabs never share state. Add and Remove take the write lock. The
+// merge happens inside whichever reader first finds the delta over its
+// bound: it trades its read lock for the write lock, rebuilds, and
+// reads the fresh generation. Merging on the read side, not in Add or
+// Remove and not in a goroutine, keeps a burst of writes to a single
+// rebuild and the index free of any lifecycle.
 type ITreeIndex struct {
-	mu      sync.RWMutex
-	subs    map[ID]subscription.Subscription
-	dirty   bool
+	mu sync.RWMutex
+	// subs holds every live subscription and where it is indexed.
+	subs map[ID]itreeSlot
+	// buckets is the base generation, keyed by attribute count.
 	buckets map[int]*itreeBucket
+	// baseLen is the live-set size when the base was built; stale
+	// counts the base entries removed or replaced since.
+	baseLen, stale int
+	// delta holds the satisfiable subscriptions added since the build.
+	delta    []itreeDelta
+	rebuilds uint64
 }
 
+// itreeSlot is a live subscription and its place in the index: a
+// position in the base bucket of its arity (base), an index into the
+// delta, or neither (pos < 0) for an unsatisfiable subscription, which
+// matches nothing.
+type itreeSlot struct {
+	sub  subscription.Subscription
+	pos  int32
+	base bool
+}
+
+// itreeDelta is a subscription added since the base was built.
+type itreeDelta struct {
+	id  ID
+	sub subscription.Subscription
+}
+
+// deltaFloor is the delta-plus-tombstone count a small index tolerates
+// before merging; past 8·deltaFloor base entries the bound is base/8.
+const deltaFloor = 64
+
 // itreeBucket matches subscriptions of one attribute count. Every
-// field except the scratch pool is immutable once the rebuild that
-// created the bucket returns.
+// field except the scratch pool and the tombstones is immutable once
+// the rebuild that created the bucket returns.
 type itreeBucket struct {
 	ids      []ID
 	hulls    []interval.Interval // per-attribute hull of all predicates
@@ -57,6 +94,9 @@ type itreeBucket struct {
 	required []int               // indexed-predicate count per position
 	matchAll []int               // positions with zero indexed predicates
 	scratch  sync.Pool           // *stabScratch sized for this bucket
+	// dead marks positions removed or replaced since the build; nil
+	// until the first tombstone. Written under the index's write lock.
+	dead []bool
 }
 
 // stabScratch is the per-call state of the counting stab loop.
@@ -71,25 +111,58 @@ var _ Matcher = (*ITreeIndex)(nil)
 
 // NewITreeIndex returns an empty dynamic matcher.
 func NewITreeIndex() *ITreeIndex {
-	return &ITreeIndex{subs: make(map[ID]subscription.Subscription)}
+	return &ITreeIndex{subs: make(map[ID]itreeSlot)}
 }
 
 // Add indexes a subscription under id, replacing any previous entry.
 func (x *ITreeIndex) Add(id ID, s subscription.Subscription) {
 	x.mu.Lock()
-	x.subs[id] = s
-	x.dirty = true
+	if old, ok := x.subs[id]; ok {
+		x.detach(old)
+	}
+	slot := itreeSlot{sub: s, pos: -1}
+	if s.IsSatisfiable() {
+		slot.pos = int32(len(x.delta))
+		x.delta = append(x.delta, itreeDelta{id: id, sub: s})
+	}
+	x.subs[id] = slot
 	x.mu.Unlock()
 }
 
 // Remove drops the subscription with the given id, if present.
 func (x *ITreeIndex) Remove(id ID) {
 	x.mu.Lock()
-	if _, ok := x.subs[id]; ok {
+	if old, ok := x.subs[id]; ok {
+		x.detach(old)
 		delete(x.subs, id)
-		x.dirty = true
 	}
 	x.mu.Unlock()
+}
+
+// detach unindexes a live slot: a base entry is tombstoned, a delta
+// entry is overwritten by the delta's last. Caller holds the write
+// lock.
+func (x *ITreeIndex) detach(s itreeSlot) {
+	switch {
+	case s.base:
+		bkt := x.buckets[s.sub.Len()]
+		if bkt.dead == nil {
+			bkt.dead = make([]bool, len(bkt.ids))
+		}
+		bkt.dead[s.pos] = true
+		x.stale++
+	case s.pos >= 0:
+		last := int32(len(x.delta) - 1)
+		if s.pos != last {
+			moved := x.delta[last]
+			x.delta[s.pos] = moved
+			ms := x.subs[moved.id]
+			ms.pos = s.pos
+			x.subs[moved.id] = ms
+		}
+		x.delta[last] = itreeDelta{}
+		x.delta = x.delta[:last]
+	}
 }
 
 // Len implements Matcher.
@@ -99,8 +172,16 @@ func (x *ITreeIndex) Len() int {
 	return len(x.subs)
 }
 
-// rebuild reconstructs the per-bucket trees from the current set.
-// Caller holds the write lock.
+// Rebuilds returns how many base generations the index has built: the
+// merges its churn forced, the first build included.
+func (x *ITreeIndex) Rebuilds() uint64 {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	return x.rebuilds
+}
+
+// rebuild reconstructs the base generation from the current set and
+// empties the delta and the tombstones. Caller holds the write lock.
 func (x *ITreeIndex) rebuild() {
 	x.buckets = make(map[int]*itreeBucket)
 	// Deterministic tree shape: insert in ascending ID order.
@@ -108,25 +189,27 @@ func (x *ITreeIndex) rebuild() {
 	for id := range x.subs {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
-		s := x.subs[id]
-		if !s.IsSatisfiable() {
+		slot := x.subs[id]
+		if !slot.sub.IsSatisfiable() {
 			continue // an empty bound matches nothing: keep it out of
 			// the trees (buildITree requires non-empty intervals)
 		}
-		m := s.Len()
+		m := slot.sub.Len()
 		bkt := x.buckets[m]
 		if bkt == nil {
 			bkt = &itreeBucket{trees: make([]*itreeNode, m)}
 			x.buckets[m] = bkt
 		}
+		slot.pos, slot.base = int32(len(bkt.ids)), true
+		x.subs[id] = slot
 		bkt.ids = append(bkt.ids, id)
 	}
 	for m, bkt := range x.buckets {
 		bkt.hulls = make([]interval.Interval, m)
 		for i, id := range bkt.ids {
-			for a, b := range x.subs[id].Bounds {
+			for a, b := range x.subs[id].sub.Bounds {
 				if i == 0 {
 					bkt.hulls[a] = b
 				} else {
@@ -137,7 +220,7 @@ func (x *ITreeIndex) rebuild() {
 		perAttr := make([][]entry, m)
 		bkt.required = make([]int, len(bkt.ids))
 		for pos, id := range bkt.ids {
-			for a, b := range x.subs[id].Bounds {
+			for a, b := range x.subs[id].sub.Bounds {
 				if b.ContainsInterval(bkt.hulls[a]) {
 					continue // hull-spanning: pre-satisfied inside the hull
 				}
@@ -156,28 +239,38 @@ func (x *ITreeIndex) rebuild() {
 			return &stabScratch{counts: make([]int, n), stamp: make([]uint32, n)}
 		}
 	}
-	x.dirty = false
+	x.baseLen, x.stale, x.delta = len(x.subs), 0, nil
+	x.rebuilds++
 }
 
-// bucketFor rebuilds if dirty and returns the bucket for p's arity —
-// nil when no bucket exists or p falls outside a per-attribute hull
-// (outside the hull means outside every predicate on that attribute,
-// and every subscription carries one). The returned bucket is safe to
-// stab after the lock is released: its structure never mutates, only
-// its generation gets superseded.
-func (x *ITreeIndex) bucketFor(p subscription.Publication) *itreeBucket {
+// overBound reports whether the delta and the tombstones have outgrown
+// their bound. Caller holds the lock.
+func (x *ITreeIndex) overBound() bool {
+	return len(x.delta)+x.stale > max(deltaFloor, x.baseLen/8)
+}
+
+// rlock takes the read lock for one query, first merging the delta into
+// a fresh base generation if it has outgrown its bound.
+func (x *ITreeIndex) rlock() {
 	x.mu.RLock()
-	if x.dirty || x.buckets == nil {
-		x.mu.RUnlock()
-		x.mu.Lock()
-		if x.dirty || x.buckets == nil {
-			x.rebuild()
-		}
-		x.mu.Unlock()
-		x.mu.RLock()
+	if !x.overBound() {
+		return
 	}
-	bkt := x.buckets[len(p.Values)]
 	x.mu.RUnlock()
+	x.mu.Lock()
+	if x.overBound() {
+		x.rebuild()
+	}
+	x.mu.Unlock()
+	x.mu.RLock()
+}
+
+// baseBucket returns the base bucket for p's arity — nil when no bucket
+// exists or p falls outside a per-attribute hull (outside the hull
+// means outside every base predicate on that attribute, and every
+// subscription carries one). Caller holds the read lock.
+func (x *ITreeIndex) baseBucket(p subscription.Publication) *itreeBucket {
+	bkt := x.buckets[len(p.Values)]
 	if bkt == nil {
 		return nil
 	}
@@ -190,11 +283,14 @@ func (x *ITreeIndex) bucketFor(p subscription.Publication) *itreeBucket {
 }
 
 // completions runs the counting stab loop with the given scratch,
-// invoking emit for every position whose indexed predicates all
+// invoking emit for every live position whose indexed predicates all
 // contain p (matchAll positions are complete by definition and come
 // first). emit returning false stops the scan.
 func (bkt *itreeBucket) completions(p subscription.Publication, sc *stabScratch, emit func(pos int) bool) {
 	for _, pos := range bkt.matchAll {
+		if bkt.dead != nil && bkt.dead[pos] {
+			continue
+		}
 		if !emit(pos) {
 			return
 		}
@@ -215,6 +311,9 @@ func (bkt *itreeBucket) completions(p subscription.Publication, sc *stabScratch,
 			}
 			sc.counts[pos]++
 			if sc.counts[pos] == bkt.required[pos] {
+				if bkt.dead != nil && bkt.dead[pos] {
+					continue
+				}
 				if !emit(pos) {
 					return
 				}
@@ -223,20 +322,25 @@ func (bkt *itreeBucket) completions(p subscription.Publication, sc *stabScratch,
 	}
 }
 
-// Match implements Matcher in O(m·log k + hits) per publication after
-// an amortized rebuild. Safe for concurrent callers.
+// Match implements Matcher in O(m·log k + hits + delta) per
+// publication after an amortized merge. Safe for concurrent callers.
 func (x *ITreeIndex) Match(p subscription.Publication) []ID {
-	bkt := x.bucketFor(p)
-	if bkt == nil {
-		return nil
-	}
-	sc := bkt.scratch.Get().(*stabScratch)
+	x.rlock()
 	var out []ID
-	bkt.completions(p, sc, func(pos int) bool {
-		out = append(out, bkt.ids[pos])
-		return true
-	})
-	bkt.scratch.Put(sc)
+	if bkt := x.baseBucket(p); bkt != nil {
+		sc := bkt.scratch.Get().(*stabScratch)
+		bkt.completions(p, sc, func(pos int) bool {
+			out = append(out, bkt.ids[pos])
+			return true
+		})
+		bkt.scratch.Put(sc)
+	}
+	for i := range x.delta {
+		if d := &x.delta[i]; d.sub.Matches(p) {
+			out = append(out, d.id)
+		}
+	}
+	x.mu.RUnlock()
 	sortIDs(out)
 	return out
 }
@@ -244,9 +348,18 @@ func (x *ITreeIndex) Match(p subscription.Publication) []ID {
 // MatchAny reports whether any indexed subscription matches p,
 // returning as soon as one completes — the existence form the broker
 // uses for reverse-path forwarding, where the member list is unused.
-// Safe for concurrent callers.
+// The delta is checked first: it is small, and a fresh subscription is
+// the likeliest to lie outside the base's hulls. Safe for concurrent
+// callers.
 func (x *ITreeIndex) MatchAny(p subscription.Publication) bool {
-	bkt := x.bucketFor(p)
+	x.rlock()
+	defer x.mu.RUnlock()
+	for i := range x.delta {
+		if x.delta[i].sub.Matches(p) {
+			return true
+		}
+	}
+	bkt := x.baseBucket(p)
 	if bkt == nil {
 		return false
 	}

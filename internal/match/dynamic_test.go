@@ -1,12 +1,17 @@
 package match
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"probsum/internal/interval"
 	"probsum/internal/subscription"
+	"probsum/internal/workload"
 )
 
 // TestITreeIndexCrossCheck churns a dynamic interval-tree index and
@@ -166,5 +171,446 @@ func TestITreeIndexMatchAny(t *testing.T) {
 		if got, want := idx.MatchAny(p), len(idx.Match(p)) > 0; got != want {
 			t.Fatalf("MatchAny(%v) = %v, Match says %v", p, got, want)
 		}
+	}
+}
+
+// oracle is the reference state of a churned index: the live set, the
+// brute-force scan over it, and — rebuilt per check, one per arity —
+// the counting algorithm over it.
+type oracle struct {
+	lo, hi int64 // the probes' per-attribute domain
+	live   map[ID]subscription.Subscription
+	bf     BruteForce
+}
+
+func newOracle(lo, hi int64) *oracle {
+	return &oracle{lo: lo, hi: hi, live: map[ID]subscription.Subscription{}}
+}
+
+func (o *oracle) add(idx *ITreeIndex, id ID, s subscription.Subscription) {
+	idx.Add(id, s)
+	o.bf.Add(id, s)
+	o.live[id] = s
+}
+
+func (o *oracle) remove(idx *ITreeIndex, id ID) {
+	idx.Remove(id)
+	o.bf.Remove(id)
+	delete(o.live, id)
+}
+
+// check cross-checks Len, and Match and MatchAny on every probe,
+// against the live set.
+func (o *oracle) check(t *testing.T, idx *ITreeIndex, step int, probes []subscription.Publication) {
+	t.Helper()
+	if idx.Len() != len(o.live) {
+		t.Fatalf("step %d: Len = %d, want %d", step, idx.Len(), len(o.live))
+	}
+	counting := map[int]*CountingIndex{}
+	for _, p := range probes {
+		m := len(p.Values)
+		if counting[m] == nil {
+			var ids []ID
+			for id, s := range o.live {
+				if s.Len() == m && s.IsSatisfiable() { // the schema rejects the rest
+					ids = append(ids, id)
+				}
+			}
+			slices.Sort(ids)
+			subs := make([]subscription.Subscription, len(ids))
+			for i, id := range ids {
+				subs[i] = o.live[id]
+			}
+			var err error
+			if counting[m], err = NewCountingIndex(subscription.UniformSchema(m, o.lo, o.hi), ids, subs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := idx.Match(p)
+		if want := o.bf.Match(p); !slices.Equal(got, want) {
+			t.Fatalf("step %d, %v: itree %v, brute force %v", step, p.Values, got, want)
+		}
+		if want := counting[m].Match(p); !slices.Equal(got, want) {
+			t.Fatalf("step %d, %v: itree %v, counting %v", step, p.Values, got, want)
+		}
+		if any := idx.MatchAny(p); any != (len(got) > 0) {
+			t.Fatalf("step %d, %v: MatchAny = %v, Match = %v", step, p.Values, any, got)
+		}
+	}
+}
+
+// TestITreeIndexMergeBoundary churns across the merge bound: long runs
+// of single changes that stay below it (the delta and the tombstones
+// carry them) alternate with bursts far above it (the next read
+// merges), and every step is cross-checked against the brute-force
+// scan and the counting algorithm.
+func TestITreeIndexMergeBoundary(t *testing.T) {
+	const m = 2
+	rng := rand.New(rand.NewPCG(11, 12))
+	randomSub := func() subscription.Subscription {
+		bounds := make([]interval.Interval, m)
+		for a := range bounds {
+			lo := rng.Int64N(180)
+			bounds[a] = interval.New(lo, lo+rng.Int64N(200-lo))
+		}
+		if rng.IntN(4) == 0 { // hull-spanning on one attribute
+			bounds[rng.IntN(m)] = interval.New(0, 199)
+		}
+		return subscription.Subscription{Bounds: bounds}
+	}
+	probes := func() []subscription.Publication {
+		ps := make([]subscription.Publication, 12)
+		for i := range ps {
+			ps[i] = subscription.NewPublication(rng.Int64N(200), rng.Int64N(200))
+		}
+		return ps
+	}
+	pick := func(live map[ID]subscription.Subscription) ID {
+		ids := make([]ID, 0, len(live))
+		for id := range live {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		return ids[rng.IntN(len(ids))]
+	}
+
+	idx := NewITreeIndex()
+	o := newOracle(0, 199)
+	next := ID(0)
+	step := 0
+	for round := 0; round < 8; round++ {
+		// Burst: well over max(deltaFloor, base/8) in one go.
+		for i := 0; i < 150+rng.IntN(150); i++ {
+			next++
+			o.add(idx, next, randomSub())
+		}
+		for i := 0; i < 40 && len(o.live) > 1; i++ {
+			o.remove(idx, pick(o.live))
+		}
+		o.check(t, idx, step, probes())
+		step++
+		// Long run of single changes, each followed by a check: below
+		// the bound for most of its length, across it near the end.
+		for i := 0; i < 90; i++ {
+			switch op := rng.IntN(3); {
+			case op == 0 || len(o.live) < 2:
+				next++
+				o.add(idx, next, randomSub())
+			case op == 1:
+				o.remove(idx, pick(o.live))
+			default:
+				o.add(idx, pick(o.live), randomSub()) // replacement
+			}
+			o.check(t, idx, step, probes())
+			step++
+		}
+	}
+	if idx.Rebuilds() < 8 {
+		t.Fatalf("Rebuilds = %d: the schedule never crossed the merge bound", idx.Rebuilds())
+	}
+}
+
+// TestITreeIndexDeltaCases pins the states the base+delta split adds.
+// Each case churns a built 100-entry base without reaching the merge
+// bound, is cross-checked against the oracles, then is pushed over the
+// bound and checked again.
+func TestITreeIndexDeltaCases(t *testing.T) {
+	sub1 := func(lo, hi int64) subscription.Subscription { return subscription.New(interval.New(lo, hi)) }
+	sub2 := func(lo, hi int64) subscription.Subscription {
+		return subscription.New(interval.New(lo, hi), interval.New(lo, hi))
+	}
+	var probes []subscription.Publication
+	for v := int64(0); v <= 1000; v += 10 {
+		probes = append(probes, subscription.NewPublication(v), subscription.NewPublication(v, v))
+	}
+	for _, tc := range []struct {
+		name  string
+		churn func(idx *ITreeIndex, o *oracle)
+	}{
+		{"delta outside every base hull", func(idx *ITreeIndex, o *oracle) {
+			o.add(idx, 500, sub1(800, 900))
+			o.add(idx, 501, sub1(0, 50))
+		}},
+		{"delta-only arity", func(idx *ITreeIndex, o *oracle) {
+			o.add(idx, 500, sub2(0, 1000))
+			o.add(idx, 501, sub2(600, 700))
+		}},
+		{"replace a base ID", func(idx *ITreeIndex, o *oracle) {
+			o.add(idx, 7, sub1(900, 950))  // moves outside the hull
+			o.add(idx, 8, sub2(100, 300))  // changes arity
+			o.add(idx, 9, sub1(150, 160))  // narrows in place
+			o.add(idx, 9, sub1(140, 1000)) // replaced again, now in the delta
+		}},
+		{"remove then re-add before a merge", func(idx *ITreeIndex, o *oracle) {
+			o.remove(idx, 10)
+			o.add(idx, 10, sub1(110, 210))
+			o.add(idx, 500, sub1(600, 610))
+			o.add(idx, 501, sub1(640, 650))
+			o.remove(idx, 500) // not the delta's last: 501 moves
+			o.add(idx, 500, sub1(620, 630))
+			o.remove(idx, 10)
+		}},
+		{"unsatisfiable in the delta", func(idx *ITreeIndex, o *oracle) {
+			o.add(idx, 500, subscription.New(interval.Empty()))
+			o.add(idx, 11, subscription.New(interval.Empty())) // over a base ID
+			o.add(idx, 502, subscription.Subscription{})       // zero attributes
+			o.add(idx, 503, sub1(0, 1000))
+			o.remove(idx, 500)
+		}},
+		{"MatchAny with tombstones", func(idx *ITreeIndex, o *oracle) {
+			for id := ID(1); id <= 40; id++ {
+				o.remove(idx, id) // the low end of the base goes dark
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			idx := NewITreeIndex()
+			o := newOracle(0, 1000)
+			for id := ID(1); id <= 100; id++ {
+				o.add(idx, id, sub1(100+int64(id), 200+int64(id)))
+			}
+			o.check(t, idx, 0, probes)
+			tc.churn(idx, o)
+			o.check(t, idx, 1, probes)
+			if got := idx.Rebuilds(); got != 1 {
+				t.Fatalf("Rebuilds = %d: the churn should stay in the delta", got)
+			}
+			for id := ID(1000); id < 1100; id++ {
+				o.add(idx, id, sub1(990, 1000))
+			}
+			o.check(t, idx, 2, probes)
+			if got := idx.Rebuilds(); got != 2 {
+				t.Fatalf("Rebuilds = %d after the burst, want 2", got)
+			}
+		})
+	}
+}
+
+// TestITreeIndexConcurrentChurn runs four readers against one writer
+// that churns across the merge bound, and checks every answer against
+// the writer's operation log. Subscriptions derive from their IDs and
+// IDs are never reused, so an answer must hold every matching ID that
+// was live for the whole call and nothing removed before the call
+// began. Run it under -race.
+func TestITreeIndexConcurrentChurn(t *testing.T) {
+	const (
+		stable  = 200 // IDs 1..stable are added first and never change
+		ops     = 3000
+		readers = 4
+	)
+	maxID := ID(stable + ops)
+	subs := make([]subscription.Subscription, maxID+1)
+	rng := rand.New(rand.NewPCG(31, 32))
+	for id := range subs {
+		lo1, lo2 := rng.Int64N(90), rng.Int64N(90)
+		subs[id] = subscription.New(interval.New(lo1, lo1+rng.Int64N(30)), interval.New(lo2, lo2+rng.Int64N(30)))
+	}
+	// added and removed hold the operation number that added or removed
+	// an ID (0: not yet); started and done bracket the operation in
+	// flight. Every completed read ticks read, which paces the writer.
+	added := make([]atomic.Int64, maxID+1)
+	removed := make([]atomic.Int64, maxID+1)
+	var started, done atomic.Int64
+	read := make(chan struct{}, 1)
+
+	idx := NewITreeIndex()
+	for id := ID(1); id <= stable; id++ {
+		added[id].Store(1)
+		idx.Add(id, subs[id])
+	}
+	started.Store(1)
+	done.Store(1)
+
+	var wg sync.WaitGroup
+	finished := make(chan struct{})
+	wg.Add(1)
+	go func() { // the writer: single changes, with a 150-add burst every 600 operations
+		defer wg.Done()
+		defer close(finished)
+		r := rand.New(rand.NewPCG(33, 34))
+		var live []ID
+		next := ID(stable)
+		for k := int64(2); k < ops+2; k++ {
+			started.Store(k)
+			if len(live) == 0 || k%600 < 150 || r.IntN(2) == 0 {
+				next++
+				added[next].Store(k)
+				idx.Add(next, subs[next])
+				live = append(live, next)
+			} else {
+				i := r.IntN(len(live))
+				id := live[i]
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
+				removed[id].Store(k)
+				idx.Remove(id)
+			}
+			done.Store(k)
+			<-read // let a read complete after every operation
+		}
+	}()
+	// verify checks one answer against the log read around the call: s0
+	// operations had completed before it, at most s1 had started after.
+	verify := func(p subscription.Publication, got []ID, any, useAny bool, s0, s1 int64) error {
+		var required, allowed []ID
+		for id := ID(1); id <= maxID; id++ {
+			a := added[id].Load()
+			if a == 0 || !subs[id].Matches(p) {
+				continue
+			}
+			rm := removed[id].Load()
+			if rm == 0 || rm > s0 {
+				allowed = append(allowed, id)
+			}
+			if a <= s0 && (rm == 0 || rm > s1) {
+				required = append(required, id)
+			}
+		}
+		switch {
+		case useAny && any && len(allowed) == 0:
+			return fmt.Errorf("MatchAny(%v) = true with nothing live matching", p.Values)
+		case useAny && !any && len(required) > 0:
+			return fmt.Errorf("MatchAny(%v) = false, but %v were live throughout", p.Values, required)
+		case useAny:
+			return nil
+		case !slices.IsSorted(got):
+			return fmt.Errorf("Match(%v) = %v: not ascending", p.Values, got)
+		}
+		for _, id := range required {
+			if _, ok := slices.BinarySearch(got, id); !ok {
+				return fmt.Errorf("Match(%v) = %v misses %d, live throughout", p.Values, got, id)
+			}
+		}
+		for _, id := range got {
+			if _, ok := slices.BinarySearch(allowed, id); !ok {
+				return fmt.Errorf("Match(%v) = %v holds %d, never live during the call", p.Values, got, id)
+			}
+		}
+		return nil
+	}
+	var failed atomic.Bool
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			r := rand.New(rand.NewPCG(uint64(w), 35))
+			for probe := 0; ; probe++ {
+				select {
+				case <-finished:
+					return
+				default:
+				}
+				p := subscription.NewPublication(r.Int64N(125), r.Int64N(125))
+				useAny := probe%2 == 1
+				s0 := done.Load()
+				var got []ID
+				var any bool
+				if useAny {
+					any = idx.MatchAny(p)
+				} else {
+					got = idx.Match(p)
+				}
+				s1 := started.Load()
+				select {
+				case read <- struct{}{}:
+					runtime.Gosched() // hand the CPU to the writer
+				default:
+				}
+				// Keep reading after a failure, or the writer starves;
+				// report only the first.
+				if err := verify(p, got, any, useAny, s0, s1); err != nil && failed.CompareAndSwap(false, true) {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := idx.Rebuilds(); got < 20 {
+		t.Errorf("Rebuilds = %d: the writer never crossed the merge bound", got)
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// narrowPopulation draws n subscriptions of the narrow comparison mix
+// over six attributes — the population psbench admits — and, for
+// each, a publication inside it.
+func narrowPopulation(tb testing.TB, n int) ([]subscription.Subscription, []subscription.Publication) {
+	tb.Helper()
+	rng := rand.New(rand.NewPCG(21, 22))
+	stream, err := workload.NewComparisonStream(rng, workload.NarrowComparisonConfig(6))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	subs := make([]subscription.Subscription, n)
+	pubs := make([]subscription.Publication, n)
+	for i := range subs {
+		s := stream.Next()
+		vals := make([]int64, s.Len())
+		for a, b := range s.Bounds {
+			vals[a] = b.Lo + rng.Int64N(b.Hi-b.Lo+1)
+		}
+		subs[i], pubs[i] = s, subscription.Publication{Values: vals}
+	}
+	return subs, pubs
+}
+
+// TestITreeIndexAllocs pins the read path's allocations with a
+// non-empty delta and tombstones present: MatchAny makes none, and
+// Match no more than the rebuild-on-dirty index it replaced made on
+// the same population and probes without churn (2: the result slice
+// growing to its hit count).
+func TestITreeIndexAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	const n = 600
+	subs, pubs := narrowPopulation(t, n+20)
+	idx := NewITreeIndex()
+	for i := 0; i < n; i++ {
+		idx.Add(ID(i), subs[i])
+	}
+	idx.Match(pubs[0])
+	for i := 0; i < 20; i++ {
+		idx.Remove(ID(7 * i))
+		idx.Add(ID(n+i), subs[n+i])
+	}
+	idx.Add(ID(1), subs[2]) // a replaced base entry
+	i := 0
+	if a := testing.AllocsPerRun(500, func() { idx.MatchAny(pubs[i%len(pubs)]); i++ }); a != 0 {
+		t.Errorf("MatchAny allocates %.1f per call, want 0", a)
+	}
+	if a := testing.AllocsPerRun(500, func() { idx.Match(pubs[i%len(pubs)]); i++ }); a > 2 {
+		t.Errorf("Match allocates %.1f per call, want <= 2", a)
+	}
+	if got := idx.Rebuilds(); got != 1 {
+		t.Fatalf("Rebuilds = %d: the delta was merged away", got)
+	}
+}
+
+// BenchmarkITreeIndexChurn is the broker's publish path under churn:
+// 600 narrow-mix subscriptions, one Add or Remove per 10 Match calls.
+func BenchmarkITreeIndexChurn(b *testing.B) {
+	const n = 600
+	subs, pubs := narrowPopulation(b, 2*n)
+	idx := NewITreeIndex()
+	for i := 0; i < n; i++ {
+		idx.Add(ID(i), subs[i])
+	}
+	idx.Match(pubs[0])
+	oldest, next := 0, n // live IDs are [oldest, next)
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		if i%10 == 0 {
+			if i%20 == 0 {
+				idx.Remove(ID(oldest))
+				oldest++
+			} else {
+				idx.Add(ID(next), subs[next%len(subs)])
+				next++
+			}
+		}
+		idx.Match(pubs[i%len(pubs)])
 	}
 }

@@ -64,6 +64,9 @@ func registerBrokerMetrics(reg *obs.Registry, core *broker.Broker) {
 		pick := pick
 		reg.RegisterCounter(name, func() int64 { return int64(pick(core.Metrics())) })
 	}
+	// Interval-tree rebuilds across the per-port matchers: how often
+	// subscription churn made a publication rebuild a port's index.
+	reg.RegisterCounter("broker_match_rebuilds", func() int64 { return int64(core.MatchRebuilds()) })
 	registerCheckerMetrics(reg, core)
 }
 

@@ -109,6 +109,7 @@ func TestTCPObservabilityEndToEnd(t *testing.T) {
 	// per-link frames by kind, stage histograms, queue depth.
 	for _, want := range []string{
 		"probsum_broker_pubs_received",
+		"probsum_broker_match_rebuilds",
 		`probsum_link_frames_sent_total{link="B2",kind="publish"}`,
 		"probsum_publish_stage_match_ns_count",
 		"probsum_publish_stage_route_ns_count",
