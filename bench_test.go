@@ -199,10 +199,9 @@ func BenchmarkPairwiseBaseline(b *testing.B) {
 
 // Matching benchmarks (Algorithm 5 substrate).
 
-func benchMatchSetup(b *testing.B) (*subscription.Schema, []match.ID, []subscription.Subscription, []subscription.Publication) {
+func benchMatchSetup(b *testing.B) ([]match.ID, []subscription.Subscription, []subscription.Publication) {
 	b.Helper()
 	rng := rand.New(rand.NewPCG(11, 12))
-	schema := subscription.UniformSchema(8, 0, 9999)
 	stream, err := workload.NewComparisonStream(rng, workload.DefaultComparisonConfig(8))
 	if err != nil {
 		b.Fatal(err)
@@ -222,12 +221,12 @@ func benchMatchSetup(b *testing.B) (*subscription.Schema, []match.ID, []subscrip
 		}
 		pubs[i] = subscription.Publication{Values: vals}
 	}
-	return schema, ids, subs, pubs
+	return ids, subs, pubs
 }
 
 // BenchmarkMatchBruteForce is the O(k·m) scan baseline.
 func BenchmarkMatchBruteForce(b *testing.B) {
-	_, ids, subs, pubs := benchMatchSetup(b)
+	ids, subs, pubs := benchMatchSetup(b)
 	var bf match.BruteForce
 	for i, id := range ids {
 		bf.Add(id, subs[i])
@@ -239,30 +238,15 @@ func BenchmarkMatchBruteForce(b *testing.B) {
 	}
 }
 
-// BenchmarkMatchCountingIndex is the counting-algorithm index
-// (reference [18] of the paper).
-func BenchmarkMatchCountingIndex(b *testing.B) {
-	schema, ids, subs, pubs := benchMatchSetup(b)
-	idx, err := match.NewCountingIndex(schema, ids, subs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx.Match(pubs[i%len(pubs)])
-	}
-}
-
-// BenchmarkMatchITreeIndex is the dynamic interval-tree matcher the
+// BenchmarkMatchITreeIndex is the dynamic cell-bitset matcher the
 // broker publish path uses (lazy rebuild outside the timed loop).
 func BenchmarkMatchITreeIndex(b *testing.B) {
-	_, ids, subs, pubs := benchMatchSetup(b)
+	ids, subs, pubs := benchMatchSetup(b)
 	idx := match.NewITreeIndex()
 	for i, id := range ids {
 		idx.Add(id, subs[i])
 	}
-	idx.Match(pubs[0]) // build the trees before timing
+	idx.Match(pubs[0]) // build the base before timing
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -401,8 +401,8 @@ type Broker struct {
 	// +guarded_by:mu
 	in map[string]map[string]subscription.Subscription
 	// matchers indexes each port's reverse-path table with the
-	// interval-tree matcher, so handlePublish runs stabbing queries
-	// instead of a linear scan per publication.
+	// cell-bitset matcher, so handlePublish checks the filter's
+	// candidates instead of scanning the table per publication.
 	// +guarded_by:mu
 	matchers map[string]*match.ITreeIndex
 	// source records the first-arrival port of each known subscription.
@@ -464,7 +464,7 @@ func (b *Broker) SetControlHandler(h ControlHandler) {
 }
 
 // PublishObserver times the broker-side stages of the publish path:
-// matching (interval-tree stabbing of the local clients' tables) and
+// matching (the local clients' per-port matchers) and
 // routing (the neighbor reverse-path scan and outbound ordering). The
 // clock is injected so simulated harnesses time with simulated clocks
 // and the broker stays clockcheck-clean; both histograms and the clock
@@ -676,7 +676,7 @@ func (b *Broker) Clients() []string {
 }
 
 // MatchRebuilds sums how many times the per-port matchers have built
-// their interval trees: the first build of each, plus every merge that
+// their base generation: the first build of each, plus every merge that
 // subscription churn forced on a publication (see match.ITreeIndex).
 func (b *Broker) MatchRebuilds() uint64 {
 	b.mu.RLock()
@@ -686,6 +686,20 @@ func (b *Broker) MatchRebuilds() uint64 {
 		n += m.Rebuilds()
 	}
 	return n
+}
+
+// MatchFilterCounts sums, over the per-port matchers, the candidates
+// their cell filters passed to the exact check and the hits among them
+// (see match.ITreeIndex.FilterCounts).
+func (b *Broker) MatchFilterCounts() (candidates, hits uint64) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	for _, m := range b.matchers {
+		c, h := m.FilterCounts()
+		candidates += c
+		hits += h
+	}
+	return candidates, hits
 }
 
 // portSet is a sorted set of port names.
@@ -1345,7 +1359,7 @@ func (b *Broker) handlePublish(from string, msg Message) ([]Outbound, error) {
 
 	var out []Outbound
 	// Deliver to local clients whose subscriptions match. The per-port
-	// interval-tree matcher answers in O(m log k + hits) instead of
+	// matcher checks only its cell filter's candidates instead of
 	// scanning the port's reverse-path table linearly.
 	for _, c := range b.clients {
 		if c == from {

@@ -264,8 +264,8 @@ func TestMsgKindString(t *testing.T) {
 	}
 }
 
-// TestPublishItreeMatchesLinearReference cross-checks the
-// interval-tree publish path against the linear scan it replaced:
+// TestPublishItreeMatchesLinearReference cross-checks the indexed
+// publish path against the linear scan it replaced:
 // for random churn and random publications, handlePublish must emit
 // exactly the notifications and forwards a direct scan of the
 // reverse-path tables predicts.
@@ -347,6 +347,32 @@ func TestPublishItreeMatchesLinearReference(t *testing.T) {
 				t.Fatalf("step %d: forwards %v, reference %v", step, gotForward, wantForward)
 			}
 		}
+	}
+}
+
+// TestMatchFilterCounts: with no churn after the first publication
+// every subscription sits in the matcher's base, so the filter's hits
+// are exactly the notifications, and each was a candidate first.
+func TestMatchFilterCounts(t *testing.T) {
+	b := newBroker(t, store.PolicyNone)
+	b.AttachClient("S")
+	b.AttachClient("P")
+	rng := rand.New(rand.NewPCG(9, 10))
+	for i := 0; i < 200; i++ {
+		lo1, lo2 := rng.Int64N(90), rng.Int64N(90)
+		if _, err := b.Handle("S", Message{Kind: MsgSubscribe, SubID: fmt.Sprintf("s%d", i), Sub: box(lo1, lo1+10, lo2, lo2+10)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		pub := subscription.NewPublication(rng.Int64N(101), rng.Int64N(101))
+		if _, err := b.Handle("P", Message{Kind: MsgPublish, PubID: fmt.Sprintf("p%d", i), Pub: pub}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, h := b.MatchFilterCounts()
+	if n := uint64(b.Metrics().Notifications); h != n || c < h || n == 0 {
+		t.Fatalf("MatchFilterCounts = %d candidates, %d hits; %d notifications", c, h, n)
 	}
 }
 

@@ -1,39 +1,47 @@
 package match
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"probsum/internal/interval"
 	"probsum/internal/subscription"
 )
 
-// ITreeIndex is a dynamic matcher over the per-attribute centered
-// interval trees. It keeps an immutable base generation — the trees
-// built from every live subscription at the last merge — plus a small
-// mutable delta. Add of a new ID appends to the delta; Remove or
-// replacement of a base ID tombstones its base position; Remove of a
-// delta ID just drops it. A Match stabs the base, skips tombstoned
-// positions and scans the delta linearly. Once the delta and the
-// tombstones together pass max(deltaFloor, base/8), the next Match or
-// MatchAny merges: it rebuilds the base from the live set and empties
-// both. One subscription change thus costs O(1), every publication
-// scans a delta bounded by a fraction of the base, and a burst of any
-// size still pays one O(k log k) rebuild — the broker regime, where
-// publications far outnumber subscription churn.
+// ITreeIndex is the dynamic matcher the broker publish path uses. The
+// name is historical: its base generation once held per-attribute
+// interval trees, and now holds per-attribute cell bitsets that filter
+// candidates for an exact check.
 //
-// Unlike CountingIndex it needs no schema, yet it keeps the counting
-// algorithm's trivial-predicate optimization by inferring a
-// pseudo-domain: per attribute, the HULL of the indexed predicates. A
-// predicate spanning the whole hull is satisfied by every point any
-// predicate on that attribute can accept, so it is exact to leave it
-// un-indexed and count it as pre-satisfied — provided the query value
-// lies inside the hull; a value outside the hull is outside every
-// predicate on that attribute (all are within the hull), so the whole
-// bucket misses. On realistic workloads most predicates are the
-// unconstrained full domain, which the hull test recovers without
-// being told the domain. The hulls are the base's: they gate the base
-// stab only, never the delta scan.
+// The index keeps an immutable base generation — built from every live
+// subscription at the last merge — plus a small mutable delta. Add of a
+// new ID appends to the delta; Remove or replacement of a base ID
+// tombstones its base position; Remove of a delta ID just drops it. A
+// Match filters the base, skips tombstoned positions and scans the
+// delta linearly. Once the delta and the tombstones together pass
+// max(deltaFloor, base/8), the next Match or MatchAny merges: it
+// rebuilds the base from the live set and empties both. One
+// subscription change thus costs O(1), every publication scans a delta
+// bounded by a fraction of the base, and a burst of any size still pays
+// one O(k·m) rebuild — the broker regime, where publications far
+// outnumber subscription churn.
+//
+// The base needs no schema: per attribute it infers a pseudo-domain,
+// the HULL of the indexed predicates, and cuts it into gridCells equal
+// cells. Each (attribute, cell) pair holds a bitset over base positions
+// marking the predicates that overlap the cell; a predicate spanning
+// the whole hull goes into the attribute's wild bitset instead, since
+// it is satisfied by every value the hull admits. A query whose value
+// lies outside an attribute's hull misses the whole bucket (every
+// predicate on that attribute lies within the hull). Otherwise it ANDs,
+// over the attributes, the row of the cell holding the value with the
+// wild row, and checks each surviving position exactly against its
+// bounds: the filter only ever sheds, so a result is never wrong, and
+// a filter that sheds nothing degrades to a word scan plus exact
+// checks. The hulls are the base's: they gate the base only, never the
+// delta scan.
 //
 // Subscriptions are bucketed by attribute count, so sets fed from
 // mixed schemas stay matchable: a publication consults only the
@@ -42,9 +50,9 @@ import (
 //
 // All methods are safe for concurrent use. Match and MatchAny hold the
 // read lock for the whole call, so they run in parallel with each
-// other against one consistent base, tombstone set and delta; the
-// counting-stab scratch is drawn from a per-bucket pool, so concurrent
-// stabs never share state. Add and Remove take the write lock. The
+// other against one consistent base, tombstone set and delta; each
+// draws its word accumulator and hit buffer from a pool, so concurrent
+// queries never share state. Add and Remove take the write lock. The
 // merge happens inside whichever reader first finds the delta over its
 // bound: it trades its read lock for the write lock, rebuilds, and
 // reads the fresh generation. Merging on the read side, not in Add or
@@ -62,6 +70,9 @@ type ITreeIndex struct {
 	// delta holds the satisfiable subscriptions added since the build.
 	delta    []itreeDelta
 	rebuilds uint64
+	// candidates counts the base positions the filter passed to the
+	// exact check, hits those of them that matched.
+	candidates, hits atomic.Uint64
 }
 
 // itreeSlot is a live subscription and its place in the index: a
@@ -84,28 +95,34 @@ type itreeDelta struct {
 // before merging; past 8·deltaFloor base entries the bound is base/8.
 const deltaFloor = 64
 
+// gridCells is the number of equal cells each attribute's hull is cut
+// into.
+const gridCells = 64
+
 // itreeBucket matches subscriptions of one attribute count. Every
-// field except the scratch pool and the tombstones is immutable once
-// the rebuild that created the bucket returns.
+// field except the tombstones is immutable once the rebuild that
+// created the bucket returns.
 type itreeBucket struct {
-	ids      []ID
-	hulls    []interval.Interval // per-attribute hull of all predicates
-	trees    []*itreeNode        // non-hull-spanning predicates only
-	required []int               // indexed-predicate count per position
-	matchAll []int               // positions with zero indexed predicates
-	scratch  sync.Pool           // *stabScratch sized for this bucket
+	ids   []ID                        // per position, ascending
+	subs  []subscription.Subscription // per position, for the exact check
+	hulls []interval.Interval         // per-attribute hull of all predicates
+	width []uint64                    // per-attribute cell width
+	words int                         // bitset length in words
+	// rows holds, per attribute, gridCells cell bitsets then the wild
+	// bitset, each words long.
+	rows []uint64
 	// dead marks positions removed or replaced since the build; nil
 	// until the first tombstone. Written under the index's write lock.
 	dead []bool
 }
 
-// stabScratch is the per-call state of the counting stab loop.
-type stabScratch struct {
-	counts []int
-	stamp  []uint32
-	epoch  uint32
-	hits   []int
+// matchScratch is the per-call state of a query.
+type matchScratch struct {
+	acc  []uint64 // the AND of the selected rows
+	hits []ID
 }
+
+var scratchPool = sync.Pool{New: func() any { return new(matchScratch) }}
 
 var _ Matcher = (*ITreeIndex)(nil)
 
@@ -180,67 +197,85 @@ func (x *ITreeIndex) Rebuilds() uint64 {
 	return x.rebuilds
 }
 
+// FilterCounts returns how many base positions the cell filter has
+// passed to the exact check, and how many of those matched, over the
+// index's life. Candidates far above hits mean the filter sheds little
+// — a degenerate hull. The delta scan is not counted.
+func (x *ITreeIndex) FilterCounts() (candidates, hits uint64) {
+	return x.candidates.Load(), x.hits.Load()
+}
+
 // rebuild reconstructs the base generation from the current set and
 // empties the delta and the tombstones. Caller holds the write lock.
 func (x *ITreeIndex) rebuild() {
 	x.buckets = make(map[int]*itreeBucket)
-	// Deterministic tree shape: insert in ascending ID order.
+	// Positions in ascending ID order, so base hits come out sorted. An
+	// unsatisfiable subscription matches nothing and gets no position.
 	ids := make([]ID, 0, len(x.subs))
-	for id := range x.subs {
-		ids = append(ids, id)
+	size := make(map[int]int) // positions per arity
+	for id, slot := range x.subs {
+		if slot.sub.IsSatisfiable() {
+			ids = append(ids, id)
+			size[slot.sub.Len()]++
+		}
 	}
 	slices.Sort(ids)
 	for _, id := range ids {
 		slot := x.subs[id]
-		if !slot.sub.IsSatisfiable() {
-			continue // an empty bound matches nothing: keep it out of
-			// the trees (buildITree requires non-empty intervals)
-		}
 		m := slot.sub.Len()
 		bkt := x.buckets[m]
 		if bkt == nil {
-			bkt = &itreeBucket{trees: make([]*itreeNode, m)}
+			bkt = &itreeBucket{
+				ids:   make([]ID, 0, size[m]),
+				subs:  make([]subscription.Subscription, 0, size[m]),
+				hulls: slices.Clone(slot.sub.Bounds),
+			}
 			x.buckets[m] = bkt
+		}
+		for a, b := range slot.sub.Bounds {
+			bkt.hulls[a] = bkt.hulls[a].Hull(b)
 		}
 		slot.pos, slot.base = int32(len(bkt.ids)), true
 		x.subs[id] = slot
 		bkt.ids = append(bkt.ids, id)
+		bkt.subs = append(bkt.subs, slot.sub)
 	}
 	for m, bkt := range x.buckets {
-		bkt.hulls = make([]interval.Interval, m)
-		for i, id := range bkt.ids {
-			for a, b := range x.subs[id].sub.Bounds {
-				if i == 0 {
-					bkt.hulls[a] = b
-				} else {
-					bkt.hulls[a] = bkt.hulls[a].Hull(b)
+		bkt.width = make([]uint64, m)
+		for a, h := range bkt.hulls {
+			// Unsigned, so a hull of [MinInt64, MaxInt64] cannot overflow.
+			bkt.width[a] = (uint64(h.Hi)-uint64(h.Lo))/gridCells + 1
+		}
+		bkt.words = (len(bkt.ids) + 63) / 64
+		bkt.rows = make([]uint64, m*(gridCells+1)*bkt.words)
+		for pos, s := range bkt.subs {
+			word, bit := pos/64, uint64(1)<<(pos%64)
+			for a, b := range s.Bounds {
+				lo, hi := gridCells, gridCells // the wild row
+				if !b.ContainsInterval(bkt.hulls[a]) {
+					lo, hi = bkt.cell(a, b.Lo), bkt.cell(a, b.Hi)
+				}
+				for c := lo; c <= hi; c++ {
+					bkt.row(a, c)[word] |= bit
 				}
 			}
-		}
-		perAttr := make([][]entry, m)
-		bkt.required = make([]int, len(bkt.ids))
-		for pos, id := range bkt.ids {
-			for a, b := range x.subs[id].sub.Bounds {
-				if b.ContainsInterval(bkt.hulls[a]) {
-					continue // hull-spanning: pre-satisfied inside the hull
-				}
-				perAttr[a] = append(perAttr[a], entry{iv: b, sub: pos})
-				bkt.required[pos]++
-			}
-			if bkt.required[pos] == 0 {
-				bkt.matchAll = append(bkt.matchAll, pos)
-			}
-		}
-		for a := range perAttr {
-			bkt.trees[a] = buildITree(perAttr[a])
-		}
-		n := len(bkt.ids)
-		bkt.scratch.New = func() any {
-			return &stabScratch{counts: make([]int, n), stamp: make([]uint32, n)}
 		}
 	}
 	x.baseLen, x.stale, x.delta = len(x.subs), 0, nil
 	x.rebuilds++
+}
+
+// cell returns the cell of attribute a's hull that holds v, which lies
+// inside the hull.
+func (bkt *itreeBucket) cell(a int, v int64) int {
+	return int((uint64(v) - uint64(bkt.hulls[a].Lo)) / bkt.width[a])
+}
+
+// row returns attribute a's bitset for cell c; c == gridCells is the
+// wild row.
+func (bkt *itreeBucket) row(a, c int) []uint64 {
+	i := (a*(gridCells+1) + c) * bkt.words
+	return bkt.rows[i : i+bkt.words]
 }
 
 // overBound reports whether the delta and the tombstones have outgrown
@@ -265,92 +300,91 @@ func (x *ITreeIndex) rlock() {
 	x.mu.RLock()
 }
 
-// baseBucket returns the base bucket for p's arity — nil when no bucket
-// exists or p falls outside a per-attribute hull (outside the hull
-// means outside every base predicate on that attribute, and every
-// subscription carries one). Caller holds the read lock.
-func (x *ITreeIndex) baseBucket(p subscription.Publication) *itreeBucket {
+// matchBase appends to hits the base IDs matching p in ascending
+// order — only the first when first is set — and counts the candidates
+// checked and the hits. Caller holds the read lock.
+func (x *ITreeIndex) matchBase(p subscription.Publication, sc *matchScratch, hits []ID, first bool) []ID {
 	bkt := x.buckets[len(p.Values)]
 	if bkt == nil {
-		return nil
+		return hits
 	}
+	// The hull gate: outside an attribute's hull means outside every
+	// base predicate on that attribute, and every subscription carries
+	// one.
 	for a, hull := range bkt.hulls {
 		if !hull.Contains(p.Values[a]) {
-			return nil
+			return hits
 		}
 	}
-	return bkt
-}
-
-// completions runs the counting stab loop with the given scratch,
-// invoking emit for every live position whose indexed predicates all
-// contain p (matchAll positions are complete by definition and come
-// first). emit returning false stops the scan.
-func (bkt *itreeBucket) completions(p subscription.Publication, sc *stabScratch, emit func(pos int) bool) {
-	for _, pos := range bkt.matchAll {
-		if bkt.dead != nil && bkt.dead[pos] {
-			continue
-		}
-		if !emit(pos) {
-			return
-		}
+	if cap(sc.acc) < bkt.words {
+		sc.acc = make([]uint64, bkt.words)
 	}
-	sc.epoch++
-	if sc.epoch == 0 { // wrapped: reset stamps
-		for i := range sc.stamp {
-			sc.stamp[i] = 0
-		}
-		sc.epoch = 1
-	}
-	for a, tree := range bkt.trees {
-		sc.hits = tree.stab(p.Values[a], sc.hits[:0])
-		for _, pos := range sc.hits {
-			if sc.stamp[pos] != sc.epoch {
-				sc.stamp[pos] = sc.epoch
-				sc.counts[pos] = 0
+	acc := sc.acc[:bkt.words]
+	for a, v := range p.Values {
+		row, wild := bkt.row(a, bkt.cell(a, v)), bkt.row(a, gridCells)
+		row, wild = row[:len(acc)], wild[:len(acc)] // drops the loops' bounds checks
+		if a == 0 {
+			for i := range acc {
+				acc[i] = row[i] | wild[i]
 			}
-			sc.counts[pos]++
-			if sc.counts[pos] == bkt.required[pos] {
-				if bkt.dead != nil && bkt.dead[pos] {
-					continue
-				}
-				if !emit(pos) {
-					return
+		} else {
+			for i := range acc {
+				acc[i] &= row[i] | wild[i]
+			}
+		}
+	}
+	n, checked := len(hits), 0
+scan:
+	for w, word := range acc {
+		for ; word != 0; word &= word - 1 {
+			pos := w*64 + bits.TrailingZeros64(word)
+			if bkt.dead != nil && bkt.dead[pos] {
+				continue
+			}
+			checked++
+			if bkt.subs[pos].Matches(p) {
+				hits = append(hits, bkt.ids[pos])
+				if first {
+					break scan
 				}
 			}
 		}
 	}
+	x.candidates.Add(uint64(checked))
+	x.hits.Add(uint64(len(hits) - n))
+	return hits
 }
 
-// Match implements Matcher in O(m·log k + hits + delta) per
-// publication after an amortized merge. Safe for concurrent callers.
+// Match implements Matcher in O(m·k/64 + candidates + delta) per
+// publication after an amortized merge, with one allocation: the
+// result. Safe for concurrent callers.
 func (x *ITreeIndex) Match(p subscription.Publication) []ID {
+	sc := scratchPool.Get().(*matchScratch)
 	x.rlock()
-	var out []ID
-	if bkt := x.baseBucket(p); bkt != nil {
-		sc := bkt.scratch.Get().(*stabScratch)
-		bkt.completions(p, sc, func(pos int) bool {
-			out = append(out, bkt.ids[pos])
-			return true
-		})
-		bkt.scratch.Put(sc)
-	}
+	hits := x.matchBase(p, sc, sc.hits[:0], false)
 	for i := range x.delta {
 		if d := &x.delta[i]; d.sub.Matches(p) {
-			out = append(out, d.id)
+			hits = append(hits, d.id)
 		}
 	}
 	x.mu.RUnlock()
-	sortIDs(out)
+	var out []ID
+	if len(hits) > 0 {
+		sortIDs(hits) // the base's hits are ascending, the delta's not
+		out = make([]ID, len(hits))
+		copy(out, hits)
+	}
+	sc.hits = hits
+	scratchPool.Put(sc)
 	return out
 }
 
 // MatchAny reports whether any indexed subscription matches p,
-// returning as soon as one completes — the existence form the broker
-// uses for reverse-path forwarding, where the member list is unused.
-// The delta is checked first: it is small, and a fresh subscription is
-// the likeliest to lie outside the base's hulls. Safe for concurrent
-// callers.
+// returning at the first verified match — the existence form the
+// broker uses for reverse-path forwarding, where the member list is
+// unused. The delta is checked first: it is small, and a fresh
+// subscription is the likeliest to lie outside the base's hulls. Safe
+// for concurrent callers.
 func (x *ITreeIndex) MatchAny(p subscription.Publication) bool {
 	x.rlock()
 	defer x.mu.RUnlock()
@@ -359,16 +393,9 @@ func (x *ITreeIndex) MatchAny(p subscription.Publication) bool {
 			return true
 		}
 	}
-	bkt := x.baseBucket(p)
-	if bkt == nil {
-		return false
-	}
-	sc := bkt.scratch.Get().(*stabScratch)
-	found := false
-	bkt.completions(p, sc, func(int) bool {
-		found = true
-		return false
-	})
-	bkt.scratch.Put(sc)
+	sc := scratchPool.Get().(*matchScratch)
+	sc.hits = x.matchBase(p, sc, sc.hits[:0], true)
+	found := len(sc.hits) > 0
+	scratchPool.Put(sc)
 	return found
 }

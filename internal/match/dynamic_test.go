@@ -14,14 +14,11 @@ import (
 	"probsum/internal/workload"
 )
 
-// TestITreeIndexCrossCheck churns a dynamic interval-tree index and
-// cross-checks every Match against both the brute-force scan and a
-// CountingIndex rebuilt from the same snapshot (the counting algorithm
-// is the paper's deterministic reference [18]).
+// TestITreeIndexCrossCheck churns a dynamic index and cross-checks
+// every Match against the brute-force scan.
 func TestITreeIndexCrossCheck(t *testing.T) {
 	const m = 3
 	rng := rand.New(rand.NewPCG(3, 4))
-	schema := subscription.UniformSchema(m, 0, 999)
 	randomSub := func() subscription.Subscription {
 		bounds := make([]interval.Interval, m)
 		for a := range bounds {
@@ -64,32 +61,14 @@ func TestITreeIndexCrossCheck(t *testing.T) {
 		if idx.Len() != len(live) {
 			t.Fatalf("step %d: Len = %d, want %d", step, idx.Len(), len(live))
 		}
-
-		ids := make([]ID, 0, len(live))
-		for id := range live {
-			ids = append(ids, id)
-		}
-		slices.Sort(ids)
-		subs := make([]subscription.Subscription, len(ids))
-		for i, id := range ids {
-			subs[i] = live[id]
-		}
-		counting, err := NewCountingIndex(schema, ids, subs)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for probe := 0; probe < 20; probe++ {
 			vals := make([]int64, m)
 			for a := range vals {
 				vals[a] = rng.Int64N(1000)
 			}
 			p := subscription.Publication{Values: vals}
-			got := idx.Match(p)
-			if want := bf.Match(p); !slices.Equal(got, want) {
-				t.Fatalf("step %d: itree %v, brute force %v", step, got, want)
-			}
-			if want := counting.Match(p); !slices.Equal(got, want) {
-				t.Fatalf("step %d: itree %v, counting %v", step, got, want)
+			if got, want := idx.Match(p), bf.Match(p); !slices.Equal(got, want) {
+				t.Fatalf("step %d: index %v, brute force %v", step, got, want)
 			}
 		}
 	}
@@ -120,11 +99,9 @@ func TestITreeIndexMixedSchemas(t *testing.T) {
 	}
 }
 
-// TestITreeIndexEmptyBounds guards the buildITree precondition: a
-// subscription with an empty bound (lo > hi) must be tolerated — it
-// matches nothing — not recurse the tree builder to death. The broker
-// feeds this index unvalidated wire input, so this is a hostile-input
-// test, covering CountingIndex the same way.
+// TestITreeIndexEmptyBounds: a subscription with an empty bound
+// (lo > hi) must be tolerated — it matches nothing. The broker feeds
+// this index unvalidated wire input, so this is a hostile-input test.
 func TestITreeIndexEmptyBounds(t *testing.T) {
 	idx := NewITreeIndex()
 	idx.Add(1, subscription.New(interval.New(0, 100)))
@@ -137,20 +114,6 @@ func TestITreeIndexEmptyBounds(t *testing.T) {
 	}
 	if idx.Len() != 2 {
 		t.Fatalf("Len = %d, want 2 (stored, even if unmatchable)", idx.Len())
-	}
-
-	schema := subscription.UniformSchema(1, 0, 100)
-	counting, err := NewCountingIndex(schema,
-		[]ID{1, 2},
-		[]subscription.Subscription{
-			subscription.New(interval.New(0, 100)),
-			subscription.New(interval.Empty()),
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := counting.Match(subscription.NewPublication(7)); !slices.Equal(got, []ID{1}) {
-		t.Fatalf("counting Match = %v, want [1]", got)
 	}
 }
 
@@ -174,17 +137,15 @@ func TestITreeIndexMatchAny(t *testing.T) {
 	}
 }
 
-// oracle is the reference state of a churned index: the live set, the
-// brute-force scan over it, and — rebuilt per check, one per arity —
-// the counting algorithm over it.
+// oracle is the reference state of a churned index: the live set and
+// the brute-force scan over it.
 type oracle struct {
-	lo, hi int64 // the probes' per-attribute domain
-	live   map[ID]subscription.Subscription
-	bf     BruteForce
+	live map[ID]subscription.Subscription
+	bf   BruteForce
 }
 
-func newOracle(lo, hi int64) *oracle {
-	return &oracle{lo: lo, hi: hi, live: map[ID]subscription.Subscription{}}
+func newOracle() *oracle {
+	return &oracle{live: map[ID]subscription.Subscription{}}
 }
 
 func (o *oracle) add(idx *ITreeIndex, id ID, s subscription.Subscription) {
@@ -206,35 +167,14 @@ func (o *oracle) check(t *testing.T, idx *ITreeIndex, step int, probes []subscri
 	if idx.Len() != len(o.live) {
 		t.Fatalf("step %d: Len = %d, want %d", step, idx.Len(), len(o.live))
 	}
-	counting := map[int]*CountingIndex{}
 	for _, p := range probes {
-		m := len(p.Values)
-		if counting[m] == nil {
-			var ids []ID
-			for id, s := range o.live {
-				if s.Len() == m && s.IsSatisfiable() { // the schema rejects the rest
-					ids = append(ids, id)
-				}
-			}
-			slices.Sort(ids)
-			subs := make([]subscription.Subscription, len(ids))
-			for i, id := range ids {
-				subs[i] = o.live[id]
-			}
-			var err error
-			if counting[m], err = NewCountingIndex(subscription.UniformSchema(m, o.lo, o.hi), ids, subs); err != nil {
-				t.Fatal(err)
-			}
-		}
 		got := idx.Match(p)
-		if want := o.bf.Match(p); !slices.Equal(got, want) {
-			t.Fatalf("step %d, %v: itree %v, brute force %v", step, p.Values, got, want)
+		want := o.bf.Match(p)
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d, %v: index %v, brute force %v", step, p.Values, got, want)
 		}
-		if want := counting[m].Match(p); !slices.Equal(got, want) {
-			t.Fatalf("step %d, %v: itree %v, counting %v", step, p.Values, got, want)
-		}
-		if any := idx.MatchAny(p); any != (len(got) > 0) {
-			t.Fatalf("step %d, %v: MatchAny = %v, Match = %v", step, p.Values, any, got)
+		if any := idx.MatchAny(p); any != (len(want) > 0) {
+			t.Fatalf("step %d, %v: MatchAny = %v, brute force %v", step, p.Values, any, want)
 		}
 	}
 }
@@ -243,7 +183,7 @@ func (o *oracle) check(t *testing.T, idx *ITreeIndex, step int, probes []subscri
 // of single changes that stay below it (the delta and the tombstones
 // carry them) alternate with bursts far above it (the next read
 // merges), and every step is cross-checked against the brute-force
-// scan and the counting algorithm.
+// scan.
 func TestITreeIndexMergeBoundary(t *testing.T) {
 	const m = 2
 	rng := rand.New(rand.NewPCG(11, 12))
@@ -275,7 +215,7 @@ func TestITreeIndexMergeBoundary(t *testing.T) {
 	}
 
 	idx := NewITreeIndex()
-	o := newOracle(0, 199)
+	o := newOracle()
 	next := ID(0)
 	step := 0
 	for round := 0; round < 8; round++ {
@@ -312,7 +252,7 @@ func TestITreeIndexMergeBoundary(t *testing.T) {
 
 // TestITreeIndexDeltaCases pins the states the base+delta split adds.
 // Each case churns a built 100-entry base without reaching the merge
-// bound, is cross-checked against the oracles, then is pushed over the
+// bound, is cross-checked against the oracle, then is pushed over the
 // bound and checked again.
 func TestITreeIndexDeltaCases(t *testing.T) {
 	sub1 := func(lo, hi int64) subscription.Subscription { return subscription.New(interval.New(lo, hi)) }
@@ -365,7 +305,7 @@ func TestITreeIndexDeltaCases(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			idx := NewITreeIndex()
-			o := newOracle(0, 1000)
+			o := newOracle()
 			for id := ID(1); id <= 100; id++ {
 				o.add(idx, id, sub1(100+int64(id), 200+int64(id)))
 			}
@@ -558,9 +498,8 @@ func narrowPopulation(tb testing.TB, n int) ([]subscription.Subscription, []subs
 
 // TestITreeIndexAllocs pins the read path's allocations with a
 // non-empty delta and tombstones present: MatchAny makes none, and
-// Match no more than the rebuild-on-dirty index it replaced made on
-// the same population and probes without churn (2: the result slice
-// growing to its hit count).
+// Match one, the exact-size result (base and delta hits collect in
+// pooled scratch).
 func TestITreeIndexAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race")
@@ -581,8 +520,8 @@ func TestITreeIndexAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(500, func() { idx.MatchAny(pubs[i%len(pubs)]); i++ }); a != 0 {
 		t.Errorf("MatchAny allocates %.1f per call, want 0", a)
 	}
-	if a := testing.AllocsPerRun(500, func() { idx.Match(pubs[i%len(pubs)]); i++ }); a > 2 {
-		t.Errorf("Match allocates %.1f per call, want <= 2", a)
+	if a := testing.AllocsPerRun(500, func() { idx.Match(pubs[i%len(pubs)]); i++ }); a > 1 {
+		t.Errorf("Match allocates %.1f per call, want <= 1", a)
 	}
 	if got := idx.Rebuilds(); got != 1 {
 		t.Fatalf("Rebuilds = %d: the delta was merged away", got)
@@ -613,4 +552,25 @@ func BenchmarkITreeIndexChurn(b *testing.B) {
 		}
 		idx.Match(pubs[i%len(pubs)])
 	}
+}
+
+// BenchmarkITreeIndexFanout is the fanout-1hop publish path: 20,000
+// narrow-mix subscriptions, each publication drawn inside one of them.
+// candidates/op is what the cell filter passes to the exact check.
+func BenchmarkITreeIndexFanout(b *testing.B) {
+	const n = 20_000
+	subs, pubs := narrowPopulation(b, n)
+	idx := NewITreeIndex()
+	for i, s := range subs {
+		idx.Add(ID(i), s)
+	}
+	idx.Match(pubs[0])
+	c0, h0 := idx.FilterCounts()
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		idx.Match(pubs[i%len(pubs)])
+	}
+	c1, h1 := idx.FilterCounts()
+	b.ReportMetric(float64(c1-c0)/float64(b.N), "candidates/op")
+	b.ReportMetric(float64(h1-h0)/float64(b.N), "hits/op")
 }

@@ -1,18 +1,14 @@
 // Package match implements publication-to-subscription matching, the
-// hot path of a content-based broker. Three matchers are provided:
+// hot path of a content-based broker. Two matchers are provided:
 //
 //   - BruteForce: O(k·m) linear scan, the correctness oracle.
-//   - CountingIndex: the counting algorithm of Yan & García-Molina
-//     (the paper's reference [18], the basis of "all existing
-//     deterministic algorithms"): each non-trivial predicate is indexed
-//     once; a publication match increments a per-subscription counter
-//     and a subscription fires when all its non-trivial predicates hit.
-//   - Per-attribute centered interval trees answer the stabbing queries
-//     in O(log k + out).
+//   - ITreeIndex: the broker's dynamic matcher. Per-attribute cell
+//     bitsets over the predicates' hulls filter the candidates, and each
+//     candidate is checked exactly, so its answers are BruteForce's.
+//     Churn lands in a small delta merged lazily into the bitset base.
 //
 // Algorithm 5 of the paper (two-phase matching against uncovered, then
-// covered subscriptions) is implemented in package store on top of
-// these matchers.
+// covered subscriptions) is implemented in package store.
 package match
 
 import (

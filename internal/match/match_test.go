@@ -2,6 +2,7 @@ package match
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -42,43 +43,20 @@ func TestBruteForceAddRemove(t *testing.T) {
 	}
 }
 
-func TestCountingIndexTrivialPredicates(t *testing.T) {
+// TestITreeIndexTrivialPredicates: a full-domain predicate spans its
+// attribute's hull and lands in the wild row, so it matches every
+// value the hull admits.
+func TestITreeIndexTrivialPredicates(t *testing.T) {
 	schema := subscription.UniformSchema(2, 0, 99)
-	everything := subscription.FullOver(schema)
-	constrained := subscription.New(interval.New(10, 20), schema.Domain(1))
-	idx, err := NewCountingIndex(schema, []ID{1, 2}, []subscription.Subscription{everything, constrained})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := idx.Match(subscription.NewPublication(15, 50))
-	if len(got) != 2 {
+	idx := NewITreeIndex()
+	idx.Add(1, subscription.FullOver(schema))
+	idx.Add(2, subscription.New(interval.New(10, 20), schema.Domain(1)))
+	merge(idx)
+	if got := idx.Match(subscription.NewPublication(15, 50)); len(got) != 2 {
 		t.Fatalf("Match = %v, want both", got)
 	}
-	got = idx.Match(subscription.NewPublication(50, 50))
-	if len(got) != 1 || got[0] != 1 {
+	if got := idx.Match(subscription.NewPublication(50, 50)); len(got) != 1 || got[0] != 1 {
 		t.Errorf("Match = %v, want only the unconstrained subscription", got)
-	}
-}
-
-func TestCountingIndexErrors(t *testing.T) {
-	schema := subscription.UniformSchema(2, 0, 99)
-	if _, err := NewCountingIndex(schema, []ID{1}, nil); err == nil {
-		t.Error("expected parallel-slice error")
-	}
-	bad := subscription.New(interval.New(0, 5))
-	if _, err := NewCountingIndex(schema, []ID{1}, []subscription.Subscription{bad}); err == nil {
-		t.Error("expected arity error")
-	}
-}
-
-func TestCountingIndexWrongArityPublication(t *testing.T) {
-	schema := subscription.UniformSchema(2, 0, 99)
-	idx, err := NewCountingIndex(schema, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := idx.Match(subscription.NewPublication(1)); got != nil {
-		t.Errorf("Match with wrong arity = %v, want nil", got)
 	}
 }
 
@@ -105,24 +83,20 @@ func genWorkload(r *rand.Rand, schema *subscription.Schema, k int) []subscriptio
 	return subs
 }
 
-func TestCountingIndexMatchesBruteForce(t *testing.T) {
+func TestITreeIndexMatchesBruteForce(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 120}
 	f := func(seed1, seed2 uint64) bool {
 		r := rand.New(rand.NewPCG(seed1, seed2))
 		m := 1 + r.IntN(4)
 		schema := subscription.UniformSchema(m, 0, 60)
 		k := 1 + r.IntN(40)
-		subs := genWorkload(r, schema, k)
-		ids := make([]ID, k)
+		idx := NewITreeIndex()
 		var brute BruteForce
-		for i := range subs {
-			ids[i] = ID(i + 1)
-			brute.Add(ids[i], subs[i])
+		for i, s := range genWorkload(r, schema, k) {
+			idx.Add(ID(i+1), s)
+			brute.Add(ID(i+1), s)
 		}
-		idx, err := NewCountingIndex(schema, ids, subs)
-		if err != nil {
-			return false
-		}
+		merge(idx)
 		for trial := 0; trial < 40; trial++ {
 			vals := make([]int64, m)
 			for a := range vals {
@@ -130,15 +104,9 @@ func TestCountingIndexMatchesBruteForce(t *testing.T) {
 			}
 			p := subscription.Publication{Values: vals}
 			want := brute.Match(p)
-			got := idx.Match(p)
-			if len(want) != len(got) {
+			if got := idx.Match(p); !slices.Equal(got, want) || idx.MatchAny(p) != (len(want) > 0) {
 				t.Logf("mismatch: got %v want %v for %v", got, want, p)
 				return false
-			}
-			for i := range want {
-				if want[i] != got[i] {
-					return false
-				}
 			}
 		}
 		return true
@@ -148,23 +116,29 @@ func TestCountingIndexMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestCountingIndexEpochReuse(t *testing.T) {
-	// Repeated Match calls must not leak counter state across calls.
-	schema := subscription.UniformSchema(2, 0, 9)
-	s := subscription.New(interval.New(0, 4), interval.New(0, 4))
-	idx, err := NewCountingIndex(schema, []ID{1}, []subscription.Subscription{s})
-	if err != nil {
-		t.Fatal(err)
+// TestITreeIndexScratchReuse: pooled scratch must not leak state
+// across calls, including from a bucket with more words to one with
+// fewer.
+func TestITreeIndexScratchReuse(t *testing.T) {
+	idx := NewITreeIndex()
+	idx.Add(1, subscription.New(interval.New(0, 4), interval.New(0, 4)))
+	idx.Add(2, subscription.New(interval.New(5, 9), interval.New(5, 9)))
+	for id := ID(10); id < 300; id++ {
+		idx.Add(id, subscription.New(interval.New(0, 9)))
 	}
+	merge(idx)
 	inside := subscription.NewPublication(2, 2)
-	half := subscription.NewPublication(2, 9) // only x1 predicate hits
+	half := subscription.NewPublication(2, 9) // only the x1 predicate hits
 	for i := 0; i < 100; i++ {
+		if got := idx.Match(subscription.NewPublication(3)); len(got) != 290 {
+			t.Fatalf("iteration %d: 1-D match found %d, want 290", i, len(got))
+		}
 		if got := idx.Match(half); len(got) != 0 {
 			t.Fatalf("iteration %d: half-matching publication matched: %v", i, got)
 		}
 	}
-	if got := idx.Match(inside); len(got) != 1 {
-		t.Fatalf("inside publication missed: %v", got)
+	if got := idx.Match(inside); !slices.Equal(got, []ID{1}) {
+		t.Fatalf("inside publication = %v, want [1]", got)
 	}
 }
 

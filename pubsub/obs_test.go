@@ -110,6 +110,8 @@ func TestTCPObservabilityEndToEnd(t *testing.T) {
 	for _, want := range []string{
 		"probsum_broker_pubs_received",
 		"probsum_broker_match_rebuilds",
+		"probsum_broker_match_candidates",
+		"probsum_broker_match_hits",
 		`probsum_link_frames_sent_total{link="B2",kind="publish"}`,
 		"probsum_publish_stage_match_ns_count",
 		"probsum_publish_stage_route_ns_count",
