@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,7 +40,9 @@ const (
 	MsgUnsubscribe
 	// MsgPublish carries a publication toward subscribers.
 	MsgPublish
-	// MsgNotify delivers a matched publication to a local client.
+	// MsgNotify delivers a matched publication to a local client under
+	// one subscription. No broker emits it: MsgNotifyBatch replaced it,
+	// and the kind keeps its wire grammar for codec measurements only.
 	MsgNotify
 	// MsgSubscribeBatch announces an ordered burst of subscriptions
 	// admitted into each per-neighbor coverage table as ONE batch call,
@@ -92,6 +93,12 @@ const (
 	MsgGossipDelta
 )
 
+// MsgNotifyBatch delivers a matched publication to a local client
+// once, naming in SubIDs (ascending) every subscription of that client
+// it matched. Kind 15 was the deleted route-announce and stays
+// unassigned.
+const MsgNotifyBatch MsgKind = 16
+
 // String returns the message kind name.
 func (k MsgKind) String() string {
 	switch k {
@@ -123,6 +130,8 @@ func (k MsgKind) String() string {
 		return "ping-req"
 	case MsgGossipDelta:
 		return "gossip-delta"
+	case MsgNotifyBatch:
+		return "notify-batch"
 	default:
 		return "unknown"
 	}
@@ -183,11 +192,13 @@ type Message struct {
 	// PubID uniquely identifies a publication for duplicate
 	// suppression on cyclic overlays.
 	PubID string
-	// Pub is the publication payload for MsgPublish / MsgNotify.
+	// Pub is the publication payload for MsgPublish / MsgNotify /
+	// MsgNotifyBatch.
 	Pub subscription.Publication
 	// Subs is the MsgSubscribeBatch payload, in arrival order.
 	Subs []BatchSub
-	// SubIDs is the MsgUnsubscribeBatch payload.
+	// SubIDs is the MsgUnsubscribeBatch payload, or the matched
+	// subscriptions of a MsgNotifyBatch in ascending order.
 	SubIDs []string
 	// Pubs is the MsgPublishBatch payload, in arrival order.
 	Pubs []BatchPub
@@ -1358,9 +1369,10 @@ func (b *Broker) handlePublish(from string, msg Message) ([]Outbound, error) {
 	}
 
 	var out []Outbound
-	// Deliver to local clients whose subscriptions match. The per-port
-	// matcher checks only its cell filter's candidates instead of
-	// scanning the port's reverse-path table linearly.
+	// Deliver to local clients whose subscriptions match: one frame per
+	// client, naming every matched subscription. The per-port matcher
+	// checks only its cell filter's candidates instead of scanning the
+	// port's reverse-path table linearly.
 	for _, c := range b.clients {
 		if c == from {
 			continue
@@ -1369,19 +1381,27 @@ func (b *Broker) handlePublish(from string, msg Message) ([]Outbound, error) {
 		if m == nil || m.Len() == 0 {
 			continue
 		}
-		for _, nid := range m.Match(msg.Pub) {
-			subID := b.idToSub[subsume.ID(nid)]
-			if subID == "" {
-				continue
-			}
-			b.metrics.notifications.Add(1)
-			out = append(out, Outbound{To: c, Msg: Message{
-				Kind:  MsgNotify,
-				SubID: subID,
-				PubID: msg.PubID,
-				Pub:   msg.Pub,
-			}})
+		hits := m.Match(msg.Pub)
+		if len(hits) == 0 {
+			continue
 		}
+		subIDs := make([]string, 0, len(hits))
+		for _, nid := range hits {
+			if subID := b.idToSub[subsume.ID(nid)]; subID != "" {
+				subIDs = append(subIDs, subID)
+			}
+		}
+		if len(subIDs) == 0 {
+			continue
+		}
+		slices.Sort(subIDs)
+		b.metrics.notifications.Add(int64(len(subIDs)))
+		out = append(out, Outbound{To: c, Msg: Message{
+			Kind:   MsgNotifyBatch,
+			PubID:  msg.PubID,
+			Pub:    msg.Pub,
+			SubIDs: subIDs,
+		}})
 	}
 	if po != nil {
 		t1 := po.Clock()
@@ -1389,7 +1409,8 @@ func (b *Broker) handlePublish(from string, msg Message) ([]Outbound, error) {
 		stageT0 = t1
 	}
 	// Reverse-path forwarding: send to every neighbor that announced a
-	// matching subscription.
+	// matching subscription. Clients and neighbors are each walked in
+	// sorted order, so the output is deterministic without a sort.
 	for _, n := range b.neighbors {
 		if n == from {
 			continue
@@ -1403,21 +1424,8 @@ func (b *Broker) handlePublish(from string, msg Message) ([]Outbound, error) {
 			out = append(out, Outbound{To: n, Msg: msg})
 		}
 	}
-	sortOutbound(out)
 	if po != nil {
 		po.Route.Observe(po.Clock().Sub(stageT0))
 	}
 	return out, nil
-}
-
-// sortOutbound orders messages deterministically (by destination, then
-// subscription ID) so simulation runs are reproducible regardless of
-// map iteration order.
-func sortOutbound(out []Outbound) {
-	slices.SortFunc(out, func(a, b Outbound) int {
-		if c := strings.Compare(a.To, b.To); c != 0 {
-			return c
-		}
-		return strings.Compare(a.Msg.SubID, b.Msg.SubID)
-	})
 }

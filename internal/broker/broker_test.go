@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"probsum/internal/interval"
@@ -145,8 +146,8 @@ func TestPublishReversePath(t *testing.T) {
 		switch {
 		case o.To == "N1" && o.Msg.Kind == MsgPublish:
 			toN1++
-		case o.To == "C1" && o.Msg.Kind == MsgNotify:
-			toC1++
+		case o.To == "C1" && o.Msg.Kind == MsgNotifyBatch:
+			toC1 += len(o.Msg.SubIDs)
 		default:
 			t.Errorf("unexpected outbound %+v", o)
 		}
@@ -239,8 +240,10 @@ func TestUnsubscribeTriggersPromotionForwarding(t *testing.T) {
 
 func TestHandleErrors(t *testing.T) {
 	b := newBroker(t, store.PolicyNone)
-	if _, err := b.Handle("x", Message{Kind: MsgNotify}); err == nil {
-		t.Error("notify accepted by broker")
+	for _, k := range []MsgKind{MsgNotify, MsgNotifyBatch} {
+		if _, err := b.Handle("x", Message{Kind: k}); err == nil {
+			t.Errorf("%v accepted by broker", k)
+		}
 	}
 	if _, err := b.Handle("x", Message{Kind: MsgSubscribe}); err == nil {
 		t.Error("subscribe without id accepted")
@@ -256,6 +259,8 @@ func TestMsgKindString(t *testing.T) {
 		MsgUnsubscribe: "unsubscribe",
 		MsgPublish:     "publish",
 		MsgNotify:      "notify",
+		MsgNotifyBatch: "notify-batch",
+		MsgKind(15):    "unknown",
 		MsgKind(42):    "unknown",
 	} {
 		if got := k.String(); got != want {
@@ -330,10 +335,17 @@ func TestPublishItreeMatchesLinearReference(t *testing.T) {
 			}
 			gotNotify := map[string]bool{}
 			gotForward := map[string]bool{}
+			batches := map[string]bool{} // one notify-batch per client
 			for _, o := range out {
 				switch o.Msg.Kind {
-				case MsgNotify:
-					gotNotify[o.To+"/"+o.Msg.SubID] = true
+				case MsgNotifyBatch:
+					if batches[o.To] || !slices.IsSorted(o.Msg.SubIDs) {
+						t.Fatalf("step %d: second or unsorted notify-batch to %s: %v", step, o.To, o.Msg.SubIDs)
+					}
+					batches[o.To] = true
+					for _, subID := range o.Msg.SubIDs {
+						gotNotify[o.To+"/"+subID] = true
+					}
 				case MsgPublish:
 					gotForward[o.To] = true
 				default:

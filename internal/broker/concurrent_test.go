@@ -64,8 +64,8 @@ func TestConcurrentPublish(t *testing.T) {
 					return
 				}
 				for _, o := range outs {
-					if o.Msg.Kind == MsgNotify && o.To == "C0" {
-						notified.Add(1)
+					if o.Msg.Kind == MsgNotifyBatch && o.To == "C0" {
+						notified.Add(int64(len(o.Msg.SubIDs)))
 					}
 				}
 			}

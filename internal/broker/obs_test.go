@@ -107,6 +107,44 @@ func TestPublishObserverZeroAlloc(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestPublishAllocsFlatInFanout pins the batched notification path:
+// a client holding 5 or 40 matching subscriptions gets one frame per
+// publication either way, so Handle allocates the same number of
+// times regardless of fan-out.
+func TestPublishAllocsFlatInFanout(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	const runs = 500
+	ids := make([]string, runs+10)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("pub-%06d", i)
+	}
+	measure := func(fanout int) float64 {
+		b := newBroker(t, store.PolicyNone)
+		b.AttachClient("S")
+		for i := 0; i < fanout; i++ {
+			if _, err := b.Handle("S", Message{Kind: MsgSubscribe, SubID: fmt.Sprintf("s%02d", i), Sub: box(0, 100, 0, 100)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		return testing.AllocsPerRun(runs, func() {
+			out, err := b.Handle("P", Message{Kind: MsgPublish, PubID: ids[i], Pub: subscription.NewPublication(5, 5)})
+			i++
+			if err != nil || len(out) != 1 || len(out[0].Msg.SubIDs) != fanout {
+				t.Fatalf("publish: %d outbound, err %v; want one frame naming %d subscriptions", len(out), err, fanout)
+			}
+		})
+	}
+	if few, many := measure(5), measure(40); few != many {
+		t.Fatalf("Handle allocates %.2f times at fan-out 5 but %.2f at fan-out 40", few, many)
+	}
+}
+
 // TestMetricsSnapshotTornFree hammers every counter from concurrent
 // writers while snapshotting and Add-ing; under -race this pins that
 // counters.snapshot and Metrics.Add are data-race free, and it checks

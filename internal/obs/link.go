@@ -11,7 +11,7 @@ package obs
 import "sync/atomic"
 
 // linkKindSlots bounds the per-kind arrays. MsgKind currently tops
-// out at 14 (MsgGossipDelta); 24 leaves room to grow.
+// out at 16 (MsgNotifyBatch); 24 leaves room to grow.
 const linkKindSlots = 24
 
 // LinkStats counts frames by wire kind for one link.

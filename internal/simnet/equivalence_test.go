@@ -104,7 +104,9 @@ func runScript(t *testing.T, topoSeed uint64, policy store.Policy, sc randomScri
 	for _, c := range clients {
 		set := make(map[string]bool)
 		for _, m := range n.Delivered(c) {
-			set[m.PubID+"|"+m.SubID] = true
+			for _, subID := range m.SubIDs {
+				set[m.PubID+"|"+subID] = true
+			}
 		}
 		out[c] = set
 	}

@@ -67,7 +67,8 @@ type Network struct {
 	queue    []item
 	head     int
 
-	// delivered records notify messages per client, in arrival order.
+	// delivered records the messages sent to each client (notify-batch
+	// frames), in arrival order.
 	delivered map[string][]broker.Message
 
 	dropRate  float64
@@ -367,7 +368,7 @@ func (n *Network) Inject(fromBroker string, o broker.Outbound) {
 // mailbox or onto the link toward a neighbor broker (with optional
 // failure injection).
 func (n *Network) route(fromBroker string, o broker.Outbound) {
-	if o.Msg.Kind == broker.MsgNotify {
+	if o.Msg.Kind == broker.MsgNotifyBatch {
 		n.delivered[o.To] = append(n.delivered[o.To], o.Msg)
 		return
 	}
@@ -407,7 +408,9 @@ func (n *Network) route(fromBroker string, o broker.Outbound) {
 	}
 }
 
-// Delivered returns the notifications received by a client, in order.
+// Delivered returns the messages received by a client, in order: one
+// notify-batch per matched publication, naming the client's matched
+// subscriptions in SubIDs.
 func (n *Network) Delivered(client string) []broker.Message {
 	msgs := n.delivered[client]
 	out := make([]broker.Message, len(msgs))

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"probsum/internal/broker"
@@ -158,7 +159,7 @@ func TestChainPropagationAndGroupCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := n.Delivered("sub2")
-	if len(got) != 1 || got[0].SubID != "mid" {
+	if len(got) != 1 || !slices.Equal(got[0].SubIDs, []string{"mid"}) {
 		t.Errorf("sub2 deliveries = %+v, want one notification for mid", got)
 	}
 }

@@ -342,8 +342,11 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	for _, id := range r.ids {
 		set := make(map[string]bool)
 		for _, m := range r.net.Delivered("c-" + id) {
-			if m.Kind == broker.MsgNotify {
-				set[m.SubID+"/"+m.PubID] = true
+			if m.Kind != broker.MsgNotifyBatch {
+				continue
+			}
+			for _, subID := range m.SubIDs {
+				set[subID+"/"+m.PubID] = true
 			}
 		}
 		r.report.Deliveries["c-"+id] = set

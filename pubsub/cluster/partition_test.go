@@ -129,8 +129,11 @@ func (sc *simCluster) publish(client, pubID string, v int64) {
 func (sc *simCluster) deliveredSet(client string, pubIDs map[string]bool) map[string]bool {
 	out := make(map[string]bool)
 	for _, m := range sc.net.Delivered(client) {
-		if m.Kind == broker.MsgNotify && pubIDs[m.PubID] {
-			out[fmt.Sprintf("%s/%s", m.SubID, m.PubID)] = true
+		if m.Kind != broker.MsgNotifyBatch || !pubIDs[m.PubID] {
+			continue
+		}
+		for _, subID := range m.SubIDs {
+			out[fmt.Sprintf("%s/%s", subID, m.PubID)] = true
 		}
 	}
 	return out

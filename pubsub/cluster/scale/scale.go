@@ -181,10 +181,12 @@ func (h *harness) deliver() {
 		h.framesByKind[f.msg.Kind.String()]++
 		i, ok := h.index[f.to]
 		if !ok {
-			// A client port: record the notification and stop routing.
-			if f.msg.Kind == broker.MsgNotify {
-				h.deliveries++
-				h.deliveryHash ^= hash64(f.to + "|" + f.msg.SubID + "|" + f.msg.PubID)
+			// A client port: record the notifications and stop routing.
+			if f.msg.Kind == broker.MsgNotifyBatch {
+				for _, subID := range f.msg.SubIDs {
+					h.deliveries++
+					h.deliveryHash ^= hash64(f.to + "|" + subID + "|" + f.msg.PubID)
+				}
 			}
 			continue
 		}

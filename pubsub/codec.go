@@ -18,6 +18,7 @@ package pubsub
 //	  unsubscribe        subID
 //	  publish            pubID, publication
 //	  notify             subID, pubID, publication
+//	  notify-batch       pubID, publication, uvarint n ≥ 1, then n × subID
 //	  subscribe-batch    uvarint n, then n × (subID, subscription)
 //	  unsubscribe-batch  uvarint n, then n × subID
 //	  publish-batch      uvarint n, then n × (pubID, publication)
@@ -36,10 +37,15 @@ package pubsub
 //
 // A header whose first byte is not the magic, or whose version byte is
 // not binVersion, is a decode error like any other corrupt frame: the
-// connection closes. The next protocol change bumps that one byte.
+// connection closes. Changing an existing kind's grammar bumps that one
+// byte; adding a kind does not, because a build that predates it
+// rejects the kind byte like any unknown one. No broker emits notify
+// since notify-batch was added; its grammar stays for codec
+// measurements.
 //
-// Encoding appends into pooled buffers and writes each frame with one
-// Write call; decoding parses in place from the connection's read
+// Encoding appends into pooled buffers — a port writer gathers every
+// frame already queued into one of them and writes it with one call;
+// decoding parses in place from the connection's read
 // buffer — the payload is never copied into an intermediate frame,
 // only the fields that outlive it (strings, bounds, values) are
 // materialized.
@@ -159,6 +165,16 @@ func appendBinaryMessage(buf []byte, m *broker.Message) ([]byte, error) {
 		buf = appendString(buf, m.SubID)
 		buf = appendString(buf, m.PubID)
 		buf = appendPublication(buf, m.Pub)
+	case broker.MsgNotifyBatch:
+		if len(m.SubIDs) == 0 {
+			return buf, fmt.Errorf("pubsub: notify-batch without subscription IDs")
+		}
+		buf = appendString(buf, m.PubID)
+		buf = appendPublication(buf, m.Pub)
+		buf = binary.AppendUvarint(buf, uint64(len(m.SubIDs)))
+		for _, id := range m.SubIDs {
+			buf = appendString(buf, id)
+		}
 	case broker.MsgSubscribeBatch:
 		buf = binary.AppendUvarint(buf, uint64(len(m.Subs)))
 		for _, it := range m.Subs {
@@ -332,6 +348,19 @@ func decodeBinaryMessage(payload []byte) (*broker.Message, error) {
 		msg.SubID = d.string()
 		msg.PubID = d.string()
 		msg.Pub = d.publication()
+	case broker.MsgNotifyBatch:
+		msg.PubID = d.string()
+		msg.Pub = d.publication()
+		n := d.count(1)
+		if d.err == nil && n == 0 {
+			d.fail("notify-batch without subscription IDs")
+		}
+		if d.err == nil {
+			msg.SubIDs = make([]string, n)
+			for i := range msg.SubIDs {
+				msg.SubIDs[i] = d.string()
+			}
+		}
 	case broker.MsgSubscribeBatch:
 		// Every item needs at least 2 bytes, bounding the count by the
 		// remaining payload before allocating.

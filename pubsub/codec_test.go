@@ -3,6 +3,7 @@ package pubsub
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -22,6 +23,7 @@ func codecTestFrames() []Frame {
 		{Msg: &broker.Message{Kind: broker.MsgUnsubscribe, SubID: "alice/1"}},
 		{Msg: &broker.Message{Kind: broker.MsgPublish, PubID: "p-1", Pub: pub}},
 		{Msg: &broker.Message{Kind: broker.MsgNotify, SubID: "alice/1", PubID: "p-1", Pub: pub}},
+		{Msg: &broker.Message{Kind: broker.MsgNotifyBatch, PubID: "p-1", Pub: pub, SubIDs: []string{"alice/1", "alice/2"}}},
 		{Msg: &broker.Message{Kind: broker.MsgSubscribeBatch, Subs: []broker.BatchSub{
 			{SubID: "b/1", Sub: sub},
 			{SubID: "b/2", Sub: sub2},
@@ -121,6 +123,34 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCodecNotifyBatchRoundTrip carries one publication with 1, 2 and
+// 40 matched subscription IDs through the codec, order intact, and
+// refuses to encode a batch that names none.
+func TestCodecNotifyBatchRoundTrip(t *testing.T) {
+	pub := subscription.NewPublication(7, -3, 1<<40)
+	for _, n := range []int{1, 2, 40} {
+		ids := make([]string, n)
+		for i := range ids {
+			ids[i] = fmt.Sprintf("client/%02d", i)
+		}
+		in := broker.Message{Kind: broker.MsgNotifyBatch, PubID: "p-9", Pub: pub, SubIDs: ids}
+		data, err := MarshalFrame(CodecBinary5, nil, &Frame{Msg: &in})
+		if err != nil {
+			t.Fatalf("n=%d: marshal: %v", n, err)
+		}
+		got, used, err := UnmarshalFrame(data)
+		if err != nil || used != len(data) {
+			t.Fatalf("n=%d: unmarshal consumed %d of %d bytes, err %v", n, used, len(data), err)
+		}
+		if canonMsg(t, got.Msg) != canonMsg(t, &in) {
+			t.Fatalf("n=%d: round trip:\n in  %s\n out %s", n, canonMsg(t, &in), canonMsg(t, got.Msg))
+		}
+	}
+	if _, err := MarshalFrame(CodecBinary5, nil, &Frame{Msg: &broker.Message{Kind: broker.MsgNotifyBatch, PubID: "p"}}); err == nil {
+		t.Fatal("marshal of a notify-batch without IDs succeeded")
+	}
+}
+
 // handshakeTestFrames is one hello of each shape and an ack.
 func handshakeTestFrames() []Frame {
 	return []Frame{
@@ -188,6 +218,13 @@ func TestCodecDecodeRejects(t *testing.T) {
 		"nameless ack":      {binMagic, binVersion, 3, 0, 0, 0, kindAck, 0, 0},
 		"zero delta hash":   {binMagic, binVersion, 10, 0, 0, 0, byte(broker.MsgGossipDelta), 0, 0, 0, 0, 0, 0, 0, 0, 0},
 		"bad pingreq flags": {binMagic, binVersion, 2, 0, 0, 0, byte(broker.MsgPingReq), 2},
+		// A notify-batch (pubID "p", publication (0), then the ID list)
+		// names at least one subscription, and every ID it counts.
+		"notify-batch count 0":       {binMagic, binVersion, 6, 0, 0, 0, byte(broker.MsgNotifyBatch), 1, 'p', 1, 0, 0},
+		"notify-batch count > bytes": {binMagic, binVersion, 8, 0, 0, 0, byte(broker.MsgNotifyBatch), 1, 'p', 1, 0, 3, 1, 'a'},
+		"notify-batch one ID short":  {binMagic, binVersion, 8, 0, 0, 0, byte(broker.MsgNotifyBatch), 1, 'p', 1, 0, 2, 1, 'a'},
+		"notify-batch truncated ID":  {binMagic, binVersion, 9, 0, 0, 0, byte(broker.MsgNotifyBatch), 1, 'p', 1, 0, 1, 3, 'a', 'b'},
+		"notify-batch without IDs":   {binMagic, binVersion, 5, 0, 0, 0, byte(broker.MsgNotifyBatch), 1, 'p', 1, 0},
 		// Kind 15 was the deleted route-announce: a payload that parsed
 		// as one (target, one item) is now an unknown kind.
 		"deleted kind 15": {binMagic, binVersion, 10, 0, 0, 0, 15, 2, 'B', '3', 1, 1, 's', 1, 0, 0},
@@ -196,6 +233,12 @@ func TestCodecDecodeRejects(t *testing.T) {
 		if _, _, err := UnmarshalFrame(data); err == nil {
 			t.Errorf("%s: decode succeeded", name)
 		}
+	}
+	// The notify-batch cases fail on their ID lists: the same prefix
+	// with one whole ID decodes.
+	one := []byte{binMagic, binVersion, 8, 0, 0, 0, byte(broker.MsgNotifyBatch), 1, 'p', 1, 0, 1, 1, 'a'}
+	if fr, _, err := UnmarshalFrame(one); err != nil || len(fr.Msg.SubIDs) != 1 || fr.Msg.SubIDs[0] != "a" {
+		t.Errorf("one-ID notify-batch: %+v, %v", fr.Msg, err)
 	}
 }
 

@@ -55,8 +55,10 @@ func populate(t *testing.T, b *broker.Broker) {
 func notifySet(outs []broker.Outbound) map[string]bool {
 	set := make(map[string]bool)
 	for _, o := range outs {
-		if o.Msg.Kind == broker.MsgNotify {
-			set[o.To+"/"+o.Msg.SubID] = true
+		if o.Msg.Kind == broker.MsgNotifyBatch {
+			for _, subID := range o.Msg.SubIDs {
+				set[o.To+"/"+subID] = true
+			}
 		}
 	}
 	return set

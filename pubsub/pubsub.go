@@ -110,11 +110,27 @@ type BatchSub = broker.BatchSub
 type BatchPub = broker.BatchPub
 
 // Notification is a delivered publication together with the matched
-// subscription ID.
+// subscription ID. A broker sends a publication to a client once,
+// naming every subscription of the client it matched; the
+// notifications expanded from that one frame share the publication's
+// Values slice, so treat it as read-only.
 type Notification struct {
 	SubID string
 	PubID string
 	Pub   Publication
+}
+
+// appendNotifications expands a notify-batch message into one
+// Notification per matched subscription, in the frame's order, and
+// appends them to ns; any other kind appends nothing.
+func appendNotifications(ns []Notification, m *broker.Message) []Notification {
+	if m.Kind != broker.MsgNotifyBatch {
+		return ns
+	}
+	for _, id := range m.SubIDs {
+		ns = append(ns, Notification{SubID: id, PubID: m.PubID, Pub: m.Pub})
+	}
+	return ns
 }
 
 // Metrics aggregates broker activity counters.
@@ -250,13 +266,9 @@ func (n *Network) Publish(client, pubID string, p Publication) error {
 // Notifications returns (and leaves in place) the notifications a
 // client has received, in order.
 func (n *Network) Notifications(client string) []Notification {
-	msgs := n.inner.Delivered(client)
-	out := make([]Notification, 0, len(msgs))
-	for _, m := range msgs {
-		if m.Kind != broker.MsgNotify {
-			continue
-		}
-		out = append(out, Notification{SubID: m.SubID, PubID: m.PubID, Pub: m.Pub})
+	var out []Notification
+	for _, m := range n.inner.Delivered(client) {
+		out = appendNotifications(out, &m)
 	}
 	return out
 }

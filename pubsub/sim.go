@@ -214,14 +214,14 @@ func (sc *simClient) send(ctx context.Context, msg broker.Message) error {
 func (sc *simClient) close() error { return nil }
 
 // drainLocked pushes every not-yet-consumed delivery onto its client's
-// notification queue. Caller holds t.mu.
+// notification queue, one frame at a time. Caller holds t.mu.
 func (t *SimTransport) drainLocked() {
+	var ns []Notification
 	for _, sc := range t.clients {
 		msgs := t.net.Delivered(sc.name)
 		for _, m := range msgs[sc.consumed:] {
-			if m.Kind == broker.MsgNotify {
-				sc.c.q.push(Notification{SubID: m.SubID, PubID: m.PubID, Pub: m.Pub})
-			}
+			ns = appendNotifications(ns[:0], &m)
+			sc.c.q.pushAll(ns)
 		}
 		sc.consumed = len(msgs)
 	}

@@ -39,7 +39,8 @@ package pubsub
 //   - one WRITER goroutine per outbound port encodes frames from a
 //     buffered queue into pooled buffers, so a slow or stalled peer
 //     never blocks matching and concurrent publishes never interleave
-//     frame bytes.
+//     frame bytes. Whatever is already queued when it wakes goes out
+//     in the same write (up to maxWriteBatch bytes).
 //   - Shutdown stops readers at a frame boundary, waits for in-flight
 //     handling, then closes the writer queues so every already-queued
 //     frame drains before the connections close.
@@ -173,12 +174,54 @@ func writeFrame(conn net.Conn, fr *Frame) error {
 	return err
 }
 
-// write sends one queued message, timing the encode+write stage.
-func (p *tcpPort) write(msg *broker.Message) error {
+// maxWriteBatch bounds the bytes a port writer gathers from its queue
+// before it writes; the frame that crosses it is the last one taken.
+const maxWriteBatch = 64 << 10
+
+// writeQueued encodes first and then every message already waiting in
+// the queue, without blocking, into one pooled buffer until the buffer
+// passes maxWriteBatch, and writes them with one call. It reports
+// whether the queue is still open: a queue closed mid-drain still gets
+// what was gathered written. An encode error still writes the frames
+// before it, then returns that error. The encode+write stage is timed
+// once and split evenly over the frames it carried.
+func (p *tcpPort) writeQueued(first *broker.Message) (open bool, err error) {
 	t0 := p.clock()
-	err := writeFrame(p.conn, &Frame{Msg: msg})
-	p.writeHist.Observe(p.clock().Sub(t0))
-	return err
+	buf := getEncBuf()
+	defer putEncBuf(buf)
+	frames := 0
+	data, err := MarshalFrame(CodecBinary5, (*buf)[:0], &Frame{Msg: first})
+	if err == nil {
+		frames++
+	}
+	open = true
+drain:
+	for err == nil && len(data) < maxWriteBatch {
+		select {
+		case msg, ok := <-p.ch:
+			if !ok {
+				open = false
+				break drain
+			}
+			// A failed encode leaves data as it was.
+			if data, err = MarshalFrame(CodecBinary5, data, &Frame{Msg: &msg}); err == nil {
+				frames++
+			}
+		default:
+			break drain
+		}
+	}
+	*buf = data[:0]
+	if frames > 0 {
+		if _, werr := p.conn.Write(data); werr != nil {
+			err = werr
+		}
+		share := p.clock().Sub(t0) / time.Duration(frames)
+		for range frames {
+			p.writeHist.Observe(share)
+		}
+	}
+	return open, err
 }
 
 // kill marks the port dead: senders stop enqueueing and the writer
@@ -338,9 +381,10 @@ func (s *tcpServer) addPort(name string, conn net.Conn, replace, peer bool) (*tc
 	return p, nil
 }
 
-// runWriter drains one port's queue onto its connection. A closed
-// queue (graceful shutdown) is drained to the last frame; a killed
-// port (replacement, encode error, hard close) exits immediately.
+// runWriter drains one port's queue onto its connection, one write per
+// run of queued frames (writeQueued). A closed queue (graceful
+// shutdown) is drained to the last frame; a killed port (replacement,
+// encode error, hard close) exits immediately.
 func (s *tcpServer) runWriter(p *tcpPort) {
 	defer s.writerWg.Done()
 	defer p.conn.Close()
@@ -352,7 +396,8 @@ func (s *tcpServer) runWriter(p *tcpPort) {
 			if !ok {
 				return
 			}
-			if err := p.write(&msg); err != nil {
+			open, err := p.writeQueued(&msg)
+			if err != nil {
 				// The destination vanished; message loss on broken links
 				// is the lossy-environment behavior the protocol already
 				// tolerates. A lost peer link is surfaced to the cluster
@@ -361,6 +406,9 @@ func (s *tcpServer) runWriter(p *tcpPort) {
 				if p.peer {
 					s.firePeerDown(p.name)
 				}
+				return
+			}
+			if !open {
 				return
 			}
 		}
@@ -1217,13 +1265,17 @@ func (c *tcpClient) send(ctx context.Context, msg broker.Message) error {
 	return nil
 }
 
-// readNotifications feeds pushed notifications into the queue until
-// the connection closes.
+// readNotifications feeds pushed notifications into the queue, one
+// frame at a time, until the connection closes.
 func readNotifications(r *frameReader, q *notifyQueue) {
-	var fr Frame
+	var (
+		fr Frame
+		ns []Notification
+	)
 	for r.read(&fr) == nil {
-		if fr.Msg != nil && fr.Msg.Kind == broker.MsgNotify {
-			q.push(Notification{SubID: fr.Msg.SubID, PubID: fr.Msg.PubID, Pub: fr.Msg.Pub})
+		if fr.Msg != nil {
+			ns = appendNotifications(ns[:0], fr.Msg)
+			q.pushAll(ns)
 		}
 	}
 	q.finish()

@@ -1,12 +1,18 @@
 package pubsub
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"probsum/internal/broker"
 	"probsum/internal/interval"
+	"probsum/internal/obs"
 	"probsum/internal/subscription"
 )
 
@@ -327,4 +333,165 @@ func TestTCPServeHardShutdown(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("hard shutdown took %v", elapsed)
 	}
+}
+
+// TestTCPNotifyOneFramePerPublication: a client holding three matching
+// subscriptions gets one notify-batch frame per publication, expanded
+// into one notification per subscription in subscription-ID order.
+func TestTCPNotifyOneFramePerPublication(t *testing.T) {
+	b := listenTestBroker(t, "B1", Flood)
+	ctx := testCtx(t)
+	sub := dialTest(t, b.Addr(), "alice")
+	pub := dialTest(t, b.Addr(), "bob")
+
+	for _, id := range []string{"s3", "s1", "s2"} {
+		if err := sub.Subscribe(ctx, id, box(0, 100, 0, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitMetric(t, b, 2*time.Second, func(m Metrics) bool { return m.SubsReceived == 3 })
+	const pubs = 10
+	for i := 0; i < pubs; i++ {
+		if err := pub.Publish(ctx, fmt.Sprintf("p%d", i), subscription.NewPublication(50, 50)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < pubs; i++ {
+		for _, subID := range []string{"s1", "s2", "s3"} {
+			n, ok := recvOne(t, sub, 2*time.Second)
+			if !ok {
+				t.Fatalf("notification %s/p%d did not arrive", subID, i)
+			}
+			if want := fmt.Sprintf("p%d", i); n.SubID != subID || n.PubID != want {
+				t.Fatalf("got %s/%s, want %s/%s", n.SubID, n.PubID, subID, want)
+			}
+		}
+	}
+	j := b.Observability().JSON()
+	if got := j.Links["alice"].Sent["notify-batch"]; got != pubs {
+		t.Errorf("notify-batch frames sent to alice = %d, want %d (links %+v)", got, pubs, j.Links)
+	}
+	if got := j.Counters["broker_notifications"]; got != 3*pubs {
+		t.Errorf("broker_notifications = %d, want %d", got, 3*pubs)
+	}
+}
+
+// gatedConn records what a port writer writes and holds the first
+// Write until released, so a test can fill the queue behind it.
+type gatedConn struct {
+	net.Conn // unused methods panic
+	entered  chan struct{}
+	release  chan struct{}
+
+	mu     sync.Mutex
+	writes int
+	data   bytes.Buffer
+}
+
+func newGatedConn() *gatedConn {
+	return &gatedConn{entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (c *gatedConn) Write(b []byte) (int, error) {
+	c.mu.Lock()
+	c.writes++
+	first := c.writes == 1
+	c.data.Write(b)
+	c.mu.Unlock()
+	if first {
+		close(c.entered)
+		<-c.release
+	}
+	return len(b), nil
+}
+
+func (c *gatedConn) Close() error { return nil }
+
+// frames decodes everything written, in order.
+func (c *gatedConn) frames(t *testing.T) []*broker.Message {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []*broker.Message
+	for data := c.data.Bytes(); len(data) > 0; {
+		fr, n, err := UnmarshalFrame(data)
+		if err != nil {
+			t.Fatalf("decoding frame %d: %v", len(out), err)
+		}
+		out = append(out, fr.Msg)
+		data = data[n:]
+	}
+	return out
+}
+
+// TestTCPWriterCoalescesQueuedFrames pins the port writer's drain: the
+// frames queued while a write is in flight go out together in as few
+// writes as the byte bound allows, in FIFO order. A queue closed
+// mid-drain still delivers its tail; an unencodable message lets the
+// frames before it out and then kills the port.
+func TestTCPWriterCoalescesQueuedFrames(t *testing.T) {
+	// ~1 KiB per frame, so 99 queued frames cross maxWriteBatch once.
+	pad := strings.Repeat("x", 1000)
+	msg := func(i int) broker.Message {
+		return broker.Message{Kind: broker.MsgPublish, PubID: fmt.Sprintf("p%03d-%s", i, pad), Pub: subscription.NewPublication(int64(i))}
+	}
+	start := func(conn net.Conn) (*tcpServer, *tcpPort) {
+		s := &tcpServer{}
+		p := &tcpPort{name: "c", conn: conn, ch: make(chan broker.Message, 128), dead: make(chan struct{}),
+			writeHist: obs.NewHistogram(), clock: time.Now}
+		s.writerWg.Add(1)
+		go s.runWriter(p)
+		return s, p
+	}
+	checkOrder := func(t *testing.T, got []*broker.Message, n int) {
+		t.Helper()
+		if len(got) != n {
+			t.Fatalf("decoded %d frames, want %d", len(got), n)
+		}
+		for i, m := range got {
+			if m.PubID != msg(i).PubID {
+				t.Fatalf("frame %d is %.4s, want p%03d", i, m.PubID, i)
+			}
+		}
+	}
+
+	t.Run("closed mid-drain", func(t *testing.T) {
+		conn := newGatedConn()
+		s, p := start(conn)
+		p.ch <- msg(0)
+		<-conn.entered
+		const total = 100
+		for i := 1; i < total; i++ {
+			p.ch <- msg(i)
+		}
+		close(p.ch) // graceful shutdown while the first write is in flight
+		close(conn.release)
+		s.writerWg.Wait()
+		checkOrder(t, conn.frames(t), total)
+		// One write for the first frame, then 99 KiB in two writes.
+		if conn.writes != 3 {
+			t.Errorf("%d writes for %d frames, want 3", conn.writes, total)
+		}
+		if c := p.writeHist.Snapshot().Count; c != total {
+			t.Errorf("write stage observed %d times, want once per frame (%d)", c, total)
+		}
+	})
+
+	t.Run("encode error", func(t *testing.T) {
+		conn := newGatedConn()
+		s, p := start(conn)
+		p.ch <- msg(0)
+		<-conn.entered
+		for i := 1; i < 5; i++ {
+			p.ch <- msg(i)
+		}
+		p.ch <- broker.Message{Kind: broker.MsgKind(99)}
+		p.ch <- msg(5)
+		close(conn.release)
+		s.writerWg.Wait()
+		checkOrder(t, conn.frames(t), 5)
+		if p.alive() {
+			t.Error("port survived an encode error")
+		}
+	})
 }

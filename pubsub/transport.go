@@ -378,20 +378,27 @@ func newNotifyQueue() *notifyQueue {
 	return q
 }
 
-// push appends one notification; a finished queue drops it.
-func (q *notifyQueue) push(n Notification) {
+// pushAll appends one frame's notifications, which share one
+// publication, under one lock and one wake-up; a finished queue drops
+// them. The copy is the queue's own, so callers may reuse ns.
+func (q *notifyQueue) pushAll(ns []Notification) {
+	if len(ns) == 0 {
+		return
+	}
 	q.mu.Lock()
 	cs := q.stats
 	if !q.finished {
-		q.buf = append(q.buf, n)
+		q.buf = append(q.buf, ns...)
 		q.cond.Signal()
 	}
 	q.mu.Unlock()
 	if cs != nil {
 		// Latency is measured at ARRIVAL (the transport handed the
-		// notification over), not at consumption from the channel — a
-		// slow reader must not inflate broker latency figures.
-		cs.observeDelivery(n.PubID)
+		// frame over), not at consumption from the channel — a slow
+		// reader must not inflate broker latency figures. One
+		// observation per frame: the first delivery of a publication
+		// resolves its stamp.
+		cs.observeDelivery(ns[0].PubID)
 	}
 }
 
