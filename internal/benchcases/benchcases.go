@@ -269,9 +269,10 @@ func StoreSubscribe(b *testing.B, policy store.Policy, pruning bool) {
 }
 
 // StoreSubscribeDense is StoreSubscribe under the group policy on the
-// narrow mix at the production trial cap: the dense regime, where the
-// candidate index sheds nothing and the arrival's cost is the
-// checker's.
+// narrow mix at the production trial cap: the dense regime, where an
+// arrival meets about a thousand active rows, the candidate index hands
+// the checker the one in eight that intersect it, and the arrival's
+// cost is the checker's.
 func StoreSubscribeDense(b *testing.B) {
 	storeSubscribe(b, workload.NarrowComparisonConfig(6), store.PolicyGroup, true)
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -11,12 +12,12 @@ import (
 	"probsum/internal/workload"
 )
 
-// subscribeStream builds a deterministic arrival sequence with enough
-// overlap for coverage decisions to fire both ways.
-func subscribeStream(t *testing.T, seed1, seed2 uint64, n, m int) []subscription.Subscription {
+// subscribeStream builds a deterministic arrival sequence of the given
+// comparison mix.
+func subscribeStream(t *testing.T, seed1, seed2 uint64, n int, cfg workload.ComparisonConfig) []subscription.Subscription {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed1, seed2))
-	stream, err := workload.NewComparisonStream(rng, workload.DefaultComparisonConfig(m))
+	stream, err := workload.NewComparisonStream(rng, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,17 +28,29 @@ func subscribeStream(t *testing.T, seed1, seed2 uint64, n, m int) []subscription
 	return subs
 }
 
+// equivalenceMixes are the arrival mixes the pruned store is compared
+// on: the paper's Section 6.4 mix, with enough overlap for coverage
+// decisions to fire both ways, and the narrow mix psbench admits, where
+// every arrival meets hundreds of active rows but intersects only some.
+var equivalenceMixes = []struct {
+	name string
+	cfg  workload.ComparisonConfig
+}{
+	{"paper", workload.DefaultComparisonConfig(6)},
+	{"narrow", workload.NarrowComparisonConfig(6)},
+}
+
 // driveEquivalence feeds the same subscribe/unsubscribe sequence to a
 // pruned and an unpruned store and requires identical observable
 // behavior after every operation: statuses, coverers, demotions,
 // promotions, and the active ID set.
-func driveEquivalence(t *testing.T, mkStore func() *Store) {
+func driveEquivalence(t *testing.T, cfg workload.ComparisonConfig, mkStore func() *Store) {
 	t.Helper()
 	pruned := mkStore()
 	full := mkStore()
 	WithCandidatePruning(false)(full)
 
-	subs := subscribeStream(t, 41, 42, 400, 6)
+	subs := subscribeStream(t, 41, 42, 400, cfg)
 	rng := rand.New(rand.NewPCG(43, 44))
 	live := make([]ID, 0, len(subs))
 	for i, s := range subs {
@@ -87,87 +100,356 @@ func driveEquivalence(t *testing.T, mkStore func() *Store) {
 	if pruned.ActiveLen() == pruned.Len() {
 		t.Fatal("no subscription was ever covered; workload lost its teeth")
 	}
+	p, f := pruned.CheckerStats(), full.CheckerStats()
+	if p.Calls > 0 && p.CandidateRows >= f.CandidateRows {
+		t.Fatalf("pruning handed the checker %d rows over %d calls, the full set %d: nothing was pruned",
+			p.CandidateRows, p.Calls, f.CandidateRows)
+	}
 }
 
 func TestPrunedEquivalencePairwise(t *testing.T) {
-	driveEquivalence(t, func() *Store {
-		st, err := New(PolicyPairwise, WithReversePrune(true))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	})
+	for _, mix := range equivalenceMixes {
+		t.Run(mix.name, func(t *testing.T) {
+			driveEquivalence(t, mix.cfg, func() *Store {
+				st, err := New(PolicyPairwise, WithReversePrune(true))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st
+			})
+		})
+	}
 }
 
 func TestPrunedEquivalenceGroup(t *testing.T) {
-	driveEquivalence(t, func() *Store {
-		checker, err := core.NewChecker(core.WithSeed(51, 52))
-		if err != nil {
-			t.Fatal(err)
+	for _, mix := range equivalenceMixes {
+		t.Run(mix.name, func(t *testing.T) {
+			driveEquivalence(t, mix.cfg, func() *Store {
+				checker, err := core.NewChecker(core.WithSeed(51, 52))
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := New(PolicyGroup, WithChecker(checker), WithReversePrune(true))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st
+			})
+		})
+	}
+}
+
+// requireExactCandidates fails unless the candidates for probe are
+// exactly the active rows whose boxes intersect it — and, for the
+// pairwise decision, exactly those containing it — in ascending ID
+// order.
+func requireExactCandidates(t *testing.T, st *Store, probe subscription.Subscription) {
+	t.Helper()
+	for _, cover := range []bool{false, true} {
+		gotIDs, gotSubs := st.candidates(probe, cover)
+		var wantIDs []ID
+		var wantSubs []subscription.Subscription
+		for p, id := range st.activeIDs {
+			row := st.activeSubs[p]
+			if cover && row.Covers(probe) || !cover && row.Intersects(probe) {
+				wantIDs = append(wantIDs, id)
+				wantSubs = append(wantSubs, row)
+			}
 		}
-		st, err := New(PolicyGroup, WithChecker(checker), WithReversePrune(true))
-		if err != nil {
-			t.Fatal(err)
+		if !slices.Equal(gotIDs, wantIDs) {
+			t.Fatalf("candidates (cover %v) for %v: got %v, want %v (active %v)", cover, probe, gotIDs, wantIDs, st.activeIDs)
 		}
-		return st
-	})
+		for p := range gotSubs {
+			if !gotSubs[p].Equal(wantSubs[p]) {
+				t.Fatalf("candidates (cover %v) for %v: row %d is %v, want %v", cover, probe, gotIDs[p], gotSubs[p], wantSubs[p])
+			}
+		}
+	}
 }
 
 // TestCandidateIndexConsistency churns a store and cross-checks the
 // candidate set against a brute-force scan of the active set after
-// every operation: candidates must be exactly the active rows whose
-// boxes intersect the probe.
+// every operation.
 func TestCandidateIndexConsistency(t *testing.T) {
-	st, err := New(PolicyPairwise, WithReversePrune(true))
+	for _, mix := range equivalenceMixes {
+		t.Run(mix.name, func(t *testing.T) {
+			st, err := New(PolicyPairwise, WithReversePrune(true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			subs := subscribeStream(t, 61, 62, 300, mix.cfg)
+			probes := subscribeStream(t, 63, 64, 50, mix.cfg)
+			rng := rand.New(rand.NewPCG(65, 66))
+			var live []ID
+			for i, s := range subs {
+				id := ID(i)
+				if _, err := st.Subscribe(id, s); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, id)
+				if i%4 == 3 && len(live) > 0 {
+					j := rng.IntN(len(live))
+					victim := live[j]
+					live = slices.Delete(live, j, j+1)
+					if _, err := st.Unsubscribe(victim); err != nil {
+						t.Fatal(err)
+					}
+				}
+				requireExactCandidates(t, st, probes[i%len(probes)])
+			}
+		})
+	}
+}
+
+// boxN builds a subscription from (lo, hi) pairs.
+func boxN(bounds ...int64) subscription.Subscription {
+	s := subscription.Subscription{Bounds: make([]interval.Interval, len(bounds)/2)}
+	for a := range s.Bounds {
+		s.Bounds[a] = interval.New(bounds[2*a], bounds[2*a+1])
+	}
+	return s
+}
+
+// TestCandidateIndexEdges drives the index through the cases a steady
+// population never reaches — rows outside the grid hull, reused slots,
+// a drained store repopulated under another attribute count, bounds at
+// the int64 limits — and requires exact candidates after each step.
+// Under PolicyNone every subscription is active, so each Subscribe is
+// one activation.
+func TestCandidateIndexEdges(t *testing.T) {
+	const lo, hi = math.MinInt64, math.MaxInt64
+	type step struct {
+		sub   subscription.Subscription // subscribed under the next ID when set
+		unsub []ID
+	}
+	grid := func(n int, m int) []step {
+		var steps []step
+		for i := 0; i < n; i++ {
+			b := make([]int64, 0, 2*m)
+			for a := 0; a < m; a++ {
+				v := int64((i*37 + a*11) % 1000)
+				b = append(b, v, v+int64(i%50))
+			}
+			steps = append(steps, step{sub: boxN(b...)})
+		}
+		return steps
+	}
+	ids := func(from, to, stride int) []ID {
+		var out []ID
+		for i := from; i < to; i += stride {
+			out = append(out, ID(i))
+		}
+		return out
+	}
+	cases := []struct {
+		name   string
+		steps  []step
+		probes []subscription.Subscription
+	}{{
+		name: "outside the hull after the population",
+		steps: append(grid(200, 2),
+			step{sub: boxN(1100, 1500, 0, 10)},    // within 2× the hull: clamped to the edge cell
+			step{sub: boxN(-400, -300, 990, 999)}, // clamped on the low edge
+			step{sub: boxN(90_000, 90_001, 5, 5)}, // far outside: re-cuts the grid
+		),
+		probes: []subscription.Subscription{
+			boxN(1200, 1300, 0, 2000), boxN(999, 1100, 0, 0), boxN(-350, -350, 995, 995),
+			boxN(-250, 1050, 0, 2000), // contains the first grid, yet misses both clamped rows
+			boxN(2000, 80_000, 0, 999), boxN(90_001, 95_000, 0, 5), boxN(lo, hi, 5, 5), boxN(0, 0, 0, 0),
+		},
+	}, {
+		name: "slot reuse after churn",
+		steps: append(append(append(grid(150, 3),
+			step{unsub: ids(0, 150, 3)}),
+			grid(60, 3)...),
+			step{unsub: ids(1, 150, 2)},
+			step{sub: boxN(0, 999, 0, 999, 500, 500)},
+		),
+		probes: []subscription.Subscription{
+			boxN(0, 100, 0, 100, 0, 100), boxN(400, 600, 0, 999, 500, 500), boxN(0, 999, 0, 999, 0, 999), boxN(999, 999, 999, 999, 999, 999),
+		},
+	}, {
+		name: "drain and repopulate under another arity",
+		steps: append(append(append(grid(80, 2),
+			step{unsub: ids(0, 80, 1)}),
+			grid(70, 4)...),
+			step{sub: boxN(0, 5, 0, 5)}, // mixed arity: the full set until it leaves
+			step{unsub: []ID{150}},
+		),
+		probes: []subscription.Subscription{
+			boxN(100, 200, 0, 999, 0, 999, 300, 301), boxN(0, 0, 0, 0, 0, 0, 0, 0), boxN(5000, 6000, 0, 999, 0, 999, 0, 999),
+		},
+	}, {
+		name: "bounds at the int64 limits",
+		steps: []step{
+			{sub: boxN(lo, hi, 0, 0)},
+			{sub: boxN(lo, lo, lo, hi)},
+			{sub: boxN(hi, hi, hi, hi)},
+			{sub: boxN(-1, 1, lo, -1)},
+			{sub: boxN(lo+1, hi-1, 0, hi)},
+			{sub: boxN(0, hi, lo, 0)},
+		},
+		probes: []subscription.Subscription{
+			boxN(lo, lo, 0, 0), boxN(hi, hi, hi, hi), boxN(lo, hi, lo, hi), boxN(0, 0, 1, 1),
+			boxN(hi-1, hi, lo, lo), boxN(lo, lo+1, hi, hi), boxN(-1, -1, -1, -1),
+		},
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := New(PolicyNone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next, peak := ID(0), 0
+			for i, s := range tc.steps {
+				if s.sub.Bounds != nil {
+					if _, err := st.Subscribe(next, s.sub); err != nil {
+						t.Fatal(err)
+					}
+					next++
+				}
+				peak = max(peak, st.ActiveLen())
+				for _, id := range s.unsub {
+					if _, err := st.Unsubscribe(id); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if len(st.idx.slots) > peak {
+					t.Fatalf("step %d: %d slots for at most %d active rows: freed slots are not reused", i, len(st.idx.slots), peak)
+				}
+				for _, p := range tc.probes {
+					if st.mismatched > 0 || p.Len() != st.idx.m {
+						// Pruning is off: the decision sees the full set.
+						if got, _ := st.candidates(p, false); !slices.Equal(got, st.activeIDs) {
+							t.Fatalf("step %d: candidates %v, want the full active set %v", i, got, st.activeIDs)
+						}
+						continue
+					}
+					requireExactCandidates(t, st, p)
+				}
+			}
+		})
+	}
+}
+
+// TestCandidateIndexRecut pins when the grid is re-cut: a row lying
+// outside the grid but within twice its width is clamped to an edge
+// cell, and one that stretches the hull past twice the grid's width
+// re-cuts the grid over the hull of every row indexed.
+func TestCandidateIndexRecut(t *testing.T) {
+	st, err := New(PolicyNone)
 	if err != nil {
 		t.Fatal(err)
 	}
-	subs := subscribeStream(t, 61, 62, 300, 5)
-	probes := subscribeStream(t, 63, 64, 50, 5)
-	rng := rand.New(rand.NewPCG(65, 66))
-	var live []ID
-	for i, s := range subs {
-		id := ID(i)
-		if _, err := st.Subscribe(id, s); err != nil {
+	subscribe := func(id ID, lo, hi int64) {
+		t.Helper()
+		if _, err := st.Subscribe(id, boxN(lo, hi)); err != nil {
 			t.Fatal(err)
 		}
-		live = append(live, id)
-		if i%4 == 3 && len(live) > 0 {
-			j := rng.IntN(len(live))
-			victim := live[j]
-			live = slices.Delete(live, j, j+1)
-			if _, err := st.Unsubscribe(victim); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		probe := probes[i%len(probes)]
-		gotIDs, gotSubs := st.candidates(probe)
-		var want []ID
-		for p, aid := range st.activeIDs {
-			if st.activeSubs[p].Intersects(probe) {
-				want = append(want, aid)
-			}
-		}
-		// Soundness: every active row intersecting the probe must be a
-		// candidate (dropping one could flip a coverage answer), and
-		// every candidate must be active. Exact equality is not
-		// required — the index legitimately hands back the full active
-		// set when pruning would not pay off.
-		for _, id := range want {
-			if !slices.Contains(gotIDs, id) {
-				t.Fatalf("op %d: intersecting row %d missing from candidates %v", i, id, gotIDs)
-			}
-		}
-		for p, id := range gotIDs {
-			if !slices.Contains(st.activeIDs, id) {
-				t.Fatalf("op %d: candidate %d is not active", i, id)
-			}
-			if !st.nodes[id].sub.Equal(gotSubs[p]) {
-				t.Fatalf("op %d: candidate sub mismatch at %d", i, p)
-			}
-		}
 	}
+	subscribe(0, 0, 999)
+	for i := int64(1); i < 100; i++ {
+		subscribe(ID(i), 10*i, 10*i+9)
+	}
+	if got, want := st.idx.grid[0], interval.New(0, 999); got != want {
+		t.Fatalf("grid %v after the population, want %v", got, want)
+	}
+	subscribe(100, 1000, 1998) // hull [0, 1998]: exactly twice the grid's width
+	if got, want := st.idx.grid[0], interval.New(0, 999); got != want {
+		t.Fatalf("grid %v after a row within twice its width, want it unchanged at %v", got, want)
+	}
+	subscribe(101, -1, -1) // hull [-1, 1998]: past twice the width
+	if got, want := st.idx.grid[0], interval.New(-1, 1998); got != want {
+		t.Fatalf("grid %v after the hull outgrew it, want %v", got, want)
+	}
+	requireExactCandidates(t, st, boxN(995, 1000))
+}
+
+// fuzzExtremes are the bound values a fuzz byte below len(fuzzExtremes)
+// selects; every other byte is a small signed value.
+var fuzzExtremes = []int64{
+	math.MinInt64, math.MinInt64 + 1, -1 << 40, -1 << 20,
+	1 << 20, 1 << 40, math.MaxInt64 - 1, math.MaxInt64,
+}
+
+// FuzzCandidateIndex decodes the input into subscribe, unsubscribe and
+// probe steps over one attribute count and, at every probe, requires
+// the candidates to equal a brute-force scan of the active set.
+//
+// Byte 0 picks the attribute count m (1–3). Each step is an opcode byte
+// and its operands: opcode%4 of 0 or 1 subscribes the next ID (negated
+// for 1, so IDs do not arrive in order) with m (lo, hi) byte pairs; 2
+// unsubscribes the live ID the next byte selects; 3 probes with m byte
+// pairs.
+func FuzzCandidateIndex(f *testing.F) {
+	f.Add([]byte{1, 0, 20, 30, 40, 50, 1, 25, 35, 0, 0, 3, 22, 28, 45, 45, 2, 0, 3, 22, 28, 45, 45})
+	f.Add([]byte{0, 0, 0, 7, 0, 3, 3, 1, 6, 7, 3, 0, 0, 3, 7, 7, 2, 1, 3, 100, 120})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		m := 1 + int(data[0]%3)
+		data = data[1:]
+		st, err := New(PolicyNone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nextBox := func() (subscription.Subscription, bool) {
+			if len(data) < 2*m {
+				return subscription.Subscription{}, false
+			}
+			s := subscription.Subscription{Bounds: make([]interval.Interval, m)}
+			for a := range s.Bounds {
+				x, y := fuzzBound(data[2*a]), fuzzBound(data[2*a+1])
+				s.Bounds[a] = interval.New(min(x, y), max(x, y))
+			}
+			data = data[2*m:]
+			return s, true
+		}
+		var live []ID
+		for n := ID(1); len(data) > 0; n++ {
+			op := data[0] % 4
+			data = data[1:]
+			switch op {
+			case 0, 1:
+				s, ok := nextBox()
+				if !ok {
+					return
+				}
+				id := n
+				if op == 1 {
+					id = -n
+				}
+				if _, err := st.Subscribe(id, s); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, id)
+			case 2:
+				if len(live) == 0 || len(data) == 0 {
+					continue
+				}
+				j := int(data[0]) % len(live)
+				data = data[1:]
+				if _, err := st.Unsubscribe(live[j]); err != nil {
+					t.Fatal(err)
+				}
+				live = slices.Delete(live, j, j+1)
+			case 3:
+				s, ok := nextBox()
+				if !ok {
+					return
+				}
+				requireExactCandidates(t, st, s)
+			}
+		}
+	})
+}
+
+func fuzzBound(b byte) int64 {
+	if int(b) < len(fuzzExtremes) {
+		return fuzzExtremes[b]
+	}
+	return int64(int8(b))
 }
 
 // TestGroupPrunedSoundness checks pruned group decisions against the

@@ -9,7 +9,6 @@
 package store
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -80,6 +79,7 @@ type node struct {
 	status   Status
 	coverers map[ID]struct{} // nodes whose union covers this one
 	children map[ID]struct{} // nodes listing this one as coverer
+	slot     int32           // position in the candidate index while active
 }
 
 // SubscribeResult reports what Subscribe did.
@@ -167,7 +167,7 @@ func WithReversePrune(enabled bool) Option {
 	return func(st *Store) { st.reversePrune = enabled }
 }
 
-// WithCandidatePruning toggles the per-attribute candidate index that
+// WithCandidatePruning toggles the cell-bitset candidate index that
 // restricts coverage checks to active subscriptions intersecting the
 // arriving one (default on). Disabling it hands the full active set to
 // the coverage decision, as the pre-index implementation did; the
@@ -180,8 +180,8 @@ func WithCandidatePruning(enabled bool) Option {
 // concurrent use; brokers own one store each and serialize access.
 //
 // The active set is maintained incrementally: activeIDs/activeSubs are
-// kept sorted by ID across every status change, and the per-attribute
-// candidate index (see index.go) stays in lockstep, so Subscribe never
+// kept sorted by ID across every status change, and the cell-bitset
+// candidate index (see cells.go) stays in lockstep, so Subscribe never
 // rescans or re-sorts the whole set.
 type Store struct {
 	policy       Policy
@@ -191,14 +191,13 @@ type Store struct {
 	nodes        map[ID]*node
 	activeIDs    []ID // sorted; parallel cache of active set
 	activeSubs   []subscription.Subscription
-	idx          attrIndex
+	idx          cellIndex
 	mismatched   int // active subscriptions disagreeing with idx.m; pruning off while > 0
 
 	// Reusable hot-path buffers.
-	candNodes []*node
-	candIDs   []ID
-	candSubs  []subscription.Subscription
-	checkRes  core.Result
+	candIDs  []ID
+	candSubs []subscription.Subscription
+	checkRes core.Result
 
 	stats CheckerStats
 }
@@ -261,38 +260,23 @@ func (st *Store) deactivate(n *node) {
 		st.mismatched--
 	}
 	if len(st.activeIDs) == 0 {
-		st.idx = attrIndex{}
+		st.idx = cellIndex{}
 		st.mismatched = 0
 	}
 }
 
 // candidates returns the IDs and subscriptions the coverage decision
-// for s must consider: with pruning, the active rows whose boxes
-// intersect s (sorted by ID); otherwise — or when the index reports
-// that pruning cannot shed at least half the set — the full active
-// set. The returned slices are store-owned scratch, valid until the
-// next call.
-func (st *Store) candidates(s subscription.Subscription) ([]ID, []subscription.Subscription) {
+// for s must consider: with pruning, exactly the active rows whose boxes
+// intersect s — or, with cover set, contain s — sorted by ID; without
+// it, or while the active set or s disagrees with the index's attribute
+// count, the full active set. The returned slices are store-owned
+// scratch, valid until the next call.
+func (st *Store) candidates(s subscription.Subscription, cover bool) ([]ID, []subscription.Subscription) {
 	if !st.pruning || st.mismatched > 0 || len(st.activeIDs) == 0 || s.Len() != st.idx.m {
 		return st.activeIDs, st.activeSubs
 	}
-	cand, ok := st.idx.overlapCandidates(s, st.candNodes[:0])
-	st.candNodes = cand
-	if !ok {
-		return st.activeIDs, st.activeSubs
-	}
-	// Only the surviving candidates get sorted — the 1-D shortlist was
-	// already filtered down to true intersections by the index.
-	slices.SortFunc(cand, func(a, b *node) int { return cmp.Compare(a.id, b.id) })
-	ids := st.candIDs[:0]
-	subs := st.candSubs[:0]
-	for _, n := range cand {
-		ids = append(ids, n.id)
-		subs = append(subs, n.sub)
-	}
-	st.candIDs = ids
-	st.candSubs = subs
-	return ids, subs
+	st.candIDs, st.candSubs = st.idx.query(s, cover, st.candIDs[:0], st.candSubs[:0])
+	return st.candIDs, st.candSubs
 }
 
 // ActiveIDs returns the sorted IDs of the active set.
@@ -328,21 +312,22 @@ func (st *Store) Get(id ID) (subscription.Subscription, Status, bool) {
 }
 
 // decideCoverage classifies s against the current active set. With
-// pruning enabled only the candidate rows intersecting s are handed to
-// the pairwise scan or the probabilistic checker — sound, because a
-// subscription disjoint from s contributes nothing to any cover of s.
+// pruning enabled the pairwise scan sees only the rows containing s and
+// the probabilistic checker only the rows intersecting s — sound,
+// because a pairwise coverer contains s and a subscription disjoint
+// from s contributes nothing to any cover of s.
 func (st *Store) decideCoverage(s subscription.Subscription) (Status, []ID, core.Result, error) {
 	switch st.policy {
 	case PolicyNone:
 		return StatusActive, nil, core.Result{}, nil
 	case PolicyPairwise:
-		ids, subs := st.candidates(s)
+		ids, subs := st.candidates(s, true)
 		if i := pairwise.CoveredBySingle(s, subs); i >= 0 {
 			return StatusCovered, []ID{ids[i]}, core.Result{}, nil
 		}
 		return StatusActive, nil, core.Result{}, nil
 	default: // PolicyGroup
-		ids, subs := st.candidates(s)
+		ids, subs := st.candidates(s, false)
 		if err := st.checker.CoveredInto(&st.checkRes, s, subs); err != nil {
 			return 0, nil, core.Result{}, err
 		}
@@ -443,7 +428,7 @@ func (st *Store) Subscribe(id ID, s subscription.Subscription) (SubscribeResult,
 // in it, hence intersects it, so the candidate index narrows the scan.
 func (st *Store) demoteCoveredBy(n *node) []ID {
 	var demoted []ID
-	ids, subs := st.candidates(n.sub)
+	ids, subs := st.candidates(n.sub, false)
 	for i, id := range ids {
 		if id == n.id {
 			continue

@@ -119,7 +119,6 @@ type TableOption func(*tableConfig)
 type tableConfig struct {
 	copts        []core.Option
 	reversePrune bool
-	pruning      bool
 }
 
 // WithTableChecker appends checker options (WithErrorProbability,
@@ -132,12 +131,6 @@ func WithTableChecker(opts ...Option) TableOption {
 // that an arrival covers (the Section 4.4 multi-level forest).
 func WithTableReversePrune(enabled bool) TableOption {
 	return func(c *tableConfig) { c.reversePrune = enabled }
-}
-
-// WithTableCandidatePruning toggles the store's per-attribute
-// candidate index (default on).
-func WithTableCandidatePruning(enabled bool) TableOption {
-	return func(c *tableConfig) { c.pruning = enabled }
 }
 
 // Table is a maintained coverage table, safe for concurrent callers:
@@ -162,14 +155,11 @@ func NewTable(policy Policy, opts ...TableOption) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := tableConfig{pruning: true}
+	var cfg tableConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	sopts := []store.Option{
-		store.WithReversePrune(cfg.reversePrune),
-		store.WithCandidatePruning(cfg.pruning),
-	}
+	sopts := []store.Option{store.WithReversePrune(cfg.reversePrune)}
 	if policy == Group {
 		checker, err := core.NewChecker(cfg.copts...)
 		if err != nil {
