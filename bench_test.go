@@ -389,10 +389,13 @@ func BenchmarkStoreSubscribeSparse(b *testing.B) {
 // versus through SubscribeBatch (which re-sorts by volume inside one
 // critical section, so parents admit first and children take the
 // pairwise fast path). The acceptance target is batch ≥ 2x per-item
-// on this workload.
+// on this workload. "dense" is one 100-subscription batch of the
+// narrow mix into a table holding 1500, the admission psbench's
+// admit-churn measures.
 func BenchmarkTableSubscribeBatch(b *testing.B) {
 	b.Run("peritem", func(b *testing.B) { benchcases.TableSubscribeBatch(b, false) })
 	b.Run("batch", func(b *testing.B) { benchcases.TableSubscribeBatch(b, true) })
+	b.Run("dense", benchcases.TableSubscribeBatchDense)
 }
 
 // BenchmarkTableUnsubscribeBatch measures a cancellation burst — the

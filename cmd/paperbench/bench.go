@@ -129,6 +129,7 @@ func microBenchmarks() []struct {
 		{"TableSubscribeBatch/batch", func(b *testing.B) {
 			benchcases.TableSubscribeBatch(b, true)
 		}},
+		{"TableSubscribeBatch/dense", benchcases.TableSubscribeBatchDense},
 		{"TableUnsubscribeBatch/peritem", func(b *testing.B) {
 			benchcases.TableUnsubscribeBatch(b, false)
 		}},

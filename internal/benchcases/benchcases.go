@@ -181,6 +181,61 @@ func TableSubscribeBatch(b *testing.B, batch bool) {
 	}
 }
 
+// TableSubscribeBatchDense is burst admission on the narrow mix, the
+// regime psbench's admit-churn drives: a Group table at the production
+// trial cap holds 1500 subscriptions admitted in batches of 100, and
+// each iteration admits one more batch of 100 through SubscribeBatch.
+// The batch is withdrawn again outside the timing, so every iteration
+// meets the same table.
+func TableSubscribeBatchDense(b *testing.B) {
+	const base, batch = 1500, 100
+	rng := rand.New(rand.NewPCG(31, 32))
+	stream, err := workload.NewComparisonStream(rng, workload.NarrowComparisonConfig(6))
+	if err != nil {
+		b.Fatal(err)
+	}
+	tbl, err := subsume.NewTable(subsume.Group, subsume.WithTableChecker(subsume.WithSeed(43, 44)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	next := subsume.ID(0)
+	burst := func() ([]subsume.ID, []subsume.Subscription) {
+		ids := make([]subsume.ID, batch)
+		subs := make([]subsume.Subscription, batch)
+		for i := range ids {
+			next++
+			ids[i], subs[i] = next, stream.Next()
+		}
+		return ids, subs
+	}
+	for n := 0; n < base; n += batch {
+		if _, err := tbl.SubscribeBatch(burst()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	probes := make([][]subsume.Subscription, 8)
+	for i := range probes {
+		_, probes[i] = burst()
+	}
+	ids := make([]subsume.ID, batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range ids {
+			next++
+			ids[j] = next
+		}
+		if _, err := tbl.SubscribeBatch(ids, probes[i%len(probes)]); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if _, err := tbl.UnsubscribeBatch(ids); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
 // UnsubBurst builds the cancellation-burst workload: 32 overlapping
 // "tile" parents (stride 300, width 600 on attribute x1, unbounded
 // elsewhere) and 480 children straddling tile boundaries, so each

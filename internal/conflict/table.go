@@ -255,21 +255,38 @@ func (t *Table) SortedRowCondition(alive []bool) bool {
 }
 
 // SortedRowConditionScratch is SortedRowCondition writing its working
-// set into sc instead of allocating.
+// set into sc instead of allocating. It runs in O(k+m) without
+// sorting: the j-th smallest count falls below j for some j iff some
+// value c has more than c counts at or below it, so a histogram of the
+// counts over [0, 2m] decides it. With k > 2m rows it is false at
+// once, since the k-th smallest count is at most 2m < k.
 func (t *Table) SortedRowConditionScratch(alive []bool, sc *Scratch) bool {
-	counts := sc.counts[:0]
-	for i, n := range t.ti {
-		if alive == nil || alive[i] {
-			counts = append(counts, n)
+	k := len(t.ti)
+	if alive != nil {
+		k = 0
+		for _, ok := range alive[:len(t.ti)] {
+			if ok {
+				k++
+			}
 		}
 	}
-	sc.counts = counts
-	if len(counts) == 0 {
+	if k == 0 {
 		return true // vacuously: an empty set cannot cover a non-empty s
 	}
-	slices.Sort(counts)
-	for j, n := range counts {
-		if n < j+1 {
+	if k > 2*t.m {
+		return false
+	}
+	hist := slices.Grow(sc.counts[:0], 2*t.m+1)[:2*t.m+1]
+	clear(hist)
+	sc.counts = hist
+	for i, n := range t.ti {
+		if alive == nil || alive[i] {
+			hist[n]++
+		}
+	}
+	atOrBelow := 0
+	for c, n := range hist {
+		if atOrBelow += n; atOrBelow > c {
 			return false
 		}
 	}

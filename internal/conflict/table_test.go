@@ -2,6 +2,7 @@ package conflict
 
 import (
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -366,6 +367,55 @@ func TestGreedyWitnessSoundness(t *testing.T) {
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSortedRowConditionHistogram pins the histogram test of Corollary
+// 3 to the paper's statement — sort the counts, require the j-th
+// smallest to be at least j — on random count vectors, with k on both
+// sides of 2m and alive masks.
+func TestSortedRowConditionHistogram(t *testing.T) {
+	bySort := func(counts []int) bool {
+		sorted := slices.Sorted(slices.Values(counts))
+		for j, n := range sorted {
+			if n < j+1 {
+				return false
+			}
+		}
+		return true
+	}
+	r := rand.New(rand.NewPCG(81, 82))
+	var sc Scratch
+	held := 0
+	for i := 0; i < 20000; i++ {
+		m := 1 + r.IntN(5)
+		k := []int{2 * m, 2*m + 1, 1 + r.IntN(3*m)}[i%3]
+		tbl := &Table{m: m, ti: make([]int, k)}
+		for j := range tbl.ti {
+			// Skew toward high counts so the condition holds often.
+			tbl.ti[j] = 2*m - r.IntN(1+r.IntN(2*m+1))
+		}
+		var alive []bool
+		live := tbl.ti
+		if i%4 == 3 {
+			alive = make([]bool, k)
+			live = nil
+			for j := range alive {
+				if alive[j] = r.IntN(3) > 0; alive[j] {
+					live = append(live, tbl.ti[j])
+				}
+			}
+		}
+		want := bySort(live)
+		if got := tbl.SortedRowConditionScratch(alive, &sc); got != want {
+			t.Fatalf("m=%d counts %v alive %v: histogram says %v, sort says %v", m, tbl.ti, alive, got, want)
+		}
+		if want {
+			held++
+		}
+	}
+	if held < 1000 {
+		t.Fatalf("the condition held only %d times: the vectors lost their teeth", held)
 	}
 }
 

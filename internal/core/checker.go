@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -96,6 +97,13 @@ type scratch struct {
 	point []int64
 	flat  flatSet
 	resid residual
+
+	// For keyed input the table is built over sorted, the set permuted
+	// into key order: sorted[p] is set[perm[p]]. aliveBySet is MCS's
+	// survivor mask mapped back to positions in the set.
+	perm       []int
+	sorted     []subscription.Subscription
+	aliveBySet []bool
 }
 
 // NewChecker returns a Checker with the paper's defaults: δ = 1e-6,
@@ -128,18 +136,24 @@ func (c *Checker) Delta() float64 { return c.delta }
 // Covered decides whether s ⊑ (set[0] ∨ … ∨ set[k-1]) following
 // Algorithm 4:
 //
-//  1. build the conflict table (O(m·k));
-//  2. Corollary 1 — a fully undefined row means a single subscription
-//     covers s: definite YES;
+//  1. one pass over the set (O(m·k)) checks attribute counts, drops
+//     the rows disjoint from s and sizes the rest;
+//  2. Corollary 1 — a row containing s, i.e. a fully undefined row of
+//     the conflict table, means a single subscription covers s:
+//     definite YES, read off the pass;
 //  3. Corollary 3 — if the sorted-row condition holds, greedily build
-//     and verify a polyhedron witness: definite NO;
+//     and verify a polyhedron witness: definite NO. The condition
+//     needs the j-th smallest row count to be at least j, and a row
+//     has at most 2m defined entries, so for k > 2m it cannot hold
+//     and the conflict table is not built;
 //  4. residual stage (not in the paper) — subtract the rows from s
 //     depth-first, at most MaxTrials fragment-vs-row tests: nothing
 //     left is a definite YES with the rows that did the cutting as the
 //     cover, a fragment outside every row is a definite NO; an
 //     exhausted bound decides nothing and the pipeline continues;
-//  5. Algorithm 3 — reduce to the minimized cover set S'; if S' is
-//     empty: definite NO;
+//  5. Algorithm 3 — build the conflict table if step 3 did not, and
+//     reduce to the minimized cover set S'; if S' is empty: definite
+//     NO;
 //  6. Algorithms 2+1 — estimate ρw on S', derive the trial bound d for
 //     δ, cap it at MaxTrials, and run RSPC: a point witness is a
 //     definite NO, otherwise a probabilistic YES.
@@ -161,6 +175,20 @@ func (c *Checker) Covered(s subscription.Subscription, set []subscription.Subscr
 // res is overwritten entirely; any slices previously returned from it
 // (ReducedSet in particular) are invalidated by the next call.
 func (c *Checker) CoveredInto(res *Result, s subscription.Subscription, set []subscription.Subscription) error {
+	return c.CoveredIntoKeyed(res, s, set, nil)
+}
+
+// CoveredIntoKeyed is CoveredInto for a set in no particular order:
+// keys[i] is set[i]'s sort key, and keys is as long as set (nil keys
+// make it CoveredInto). Every decision, witness, cost figure and
+// random draw is what CoveredInto gives for the set sorted by
+// ascending key (equal keys in set order), with CoveringRow and
+// ReducedSet mapped back to positions in set; ReducedSet stays in
+// ascending position order. A caller that orders its rows by key only
+// to check them, as the store does by ID, hands them over unsorted
+// instead: the checker orders its flat layout by key anyway, and only
+// the rare path that builds the conflict table permutes the set.
+func (c *Checker) CoveredIntoKeyed(res *Result, s subscription.Subscription, set []subscription.Subscription, keys []int64) error {
 	if !s.IsSatisfiable() {
 		return ErrUnsatisfiable
 	}
@@ -171,39 +199,46 @@ func (c *Checker) CoveredInto(res *Result, s subscription.Subscription, set []su
 		return nil
 	}
 
-	table := &c.sc.table
-	if err := table.Reset(s, set); err != nil {
+	flat := &c.sc.flat
+	cover, err := flat.scan(s, set, keys, c.useFast)
+	if err != nil {
 		return err
 	}
-
+	var table *conflict.Table // built on first need: the rare path
 	if c.useFast {
-		if row := table.PairwiseCoverRow(); row >= 0 {
+		if cover >= 0 {
 			res.Decision = Covered
 			res.Reason = ReasonPairwiseCover
-			res.CoveringRow = row
+			res.CoveringRow = cover
 			return nil
 		}
-		if table.SortedRowConditionScratch(nil, &c.sc.cs) {
-			if witness, ok := table.GreedyWitnessScratch(nil, &c.sc.cs); ok {
-				res.Decision = NotCovered
-				res.Reason = ReasonPolyhedronWitness
-				res.PolyhedronWitness = witness
-				return nil
+		if len(set) <= 2*s.Len() {
+			if table, err = c.buildTable(s, set, keys); err != nil {
+				return err
+			}
+			if table.SortedRowConditionScratch(nil, &c.sc.cs) {
+				if witness, ok := table.GreedyWitnessScratch(nil, &c.sc.cs); ok {
+					res.Decision = NotCovered
+					res.Reason = ReasonPolyhedronWitness
+					res.PolyhedronWitness = witness
+					return nil
+				}
 			}
 		}
 	}
 
+	flat.sortRows()
 	if c.useResidual {
-		c.sc.flat.build(s, set, nil)
-		verdict, tests := c.sc.resid.subtract(&c.sc.flat, c.maxTrials)
+		flat.fill(set, nil)
+		verdict, tests := c.sc.resid.subtract(flat, c.maxTrials)
 		res.ResidualTests = tests
 		switch {
 		case verdict == residualCovered:
 			res.Decision = Covered
 			res.Reason = ReasonResidualCover
-			res.ReducedSet = c.sc.resid.appendUsed(res.ReducedSet, &c.sc.flat)
+			res.ReducedSet = c.sc.resid.appendUsed(res.ReducedSet, flat)
 			return nil
-		case verdict == residualWitness && !c.sc.flat.contains(c.sc.resid.curLo):
+		case verdict == residualWitness && !flat.contains(c.sc.resid.curLo):
 			res.Decision = NotCovered
 			res.Reason = ReasonPointWitness
 			res.PointWitness = slices.Clone(c.sc.resid.curLo)
@@ -211,19 +246,21 @@ func (c *Checker) CoveredInto(res *Result, s subscription.Subscription, set []su
 		}
 	}
 
+	if table == nil {
+		if table, err = c.buildTable(s, set, keys); err != nil {
+			return err
+		}
+	}
 	var alive []bool
 	if c.useMCS {
-		if cap(c.sc.alive) < table.K() {
-			c.sc.alive = make([]bool, table.K())
-		} else {
-			c.sc.alive = c.sc.alive[:table.K()]
-		}
+		c.sc.alive = slices.Grow(c.sc.alive[:0], table.K())[:table.K()]
 		mcs := MCSInto(table, c.sc.alive, &c.sc.cs.An)
 		for i, ok := range mcs.Alive {
 			if ok {
-				res.ReducedSet = append(res.ReducedSet, i)
+				res.ReducedSet = append(res.ReducedSet, c.setIndex(i, keys))
 			}
 		}
+		slices.Sort(res.ReducedSet) // keyed rows map back out of order
 		if mcs.AliveCount == 0 {
 			res.Decision = NotCovered
 			res.Reason = ReasonEmptyMCS
@@ -247,8 +284,8 @@ func (c *Checker) CoveredInto(res *Result, s subscription.Subscription, set []su
 	} else {
 		c.sc.point = c.sc.point[:s.Len()]
 	}
-	c.sc.flat.build(s, set, alive)
-	out := rspcFlat(s, &c.sc.flat, trials, c.rng, c.sc.point)
+	flat.fill(set, c.aliveBySet(alive, keys))
+	out := rspcFlat(s, flat, trials, c.rng, c.sc.point)
 	res.ExecutedTrials = out.Trials
 	if out.Found() {
 		res.Decision = NotCovered
@@ -259,4 +296,53 @@ func (c *Checker) CoveredInto(res *Result, s subscription.Subscription, set []su
 	res.Decision = CoveredProbably
 	res.Reason = ReasonTrialsExhausted
 	return nil
+}
+
+// buildTable builds the conflict table over set or, for keyed input,
+// over a copy of set permuted into key order: MCS's fixpoint and the
+// greedy witness depend on row order, so they must see the rows as
+// CoveredInto would on the sorted set.
+func (c *Checker) buildTable(s subscription.Subscription, set []subscription.Subscription, keys []int64) (*conflict.Table, error) {
+	sc := &c.sc
+	if keys == nil {
+		return &sc.table, sc.table.Reset(s, set)
+	}
+	perm := sc.perm[:0]
+	for i := range set {
+		perm = append(perm, i)
+	}
+	slices.SortFunc(perm, func(a, b int) int {
+		if c := cmp.Compare(keys[a], keys[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	sorted := sc.sorted[:0]
+	for _, i := range perm {
+		sorted = append(sorted, set[i])
+	}
+	sc.perm, sc.sorted = perm, sorted
+	return &sc.table, sc.table.Reset(s, sorted)
+}
+
+// setIndex maps table row p to its position in the set.
+func (c *Checker) setIndex(p int, keys []int64) int {
+	if keys == nil {
+		return p
+	}
+	return c.sc.perm[p]
+}
+
+// aliveBySet maps a survivor mask over table rows to one over set
+// positions (nil stays nil).
+func (c *Checker) aliveBySet(alive []bool, keys []int64) []bool {
+	if alive == nil || keys == nil {
+		return alive
+	}
+	out := slices.Grow(c.sc.aliveBySet[:0], len(alive))[:len(alive)]
+	for p, ok := range alive {
+		out[c.sc.perm[p]] = ok
+	}
+	c.sc.aliveBySet = out
+	return out
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"slices"
 
@@ -167,14 +166,12 @@ func ExactCover(s subscription.Subscription, set []subscription.Subscription) (b
 	if !s.IsSatisfiable() {
 		return true, nil, nil
 	}
-	for i, si := range set {
-		if si.Len() != s.Len() {
-			return false, nil, fmt.Errorf("core: subscription %d has %d attributes, want %d: %w",
-				i, si.Len(), s.Len(), subscription.ErrSchemaMismatch)
-		}
-	}
 	var f flatSet
-	f.build(s, set, nil)
+	if _, err := f.scan(s, set, nil, false); err != nil {
+		return false, nil, err
+	}
+	f.sortRows()
+	f.fill(set, nil)
 	var r residual
 	if verdict, _ := r.subtract(&f, math.MaxInt); verdict == residualWitness {
 		return false, r.curLo, nil

@@ -31,7 +31,6 @@ package store
 // double in length when the slots outgrow them, which rebuilds too.
 
 import (
-	"cmp"
 	"math/bits"
 	"slices"
 
@@ -65,20 +64,12 @@ type cellIndex struct {
 	// Reusable query buffers.
 	attrs []int
 	acc   []uint64
-	hits  []cellHit
 }
 
 // cellSlot is an indexed row: what a query returns for it.
 type cellSlot struct {
 	id  ID
 	sub subscription.Subscription
-}
-
-// cellHit is a slot the query returns, keyed by its ID so the hits sort
-// without dereferencing anything.
-type cellHit struct {
-	id   ID
-	slot int32
 }
 
 // liveRow is the index of the live bitset among the rows.
@@ -196,8 +187,10 @@ func (ix *cellIndex) rebuild() {
 }
 
 // query appends to ids and subs the indexed rows whose boxes intersect
-// s — or contain it, with cover set — in ascending ID order, and returns
-// the extended slices. s must have the index's attribute count.
+// s — or contain it, with cover set — in slot order, and returns the
+// extended slices. s must have the index's attribute count. The hits
+// are not sorted: the checker orders its rows itself, with the IDs as
+// tie-break keys, and the store sorts the few IDs it reports.
 func (ix *cellIndex) query(s subscription.Subscription, cover bool, ids []ID, subs []subscription.Subscription) ([]ID, []subscription.Subscription) {
 	// Where s contains the hull it meets every indexed row, so an
 	// intersection query filters and checks only the other attributes.
@@ -233,7 +226,6 @@ func (ix *cellIndex) query(s subscription.Subscription, cover bool, ids []ID, su
 			acc[i] &= x
 		}
 	}
-	hits := ix.hits[:0]
 	m, sb := ix.m, s.Bounds
 	for i, word := range acc {
 		for ; word != 0; word &= word - 1 {
@@ -242,15 +234,10 @@ func (ix *cellIndex) query(s subscription.Subscription, cover bool, ids []ID, su
 			if cover && !contains(row, sb) || !cover && !intersects(row, sb, attrs) {
 				continue
 			}
-			hits = append(hits, cellHit{id: ix.slots[slot].id, slot: int32(slot)})
+			ids = append(ids, ix.slots[slot].id)
+			subs = append(subs, ix.slots[slot].sub)
 		}
 	}
-	slices.SortFunc(hits, func(a, b cellHit) int { return cmp.Compare(a.id, b.id) })
-	for _, h := range hits {
-		ids = append(ids, h.id)
-		subs = append(subs, ix.slots[h.slot].sub)
-	}
-	ix.hits = hits
 	return ids, subs
 }
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -72,6 +73,14 @@ func driveEquivalence(t *testing.T, cfg workload.ComparisonConfig, mkStore func(
 		if !slices.Equal(rp.Demoted, rf.Demoted) {
 			t.Fatalf("subscribe %d: pruned demoted %v, full demoted %v", i, rp.Demoted, rf.Demoted)
 		}
+		// The residual stage walks the same intersecting rows in the same
+		// order either way, so it names the same cover, in active-set
+		// positions, ascending.
+		pc, fc := rp.Checker, rf.Checker
+		if !slices.IsSorted(pc.ReducedSet) ||
+			pc.Reason == core.ReasonResidualCover && fc.Reason == core.ReasonResidualCover && !slices.Equal(pc.ReducedSet, fc.ReducedSet) {
+			t.Fatalf("subscribe %d: pruned reduced set %v, full %v", i, pc.ReducedSet, fc.ReducedSet)
+		}
 		live = append(live, id)
 
 		// Churn: occasionally remove a random live subscription so the
@@ -141,12 +150,12 @@ func TestPrunedEquivalenceGroup(t *testing.T) {
 
 // requireExactCandidates fails unless the candidates for probe are
 // exactly the active rows whose boxes intersect it — and, for the
-// pairwise decision, exactly those containing it — in ascending ID
-// order.
+// pairwise decision, exactly those containing it. The index returns
+// them in no particular order, so they are compared as a set.
 func requireExactCandidates(t *testing.T, st *Store, probe subscription.Subscription) {
 	t.Helper()
 	for _, cover := range []bool{false, true} {
-		gotIDs, gotSubs := st.candidates(probe, cover)
+		gotIDs, gotSubs := sortedCandidates(st, probe, cover)
 		var wantIDs []ID
 		var wantSubs []subscription.Subscription
 		for p, id := range st.activeIDs {
@@ -165,6 +174,23 @@ func requireExactCandidates(t *testing.T, st *Store, probe subscription.Subscrip
 			}
 		}
 	}
+}
+
+// sortedCandidates returns copies of st.candidates(probe, cover)
+// sorted by ID.
+func sortedCandidates(st *Store, probe subscription.Subscription, cover bool) ([]ID, []subscription.Subscription) {
+	ids, subs := st.candidates(probe, cover)
+	order := make([]int, len(ids))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(ids[a], ids[b]) })
+	sortedIDs := make([]ID, len(ids))
+	sortedSubs := make([]subscription.Subscription, len(ids))
+	for i, j := range order {
+		sortedIDs[i], sortedSubs[i] = ids[j], subs[j]
+	}
+	return sortedIDs, sortedSubs
 }
 
 // TestCandidateIndexConsistency churns a store and cross-checks the
@@ -320,7 +346,7 @@ func TestCandidateIndexEdges(t *testing.T) {
 				for _, p := range tc.probes {
 					if st.mismatched > 0 || p.Len() != st.idx.m {
 						// Pruning is off: the decision sees the full set.
-						if got, _ := st.candidates(p, false); !slices.Equal(got, st.activeIDs) {
+						if got, _ := sortedCandidates(st, p, false); !slices.Equal(got, st.activeIDs) {
 							t.Fatalf("step %d: candidates %v, want the full active set %v", i, got, st.activeIDs)
 						}
 						continue

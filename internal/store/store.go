@@ -197,6 +197,7 @@ type Store struct {
 	// Reusable hot-path buffers.
 	candIDs  []ID
 	candSubs []subscription.Subscription
+	candKeys []int64
 	checkRes core.Result
 
 	stats CheckerStats
@@ -266,17 +267,23 @@ func (st *Store) deactivate(n *node) {
 }
 
 // candidates returns the IDs and subscriptions the coverage decision
-// for s must consider: with pruning, exactly the active rows whose boxes
-// intersect s — or, with cover set, contain s — sorted by ID; without
-// it, or while the active set or s disagrees with the index's attribute
-// count, the full active set. The returned slices are store-owned
-// scratch, valid until the next call.
+// for s must consider: when indexed(s), exactly the active rows whose
+// boxes intersect s — or, with cover set, contain s — in no particular
+// order; otherwise the full active set, sorted by ID. The returned
+// slices are store-owned scratch, valid until the next call.
 func (st *Store) candidates(s subscription.Subscription, cover bool) ([]ID, []subscription.Subscription) {
-	if !st.pruning || st.mismatched > 0 || len(st.activeIDs) == 0 || s.Len() != st.idx.m {
+	if !st.indexed(s) {
 		return st.activeIDs, st.activeSubs
 	}
 	st.candIDs, st.candSubs = st.idx.query(s, cover, st.candIDs[:0], st.candSubs[:0])
 	return st.candIDs, st.candSubs
+}
+
+// indexed reports whether the candidate index answers for s: pruning
+// is on, the active set is non-empty, and it and s agree with the
+// index's attribute count.
+func (st *Store) indexed(s subscription.Subscription) bool {
+	return st.pruning && st.mismatched == 0 && len(st.activeIDs) > 0 && s.Len() == st.idx.m
 }
 
 // ActiveIDs returns the sorted IDs of the active set.
@@ -322,13 +329,34 @@ func (st *Store) decideCoverage(s subscription.Subscription) (Status, []ID, core
 		return StatusActive, nil, core.Result{}, nil
 	case PolicyPairwise:
 		ids, subs := st.candidates(s, true)
-		if i := pairwise.CoveredBySingle(s, subs); i >= 0 {
-			return StatusCovered, []ID{ids[i]}, core.Result{}, nil
+		i := pairwise.CoveredBySingle(s, subs)
+		if i < 0 {
+			return StatusActive, nil, core.Result{}, nil
 		}
-		return StatusActive, nil, core.Result{}, nil
+		// The coverer is the lowest-ID row containing s. The active set
+		// is in ID order, so that is its first; the index's hits are in
+		// slot order, and each contains s.
+		if st.indexed(s) {
+			for j, id := range ids {
+				if id < ids[i] {
+					i = j
+				}
+			}
+		}
+		return StatusCovered, []ID{ids[i]}, core.Result{}, nil
 	default: // PolicyGroup
 		ids, subs := st.candidates(s, false)
-		if err := st.checker.CoveredInto(&st.checkRes, s, subs); err != nil {
+		var keys []int64 // nil: the active set is already in ID order
+		if st.indexed(s) {
+			// The index's hits come in slot order; the checker orders
+			// them by ID itself, as if they were sorted.
+			keys = st.candKeys[:0]
+			for _, id := range ids {
+				keys = append(keys, int64(id))
+			}
+			st.candKeys = keys
+		}
+		if err := st.checker.CoveredIntoKeyed(&st.checkRes, s, subs, keys); err != nil {
 			return 0, nil, core.Result{}, err
 		}
 		st.stats.Calls++
@@ -354,6 +382,7 @@ func (st *Store) decideCoverage(s subscription.Subscription) (Status, []ID, core
 		for j, idx := range res.ReducedSet {
 			res.ReducedSet[j] = st.activePos(ids[idx])
 		}
+		slices.Sort(res.ReducedSet)
 		if !res.Decision.IsCovered() {
 			return StatusActive, nil, res, nil
 		}
@@ -362,7 +391,7 @@ func (st *Store) decideCoverage(s subscription.Subscription) (Status, []ID, core
 }
 
 // resolveCoverers maps a group-coverage result's candidate indices to
-// subscription IDs.
+// subscription IDs, in ascending ID order.
 func (st *Store) resolveCoverers(ids []ID, res *core.Result) []ID {
 	if !res.Decision.IsCovered() {
 		return nil
@@ -379,6 +408,7 @@ func (st *Store) resolveCoverers(ids []ID, res *core.Result) []ID {
 		// whole candidate set as the covering group.
 		coverers = append(coverers, ids...)
 	}
+	slices.Sort(coverers)
 	return coverers
 }
 
@@ -445,6 +475,7 @@ func (st *Store) demoteCoveredBy(n *node) []ID {
 	for _, id := range demoted {
 		st.deactivate(st.nodes[id])
 	}
+	slices.Sort(demoted)
 	return demoted
 }
 

@@ -116,6 +116,34 @@ func TestSubscribeErrors(t *testing.T) {
 	}
 }
 
+// TestSubscribeSchemaMismatch: under the group policy an arrival whose
+// attribute count differs from the active set's is an error wrapping
+// subscription.ErrSchemaMismatch, with the candidate index on or off,
+// and leaves the store as it was; one without attributes is an error.
+func TestSubscribeSchemaMismatch(t *testing.T) {
+	for _, pruning := range []bool{true, false} {
+		st, err := New(PolicyGroup, WithCandidatePruning(pruning))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, s := range []subscription.Subscription{box(0, 10, 0, 10), box(5, 20, 0, 10)} {
+			if _, err := st.Subscribe(ID(id), s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		odd := subscription.New(interval.New(2, 3), interval.New(2, 3), interval.New(2, 3))
+		if _, err := st.Subscribe(2, odd); !errors.Is(err, subscription.ErrSchemaMismatch) {
+			t.Errorf("pruning %v: mixed-arity error = %v, want a schema mismatch", pruning, err)
+		}
+		if _, err := st.Subscribe(3, subscription.New()); err == nil {
+			t.Errorf("pruning %v: a subscription without attributes was admitted", pruning)
+		}
+		if st.Len() != 2 {
+			t.Errorf("pruning %v: %d subscriptions stored after the rejected ones, want 2", pruning, st.Len())
+		}
+	}
+}
+
 func TestUnsubscribePromotesCovered(t *testing.T) {
 	st, err := New(PolicyPairwise)
 	if err != nil {
