@@ -366,11 +366,12 @@ func WithTableOptions(opts ...subsume.TableOption) Option {
 // Broker is a single node of the overlay.
 //
 // Concurrency: Handle serializes subscription-state changes (subscribe
-// and unsubscribe take an exclusive lock) but lets publications run
-// concurrently — handlePublish only reads the routing state, matching
-// through the concurrency-safe per-port ITreeIndex, deduplicating
-// through a bounded atomic generation ring and counting through
-// atomic metrics. Driven
+// and unsubscribe take an exclusive lock, and are the only callers that
+// update the per-port matchers) but lets publications run concurrently —
+// handlePublish only reads the routing state, matching through the
+// per-port ITreeIndex, whose queries run in parallel under its read
+// lock, deduplicating through a bounded atomic generation ring and
+// counting through atomic metrics. Driven
 // from a single goroutine (the simulator) the broker behaves exactly
 // as before: all locks are uncontended and every decision sequence is
 // deterministic. Driven from the TCP transport's per-connection
@@ -412,8 +413,9 @@ type Broker struct {
 	// +guarded_by:mu
 	in map[string]map[string]subscription.Subscription
 	// matchers indexes each port's reverse-path table with the
-	// cell-bitset matcher, so handlePublish checks the filter's
-	// candidates instead of scanning the table per publication.
+	// cell-bitset matcher, updated in place as subscriptions arrive and
+	// leave, so handlePublish checks the filter's candidates instead of
+	// scanning the table per publication.
 	// +guarded_by:mu
 	matchers map[string]*match.ITreeIndex
 	// source records the first-arrival port of each known subscription.
@@ -684,19 +686,6 @@ func (b *Broker) Clients() []string {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	return slices.Clone(b.clients)
-}
-
-// MatchRebuilds sums how many times the per-port matchers have built
-// their base generation: the first build of each, plus every merge that
-// subscription churn forced on a publication (see match.ITreeIndex).
-func (b *Broker) MatchRebuilds() uint64 {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	var n uint64
-	for _, m := range b.matchers {
-		n += m.Rebuilds()
-	}
-	return n
 }
 
 // MatchFilterCounts sums, over the per-port matchers, the candidates

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"probsum/internal/interval"
+	"probsum/internal/match"
 	"probsum/internal/store"
 	"probsum/internal/subscription"
 	"probsum/subsume"
@@ -455,21 +456,24 @@ func TestDupAnnouncementCreatesReversePath(t *testing.T) {
 	}
 }
 
-// TestChurnRebuildsStayBounded: 100 churn operations interleaved with
-// 1,000 publications on a 600-subscription client port rebuild that
-// port's matcher at most ⌈100/64⌉+1 times, the first build included.
-// Rebuilding on every change took 100.
-func TestChurnRebuildsStayBounded(t *testing.T) {
+// TestChurnNotificationsMatchBruteForce: 100 churn operations
+// interleaved with 1,000 publications on a 600-subscription client
+// port, which the matcher absorbs in place. Every publication's
+// notifications must name exactly the port's live subscriptions that a
+// brute-force scan matches.
+func TestChurnNotificationsMatchBruteForce(t *testing.T) {
 	b := newBroker(t, store.PolicyNone)
 	b.AttachClient("S")
 	b.AttachClient("P")
 	rng := rand.New(rand.NewPCG(7, 8))
+	var bf match.BruteForce
 	subscribe := func(i int) {
 		lo1, lo2 := rng.Int64N(90), rng.Int64N(90)
 		msg := Message{Kind: MsgSubscribe, SubID: fmt.Sprintf("s%d", i), Sub: box(lo1, lo1+10, lo2, lo2+10)}
 		if _, err := b.Handle("S", msg); err != nil {
 			t.Fatal(err)
 		}
+		bf.Add(match.ID(i), msg.Sub)
 	}
 	const subs, pubs, churn = 600, 1000, 100
 	for i := 0; i < subs; i++ {
@@ -482,6 +486,7 @@ func TestChurnRebuildsStayBounded(t *testing.T) {
 				if _, err := b.Handle("S", Message{Kind: MsgUnsubscribe, SubID: fmt.Sprintf("s%d", oldest)}); err != nil {
 					t.Fatal(err)
 				}
+				bf.Remove(match.ID(oldest))
 				oldest++
 			} else {
 				subscribe(next)
@@ -489,11 +494,22 @@ func TestChurnRebuildsStayBounded(t *testing.T) {
 			}
 		}
 		pub := subscription.NewPublication(rng.Int64N(101), rng.Int64N(101))
-		if _, err := b.Handle("P", Message{Kind: MsgPublish, PubID: fmt.Sprintf("p%d", i), Pub: pub}); err != nil {
+		out, err := b.Handle("P", Message{Kind: MsgPublish, PubID: fmt.Sprintf("p%d", i), Pub: pub})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got, limit := b.MatchRebuilds(), uint64((churn+63)/64+1); got == 0 || got > limit {
-		t.Fatalf("MatchRebuilds = %d, want 1..%d", got, limit)
+		var want, got []string
+		for _, id := range bf.Match(pub) {
+			want = append(want, fmt.Sprintf("s%d", id))
+		}
+		slices.Sort(want)
+		for _, o := range out {
+			if o.To == "S" && o.Msg.Kind == MsgNotifyBatch {
+				got = append(got, o.Msg.SubIDs...)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("publication %d %v: notified %v, brute force %v", i, pub.Values, got, want)
+		}
 	}
 }

@@ -1,0 +1,314 @@
+package cells
+
+import (
+	"math"
+	"slices"
+	"testing"
+
+	"probsum/internal/interval"
+	"probsum/internal/subscription"
+)
+
+// model is the reference state of an index: its live rows by slot.
+type model map[int32]entry
+
+func (mo model) add(t *testing.T, ix *Index, id int64, s subscription.Subscription) int32 {
+	t.Helper()
+	slot := ix.Add(id, s)
+	if _, taken := mo[slot]; taken {
+		t.Fatalf("Add(%d) got slot %d, which holds a live row", id, slot)
+	}
+	mo[slot] = entry{id, s}
+	return slot
+}
+
+func (mo model) remove(ix *Index, slot int32) {
+	ix.Remove(slot)
+	delete(mo, slot)
+}
+
+// want returns the live slots whose rows keep accepts, ascending.
+func (mo model) want(keep func(subscription.Subscription) bool) []int32 {
+	var slots []int32
+	for slot, e := range mo {
+		if keep(e.sub) {
+			slots = append(slots, slot)
+		}
+	}
+	slices.Sort(slots)
+	return slots
+}
+
+// check requires every query for s — intersection, containment, and a
+// stab at each of s's two corners in full and first-hit form — to
+// equal a brute-force scan of the live rows, and Len and Row to agree
+// with them.
+func (mo model) check(t *testing.T, ix *Index, s subscription.Subscription) {
+	t.Helper()
+	if ix.Len() != len(mo) {
+		t.Fatalf("Len = %d, want %d", ix.Len(), len(mo))
+	}
+	for slot, e := range mo {
+		if id, sub := ix.Row(slot); id != e.id || !sub.Equal(e.sub) {
+			t.Fatalf("Row(%d) = %d %v, want %d %v", slot, id, sub, e.id, e.sub)
+		}
+	}
+	var sc Scratch
+	for _, cover := range []bool{false, true} {
+		want := mo.want(func(r subscription.Subscription) bool {
+			if cover {
+				return r.Covers(s)
+			}
+			return r.Intersects(s)
+		})
+		if got := ix.Query(&sc, s, cover); !slices.Equal(got, want) {
+			t.Fatalf("Query(%v, cover %v) = %v, want %v", s, cover, got, want)
+		}
+	}
+	for _, hi := range []bool{false, true} {
+		p := subscription.Publication{Values: make([]int64, s.Len())}
+		for a, b := range s.Bounds {
+			p.Values[a] = b.Lo
+			if hi {
+				p.Values[a] = b.Hi
+			}
+		}
+		want := mo.want(func(r subscription.Subscription) bool { return r.Matches(p) })
+		got, candidates := ix.Stab(&sc, p, false)
+		if !slices.Equal(got, want) || candidates < len(want) {
+			t.Fatalf("Stab(%v) = %v from %d candidates, want %v", p, got, candidates, want)
+		}
+		first, _ := ix.Stab(&sc, p, true)
+		if len(first) != min(len(want), 1) || len(first) == 1 && !slices.Contains(want, first[0]) {
+			t.Fatalf("Stab(%v, first) = %v, want one of %v", p, first, want)
+		}
+	}
+}
+
+// boxN builds a subscription from (lo, hi) pairs.
+func boxN(bounds ...int64) subscription.Subscription {
+	s := subscription.Subscription{Bounds: make([]interval.Interval, len(bounds)/2)}
+	for a := range s.Bounds {
+		s.Bounds[a] = interval.New(bounds[2*a], bounds[2*a+1])
+	}
+	return s
+}
+
+// TestIndexEdges drives the index through the cases a steady population
+// never reaches — rows outside the grid hull, reused slots, bounds at
+// the int64 limits, bitsets grown past removals — and requires exact
+// answers after each step and no more slots than rows were ever live at
+// once.
+func TestIndexEdges(t *testing.T) {
+	const lo, hi = math.MinInt64, math.MaxInt64
+	type step struct {
+		add    []subscription.Subscription // under the next IDs
+		remove []int64                     // IDs
+	}
+	spread := func(n, m int) step {
+		var s step
+		for i := 0; i < n; i++ {
+			b := make([]int64, 0, 2*m)
+			for a := 0; a < m; a++ {
+				v := int64((i*37 + a*11) % 1000)
+				b = append(b, v, v+int64(i%50))
+			}
+			s.add = append(s.add, boxN(b...))
+		}
+		return s
+	}
+	ids := func(from, to, stride int) step {
+		var s step
+		for i := from; i < to; i += stride {
+			s.remove = append(s.remove, int64(i))
+		}
+		return s
+	}
+	cases := []struct {
+		name   string
+		m      int
+		steps  []step
+		probes []subscription.Subscription
+	}{{
+		name: "outside the hull after the population",
+		m:    2,
+		steps: []step{
+			spread(200, 2),
+			{add: []subscription.Subscription{boxN(1100, 1500, 0, 10)}},    // past the population on x1
+			{add: []subscription.Subscription{boxN(-400, -300, 990, 999)}}, // below it on x1
+			{add: []subscription.Subscription{boxN(90_000, 90_001, 5, 5)}}, // far outside
+		},
+		probes: []subscription.Subscription{
+			boxN(1200, 1300, 0, 2000), boxN(999, 1100, 0, 0), boxN(-350, -350, 995, 995),
+			boxN(-250, 1050, 0, 2000), boxN(-250, 1050, 0, 995), // contain the population, yet miss both rows past it
+			boxN(2000, 80_000, 0, 999), boxN(90_001, 95_000, 0, 5), boxN(lo, hi, 5, 5), boxN(0, 0, 0, 0),
+		},
+	}, {
+		name:  "slot reuse after churn",
+		m:     3,
+		steps: []step{spread(150, 3), ids(0, 150, 3), spread(60, 3), ids(1, 150, 2), {add: []subscription.Subscription{boxN(0, 999, 0, 999, 500, 500)}}},
+		probes: []subscription.Subscription{
+			boxN(0, 100, 0, 100, 0, 100), boxN(400, 600, 0, 999, 500, 500), boxN(0, 999, 0, 999, 0, 999), boxN(999, 999, 999, 999, 999, 999),
+		},
+	}, {
+		// Growth copies each bitset into the wider layout: rows marked
+		// before it stay findable, removed ones stay gone.
+		name:  "bitsets grow past removals",
+		m:     2,
+		steps: []step{spread(100, 2), ids(0, 100, 4), spread(200, 2), ids(100, 300, 5)},
+		probes: []subscription.Subscription{
+			boxN(0, 100, 0, 1100), boxN(500, 500, 500, 500), boxN(0, 1100, 30, 40), boxN(990, 1100, 0, 1100),
+		},
+	}, {
+		name: "bounds at the int64 limits",
+		m:    2,
+		steps: []step{{add: []subscription.Subscription{
+			boxN(lo, hi, 0, 0), boxN(lo, lo, lo, hi), boxN(hi, hi, hi, hi),
+			boxN(-1, 1, lo, -1), boxN(lo+1, hi-1, 0, hi), boxN(0, hi, lo, 0),
+		}}},
+		probes: []subscription.Subscription{
+			boxN(lo, lo, 0, 0), boxN(hi, hi, hi, hi), boxN(lo, hi, lo, hi), boxN(0, 0, 1, 1),
+			boxN(hi-1, hi, lo, lo), boxN(lo, lo+1, hi, hi), boxN(-1, -1, -1, -1),
+		},
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ix, mo := New(tc.m), model{}
+			slotOf := map[int64]int32{}
+			next, peak := int64(0), 0
+			for i, st := range tc.steps {
+				for _, s := range st.add {
+					slotOf[next] = mo.add(t, ix, next, s)
+					next++
+				}
+				peak = max(peak, ix.Len())
+				for _, id := range st.remove {
+					if slot, ok := slotOf[id]; ok {
+						mo.remove(ix, slot)
+						delete(slotOf, id)
+					}
+				}
+				if len(ix.slots) > peak {
+					t.Fatalf("step %d: %d slots for at most %d live rows: freed slots are not reused", i, len(ix.slots), peak)
+				}
+				for _, p := range tc.probes {
+					mo.check(t, ix, p)
+				}
+			}
+		})
+	}
+}
+
+// TestIndexRecut pins when the grid is re-cut: a row lying outside the
+// grid but within twice its width is clamped to an edge cell, and one
+// that stretches the hull past twice the grid's width re-cuts the grid
+// over the hull of every row indexed. Between the two, a query that
+// contains the grid but not the hull must still filter on x1.
+func TestIndexRecut(t *testing.T) {
+	ix, mo := New(2), model{}
+	check := func() {
+		t.Helper()
+		for _, p := range []subscription.Subscription{boxN(995, 1000, 0, 9), boxN(-5, 999, 0, 4)} {
+			mo.check(t, ix, p)
+		}
+	}
+	mo.add(t, ix, 0, boxN(0, 999, 0, 9))
+	for i := int64(1); i < 100; i++ {
+		mo.add(t, ix, i, boxN(10*i, 10*i+9, 0, 9))
+	}
+	if got, want := ix.grid[0], interval.New(0, 999); got != want {
+		t.Fatalf("grid %v after the population, want %v", got, want)
+	}
+	mo.add(t, ix, 100, boxN(1000, 1998, 0, 9)) // hull [0, 1998]: exactly twice the grid's width
+	if got, want := ix.grid[0], interval.New(0, 999); got != want {
+		t.Fatalf("grid %v after a row within twice its width, want it unchanged at %v", got, want)
+	}
+	check()
+	mo.add(t, ix, 101, boxN(-1, -1, 0, 9)) // hull [-1, 1998]: past twice the width
+	if got, want := ix.grid[0], interval.New(-1, 1998); got != want {
+		t.Fatalf("grid %v after the hull outgrew it, want %v", got, want)
+	}
+	check()
+}
+
+// fuzzExtremes are the bound values a fuzz byte below len(fuzzExtremes)
+// selects; every other byte is a small signed value.
+var fuzzExtremes = []int64{
+	math.MinInt64, math.MinInt64 + 1, -1 << 40, -1 << 20,
+	1 << 20, 1 << 40, math.MaxInt64 - 1, math.MaxInt64,
+}
+
+// FuzzCandidateIndex decodes the input into add, remove and probe steps
+// over one attribute count and, at every probe, requires the
+// intersection and containment queries and the point stabs at the
+// probe's corners to equal a brute-force scan of the live rows.
+//
+// Byte 0 picks the attribute count m (1–3). Each step is an opcode byte
+// and its operands: opcode%4 of 0 or 1 adds the next ID (negated for 1,
+// so IDs do not arrive in order) with m (lo, hi) byte pairs; 2 removes
+// the live row the next byte selects; 3 probes with m byte pairs.
+func FuzzCandidateIndex(f *testing.F) {
+	f.Add([]byte{1, 0, 20, 30, 40, 50, 1, 25, 35, 0, 0, 3, 22, 28, 45, 45, 2, 0, 3, 22, 28, 45, 45})
+	f.Add([]byte{0, 0, 0, 7, 0, 3, 3, 1, 6, 7, 3, 0, 0, 3, 7, 7, 2, 1, 3, 100, 120})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		m := 1 + int(data[0]%3)
+		data = data[1:]
+		ix, mo := New(m), model{}
+		nextBox := func() (subscription.Subscription, bool) {
+			if len(data) < 2*m {
+				return subscription.Subscription{}, false
+			}
+			s := subscription.Subscription{Bounds: make([]interval.Interval, m)}
+			for a := range s.Bounds {
+				x, y := fuzzBound(data[2*a]), fuzzBound(data[2*a+1])
+				s.Bounds[a] = interval.New(min(x, y), max(x, y))
+			}
+			data = data[2*m:]
+			return s, true
+		}
+		var live []int32
+		for n := int64(1); len(data) > 0; n++ {
+			op := data[0] % 4
+			data = data[1:]
+			switch op {
+			case 0, 1:
+				s, ok := nextBox()
+				if !ok {
+					return
+				}
+				id := n
+				if op == 1 {
+					id = -n
+				}
+				live = append(live, mo.add(t, ix, id, s))
+			case 2:
+				if len(live) == 0 || len(data) == 0 {
+					continue
+				}
+				j := int(data[0]) % len(live)
+				data = data[1:]
+				mo.remove(ix, live[j])
+				live = slices.Delete(live, j, j+1)
+			case 3:
+				s, ok := nextBox()
+				if !ok {
+					return
+				}
+				// An index answers queries once it has held a row.
+				if len(ix.slots) > 0 {
+					mo.check(t, ix, s)
+				}
+			}
+		}
+	})
+}
+
+func fuzzBound(b byte) int64 {
+	if int(b) < len(fuzzExtremes) {
+		return fuzzExtremes[b]
+	}
+	return int64(int8(b))
+}

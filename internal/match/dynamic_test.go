@@ -97,6 +97,10 @@ func TestITreeIndexMixedSchemas(t *testing.T) {
 	if got := idx.Match(subscription.NewPublication(7)); !slices.Equal(got, []ID{3}) {
 		t.Fatalf("after remove = %v, want [3]", got)
 	}
+	idx.Remove(2) // the last of its arity: its index goes
+	if len(idx.byArity) != 1 {
+		t.Fatalf("%d arity indexes after the 2-D subscription left, want 1", len(idx.byArity))
+	}
 }
 
 // TestITreeIndexEmptyBounds: a subscription with an empty bound
@@ -179,12 +183,10 @@ func (o *oracle) check(t *testing.T, idx *ITreeIndex, step int, probes []subscri
 	}
 }
 
-// TestITreeIndexMergeBoundary churns across the merge bound: long runs
-// of single changes that stay below it (the delta and the tombstones
-// carry them) alternate with bursts far above it (the next read
-// merges), and every step is cross-checked against the brute-force
-// scan.
-func TestITreeIndexMergeBoundary(t *testing.T) {
+// TestITreeIndexChurnBursts alternates bursts of adds and removals with
+// long runs of single changes (adds, removals and replacements), and
+// cross-checks every step against the brute-force scan.
+func TestITreeIndexChurnBursts(t *testing.T) {
 	const m = 2
 	rng := rand.New(rand.NewPCG(11, 12))
 	randomSub := func() subscription.Subscription {
@@ -219,7 +221,7 @@ func TestITreeIndexMergeBoundary(t *testing.T) {
 	next := ID(0)
 	step := 0
 	for round := 0; round < 8; round++ {
-		// Burst: well over max(deltaFloor, base/8) in one go.
+		// Burst: 150–300 adds and 40 removals in one go.
 		for i := 0; i < 150+rng.IntN(150); i++ {
 			next++
 			o.add(idx, next, randomSub())
@@ -229,8 +231,7 @@ func TestITreeIndexMergeBoundary(t *testing.T) {
 		}
 		o.check(t, idx, step, probes())
 		step++
-		// Long run of single changes, each followed by a check: below
-		// the bound for most of its length, across it near the end.
+		// Long run of single changes, each followed by a check.
 		for i := 0; i < 90; i++ {
 			switch op := rng.IntN(3); {
 			case op == 0 || len(o.live) < 2:
@@ -245,16 +246,13 @@ func TestITreeIndexMergeBoundary(t *testing.T) {
 			step++
 		}
 	}
-	if idx.Rebuilds() < 8 {
-		t.Fatalf("Rebuilds = %d: the schedule never crossed the merge bound", idx.Rebuilds())
-	}
 }
 
-// TestITreeIndexDeltaCases pins the states the base+delta split adds.
-// Each case churns a built 100-entry base without reaching the merge
-// bound, is cross-checked against the oracle, then is pushed over the
-// bound and checked again.
-func TestITreeIndexDeltaCases(t *testing.T) {
+// TestITreeIndexChurnCases pins the states churn reaches. Each case
+// churns a 100-entry index and is cross-checked against the oracle,
+// then takes a 100-entry burst beyond the first hull, which grows the
+// bitsets, and is checked again.
+func TestITreeIndexChurnCases(t *testing.T) {
 	sub1 := func(lo, hi int64) subscription.Subscription { return subscription.New(interval.New(lo, hi)) }
 	sub2 := func(lo, hi int64) subscription.Subscription {
 		return subscription.New(interval.New(lo, hi), interval.New(lo, hi))
@@ -267,39 +265,39 @@ func TestITreeIndexDeltaCases(t *testing.T) {
 		name  string
 		churn func(idx *ITreeIndex, o *oracle)
 	}{
-		{"delta outside every base hull", func(idx *ITreeIndex, o *oracle) {
+		{"outside the hull", func(idx *ITreeIndex, o *oracle) {
 			o.add(idx, 500, sub1(800, 900))
 			o.add(idx, 501, sub1(0, 50))
 		}},
-		{"delta-only arity", func(idx *ITreeIndex, o *oracle) {
+		{"second arity", func(idx *ITreeIndex, o *oracle) {
 			o.add(idx, 500, sub2(0, 1000))
 			o.add(idx, 501, sub2(600, 700))
 		}},
-		{"replace a base ID", func(idx *ITreeIndex, o *oracle) {
+		{"replace an ID", func(idx *ITreeIndex, o *oracle) {
 			o.add(idx, 7, sub1(900, 950))  // moves outside the hull
 			o.add(idx, 8, sub2(100, 300))  // changes arity
 			o.add(idx, 9, sub1(150, 160))  // narrows in place
-			o.add(idx, 9, sub1(140, 1000)) // replaced again, now in the delta
+			o.add(idx, 9, sub1(140, 1000)) // replaced again
 		}},
-		{"remove then re-add before a merge", func(idx *ITreeIndex, o *oracle) {
+		{"remove then re-add", func(idx *ITreeIndex, o *oracle) {
 			o.remove(idx, 10)
 			o.add(idx, 10, sub1(110, 210))
 			o.add(idx, 500, sub1(600, 610))
 			o.add(idx, 501, sub1(640, 650))
-			o.remove(idx, 500) // not the delta's last: 501 moves
+			o.remove(idx, 500) // frees the slot the next add reuses
 			o.add(idx, 500, sub1(620, 630))
 			o.remove(idx, 10)
 		}},
-		{"unsatisfiable in the delta", func(idx *ITreeIndex, o *oracle) {
+		{"unsatisfiable", func(idx *ITreeIndex, o *oracle) {
 			o.add(idx, 500, subscription.New(interval.Empty()))
-			o.add(idx, 11, subscription.New(interval.Empty())) // over a base ID
+			o.add(idx, 11, subscription.New(interval.Empty())) // over a satisfiable ID
 			o.add(idx, 502, subscription.Subscription{})       // zero attributes
 			o.add(idx, 503, sub1(0, 1000))
 			o.remove(idx, 500)
 		}},
-		{"MatchAny with tombstones", func(idx *ITreeIndex, o *oracle) {
+		{"MatchAny after removals", func(idx *ITreeIndex, o *oracle) {
 			for id := ID(1); id <= 40; id++ {
-				o.remove(idx, id) // the low end of the base goes dark
+				o.remove(idx, id) // the low end goes dark
 			}
 		}},
 	} {
@@ -312,22 +310,16 @@ func TestITreeIndexDeltaCases(t *testing.T) {
 			o.check(t, idx, 0, probes)
 			tc.churn(idx, o)
 			o.check(t, idx, 1, probes)
-			if got := idx.Rebuilds(); got != 1 {
-				t.Fatalf("Rebuilds = %d: the churn should stay in the delta", got)
-			}
 			for id := ID(1000); id < 1100; id++ {
 				o.add(idx, id, sub1(990, 1000))
 			}
 			o.check(t, idx, 2, probes)
-			if got := idx.Rebuilds(); got != 2 {
-				t.Fatalf("Rebuilds = %d after the burst, want 2", got)
-			}
 		})
 	}
 }
 
 // TestITreeIndexConcurrentChurn runs four readers against one writer
-// that churns across the merge bound, and checks every answer against
+// that churns the index in place, and checks every answer against
 // the writer's operation log. Subscriptions derive from their IDs and
 // IDs are never reused, so an answer must hold every matching ID that
 // was live for the whole call and nothing removed before the call
@@ -465,9 +457,6 @@ func TestITreeIndexConcurrentChurn(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := idx.Rebuilds(); got < 20 {
-		t.Errorf("Rebuilds = %d: the writer never crossed the merge bound", got)
-	}
 }
 
 // raceEnabled is set by race_test.go in -race builds.
@@ -496,10 +485,9 @@ func narrowPopulation(tb testing.TB, n int) ([]subscription.Subscription, []subs
 	return subs, pubs
 }
 
-// TestITreeIndexAllocs pins the read path's allocations with a
-// non-empty delta and tombstones present: MatchAny makes none, and
-// Match one, the exact-size result (base and delta hits collect in
-// pooled scratch).
+// TestITreeIndexAllocs pins the read path's allocations after churn has
+// freed and reused slots: MatchAny makes none, and Match one, the
+// exact-size result (the hits collect in pooled scratch).
 func TestITreeIndexAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race")
@@ -515,16 +503,13 @@ func TestITreeIndexAllocs(t *testing.T) {
 		idx.Remove(ID(7 * i))
 		idx.Add(ID(n+i), subs[n+i])
 	}
-	idx.Add(ID(1), subs[2]) // a replaced base entry
+	idx.Add(ID(1), subs[2]) // a replaced entry
 	i := 0
 	if a := testing.AllocsPerRun(500, func() { idx.MatchAny(pubs[i%len(pubs)]); i++ }); a != 0 {
 		t.Errorf("MatchAny allocates %.1f per call, want 0", a)
 	}
 	if a := testing.AllocsPerRun(500, func() { idx.Match(pubs[i%len(pubs)]); i++ }); a > 1 {
 		t.Errorf("Match allocates %.1f per call, want <= 1", a)
-	}
-	if got := idx.Rebuilds(); got != 1 {
-		t.Fatalf("Rebuilds = %d: the delta was merged away", got)
 	}
 }
 

@@ -12,14 +12,6 @@ import (
 	"probsum/internal/subscription"
 )
 
-// merge builds idx's base from its live set now, so a population
-// below the merge bound is matched by the cell filter, not the delta.
-func merge(idx *ITreeIndex) {
-	idx.mu.Lock()
-	idx.rebuild()
-	idx.mu.Unlock()
-}
-
 func TestITreeEmpty(t *testing.T) {
 	idx := NewITreeIndex()
 	p := subscription.NewPublication(5)
@@ -27,7 +19,6 @@ func TestITreeEmpty(t *testing.T) {
 		t.Errorf("empty index: Match = %v, MatchAny = %v", got, idx.MatchAny(p))
 	}
 	idx.Add(1, subscription.New(interval.Empty()))
-	merge(idx)
 	if got := idx.Match(p); got != nil || idx.MatchAny(p) {
 		t.Errorf("unsatisfiable only: Match = %v, MatchAny = %v", got, idx.MatchAny(p))
 	}
@@ -39,7 +30,6 @@ func TestITreeSingleAndPointIntervals(t *testing.T) {
 	idx.Add(2, subscription.New(interval.Point(5))) // duplicate point interval
 	idx.Add(3, subscription.New(interval.New(3, 7)))
 	idx.Add(4, subscription.New(interval.New(9, 9)))
-	merge(idx)
 	for _, tc := range []struct {
 		v    int64
 		want []ID
@@ -67,7 +57,6 @@ func TestITreeMatchesLinearScan(t *testing.T) {
 			ivs[i] = interval.New(lo, lo+r.Int64N(100-lo))
 			idx.Add(ID(i), subscription.New(ivs[i]))
 		}
-		merge(idx)
 		for probe := 0; probe < 30; probe++ {
 			v := r.Int64N(120) - 10
 			var want []ID
@@ -112,9 +101,8 @@ func TestITreeDeepSkewedInput(t *testing.T) {
 }
 
 // TestITreeIndexGridEdges cross-checks the cell arithmetic where it can
-// go wrong, for both Match and MatchAny. Each case builds a base from
-// IDs 1..n (position i holds ID i+1), tombstones some of it, and probes
-// it.
+// go wrong, for both Match and MatchAny. Each case indexes IDs 1..n
+// (slot i holds ID i+1), removes some of them, and probes the rest.
 func TestITreeIndexGridEdges(t *testing.T) {
 	const lo, hi = math.MinInt64, math.MaxInt64
 	iv := interval.New
@@ -146,8 +134,8 @@ func TestITreeIndexGridEdges(t *testing.T) {
 		}
 		return subs, ps
 	}
-	// lastWord returns the IDs at the positions of an n-position
-	// bucket's last bitset word.
+	// lastWord returns the IDs in the slots of an n-slot index's last
+	// bitset word.
 	lastWord := func(n int) (ids []ID) {
 		for pos := (n - 1) / 64 * 64; pos < n; pos++ {
 			ids = append(ids, ID(pos+1))
@@ -215,14 +203,10 @@ func TestITreeIndexGridEdges(t *testing.T) {
 			for i, s := range tc.subs {
 				o.add(idx, ID(i+1), s)
 			}
-			merge(idx)
 			for _, id := range tc.tomb {
 				o.remove(idx, id)
 			}
 			o.check(t, idx, 0, tc.probes)
-			if got := idx.Rebuilds(); got != 1 {
-				t.Fatalf("Rebuilds = %d: the tombstones were merged away", got)
-			}
 		})
 	}
 }

@@ -2,30 +2,23 @@
 // hot path of a content-based broker. Two matchers are provided:
 //
 //   - BruteForce: O(k·m) linear scan, the correctness oracle.
-//   - ITreeIndex: the broker's dynamic matcher. Per-attribute cell
-//     bitsets over the predicates' hulls filter the candidates, and each
-//     candidate is checked exactly, so its answers are BruteForce's.
-//     Churn lands in a small delta merged lazily into the bitset base.
+//   - ITreeIndex: the broker's dynamic matcher. The cell bitsets of
+//     package cells filter the candidates, and each candidate is checked
+//     exactly, so its answers are BruteForce's. Add and Remove update
+//     the bitsets in place.
 //
 // Algorithm 5 of the paper (two-phase matching against uncovered, then
 // covered subscriptions) is implemented in package store.
 package match
 
 import (
+	"slices"
+
 	"probsum/internal/subscription"
 )
 
 // ID identifies a subscription within a matcher.
 type ID int64
-
-// Matcher finds the subscriptions matching a publication.
-type Matcher interface {
-	// Match returns the IDs of all subscriptions containing the point,
-	// in ascending order.
-	Match(p subscription.Publication) []ID
-	// Len returns the number of indexed subscriptions.
-	Len() int
-}
 
 // BruteForce is a dynamic matcher that scans every subscription. The
 // zero value is ready to use.
@@ -34,8 +27,6 @@ type BruteForce struct {
 	subs []subscription.Subscription
 	pos  map[ID]int
 }
-
-var _ Matcher = (*BruteForce)(nil)
 
 // Add indexes a subscription under id, replacing any previous entry.
 func (b *BruteForce) Add(id ID, s subscription.Subscription) {
@@ -66,7 +57,7 @@ func (b *BruteForce) Remove(id ID) {
 	delete(b.pos, id)
 }
 
-// Match implements Matcher.
+// Match returns the IDs of the subscriptions containing p, ascending.
 func (b *BruteForce) Match(p subscription.Publication) []ID {
 	var out []ID
 	for i, s := range b.subs {
@@ -74,19 +65,9 @@ func (b *BruteForce) Match(p subscription.Publication) []ID {
 			out = append(out, b.ids[i])
 		}
 	}
-	sortIDs(out)
+	slices.Sort(out)
 	return out
 }
 
-// Len implements Matcher.
+// Len returns the number of indexed subscriptions.
 func (b *BruteForce) Len() int { return len(b.ids) }
-
-// sortIDs sorts a small ID slice in place (insertion sort: match
-// result sets are short and mostly ordered already).
-func sortIDs(ids []ID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-}

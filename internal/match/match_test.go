@@ -51,7 +51,6 @@ func TestITreeIndexTrivialPredicates(t *testing.T) {
 	idx := NewITreeIndex()
 	idx.Add(1, subscription.FullOver(schema))
 	idx.Add(2, subscription.New(interval.New(10, 20), schema.Domain(1)))
-	merge(idx)
 	if got := idx.Match(subscription.NewPublication(15, 50)); len(got) != 2 {
 		t.Fatalf("Match = %v, want both", got)
 	}
@@ -96,7 +95,6 @@ func TestITreeIndexMatchesBruteForce(t *testing.T) {
 			idx.Add(ID(i+1), s)
 			brute.Add(ID(i+1), s)
 		}
-		merge(idx)
 		for trial := 0; trial < 40; trial++ {
 			vals := make([]int64, m)
 			for a := range vals {
@@ -117,7 +115,7 @@ func TestITreeIndexMatchesBruteForce(t *testing.T) {
 }
 
 // TestITreeIndexScratchReuse: pooled scratch must not leak state
-// across calls, including from a bucket with more words to one with
+// across calls, including from an index with more words to one with
 // fewer.
 func TestITreeIndexScratchReuse(t *testing.T) {
 	idx := NewITreeIndex()
@@ -126,7 +124,6 @@ func TestITreeIndexScratchReuse(t *testing.T) {
 	for id := ID(10); id < 300; id++ {
 		idx.Add(id, subscription.New(interval.New(0, 9)))
 	}
-	merge(idx)
 	inside := subscription.NewPublication(2, 2)
 	half := subscription.NewPublication(2, 9) // only the x1 predicate hits
 	for i := 0; i < 100; i++ {
@@ -139,16 +136,5 @@ func TestITreeIndexScratchReuse(t *testing.T) {
 	}
 	if got := idx.Match(inside); !slices.Equal(got, []ID{1}) {
 		t.Fatalf("inside publication = %v, want [1]", got)
-	}
-}
-
-func TestSortIDs(t *testing.T) {
-	ids := []ID{5, 1, 4, 1, 3}
-	sortIDs(ids)
-	want := []ID{1, 1, 3, 4, 5}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("sortIDs = %v", ids)
-		}
 	}
 }

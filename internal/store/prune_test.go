@@ -236,12 +236,12 @@ func boxN(bounds ...int64) subscription.Subscription {
 	return s
 }
 
-// TestCandidateIndexEdges drives the index through the cases a steady
-// population never reaches — rows outside the grid hull, reused slots,
-// a drained store repopulated under another attribute count, bounds at
-// the int64 limits — and requires exact candidates after each step.
-// Under PolicyNone every subscription is active, so each Subscribe is
-// one activation.
+// TestCandidateIndexEdges drives the store's index through the cases a
+// steady population never reaches — rows outside the grid hull, reused
+// slots, a drained store repopulated under another attribute count,
+// bounds at the int64 limits — and requires exact candidates after each
+// step. Under PolicyNone every subscription is active, so each
+// Subscribe is one activation.
 func TestCandidateIndexEdges(t *testing.T) {
 	const lo, hi = math.MinInt64, math.MaxInt64
 	type step struct {
@@ -280,7 +280,7 @@ func TestCandidateIndexEdges(t *testing.T) {
 		),
 		probes: []subscription.Subscription{
 			boxN(1200, 1300, 0, 2000), boxN(999, 1100, 0, 0), boxN(-350, -350, 995, 995),
-			boxN(-250, 1050, 0, 2000), // contains the first grid, yet misses both clamped rows
+			boxN(-250, 1050, 0, 2000), boxN(-250, 1050, 0, 995), // contain the population, yet miss both rows past it
 			boxN(2000, 80_000, 0, 999), boxN(90_001, 95_000, 0, 5), boxN(lo, hi, 5, 5), boxN(0, 0, 0, 0),
 		},
 	}, {
@@ -326,7 +326,7 @@ func TestCandidateIndexEdges(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			next, peak := ID(0), 0
+			next := ID(0)
 			for i, s := range tc.steps {
 				if s.sub.Bounds != nil {
 					if _, err := st.Subscribe(next, s.sub); err != nil {
@@ -334,18 +334,19 @@ func TestCandidateIndexEdges(t *testing.T) {
 					}
 					next++
 				}
-				peak = max(peak, st.ActiveLen())
 				for _, id := range s.unsub {
 					if _, err := st.Unsubscribe(id); err != nil {
 						t.Fatal(err)
 					}
 				}
-				if len(st.idx.slots) > peak {
-					t.Fatalf("step %d: %d slots for at most %d active rows: freed slots are not reused", i, len(st.idx.slots), peak)
-				}
 				for _, p := range tc.probes {
-					if st.mismatched > 0 || p.Len() != st.idx.m {
-						// Pruning is off: the decision sees the full set.
+					if !st.indexed(p) {
+						// Pruning is off, which it may be only while the
+						// active set is empty or a row in it disagrees with
+						// p's attribute count: the decision sees the full set.
+						if len(st.activeSubs) > 0 && !slices.ContainsFunc(st.activeSubs, func(s subscription.Subscription) bool { return s.Len() != p.Len() }) {
+							t.Fatalf("step %d: pruning is off for %v with every active row of its arity", i, p)
+						}
 						if got, _ := sortedCandidates(st, p, false); !slices.Equal(got, st.activeIDs) {
 							t.Fatalf("step %d: candidates %v, want the full active set %v", i, got, st.activeIDs)
 						}
@@ -358,10 +359,10 @@ func TestCandidateIndexEdges(t *testing.T) {
 	}
 }
 
-// TestCandidateIndexRecut pins when the grid is re-cut: a row lying
-// outside the grid but within twice its width is clamped to an edge
-// cell, and one that stretches the hull past twice the grid's width
-// re-cuts the grid over the hull of every row indexed.
+// TestCandidateIndexRecut drives the store's index across a clamp and a
+// re-cut of its grid (pinned in package cells): a row outside the grid
+// but within twice its width, then one that stretches the hull past
+// that. The candidates stay exact throughout.
 func TestCandidateIndexRecut(t *testing.T) {
 	st, err := New(PolicyNone)
 	if err != nil {
@@ -373,109 +374,22 @@ func TestCandidateIndexRecut(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	probes := []subscription.Subscription{boxN(995, 1000), boxN(1500, 1500), boxN(-1, 0), boxN(-9, -2)}
+	check := func() {
+		t.Helper()
+		for _, p := range probes {
+			requireExactCandidates(t, st, p)
+		}
+	}
 	subscribe(0, 0, 999)
 	for i := int64(1); i < 100; i++ {
 		subscribe(ID(i), 10*i, 10*i+9)
 	}
-	if got, want := st.idx.grid[0], interval.New(0, 999); got != want {
-		t.Fatalf("grid %v after the population, want %v", got, want)
-	}
+	check()
 	subscribe(100, 1000, 1998) // hull [0, 1998]: exactly twice the grid's width
-	if got, want := st.idx.grid[0], interval.New(0, 999); got != want {
-		t.Fatalf("grid %v after a row within twice its width, want it unchanged at %v", got, want)
-	}
+	check()
 	subscribe(101, -1, -1) // hull [-1, 1998]: past twice the width
-	if got, want := st.idx.grid[0], interval.New(-1, 1998); got != want {
-		t.Fatalf("grid %v after the hull outgrew it, want %v", got, want)
-	}
-	requireExactCandidates(t, st, boxN(995, 1000))
-}
-
-// fuzzExtremes are the bound values a fuzz byte below len(fuzzExtremes)
-// selects; every other byte is a small signed value.
-var fuzzExtremes = []int64{
-	math.MinInt64, math.MinInt64 + 1, -1 << 40, -1 << 20,
-	1 << 20, 1 << 40, math.MaxInt64 - 1, math.MaxInt64,
-}
-
-// FuzzCandidateIndex decodes the input into subscribe, unsubscribe and
-// probe steps over one attribute count and, at every probe, requires
-// the candidates to equal a brute-force scan of the active set.
-//
-// Byte 0 picks the attribute count m (1–3). Each step is an opcode byte
-// and its operands: opcode%4 of 0 or 1 subscribes the next ID (negated
-// for 1, so IDs do not arrive in order) with m (lo, hi) byte pairs; 2
-// unsubscribes the live ID the next byte selects; 3 probes with m byte
-// pairs.
-func FuzzCandidateIndex(f *testing.F) {
-	f.Add([]byte{1, 0, 20, 30, 40, 50, 1, 25, 35, 0, 0, 3, 22, 28, 45, 45, 2, 0, 3, 22, 28, 45, 45})
-	f.Add([]byte{0, 0, 0, 7, 0, 3, 3, 1, 6, 7, 3, 0, 0, 3, 7, 7, 2, 1, 3, 100, 120})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
-			return
-		}
-		m := 1 + int(data[0]%3)
-		data = data[1:]
-		st, err := New(PolicyNone)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nextBox := func() (subscription.Subscription, bool) {
-			if len(data) < 2*m {
-				return subscription.Subscription{}, false
-			}
-			s := subscription.Subscription{Bounds: make([]interval.Interval, m)}
-			for a := range s.Bounds {
-				x, y := fuzzBound(data[2*a]), fuzzBound(data[2*a+1])
-				s.Bounds[a] = interval.New(min(x, y), max(x, y))
-			}
-			data = data[2*m:]
-			return s, true
-		}
-		var live []ID
-		for n := ID(1); len(data) > 0; n++ {
-			op := data[0] % 4
-			data = data[1:]
-			switch op {
-			case 0, 1:
-				s, ok := nextBox()
-				if !ok {
-					return
-				}
-				id := n
-				if op == 1 {
-					id = -n
-				}
-				if _, err := st.Subscribe(id, s); err != nil {
-					t.Fatal(err)
-				}
-				live = append(live, id)
-			case 2:
-				if len(live) == 0 || len(data) == 0 {
-					continue
-				}
-				j := int(data[0]) % len(live)
-				data = data[1:]
-				if _, err := st.Unsubscribe(live[j]); err != nil {
-					t.Fatal(err)
-				}
-				live = slices.Delete(live, j, j+1)
-			case 3:
-				s, ok := nextBox()
-				if !ok {
-					return
-				}
-				requireExactCandidates(t, st, s)
-			}
-		}
-	})
-}
-
-func fuzzBound(b byte) int64 {
-	if int(b) < len(fuzzExtremes) {
-		return fuzzExtremes[b]
-	}
-	return int64(int8(b))
+	check()
 }
 
 // TestGroupPrunedSoundness checks pruned group decisions against the

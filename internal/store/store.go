@@ -14,6 +14,7 @@ import (
 	"slices"
 	"sort"
 
+	"probsum/internal/cells"
 	"probsum/internal/core"
 	"probsum/internal/pairwise"
 	"probsum/internal/subscription"
@@ -181,7 +182,7 @@ func WithCandidatePruning(enabled bool) Option {
 //
 // The active set is maintained incrementally: activeIDs/activeSubs are
 // kept sorted by ID across every status change, and the cell-bitset
-// candidate index (see cells.go) stays in lockstep, so Subscribe never
+// candidate index (package cells) stays in lockstep, so Subscribe never
 // rescans or re-sorts the whole set.
 type Store struct {
 	policy       Policy
@@ -191,10 +192,11 @@ type Store struct {
 	nodes        map[ID]*node
 	activeIDs    []ID // sorted; parallel cache of active set
 	activeSubs   []subscription.Subscription
-	idx          cellIndex
-	mismatched   int // active subscriptions disagreeing with idx.m; pruning off while > 0
+	idx          *cells.Index // over the active set; nil while it is empty
+	mismatched   int          // active subscriptions disagreeing with idx's arity; pruning off while > 0
 
 	// Reusable hot-path buffers.
+	scratch  cells.Scratch
 	candIDs  []ID
 	candSubs []subscription.Subscription
 	candKeys []int64
@@ -240,8 +242,12 @@ func (st *Store) activate(n *node) {
 	pos, _ := slices.BinarySearch(st.activeIDs, n.id)
 	st.activeIDs = slices.Insert(st.activeIDs, pos, n.id)
 	st.activeSubs = slices.Insert(st.activeSubs, pos, n.sub)
-	st.idx.add(n)
-	if st.idx.m != 0 && n.sub.Len() != st.idx.m {
+	if st.idx == nil {
+		st.idx = cells.New(n.sub.Len())
+	}
+	if n.sub.Len() == st.idx.Arity() {
+		n.slot = st.idx.Add(int64(n.id), n.sub)
+	} else {
 		st.mismatched++
 	}
 }
@@ -256,12 +262,13 @@ func (st *Store) deactivate(n *node) {
 	}
 	st.activeIDs = slices.Delete(st.activeIDs, pos, pos+1)
 	st.activeSubs = slices.Delete(st.activeSubs, pos, pos+1)
-	st.idx.remove(n)
-	if st.idx.m != 0 && n.sub.Len() != st.idx.m {
+	if n.sub.Len() == st.idx.Arity() {
+		st.idx.Remove(n.slot)
+	} else {
 		st.mismatched--
 	}
 	if len(st.activeIDs) == 0 {
-		st.idx = cellIndex{}
+		st.idx = nil
 		st.mismatched = 0
 	}
 }
@@ -269,21 +276,27 @@ func (st *Store) deactivate(n *node) {
 // candidates returns the IDs and subscriptions the coverage decision
 // for s must consider: when indexed(s), exactly the active rows whose
 // boxes intersect s — or, with cover set, contain s — in no particular
-// order; otherwise the full active set, sorted by ID. The returned
-// slices are store-owned scratch, valid until the next call.
+// order, with candKeys set to their IDs; otherwise the full active set,
+// sorted by ID. The returned slices are store-owned scratch, valid
+// until the next call.
 func (st *Store) candidates(s subscription.Subscription, cover bool) ([]ID, []subscription.Subscription) {
 	if !st.indexed(s) {
 		return st.activeIDs, st.activeSubs
 	}
-	st.candIDs, st.candSubs = st.idx.query(s, cover, st.candIDs[:0], st.candSubs[:0])
-	return st.candIDs, st.candSubs
+	ids, subs, keys := st.candIDs[:0], st.candSubs[:0], st.candKeys[:0]
+	for _, slot := range st.idx.Query(&st.scratch, s, cover) {
+		id, sub := st.idx.Row(slot)
+		ids, subs, keys = append(ids, ID(id)), append(subs, sub), append(keys, id)
+	}
+	st.candIDs, st.candSubs, st.candKeys = ids, subs, keys
+	return ids, subs
 }
 
 // indexed reports whether the candidate index answers for s: pruning
 // is on, the active set is non-empty, and it and s agree with the
 // index's attribute count.
 func (st *Store) indexed(s subscription.Subscription) bool {
-	return st.pruning && st.mismatched == 0 && len(st.activeIDs) > 0 && s.Len() == st.idx.m
+	return st.pruning && st.mismatched == 0 && st.idx != nil && s.Len() == st.idx.Arity()
 }
 
 // ActiveIDs returns the sorted IDs of the active set.
@@ -350,11 +363,7 @@ func (st *Store) decideCoverage(s subscription.Subscription) (Status, []ID, core
 		if st.indexed(s) {
 			// The index's hits come in slot order; the checker orders
 			// them by ID itself, as if they were sorted.
-			keys = st.candKeys[:0]
-			for _, id := range ids {
-				keys = append(keys, int64(id))
-			}
-			st.candKeys = keys
+			keys = st.candKeys
 		}
 		if err := st.checker.CoveredIntoKeyed(&st.checkRes, s, subs, keys); err != nil {
 			return 0, nil, core.Result{}, err

@@ -64,9 +64,6 @@ func registerBrokerMetrics(reg *obs.Registry, core *broker.Broker) {
 		pick := pick
 		reg.RegisterCounter(name, func() int64 { return int64(pick(core.Metrics())) })
 	}
-	// Base rebuilds across the per-port matchers: how often
-	// subscription churn made a publication rebuild a port's index.
-	reg.RegisterCounter("broker_match_rebuilds", func() int64 { return int64(core.MatchRebuilds()) })
 	// The matchers' filter precision: candidates checked exactly over
 	// hits found. Candidates far above hits mean a degenerate hull.
 	reg.RegisterCounter("broker_match_candidates", func() int64 {

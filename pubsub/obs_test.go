@@ -109,7 +109,6 @@ func TestTCPObservabilityEndToEnd(t *testing.T) {
 	// per-link frames by kind, stage histograms, queue depth.
 	for _, want := range []string{
 		"probsum_broker_pubs_received",
-		"probsum_broker_match_rebuilds",
 		"probsum_broker_match_candidates",
 		"probsum_broker_match_hits",
 		`probsum_link_frames_sent_total{link="B2",kind="publish"}`,

@@ -117,20 +117,13 @@ var ErrDuplicateID = store.ErrDuplicateID
 type TableOption func(*tableConfig)
 
 type tableConfig struct {
-	copts        []core.Option
-	reversePrune bool
+	copts []core.Option
 }
 
 // WithTableChecker appends checker options (WithErrorProbability,
 // WithMaxTrials, WithSeed, …) for the table's checker under Group.
 func WithTableChecker(opts ...Option) TableOption {
 	return func(c *tableConfig) { c.copts = append(c.copts, opts...) }
-}
-
-// WithTableReversePrune enables demoting existing active subscriptions
-// that an arrival covers (the Section 4.4 multi-level forest).
-func WithTableReversePrune(enabled bool) TableOption {
-	return func(c *tableConfig) { c.reversePrune = enabled }
 }
 
 // Table is a maintained coverage table, safe for concurrent callers:
@@ -159,7 +152,7 @@ func NewTable(policy Policy, opts ...TableOption) (*Table, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	sopts := []store.Option{store.WithReversePrune(cfg.reversePrune)}
+	var sopts []store.Option
 	if policy == Group {
 		checker, err := core.NewChecker(cfg.copts...)
 		if err != nil {
