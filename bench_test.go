@@ -280,34 +280,20 @@ func BenchmarkStoreMatchTwoPhase(b *testing.B) {
 // arrival hot path the cell-bitset candidate index accelerates. On the
 // paper's mix ("pairwise", "group") under a hundred rows stay active
 // and an arrival intersects most of them, so the index sheds little;
-// and where the unpruned pairwise scan stops at the first coverer, the
-// index first finds every intersecting row, so "pairwise" costs more
-// than "pairwise-noprune". "dense", the narrow mix, sheds seven rows in
-// eight.
+// "dense", the narrow mix, sheds seven rows in eight.
 func BenchmarkStoreSubscribe(b *testing.B) {
-	for _, tc := range []struct {
-		name    string
-		policy  store.Policy
-		pruning bool
-	}{
-		{"pairwise", store.PolicyPairwise, true},
-		{"group", store.PolicyGroup, true},
-		{"pairwise-noprune", store.PolicyPairwise, false},
-		{"group-noprune", store.PolicyGroup, false},
-	} {
-		b.Run(tc.name, func(b *testing.B) { benchcases.StoreSubscribe(b, tc.policy, tc.pruning) })
-	}
+	b.Run("pairwise", func(b *testing.B) { benchcases.StoreSubscribe(b, store.PolicyPairwise) })
+	b.Run("group", func(b *testing.B) { benchcases.StoreSubscribe(b, store.PolicyGroup) })
 	b.Run("dense", benchcases.StoreSubscribeDense)
 }
 
 // BenchmarkStoreSubscribeSparse is the large-active-set regime the
 // candidate index targets: thousands of narrow boxes stay active, and
 // each arriving subscription is a shrunken copy of one of them — the
-// covered-arrival suppression path the paper optimizes. The un-indexed
-// store scans about half the active set per arrival before hitting the
-// coverer; the index prunes straight to the few intersecting rows.
-// Covered arrivals never touch the active caches, so the measurement
-// isolates the coverage decision itself.
+// covered-arrival suppression path the paper optimizes. The index
+// prunes straight to the few intersecting rows. Covered arrivals never
+// touch the active set, so the measurement isolates the coverage
+// decision itself.
 func BenchmarkStoreSubscribeSparse(b *testing.B) {
 	const (
 		k = 4000
@@ -330,18 +316,15 @@ func BenchmarkStoreSubscribeSparse(b *testing.B) {
 		return subscription.Subscription{Bounds: bounds}
 	}
 	for _, tc := range []struct {
-		name    string
-		policy  store.Policy
-		pruning bool
+		name   string
+		policy store.Policy
 	}{
-		{"pairwise", store.PolicyPairwise, true},
-		{"pairwise-noprune", store.PolicyPairwise, false},
-		{"group", store.PolicyGroup, true},
-		{"group-noprune", store.PolicyGroup, false},
+		{"pairwise", store.PolicyPairwise},
+		{"group", store.PolicyGroup},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			rng := rand.New(rand.NewPCG(91, 92))
-			opts := []store.Option{store.WithCandidatePruning(tc.pruning)}
+			var opts []store.Option
 			if tc.policy == store.PolicyGroup {
 				checker, err := core.NewChecker(core.WithSeed(93, 94), core.WithMaxTrials(2000))
 				if err != nil {

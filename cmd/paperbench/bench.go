@@ -111,16 +111,10 @@ func microBenchmarks() []struct {
 		{"CoveredInto/noncover", func(b *testing.B) { benchcases.CoveredInto(b, "noncover") }},
 		{"CoveredInto/dense", benchcases.CoveredIntoDense},
 		{"StoreSubscribe/pairwise", func(b *testing.B) {
-			benchcases.StoreSubscribe(b, store.PolicyPairwise, true)
+			benchcases.StoreSubscribe(b, store.PolicyPairwise)
 		}},
 		{"StoreSubscribe/group", func(b *testing.B) {
-			benchcases.StoreSubscribe(b, store.PolicyGroup, true)
-		}},
-		{"StoreSubscribe/pairwise-noprune", func(b *testing.B) {
-			benchcases.StoreSubscribe(b, store.PolicyPairwise, false)
-		}},
-		{"StoreSubscribe/group-noprune", func(b *testing.B) {
-			benchcases.StoreSubscribe(b, store.PolicyGroup, false)
+			benchcases.StoreSubscribe(b, store.PolicyGroup)
 		}},
 		{"StoreSubscribe/dense", benchcases.StoreSubscribeDense},
 		{"TableSubscribeBatch/peritem", func(b *testing.B) {

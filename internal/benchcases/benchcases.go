@@ -319,8 +319,8 @@ func TableUnsubscribeBatch(b *testing.B, batch bool) {
 // StoreSubscribe is the store arrival benchmark body: one
 // subscribe/unsubscribe round-trip against a store pre-filled with
 // 1500 Section 6.4 comparison-workload subscriptions.
-func StoreSubscribe(b *testing.B, policy store.Policy, pruning bool) {
-	storeSubscribe(b, workload.DefaultComparisonConfig(8), policy, pruning, core.WithMaxTrials(2000))
+func StoreSubscribe(b *testing.B, policy store.Policy) {
+	storeSubscribe(b, workload.DefaultComparisonConfig(8), policy, core.WithMaxTrials(2000))
 }
 
 // StoreSubscribeDense is StoreSubscribe under the group policy on the
@@ -329,16 +329,16 @@ func StoreSubscribe(b *testing.B, policy store.Policy, pruning bool) {
 // the checker the one in eight that intersect it, and the arrival's
 // cost is the checker's.
 func StoreSubscribeDense(b *testing.B) {
-	storeSubscribe(b, workload.NarrowComparisonConfig(6), store.PolicyGroup, true)
+	storeSubscribe(b, workload.NarrowComparisonConfig(6), store.PolicyGroup)
 }
 
-func storeSubscribe(b *testing.B, cfg workload.ComparisonConfig, policy store.Policy, pruning bool, copts ...core.Option) {
+func storeSubscribe(b *testing.B, cfg workload.ComparisonConfig, policy store.Policy, copts ...core.Option) {
 	rng := rand.New(rand.NewPCG(31, 32))
 	stream, err := workload.NewComparisonStream(rng, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := []store.Option{store.WithCandidatePruning(pruning)}
+	var opts []store.Option
 	if policy == store.PolicyGroup {
 		checker, err := core.NewChecker(append(copts, core.WithSeed(33, 34))...)
 		if err != nil {

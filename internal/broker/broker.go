@@ -354,9 +354,9 @@ func WithDedupLimit(n int) Option {
 }
 
 // WithTableOptions appends subsume table options applied to every
-// per-neighbor coverage table — error probability, trial cap,
-// candidate-pruning ablation, and so on (pubsub.Config converts to
-// exactly these). The broker's per-neighbor checker seed is applied
+// per-neighbor coverage table — error probability, trial cap, the
+// MCS and fast-path ablations (pubsub.Config converts to exactly
+// these). The broker's per-neighbor checker seed is applied
 // after them, so a WithSeed among the checker options is overridden
 // to keep table streams independent.
 func WithTableOptions(opts ...subsume.TableOption) Option {

@@ -69,9 +69,6 @@ type Scratch struct {
 // New returns an empty index over boxes of m attributes.
 func New(m int) *Index { return &Index{m: m} }
 
-// Arity returns the attribute count every indexed box has.
-func (ix *Index) Arity() int { return ix.m }
-
 // Len returns the number of indexed rows.
 func (ix *Index) Len() int { return len(ix.slots) - len(ix.free) }
 

@@ -1,15 +1,13 @@
 package store
 
 // Batch subscribe: arrival bursts re-run the candidate query and the
-// conflict table once per subscription, and every activation pays a
-// sorted-cache memmove. SubscribeBatch amortizes the burst three ways:
+// conflict table once per subscription. SubscribeBatch amortizes the
+// burst two ways:
 //
 //   - the burst is processed in descending box-volume order (ties by
 //     ID), so the subscriptions most likely to cover others activate
 //     first and the rest fall to the cheap pairwise fast path instead
 //     of a full probabilistic check against a grown active set;
-//   - the sorted active caches are grown once for the whole burst, so
-//     activations never re-allocate mid-batch;
 //   - validation (duplicates, satisfiability) happens up front, so the
 //     per-item loop is decision + insert only.
 //
@@ -75,13 +73,6 @@ func (st *Store) validateBatch(ids []ID, subs []subscription.Subscription) error
 	return nil
 }
 
-// growActive reserves room for n more activations so a burst of
-// inserts into the sorted caches never re-allocates mid-batch.
-func (st *Store) growActive(n int) {
-	st.activeIDs = slices.Grow(st.activeIDs, n)
-	st.activeSubs = slices.Grow(st.activeSubs, n)
-}
-
 // SubscribeBatch subscribes a burst in one call. Results are returned
 // in input order; processing happens in batchOrder (descending volume)
 // so within-burst coverage is found on the first pass. The whole burst
@@ -92,7 +83,6 @@ func (st *Store) SubscribeBatch(ids []ID, subs []subscription.Subscription) ([]S
 	if err := st.validateBatch(ids, subs); err != nil {
 		return nil, err
 	}
-	st.growActive(len(ids))
 	out := make([]SubscribeResult, len(ids))
 	for _, i := range batchOrder(ids, subs) {
 		res, err := st.Subscribe(ids[i], subs[i])

@@ -43,13 +43,13 @@ var equivalenceMixes = []struct {
 
 // driveEquivalence feeds the same subscribe/unsubscribe sequence to a
 // pruned and an unpruned store and requires identical observable
-// behavior after every operation: statuses, coverers, demotions,
-// promotions, and the active ID set.
+// behavior after every operation: statuses, coverers, promotions, and
+// the active ID set.
 func driveEquivalence(t *testing.T, cfg workload.ComparisonConfig, mkStore func() *Store) {
 	t.Helper()
 	pruned := mkStore()
 	full := mkStore()
-	WithCandidatePruning(false)(full)
+	full.unpruned = true
 
 	subs := subscribeStream(t, 41, 42, 400, cfg)
 	rng := rand.New(rand.NewPCG(43, 44))
@@ -70,12 +70,9 @@ func driveEquivalence(t *testing.T, cfg workload.ComparisonConfig, mkStore func(
 		if !slices.Equal(rp.Coverers, rf.Coverers) {
 			t.Fatalf("subscribe %d: pruned coverers %v, full coverers %v", i, rp.Coverers, rf.Coverers)
 		}
-		if !slices.Equal(rp.Demoted, rf.Demoted) {
-			t.Fatalf("subscribe %d: pruned demoted %v, full demoted %v", i, rp.Demoted, rf.Demoted)
-		}
 		// The residual stage walks the same intersecting rows in the same
-		// order either way, so it names the same cover, in active-set
-		// positions, ascending.
+		// order either way, so it names the same cover: the same Coverers
+		// (above), and the same row positions, which the store clears.
 		pc, fc := rp.Checker, rf.Checker
 		if !slices.IsSorted(pc.ReducedSet) ||
 			pc.Reason == core.ReasonResidualCover && fc.Reason == core.ReasonResidualCover && !slices.Equal(pc.ReducedSet, fc.ReducedSet) {
@@ -120,7 +117,7 @@ func TestPrunedEquivalencePairwise(t *testing.T) {
 	for _, mix := range equivalenceMixes {
 		t.Run(mix.name, func(t *testing.T) {
 			driveEquivalence(t, mix.cfg, func() *Store {
-				st, err := New(PolicyPairwise, WithReversePrune(true))
+				st, err := New(PolicyPairwise)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -138,7 +135,7 @@ func TestPrunedEquivalenceGroup(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				st, err := New(PolicyGroup, WithChecker(checker), WithReversePrune(true))
+				st, err := New(PolicyGroup, WithChecker(checker))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -158,15 +155,15 @@ func requireExactCandidates(t *testing.T, st *Store, probe subscription.Subscrip
 		gotIDs, gotSubs := sortedCandidates(st, probe, cover)
 		var wantIDs []ID
 		var wantSubs []subscription.Subscription
-		for p, id := range st.activeIDs {
-			row := st.activeSubs[p]
+		activeIDs := st.ActiveIDs()
+		for p, row := range st.ActiveSubscriptions() {
 			if cover && row.Covers(probe) || !cover && row.Intersects(probe) {
-				wantIDs = append(wantIDs, id)
+				wantIDs = append(wantIDs, activeIDs[p])
 				wantSubs = append(wantSubs, row)
 			}
 		}
 		if !slices.Equal(gotIDs, wantIDs) {
-			t.Fatalf("candidates (cover %v) for %v: got %v, want %v (active %v)", cover, probe, gotIDs, wantIDs, st.activeIDs)
+			t.Fatalf("candidates (cover %v) for %v: got %v, want %v (active %v)", cover, probe, gotIDs, wantIDs, activeIDs)
 		}
 		for p := range gotSubs {
 			if !gotSubs[p].Equal(wantSubs[p]) {
@@ -188,7 +185,7 @@ func sortedCandidates(st *Store, probe subscription.Subscription, cover bool) ([
 	sortedIDs := make([]ID, len(ids))
 	sortedSubs := make([]subscription.Subscription, len(ids))
 	for i, j := range order {
-		sortedIDs[i], sortedSubs[i] = ids[j], subs[j]
+		sortedIDs[i], sortedSubs[i] = ID(ids[j]), subs[j]
 	}
 	return sortedIDs, sortedSubs
 }
@@ -199,7 +196,7 @@ func sortedCandidates(st *Store, probe subscription.Subscription, cover bool) ([
 func TestCandidateIndexConsistency(t *testing.T) {
 	for _, mix := range equivalenceMixes {
 		t.Run(mix.name, func(t *testing.T) {
-			st, err := New(PolicyPairwise, WithReversePrune(true))
+			st, err := New(PolicyPairwise)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,12 +233,13 @@ func boxN(bounds ...int64) subscription.Subscription {
 	return s
 }
 
-// TestCandidateIndexEdges drives the store's index through the cases a
-// steady population never reaches — rows outside the grid hull, reused
-// slots, a drained store repopulated under another attribute count,
-// bounds at the int64 limits — and requires exact candidates after each
-// step. Under PolicyNone every subscription is active, so each
-// Subscribe is one activation.
+// TestCandidateIndexEdges drives the store's indexes through the cases
+// a steady population never reaches — rows outside the grid hull,
+// reused slots, a drained store repopulated under another attribute
+// count, two attribute counts active at once, bounds at the int64
+// limits — and requires exact candidates after each step. Under
+// PolicyNone every subscription is active, so each Subscribe is one
+// activation.
 func TestCandidateIndexEdges(t *testing.T) {
 	const lo, hi = math.MinInt64, math.MaxInt64
 	type step struct {
@@ -299,7 +297,7 @@ func TestCandidateIndexEdges(t *testing.T) {
 		steps: append(append(append(grid(80, 2),
 			step{unsub: ids(0, 80, 1)}),
 			grid(70, 4)...),
-			step{sub: boxN(0, 5, 0, 5)}, // mixed arity: the full set until it leaves
+			step{sub: boxN(0, 5, 0, 5)}, // mixed arity: a second index until it leaves
 			step{unsub: []ID{150}},
 		),
 		probes: []subscription.Subscription{
@@ -327,7 +325,7 @@ func TestCandidateIndexEdges(t *testing.T) {
 				t.Fatal(err)
 			}
 			next := ID(0)
-			for i, s := range tc.steps {
+			for _, s := range tc.steps {
 				if s.sub.Bounds != nil {
 					if _, err := st.Subscribe(next, s.sub); err != nil {
 						t.Fatal(err)
@@ -340,18 +338,6 @@ func TestCandidateIndexEdges(t *testing.T) {
 					}
 				}
 				for _, p := range tc.probes {
-					if !st.indexed(p) {
-						// Pruning is off, which it may be only while the
-						// active set is empty or a row in it disagrees with
-						// p's attribute count: the decision sees the full set.
-						if len(st.activeSubs) > 0 && !slices.ContainsFunc(st.activeSubs, func(s subscription.Subscription) bool { return s.Len() != p.Len() }) {
-							t.Fatalf("step %d: pruning is off for %v with every active row of its arity", i, p)
-						}
-						if got, _ := sortedCandidates(st, p, false); !slices.Equal(got, st.activeIDs) {
-							t.Fatalf("step %d: candidates %v, want the full active set %v", i, got, st.activeIDs)
-						}
-						continue
-					}
 					requireExactCandidates(t, st, p)
 				}
 			}

@@ -16,7 +16,6 @@ import (
 
 	"probsum/internal/cells"
 	"probsum/internal/core"
-	"probsum/internal/pairwise"
 	"probsum/internal/subscription"
 )
 
@@ -80,7 +79,7 @@ type node struct {
 	status   Status
 	coverers map[ID]struct{} // nodes whose union covers this one
 	children map[ID]struct{} // nodes listing this one as coverer
-	slot     int32           // position in the candidate index while active
+	slot     int32           // position in its attribute count's index while active
 }
 
 // SubscribeResult reports what Subscribe did.
@@ -88,17 +87,14 @@ type SubscribeResult struct {
 	// Status is where the new subscription was placed.
 	Status Status
 	// Coverers lists the subscriptions that jointly cover it (empty
-	// when active). For pairwise coverage it has exactly one element.
+	// when active), in ascending ID order. For pairwise coverage it has
+	// exactly one element.
 	Coverers []ID
-	// Demoted lists previously active subscriptions moved to the
-	// covered set because the new subscription covers them (only with
-	// reverse pruning enabled).
-	Demoted []ID
 	// Checker carries the probabilistic decision detail under
-	// PolicyGroup; zero otherwise. Its CoveringRow and ReducedSet
-	// indices refer to positions in the ID-ordered active set at
-	// decision time (as returned by ActiveIDs), regardless of any
-	// internal candidate pruning.
+	// PolicyGroup; zero otherwise. Its CoveringRow is -1 and its
+	// ReducedSet nil: they would index the candidate rows the store
+	// handed the checker, which are internal scratch, and Coverers
+	// already names those rows by ID.
 	Checker core.Result
 }
 
@@ -161,45 +157,28 @@ func WithChecker(c *core.Checker) Option {
 	return func(st *Store) { st.checker = c }
 }
 
-// WithReversePrune enables demoting existing active subscriptions that
-// a newly arriving subscription covers pairwise, building the
-// multi-level cover forest of Section 4.4.
-func WithReversePrune(enabled bool) Option {
-	return func(st *Store) { st.reversePrune = enabled }
-}
-
-// WithCandidatePruning toggles the cell-bitset candidate index that
-// restricts coverage checks to active subscriptions intersecting the
-// arriving one (default on). Disabling it hands the full active set to
-// the coverage decision, as the pre-index implementation did; the
-// switch exists for the DESIGN.md ablation and for equivalence tests.
-func WithCandidatePruning(enabled bool) Option {
-	return func(st *Store) { st.pruning = enabled }
-}
-
 // Store is a broker-local subscription table. It is not safe for
 // concurrent use; brokers own one store each and serialize access.
 //
-// The active set is maintained incrementally: activeIDs/activeSubs are
-// kept sorted by ID across every status change, and the cell-bitset
-// candidate index (package cells) stays in lockstep, so Subscribe never
-// rescans or re-sorts the whole set.
+// nodes holds every subscription, active and covered. The active set
+// is held once more, in active: one cell-bitset index (package cells)
+// per attribute count. Every status change adds or removes the row in
+// its count's index, and an index is dropped once empty. The ID-ordered
+// views (ActiveIDs, ActiveSubscriptions) are derived from nodes on
+// demand, so Subscribe never rescans or re-sorts the whole set.
 type Store struct {
-	policy       Policy
-	checker      *core.Checker
-	reversePrune bool
-	pruning      bool
-	nodes        map[ID]*node
-	activeIDs    []ID // sorted; parallel cache of active set
-	activeSubs   []subscription.Subscription
-	idx          *cells.Index // over the active set; nil while it is empty
-	mismatched   int          // active subscriptions disagreeing with idx's arity; pruning off while > 0
+	policy  Policy
+	checker *core.Checker
+	nodes   map[ID]*node
+	active  map[int]*cells.Index // by attribute count; none is empty
+	// unpruned makes candidates return every active row of the
+	// arrival's attribute count: the reference tests compare against.
+	unpruned bool
 
 	// Reusable hot-path buffers.
 	scratch  cells.Scratch
-	candIDs  []ID
+	candIDs  []int64
 	candSubs []subscription.Subscription
-	candKeys []int64
 	checkRes core.Result
 
 	stats CheckerStats
@@ -214,7 +193,7 @@ func New(policy Policy, opts ...Option) (*Store, error) {
 	if policy < PolicyNone || policy > PolicyGroup {
 		return nil, fmt.Errorf("store: invalid policy %d", policy)
 	}
-	st := &Store{policy: policy, nodes: make(map[ID]*node), pruning: true}
+	st := &Store{policy: policy, nodes: make(map[ID]*node), active: make(map[int]*cells.Index)}
 	for _, opt := range opts {
 		opt(st)
 	}
@@ -235,86 +214,82 @@ func (st *Store) Policy() Policy { return st.policy }
 // but Unsubscribes under policies that never call the checker.
 func (st *Store) CheckerStats() CheckerStats { return st.stats }
 
-// activate inserts n into the sorted active caches and the candidate
-// index. Nodes whose attribute count disagrees with the index are
-// counted instead of indexed; pruning stays off while any are active.
+// activate adds n to its attribute count's index.
 func (st *Store) activate(n *node) {
-	pos, _ := slices.BinarySearch(st.activeIDs, n.id)
-	st.activeIDs = slices.Insert(st.activeIDs, pos, n.id)
-	st.activeSubs = slices.Insert(st.activeSubs, pos, n.sub)
-	if st.idx == nil {
-		st.idx = cells.New(n.sub.Len())
+	m := n.sub.Len()
+	ix := st.active[m]
+	if ix == nil {
+		ix = cells.New(m)
+		st.active[m] = ix
 	}
-	if n.sub.Len() == st.idx.Arity() {
-		n.slot = st.idx.Add(int64(n.id), n.sub)
-	} else {
-		st.mismatched++
-	}
+	n.slot = ix.Add(int64(n.id), n.sub)
 }
 
-// deactivate removes n from the sorted active caches and the index.
-// Draining the active set resets the index entirely, so a store
-// repopulated under a different attribute count regains pruning.
+// deactivate removes n from its attribute count's index, dropping the
+// index once it is empty so a later population starts from a fresh grid.
 func (st *Store) deactivate(n *node) {
-	pos, ok := slices.BinarySearch(st.activeIDs, n.id)
-	if !ok {
-		return
-	}
-	st.activeIDs = slices.Delete(st.activeIDs, pos, pos+1)
-	st.activeSubs = slices.Delete(st.activeSubs, pos, pos+1)
-	if n.sub.Len() == st.idx.Arity() {
-		st.idx.Remove(n.slot)
-	} else {
-		st.mismatched--
-	}
-	if len(st.activeIDs) == 0 {
-		st.idx = nil
-		st.mismatched = 0
+	m := n.sub.Len()
+	ix := st.active[m]
+	ix.Remove(n.slot)
+	if ix.Len() == 0 {
+		delete(st.active, m)
 	}
 }
 
 // candidates returns the IDs and subscriptions the coverage decision
-// for s must consider: when indexed(s), exactly the active rows whose
-// boxes intersect s — or, with cover set, contain s — in no particular
-// order, with candKeys set to their IDs; otherwise the full active set,
-// sorted by ID. The returned slices are store-owned scratch, valid
-// until the next call.
-func (st *Store) candidates(s subscription.Subscription, cover bool) ([]ID, []subscription.Subscription) {
-	if !st.indexed(s) {
-		return st.activeIDs, st.activeSubs
+// for s must consider: exactly the active rows whose boxes intersect s
+// — or, with cover set, contain s — in no particular order; with
+// unpruned set, every active row of s's attribute count. A row of
+// another attribute count neither intersects nor contains s. The
+// returned slices are store-owned scratch, valid until the next call.
+func (st *Store) candidates(s subscription.Subscription, cover bool) ([]int64, []subscription.Subscription) {
+	ids, subs := st.candIDs[:0], st.candSubs[:0]
+	if st.unpruned {
+		for id, n := range st.nodes {
+			if n.status == StatusActive && n.sub.Len() == s.Len() {
+				ids, subs = append(ids, int64(id)), append(subs, n.sub)
+			}
+		}
+	} else if ix := st.active[s.Len()]; ix != nil {
+		for _, slot := range ix.Query(&st.scratch, s, cover) {
+			id, sub := ix.Row(slot)
+			ids, subs = append(ids, id), append(subs, sub)
+		}
 	}
-	ids, subs, keys := st.candIDs[:0], st.candSubs[:0], st.candKeys[:0]
-	for _, slot := range st.idx.Query(&st.scratch, s, cover) {
-		id, sub := st.idx.Row(slot)
-		ids, subs, keys = append(ids, ID(id)), append(subs, sub), append(keys, id)
-	}
-	st.candIDs, st.candSubs, st.candKeys = ids, subs, keys
+	st.candIDs, st.candSubs = ids, subs
 	return ids, subs
-}
-
-// indexed reports whether the candidate index answers for s: pruning
-// is on, the active set is non-empty, and it and s agree with the
-// index's attribute count.
-func (st *Store) indexed(s subscription.Subscription) bool {
-	return st.pruning && st.mismatched == 0 && st.idx != nil && s.Len() == st.idx.Arity()
 }
 
 // ActiveIDs returns the sorted IDs of the active set.
 func (st *Store) ActiveIDs() []ID {
-	out := make([]ID, len(st.activeIDs))
-	copy(out, st.activeIDs)
-	return out
+	ids := make([]ID, 0, st.ActiveLen())
+	for id, n := range st.nodes {
+		if n.status == StatusActive {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // ActiveSubscriptions returns the active subscriptions ordered by ID.
 func (st *Store) ActiveSubscriptions() []subscription.Subscription {
-	out := make([]subscription.Subscription, len(st.activeSubs))
-	copy(out, st.activeSubs)
+	ids := st.ActiveIDs()
+	out := make([]subscription.Subscription, len(ids))
+	for i, id := range ids {
+		out[i] = st.nodes[id].sub
+	}
 	return out
 }
 
 // ActiveLen returns the active set size.
-func (st *Store) ActiveLen() int { return len(st.activeIDs) }
+func (st *Store) ActiveLen() int {
+	n := 0
+	for _, ix := range st.active {
+		n += ix.Len()
+	}
+	return n
+}
 
 // CoveredLen returns the covered set size.
 func (st *Store) CoveredLen() int { return len(st.nodes) - st.ActiveLen() }
@@ -331,41 +306,41 @@ func (st *Store) Get(id ID) (subscription.Subscription, Status, bool) {
 	return n.sub, n.status, true
 }
 
-// decideCoverage classifies s against the current active set. With
-// pruning enabled the pairwise scan sees only the rows containing s and
-// the probabilistic checker only the rows intersecting s — sound,
-// because a pairwise coverer contains s and a subscription disjoint
-// from s contributes nothing to any cover of s.
+// decideCoverage classifies s against the current active set. The
+// pairwise scan sees only the rows containing s and the probabilistic
+// checker only the rows intersecting s — sound, because a pairwise
+// coverer contains s and a subscription disjoint from s contributes
+// nothing to any cover of s.
 func (st *Store) decideCoverage(s subscription.Subscription) (Status, []ID, core.Result, error) {
 	switch st.policy {
 	case PolicyNone:
 		return StatusActive, nil, core.Result{}, nil
 	case PolicyPairwise:
+		// The coverer is the lowest-ID row containing s: the one a scan
+		// of the active set in ID order finds first.
 		ids, subs := st.candidates(s, true)
-		i := pairwise.CoveredBySingle(s, subs)
-		if i < 0 {
-			return StatusActive, nil, core.Result{}, nil
-		}
-		// The coverer is the lowest-ID row containing s. The active set
-		// is in ID order, so that is its first; the index's hits are in
-		// slot order, and each contains s.
-		if st.indexed(s) {
-			for j, id := range ids {
-				if id < ids[i] {
-					i = j
-				}
+		best := -1
+		for i, sub := range subs {
+			if sub.Covers(s) && (best < 0 || ids[i] < ids[best]) {
+				best = i
 			}
 		}
-		return StatusCovered, []ID{ids[i]}, core.Result{}, nil
-	default: // PolicyGroup
-		ids, subs := st.candidates(s, false)
-		var keys []int64 // nil: the active set is already in ID order
-		if st.indexed(s) {
-			// The index's hits come in slot order; the checker orders
-			// them by ID itself, as if they were sorted.
-			keys = st.candKeys
+		if best < 0 {
+			return StatusActive, nil, core.Result{}, nil
 		}
-		if err := st.checker.CoveredIntoKeyed(&st.checkRes, s, subs, keys); err != nil {
+		return StatusCovered, []ID{ID(ids[best])}, core.Result{}, nil
+	default: // PolicyGroup
+		// The checker rejects a set of another attribute count than s,
+		// but the candidates come from s's count alone, so the store
+		// raises that error itself.
+		if _, ok := st.active[s.Len()]; !ok && len(st.active) > 0 {
+			return 0, nil, core.Result{}, fmt.Errorf("store: no active subscription has %d attributes: %w",
+				s.Len(), subscription.ErrSchemaMismatch)
+		}
+		// The candidates come in slot order; the checker orders them by
+		// ID itself, as if they were sorted.
+		ids, subs := st.candidates(s, false)
+		if err := st.checker.CoveredIntoKeyed(&st.checkRes, s, subs, ids); err != nil {
 			return 0, nil, core.Result{}, err
 		}
 		st.stats.Calls++
@@ -375,23 +350,12 @@ func (st *Store) decideCoverage(s subscription.Subscription) (Status, []ID, core
 		if st.checkRes.Decision == core.CoveredProbably && st.checkRes.DCapped {
 			st.stats.Capped++
 		}
-		// Copy the result: checkRes and its ReducedSet are reused by
-		// the next check, while SubscribeResult.Checker escapes to the
-		// caller.
+		coverers := st.resolveCoverers(ids, &st.checkRes)
+		// CoveringRow and ReducedSet index the candidate scratch, and
+		// ReducedSet aliases checkRes, which the next check reuses;
+		// coverers names those rows by ID instead.
 		res := st.checkRes
-		res.ReducedSet = slices.Clone(res.ReducedSet)
-		coverers := st.resolveCoverers(ids, &res)
-		// Remap CoveringRow/ReducedSet from candidate positions to
-		// positions in the ID-ordered active set, the documented frame
-		// of reference for SubscribeResult.Checker (the candidate
-		// shortlist is internal scratch a caller can never see).
-		if res.CoveringRow >= 0 {
-			res.CoveringRow = st.activePos(ids[res.CoveringRow])
-		}
-		for j, idx := range res.ReducedSet {
-			res.ReducedSet[j] = st.activePos(ids[idx])
-		}
-		slices.Sort(res.ReducedSet)
+		res.CoveringRow, res.ReducedSet = -1, nil
 		if !res.Decision.IsCovered() {
 			return StatusActive, nil, res, nil
 		}
@@ -401,30 +365,26 @@ func (st *Store) decideCoverage(s subscription.Subscription) (Status, []ID, core
 
 // resolveCoverers maps a group-coverage result's candidate indices to
 // subscription IDs, in ascending ID order.
-func (st *Store) resolveCoverers(ids []ID, res *core.Result) []ID {
+func (st *Store) resolveCoverers(ids []int64, res *core.Result) []ID {
 	if !res.Decision.IsCovered() {
 		return nil
 	}
 	if res.Reason == core.ReasonPairwiseCover {
-		return []ID{ids[res.CoveringRow]}
+		return []ID{ID(ids[res.CoveringRow])}
 	}
 	coverers := make([]ID, 0, len(res.ReducedSet))
 	for _, idx := range res.ReducedSet {
-		coverers = append(coverers, ids[idx])
+		coverers = append(coverers, ID(ids[idx]))
 	}
 	if len(coverers) == 0 {
 		// MCS was disabled or returned no detail; fall back to the
 		// whole candidate set as the covering group.
-		coverers = append(coverers, ids...)
+		for _, id := range ids {
+			coverers = append(coverers, ID(id))
+		}
 	}
 	slices.Sort(coverers)
 	return coverers
-}
-
-// activePos returns id's position in the ID-ordered active set.
-func (st *Store) activePos(id ID) int {
-	pos, _ := slices.BinarySearch(st.activeIDs, id)
-	return pos
 }
 
 // Subscribe inserts a subscription under a fresh ID and classifies it.
@@ -451,41 +411,10 @@ func (st *Store) Subscribe(id ID, s subscription.Subscription) (SubscribeResult,
 		st.nodes[c].children[id] = struct{}{}
 	}
 	st.nodes[id] = n
-	res := SubscribeResult{Status: status, Coverers: coverers, Checker: checkRes}
 	if status == StatusActive {
 		st.activate(n)
-		if st.reversePrune {
-			res.Demoted = st.demoteCoveredBy(n)
-		}
 	}
-	return res, nil
-}
-
-// demoteCoveredBy moves active subscriptions covered by the new node
-// into the covered set beneath it, preserving their own children
-// (multi-level forest). A subscription covered by n.sub is contained
-// in it, hence intersects it, so the candidate index narrows the scan.
-func (st *Store) demoteCoveredBy(n *node) []ID {
-	var demoted []ID
-	ids, subs := st.candidates(n.sub, false)
-	for i, id := range ids {
-		if id == n.id {
-			continue
-		}
-		if n.sub.Covers(subs[i]) {
-			old := st.nodes[id]
-			old.status = StatusCovered
-			old.coverers = map[ID]struct{}{n.id: {}}
-			n.children[id] = struct{}{}
-			demoted = append(demoted, id)
-		}
-	}
-	// Deactivate after the scan: ids may alias the live active caches.
-	for _, id := range demoted {
-		st.deactivate(st.nodes[id])
-	}
-	slices.Sort(demoted)
-	return demoted
+	return SubscribeResult{Status: status, Coverers: coverers, Checker: checkRes}, nil
 }
 
 // Unsubscribe removes id. When an active subscription leaves, covered
@@ -570,10 +499,12 @@ func (st *Store) revalidate(child *node) (promoted bool, err error) {
 func (st *Store) Match(p subscription.Publication) []ID {
 	var out []ID
 	frontier := make([]ID, 0, 8)
-	for i, sub := range st.activeSubs {
-		if sub.Matches(p) {
-			out = append(out, st.activeIDs[i])
-			frontier = append(frontier, st.activeIDs[i])
+	if ix := st.active[len(p.Values)]; ix != nil {
+		hits, _ := ix.Stab(&st.scratch, p, false)
+		for _, slot := range hits {
+			id, _ := ix.Row(slot)
+			out = append(out, ID(id))
+			frontier = append(frontier, ID(id))
 		}
 	}
 	visited := make(map[ID]bool, len(frontier))
@@ -610,9 +541,9 @@ func (st *Store) Match(p subscription.Publication) []ID {
 func (st *Store) MatchTwoPhase(p subscription.Publication) []ID {
 	var out []ID
 	matched := false
-	for i, sub := range st.activeSubs {
-		if sub.Matches(p) {
-			out = append(out, st.activeIDs[i])
+	for id, n := range st.nodes {
+		if n.status == StatusActive && n.sub.Matches(p) {
+			out = append(out, id)
 			matched = true
 		}
 	}

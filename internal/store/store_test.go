@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -88,8 +89,13 @@ func TestPolicyGroupDetectsUnionCover(t *testing.T) {
 	if res.Status != StatusCovered {
 		t.Fatalf("s must be group-covered, got %v (checker: %+v)", res.Status, res.Checker)
 	}
-	if len(res.Coverers) == 0 {
-		t.Error("group cover must record coverers")
+	if len(res.Coverers) == 0 || !slices.IsSorted(res.Coverers) {
+		t.Errorf("group cover must record coverers in ID order, got %v", res.Coverers)
+	}
+	// The checker's row positions index store scratch; Coverers names
+	// the rows instead.
+	if res.Checker.CoveringRow != -1 || res.Checker.ReducedSet != nil {
+		t.Errorf("checker positions leaked: CoveringRow %d, ReducedSet %v", res.Checker.CoveringRow, res.Checker.ReducedSet)
 	}
 	if st.ActiveLen() != 2 || st.CoveredLen() != 1 {
 		t.Errorf("active=%d covered=%d", st.ActiveLen(), st.CoveredLen())
@@ -122,10 +128,11 @@ func TestSubscribeErrors(t *testing.T) {
 // and leaves the store as it was; one without attributes is an error.
 func TestSubscribeSchemaMismatch(t *testing.T) {
 	for _, pruning := range []bool{true, false} {
-		st, err := New(PolicyGroup, WithCandidatePruning(pruning))
+		st, err := New(PolicyGroup)
 		if err != nil {
 			t.Fatal(err)
 		}
+		st.unpruned = !pruning
 		for id, s := range []subscription.Subscription{box(0, 10, 0, 10), box(5, 20, 0, 10)} {
 			if _, err := st.Subscribe(ID(id), s); err != nil {
 				t.Fatal(err)
@@ -221,33 +228,74 @@ func TestGroupUnsubscribePromotion(t *testing.T) {
 	}
 }
 
-func TestReversePruneBuildsForest(t *testing.T) {
-	st, err := New(PolicyPairwise, WithReversePrune(true))
+// TestPairwiseMixedArity: a store holds one index per attribute count.
+// An arrival is covered by the lowest-ID container of its own count —
+// a box of another count never covers it — Match agrees with the
+// literal Algorithm 5 for publications of either count, ActiveIDs is
+// sorted across counts, and draining one count drops its index.
+func TestPairwiseMixedArity(t *testing.T) {
+	st, err := New(PolicyPairwise)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Subscribe(1, box(2, 4, 2, 4))
-	st.Subscribe(2, box(6, 8, 6, 8))
-	res, err := st.Subscribe(3, box(0, 10, 0, 10))
-	if err != nil {
-		t.Fatal(err)
+	box3 := func(lo, hi int64) subscription.Subscription {
+		return subscription.New(interval.New(lo, hi), interval.New(lo, hi), interval.New(lo, hi))
 	}
-	if res.Status != StatusActive {
-		t.Fatal("covering subscription must be active")
+	for _, c := range []struct {
+		id   ID
+		sub  subscription.Subscription
+		want []ID
+	}{
+		{4, box3(60, 70), nil},
+		{1, box(0, 100, 0, 100), nil},
+		{2, box3(0, 100), nil},
+		{9, box(0, 300, 0, 300), nil},
+		{5, box(0, 50, 0, 50), []ID{1}},    // 9 contains it too
+		{7, box3(0, 50), []ID{2}},          // 1 has a lower ID but two attributes
+		{12, box3(62, 65), []ID{2}},        // 4 contains it too
+		{10, box(10, 20, 10, 20), []ID{1}}, // as 5
+		{13, box(400, 500, 0, 1), nil},
+	} {
+		res, err := st.Subscribe(c.id, c.sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Coverers, c.want) {
+			t.Fatalf("subscribe %d: coverers %v, want %v", c.id, res.Coverers, c.want)
+		}
 	}
-	if len(res.Demoted) != 2 {
-		t.Fatalf("demoted = %v, want both earlier subscriptions", res.Demoted)
+	if got := st.ActiveIDs(); !slices.Equal(got, []ID{1, 2, 4, 9, 13}) {
+		t.Fatalf("ActiveIDs = %v, want [1 2 4 9 13]", got)
 	}
-	if st.ActiveLen() != 1 || st.CoveredLen() != 2 {
-		t.Errorf("active=%d covered=%d", st.ActiveLen(), st.CoveredLen())
+	if len(st.active) != 2 {
+		t.Fatalf("%d indexes for two attribute counts", len(st.active))
 	}
-	// Unsubscribing the coverer promotes both.
-	un, err := st.Unsubscribe(3)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		p    subscription.Publication
+		want []ID
+	}{
+		{subscription.NewPublication(15, 15), []ID{1, 5, 9, 10}},
+		{subscription.NewPublication(15, 15, 15), []ID{2, 7}},
+		{subscription.NewPublication(63, 63, 63), []ID{2, 4, 12}},
+		{subscription.NewPublication(450, 0), []ID{13}},
+		{subscription.NewPublication(500, 0, 0), nil},
+	} {
+		if got, ref := st.Match(c.p), st.MatchTwoPhase(c.p); !slices.Equal(got, c.want) || !slices.Equal(ref, c.want) {
+			t.Fatalf("Match(%v) = %v, MatchTwoPhase = %v, want %v", c.p, got, ref, c.want)
+		}
 	}
-	if len(un.Promoted) != 2 {
-		t.Errorf("promoted = %v, want 2 entries", un.Promoted)
+	// Draining the 2-attribute rows drops their index and leaves the
+	// other count's as it was.
+	for _, id := range []ID{1, 9, 13, 5, 10} {
+		if _, err := st.Unsubscribe(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := st.active[2]; ok || len(st.active) != 1 {
+		t.Fatalf("%d indexes left after draining the 2-attribute rows", len(st.active))
+	}
+	if got := st.ActiveIDs(); !slices.Equal(got, []ID{2, 4}) {
+		t.Fatalf("ActiveIDs = %v, want [2 4]", got)
 	}
 }
 
@@ -283,7 +331,7 @@ func TestMatchEqualsTwoPhase(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 120}
 	f := func(seed1, seed2 uint64) bool {
 		r := rand.New(rand.NewPCG(seed1, seed2))
-		st, err := New(PolicyPairwise, WithReversePrune(r.IntN(2) == 0))
+		st, err := New(PolicyPairwise)
 		if err != nil {
 			return false
 		}
