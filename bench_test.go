@@ -384,8 +384,8 @@ func BenchmarkTableSubscribeBatch(b *testing.B) {
 // BenchmarkTableUnsubscribeBatch measures a cancellation burst — the
 // burst workload's broad parents withdrawn at once — removed per-item
 // (each removal runs its own promotion cascade) versus through
-// UnsubscribeBatch (one shared cascade frontier: every orphaned child
-// is re-validated exactly once against the post-removal set).
+// UnsubscribeBatch (the same loop inside one call and one lock
+// acquisition), so the two cases differ by the Table's locking only.
 func BenchmarkTableUnsubscribeBatch(b *testing.B) {
 	b.Run("peritem", func(b *testing.B) { benchcases.TableUnsubscribeBatch(b, false) })
 	b.Run("batch", func(b *testing.B) { benchcases.TableUnsubscribeBatch(b, true) })

@@ -66,8 +66,7 @@ func TestBrokervetCleanOnTree(t *testing.T) {
 func TestGuardAnnotationsPresent(t *testing.T) {
 	expected := map[string]map[string][]string{
 		"probsum/internal/broker": {
-			"Broker": {"neighbors", "clients", "out", "outIDs", "idToSub",
-				"nextID", "in", "matchers", "source", "recv"},
+			"Broker":   {"neighbors", "clients", "out", "routes", "byID", "nextID", "paths"},
 			"pubDedup": {"gens"},
 		},
 		"probsum/pubsub": {

@@ -282,10 +282,9 @@ func UnsubBurst() (ids []subsume.ID, subs []subsume.Subscription, burst []subsum
 // body: admit the UnsubBurst workload, then withdraw the tile parents
 // per-item (each removal runs its own promotion cascade, repeatedly
 // re-validating children that keep finding cover in surviving tiles)
-// or through UnsubscribeBatch (one shared cascade frontier: every
-// orphaned child is re-validated exactly once against the
-// post-removal set). Table construction and admission are excluded
-// from the timing.
+// or through UnsubscribeBatch (the same removals and cascades in one
+// call, under one lock acquisition). Table construction and admission
+// are excluded from the timing.
 func TableUnsubscribeBatch(b *testing.B, batch bool) {
 	ids, subs, burst := UnsubBurst()
 	b.ReportAllocs()

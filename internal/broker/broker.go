@@ -15,9 +15,10 @@
 package broker
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,8 +50,10 @@ const (
 	// so within-burst coverage is found immediately (broad
 	// subscriptions suppress the narrow ones arriving alongside them).
 	MsgSubscribeBatch
-	// MsgUnsubscribeBatch cancels a burst of subscriptions with one
-	// shared promotion-cascade frontier per neighbor table.
+	// MsgUnsubscribeBatch cancels a burst of subscriptions; each
+	// per-neighbor coverage table retires the whole burst in ONE call
+	// and the promotions it caused are re-announced as one
+	// MsgSubscribeBatch.
 	MsgUnsubscribeBatch
 	// MsgPublishBatch carries a producer-side burst of publications in
 	// one frame; the broker processes the run under a single shared-lock
@@ -399,37 +402,25 @@ type Broker struct {
 	// broker has forwarded to that neighbor, reduced under the policy.
 	// +guarded_by:mu
 	out map[string]*subsume.Table
-	// outIDs maps subscription IDs to per-broker numeric IDs; idToSub
-	// is its inverse, used when promotions must be re-announced.
+
+	// routes holds one record per known subscription, by SubID; byID
+	// holds the same records by numeric ID, the key of every coverage
+	// table and matcher.
 	// +guarded_by:mu
-	outIDs map[string]subsume.ID
+	routes map[string]*route
 	// +guarded_by:mu
-	idToSub map[subsume.ID]string
+	byID map[subsume.ID]*route
 	// +guarded_by:mu
 	nextID subsume.ID
 
-	// in records, per port, the subscriptions received from that port:
-	// the reverse-path routing table.
+	// paths holds, per port, the routes with a reverse path over it:
+	// the reverse-path routing table. A neighbor's entry is also the
+	// link's received set — every live subscription that arrived over
+	// it, duplicate copies included — which the digest reconciliation
+	// compares against the active set the neighbor's table for this
+	// broker holds (see digest.go).
 	// +guarded_by:mu
-	in map[string]map[string]subscription.Subscription
-	// matchers indexes each port's reverse-path table with the
-	// cell-bitset matcher, updated in place as subscriptions arrive and
-	// leave, so handlePublish checks the filter's candidates instead of
-	// scanning the table per publication.
-	// +guarded_by:mu
-	matchers map[string]*match.ITreeIndex
-	// source records the first-arrival port of each known subscription.
-	// +guarded_by:mu
-	source map[string]string
-	// recv records, per NEIGHBOR port, every live subscription ID that
-	// arrived over it — including duplicate copies the first-arrival
-	// rule dropped from routing. This is the receiver's ground truth
-	// for the digest reconciliation protocol: the sender digests the
-	// active set of its outgoing table for the link, the receiver
-	// digests recv, and a mismatch starts an anti-entropy exchange
-	// (see digest.go).
-	// +guarded_by:mu
-	recv map[string]map[string]bool
+	paths map[string]*revPaths
 
 	// seenPubs deduplicates publications on cyclic overlays. It is a
 	// bounded generation ring (see pubDedup) so long-running brokers
@@ -458,6 +449,26 @@ type Broker struct {
 	pubObs atomic.Pointer[PublishObserver]
 
 	metrics counters
+}
+
+// route is one subscription's routing record: its identifier, the
+// per-broker numeric ID its coverage-table and matcher entries carry,
+// its box, and the port it first arrived on (the owning port, the only
+// one whose cancellation retires it).
+type route struct {
+	subID string
+	id    subsume.ID
+	sub   subscription.Subscription
+	src   string
+}
+
+// revPaths is one port's reverse-path table: the routes announced over
+// the port, by SubID, and the cell-bitset matcher over their boxes,
+// updated in place as routes arrive and leave, so handlePublish checks
+// the filter's candidates instead of scanning the table.
+type revPaths struct {
+	routes map[string]*route
+	match  *match.ITreeIndex
 }
 
 // ControlHandler processes one overlay-control message from a port and
@@ -599,12 +610,9 @@ func New(id string, policy store.Policy, opts ...Option) (*Broker, error) {
 		seed:       1,
 		dedupLimit: 65536,
 		out:        make(map[string]*subsume.Table),
-		outIDs:     make(map[string]subsume.ID),
-		idToSub:    make(map[subsume.ID]string),
-		in:         make(map[string]map[string]subscription.Subscription),
-		matchers:   make(map[string]*match.ITreeIndex),
-		source:     make(map[string]string),
-		recv:       make(map[string]map[string]bool),
+		routes:     make(map[string]*route),
+		byID:       make(map[subsume.ID]*route),
+		paths:      make(map[string]*revPaths),
 	}
 	for _, opt := range opts {
 		opt(b)
@@ -694,8 +702,8 @@ func (b *Broker) Clients() []string {
 func (b *Broker) MatchFilterCounts() (candidates, hits uint64) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	for _, m := range b.matchers {
-		c, h := m.FilterCounts()
+	for _, p := range b.paths {
+		c, h := p.match.FilterCounts()
 		candidates += c
 		hits += h
 	}
@@ -720,13 +728,14 @@ func (s *portSet) add(id string) bool {
 	return true
 }
 
-func sortedKeys(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+// sortedRoutes returns every route in ascending numeric-ID order, which
+// is admission order.
+//
+// +mustlock:mu (shared)
+func (b *Broker) sortedRoutes() []*route {
+	rs := slices.Collect(maps.Values(b.routes))
+	slices.SortFunc(rs, func(x, y *route) int { return cmp.Compare(x.id, y.id) })
+	return rs
 }
 
 // fnv1a hashes a string into a 64-bit seed component.
@@ -784,21 +793,14 @@ func (b *Broker) ConnectNeighbor(id string) error {
 	// NeighborRoots). One batch call, ascending-ID order, so the
 	// admission is deterministic and coverage within the backfill is
 	// found immediately.
-	ids := make([]subsume.ID, 0, len(b.source))
-	for subID, src := range b.source {
-		if src == id {
-			continue
-		}
-		if sid, ok := b.outIDs[subID]; ok {
-			ids = append(ids, sid)
+	var ids []subsume.ID
+	var subs []subscription.Subscription
+	for _, r := range b.sortedRoutes() {
+		if r.src != id {
+			ids, subs = append(ids, r.id), append(subs, r.sub)
 		}
 	}
 	if len(ids) > 0 {
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		subs := make([]subscription.Subscription, len(ids))
-		for i, sid := range ids {
-			subs[i] = b.in[b.source[b.idToSub[sid]]][b.idToSub[sid]]
-		}
 		if _, err := tbl.SubscribeBatch(ids, subs); err != nil {
 			return fmt.Errorf("broker %s: neighbor %s backfill: %w", b.id, id, err)
 		}
@@ -817,11 +819,7 @@ func (b *Broker) ConnectNeighbor(id string) error {
 func (b *Broker) AttachClient(id string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	fresh := b.clients.add(id)
-	if b.in[id] == nil {
-		b.in[id] = make(map[string]subscription.Subscription)
-	}
-	if fresh {
+	if b.clients.add(id) {
 		if j := b.journal.Load(); j != nil {
 			(*j).RecordAttach(id, true)
 		}
@@ -838,19 +836,21 @@ func (b *Broker) Handle(from string, msg Message) ([]Outbound, error) {
 		// State-changing kinds: handled under the exclusive lock and —
 		// on success — journaled inside the same critical section, so
 		// the journal's record order is exactly the application order.
+		// A per-item SUBSCRIBE or UNSUBSCRIBE is a burst of one; the
+		// journal still records the message that arrived.
 		b.mu.Lock()
 		defer b.mu.Unlock()
 		var out []Outbound
 		var err error
 		switch msg.Kind {
 		case MsgSubscribe:
-			out, err = b.handleSubscribe(from, msg)
+			out, err = b.handleSubscribeBatch(from, msg.Kind, []BatchSub{{SubID: msg.SubID, Sub: msg.Sub}})
 		case MsgUnsubscribe:
-			out, err = b.handleUnsubscribe(from, msg)
+			out, err = b.handleUnsubscribeBatch(from, msg.Kind, []string{msg.SubID})
 		case MsgSubscribeBatch:
-			out, err = b.handleSubscribeBatch(from, msg)
+			out, err = b.handleSubscribeBatch(from, msg.Kind, msg.Subs)
 		case MsgUnsubscribeBatch:
-			out, err = b.handleUnsubscribeBatch(from, msg)
+			out, err = b.handleUnsubscribeBatch(from, msg.Kind, msg.SubIDs)
 		case MsgSyncRoots:
 			out, err = b.handleSyncRoots(from, msg)
 		}
@@ -913,257 +913,119 @@ func (b *Broker) HandlePublishBatch(from string, msgs []Message) ([]Outbound, er
 	return out, nil
 }
 
-// storeID returns (allocating if needed) the numeric per-broker ID for
-// a subscription identifier.
+// addPath gives r a reverse path over port, unless it has one already.
 //
 // +mustlock:mu
-func (b *Broker) storeID(subID string) subsume.ID {
-	if id, ok := b.outIDs[subID]; ok {
-		return id
+func (b *Broker) addPath(port string, r *route) {
+	p := b.paths[port]
+	if p == nil {
+		p = &revPaths{routes: make(map[string]*route), match: match.NewITreeIndex()}
+		b.paths[port] = p
 	}
-	b.nextID++
-	b.outIDs[subID] = b.nextID
-	b.idToSub[b.nextID] = subID
-	return b.nextID
+	if p.routes[r.subID] == nil {
+		p.routes[r.subID] = r
+		p.match.Add(match.ID(r.id), r.sub)
+	}
 }
 
-// matcher returns (creating if needed) the reverse-path matcher for a
-// port.
+// dropPath removes r's reverse path over port, if it has one: the port
+// cancelled its copy, a digest sync declared the copy stale, or r
+// retired.
 //
 // +mustlock:mu
-func (b *Broker) matcher(port string) *match.ITreeIndex {
-	m := b.matchers[port]
-	if m == nil {
-		m = match.NewITreeIndex()
-		b.matchers[port] = m
+func (b *Broker) dropPath(port string, r *route) {
+	if p := b.paths[port]; p != nil && p.routes[r.subID] != nil {
+		delete(p.routes, r.subID)
+		p.match.Remove(match.ID(r.id))
 	}
-	return m
 }
 
-// handleSubscribe admits one subscription, installing its reverse
-// path and forwarding it to uncovered neighbors.
+// frames appends the messages of the given kind that carry rs to
+// neighbor n: one per item for MsgSubscribe and MsgUnsubscribe, one in
+// all for MsgSubscribeBatch and MsgUnsubscribeBatch.
+func frames(out []Outbound, n string, kind MsgKind, rs []*route) []Outbound {
+	switch {
+	case len(rs) == 0:
+	case kind == MsgSubscribe || kind == MsgUnsubscribe:
+		for _, r := range rs {
+			m := Message{Kind: kind, SubID: r.subID}
+			if kind == MsgSubscribe {
+				m.Sub = r.sub
+			}
+			out = append(out, Outbound{To: n, Msg: m})
+		}
+	case kind == MsgUnsubscribeBatch:
+		ids := make([]string, len(rs))
+		for i, r := range rs {
+			ids[i] = r.subID
+		}
+		out = append(out, Outbound{To: n, Msg: Message{Kind: kind, SubIDs: ids}})
+	default:
+		subs := make([]BatchSub, len(rs))
+		for i, r := range rs {
+			subs[i] = BatchSub{SubID: r.subID, Sub: r.sub}
+		}
+		out = append(out, Outbound{To: n, Msg: Message{Kind: kind, Subs: subs}})
+	}
+	return out
+}
+
+// handleSubscribeBatch admits a subscription burst that arrived as
+// kind: a SUBBATCH, the missing roots of a sync listing, or the one
+// item of a SUBSCRIBE. Per neighbor the whole burst goes through ONE
+// Table.SubscribeBatch call — within-burst coverage is found
+// immediately, so a broad subscription suppresses the narrow ones
+// arriving alongside it — and the items admitted active for that
+// neighbor are forwarded in the same kind.
 //
-// +mustlock:mu
-func (b *Broker) handleSubscribe(from string, msg Message) ([]Outbound, error) {
-	if msg.SubID == "" {
-		return nil, fmt.Errorf("broker %s: subscribe without SubID", b.id)
-	}
-	if _, seen := b.source[msg.SubID]; seen {
-		// Duplicate arrival over a cycle: the first arrival defined
-		// the forwarding tree, so the re-flood is dropped — but the
-		// announcing port is still a valid reverse path and MUST be
-		// recorded (see recordDupPathLocked), and the link digest
-		// still balances.
-		b.recvAdd(from, msg.SubID)
-		b.recordDupPathLocked(from, msg.SubID, msg.Sub)
-		b.metrics.dupSubsDropped.Add(1)
-		return nil, nil
-	}
-	b.metrics.subsReceived.Add(1)
-	b.source[msg.SubID] = from
-	b.recvAdd(from, msg.SubID)
-	if b.in[from] == nil {
-		b.in[from] = make(map[string]subscription.Subscription)
-	}
-	b.in[from][msg.SubID] = msg.Sub
-
-	id := b.storeID(msg.SubID)
-	b.matcher(from).Add(match.ID(id), msg.Sub)
-	var out []Outbound
-	for _, n := range b.neighbors {
-		if n == from {
-			continue
-		}
-		res, err := b.out[n].Subscribe(id, msg.Sub)
-		if err != nil {
-			return nil, fmt.Errorf("broker %s: neighbor %s: %w", b.id, n, err)
-		}
-		if res.Status == store.StatusActive {
-			b.metrics.subsForwarded.Add(1)
-			out = append(out, Outbound{To: n, Msg: msg})
-		} else {
-			b.metrics.subsSuppressed.Add(1)
-		}
-	}
-	return out, nil
-}
-
-// recordDupPathLocked registers a duplicate subscription announcement
-// from a neighbor port in the reverse-path state: the port announced
-// the subscription, so matching publications arriving here must be
-// forwarded toward it even though the re-flood itself is dropped. On
-// a cyclic overlay each subscription's announcements form a
+// A duplicate arrival (a cycle copy, or a repeat within the burst) is
+// dropped as a re-flood, since the first arrival defined the forwarding
+// tree, but a neighbor that announces it still becomes a reverse path.
+// On a cyclic overlay each subscription's announcements form a
 // first-arrival tree, and when a broker suppresses a covered client
 // subscription it relies on the covering roots it announced pulling
 // publications back in — announcements that land at the neighbors as
 // exactly these duplicates. Dropping them without recording the port
 // severs that gradient and silently loses deliveries to any covered
-// subscription off the covering root's own tree (caught at n=200 by
-// the scale harness's delivery oracle, TestScaleFloodMatchesOracle).
+// subscription off the covering root's own tree (caught at n=200 by the
+// scale harness's delivery oracle, TestScaleFloodMatchesOracle). The
+// copy also counts in the link's received set, so the digest balances.
 //
 // +mustlock:mu
-func (b *Broker) recordDupPathLocked(from, subID string, sub subscription.Subscription) {
-	if !b.neighbors.has(from) || b.source[subID] == from {
-		return
-	}
-	if b.in[from] == nil {
-		b.in[from] = make(map[string]subscription.Subscription)
-	}
-	if _, ok := b.in[from][subID]; ok {
-		return
-	}
-	b.in[from][subID] = sub
-	b.matcher(from).Add(match.ID(b.storeID(subID)), sub)
-}
-
-// dropPathLocked removes one port's reverse-path registration of a
-// subscription, if present — the inverse of recordDupPathLocked,
-// applied when the port cancels its copy or a digest sync declares it
-// stale.
-//
-// +mustlock:mu
-func (b *Broker) dropPathLocked(port, subID string) {
-	set := b.in[port]
-	if set == nil {
-		return
-	}
-	if _, ok := set[subID]; !ok {
-		return
-	}
-	delete(set, subID)
-	if id, ok := b.outIDs[subID]; ok {
-		b.matcher(port).Remove(match.ID(id))
-	}
-}
-
-// dropAllPathsLocked removes every port's reverse-path registration of
-// a subscription (full cancellation along the owning tree). Must run
-// before the subID→ID mappings are deleted.
-//
-// +mustlock:mu
-func (b *Broker) dropAllPathsLocked(subID string) {
-	for port := range b.in {
-		b.dropPathLocked(port, subID)
-	}
-}
-
-// handleUnsubscribe cancels one subscription and late-forwards the
-// promotions its removal uncovered.
-//
-// +mustlock:mu
-func (b *Broker) handleUnsubscribe(from string, msg Message) ([]Outbound, error) {
-	// Whatever the routing outcome, the sending port no longer carries
-	// this subscription: balance the link digest first.
-	b.recvDel(from, msg.SubID)
-	src, known := b.source[msg.SubID]
-	if !known {
-		return nil, nil // unsubscribe for an unknown subscription
-	}
-	if src != from {
-		// Unsubscriptions follow the same tree as the subscription;
-		// copies arriving over other links only retire that port's
-		// duplicate reverse path.
-		b.dropPathLocked(from, msg.SubID)
-		return nil, nil
-	}
-	delete(b.source, msg.SubID)
-	b.recvDelAll(msg.SubID)
-
-	id, ok := b.outIDs[msg.SubID]
-	if !ok {
-		delete(b.in[from], msg.SubID)
-		return nil, nil
-	}
-	b.dropAllPathsLocked(msg.SubID)
-	delete(b.outIDs, msg.SubID)
-	delete(b.idToSub, id)
-
-	var out []Outbound
-	for _, n := range b.neighbors {
-		if n == from {
-			continue
-		}
-		res, err := b.out[n].Unsubscribe(id)
-		if err != nil {
-			return nil, fmt.Errorf("broker %s: neighbor %s: %w", b.id, n, err)
-		}
-		if !res.Existed {
-			continue
-		}
-		if res.WasActive {
-			// The neighbor knew this subscription: propagate the
-			// cancellation.
-			b.metrics.unsubsForwarded.Add(1)
-			out = append(out, Outbound{To: n, Msg: msg})
-		}
-		// Late-forward promoted subscriptions: they were suppressed
-		// while covered and must now reach the neighbor (Section 5).
-		for _, pid := range res.Promoted {
-			sub, _, found := b.out[n].Get(pid)
-			if !found {
-				continue
-			}
-			subID := b.idToSub[pid]
-			if subID == "" {
-				continue
-			}
-			b.metrics.promotions.Add(1)
-			b.metrics.subsForwarded.Add(1)
-			out = append(out, Outbound{To: n, Msg: Message{Kind: MsgSubscribe, SubID: subID, Sub: sub}})
-		}
-	}
-	return out, nil
-}
-
-// handleSubscribeBatch admits a subscription burst. Per neighbor the
-// whole burst goes through ONE Table.SubscribeBatch call — within-
-// burst coverage is found immediately, so a broad subscription
-// suppresses the narrow ones arriving alongside it — and the items
-// admitted active for that neighbor are forwarded as ONE
-// MsgSubscribeBatch, keeping the burst batched end to end across the
-// overlay. Duplicate arrivals (cycle copies, or repeats within the
-// burst) are dropped exactly as on the per-item path.
-//
-// +mustlock:mu
-func (b *Broker) handleSubscribeBatch(from string, msg Message) ([]Outbound, error) {
+func (b *Broker) handleSubscribeBatch(from string, kind MsgKind, items []BatchSub) ([]Outbound, error) {
 	// Validate before mutating anything: the wire is untrusted, and a
-	// mid-loop abort would leave earlier items registered in the
-	// reverse-path state but never admitted or forwarded. (The
-	// coverage tables also reject unsatisfiable boxes, but only after
-	// this handler has touched state — catch them here first.)
-	for _, it := range msg.Subs {
+	// rejected burst must leave no trace in the routing state.
+	for _, it := range items {
 		if it.SubID == "" {
-			return nil, fmt.Errorf("broker %s: subscribe batch item without SubID", b.id)
+			return nil, fmt.Errorf("broker %s: subscribe without SubID", b.id)
 		}
 		if !it.Sub.IsSatisfiable() {
-			return nil, fmt.Errorf("broker %s: subscribe batch item %s is unsatisfiable", b.id, it.SubID)
+			return nil, fmt.Errorf("broker %s: subscription %s is unsatisfiable", b.id, it.SubID)
 		}
 	}
-	fresh := make([]BatchSub, 0, len(msg.Subs))
-	for _, it := range msg.Subs {
-		b.recvAdd(from, it.SubID)
-		if _, seen := b.source[it.SubID]; seen {
-			b.recordDupPathLocked(from, it.SubID, it.Sub)
+	fresh := make([]*route, 0, len(items))
+	for _, it := range items {
+		if r := b.routes[it.SubID]; r != nil {
+			if b.neighbors.has(from) {
+				b.addPath(from, r)
+			}
 			b.metrics.dupSubsDropped.Add(1)
 			continue
 		}
 		b.metrics.subsReceived.Add(1)
-		b.source[it.SubID] = from
-		if b.in[from] == nil {
-			b.in[from] = make(map[string]subscription.Subscription)
-		}
-		b.in[from][it.SubID] = it.Sub
-		b.matcher(from).Add(match.ID(b.storeID(it.SubID)), it.Sub)
-		fresh = append(fresh, it)
+		b.nextID++
+		r := &route{subID: it.SubID, id: b.nextID, sub: it.Sub, src: from}
+		b.routes[r.subID], b.byID[r.id] = r, r
+		b.addPath(from, r)
+		fresh = append(fresh, r)
 	}
 	if len(fresh) == 0 {
 		return nil, nil
 	}
 	ids := make([]subsume.ID, len(fresh))
 	subs := make([]subscription.Subscription, len(fresh))
-	for i, it := range fresh {
-		ids[i] = b.outIDs[it.SubID]
-		subs[i] = it.Sub
+	for i, r := range fresh {
+		ids[i], subs[i] = r.id, r.sub
 	}
 	var out []Outbound
 	for _, n := range b.neighbors {
@@ -1174,7 +1036,7 @@ func (b *Broker) handleSubscribeBatch(from string, msg Message) ([]Outbound, err
 		if err != nil {
 			return nil, fmt.Errorf("broker %s: neighbor %s: %w", b.id, n, err)
 		}
-		fwd := make([]BatchSub, 0, len(fresh))
+		fwd := make([]*route, 0, len(fresh))
 		for i, res := range results {
 			if res.Status == store.StatusActive {
 				fwd = append(fwd, fresh[i])
@@ -1182,49 +1044,52 @@ func (b *Broker) handleSubscribeBatch(from string, msg Message) ([]Outbound, err
 		}
 		b.metrics.subsForwarded.Add(int64(len(fwd)))
 		b.metrics.subsSuppressed.Add(int64(len(fresh) - len(fwd)))
-		if len(fwd) > 0 {
-			out = append(out, Outbound{To: n, Msg: Message{Kind: MsgSubscribeBatch, Subs: fwd}})
-		}
+		out = frames(out, n, kind, fwd)
 	}
 	return out, nil
 }
 
-// handleUnsubscribeBatch cancels a burst. Per neighbor the removal
-// runs through ONE Table.UnsubscribeBatch call (one shared
-// promotion-cascade frontier), the subscriptions that neighbor knew
-// are forwarded as ONE MsgUnsubscribeBatch, and the promotions the
-// burst caused are late-forwarded as ONE MsgSubscribeBatch.
+// handleUnsubscribeBatch cancels a burst that arrived as kind: an
+// UNSUBBATCH, the stale roots of a sync listing, or the one item of an
+// UNSUBSCRIBE. Cancellations follow the subscription's tree: only the
+// owning port's retires it, a copy arriving over another link retires
+// that port's duplicate reverse path, and unknown IDs are dropped. Per
+// neighbor the retirements run through ONE Table.UnsubscribeBatch call;
+// the neighbor is sent, in the same kind, the cancellations of the
+// subscriptions it was sent, and then the promotions the burst caused
+// (Section 5) as SUBSCRIBE frames after an UNSUBSCRIBE, one SUBBATCH
+// after a burst.
 //
 // +mustlock:mu
-func (b *Broker) handleUnsubscribeBatch(from string, msg Message) ([]Outbound, error) {
-	subIDs := make([]string, 0, len(msg.SubIDs))
-	ids := make([]subsume.ID, 0, len(msg.SubIDs))
-	for _, subID := range msg.SubIDs {
-		b.recvDel(from, subID)
-		src, known := b.source[subID]
-		if !known || src != from {
-			// Unknown cancellations are dropped; copies arriving over
-			// other links retire that port's duplicate reverse path,
-			// as on the per-item path.
-			if known {
-				b.dropPathLocked(from, subID)
-			}
-			continue
-		}
-		id, ok := b.outIDs[subID]
-		if !ok {
-			continue
-		}
-		delete(b.source, subID)
-		b.recvDelAll(subID)
-		b.dropAllPathsLocked(subID)
-		delete(b.outIDs, subID)
-		delete(b.idToSub, id)
-		subIDs = append(subIDs, subID)
-		ids = append(ids, id)
+func (b *Broker) handleUnsubscribeBatch(from string, kind MsgKind, subIDs []string) ([]Outbound, error) {
+	announce := MsgSubscribeBatch
+	if kind == MsgUnsubscribe {
+		announce = MsgSubscribe
 	}
-	if len(ids) == 0 {
+	var gone []*route
+	for _, subID := range subIDs {
+		r := b.routes[subID]
+		if r == nil {
+			continue
+		}
+		if r.src != from {
+			b.dropPath(from, r)
+			continue
+		}
+		delete(b.routes, subID)
+		delete(b.byID, r.id)
+		b.dropPath(r.src, r)
+		for _, n := range b.neighbors { // duplicate paths
+			b.dropPath(n, r)
+		}
+		gone = append(gone, r)
+	}
+	if len(gone) == 0 {
 		return nil, nil
+	}
+	ids := make([]subsume.ID, len(gone))
+	for i, r := range gone {
+		ids[i] = r.id
 	}
 	var out []Outbound
 	for _, n := range b.neighbors {
@@ -1235,38 +1100,27 @@ func (b *Broker) handleUnsubscribeBatch(from string, msg Message) ([]Outbound, e
 		// The neighbor must see the cancellation of exactly the
 		// subscriptions it was sent — the ones active in its table
 		// before the removal.
-		fwd := make([]string, 0, len(ids))
-		for i, id := range ids {
-			if _, status, ok := tbl.Get(id); ok && status == store.StatusActive {
-				fwd = append(fwd, subIDs[i])
+		fwd := make([]*route, 0, len(gone))
+		for _, r := range gone {
+			if _, status, ok := tbl.Get(r.id); ok && status == store.StatusActive {
+				fwd = append(fwd, r)
 			}
 		}
 		res, err := tbl.UnsubscribeBatch(ids)
 		if err != nil {
 			return nil, fmt.Errorf("broker %s: neighbor %s: %w", b.id, n, err)
 		}
-		if len(fwd) > 0 {
-			b.metrics.unsubsForwarded.Add(int64(len(fwd)))
-			out = append(out, Outbound{To: n, Msg: Message{Kind: MsgUnsubscribeBatch, SubIDs: fwd}})
-		}
-		// Late-forward promoted subscriptions (Section 5), batched.
-		promoted := make([]BatchSub, 0, len(res.Promoted))
+		promoted := make([]*route, 0, len(res.Promoted))
 		for _, pid := range res.Promoted {
-			sub, _, found := tbl.Get(pid)
-			if !found {
-				continue
+			if r := b.byID[pid]; r != nil {
+				promoted = append(promoted, r)
 			}
-			subID := b.idToSub[pid]
-			if subID == "" {
-				continue
-			}
-			b.metrics.promotions.Add(1)
-			b.metrics.subsForwarded.Add(1)
-			promoted = append(promoted, BatchSub{SubID: subID, Sub: sub})
 		}
-		if len(promoted) > 0 {
-			out = append(out, Outbound{To: n, Msg: Message{Kind: MsgSubscribeBatch, Subs: promoted}})
-		}
+		b.metrics.unsubsForwarded.Add(int64(len(fwd)))
+		b.metrics.promotions.Add(int64(len(promoted)))
+		b.metrics.subsForwarded.Add(int64(len(promoted)))
+		out = frames(out, n, kind, fwd)
+		out = frames(out, n, announce, promoted)
 	}
 	return out, nil
 }
@@ -1320,12 +1174,8 @@ func (b *Broker) NeighborRoots(id string) []BatchSub {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	var out []BatchSub
-	b.sentActiveLocked(id, func(subID string, sid subsume.ID, tbl *subsume.Table) {
-		sub, _, found := tbl.Get(sid)
-		if !found {
-			return
-		}
-		out = append(out, BatchSub{SubID: subID, Sub: sub})
+	b.sentActiveLocked(id, func(r *route) {
+		out = append(out, BatchSub{SubID: r.subID, Sub: r.sub})
 	})
 	return out
 }
@@ -1366,18 +1216,18 @@ func (b *Broker) handlePublish(from string, msg Message) ([]Outbound, error) {
 		if c == from {
 			continue
 		}
-		m := b.matchers[c]
-		if m == nil || m.Len() == 0 {
+		p := b.paths[c]
+		if p == nil || p.match.Len() == 0 {
 			continue
 		}
-		hits := m.Match(msg.Pub)
+		hits := p.match.Match(msg.Pub)
 		if len(hits) == 0 {
 			continue
 		}
 		subIDs := make([]string, 0, len(hits))
 		for _, nid := range hits {
-			if subID := b.idToSub[subsume.ID(nid)]; subID != "" {
-				subIDs = append(subIDs, subID)
+			if r := b.byID[subsume.ID(nid)]; r != nil {
+				subIDs = append(subIDs, r.subID)
 			}
 		}
 		if len(subIDs) == 0 {
@@ -1404,11 +1254,11 @@ func (b *Broker) handlePublish(from string, msg Message) ([]Outbound, error) {
 		if n == from {
 			continue
 		}
-		m := b.matchers[n]
-		if m == nil || m.Len() == 0 {
+		p := b.paths[n]
+		if p == nil || p.match.Len() == 0 {
 			continue
 		}
-		if m.MatchAny(msg.Pub) {
+		if p.match.MatchAny(msg.Pub) {
 			b.metrics.pubsForwarded.Add(1)
 			out = append(out, Outbound{To: n, Msg: msg})
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand/v2"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -254,6 +255,56 @@ func TestHandleErrors(t *testing.T) {
 	}
 }
 
+// TestRejectedSubscribeLeavesNoTrace: a subscription the broker rejects
+// — no SubID, an unsatisfiable box, a box without attributes — must not
+// reach the routing state, whether it arrives alone or in a batch
+// behind a valid item, and whether or not a neighbor table would have
+// seen it. A leftover would be backfilled into every later neighbor
+// table, whose admission then fails, so no further link could form.
+func TestRejectedSubscribeLeavesNoTrace(t *testing.T) {
+	bad := map[string]BatchSub{
+		"no-id":         {SubID: "", Sub: box(0, 1, 0, 1)},
+		"unsatisfiable": {SubID: "bad", Sub: box(5, 1, 0, 1)},
+		"no-attributes": {SubID: "bad", Sub: subscription.New()},
+	}
+	ids := []string{"", "bad", "good", "live", "from-n1"}
+	for _, neighbor := range []bool{false, true} {
+		for what, it := range bad {
+			for _, kind := range []MsgKind{MsgSubscribe, MsgSubscribeBatch} {
+				t.Run(fmt.Sprintf("neighbor=%v/%s/%s", neighbor, kind, what), func(t *testing.T) {
+					b := newBroker(t, store.PolicyPairwise)
+					b.AttachClient("C")
+					if _, err := b.Handle("C", Message{Kind: MsgSubscribe, SubID: "live", Sub: box(0, 10, 0, 10)}); err != nil {
+						t.Fatal(err)
+					}
+					if neighbor {
+						if err := b.ConnectNeighbor("N1"); err != nil {
+							t.Fatal(err)
+						}
+						if _, err := b.Handle("N1", Message{Kind: MsgSubscribe, SubID: "from-n1", Sub: box(20, 30, 20, 30)}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					msg := Message{Kind: kind, SubID: it.SubID, Sub: it.Sub}
+					if kind == MsgSubscribeBatch {
+						msg = Message{Kind: kind, Subs: []BatchSub{{SubID: "good", Sub: box(40, 50, 40, 50)}, it}}
+					}
+					before := observe(b, ids)
+					if _, err := b.Handle("C", msg); err == nil {
+						t.Fatalf("%v of %+v accepted", kind, it)
+					}
+					if after := observe(b, ids); !reflect.DeepEqual(after, before) {
+						t.Fatalf("rejection changed the broker:\nbefore %+v\nafter  %+v", before, after)
+					}
+					if err := b.ConnectNeighbor("N2"); err != nil {
+						t.Fatalf("a later link failed: %v", err)
+					}
+				})
+			}
+		}
+	}
+}
+
 func TestMsgKindString(t *testing.T) {
 	for k, want := range map[MsgKind]string{
 		MsgSubscribe:   "subscribe",
@@ -305,7 +356,7 @@ func TestPublishItreeMatchesLinearReference(t *testing.T) {
 			i := rng.IntN(len(live))
 			subID := live[i]
 			live = append(live[:i], live[i+1:]...)
-			src := b.source[subID]
+			src := b.routes[subID].src
 			if _, err := b.Handle(src, Message{Kind: MsgUnsubscribe, SubID: subID}); err != nil {
 				t.Fatal(err)
 			}
@@ -315,12 +366,12 @@ func TestPublishItreeMatchesLinearReference(t *testing.T) {
 
 			wantNotify := map[string]bool{} // "port/subID"
 			wantForward := map[string]bool{}
-			for port, subs := range b.in {
+			for port, p := range b.paths {
 				if port == from {
 					continue
 				}
-				for subID, sub := range subs {
-					if !sub.Matches(pub) {
+				for subID, r := range p.routes {
+					if !r.sub.Matches(pub) {
 						continue
 					}
 					if b.clients.has(port) {

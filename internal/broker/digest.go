@@ -7,9 +7,9 @@
 // members' hashes, and the root folds the bucket values together with
 // the set size. The SENDER digests the active set of its outgoing
 // coverage table for the link (exactly the subscriptions it believes
-// it announced); the RECEIVER digests its recv set (exactly the live
-// subscriptions that actually arrived over the link, duplicate copies
-// included).
+// it announced); the RECEIVER digests its received set — the reverse
+// paths over the link, exactly the live subscriptions that actually
+// arrived over it, duplicate copies included.
 //
 // The exchange rides the membership layer: gossip toward a link
 // piggybacks the sender's LinkDigest. On mismatch the
@@ -27,10 +27,8 @@ package broker
 
 import (
 	"encoding/binary"
-	"sort"
-
-	"probsum/internal/store"
-	"probsum/subsume"
+	"maps"
+	"slices"
 )
 
 // DigestBuckets is the fan-out of the link digest's bucket level.
@@ -84,42 +82,17 @@ func foldDigest(count int, buckets *[DigestBuckets]uint64) LinkDigest {
 	return LinkDigest{Count: uint32(count), Root: h}
 }
 
-// recvAdd marks subID as received (and live) over neighbor port from.
-// Client ports are not tracked: digests cover overlay links only.
+// received returns the link's received set for neighbor port peer: the
+// reverse paths over it, keyed by SubID — every live subscription that
+// arrived over the link, duplicate copies included. Nil when peer is
+// not a neighbor: digests cover overlay links only.
 //
-// +mustlock:mu
-func (b *Broker) recvAdd(from, subID string) {
-	if !b.neighbors.has(from) {
-		return
+// +mustlock:mu (shared)
+func (b *Broker) received(peer string) map[string]*route {
+	if p := b.paths[peer]; p != nil && b.neighbors.has(peer) {
+		return p.routes
 	}
-	set := b.recv[from]
-	if set == nil {
-		set = make(map[string]bool)
-		b.recv[from] = set
-	}
-	set[subID] = true
-}
-
-// recvDel clears subID from port from's received set.
-//
-// +mustlock:mu
-func (b *Broker) recvDel(from, subID string) {
-	if set := b.recv[from]; set != nil {
-		delete(set, subID)
-	}
-}
-
-// recvDelAll clears subID from every port's received set — called
-// when the subscription is removed locally, so copies received over
-// other links stop counting toward their digests (those senders are
-// dropping the subscription too; their own unsubscribe copies then
-// arrive as no-ops).
-//
-// +mustlock:mu
-func (b *Broker) recvDelAll(subID string) {
-	for _, set := range b.recv {
-		delete(set, subID)
-	}
+	return nil
 }
 
 // sentActiveLocked visits every subscription this broker actively
@@ -128,14 +101,14 @@ func (b *Broker) recvDelAll(subID string) {
 // built from. It reports false when peer is not a neighbor.
 //
 // +mustlock:mu (shared)
-func (b *Broker) sentActiveLocked(peer string, visit func(subID string, sid subsume.ID, tbl *subsume.Table)) bool {
+func (b *Broker) sentActiveLocked(peer string, visit func(r *route)) bool {
 	tbl, ok := b.out[peer]
 	if !ok {
 		return false
 	}
 	for _, sid := range tbl.ActiveIDs() {
-		if subID := b.idToSub[sid]; subID != "" {
-			visit(subID, sid, tbl)
+		if r := b.byID[sid]; r != nil {
+			visit(r)
 		}
 	}
 	return true
@@ -148,8 +121,8 @@ func (b *Broker) sentActiveLocked(peer string, visit func(subID string, sid subs
 func (b *Broker) outDigestLocked(peer string) (LinkDigest, [DigestBuckets]uint64, bool) {
 	var buckets [DigestBuckets]uint64
 	count := 0
-	ok := b.sentActiveLocked(peer, func(subID string, _ subsume.ID, _ *subsume.Table) {
-		h := subDigestHash(subID)
+	ok := b.sentActiveLocked(peer, func(r *route) {
+		h := subDigestHash(r.subID)
 		buckets[h>>58] ^= h
 		count++
 	})
@@ -166,7 +139,7 @@ func (b *Broker) outDigestLocked(peer string) (LinkDigest, [DigestBuckets]uint64
 func (b *Broker) recvDigestLocked(peer string) (LinkDigest, [DigestBuckets]uint64) {
 	var buckets [DigestBuckets]uint64
 	count := 0
-	for subID := range b.recv[peer] {
+	for subID := range b.received(peer) {
 		h := subDigestHash(subID)
 		buckets[h>>58] ^= h
 		count++
@@ -199,7 +172,7 @@ func (b *Broker) ReceivedDigest(peer string) LinkDigest {
 func (b *Broker) ReceivedFrom(peer string) []string {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return sortedKeys(b.recv[peer])
+	return slices.Sorted(maps.Keys(b.received(peer)))
 }
 
 // KnowsSubscription reports whether subID is in the broker's routing
@@ -207,8 +180,10 @@ func (b *Broker) ReceivedFrom(peer string) []string {
 func (b *Broker) KnowsSubscription(subID string) (source string, ok bool) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	source, ok = b.source[subID]
-	return source, ok
+	if r := b.routes[subID]; r != nil {
+		return r.src, true
+	}
+	return "", false
 }
 
 // checkLinkDigest compares a digest gossiped by neighbor from against
@@ -260,15 +235,10 @@ func (b *Broker) handleSyncRequest(from string, msg Message) ([]Outbound, error)
 		mask = ^uint64(0)
 	}
 	var subs []BatchSub
-	b.sentActiveLocked(from, func(subID string, sid subsume.ID, tbl *subsume.Table) {
-		if mask&(1<<uint(digestBucket(subID))) == 0 {
-			return
+	b.sentActiveLocked(from, func(r *route) {
+		if mask&(1<<uint(digestBucket(r.subID))) != 0 {
+			subs = append(subs, BatchSub{SubID: r.subID, Sub: r.sub})
 		}
-		sub, status, found := tbl.Get(sid)
-		if !found || status != store.StatusActive {
-			return
-		}
-		subs = append(subs, BatchSub{SubID: subID, Sub: sub})
 	})
 	b.metrics.syncRootsResent.Add(int64(len(subs)))
 	return []Outbound{{To: from, Msg: Message{
@@ -307,17 +277,16 @@ func (b *Broker) handleSyncRoots(from string, msg Message) ([]Outbound, error) {
 	}
 	var out []Outbound
 	// Admit roots we have not received over this link. Known
-	// subscriptions take the duplicate path (recv bookkeeping only);
-	// unknown ones are fresh arrivals from this port.
+	// subscriptions take the duplicate path (a reverse path over this
+	// link only); unknown ones are fresh arrivals from this port.
 	missing := make([]BatchSub, 0, len(msg.Subs))
 	for _, it := range msg.Subs {
-		if set := b.recv[from]; set != nil && set[it.SubID] {
-			continue
+		if b.received(from)[it.SubID] == nil {
+			missing = append(missing, it)
 		}
-		missing = append(missing, it)
 	}
 	if len(missing) > 0 {
-		o, err := b.handleSubscribeBatch(from, Message{Kind: MsgSubscribeBatch, Subs: missing})
+		o, err := b.handleSubscribeBatch(from, MsgSubscribeBatch, missing)
 		if err != nil {
 			return nil, err
 		}
@@ -327,26 +296,22 @@ func (b *Broker) handleSyncRoots(from string, msg Message) ([]Outbound, error) {
 	// bucket, absent from the authoritative listing.
 	var staleOwned []string // reverse path points at the sender
 	staleOther := 0
-	for subID := range b.recv[from] {
-		if listed[subID] {
+	for subID, r := range b.received(from) {
+		if listed[subID] || msg.Mask&(1<<uint(digestBucket(subID))) == 0 {
 			continue
 		}
-		if msg.Mask&(1<<uint(digestBucket(subID))) == 0 {
-			continue
-		}
-		if b.source[subID] == from {
+		if r.src == from {
 			staleOwned = append(staleOwned, subID)
 		} else {
-			b.recvDel(from, subID)
-			b.dropPathLocked(from, subID)
+			b.dropPath(from, r)
 			staleOther++
 		}
 	}
 	if len(staleOwned) > 0 {
 		// Sorted so the downstream cancellation is deterministic
 		// regardless of map iteration order.
-		sort.Strings(staleOwned)
-		o, err := b.handleUnsubscribeBatch(from, Message{Kind: MsgUnsubscribeBatch, SubIDs: staleOwned})
+		slices.Sort(staleOwned)
+		o, err := b.handleUnsubscribeBatch(from, MsgUnsubscribeBatch, staleOwned)
 		if err != nil {
 			return out, err
 		}

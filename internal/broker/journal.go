@@ -8,9 +8,9 @@
 package broker
 
 import (
+	"maps"
+	"slices"
 	"sort"
-
-	"probsum/subsume"
 )
 
 // Journal receives the broker's durability events. RecordMessage and
@@ -106,41 +106,19 @@ func (b *Broker) snapshotOpsLocked() []SnapshotOp {
 	}
 	// Subscriptions in ascending numeric-ID order — admission order —
 	// each synthesized as a subscribe from its first-arrival port.
-	ids := make([]subsumeIDSlice, 0, len(b.idToSub))
-	for sid, subID := range b.idToSub {
-		ids = append(ids, subsumeIDSlice{sid, subID})
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].id < ids[j].id })
-	for _, e := range ids {
-		src, ok := b.source[e.subID]
-		if !ok {
-			continue
-		}
-		sub, ok := b.in[src][e.subID]
-		if !ok {
-			continue
-		}
-		ops = append(ops, SnapshotOp{From: src, Msg: &Message{Kind: MsgSubscribe, SubID: e.subID, Sub: sub}})
+	for _, r := range b.sortedRoutes() {
+		ops = append(ops, SnapshotOp{From: r.src, Msg: &Message{Kind: MsgSubscribe, SubID: r.subID, Sub: r.sub}})
 	}
 	// Duplicate receptions: copies that arrived over non-source links
-	// still count toward those links' digests. Synthesized as
-	// subscribes that replay down the duplicate path.
+	// still count toward those links' digests. Synthesized as one
+	// subscribe batch per neighbor that replays down the duplicate path.
 	for _, port := range b.neighbors {
-		set := b.recv[port]
-		if len(set) == 0 {
-			continue
-		}
+		recv := b.received(port)
 		var dups []BatchSub
-		for _, subID := range sortedKeys(set) {
-			src, ok := b.source[subID]
-			if !ok || src == port {
-				continue
+		for _, subID := range slices.Sorted(maps.Keys(recv)) {
+			if r := recv[subID]; r.src != port {
+				dups = append(dups, BatchSub{SubID: subID, Sub: r.sub})
 			}
-			sub, ok := b.in[src][subID]
-			if !ok {
-				continue
-			}
-			dups = append(dups, BatchSub{SubID: subID, Sub: sub})
 		}
 		if len(dups) > 0 {
 			ops = append(ops, SnapshotOp{From: port, Msg: &Message{Kind: MsgSubscribeBatch, Subs: dups}})
@@ -160,17 +138,12 @@ func (b *Broker) snapshotOpsLocked() []SnapshotOp {
 	return ops
 }
 
-type subsumeIDSlice struct {
-	id    subsume.ID
-	subID string
-}
-
 // SubscriptionCount returns the number of live subscriptions in the
 // routing state (recovery-stats and test hook).
 func (b *Broker) SubscriptionCount() int {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return len(b.source)
+	return len(b.routes)
 }
 
 // PortCounts returns the number of registered client and neighbor

@@ -16,6 +16,10 @@ package store
 // fixed point than the same subscriptions subscribed one at a time in
 // arrival order; both are sound. The order is deterministic, so two
 // stores fed the same burst through SubscribeBatch agree exactly.
+//
+// Batch unsubscribe is a plain loop over Unsubscribe: each removal runs
+// its own promotion cascade against the then-current active set,
+// exactly as the same removals one call at a time would.
 
 import (
 	"cmp"
@@ -92,4 +96,36 @@ func (st *Store) SubscribeBatch(ids []ID, subs []subscription.Subscription) ([]S
 		out[i] = res
 	}
 	return out, nil
+}
+
+// UnsubscribeBatchResult reports what UnsubscribeBatch did.
+type UnsubscribeBatchResult struct {
+	// Removed counts the burst IDs that existed and were removed
+	// (unknown and repeated IDs are skipped).
+	Removed int
+	// Promoted lists, in ID order, the covered subscriptions the burst
+	// promoted to active and did not itself remove.
+	Promoted []ID
+}
+
+// UnsubscribeBatch removes a cancellation burst in order, one
+// Unsubscribe per ID, so a burst of one decides exactly what
+// Unsubscribe decides. Unknown and repeated IDs are skipped. A checker
+// error aborts the burst with the earlier removals applied.
+func (st *Store) UnsubscribeBatch(ids []ID) (UnsubscribeBatchResult, error) {
+	var res UnsubscribeBatchResult
+	for _, id := range ids {
+		r, err := st.Unsubscribe(id)
+		if err != nil {
+			return res, err
+		}
+		if r.Existed {
+			res.Removed++
+			res.Promoted = append(res.Promoted, r.Promoted...)
+		}
+	}
+	// A promotion the burst removed later is gone from the store.
+	res.Promoted = slices.DeleteFunc(res.Promoted, func(id ID) bool { return st.nodes[id] == nil })
+	slices.Sort(res.Promoted)
+	return res, nil
 }

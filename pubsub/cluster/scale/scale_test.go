@@ -60,7 +60,8 @@ func TestScaleDeterministic(t *testing.T) {
 // draws computes (Run fails on divergence). Sized at n=200 with enough
 // subscriptions for coverage suppression to bite: this exact
 // configuration caught the cycle-gradient delivery loss fixed by
-// Broker.recordDupPathLocked, so it stays the regression net for it.
+// recording duplicate announcements as reverse paths (the broker's
+// handleSubscribeBatch), so it stays the regression net for it.
 func TestScaleFloodMatchesOracle(t *testing.T) {
 	rep, err := Run(Config{N: 200, Seed: 1, Subs: 100, Pubs: 100})
 	if err != nil {

@@ -279,9 +279,9 @@ func (c *Client) Unsubscribe(ctx context.Context, subID string) error {
 }
 
 // UnsubscribeBatch cancels a burst of subscriptions as ONE protocol
-// message: each broker removes the burst from its per-neighbor tables
-// with a single batch call sharing one promotion-cascade frontier.
-// An empty burst is a no-op.
+// message: each broker removes the burst from each per-neighbor table
+// with a single batch call and re-announces the promotions as one
+// subscribe batch per neighbor. An empty burst is a no-op.
 func (c *Client) UnsubscribeBatch(ctx context.Context, subIDs []string) error {
 	if len(subIDs) == 0 {
 		return nil

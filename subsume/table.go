@@ -226,13 +226,12 @@ func (t *Table) Unsubscribe(id ID) (UnsubscribeResult, error) {
 	return res, err
 }
 
-// UnsubscribeBatch removes a cancellation burst in one call, sharing a
-// single promotion-cascade frontier: each surviving subscription that
-// lost coverers to the burst is re-validated exactly once against the
-// post-removal active set, instead of once per removed coverer as a
-// per-item loop would (see BenchmarkTableUnsubscribeBatch). Unknown
-// IDs are skipped; Promoted lists the subscriptions left active, in
-// ID order.
+// UnsubscribeBatch removes a cancellation burst in one call: one lock
+// acquisition around a loop of per-ID removals, each running its own
+// promotion cascade, so the result is what the same Unsubscribe calls
+// in order would leave. Unknown and repeated IDs are skipped; Promoted
+// lists, in ID order, the promoted subscriptions the burst did not
+// itself remove.
 func (t *Table) UnsubscribeBatch(ids []ID) (UnsubscribeBatchResult, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

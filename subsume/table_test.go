@@ -210,7 +210,7 @@ func TestTableConcurrent(t *testing.T) {
 					mine = slices.Delete(mine, j, j+1)
 					cancelled[g]++
 				case op == 7 && len(mine) > 3:
-					// Cancellation burst through the shared-frontier path.
+					// Cancellation burst through the batch path.
 					n := 2 + rng.IntN(2)
 					burst := make([]subsume.ID, n)
 					for j := range burst {
