@@ -18,7 +18,6 @@ import (
 	"probsum/internal/experiments"
 	"probsum/internal/interval"
 	"probsum/internal/match"
-	"probsum/internal/pairwise"
 	"probsum/internal/store"
 	"probsum/internal/subscription"
 	"probsum/internal/workload"
@@ -183,17 +182,6 @@ func BenchmarkCheckerNoMCSAblation(b *testing.B) {
 		if _, err := checker.Covered(in.S, in.Set); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkPairwiseBaseline measures the classical pairwise check the
-// paper compares against.
-func BenchmarkPairwiseBaseline(b *testing.B) {
-	in := benchInstance("cover")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pairwise.CoveredBySingle(in.S, in.Set)
 	}
 }
 

@@ -91,7 +91,6 @@ func run() error {
 		GossipEvery:   100 * time.Millisecond,
 		ReconnectMin:  50 * time.Millisecond,
 		ReconnectMax:  400 * time.Millisecond,
-		TickEvery:     20 * time.Millisecond,
 	}
 
 	start := func(id string) (*cluster.Node, *pubsub.Broker, error) { return cluster.Start(topo, id, cfg) }

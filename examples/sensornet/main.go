@@ -8,9 +8,12 @@
 // and measures how many sensor readings still reach the sink.
 //
 // Run with: go run ./examples/sensornet
+// Exits non-zero unless group coverage forwards fewer subscription
+// messages than flooding.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand/v2"
@@ -31,20 +34,26 @@ func main() {
 		subsume.Attr("battery", 0, 100),    // percent
 	)
 
+	subMsgsBy := map[pubsub.Policy]int{}
 	for _, policy := range []pubsub.Policy{pubsub.Flood, pubsub.Group} {
 		delivered, subMsgs, dropped := run(policy, schema)
+		subMsgsBy[policy] = subMsgs
 		fmt.Printf("%-8s policy: %3d/%d readings delivered, %3d subscription messages, %d messages lost to the radio\n",
 			policy, delivered, nReadings, subMsgs, dropped)
 	}
 	fmt.Println("\ngroup coverage cuts subscription traffic while the delivery rate stays")
 	fmt.Println("within the loss level the lossy links already impose — the paper's point")
 	fmt.Println("about sensor networks tolerating probabilistic suppression.")
+	if subMsgsBy[pubsub.Group] >= subMsgsBy[pubsub.Flood] {
+		log.Fatal("group coverage forwarded no fewer subscription messages than flooding")
+	}
 }
 
 // run builds the grid, registers overlapping monitoring tasks at the
 // sink, then streams sensor readings from the far corner region.
 func run(policy pubsub.Policy, schema *subsume.Schema) (delivered, subMsgs, dropped int) {
-	net, err := pubsub.NewNetwork(policy, pubsub.Config{
+	ctx := context.Background()
+	tr, err := pubsub.NewSimTransport(policy, pubsub.Config{
 		ErrorProbability: 1e-6,
 		Seed:             42,
 		DropRate:         0.02, // 2% radio loss per hop
@@ -55,21 +64,24 @@ func run(policy pubsub.Policy, schema *subsume.Schema) (delivered, subMsgs, drop
 	name := func(x, y int) string { return fmt.Sprintf("n%d_%d", x, y) }
 	for y := 0; y < gridSide; y++ {
 		for x := 0; x < gridSide; x++ {
-			must(net.AddBroker(name(x, y)))
+			_, err := tr.AddBroker(name(x, y))
+			must(err)
 		}
 	}
 	for y := 0; y < gridSide; y++ {
 		for x := 0; x < gridSide; x++ {
 			if x+1 < gridSide {
-				must(net.Connect(name(x, y), name(x+1, y)))
+				must(tr.Connect(name(x, y), name(x+1, y)))
 			}
 			if y+1 < gridSide {
-				must(net.Connect(name(x, y), name(x, y+1)))
+				must(tr.Connect(name(x, y), name(x, y+1)))
 			}
 		}
 	}
-	must(net.AttachClient("sink", name(0, 0)))
-	must(net.AttachClient("field", name(gridSide-1, gridSide-1)))
+	sink, err := tr.Open(ctx, "sink", name(0, 0))
+	must(err)
+	field, err := tr.Open(ctx, "field", name(gridSide-1, gridSide-1))
+	must(err)
 
 	// Monitoring tasks: many overlapping temperature watches over the
 	// same few regions — the redundancy group coverage exploits.
@@ -82,29 +94,33 @@ func run(policy pubsub.Policy, schema *subsume.Schema) (delivered, subMsgs, drop
 			Range("tempC10", lo, lo+300+rng.Int64N(300)).
 			Range("battery", 10*rng.Int64N(3), 100).
 			Build()
-		must(net.Subscribe("sink", fmt.Sprintf("task/%d", i), sub))
+		must(sink.Subscribe(ctx, fmt.Sprintf("task/%d", i), sub))
 	}
 
 	// Sensor readings from region 0 (watched by ~a quarter of tasks).
-	readings := 0
 	for i := 0; i < nReadings; i++ {
 		p := subsume.NewPublication(
 			rng.Int64N(256),
 			rng.Int64N(500),
 			20+rng.Int64N(80),
 		)
-		must(net.Publish("field", fmt.Sprintf("r%d", i), p))
-		readings++
+		must(field.Publish(ctx, fmt.Sprintf("r%d", i), p))
 	}
 
+	for _, id := range tr.Brokers() {
+		b, _ := tr.Broker(id)
+		subMsgs += b.Metrics().SubsForwarded
+	}
+	dropped = tr.Dropped()
 	// Count distinct readings that reached the sink (a reading can
-	// match several tasks; count it once).
+	// match several tasks; count it once). Shutdown closes the stream
+	// after its last delivery.
+	must(tr.Shutdown(ctx))
 	seen := map[string]bool{}
-	for _, n := range net.Notifications("sink") {
+	for n := range sink.Notifications() {
 		seen[fmt.Sprint(n.Pub)] = true
 	}
-	m := net.Metrics()
-	return len(seen), m.SubsForwarded, net.Dropped()
+	return len(seen), subMsgs, dropped
 }
 
 func must(err error) {

@@ -334,21 +334,21 @@ type Option func(*Broker)
 // carries a non-thread-safe random stream plus the reusable
 // zero-allocation scratch of the hot path, so sharing one across
 // tables (or across the transports that drive different brokers
-// concurrently) would race on both. Callers that multiplex many
-// short-lived checks across goroutines should use core.CheckerPool
-// instead of reaching into a broker's tables.
+// concurrently) would race on both. Callers that run checks on many
+// goroutines build one Checker per goroutine instead of reaching into
+// a broker's tables.
 func WithSeed(seed uint64) Option {
 	return func(b *Broker) { b.seed = seed }
 }
 
-// WithDedupLimit bounds the publication-deduplication memory: the
+// withDedupLimit bounds the publication-deduplication memory: the
 // broker remembers at least the last n distinct publication IDs (and
 // at most ~2n, see pubDedup). The default is 65536. Publications
 // re-arriving after more than the horizon of newer distinct
 // publications may be processed again — the same at-least-once
 // tolerance the protocol already has for lossy links, traded here for
 // a memory bound on long-running brokers.
-func WithDedupLimit(n int) Option {
+func withDedupLimit(n int) Option {
 	return func(b *Broker) {
 		if n > 0 {
 			b.dedupLimit = n
@@ -357,9 +357,8 @@ func WithDedupLimit(n int) Option {
 }
 
 // WithTableOptions appends subsume table options applied to every
-// per-neighbor coverage table — error probability, trial cap, the
-// MCS and fast-path ablations (pubsub.Config converts to exactly
-// these). The broker's per-neighbor checker seed is applied
+// per-neighbor coverage table — error probability and trial cap
+// (pubsub.Config converts to exactly these). The broker's per-neighbor checker seed is applied
 // after them, so a WithSeed among the checker options is overridden
 // to keep table streams independent.
 func WithTableOptions(opts ...subsume.TableOption) Option {
@@ -679,7 +678,7 @@ func (b *Broker) CheckerStats() store.CheckerStats {
 func (b *Broker) CountControlDrop() { b.metrics.controlDropped.Add(1) }
 
 // dedupSize reports the tracked publication-ID count (test hook for
-// the WithDedupLimit memory bound).
+// the withDedupLimit memory bound).
 func (b *Broker) dedupSize() int { return b.seenPubs.size() }
 
 // Neighbors returns the connected neighbor ports, sorted.

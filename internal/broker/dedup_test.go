@@ -14,7 +14,7 @@ import (
 // still catching duplicates inside the horizon.
 func TestPubDedupBounded(t *testing.T) {
 	const limit = 512
-	b, err := New("B1", store.PolicyNone, WithDedupLimit(limit))
+	b, err := New("B1", store.PolicyNone, withDedupLimit(limit))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestPubDedupBounded(t *testing.T) {
 // IDs.
 func TestPubDedupRotationBoundary(t *testing.T) {
 	const limit = 8
-	b, err := New("B1", store.PolicyNone, WithDedupLimit(limit))
+	b, err := New("B1", store.PolicyNone, withDedupLimit(limit))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,8 +72,7 @@ func WithResidual(enabled bool) Option {
 // Checker answers group-subsumption questions with the full pipeline of
 // Algorithm 4. The zero value is not usable; construct with NewChecker.
 // A Checker is not safe for concurrent use (it owns a random stream and
-// the reusable hot-path buffers); create one per goroutine or table —
-// see CheckerPool for concurrent callers.
+// the reusable hot-path buffers); create one per goroutine or table.
 type Checker struct {
 	delta       float64
 	maxTrials   int

@@ -5,9 +5,8 @@ import (
 	"math/rand/v2"
 
 	"probsum/internal/core"
-	"probsum/internal/pairwise"
 	"probsum/internal/stats"
-	"probsum/internal/subscription"
+	"probsum/internal/store"
 	"probsum/internal/workload"
 )
 
@@ -51,8 +50,8 @@ type comparisonSeries struct {
 var comparisonCache = map[string]map[int]comparisonSeries{}
 
 // runComparison feeds the same subscription stream to a pairwise
-// reducer and to the probabilistic group reducer, recording active-set
-// sizes at checkpoints.
+// store and to a probabilistic group store — the tables a broker keeps
+// per neighbor — recording active-set sizes at checkpoints.
 func runComparison(cfg ComparisonConfig) (map[int]comparisonSeries, error) {
 	key := fmt.Sprintf("%+v", cfg)
 	if got, ok := comparisonCache[key]; ok {
@@ -76,23 +75,27 @@ func runComparison(cfg ComparisonConfig) (map[int]comparisonSeries, error) {
 			return nil, err
 		}
 
-		var pair pairwise.Set
-		var group []subscription.Subscription
+		pair, err := store.New(store.PolicyPairwise)
+		if err != nil {
+			return nil, err
+		}
+		group, err := store.New(store.PolicyGroup, store.WithChecker(checker))
+		if err != nil {
+			return nil, err
+		}
 		series := comparisonSeries{}
 		for i := 1; i <= cfg.Total; i++ {
 			s := stream.Next()
-			pair.Add(s)
-			res, err := checker.Covered(s, group)
-			if err != nil {
+			if _, err := pair.Subscribe(store.ID(i), s); err != nil {
 				return nil, err
 			}
-			if !res.Decision.IsCovered() {
-				group = append(group, s)
+			if _, err := group.Subscribe(store.ID(i), s); err != nil {
+				return nil, err
 			}
 			if i%cfg.Checkpoint == 0 || i == cfg.Total {
 				series.checkpoints = append(series.checkpoints, i)
-				series.pairSize = append(series.pairSize, pair.Len())
-				series.groupSize = append(series.groupSize, len(group))
+				series.pairSize = append(series.pairSize, pair.ActiveLen())
+				series.groupSize = append(series.groupSize, group.ActiveLen())
 			}
 		}
 		out[m] = series

@@ -26,6 +26,10 @@ type item struct {
 	msg  broker.Message
 }
 
+// maxSteps is the runaway guard: the most messages one Run call
+// processes before it reports a routing loop.
+const maxSteps = 1_000_000
+
 // Option configures a Network.
 type Option func(*Network)
 
@@ -38,12 +42,6 @@ func WithFailures(drop, dup float64, seed uint64) Option {
 		n.dupRate = dup
 		n.rng = rand.New(rand.NewPCG(seed, seed|1))
 	}
-}
-
-// WithMaxSteps overrides the runaway guard (default one million
-// processed messages per Run call).
-func WithMaxSteps(steps int) Option {
-	return func(n *Network) { n.maxSteps = steps }
 }
 
 // WithDelays enables seeded delay injection on broker-to-broker
@@ -77,7 +75,6 @@ type Network struct {
 	delayRate float64
 	delayRng  *rand.Rand
 	delayedQ  []item
-	maxSteps  int
 
 	// downLinks holds partitioned broker pairs (normalized order):
 	// every message crossing a down link is dropped, in both
@@ -102,7 +99,6 @@ func New(opts ...Option) *Network {
 		brokers:   make(map[string]*broker.Broker),
 		clientAt:  make(map[string]string),
 		delivered: make(map[string][]broker.Message),
-		maxSteps:  1_000_000,
 	}
 	for _, opt := range opts {
 		opt(n)
@@ -234,8 +230,8 @@ func (n *Network) Run() (int, error) {
 	steps := 0
 	for {
 		for n.head < len(n.queue) {
-			if steps >= n.maxSteps {
-				return steps, fmt.Errorf("simnet: exceeded %d steps; possible routing loop", n.maxSteps)
+			if steps >= maxSteps {
+				return steps, fmt.Errorf("simnet: exceeded %d steps; possible routing loop", maxSteps)
 			}
 			it := n.queue[n.head]
 			n.head++

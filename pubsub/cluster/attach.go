@@ -54,8 +54,7 @@ func (l tcpLink) Digest(peer string) (broker.LinkDigest, bool) {
 // Attach before connecting peers: links dialed after attachment
 // advertise the cluster protocol, so both sides ping each other.
 func Attach(b *pubsub.Broker, cfg Config) *Node {
-	cfg = cfg.withDefaults()
-	n := NewNode(Member{ID: b.ID(), Addr: b.Addr(), Incarnation: cfg.Incarnation}, tcpLink{b: b}, cfg)
+	n := NewNode(Member{ID: b.ID(), Addr: b.Addr()}, tcpLink{b: b}, cfg)
 	// Durable membership: adopt the member list a previous life
 	// persisted (rejoin the overlay without a seed node) and register
 	// the journal hooks that keep it persisted in this one.

@@ -26,59 +26,35 @@ import (
 	"probsum/pubsub"
 )
 
-// ChaosConfig tunes one chaos run. Zero values select the defaults
-// noted on each field.
-type ChaosConfig struct {
-	// Brokers is the chain length (4). Each broker hosts one client.
-	Brokers int
-	// Rounds is the number of fault rounds (8). Every round issues a
+// The shape of every chaos run.
+const (
+	// chaosBrokers is the chain length. Each broker hosts one client.
+	chaosBrokers = 4
+	// chaosRounds is the number of fault rounds. Every round issues a
 	// few client operations and may crash a broker or cut a link.
-	Rounds int
-	// Seed determines the entire schedule (1).
+	chaosRounds = 8
+	// chaosSyncEvery is the journal fsync batch: every record is
+	// durable, so a crash loses nothing that was applied.
+	chaosSyncEvery = 1
+	// chaosDropRate, chaosDupRate and chaosDelayRate are the
+	// per-message injection probabilities on broker links during the
+	// fault phase. All are forced to zero for the heal and probe
+	// phases.
+	chaosDropRate  = 0.03
+	chaosDupRate   = 0.03
+	chaosDelayRate = 0.05
+	// maxHealRounds bounds the gossip rounds the heal phase may take
+	// to converge every link digest.
+	maxHealRounds = 24
+)
+
+// ChaosConfig selects one chaos run.
+type ChaosConfig struct {
+	// Seed determines the entire schedule (0 selects 1).
 	Seed uint64
 	// Faults enables injection; with false the same seed produces the
 	// oracle run: identical operations, no faults.
 	Faults bool
-	// SyncEvery is the journal fsync batch (1 — every record durable,
-	// so a crash loses nothing that was applied; larger values lose
-	// an unsynced tail that digest reconciliation must repair).
-	SyncEvery int
-	// DropRate / DupRate / DelayRate are the per-message injection
-	// probabilities on broker links during the fault phase
-	// (0.03 / 0.03 / 0.05). All are forced to zero for the heal and
-	// probe phases.
-	DropRate, DupRate, DelayRate float64
-	// MaxHealRounds bounds the gossip rounds the heal phase may take
-	// to converge every link digest (24).
-	MaxHealRounds int
-}
-
-func (c ChaosConfig) withDefaults() ChaosConfig {
-	if c.Brokers <= 1 {
-		c.Brokers = 4
-	}
-	if c.Rounds <= 0 {
-		c.Rounds = 8
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.SyncEvery <= 0 {
-		c.SyncEvery = 1
-	}
-	if c.DropRate == 0 {
-		c.DropRate = 0.03
-	}
-	if c.DupRate == 0 {
-		c.DupRate = 0.03
-	}
-	if c.DelayRate == 0 {
-		c.DelayRate = 0.05
-	}
-	if c.MaxHealRounds <= 0 {
-		c.MaxHealRounds = 24
-	}
-	return c
 }
 
 // ChaosReport summarizes one run.
@@ -115,7 +91,6 @@ type ChaosReport struct {
 
 // chaosRun carries one run's live state.
 type chaosRun struct {
-	cfg    ChaosConfig
 	rng    *rand.Rand
 	net    *simnet.Network
 	clock  *simnet.Clock
@@ -132,9 +107,10 @@ type chaosRun struct {
 // behavioral — behavioral divergence is what the report's Deliveries
 // and Converged fields are for.
 func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
 	r := &chaosRun{
-		cfg:    cfg,
 		rng:    rand.New(rand.NewPCG(cfg.Seed, cfg.Seed|1)),
 		clock:  simnet.NewClock(),
 		nodes:  make(map[string]*Node),
@@ -144,12 +120,12 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	var opts []simnet.Option
 	if cfg.Faults {
 		opts = append(opts,
-			simnet.WithFailures(cfg.DropRate, cfg.DupRate, cfg.Seed^0xc4a0),
-			simnet.WithDelays(cfg.DelayRate, cfg.Seed^0xd31a))
+			simnet.WithFailures(chaosDropRate, chaosDupRate, cfg.Seed^0xc4a0),
+			simnet.WithDelays(chaosDelayRate, cfg.Seed^0xd31a))
 	}
 	r.net = simnet.New(opts...)
 
-	for i := 0; i < cfg.Brokers; i++ {
+	for i := 0; i < chaosBrokers; i++ {
 		id := fmt.Sprintf("B%d", i+1)
 		r.ids = append(r.ids, id)
 		if err := r.net.AddBroker(id, store.PolicyPairwise); err != nil {
@@ -158,9 +134,9 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		st := persist.NewMemStore()
 		r.stores[id] = st
 		b := r.net.Broker(id)
-		b.SetJournal(pubsub.NewBrokerJournal(b, st, cfg.SyncEvery))
+		b.SetJournal(pubsub.NewBrokerJournal(b, st, chaosSyncEvery))
 	}
-	for i := 0; i+1 < cfg.Brokers; i++ {
+	for i := 0; i+1 < chaosBrokers; i++ {
 		a, b := r.ids[i], r.ids[i+1]
 		if err := r.net.Connect(a, b); err != nil {
 			return nil, err
@@ -210,14 +186,14 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	liveIDs := []string{} // deterministic iteration order
 	subSeq := 0
 
-	for round := 0; round < cfg.Rounds; round++ {
+	for round := 0; round < chaosRounds; round++ {
 		// Scripted fault for this round (decided by the seed whether
 		// or not faults are enabled, so the operation schedule below
 		// is identical in both runs).
 		crashIdx, cutEdge := -1, -1
 		switch r.rng.IntN(3) {
 		case 0:
-			crashIdx = r.rng.IntN(cfg.Brokers)
+			crashIdx = r.rng.IntN(chaosBrokers)
 		case 1:
 			cutEdge = r.rng.IntN(len(r.edges))
 		}
@@ -243,7 +219,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 
 		// Client operations from brokers the script has alive.
 		for op := 0; op < 2; op++ {
-			ci := r.rng.IntN(cfg.Brokers)
+			ci := r.rng.IntN(chaosBrokers)
 			unsub := r.rng.IntN(3) == 0 && len(liveIDs) > 0
 			var victim int
 			if unsub {
@@ -307,7 +283,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	if err := r.step(250*time.Millisecond, 12); err != nil {
 		return nil, err
 	}
-	for r.report.HealRounds = 0; r.report.HealRounds < cfg.MaxHealRounds; r.report.HealRounds++ {
+	for r.report.HealRounds = 0; r.report.HealRounds < maxHealRounds; r.report.HealRounds++ {
 		if r.converged() {
 			r.report.Converged = true
 			break
@@ -328,7 +304,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	for i, subID := range liveIDs {
 		ls := live[subID]
 		mid := (ls.lo + ls.hi) / 2
-		from := "c-" + r.ids[i%cfg.Brokers]
+		from := "c-" + r.ids[i%chaosBrokers]
 		pubID := fmt.Sprintf("probe-%d", i)
 		r.report.Probes++
 		if err := r.net.ClientPublish(from, pubID, subscription.NewPublication(mid, mid)); err != nil {
@@ -400,7 +376,7 @@ func (r *chaosRun) restart(id string) error {
 		return err
 	}
 	r.report.Recovered += rec.SnapshotOps + rec.JournalRecords
-	b.SetJournal(pubsub.NewBrokerJournal(b, r.stores[id], r.cfg.SyncEvery))
+	b.SetJournal(pubsub.NewBrokerJournal(b, r.stores[id], chaosSyncEvery))
 	if err := r.net.RestartBroker(id, b); err != nil {
 		return err
 	}

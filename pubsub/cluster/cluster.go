@@ -51,10 +51,30 @@ type Link interface {
 	Digest(peer string) (broker.LinkDigest, bool)
 }
 
+// SWIM's protocol constants (Das/Gupta/Motivala), fixed for every node.
+const (
+	// probeFanout is k: how many of the due linked members receive a
+	// direct ping per tick. When no more than k members are due they
+	// are all probed, so small clusters keep the every-neighbor cadence.
+	probeFanout = 2
+	// indirectRelays is r: how many relays receive a PING-REQ when a
+	// member's direct probe already stands unanswered.
+	indirectRelays = 2
+	// retransmitMult is the λ of the per-update retransmit budget
+	// λ·⌈log₂ n⌉: how many frames each membership update rides before
+	// it is dropped from the delta queue.
+	retransmitMult = 3
+	// maxDeltasPerFrame bounds the membership updates piggybacked on
+	// one control frame.
+	maxDeltasPerFrame = 6
+)
+
 // Config tunes a membership node. Zero values select the defaults
 // noted on each field.
 type Config struct {
-	// PingEvery is the failure-detector probe interval (500ms).
+	// PingEvery is the failure-detector probe interval (500ms). A
+	// TCP-attached node ticks every PingEvery/4 (at least 1ms);
+	// simulator nodes are ticked manually instead.
 	PingEvery time.Duration
 	// SuspectMisses is how many unanswered pings move an alive member
 	// to suspect (2).
@@ -62,8 +82,7 @@ type Config struct {
 	// DeadAfter is how long a member stays suspect before it is
 	// declared dead (4 × PingEvery).
 	DeadAfter time.Duration
-	// GossipEvery is the anti-entropy interval: a gossip frame (a
-	// bounded delta batch, or the full member list under LegacyGossip)
+	// GossipEvery is the anti-entropy interval: a bounded delta batch
 	// goes to every live linked peer this often (2 × PingEvery).
 	GossipEvery time.Duration
 	// ReconnectMin / ReconnectMax bound the re-dial backoff for down
@@ -71,11 +90,6 @@ type Config struct {
 	// (PingEvery/2 and 16 × ReconnectMin).
 	ReconnectMin time.Duration
 	ReconnectMax time.Duration
-	// TickEvery is the background tick period of TCP-attached nodes
-	// (PingEvery / 4); simulator nodes are ticked manually instead.
-	TickEvery time.Duration
-	// Incarnation is the node's own starting incarnation (1).
-	Incarnation uint64
 	// Seed feeds the backoff-jitter and probe-selection streams, mixed
 	// with the node ID so cluster members never thunder in lockstep (1).
 	Seed uint64
@@ -91,27 +105,13 @@ type Config struct {
 	// operation: the overlay converges to a full mesh). Without it
 	// only explicitly added peers are linked (topology operation).
 	Mesh bool
-	// ProbeFanout is how many of the due linked members receive a
-	// direct ping per tick (2) — SWIM's k. When no more than
-	// ProbeFanout members are due they are all probed, so small
-	// clusters keep the every-neighbor cadence.
-	ProbeFanout int
-	// IndirectRelays is how many relays receive a PING-REQ when a
-	// member's direct probe already stands unanswered (2) — SWIM's r.
-	// Negative disables indirect probing.
-	IndirectRelays int
-	// RetransmitMult is the λ of the per-update retransmit budget
-	// λ·⌈log₂ n⌉ (3): how many frames each membership update rides
-	// before it is dropped from the delta queue.
-	RetransmitMult int
-	// MaxDeltasPerFrame bounds the membership updates piggybacked on
-	// one control frame (6).
-	MaxDeltasPerFrame int
-	// LegacyGossip forces full-snapshot gossip toward every peer and
-	// disables delta piggybacks and indirect probes — the
-	// full-snapshot oracle the delta convergence tests compare
-	// against.
-	LegacyGossip bool
+
+	// The reference protocols tests compare against; no other code
+	// sets them. fullGossip sends the full member list on every gossip
+	// beat and disables delta piggybacks and indirect probes (the
+	// full-snapshot oracle); noRelays disables indirect probes only.
+	fullGossip bool
+	noRelays   bool
 }
 
 func (c Config) withDefaults() Config {
@@ -133,28 +133,8 @@ func (c Config) withDefaults() Config {
 	if c.ReconnectMax <= 0 {
 		c.ReconnectMax = 16 * c.ReconnectMin
 	}
-	if c.TickEvery <= 0 {
-		c.TickEvery = max(c.PingEvery/4, time.Millisecond)
-	}
-	if c.Incarnation == 0 {
-		c.Incarnation = 1
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.ProbeFanout <= 0 {
-		c.ProbeFanout = 2
-	}
-	// Negative stays negative (disabled) so the sentinel survives
-	// repeated default application.
-	if c.IndirectRelays == 0 {
-		c.IndirectRelays = 2
-	}
-	if c.RetransmitMult <= 0 {
-		c.RetransmitMult = 3
-	}
-	if c.MaxDeltasPerFrame <= 0 {
-		c.MaxDeltasPerFrame = 6
 	}
 	if c.Clock == nil {
 		//brokervet:allow clockcheck this IS the clock injection point: the default for production wiring, overridden by simnet in deterministic tests
@@ -275,12 +255,12 @@ type Node struct {
 // NewNode builds a membership node around a link. The node is
 // passive until Tick is called (or a background ticker is started by
 // Attach); self's state is forced alive and its incarnation defaults
-// from the config when zero.
+// to 1 when zero.
 func NewNode(self Member, link Link, cfg Config) *Node {
 	cfg = cfg.withDefaults()
 	self.State = StateAlive
 	if self.Incarnation == 0 {
-		self.Incarnation = cfg.Incarnation
+		self.Incarnation = 1
 	}
 	return &Node{
 		link:         link,
@@ -541,7 +521,7 @@ func (n *Node) memberHashLocked() uint64 {
 func (n *Node) enqueueUpdateLocked(mi broker.MemberInfo) {
 	n.persistDirty = true
 	n.viewDirty = true
-	budget := n.cfg.RetransmitMult * bits.Len(uint(len(n.members)+2))
+	budget := retransmitMult * bits.Len(uint(len(n.members)+2))
 	if qu := n.updates[mi.ID]; qu != nil {
 		qu.info = mi
 		qu.remaining = budget
@@ -551,17 +531,19 @@ func (n *Node) enqueueUpdateLocked(mi broker.MemberInfo) {
 	n.updateQueue = append(n.updateQueue, mi.ID)
 }
 
-// takeDeltasLocked dequeues up to max pending updates round-robin,
+// takeDeltasLocked dequeues the updates one outgoing control frame
+// carries — up to maxDeltasPerFrame pending ones, round-robin —
 // charging each one frame of its retransmit budget; exhausted updates
-// drop out of the queue, surviving ones rotate to the back.
+// drop out of the queue, surviving ones rotate to the back. The
+// full-snapshot oracle piggybacks none.
 //
 // +mustlock:mu
-func (n *Node) takeDeltasLocked(max int) []broker.MemberInfo {
+func (n *Node) takeDeltasLocked() []broker.MemberInfo {
 	pending := len(n.updateQueue) - n.qHead
-	if max <= 0 || pending <= 0 {
+	if n.cfg.fullGossip || pending <= 0 {
 		return nil
 	}
-	take := min(max, pending)
+	take := min(maxDeltasPerFrame, pending)
 	out := make([]broker.MemberInfo, 0, take)
 	for i := 0; i < take; i++ {
 		id := n.updateQueue[n.qHead]
@@ -588,7 +570,7 @@ func (n *Node) takeDeltasLocked(max int) []broker.MemberInfo {
 }
 
 // Tick runs one round of the time-driven machinery at the injected
-// clock's current instant: direct probes for ProbeFanout random due
+// clock's current instant: direct probes for probeFanout random due
 // members, indirect probes through relays for the unanswered ones,
 // suspect→dead timeouts, gossip fan-out, reconnect attempts for down
 // links,
@@ -623,8 +605,8 @@ func (n *Node) Tick() {
 	var snapshot []broker.MemberInfo // full-gossip form, built lazily
 
 	// SWIM probe selection: of the linked live members due for a
-	// probe, ping at most ProbeFanout random ones this tick. Small
-	// clusters (≤ ProbeFanout due members) keep the every-neighbor
+	// probe, ping at most probeFanout random ones this tick. Small
+	// clusters (≤ probeFanout due members) keep the every-neighbor
 	// cadence; large ones pay k probes per tick regardless of size.
 	var due []*memberState
 	for _, st := range n.linkedOrder {
@@ -632,32 +614,28 @@ func (n *Node) Tick() {
 			due = append(due, st)
 		}
 	}
-	if k := n.cfg.ProbeFanout; len(due) > k {
-		for i := 0; i < k; i++ {
+	if len(due) > probeFanout {
+		for i := 0; i < probeFanout; i++ {
 			j := i + n.rng.IntN(len(due)-i)
 			due[i], due[j] = due[j], due[i]
 		}
-		due = due[:k]
+		due = due[:probeFanout]
 	}
 	for _, st := range due {
 		st.seq++
 		st.awaiting++
 		st.lastPing = now
 		n.metrics.PingsSent++
-		ping := broker.Message{Kind: broker.MsgPing, Seq: st.seq}
-		if !n.cfg.LegacyGossip {
-			ping.Members = n.takeDeltasLocked(n.cfg.MaxDeltasPerFrame)
-		}
+		ping := broker.Message{Kind: broker.MsgPing, Seq: st.seq, Members: n.takeDeltasLocked()}
 		sends = append(sends, sendOp{to: st.ID, msg: ping, probe: st})
 		// Indirect probe: a previous ping already stands unanswered,
 		// so ask r relays to vouch for the member before the suspect
 		// threshold trips — SWIM's defense against declaring a member
 		// dead over one broken path.
-		if st.awaiting > 1 && n.cfg.IndirectRelays > 0 {
+		if st.awaiting > 1 && !n.cfg.fullGossip && !n.cfg.noRelays {
 			for _, relay := range n.relayTargetsLocked(st.ID) {
 				n.metrics.PingReqsSent++
-				req := broker.Message{Kind: broker.MsgPingReq, Target: st.ID, Seq: st.seq}
-				req.Members = n.takeDeltasLocked(n.cfg.MaxDeltasPerFrame)
+				req := broker.Message{Kind: broker.MsgPingReq, Target: st.ID, Seq: st.seq, Members: n.takeDeltasLocked()}
 				sends = append(sends, sendOp{to: relay.ID, msg: req})
 			}
 		}
@@ -685,13 +663,13 @@ func (n *Node) Tick() {
 				n.enqueueUpdateLocked(st.wire())
 			}
 			if gossipDue && st.State == StateAlive && st.synced {
-				if !n.cfg.LegacyGossip {
+				if !n.cfg.fullGossip {
 					n.metrics.DeltaFramesSent++
 					sends = append(sends, sendOp{
 						to: st.ID,
 						msg: broker.Message{
 							Kind:    broker.MsgGossipDelta,
-							Members: n.takeDeltasLocked(n.cfg.MaxDeltasPerFrame),
+							Members: n.takeDeltasLocked(),
 							// The view hash arms anti-entropy: a receiver
 							// still hashing differently after the merge
 							// pushes its full map back (rate-limited), the
@@ -800,28 +778,25 @@ func (n *Node) Tick() {
 	}
 }
 
-// relayTargetsLocked picks up to IndirectRelays random linked live
-// delta-capable members (excluding the probe target) to carry a
+// relayTargetsLocked picks up to indirectRelays random linked live
+// cluster-capable members (excluding the probe target) to carry a
 // PING-REQ.
 //
 // +mustlock:mu
 func (n *Node) relayTargetsLocked(target string) []*memberState {
 	var cands []*memberState
 	for _, st := range n.linkedOrder {
-		if st.ID == target || !st.linkUp || st.State != StateAlive {
-			continue
-		}
-		if n.cfg.LegacyGossip || !n.link.ClusterCapable(st.ID) {
+		if st.ID == target || !st.linkUp || st.State != StateAlive || !n.link.ClusterCapable(st.ID) {
 			continue
 		}
 		cands = append(cands, st)
 	}
-	if r := n.cfg.IndirectRelays; len(cands) > r {
-		for i := 0; i < r; i++ {
+	if len(cands) > indirectRelays {
+		for i := 0; i < indirectRelays; i++ {
 			j := i + n.rng.IntN(len(cands)-i)
 			cands[i], cands[j] = cands[j], cands[i]
 		}
-		cands = cands[:r]
+		cands = cands[:indirectRelays]
 	}
 	return cands
 }
@@ -1016,11 +991,8 @@ func (n *Node) HandleControl(from string, msg broker.Message) []broker.Outbound 
 		} else {
 			n.observe(from, now, false)
 		}
-		pong := broker.Message{Kind: broker.MsgPong, Seq: msg.Seq}
 		n.mu.Lock()
-		if !n.cfg.LegacyGossip {
-			pong.Members = n.takeDeltasLocked(n.cfg.MaxDeltasPerFrame)
-		}
+		pong := broker.Message{Kind: broker.MsgPong, Seq: msg.Seq, Members: n.takeDeltasLocked()}
 		n.metrics.ControlBytesSent += uint64(controlFrameSize(&pong))
 		n.mu.Unlock()
 		return append(outs, broker.Outbound{To: from, Msg: pong})
@@ -1092,10 +1064,7 @@ func (n *Node) relayProbe(from string, msg broker.Message, now time.Time) []brok
 	n.metrics.PingReqsRelayed++
 	n.pendingRelay[msg.Target] = append(n.pendingRelay[msg.Target],
 		relayReq{origin: from, seq: msg.Seq, expires: now.Add(2 * n.cfg.PingEvery)})
-	ping := broker.Message{Kind: broker.MsgPing, Seq: st.seq}
-	if !n.cfg.LegacyGossip {
-		ping.Members = n.takeDeltasLocked(n.cfg.MaxDeltasPerFrame)
-	}
+	ping := broker.Message{Kind: broker.MsgPing, Seq: st.seq, Members: n.takeDeltasLocked()}
 	n.metrics.ControlBytesSent += uint64(controlFrameSize(&ping))
 	n.mu.Unlock()
 	return append(outs, broker.Outbound{To: msg.Target, Msg: ping})
@@ -1109,10 +1078,7 @@ func (n *Node) relayAcks(target string) []broker.Outbound {
 	delete(n.pendingRelay, target)
 	var outs []broker.Outbound
 	for _, r := range reqs {
-		ack := broker.Message{Kind: broker.MsgPingReq, Ack: true, Target: target, Seq: r.seq}
-		if !n.cfg.LegacyGossip {
-			ack.Members = n.takeDeltasLocked(n.cfg.MaxDeltasPerFrame)
-		}
+		ack := broker.Message{Kind: broker.MsgPingReq, Ack: true, Target: target, Seq: r.seq, Members: n.takeDeltasLocked()}
 		n.metrics.ControlBytesSent += uint64(controlFrameSize(&ack))
 		outs = append(outs, broker.Outbound{To: r.origin, Msg: ack})
 	}
@@ -1317,7 +1283,7 @@ func (n *Node) antiEntropy(from string, remoteHash uint64, now time.Time) (broke
 func (n *Node) run() {
 	defer n.wg.Done()
 	//brokervet:allow clockcheck real-TCP attach path: the ticker only paces Tick calls; all time the logic sees still flows through cfg.Clock
-	t := time.NewTicker(n.cfg.TickEvery)
+	t := time.NewTicker(max(n.cfg.PingEvery/4, time.Millisecond))
 	defer t.Stop()
 	for {
 		select {
@@ -1353,8 +1319,8 @@ func (n *Node) String() string {
 // ---------------------------------------------------------------------------
 // Wire-size estimation: exact arithmetic mirror of the binary
 // encoding of the control kinds, so traffic accounting costs no
-// second encode pass. Kept in lockstep with pubsub's codec (the codec
-// tests cross-check the sizes).
+// second encode pass. Kept in lockstep with pubsub's codec by
+// TestControlFrameSizeMatchesCodec.
 
 func uvarintLen(v uint64) int {
 	n := 1

@@ -26,24 +26,24 @@ import (
 	"probsum/pubsub/cluster"
 )
 
+// The overlay and round budget of every scale run.
+const (
+	// chords is the number of extra pseudo-random overlay links per
+	// node beyond the ring (degree ≈ 2 + 2·chords).
+	chords = 2
+	// maxRounds bounds the convergence phase: a run that has not
+	// converged by then fails.
+	maxRounds = 200
+	// steadyRounds is the post-convergence measurement window.
+	steadyRounds = 20
+)
+
 // Config sizes one scale run. Zero values select the noted defaults.
 type Config struct {
 	// N is the member count (default 200).
 	N int
-	// Chords is the number of extra pseudo-random overlay links per
-	// node beyond the ring (default 2; degree ≈ 2 + 2·Chords).
-	Chords int
 	// Seed drives every random choice of the run (default 1).
 	Seed uint64
-	// MaxRounds bounds the convergence phase (default 200): a run
-	// that has not converged by then fails.
-	MaxRounds int
-	// SteadyRounds is the post-convergence measurement window
-	// (default 20).
-	SteadyRounds int
-	// LegacyGossip runs the oracle protocol (periodic full-snapshot
-	// frames, no deltas) for comparison runs.
-	LegacyGossip bool
 	// Subs injects that many client subscriptions after convergence
 	// and counts the subscription-announcement frames each broker link
 	// carries (default 0: membership-only run).
@@ -58,17 +58,8 @@ func (c Config) withDefaults() Config {
 	if c.N == 0 {
 		c.N = 200
 	}
-	if c.Chords == 0 {
-		c.Chords = 2
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.MaxRounds == 0 {
-		c.MaxRounds = 200
-	}
-	if c.SteadyRounds == 0 {
-		c.SteadyRounds = 20
 	}
 	return c
 }
@@ -290,7 +281,6 @@ func Run(cfg Config) (Report, error) {
 		ReconnectMax:  4 * pingEvery,
 		Seed:          cfg.Seed,
 		Clock:         clock,
-		LegacyGossip:  cfg.LegacyGossip,
 	}
 	h.brokers = make([]*broker.Broker, cfg.N)
 	for i := range h.nodes {
@@ -334,7 +324,7 @@ func Run(cfg Config) (Report, error) {
 	}
 	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed|1))
 	for i := 0; i < cfg.N; i++ {
-		for c := 0; c < cfg.Chords; c++ {
+		for c := 0; c < chords; c++ {
 			if connect(i, rng.IntN(cfg.N)) {
 				links++
 			}
@@ -356,8 +346,8 @@ func Run(cfg Config) (Report, error) {
 
 	// Phase 1: converge.
 	for rep.ConvergedRound = 1; ; rep.ConvergedRound++ {
-		if rep.ConvergedRound > cfg.MaxRounds {
-			return rep, fmt.Errorf("scale: n=%d not converged after %d rounds", cfg.N, cfg.MaxRounds)
+		if rep.ConvergedRound > maxRounds {
+			return rep, fmt.Errorf("scale: n=%d not converged after %d rounds", cfg.N, maxRounds)
 		}
 		round()
 		if h.converged() {
@@ -368,11 +358,11 @@ func Run(cfg Config) (Report, error) {
 
 	// Phase 2: steady-state measurement window.
 	bytes0, full0, delta0 := h.totals()
-	for r := 0; r < cfg.SteadyRounds; r++ {
+	for r := 0; r < steadyRounds; r++ {
 		round()
 	}
 	bytes1, full1, delta1 := h.totals()
-	rep.SteadyBytesPerMemberRound = float64(bytes1-bytes0) / float64(cfg.N*cfg.SteadyRounds)
+	rep.SteadyBytesPerMemberRound = float64(bytes1-bytes0) / float64(cfg.N*steadyRounds)
 	rep.SteadyFullGossipFrames = full1 - full0
 	rep.SteadyDeltaFrames = delta1 - delta0
 	rep.TotalControlBytes = bytes1

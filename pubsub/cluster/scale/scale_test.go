@@ -72,24 +72,3 @@ func TestScaleFloodMatchesOracle(t *testing.T) {
 	}
 	t.Logf("n=200: %d deliveries (%#x), %.2f sub frames/link", rep.Deliveries, rep.DeliveryHash, rep.SubFramesPerLink)
 }
-
-// TestScaleDeltaCheaperThanLegacy pins the point of the v4 protocol:
-// at the same size and seed, delta dissemination's steady state costs
-// a small fraction of the full-snapshot oracle's.
-func TestScaleDeltaCheaperThanLegacy(t *testing.T) {
-	delta, err := Run(Config{N: 100, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := Run(Config{N: 100, Seed: 7, LegacyGossip: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.SteadyFullGossipFrames == 0 {
-		t.Fatal("legacy run sent no full gossip — oracle knob broken")
-	}
-	if delta.SteadyBytesPerMemberRound*4 > legacy.SteadyBytesPerMemberRound {
-		t.Fatalf("delta steady state (%.0f B/member/round) not at least 4x cheaper than legacy (%.0f)",
-			delta.SteadyBytesPerMemberRound, legacy.SteadyBytesPerMemberRound)
-	}
-}

@@ -79,8 +79,7 @@ func NewSimNode(net *simnet.Network, id string, clock *simnet.Clock, cfg Config)
 		return nil, fmt.Errorf("cluster: unknown simulator broker %s", id)
 	}
 	cfg.Clock = clock.Now
-	cfg = cfg.withDefaults()
-	n := NewNode(Member{ID: id, Addr: id, Incarnation: cfg.Incarnation}, &simLink{net: net, id: id}, cfg)
+	n := NewNode(Member{ID: id, Addr: id}, &simLink{net: net, id: id}, cfg)
 	b.SetControlHandler(n.HandleControl)
 	return n, nil
 }

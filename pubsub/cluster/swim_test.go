@@ -124,7 +124,7 @@ func TestIndirectProbeKeepsMemberAlive(t *testing.T) {
 	// Control: the identical scenario without indirect probing spins
 	// the suspect/refute cycle — suspicion transitions and inflated
 	// incarnations — which is exactly what the relays prevented above.
-	netC, clockC, nodesC, idsC := swimTriangle(t, func(c *Config) { c.IndirectRelays = -1 })
+	netC, clockC, nodesC, idsC := swimTriangle(t, func(c *Config) { c.noRelays = true })
 	stepNodes(t, netC, clockC, nodesC, idsC, 250*time.Millisecond, 8)
 	netC.SetLink("B1", "B2", false)
 	stepNodes(t, netC, clockC, nodesC, idsC, 250*time.Millisecond, 40)
@@ -165,7 +165,7 @@ func swimChurn(t *testing.T, legacy bool) (map[string]map[string]State, map[stri
 		ReconnectMin:  500 * time.Millisecond,
 		ReconnectMax:  2 * time.Second,
 		Seed:          42,
-		LegacyGossip:  legacy,
+		fullGossip:    legacy,
 	}
 	nodes := make(map[string]*Node)
 	for _, id := range ids {

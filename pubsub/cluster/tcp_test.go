@@ -29,7 +29,6 @@ func fastConfig() Config {
 		GossipEvery:   100 * time.Millisecond,
 		ReconnectMin:  50 * time.Millisecond,
 		ReconnectMax:  300 * time.Millisecond,
-		TickEvery:     20 * time.Millisecond,
 	}
 }
 

@@ -33,9 +33,7 @@ type SimTransport struct {
 }
 
 // NewSimTransport creates an empty simulated overlay with the given
-// coverage policy and tuning; AddBroker applies exactly the options
-// Network.AddBroker does, so sim transports and Networks built from
-// the same Config make identical coverage decisions.
+// coverage policy and tuning.
 func NewSimTransport(policy Policy, cfg Config) (*SimTransport, error) {
 	sp, err := policy.toStore()
 	if err != nil {
@@ -43,8 +41,8 @@ func NewSimTransport(policy Policy, cfg Config) (*SimTransport, error) {
 	}
 	cfg = cfg.withDefaults()
 	var opts []simnet.Option
-	if cfg.DropRate > 0 || cfg.DupRate > 0 {
-		opts = append(opts, simnet.WithFailures(cfg.DropRate, cfg.DupRate, cfg.Seed^0xfa11))
+	if cfg.DropRate > 0 {
+		opts = append(opts, simnet.WithFailures(cfg.DropRate, 0, cfg.Seed^0xfa11))
 	}
 	return &SimTransport{
 		policy:  sp,

@@ -129,10 +129,10 @@ func WithSnapshotInterval(d time.Duration) TCPOption {
 	return func(c *tcpConfig) { c.snapInterval = d }
 }
 
-// WithSendQueue sets the per-port outbound queue length (default 256
+// withSendQueue sets the per-port outbound queue length (default 256
 // frames). A full queue applies backpressure to the readers that are
 // producing for it.
-func WithSendQueue(n int) TCPOption {
+func withSendQueue(n int) TCPOption {
 	return func(c *tcpConfig) { c.queueLen = n }
 }
 
@@ -1032,13 +1032,13 @@ type TCPTransport struct {
 
 // NewTCPTransport creates an empty TCP overlay with the given coverage
 // policy and tuning. Brokers listen on ephemeral loopback ports.
-// Config.DropRate/DupRate are a simulator-only feature and rejected
-// here: TCP links get their loss from the real network.
+// Config.DropRate is a simulator-only feature and rejected here: TCP
+// links get their loss from the real network.
 func NewTCPTransport(policy Policy, cfg Config, opts ...TCPOption) (*TCPTransport, error) {
 	if _, err := policy.toStore(); err != nil {
 		return nil, err
 	}
-	if cfg.DropRate > 0 || cfg.DupRate > 0 {
+	if cfg.DropRate > 0 {
 		return nil, fmt.Errorf("pubsub: failure injection is simulator-only; TCP transports take real losses")
 	}
 	return &TCPTransport{

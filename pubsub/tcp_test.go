@@ -311,7 +311,7 @@ func TestTCPShutdownDrainsInFlight(t *testing.T) {
 // subscriber that never reads eventually fills its queue; shutdown
 // with an expired context must still terminate promptly.
 func TestTCPServeHardShutdown(t *testing.T) {
-	b := listenTestBroker(t, "B1", Pairwise, WithSendQueue(4))
+	b := listenTestBroker(t, "B1", Pairwise, withSendQueue(4))
 	ctx := testCtx(t)
 	sub := dialTest(t, b.Addr(), "alice")
 	pub := dialTest(t, b.Addr(), "bob")

@@ -184,84 +184,3 @@ func TestTransportEquivalence(t *testing.T) {
 		})
 	}
 }
-
-// TestSimTransportMatchesNetwork pins the sim transport to the
-// original Network facade: same scenario, same deliveries.
-func TestSimTransportMatchesNetwork(t *testing.T) {
-	cfg := pubsub.Config{ErrorProbability: 1e-9, Seed: 7}
-	net, err := pubsub.NewNetwork(pubsub.Pairwise, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 3; i++ {
-		if err := net.AddBroker(fmt.Sprintf("B%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := net.Connect("B1", "B2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Connect("B2", "B3"); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.AttachClient("alice", "B1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.AttachClient("bob", "B3"); err != nil {
-		t.Fatal(err)
-	}
-	schema := subsume.UniformSchema(2, 0, 100)
-	s := subsume.NewSubscription(schema).Range("x1", 10, 50).Build()
-	if err := net.Subscribe("alice", "a1", s); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Publish("bob", "p1", subsume.NewPublication(30, 30)); err != nil {
-		t.Fatal(err)
-	}
-	netNotifs := net.Notifications("alice")
-
-	ctx := context.Background()
-	tr, err := pubsub.NewSimTransport(pubsub.Pairwise, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 3; i++ {
-		if _, err := tr.AddBroker(fmt.Sprintf("B%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tr.Connect("B1", "B2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Connect("B2", "B3"); err != nil {
-		t.Fatal(err)
-	}
-	alice, err := tr.Open(ctx, "alice", "B1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bob, err := tr.Open(ctx, "bob", "B3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := alice.Subscribe(ctx, "a1", s); err != nil {
-		t.Fatal(err)
-	}
-	if err := bob.Publish(ctx, "p1", subsume.NewPublication(30, 30)); err != nil {
-		t.Fatal(err)
-	}
-	var got []pubsub.Notification
-	for len(got) < len(netNotifs) {
-		select {
-		case n := <-alice.Notifications():
-			got = append(got, n)
-		case <-time.After(2 * time.Second):
-			t.Fatalf("transport delivered %d notifications, Network delivered %d", len(got), len(netNotifs))
-		}
-	}
-	for i, n := range got {
-		if fmt.Sprint(n) != fmt.Sprint(netNotifs[i]) {
-			t.Errorf("notification %d: transport %+v, Network %+v", i, n, netNotifs[i])
-		}
-	}
-}

@@ -229,12 +229,6 @@ func WithMaxTrials(n int) Option { return core.WithMaxTrials(n) }
 // WithSeed makes the checker's randomness reproducible.
 func WithSeed(s1, s2 uint64) Option { return core.WithSeed(s1, s2) }
 
-// WithMCS toggles the minimized-cover-set reduction (default on).
-func WithMCS(on bool) Option { return core.WithMCS(on) }
-
-// WithFastPaths toggles the deterministic short-circuits (default on).
-func WithFastPaths(on bool) Option { return core.WithFastPaths(on) }
-
 // Checker answers group-subsumption questions. Create one per
 // goroutine; a Checker is not safe for concurrent use.
 type Checker struct {
@@ -267,35 +261,6 @@ func (c *Checker) Covered(s Subscription, set []Subscription) (Result, error) {
 // from it are invalidated by the next call.
 func (c *Checker) CoveredInto(res *Result, s Subscription, set []Subscription) error {
 	return c.inner.CoveredInto(&res.inner, s, set)
-}
-
-// CheckerPool hands out checkers to concurrent callers: a Checker owns
-// a random stream and reusable scratch, so it must never be shared
-// across goroutines — Get one per in-flight check (or per worker) and
-// Put it back. Checkers are seeded reproducibly from the pool seed,
-// each with an independent stream.
-type CheckerPool struct {
-	inner *core.CheckerPool
-}
-
-// NewCheckerPool builds a pool whose checkers use opts; any WithSeed
-// among them is overridden by the pool's per-checker seed derivation.
-func NewCheckerPool(seed uint64, opts ...Option) (*CheckerPool, error) {
-	p, err := core.NewCheckerPool(seed, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &CheckerPool{inner: p}, nil
-}
-
-// Get checks a checker out of the pool, creating one when empty.
-func (p *CheckerPool) Get() *Checker { return &Checker{inner: p.inner.Get()} }
-
-// Put returns a checker for reuse; it must not be used afterwards.
-func (p *CheckerPool) Put(c *Checker) {
-	if c != nil {
-		p.inner.Put(c.inner)
-	}
 }
 
 // CoveredBySingle reports whether one subscription covers another —

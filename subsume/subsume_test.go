@@ -162,19 +162,19 @@ func TestCheckerUnsatisfiable(t *testing.T) {
 	}
 }
 
-func TestCoveredIntoAndPool(t *testing.T) {
+// TestCoveredIntoReusesResult decides the Table 3 example repeatedly
+// into one Result, as a caller on the hot path does.
+func TestCoveredIntoReusesResult(t *testing.T) {
 	schema := schema2D(t)
 	s1 := subsume.NewSubscription(schema).Range("x1", 820, 850).Range("x2", 1001, 1007).Build()
 	s2 := subsume.NewSubscription(schema).Range("x1", 840, 880).Range("x2", 1002, 1009).Build()
 	s := subsume.NewSubscription(schema).Range("x1", 830, 870).Range("x2", 1003, 1006).Build()
 	set := []subsume.Subscription{s1, s2}
 
-	pool, err := subsume.NewCheckerPool(7, subsume.WithErrorProbability(1e-9))
+	chk, err := subsume.NewChecker(subsume.WithSeed(7, 8), subsume.WithErrorProbability(1e-9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	chk := pool.Get()
-	defer pool.Put(chk)
 	var res subsume.Result
 	for i := 0; i < 3; i++ {
 		if err := chk.CoveredInto(&res, s, set); err != nil {
