@@ -14,9 +14,9 @@
 // Declarative topology (one JSON file shared by every daemon; see
 // pubsub/cluster.Topology). Each daemon starts the broker declared
 // under its -id; the cluster layer establishes the file's links in
-// any boot order, detects dead peers by ping, re-dials them with
-// jittered backoff, and re-announces the coverage roots as one
-// SUBBATCH when a link heals:
+// any boot order, detects dead peers by ping, and re-dials them with
+// jittered backoff; the dial that heals a link sends the coverage roots
+// as one SUBBATCH (the broker's link sync):
 //
 //	brokerd -id B1 -cluster overlay.json
 //	brokerd -id B2 -cluster overlay.json
@@ -242,7 +242,7 @@ func run() error {
 func dialWithRetry(b *pubsub.Broker, name, addr string, attempts int) error {
 	var err error
 	for i := 0; i < attempts; i++ {
-		if err = b.ConnectPeer(name, addr); err == nil {
+		if _, err = b.ConnectPeer(name, addr); err == nil {
 			return nil
 		}
 		time.Sleep(time.Second)

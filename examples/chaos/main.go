@@ -81,8 +81,8 @@ func runChild() {
 	for sc.Scan() {
 		switch sc.Text() {
 		case "digest":
-			out, ok := b.LinkDigest(peerID)
-			recv := b.ReceivedDigest(peerID)
+			out, ok := b.Core().LinkDigest(peerID)
+			recv := b.Core().ReceivedDigest(peerID)
 			fmt.Printf("DIGEST ok=%v out=%d/%d recv=%d/%d\n", ok, out.Count, out.Root, recv.Count, recv.Root)
 		case "quit":
 			n.Close()
@@ -327,11 +327,11 @@ func run() error {
 		if err != nil {
 			return false
 		}
-		sOut, ok := b2.LinkDigest("B1")
+		sOut, ok := b2.Core().LinkDigest("B1")
 		if !ok {
 			return false
 		}
-		sRecv := b2.ReceivedDigest("B1")
+		sRecv := b2.Core().ReceivedDigest("B1")
 		return line == fmt.Sprintf("DIGEST ok=true out=%d/%d recv=%d/%d",
 			sRecv.Count, sRecv.Root, sOut.Count, sOut.Root)
 	}); err != nil {

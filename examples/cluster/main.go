@@ -8,12 +8,13 @@
 // crosses the whole chain. Mid-traffic the middle broker is killed:
 // the survivors' failure detectors walk it alive → suspect → dead and
 // publications stop arriving. Then B2 is restarted on the same
-// address: the survivors' reconnect loops re-dial it, the re-attached
-// link re-announces each side's coverage roots as one SUBBATCH, and
+// address: the survivors' reconnect loops re-dial it, each dial sends
+// the broker's link sync (its coverage roots as one SUBBATCH), and
 // delivery resumes without the subscriber or publisher doing anything.
 //
 // Run with: go run ./examples/cluster
-// Exits non-zero if post-heal delivery does not resume (CI smoke).
+// Exits non-zero if B1 counts no link sync to the restarted B2 or
+// post-heal delivery does not resume (CI smoke).
 package main
 
 import (
@@ -176,6 +177,7 @@ func run() error {
 
 	// Revive B2 on the same address, from the same topology file.
 	fmt.Println("restarting B2 …")
+	syncs := b1.Metrics().LinkSyncs
 	n2b, b2b, err := start("B2")
 	if err != nil {
 		return err
@@ -189,8 +191,12 @@ func run() error {
 	}); err != nil {
 		return err
 	}
-	fmt.Printf("healed: B1 sees [%s]; B2 relearned %d subscription(s) from the root re-announcement\n",
-		n1, b2b.Metrics().SubsReceived)
+	syncs = b1.Metrics().LinkSyncs - syncs
+	fmt.Printf("healed: B1 sees [%s]; B1 sent %d link sync(s); B2 relearned %d subscription(s)\n",
+		n1, syncs, b2b.Metrics().SubsReceived)
+	if syncs == 0 {
+		return fmt.Errorf("B1 counted no link sync to the restarted B2")
+	}
 
 	// Phase 3: delivery resumes with no client action.
 	got = publishPhase(ctx, "healed", pub, sub, 200, 10)

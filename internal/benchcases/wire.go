@@ -287,10 +287,10 @@ func TCPSubscribeBurst(b *testing.B, batch bool) {
 		defer cancel()
 		peer.Shutdown(sctx)
 	}()
-	if err := hub.ConnectPeer("PEER", peer.Addr()); err != nil {
+	if _, err := hub.ConnectPeer("PEER", peer.Addr()); err != nil {
 		b.Fatal(err)
 	}
-	if err := peer.ConnectPeer("HUB", hub.Addr()); err != nil {
+	if _, err := peer.ConnectPeer("HUB", hub.Addr()); err != nil {
 		b.Fatal(err)
 	}
 	c, err := pubsub.Dial(ctx, hub.Addr(), "burster")

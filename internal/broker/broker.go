@@ -261,6 +261,8 @@ type Metrics struct {
 	SyncRootsResent int // roots re-sent while answering sync requests
 	SyncStalePruned int // stale reverse-path entries pruned by sync
 	ControlDropped  int // control frames dropped before reaching a peer
+	LinkSyncs       int // link syncs sent over freshly dialed links (LinkSync)
+	LinkSyncSubs    int // roots those link syncs carried
 }
 
 // Add accumulates another broker's counters into m — the one
@@ -281,6 +283,8 @@ func (m *Metrics) Add(o Metrics) {
 	m.SyncRootsResent += o.SyncRootsResent
 	m.SyncStalePruned += o.SyncStalePruned
 	m.ControlDropped += o.ControlDropped
+	m.LinkSyncs += o.LinkSyncs
+	m.LinkSyncSubs += o.LinkSyncSubs
 }
 
 // counters is the internal, atomically updated form of Metrics, so the
@@ -300,6 +304,8 @@ type counters struct {
 	syncRootsResent atomic.Int64
 	syncStalePruned atomic.Int64
 	controlDropped  atomic.Int64
+	linkSyncs       atomic.Int64
+	linkSyncSubs    atomic.Int64
 }
 
 // snapshot converts the counters to the public Metrics form.
@@ -319,6 +325,8 @@ func (c *counters) snapshot() Metrics {
 		SyncRootsResent: int(c.syncRootsResent.Load()),
 		SyncStalePruned: int(c.syncStalePruned.Load()),
 		ControlDropped:  int(c.controlDropped.Load()),
+		LinkSyncs:       int(c.linkSyncs.Load()),
+		LinkSyncSubs:    int(c.linkSyncSubs.Load()),
 	}
 }
 
@@ -789,7 +797,7 @@ func (b *Broker) ConnectNeighbor(id string) error {
 	// when the link formed — a broker that gains a neighbor mid-life
 	// (cluster healing, late joins) then has a correct root set for
 	// the transport to synchronize over the new link (see
-	// NeighborRoots). One batch call, ascending-ID order, so the
+	// LinkSync). One batch call, ascending-ID order, so the
 	// admission is deterministic and coverage within the backfill is
 	// found immediately.
 	var ids []subsume.ID
@@ -1164,11 +1172,11 @@ func (b *Broker) handlePublishBatchMsg(from string, msg Message) ([]Outbound, er
 
 // NeighborRoots exports the ACTIVE subscriptions announced to a
 // neighbor — the forwarding roots the neighbor must know for routing
-// to work, exactly the set a healed or restarted peer is re-announced
-// as one SUBBATCH (cluster healing protocol). It is the neighbor's
-// coverage table's active set, in admission order (ascending numeric
-// ID). Covered subscriptions are omitted by construction: the
-// neighbor never saw them, and their coverers are in the set.
+// to work, exactly the set LinkSync sends a healed or restarted peer.
+// It is the neighbor's coverage table's active set, in admission order
+// (ascending numeric ID). Covered subscriptions are omitted by
+// construction: the neighbor never saw them, and their coverers are in
+// the set.
 func (b *Broker) NeighborRoots(id string) []BatchSub {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -1177,6 +1185,24 @@ func (b *Broker) NeighborRoots(id string) []BatchSub {
 		out = append(out, BatchSub{SubID: r.subID, Sub: r.sub})
 	})
 	return out
+}
+
+// LinkSync returns what a link this broker just dialed to peer carries
+// first: the coverage roots for peer (NeighborRoots) as ONE SUBBATCH,
+// counted in Metrics.LinkSyncs and LinkSyncSubs. An empty root set
+// returns and counts nothing — a first-boot link. After a reconnect,
+// or toward a neighbor registered while no link existed, it is the
+// healing re-announcement: the peer drops what it already knows and
+// fills the gaps, so routing converges without any transport replaying
+// lost frames. Every transport calls it once per successful dial.
+func (b *Broker) LinkSync(peer string) []Outbound {
+	roots := b.NeighborRoots(peer)
+	if len(roots) == 0 {
+		return nil
+	}
+	b.metrics.linkSyncs.Add(1)
+	b.metrics.linkSyncSubs.Add(int64(len(roots)))
+	return []Outbound{{To: peer, Msg: Message{Kind: MsgSubscribeBatch, Subs: roots}}}
 }
 
 // handlePublish runs under the SHARED lock: everything it touches is

@@ -128,6 +128,38 @@ func TestCoverageSuppressionPairwise(t *testing.T) {
 	}
 }
 
+// TestLinkSync pins what a freshly dialed link carries first: nothing
+// for an empty root set, otherwise the active set toward the peer
+// (covered subscriptions omitted) as ONE counted SUBBATCH.
+func TestLinkSync(t *testing.T) {
+	b := newBroker(t, store.PolicyPairwise)
+	b.ConnectNeighbor("N1")
+	b.ConnectNeighbor("N2")
+	if out := b.LinkSync("N2"); out != nil {
+		t.Fatalf("empty root set synced %+v", out)
+	}
+	for _, msg := range []Message{
+		{Kind: MsgSubscribe, SubID: "big", Sub: box(0, 100, 0, 100)},
+		{Kind: MsgSubscribe, SubID: "small", Sub: box(40, 60, 40, 60)},
+	} {
+		if _, err := b.Handle("N1", msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := b.LinkSync("N2")
+	if len(out) != 1 || out[0].To != "N2" || out[0].Msg.Kind != MsgSubscribeBatch ||
+		len(out[0].Msg.Subs) != 1 || out[0].Msg.Subs[0].SubID != "big" {
+		t.Fatalf("link sync to N2 = %+v, want one SUBBATCH of big", out)
+	}
+	// Both subscriptions arrived from N1: nothing to sync back to it.
+	if out := b.LinkSync("N1"); out != nil {
+		t.Fatalf("link sync to the source synced %+v", out)
+	}
+	if m := b.Metrics(); m.LinkSyncs != 1 || m.LinkSyncSubs != 1 {
+		t.Errorf("LinkSyncs/LinkSyncSubs = %d/%d, want 1/1", m.LinkSyncs, m.LinkSyncSubs)
+	}
+}
+
 func TestPublishReversePath(t *testing.T) {
 	b := newBroker(t, store.PolicyPairwise)
 	b.ConnectNeighbor("N1")

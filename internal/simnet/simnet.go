@@ -133,10 +133,11 @@ func (n *Network) BrokerIDs() []string {
 }
 
 // Connect links two brokers bidirectionally. Links made after traffic
-// has flowed are synchronized: each side's coverage roots for the new
-// neighbor (the table backfill ConnectNeighbor performs) are enqueued
-// as one SUBBATCH toward it, so a late link carries the subscriptions
-// it would have carried had it always existed. Pre-traffic wiring —
+// has flowed are synchronized: each side's broker.LinkSync (its
+// coverage roots for the new neighbor, filled by the table backfill
+// ConnectNeighbor performs, as one SUBBATCH) is enqueued toward the
+// other, so a late link carries the subscriptions it would have
+// carried had it always existed. Pre-traffic wiring —
 // every static topology — synchronizes nothing, so existing runs are
 // byte-for-byte unchanged. Call Run to process the sync.
 func (n *Network) Connect(a, b string) error {
@@ -154,13 +155,11 @@ func (n *Network) Connect(a, b string) error {
 	if err := bb.ConnectNeighbor(a); err != nil {
 		return err
 	}
-	for _, dir := range []struct {
-		from *broker.Broker
-		to   string
-	}{{ba, b}, {bb, a}} {
-		if roots := dir.from.NeighborRoots(dir.to); len(roots) > 0 {
-			n.route(dir.from.ID(), broker.Outbound{To: dir.to, Msg: broker.Message{Kind: broker.MsgSubscribeBatch, Subs: roots}})
-		}
+	for _, o := range ba.LinkSync(b) {
+		n.route(a, o)
+	}
+	for _, o := range bb.LinkSync(a) {
+		n.route(b, o)
 	}
 	return nil
 }

@@ -21,24 +21,15 @@ func (l tcpLink) Send(peer string, msg broker.Message) bool {
 func (l tcpLink) Connect(peer, addr string, done func(established bool, err error)) {
 	// Dialing blocks (bounded by the transport's dial timeout); keep
 	// the caller's tick loop responsive.
-	go func() { done(l.b.DialPeer(peer, addr)) }()
-}
-
-func (l tcpLink) Roots(peer string) []broker.BatchSub {
-	return l.b.PeerRoots(peer)
+	go func() { done(l.b.ConnectPeer(peer, addr)) }()
 }
 
 func (l tcpLink) ClusterCapable(peer string) bool {
 	return l.b.PeerClusterVersion(peer) >= 1
 }
 
-// The TCP transport sends the coverage roots as one SUBBATCH after
-// every successful peer dial, so the node itself stays quiet on
-// recovery.
-func (l tcpLink) SyncOnConnect() bool { return true }
-
 func (l tcpLink) Digest(peer string) (broker.LinkDigest, bool) {
-	return l.b.LinkDigest(peer)
+	return l.b.Core().LinkDigest(peer)
 }
 
 // Attach binds a membership node to a listening TCP broker: the

@@ -83,7 +83,7 @@ type ChaosReport struct {
 	Probes     int
 	Deliveries map[string]map[string]bool
 	// FlightDump is the run's flight-recorder tail (crashes, restarts,
-	// partitions, suspicions, deaths, recoveries, re-announces),
+	// partitions, suspicions, deaths, recoveries),
 	// oldest-first — attached to failure reports so a divergent run
 	// explains itself.
 	FlightDump []string

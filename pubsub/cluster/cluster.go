@@ -26,24 +26,17 @@ type Link interface {
 	// result through done: established says whether THIS attempt
 	// created the link (false with a nil error when a live link
 	// already existed — which proves nothing about the peer, since
-	// that connection may be stalled). The TCP implementation dials on
-	// its own goroutine (done runs there); the simulator one answers
-	// inline, which keeps simulated runs deterministic.
+	// that connection may be stalled). An established link has already
+	// carried its link sync (broker.Broker.LinkSync) when done runs, so
+	// the node never announces subscriptions itself. The TCP
+	// implementation dials on its own goroutine (done runs there); the
+	// simulator one answers inline, which keeps simulated runs
+	// deterministic.
 	Connect(peer, addr string, done func(established bool, err error))
-	// Roots exports the coverage roots to re-announce to a recovered
-	// peer: the active set of the local coverage table for that peer.
-	Roots(peer string) []broker.BatchSub
 	// ClusterCapable reports whether the peer advertised the
 	// membership protocol — peers that did not are never pinged (their
 	// links are still reconnected on loss).
 	ClusterCapable(peer string) bool
-	// SyncOnConnect reports whether the transport itself synchronizes
-	// the coverage roots over a freshly connected link (the TCP
-	// transport sends them as one SUBBATCH after every successful peer
-	// dial). When it does, the node does not re-announce on recovery —
-	// the link layer already did; when it does not (the simulator,
-	// whose "dials" are logical), the node sends the announcement.
-	SyncOnConnect() bool
 	// Digest returns the broker's sender-side subscription digest for
 	// the link to peer, false when the link has no digest to offer.
 	// Gossip toward the peer piggybacks it, which is what arms the
@@ -97,7 +90,7 @@ type Config struct {
 	// inject a simnet.Clock for fully deterministic schedules.
 	Clock func() time.Time
 	// Events, when set, receives membership flight events (suspicions,
-	// deaths, recoveries, re-announce batches) for post-mortem dumps —
+	// deaths, recoveries) for post-mortem dumps —
 	// the chaos harness attaches one recorder across all its nodes and
 	// includes the dump in failure reports. Nil disables recording.
 	Events *obs.FlightRecorder
@@ -149,17 +142,13 @@ type NodeMetrics struct {
 	PongsReceived uint64
 	// Suspects / Deaths / Recoveries count state transitions of
 	// tracked members as seen by this node.
-	Suspects   uint64
-	Deaths     uint64
-	Recoveries uint64
-	// ReannounceBatches counts root re-announcements sent (one
-	// SUBBATCH each); ReannouncedSubs the subscriptions they carried.
-	ReannounceBatches uint64
-	ReannouncedSubs   uint64
-	GossipSent        uint64 // full-snapshot gossip frames sent
-	GossipMerged      uint64 // remote claims adopted (or members learned)
-	Dials             uint64
-	DialFailures      uint64
+	Suspects     uint64
+	Deaths       uint64
+	Recoveries   uint64
+	GossipSent   uint64 // full-snapshot gossip frames sent
+	GossipMerged uint64 // remote claims adopted (or members learned)
+	Dials        uint64
+	DialFailures uint64
 	// SWIM dissemination counters.
 	DeltaFramesSent  uint64 // gossip-delta frames sent
 	DeltaUpdatesSent uint64 // membership updates carried by any frame
@@ -836,12 +825,13 @@ func (n *Node) dialDone(id string, established bool, err error) {
 
 // PeerUp is the transport's link-established hook (outbound connect
 // completed). It is also the dial-success path, so both converge on
-// the same recovery/announce logic.
+// the same recovery logic.
 func (n *Node) PeerUp(id string) { n.markUp(id) }
 
 // PeerDown is the transport's link-lost hook: the member turns
 // suspect immediately (faster than waiting out the ping misses) and
-// is flagged lossy so the next successful contact re-announces roots.
+// is flagged lossy so the next successful contact counts as a
+// recovery.
 //
 // While a re-dial is already in flight the suspect escalation is
 // skipped (the link-down and lossy flags still apply): the losing
@@ -870,22 +860,19 @@ func (n *Node) PeerDown(id string) {
 }
 
 // markUp records that the OUTBOUND link to id works again (a dial
-// completed, or the transport's link-up hook fired) and, when the
-// contact is a RECOVERY (the member was dead, or frames toward it may
-// have been lost), runs the healing protocol: the local coverage
-// roots for that peer go out as one SUBBATCH, so the peer relearns
-// every forwarded subscription it may have missed — duplicates are
-// dropped on its side, gaps are filled, and routing state converges
-// again. Every down→up transition also pushes a full membership
-// snapshot over the fresh link (both sides do, so a new or recovered
-// peer and the cluster exchange complete member maps once), which is
-// what lets steady-state dissemination stay delta-only.
+// completed, or the transport's link-up hook fired) and counts a
+// RECOVERY when the member was dead or frames toward it may have been
+// lost. The subscriptions the peer may have missed already went out
+// as the dial's link sync (see Link.Connect). Every down→up
+// transition also pushes a full membership snapshot over the fresh
+// link (both sides do, so a new or recovered peer and the cluster
+// exchange complete member maps once), which is what lets
+// steady-state dissemination stay delta-only.
 //
 // Only outbound-path events come here. Inbound frames (observe) prove
 // the peer can reach us, not that we can reach it, so they neither
 // set linkUp nor clear lossy — otherwise a half-broken link would
-// silence the reconnect loop and the re-announcement would be queued
-// onto a dead connection.
+// silence the reconnect loop.
 func (n *Node) markUp(id string) {
 	if id == n.link.Self() {
 		return
@@ -908,21 +895,19 @@ func (n *Node) markUp(id string) {
 	st.nextDial = time.Time{}
 	recovered := st.lossy || st.State == StateDead
 	if recovered {
+		n.metrics.Recoveries++
 		n.cfg.Events.Record("recover", n.self.ID, st.ID)
 	}
-	if st.State != StateAlive {
+	stateChanged := st.State != StateAlive
+	if stateChanged {
 		// Observer-assisted refutation: propagate the recovery at a
 		// fresh incarnation so gossip overrides the standing suspect
 		// or dead rumor (which would otherwise win every same-
 		// incarnation merge by severity).
 		st.Incarnation++
 	}
-	stateChanged := st.State != StateAlive
 	st.State = StateAlive
 	st.lossy = false
-	if recovered {
-		n.metrics.Recoveries++
-	}
 	if stateChanged || wasDown {
 		n.enqueueUpdateLocked(st.wire())
 	}
@@ -933,47 +918,6 @@ func (n *Node) markUp(id string) {
 		st.synced = false
 	}
 	n.mu.Unlock()
-	// Transports that synchronize roots on connect already healed the
-	// link before this hook fired; announcing again would only send a
-	// duplicate batch.
-	if n.link.SyncOnConnect() {
-		return
-	}
-	// Announce on every down→up transition, not only on tracked
-	// losses: while a link is down the broker admits-and-drops
-	// forwards toward it (a freshly restarted neighbor's other links
-	// race its own heal traffic this way), and the coverage table is
-	// always updated before a forward can be dropped, so the root set
-	// read here covers every gap. Redundant announcements cost one
-	// SUBBATCH of duplicates, which the receiver drops.
-	if (recovered || wasDown) && !n.announce(id) {
-		// The roots did not go out; keep the member marked lossy so
-		// the next successful contact retries the heal.
-		n.mu.Lock()
-		if st := n.members[id]; st != nil {
-			st.lossy = true
-		}
-		n.mu.Unlock()
-	}
-}
-
-// announce sends the coverage roots for peer as one SUBBATCH,
-// reporting whether they went out (an empty root set is a trivial
-// success).
-func (n *Node) announce(id string) bool {
-	roots := n.link.Roots(id)
-	if len(roots) == 0 {
-		return true
-	}
-	if !n.link.Send(id, broker.Message{Kind: broker.MsgSubscribeBatch, Subs: roots}) {
-		return false
-	}
-	n.mu.Lock()
-	n.metrics.ReannounceBatches++
-	n.metrics.ReannouncedSubs += uint64(len(roots))
-	n.mu.Unlock()
-	n.cfg.Events.Recordf("reannounce", n.link.Self(), "%s roots=%d", id, len(roots))
-	return true
 }
 
 // HandleControl is the broker.ControlHandler: it dispatches inbound
@@ -1112,8 +1056,8 @@ func (n *Node) indirectObserve(target string) {
 // alive — the process is clearly running — but deliberately leaves
 // linkUp and lossy alone: whether WE can reach IT is decided by the
 // outbound path (pongs to our own pings, dial results, link hooks),
-// and the healing re-announcement must ride a restored outbound link,
-// not an inference from inbound traffic.
+// and the link sync must ride a restored outbound link, not an
+// inference from inbound traffic.
 func (n *Node) observe(from string, now time.Time, pong bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

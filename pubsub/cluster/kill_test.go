@@ -57,8 +57,8 @@ func TestHelperDurableBroker(t *testing.T) {
 	for sc.Scan() {
 		switch sc.Text() {
 		case "digest":
-			out, ok := b.LinkDigest(peerID)
-			recv := b.ReceivedDigest(peerID)
+			out, ok := b.Core().LinkDigest(peerID)
+			recv := b.Core().ReceivedDigest(peerID)
 			fmt.Printf("DIGEST ok=%v out=%d/%d recv=%d/%d\n", ok, out.Count, out.Root, recv.Count, recv.Root)
 		case "quit":
 			n.Close()
@@ -195,10 +195,10 @@ func oracleKillDeliveries(t *testing.T, vals []int64) []killProbe {
 		t.Fatal(err)
 	}
 	defer tcpShutdown(t, o2)
-	if err := o1.ConnectPeer("O2", o2.Addr()); err != nil {
+	if _, err := o1.ConnectPeer("O2", o2.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if err := o2.ConnectPeer("O1", o1.Addr()); err != nil {
+	if _, err := o2.ConnectPeer("O1", o1.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -374,8 +374,8 @@ func TestKillRestartRecoversFromDisk(t *testing.T) {
 	waitFor(t, 15*time.Second, "link digests to converge", func() bool {
 		child2.send("digest")
 		line := child2.expect("DIGEST", 5*time.Second)
-		sOut, sOk := b2.LinkDigest("B1")
-		sRecv := b2.ReceivedDigest("B1")
+		sOut, sOk := b2.Core().LinkDigest("B1")
+		sRecv := b2.Core().ReceivedDigest("B1")
 		if !sOk {
 			return false
 		}

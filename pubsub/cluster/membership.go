@@ -2,9 +2,9 @@
 // self-healing: a cluster.Node wraps a pub/sub broker with a member
 // list, an anti-entropy gossip of that list, a ping-based failure
 // detector, and a reconnect loop that re-dials dead peers with
-// jittered backoff and — on recovery — re-announces the local
-// coverage roots as one SUBBATCH so routing state converges again
-// (see DESIGN.md §10).
+// jittered backoff; every dial that restores a link carries the
+// broker's link sync (its coverage roots as one SUBBATCH), so routing
+// state converges again (see DESIGN.md §10).
 //
 // The membership machinery is deliberately transport-free: every
 // time-driven decision happens in Node.Tick against an injected clock,

@@ -33,9 +33,8 @@ func TestSupersedes(t *testing.T) {
 
 // nullLink is a Link for driving a Node without any transport.
 type nullLink struct {
-	self  string
-	sent  []broker.Outbound
-	roots []broker.BatchSub
+	self string
+	sent []broker.Outbound
 }
 
 func (l *nullLink) Self() string { return l.self }
@@ -46,9 +45,7 @@ func (l *nullLink) Send(peer string, msg broker.Message) bool {
 func (l *nullLink) Connect(peer, addr string, done func(established bool, err error)) {
 	done(true, nil)
 }
-func (l *nullLink) Roots(peer string) []broker.BatchSub { return l.roots }
-func (l *nullLink) ClusterCapable(peer string) bool     { return true }
-func (l *nullLink) SyncOnConnect() bool                 { return false }
+func (l *nullLink) ClusterCapable(peer string) bool { return true }
 func (l *nullLink) Digest(peer string) (broker.LinkDigest, bool) {
 	return broker.LinkDigest{}, false
 }
@@ -176,40 +173,40 @@ func TestPingIsAnsweredWithPong(t *testing.T) {
 	}
 }
 
-func TestRecoveryReannouncesRoots(t *testing.T) {
+// TestRecoveryNeedsOutboundLink pins when a node counts a recovery: a
+// lost link leaves the member lossy, inbound pongs alone do not heal
+// it (they prove B reaches us, not that we reach B), and only the
+// restored OUTBOUND link counts one recovery. The node never sends a
+// SUBBATCH itself: the link sync rides the transport's dial.
+func TestRecoveryNeedsOutboundLink(t *testing.T) {
 	n, l := testNode("A", false)
 	n.AddMember(Member{ID: "B", Addr: "b:1"}, true)
-
-	// First link-up with an empty coverage table: nothing to announce
-	// (the membership snapshot push is separate and expected).
 	n.PeerUp("B")
-	if batches := l.sentKinds(broker.MsgSubscribeBatch); len(batches) != 0 {
-		t.Fatalf("initial link-up announced %+v", batches)
+	base := n.Metrics().Recoveries
+	lossy := func() bool {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return n.members["B"].lossy
 	}
-	l.roots = []broker.BatchSub{{SubID: "s1"}, {SubID: "s2"}}
 
-	// A link loss marks B lossy; inbound pongs alone must NOT heal
-	// (they prove B reaches us, not that we reach B)...
 	n.PeerDown("B")
 	if outs := n.HandleControl("B", broker.Message{Kind: broker.MsgPong}); len(outs) != 0 {
 		t.Fatalf("inbound pong healed a lossy link: %+v", outs)
 	}
-	// ...but the restored OUTBOUND link must carry the roots as ONE
-	// SUBBATCH.
-	n.PeerUp("B")
-	batches := l.sentKinds(broker.MsgSubscribeBatch)
-	if len(batches) != 1 || batches[0].To != "B" ||
-		len(batches[0].Msg.Subs) != 2 {
-		t.Fatalf("recovery sent %+v, want one SUBBATCH of 2 to B", batches)
+	if !lossy() || n.Metrics().Recoveries != base {
+		t.Fatalf("inbound pong healed a lossy link: lossy %v, recoveries %d → %d", lossy(), base, n.Metrics().Recoveries)
 	}
-	m := n.Metrics()
-	if m.ReannounceBatches != 1 || m.ReannouncedSubs != 2 {
-		t.Fatalf("reannounce metrics = %+v", m)
-	}
-	// A repeated link-up on the healthy link must NOT re-announce.
 	n.PeerUp("B")
-	if batches := l.sentKinds(broker.MsgSubscribeBatch); len(batches) != 1 {
-		t.Fatalf("steady-state link-up re-announced: %+v", batches)
+	if lossy() || n.Metrics().Recoveries != base+1 {
+		t.Fatalf("restored outbound link: lossy %v, recoveries %d → %d, want one recovery", lossy(), base, n.Metrics().Recoveries)
+	}
+	// A repeated link-up on the healthy link is no recovery.
+	n.PeerUp("B")
+	if got := n.Metrics().Recoveries; got != base+1 {
+		t.Fatalf("steady-state link-up counted a recovery: %d → %d", base, got)
+	}
+	if batches := l.sentKinds(broker.MsgSubscribeBatch); len(batches) != 0 {
+		t.Fatalf("node sent %+v; the link sync belongs to the transport's dial", batches)
 	}
 }
 
@@ -333,21 +330,21 @@ func TestTopologyParseAndValidate(t *testing.T) {
 }
 
 func TestNoOpDialDoesNotResurrect(t *testing.T) {
-	n, l := testNode("A", false)
+	n, _ := testNode("A", false)
 	n.AddMember(Member{ID: "B", Addr: "b:1"}, true)
 	n.PeerUp("B")
-	l.roots = []broker.BatchSub{{SubID: "s1"}}
 	n.PeerDown("B")
+	recoveries := n.Metrics().Recoveries
 
 	// A dial that found a live link already in place made no contact
-	// with the peer: it must not mark the member alive, must not
-	// announce, but must resume probing over the existing link.
+	// with the peer: it must not mark the member alive, must not count
+	// a recovery, but must resume probing over the existing link.
 	n.dialDone("B", false, nil)
 	if m, _ := n.Member("B"); m.State == StateAlive {
 		t.Fatal("no-op dial resurrected the member")
 	}
-	if batches := l.sentKinds(broker.MsgSubscribeBatch); len(batches) != 0 {
-		t.Fatalf("no-op dial announced: %+v", batches)
+	if got := n.Metrics().Recoveries; got != recoveries {
+		t.Fatalf("no-op dial counted a recovery: %d → %d", recoveries, got)
 	}
 	n.mu.Lock()
 	linkUp := n.members["B"].linkUp
@@ -356,12 +353,12 @@ func TestNoOpDialDoesNotResurrect(t *testing.T) {
 		t.Fatal("no-op dial did not resume probing over the existing link")
 	}
 
-	// A genuinely re-established link is a recovery and heals.
+	// A genuinely re-established link is a recovery.
 	n.dialDone("B", true, nil)
 	if m, _ := n.Member("B"); m.State != StateAlive {
 		t.Fatalf("established dial left the member %v", m.State)
 	}
-	if batches := l.sentKinds(broker.MsgSubscribeBatch); len(batches) != 1 {
-		t.Fatalf("established dial did not announce: %+v", batches)
+	if got := n.Metrics().Recoveries; got != recoveries+1 {
+		t.Fatalf("established dial counted %d recoveries, want 1", got-recoveries)
 	}
 }

@@ -26,9 +26,7 @@ func (l *discardLink) Send(string, broker.Message) bool { return true }
 func (l *discardLink) Connect(_, _ string, done func(bool, error)) {
 	done(true, nil)
 }
-func (l *discardLink) Roots(string) []broker.BatchSub          { return nil }
 func (l *discardLink) ClusterCapable(string) bool              { return true }
-func (l *discardLink) SyncOnConnect() bool                     { return true }
 func (l *discardLink) Digest(string) (broker.LinkDigest, bool) { return broker.LinkDigest{}, false }
 
 func TestNodeMetricsConcurrent(t *testing.T) {

@@ -29,8 +29,6 @@ func (n *Node) RegisterObservability(reg *obs.Registry) {
 		"cluster_suspects":           func(m NodeMetrics) uint64 { return m.Suspects },
 		"cluster_deaths":             func(m NodeMetrics) uint64 { return m.Deaths },
 		"cluster_recoveries":         func(m NodeMetrics) uint64 { return m.Recoveries },
-		"cluster_reannounce_batches": func(m NodeMetrics) uint64 { return m.ReannounceBatches },
-		"cluster_reannounced_subs":   func(m NodeMetrics) uint64 { return m.ReannouncedSubs },
 		"cluster_gossip_sent":        func(m NodeMetrics) uint64 { return m.GossipSent },
 		"cluster_delta_frames_sent":  func(m NodeMetrics) uint64 { return m.DeltaFramesSent },
 		"cluster_dials":              func(m NodeMetrics) uint64 { return m.Dials },

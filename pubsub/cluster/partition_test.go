@@ -4,7 +4,7 @@ package cluster
 // chain is partitioned, both sides keep subscribing and publishing,
 // the partition heals, and post-heal delivery must converge to what a
 // never-partitioned run delivers. Everything — ping misses,
-// suspect→dead timeouts, reconnect backoff, the root re-announcement
+// suspect→dead timeouts, reconnect backoff, the link sync
 // — runs on the injected simnet clock, so the whole scenario is
 // deterministic and runs without sockets (and under -race).
 
@@ -29,8 +29,10 @@ type simCluster struct {
 	clock *simnet.Clock
 	ids   []string
 	nodes map[string]*Node
-	// preHeal is B2's table toward B3 just before a partition heals.
-	preHeal subsume.TableMetrics
+	// preHeal is B2's table toward B3 just before a partition heals;
+	// preHealMetrics the broker counters of each side of the cut.
+	preHeal        subsume.TableMetrics
+	preHealMetrics map[string]broker.Metrics
 }
 
 func newSimCluster(t *testing.T) *simCluster {
@@ -196,13 +198,17 @@ func runPartitionScenario(t *testing.T, partition bool) (alice, carol map[string
 
 	if partition {
 		sc.preHeal, _ = sc.net.Broker("B2").NeighborTableMetrics("B3")
+		sc.preHealMetrics = map[string]broker.Metrics{
+			"B1": sc.net.Broker("B1").Metrics(),
+			"B2": sc.net.Broker("B2").Metrics(),
+		}
 		sc.net.SetLink("B1", "B2", true)
 		if sc.net.PartitionDropped() == 0 {
 			t.Fatal("partition dropped nothing; the scenario is vacuous")
 		}
 	}
 	// Heal: the reconnect loop re-dials (jittered backoff), the link
-	// comes back, and both sides re-announce their coverage roots.
+	// comes back, and both sides' dials send their link sync.
 	sc.step(250*time.Millisecond, 40)
 	if partition {
 		for _, pair := range [][2]string{{"B1", "B2"}, {"B2", "B1"}, {"B3", "B1"}} {
@@ -367,19 +373,19 @@ func TestPartitionHealsToOracle(t *testing.T) {
 		t.Errorf("carol post-heal deliveries diverge from oracle:\n healed %v\n oracle %v", healedCarol, oracleCarol)
 	}
 
-	// The healing protocol itself: each side of the cut re-announced
-	// its roots exactly once, as ONE batch.
-	m1, m2 := sc.nodes["B1"].Metrics(), sc.nodes["B2"].Metrics()
-	if m1.ReannounceBatches != 1 || m1.ReannouncedSubs != 2 {
-		t.Errorf("B1 reannounce metrics = %+v, want 1 batch of 2", m1)
+	// The healing protocol itself: each side of the cut sent its roots
+	// exactly once, as ONE link-sync batch.
+	for _, id := range []string{"B1", "B2"} {
+		pre, post := sc.preHealMetrics[id], sc.net.Broker(id).Metrics()
+		if syncs, subs := post.LinkSyncs-pre.LinkSyncs, post.LinkSyncSubs-pre.LinkSyncSubs; syncs != 1 || subs != 2 {
+			t.Errorf("%s link syncs across the heal: %d batches with %d subs, want 1 batch of 2", id, syncs, subs)
+		}
 	}
-	if m2.ReannounceBatches != 1 || m2.ReannouncedSubs != 2 {
-		t.Errorf("B2 reannounce metrics = %+v, want 1 batch of 2", m2)
-	}
+	m1 := sc.nodes["B1"].Metrics()
 	if m1.Deaths == 0 || m1.Recoveries == 0 || m1.DialFailures == 0 {
 		t.Errorf("B1 failure-detector metrics did not move: %+v", m1)
 	}
-	// The re-announced batch reached the downstream coverage table as
+	// The link-sync batch reached the downstream coverage table as
 	// ONE batch admission: B2's table toward B3 admitted {a2} (a1 was
 	// deduplicated as already known). Per-item arrivals before the heal
 	// are batches of one, so count from the heal on.

@@ -156,9 +156,7 @@ func (l *link) Connect(peer, addr string, done func(established bool, err error)
 	done(true, nil)
 }
 
-func (l *link) Roots(peer string) []broker.BatchSub          { return nil }
 func (l *link) ClusterCapable(peer string) bool              { return true }
-func (l *link) SyncOnConnect() bool                          { return true }
 func (l *link) Digest(peer string) (broker.LinkDigest, bool) { return broker.LinkDigest{}, false }
 
 // deliver drains the frame queue to empty, routing every reply. FIFO

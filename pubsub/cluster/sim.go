@@ -15,7 +15,8 @@ import (
 // injected onto the simulated links (crossing the same partitions and
 // failure injection as routed traffic) and processed on the caller's
 // next Network.Run; "dialing" succeeds exactly when the link is not
-// partitioned, mirroring what a TCP dial would experience.
+// partitioned, mirroring what a TCP dial would experience, and a
+// successful one sends the link sync as a TCP dial does.
 type simLink struct {
 	net *simnet.Network
 	id  string
@@ -38,26 +39,16 @@ func (l *simLink) Connect(peer, addr string, done func(established bool, err err
 		return
 	}
 	if l.net.LinkUp(l.id, peer) {
+		for _, o := range l.net.Broker(l.id).LinkSync(peer) {
+			l.net.Inject(l.id, o)
+		}
 		done(true, nil)
 		return
 	}
 	done(false, fmt.Errorf("cluster: link %s–%s is partitioned", l.id, peer))
 }
 
-func (l *simLink) Roots(peer string) []broker.BatchSub {
-	b := l.net.Broker(l.id)
-	if b == nil {
-		return nil
-	}
-	return b.NeighborRoots(peer)
-}
-
 func (l *simLink) ClusterCapable(peer string) bool { return true }
-
-// Simulated "dials" are logical (no connection is re-established and
-// nothing is replayed), so the node itself must send the healing
-// re-announcement.
-func (l *simLink) SyncOnConnect() bool { return false }
 
 // The digest is gated only on the coverage table existing.
 func (l *simLink) Digest(peer string) (broker.LinkDigest, bool) {

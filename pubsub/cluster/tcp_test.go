@@ -2,8 +2,8 @@ package cluster
 
 // Real-socket cluster tests (ISSUE 5 acceptance): a 3-broker cluster
 // started from one topology survives a broker kill + restart — the
-// reconnect loop restores the link, the coverage roots are
-// re-announced as ONE SUBBATCH, and delivery resumes; peers without a
+// reconnect loop restores the link, its dial sends the coverage roots
+// as ONE link-sync SUBBATCH, and delivery resumes; peers without a
 // cluster layer are never sent control frames; and a seed-node
 // cluster assembles itself into a mesh through gossip.
 
@@ -172,8 +172,10 @@ func TestClusterKillRestartTCP(t *testing.T) {
 	}
 
 	// Restart B2 from the same topology file contents: the survivors'
-	// reconnect loops re-dial it, and B1 re-announces its roots —
-	// {s1, s2} — as ONE SUBBATCH that B2 admits and forwards to B3.
+	// reconnect loops re-dial it, and B1's dial sends its roots —
+	// {s1, s2} — as ONE link-sync SUBBATCH that B2 admits and forwards
+	// to B3.
+	pre := b1.Metrics()
 	n2b, b2b, err := Start(topo, "B2", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -183,17 +185,21 @@ func TestClusterKillRestartTCP(t *testing.T) {
 	// Generous bound: `go test ./...` runs the CPU-bound 1k-broker
 	// scale harness in a parallel package, which can starve this
 	// test's 50ms detector timings on small machines.
-	waitFor(t, 30*time.Second, "B2 recovery and root re-announcement to reach B3", func() bool {
+	waitFor(t, 30*time.Second, "B2 recovery and B1's link sync to reach B3", func() bool {
 		m1, _ := n1.Member("B2")
 		m3, _ := n3.Member("B2")
 		return m1.State == StateAlive && m3.State == StateAlive && b3.Metrics().SubsReceived == 2
 	})
 
-	// On TCP the re-announcement is the transport's link sync (the
-	// cluster node stays quiet — see Link.SyncOnConnect), so the pin
-	// is receiver-side: the restarted broker admitted the re-announced
-	// roots as ONE batch call into its coverage table toward B3.
-	tm, ok := b2b.NeighborTableMetrics("B3")
+	// B1 counted its link sync to the restarted B2: every established
+	// dial (a flap may add one) carried both roots.
+	post := b1.Metrics()
+	if syncs, subs := post.LinkSyncs-pre.LinkSyncs, post.LinkSyncSubs-pre.LinkSyncSubs; syncs < 1 || subs != 2*syncs {
+		t.Errorf("B1 link syncs since the restart: %d carrying %d subs, want at least 1 of 2 subs each", syncs, subs)
+	}
+	// The restarted broker admitted the synced roots as ONE batch call
+	// into its coverage table toward B3.
+	tm, ok := b2b.Core().NeighborTableMetrics("B3")
 	if !ok {
 		t.Fatal("restarted B2 has no coverage table for B3")
 	}
@@ -330,7 +336,7 @@ func TestClusterSeedMeshDiscovery(t *testing.T) {
 		return ok23 && ok32 && m23.State == StateAlive && m32.State == StateAlive
 	})
 	waitFor(t, 10*time.Second, "a direct B2–B3 overlay link", func() bool {
-		_, ok := b2.NeighborTableMetrics("B3")
+		_, ok := b2.Core().NeighborTableMetrics("B3")
 		return ok
 	})
 }

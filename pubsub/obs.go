@@ -60,6 +60,8 @@ func registerBrokerMetrics(reg *obs.Registry, core *broker.Broker) {
 		"broker_sync_roots_resent": func(m broker.Metrics) int { return m.SyncRootsResent },
 		"broker_sync_stale_pruned": func(m broker.Metrics) int { return m.SyncStalePruned },
 		"broker_control_dropped":   func(m broker.Metrics) int { return m.ControlDropped },
+		"broker_link_syncs":        func(m broker.Metrics) int { return m.LinkSyncs },
+		"broker_link_sync_subs":    func(m broker.Metrics) int { return m.LinkSyncSubs },
 	} {
 		pick := pick
 		reg.RegisterCounter(name, func() int64 { return int64(pick(core.Metrics())) })

@@ -372,51 +372,37 @@ type RecoveryStats struct {
 // journal (SetJournal) only after this returns.
 func RecoverBroker(b *broker.Broker, st persist.Store) (RecoveryStats, error) {
 	var stats RecoveryStats
+	// apply replays one record, snapshot or journal alike, and reports
+	// whether it applied; a membership record is collected, last wins.
+	apply := func(rec []byte) bool {
+		if err := applyRecord(b, rec); err != nil {
+			stats.Skipped++
+			return false
+		}
+		if rec[0] == recMembers {
+			stats.Members, _ = decodeMembersRecord(rec) // applyRecord validated it
+		}
+		return true
+	}
 	blob, ok, err := st.LoadSnapshot()
 	if err != nil {
 		return stats, err
 	}
-	if ok {
-		for len(blob) > 0 {
-			n, w := binary.Uvarint(blob)
-			if w <= 0 || n > uint64(len(blob)-w) {
-				return stats, fmt.Errorf("pubsub: corrupt snapshot framing at op %d", stats.SnapshotOps)
-			}
-			rec := blob[w : w+int(n)]
-			blob = blob[w+int(n):]
-			if len(rec) > 0 && rec[0] == recMembers {
-				ms, err := decodeMembersRecord(rec)
-				if err != nil {
-					stats.Skipped++
-					continue
-				}
-				stats.Members = ms // last record wins
-				stats.SnapshotOps++
-				continue
-			}
-			if err := applyRecord(b, rec); err != nil {
-				stats.Skipped++
-				continue
-			}
+	for ok && len(blob) > 0 {
+		n, w := binary.Uvarint(blob)
+		if w <= 0 || n > uint64(len(blob)-w) {
+			return stats, fmt.Errorf("pubsub: corrupt snapshot framing at op %d", stats.SnapshotOps)
+		}
+		rec := blob[w : w+int(n)]
+		blob = blob[w+int(n):]
+		if apply(rec) {
 			stats.SnapshotOps++
 		}
 	}
 	rstats, err := st.Replay(func(rec []byte) error {
-		if len(rec) > 0 && rec[0] == recMembers {
-			ms, err := decodeMembersRecord(rec)
-			if err != nil {
-				stats.Skipped++
-				return nil
-			}
-			stats.Members = ms // last record wins
+		if apply(rec) {
 			stats.JournalRecords++
-			return nil
 		}
-		if err := applyRecord(b, rec); err != nil {
-			stats.Skipped++
-			return nil
-		}
-		stats.JournalRecords++
 		return nil
 	})
 	if err != nil {
@@ -427,13 +413,4 @@ func RecoverBroker(b *broker.Broker, st persist.Store) (RecoveryStats, error) {
 	stats.Subscriptions = b.SubscriptionCount()
 	stats.Clients, stats.Neighbors = b.PortCounts()
 	return stats, nil
-}
-
-// SnapshotBroker writes a broker's compacted state as the store's
-// snapshot without attaching a journal — the final flush of a
-// graceful shutdown.
-func SnapshotBroker(b *broker.Broker, st persist.Store) error {
-	return b.SnapshotTo(func(ops []broker.SnapshotOp) error {
-		return st.WriteSnapshot(encodeSnapshot(ops))
-	})
 }

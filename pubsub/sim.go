@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"probsum/internal/broker"
-	"probsum/internal/obs"
 	"probsum/internal/simnet"
 	"probsum/internal/store"
 )
@@ -66,7 +65,7 @@ func (t *SimTransport) AddBroker(id string) (*Broker, error) {
 	if err := t.net.AddBroker(id, t.policy, opts...); err != nil {
 		return nil, err
 	}
-	b := &Broker{id: id, impl: simBroker{b: t.net.Broker(id)}}
+	b := &Broker{id: id, core: t.net.Broker(id)}
 	t.brokers[id] = b
 	return b, nil
 }
@@ -137,29 +136,6 @@ func (t *SimTransport) Shutdown(ctx context.Context) error {
 	}
 	return ctx.Err()
 }
-
-// simBroker adapts a simulator broker to brokerImpl.
-type simBroker struct{ b *broker.Broker }
-
-func (s simBroker) addr() string     { return "" }
-func (s simBroker) metrics() Metrics { return s.b.Metrics() }
-func (s simBroker) connectPeer(id, addr string) error {
-	return fmt.Errorf("pubsub: sim brokers peer via Transport.Connect, not ConnectPeer")
-}
-func (s simBroker) dialPeer(id, addr string) (bool, error) { return false, s.connectPeer(id, addr) }
-func (s simBroker) shutdown(ctx context.Context) error     { return ctx.Err() }
-func (s simBroker) core() *broker.Broker                   { return s.b }
-
-// Simulated brokers have no wire ports: the cluster layer drives
-// simulated overlays through its own simnet adapter (see
-// pubsub/cluster), not through these hooks.
-func (s simBroker) sendPeer(id string, msg broker.Message) bool { return false }
-func (s simBroker) setPeerHooks(up, down func(peer string))     {}
-func (s simBroker) setControlHandler(h broker.ControlHandler)   { s.b.SetControlHandler(h) }
-func (s simBroker) peerCluster(id string) uint8                 { return 0 }
-func (s simBroker) journalRef() *BrokerJournal                  { return nil }
-func (s simBroker) recoveryStats() (RecoveryStats, bool)        { return RecoveryStats{}, false }
-func (s simBroker) observability() *obs.Registry                { return nil }
 
 // simClient adapts a simulator client port to clientImpl.
 type simClient struct {

@@ -330,10 +330,6 @@ func newTCPServer(b *broker.Broker, addr string, cfg tcpConfig) (*tcpServer, err
 // addr returns the bound listener address.
 func (s *tcpServer) addr() string { return s.ln.Addr().String() }
 
-func (s *tcpServer) metrics() Metrics { return s.b.Metrics() }
-
-func (s *tcpServer) core() *broker.Broker { return s.b }
-
 // errPortExists reports that a live port already serves the name.
 var errPortExists = errors.New("pubsub: port already connected")
 
@@ -451,14 +447,6 @@ func (s *tcpServer) setPeerHooks(up, down func(peer string)) {
 	s.mu.Unlock()
 }
 
-// setControlHandler attaches the cluster layer's control dispatcher to
-// the underlying broker and turns on the cluster advertisement for
-// every subsequent hello and ack.
-func (s *tcpServer) setControlHandler(h broker.ControlHandler) {
-	s.b.SetControlHandler(h)
-	s.clusterOn.Store(h != nil)
-}
-
 // clusterVer is the cluster protocol version to advertise right now.
 func (s *tcpServer) clusterVer() uint8 {
 	if s.clusterOn.Load() {
@@ -473,11 +461,6 @@ func (s *tcpServer) peerCluster(id string) uint8 {
 	defer s.mu.Unlock()
 	return s.peerClu[id]
 }
-
-// journalRef and recoveryStats expose the durability layer.
-func (s *tcpServer) journalRef() *BrokerJournal           { return s.journal }
-func (s *tcpServer) recoveryStats() (RecoveryStats, bool) { return s.recovery, s.durable }
-func (s *tcpServer) observability() *obs.Registry         { return s.reg }
 
 // sendPeer queues one message for a peer broker. It reports whether a
 // live link to the peer existed and the message passed the cluster
@@ -680,7 +663,7 @@ func (s *tcpServer) serveConn(conn net.Conn) {
 		p := s.ports[from]
 		s.mu.Unlock()
 		if p == nil || !p.alive() {
-			go s.connectPeer(from, hello.Addr)
+			go s.dialPeer(from, hello.Addr)
 		}
 	}
 	if !s.trackReader(conn) {
@@ -699,7 +682,7 @@ func (s *tcpServer) serveConn(conn net.Conn) {
 	// hook. Losing dial races close redundant connections as a matter
 	// of course (ConnectPeer's errPortExists path), and treating those
 	// closes as link loss makes membership flap through spurious
-	// down→recover→re-announce cycles. The authoritative loss signals
+	// down→re-dial→link-sync cycles. The authoritative loss signals
 	// are the outbound connection failing (its writer or its ack
 	// reader, see dialPeer) and the cluster layer's own ping timeouts.
 
@@ -768,21 +751,11 @@ func (s *tcpServer) serveConn(conn net.Conn) {
 	}
 }
 
-// connectPeer dials a neighbor broker at addr, registers the overlay
-// link, and starts the outbound writer — the idempotent public form
-// (dialing an already-linked peer is success).
-func (s *tcpServer) connectPeer(id, addr string) error {
-	_, err := s.dialPeer(id, addr)
-	return err
-}
-
-// dialPeer is connectPeer reporting whether THIS call established the
-// outbound link: false (with nil error) when a live port already
-// existed and the new connection was discarded. The distinction
-// matters to the cluster reconnect loop — a no-op dial against an
-// existing connection proves nothing about the peer (the connection
-// may be stalled), so treating it as a recovery would let a hung peer
-// flap dead→alive forever.
+// dialPeer dials a neighbor broker at addr, registers the overlay
+// link, starts the outbound writer, and reports whether THIS call
+// established the link: false (with nil error) when a live port
+// already existed and the new connection was discarded (see
+// Broker.ConnectPeer).
 func (s *tcpServer) dialPeer(id, addr string) (bool, error) {
 	conn, err := net.DialTimeout("tcp", addr, peerDialTimeout)
 	if err != nil {
@@ -807,16 +780,11 @@ func (s *tcpServer) dialPeer(id, addr string) (bool, error) {
 		}
 		return false, err
 	}
-	// Link sync: a freshly established (or re-established) outbound
-	// link starts with ONE SUBBATCH of the coverage roots for this
-	// neighbor — everything the table says the peer must know. On a
-	// first-boot link the table is empty and nothing is sent; after a
-	// reconnect (or toward a neighbor registered while no port
-	// existed) this is the healing re-announcement: the peer drops
-	// what it already knows and fills the gaps, so routing state
-	// converges without any transport replaying lost frames.
-	if roots := s.b.NeighborRoots(id); len(roots) > 0 {
-		s.send(broker.Outbound{To: id, Msg: broker.Message{Kind: broker.MsgSubscribeBatch, Subs: roots}})
+	// A freshly established (or re-established) outbound link starts
+	// with the link sync: the coverage roots for this neighbor as ONE
+	// SUBBATCH.
+	for _, o := range s.b.LinkSync(id) {
+		s.send(o)
 	}
 	// Tell the cluster layer the link is up.
 	s.firePeerUp(id)
@@ -1007,11 +975,8 @@ func ListenBroker(id, addr string, policy Policy, cfg Config, opts ...TCPOption)
 		srv.snapWg.Add(1)
 		go srv.snapshotLoop(iv)
 	}
-	return &Broker{id: id, impl: srv}, nil
+	return &Broker{id: id, core: b, srv: srv}, nil
 }
-
-// tcpServer implements brokerImpl directly.
-var _ brokerImpl = (*tcpServer)(nil)
 
 // TCPTransport hosts the overlay on real sockets within one process:
 // every broker gets its own loopback listener, Connect dials both
@@ -1103,10 +1068,11 @@ func (t *TCPTransport) Connect(a, b string) error {
 	if !okb {
 		return fmt.Errorf("pubsub: unknown broker %s", b)
 	}
-	if err := ba.ConnectPeer(b, bb.Addr()); err != nil {
+	if _, err := ba.ConnectPeer(b, bb.Addr()); err != nil {
 		return err
 	}
-	return bb.ConnectPeer(a, ba.Addr())
+	_, err := bb.ConnectPeer(a, ba.Addr())
+	return err
 }
 
 // Open dials a client connection to the given broker.

@@ -110,10 +110,10 @@ func TestTCPTwoBrokerOverlay(t *testing.T) {
 	b1 := listenTestBroker(t, "B1", Pairwise)
 	b2 := listenTestBroker(t, "B2", Pairwise)
 	// Bidirectional overlay link: each side dials the other.
-	if err := b1.ConnectPeer("B2", b2.Addr()); err != nil {
+	if _, err := b1.ConnectPeer("B2", b2.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if err := b2.ConnectPeer("B1", b1.Addr()); err != nil {
+	if _, err := b2.ConnectPeer("B1", b1.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	ctx := testCtx(t)
@@ -147,10 +147,10 @@ func TestTCPTwoBrokerOverlay(t *testing.T) {
 func TestTCPCoverageSuppression(t *testing.T) {
 	b1 := listenTestBroker(t, "B1", Pairwise)
 	b2 := listenTestBroker(t, "B2", Pairwise)
-	if err := b1.ConnectPeer("B2", b2.Addr()); err != nil {
+	if _, err := b1.ConnectPeer("B2", b2.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if err := b2.ConnectPeer("B1", b1.Addr()); err != nil {
+	if _, err := b2.ConnectPeer("B1", b1.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	ctx := testCtx(t)
@@ -172,7 +172,7 @@ func TestTCPDialErrors(t *testing.T) {
 		t.Error("dial to closed port succeeded")
 	}
 	b := listenTestBroker(t, "B1", Flood)
-	if err := b.ConnectPeer("ghost", "127.0.0.1:1"); err == nil {
+	if _, err := b.ConnectPeer("ghost", "127.0.0.1:1"); err == nil {
 		t.Error("peer dial to closed port succeeded")
 	}
 }
@@ -184,10 +184,10 @@ func TestTCPDialErrors(t *testing.T) {
 func TestTCPPeerDisconnectMidPublish(t *testing.T) {
 	b1 := listenTestBroker(t, "B1", Pairwise)
 	b2 := listenTestBroker(t, "B2", Pairwise)
-	if err := b1.ConnectPeer("B2", b2.Addr()); err != nil {
+	if _, err := b1.ConnectPeer("B2", b2.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if err := b2.ConnectPeer("B1", b1.Addr()); err != nil {
+	if _, err := b2.ConnectPeer("B1", b1.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	ctx := testCtx(t)

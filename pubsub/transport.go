@@ -24,7 +24,6 @@ import (
 
 	"probsum/internal/broker"
 	"probsum/internal/obs"
-	"probsum/subsume"
 )
 
 // Transport hosts a broker overlay and connects clients to it. The two
@@ -63,41 +62,10 @@ type Transport interface {
 // other processes via ConnectPeer.
 type Broker struct {
 	id   string
-	impl brokerImpl
-}
-
-// brokerImpl is the transport-specific side of a Broker.
-type brokerImpl interface {
-	addr() string
-	metrics() Metrics
-	connectPeer(id, addr string) error
-	// dialPeer is connectPeer reporting whether THIS call established
-	// the link (false+nil when a live link already existed).
-	dialPeer(id, addr string) (established bool, err error)
-	shutdown(ctx context.Context) error
-	// core exposes the underlying protocol state machine (root-set
-	// export, control-handler attachment).
-	core() *broker.Broker
-	// sendPeer queues one message toward a peer broker; false when no
-	// live link (or, for control kinds, no cluster-capable link)
-	// exists.
-	sendPeer(id string, msg broker.Message) bool
-	// setPeerHooks registers link up/down callbacks; setControlHandler
-	// attaches the cluster control dispatcher and turns on the cluster
-	// advertisement.
-	setPeerHooks(up, down func(peer string))
-	setControlHandler(h broker.ControlHandler)
-	// peerCluster reports the cluster protocol version a peer
-	// advertised (0 = none).
-	peerCluster(id string) uint8
-	// journalRef returns the durability journal (nil without one);
-	// recoveryStats the boot-time replay summary.
-	journalRef() *BrokerJournal
-	recoveryStats() (RecoveryStats, bool)
-	// observability returns the broker's metrics registry; nil on
-	// transports without one (the simulator reads broker state
-	// directly).
-	observability() *obs.Registry
+	core *broker.Broker
+	// srv is the TCP server around core; nil on the simulator, whose
+	// brokers have no address, wire ports, journal or registry.
+	srv *tcpServer
 }
 
 // ID returns the broker identifier.
@@ -105,119 +73,126 @@ func (b *Broker) ID() string { return b.id }
 
 // Addr returns the broker's listen address ("host:port"); empty for
 // in-process transports.
-func (b *Broker) Addr() string { return b.impl.addr() }
+func (b *Broker) Addr() string {
+	if b.srv == nil {
+		return ""
+	}
+	return b.srv.addr()
+}
 
 // Metrics returns the broker's activity counters.
-func (b *Broker) Metrics() Metrics { return b.impl.metrics() }
+func (b *Broker) Metrics() Metrics { return b.core.Metrics() }
 
 // ConnectPeer dials a neighbor broker at a real address and registers
 // the overlay link — the cross-process form of Transport.Connect. For
 // a bidirectional overlay the remote side must dial back (its own
 // ConnectPeer); an inbound hello auto-registers the reverse link for
 // routing, but only an outbound dial gives this side a channel to
-// forward on. In-process brokers return an error: their links are
-// wired through Transport.Connect.
-func (b *Broker) ConnectPeer(id, addr string) error { return b.impl.connectPeer(id, addr) }
-
-// DialPeer is ConnectPeer with an extra result: established reports
-// whether THIS call created the outbound link (false with a nil error
-// when a live link already existed — connecting twice is still
-// success). The cluster reconnect loop uses the distinction: only a
-// genuinely re-established connection proves the peer reachable and
-// carries the link sync, while a no-op dial against an existing —
-// possibly stalled — connection proves nothing.
-func (b *Broker) DialPeer(id, addr string) (established bool, err error) {
-	return b.impl.dialPeer(id, addr)
+// forward on. A dial that establishes the link sends the link sync
+// (broker.Broker.LinkSync) over it first.
+//
+// established reports whether THIS call created the outbound link
+// (false with a nil error when a live link already existed —
+// connecting twice is still success). The cluster reconnect loop uses
+// the distinction: only a genuinely re-established connection proves
+// the peer reachable, while a no-op dial against an existing —
+// possibly stalled — connection proves nothing. In-process brokers
+// return an error: their links are wired through Transport.Connect.
+func (b *Broker) ConnectPeer(id, addr string) (established bool, err error) {
+	if b.srv == nil {
+		return false, fmt.Errorf("pubsub: sim brokers peer via Transport.Connect, not ConnectPeer")
+	}
+	return b.srv.dialPeer(id, addr)
 }
 
 // Shutdown stops the broker, draining in-flight work within the
 // context's deadline. In-process brokers stop with their transport and
 // treat this as a no-op.
-func (b *Broker) Shutdown(ctx context.Context) error { return b.impl.shutdown(ctx) }
+func (b *Broker) Shutdown(ctx context.Context) error {
+	if b.srv == nil {
+		return ctx.Err()
+	}
+	return b.srv.shutdown(ctx)
+}
 
 // SendPeer queues one protocol message toward a peer broker, under the
 // same control-frame gate as broker-originated traffic. It reports
 // whether a live (and, for control kinds, cluster-capable) link
-// existed; delivery stays best-effort. This is the
-// cluster layer's send primitive — ordinary applications publish
-// through clients, not through broker links.
+// existed; delivery stays best-effort, and in-process brokers have no
+// wire ports to send on. This is the cluster layer's send primitive —
+// ordinary applications publish through clients, not through broker
+// links.
 func (b *Broker) SendPeer(peer string, msg broker.Message) bool {
-	return b.impl.sendPeer(peer, msg)
+	return b.srv != nil && b.srv.sendPeer(peer, msg)
 }
 
 // SetPeerHooks registers callbacks invoked when a peer overlay link is
 // established (up: an outbound connection completed) or lost (down: a
 // link's connection died). Events are delivered at-least-once on
 // separate goroutines; the cluster membership layer consumes them to
-// drive its failure detector and reconnect loop.
+// drive its failure detector and reconnect loop. In-process brokers
+// have no links of their own and never call them.
 func (b *Broker) SetPeerHooks(up, down func(peer string)) {
-	b.impl.setPeerHooks(up, down)
+	if b.srv != nil {
+		b.srv.setPeerHooks(up, down)
+	}
 }
 
 // SetControlHandler attaches the cluster layer's dispatcher for
-// overlay-control messages (ping/pong/gossip) and turns on the cluster
-// advertisement in this broker's hellos and acks. Handlers run outside
-// the broker's routing locks and must be safe for concurrent callers.
+// overlay-control messages (ping/pong/gossip) and, on TCP, turns on
+// the cluster advertisement in this broker's hellos and acks. Handlers
+// run outside the broker's routing locks and must be safe for
+// concurrent callers.
 func (b *Broker) SetControlHandler(h broker.ControlHandler) {
-	b.impl.setControlHandler(h)
-}
-
-// PeerRoots exports the active subscriptions of the coverage table for
-// one peer — the forwarding roots that peer must know. The cluster
-// healing protocol re-announces them as one SUBBATCH when a lost link
-// is restored.
-func (b *Broker) PeerRoots(peer string) []BatchSub {
-	return b.impl.core().NeighborRoots(peer)
+	b.core.SetControlHandler(h)
+	if b.srv != nil {
+		b.srv.clusterOn.Store(h != nil)
+	}
 }
 
 // Core returns the underlying broker engine, for callers that need
-// the state machine's own API (checker stats, publish observers)
-// beyond what the transport exposes.
-func (b *Broker) Core() *broker.Broker { return b.impl.core() }
+// the state machine's own API (checker stats, publish observers, link
+// digests, per-neighbor table metrics) beyond what the transport
+// exposes.
+func (b *Broker) Core() *broker.Broker { return b.core }
 
 // PeerClusterVersion reports the cluster protocol version a peer
 // advertised in its hello or ack (0 = no cluster layer).
 func (b *Broker) PeerClusterVersion(peer string) uint8 {
-	return b.impl.peerCluster(peer)
-}
-
-// LinkDigest returns this broker's sender-side digest of the
-// subscriptions it announced toward peer (false when no coverage
-// table for the peer exists yet).
-func (b *Broker) LinkDigest(peer string) (broker.LinkDigest, bool) {
-	return b.impl.core().LinkDigest(peer)
-}
-
-// ReceivedDigest returns this broker's receiver-side digest of the
-// live subscriptions it received over the link from peer. Two brokers
-// agree on a link exactly when each side's LinkDigest root equals the
-// other side's ReceivedDigest root.
-func (b *Broker) ReceivedDigest(peer string) broker.LinkDigest {
-	return b.impl.core().ReceivedDigest(peer)
+	if b.srv == nil {
+		return 0
+	}
+	return b.srv.peerCluster(peer)
 }
 
 // Journal returns the broker's durability journal, nil when it runs
 // without a data directory (see WithDataDir).
-func (b *Broker) Journal() *BrokerJournal { return b.impl.journalRef() }
+func (b *Broker) Journal() *BrokerJournal {
+	if b.srv == nil {
+		return nil
+	}
+	return b.srv.journal
+}
 
 // Recovery returns the boot-time recovery statistics; ok is false
 // when the broker is not durable.
-func (b *Broker) Recovery() (RecoveryStats, bool) { return b.impl.recoveryStats() }
+func (b *Broker) Recovery() (RecoveryStats, bool) {
+	if b.srv == nil {
+		return RecoveryStats{}, false
+	}
+	return b.srv.recovery, b.srv.durable
+}
 
 // Observability returns the broker's metrics registry: per-link frame
 // counts, publish-stage histograms, queue depths, route-table
 // footprint, and the flight recorder, exported over HTTP via its
 // Handler (see cmd/brokerd's -metrics-addr). Nil on in-process
 // simulator brokers, which are inspected directly.
-func (b *Broker) Observability() *obs.Registry { return b.impl.observability() }
-
-// NeighborTableMetrics returns the coverage-table operation counters
-// for one peer port — how the subscriptions forwarded to that peer
-// were admitted (per-item vs batch, suppressed, promoted). The
-// cluster tests pin through it that a healed link's root
-// re-announcement arrives as ONE batch admission.
-func (b *Broker) NeighborTableMetrics(peer string) (subsume.TableMetrics, bool) {
-	return b.impl.core().NeighborTableMetrics(peer)
+func (b *Broker) Observability() *obs.Registry {
+	if b.srv == nil {
+		return nil
+	}
+	return b.srv.reg
 }
 
 // Client is a subscriber/publisher endpoint, transport-independent.

@@ -29,10 +29,10 @@ func tile(i int64) Subscription {
 func TestTCPSubscribeBatchReachesTableOnce(t *testing.T) {
 	a := listenTestBroker(t, "A", Pairwise)
 	b := listenTestBroker(t, "B", Pairwise)
-	if err := a.ConnectPeer("B", b.Addr()); err != nil {
+	if _, err := a.ConnectPeer("B", b.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.ConnectPeer("A", a.Addr()); err != nil {
+	if _, err := b.ConnectPeer("A", a.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	ctx := testCtx(t)
@@ -49,8 +49,7 @@ func TestTCPSubscribeBatchReachesTableOnce(t *testing.T) {
 	// The burst floods A → B as one frame; wait for B to admit it.
 	waitMetric(t, b, 5*time.Second, func(m Metrics) bool { return m.SubsReceived == n })
 
-	srvA := a.impl.(*tcpServer)
-	tm, ok := srvA.b.NeighborTableMetrics("B")
+	tm, ok := a.Core().NeighborTableMetrics("B")
 	if !ok {
 		t.Fatal("A has no coverage table for B")
 	}
@@ -71,7 +70,7 @@ func TestTCPSubscribeBatchReachesTableOnce(t *testing.T) {
 	}
 	waitMetric(t, b, 5*time.Second, func(m Metrics) bool { return m.SubsReceived == n }) // unchanged
 	waitMetric(t, a, 5*time.Second, func(m Metrics) bool { return m.UnsubsForwarded == 3 })
-	tm, _ = srvA.b.NeighborTableMetrics("B")
+	tm, _ = a.Core().NeighborTableMetrics("B")
 	if tm.Unsubscribes != 3 {
 		t.Fatalf("A→B table unsubscribes = %d, want 3", tm.Unsubscribes)
 	}
@@ -86,10 +85,10 @@ func TestTCPSubscribeBatchReachesTableOnce(t *testing.T) {
 func TestTCPBatchCoverageWithinBurst(t *testing.T) {
 	a := listenTestBroker(t, "A", Pairwise)
 	b := listenTestBroker(t, "B", Pairwise)
-	if err := a.ConnectPeer("B", b.Addr()); err != nil {
+	if _, err := a.ConnectPeer("B", b.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.ConnectPeer("A", a.Addr()); err != nil {
+	if _, err := b.ConnectPeer("A", a.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	ctx := testCtx(t)
@@ -136,10 +135,10 @@ func TestTCPBatchCoverageWithinBurst(t *testing.T) {
 func TestTCPPublishBatchDelivery(t *testing.T) {
 	a := listenTestBroker(t, "A", Pairwise)
 	b := listenTestBroker(t, "B", Pairwise)
-	if err := a.ConnectPeer("B", b.Addr()); err != nil {
+	if _, err := a.ConnectPeer("B", b.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.ConnectPeer("A", a.Addr()); err != nil {
+	if _, err := b.ConnectPeer("A", a.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	ctx := testCtx(t)
@@ -210,7 +209,7 @@ func TestTCPPublishBatchStaysBatched(t *testing.T) {
 			}
 		}
 	}()
-	if err := a.ConnectPeer("P", ln.Addr().String()); err != nil {
+	if _, err := a.ConnectPeer("P", ln.Addr().String()); err != nil {
 		t.Fatal(err)
 	}
 	// The fake peer dials A and announces a subscription so A forwards
@@ -351,7 +350,7 @@ func TestTCPHandshakeRefusal(t *testing.T) {
 			if refused := flightCount(b, "handshake_refused"); refused != 1 {
 				t.Fatalf("%d handshake_refused flight events, want 1", refused)
 			}
-			srv := b.impl.(*tcpServer)
+			srv := b.srv
 			srv.mu.Lock()
 			ports := len(srv.ports)
 			srv.mu.Unlock()
@@ -361,7 +360,7 @@ func TestTCPHandshakeRefusal(t *testing.T) {
 			if m := b.Metrics(); m.SubsReceived != 0 {
 				t.Fatalf("refused connection's subscribe was processed: %+v", m)
 			}
-			if _, attached := srv.b.NeighborTableMetrics("OLD"); attached {
+			if _, attached := b.Core().NeighborTableMetrics("OLD"); attached {
 				t.Fatal("refused peer hello registered a neighbor")
 			}
 		})
@@ -406,7 +405,7 @@ func TestTCPDialRefusedByForeignAck(t *testing.T) {
 	a := listenTestBroker(t, "A", Pairwise)
 	down := make(chan string, 4)
 	a.SetPeerHooks(func(string) {}, func(peer string) { down <- peer })
-	if err := a.ConnectPeer("OLD", ln.Addr().String()); err != nil {
+	if _, err := a.ConnectPeer("OLD", ln.Addr().String()); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -417,7 +416,7 @@ func TestTCPDialRefusedByForeignAck(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("foreign-version ack never took the link down")
 	}
-	srv := a.impl.(*tcpServer)
+	srv := a.srv
 	srv.mu.Lock()
 	p := srv.ports["OLD"]
 	srv.mu.Unlock()
@@ -449,7 +448,9 @@ func TestTCPDialBoundedByContext(t *testing.T) {
 // down hard and comes back on the same address with the same wiring.
 // S must notice its outbound link died and dial back again when the
 // new R's hello arrives — with no action on S — or publications at S
-// never reach R's subscribers again.
+// never reach R's subscribers again. S also holds a local
+// subscription, so its roots toward R are not empty: the re-dial must
+// carry them as ONE counted link sync.
 func TestTCPRestartedNeighborIsRedialed(t *testing.T) {
 	s := listenTestBroker(t, "S", Pairwise)
 	startR := func(addr string) *Broker {
@@ -458,7 +459,7 @@ func TestTCPRestartedNeighborIsRedialed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.ConnectPeer("S", s.Addr()); err != nil {
+		if _, err := r.ConnectPeer("S", s.Addr()); err != nil {
 			t.Fatal(err)
 		}
 		return r
@@ -487,6 +488,16 @@ func TestTCPRestartedNeighborIsRedialed(t *testing.T) {
 	r := startR("127.0.0.1:0")
 	addr := r.Addr()
 	deliver(r, "first-life")
+	carol := dialTest(t, s.Addr(), "carol")
+	if err := carol.Subscribe(ctx, "c1", box(200, 300, 200, 300)); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); len(s.Core().NeighborRoots("R")) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("S never admitted carol's subscription")
+		}
+	}
+	roots := len(s.Core().NeighborRoots("R"))
 
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -498,7 +509,17 @@ func TestTCPRestartedNeighborIsRedialed(t *testing.T) {
 		}
 	}
 
+	pre := s.Metrics()
 	r = startR(addr)
 	defer r.Shutdown(ctx)
 	deliver(r, "second-life")
+
+	waitMetric(t, s, 5*time.Second, func(m Metrics) bool { return m.LinkSyncs > pre.LinkSyncs })
+	post := s.Metrics()
+	if syncs, subs := post.LinkSyncs-pre.LinkSyncs, post.LinkSyncSubs-pre.LinkSyncSubs; syncs != 1 || subs != roots {
+		t.Errorf("S's re-dial sent %d link syncs carrying %d subs, want 1 carrying %d", syncs, subs, roots)
+	}
+	if got := s.Observability().JSON().Counters["broker_link_syncs"]; got != int64(post.LinkSyncs) {
+		t.Errorf("broker_link_syncs = %d, Metrics().LinkSyncs = %d", got, post.LinkSyncs)
+	}
 }
