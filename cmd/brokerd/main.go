@@ -15,8 +15,8 @@
 // pubsub/cluster.Topology). Each daemon starts the broker declared
 // under its -id; the cluster layer establishes the file's links in
 // any boot order, detects dead peers by ping, and re-dials them with
-// jittered backoff; the dial that heals a link sends the coverage roots
-// as one SUBBATCH (the broker's link sync):
+// jittered backoff; once a link heals, each end sends its coverage
+// roots as one SUBBATCH (the broker's link sync):
 //
 //	brokerd -id B1 -cluster overlay.json
 //	brokerd -id B2 -cluster overlay.json
@@ -31,12 +31,10 @@
 //	brokerd -id B2 -listen 10.0.0.2:7001 -seed-node B1=10.0.0.1:7001
 //	brokerd -id B3 -listen 10.0.0.3:7001 -seed-node B1=10.0.0.1:7001
 //
-// Every -peer link is dialed outward; when -listen carries a concrete
-// host (as above) the hello advertises it and the remote side dials
-// the reverse direction back automatically. Daemons listening on a
-// wildcard address (-listen :7001) cannot advertise a reachable
-// address, so there each side must list the other as a -peer (and
-// cluster topologies must declare concrete listen addresses).
+// A link is one connection that carries both directions, so one side
+// listing the other as a -peer is enough, whatever address the other
+// side listens on. (Cluster topologies still declare concrete listen
+// addresses: they are what the members dial.)
 //
 // Every frame, the hello/ack handshake included, is one length-prefixed
 // binary frame under one header version; a daemon or client speaking

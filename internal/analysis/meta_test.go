@@ -70,7 +70,7 @@ func TestGuardAnnotationsPresent(t *testing.T) {
 			"pubDedup": {"gens"},
 		},
 		"probsum/pubsub": {
-			"tcpServer":     {"ports", "readers", "peerClu", "hooks"},
+			"tcpServer":     {"ports", "readers", "hooks"},
 			"BrokerJournal": {"unsynced", "err"},
 			"notifyQueue":   {"stats"},
 			"Client":        {"stats"},

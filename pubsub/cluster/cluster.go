@@ -25,8 +25,9 @@ type Link interface {
 	// Connect (re)establishes the link to a peer and reports the
 	// result through done: established says whether THIS attempt
 	// created the link (false with a nil error when a live link
-	// already existed — which proves nothing about the peer, since
-	// that connection may be stalled). An established link has already
+	// already existed, or the peer's own simultaneous dial won — which
+	// proves nothing about the peer, since that connection may be
+	// stalled). An established link has already
 	// carried its link sync (broker.Broker.LinkSync) when done runs, so
 	// the node never announces subscriptions itself. The TCP
 	// implementation dials on its own goroutine (done runs there); the
@@ -802,9 +803,9 @@ func (n *Node) dialDone(id string, established bool, err error) {
 		return
 	}
 	if !established {
-		// A live link already exists (a concurrent dial-back won the
-		// race, or the detector gave up on a connection that never
-		// actually broke). The dial made no contact with the peer, so
+		// A live link already exists (the peer dialed us first, its
+		// simultaneous dial won the tie-break, or the detector gave up
+		// on a connection that never actually broke). The dial made no contact with the peer, so
 		// it must NOT count as a recovery — forcing alive here would
 		// let a hung-but-connected peer flap dead→alive forever.
 		// Resume probing over the existing link instead: a pong marks
@@ -823,8 +824,8 @@ func (n *Node) dialDone(id string, established bool, err error) {
 	n.markUp(id)
 }
 
-// PeerUp is the transport's link-established hook (outbound connect
-// completed). It is also the dial-success path, so both converge on
+// PeerUp is the transport's link-established hook (a link's handshake
+// completed, whichever end dialed). It is also the dial-success path, so both converge on
 // the same recovery logic.
 func (n *Node) PeerUp(id string) { n.markUp(id) }
 
@@ -859,7 +860,7 @@ func (n *Node) PeerDown(id string) {
 	n.mu.Unlock()
 }
 
-// markUp records that the OUTBOUND link to id works again (a dial
+// markUp records that the link to id works again (a dial
 // completed, or the transport's link-up hook fired) and counts a
 // RECOVERY when the member was dead or frames toward it may have been
 // lost. The subscriptions the peer may have missed already went out

@@ -273,8 +273,8 @@ func TestLostProbeNoSuspicionDuringHandshake(t *testing.T) {
 		t.Fatalf("%d probes counted outstanding, want 0 (all sends failed)", awaiting)
 	}
 
-	// The ack arrives: the transport starts passing control frames and
-	// re-fires the peer-up hook (learnPeer's 0→nonzero re-kick).
+	// A cluster-capable link comes up: the transport passes control
+	// frames and fires the peer-up hook.
 	l.dropControl = false
 	n.PeerUp("B")
 	now = now.Add(time.Second)

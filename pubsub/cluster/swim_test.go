@@ -276,9 +276,9 @@ func (l *deferredDialLink) Connect(peer, addr string, done func(established bool
 }
 
 // TestDialRaceDoesNotInflateIncarnation pins the inbound-EOF dial
-// race (ISSUE 8 satellite): while our re-dial toward B is in flight, B
-// dials back first — its inbound pong refutes the suspicion — and only
-// then does the EOF of the old, losing connection fire PeerDown. That
+// race: while our re-dial toward B is in flight, B's own dial reaches
+// us first — its pong refutes the suspicion — and only then does the
+// EOF of the old, losing connection fire PeerDown. That
 // stale link-down must not re-suspect the member (it describes the
 // connection we already abandoned), or every connection race would
 // cost an incarnation bump and a round of refutation gossip.
@@ -307,7 +307,7 @@ func TestDialRaceDoesNotInflateIncarnation(t *testing.T) {
 		t.Fatalf("reconnect loop started %d dials, want 1", len(l.dials))
 	}
 
-	// B's own dial-back lands first: inbound evidence refutes the
+	// B's own dial lands first: inbound evidence refutes the
 	// suspicion at a fresh incarnation.
 	n.HandleControl("B", broker.Message{Kind: broker.MsgPong})
 	if m, _ := n.Member("B"); m.State != StateAlive || m.Incarnation != 2 {

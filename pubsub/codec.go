@@ -12,7 +12,7 @@ package pubsub
 //	offset 6..    payload
 //
 //	payload       kind byte, then kind-specific:
-//	  hello              flags (bit 0 = client), name, addr, cluster byte
+//	  hello              flags (bit 0 = client), name, cluster byte
 //	  ack                name, cluster byte
 //	  subscribe          subID, subscription
 //	  unsubscribe        subID
@@ -39,8 +39,11 @@ package pubsub
 // not binVersion, is a decode error like any other corrupt frame: the
 // connection closes. Changing an existing kind's grammar bumps that one
 // byte; adding a kind does not, because a build that predates it
-// rejects the kind byte like any unknown one. No broker emits notify
-// since notify-batch was added; its grammar stays for codec
+// rejects the kind byte like any unknown one. The one exception is the
+// hello, which lost its listen-address field without a bump: a build
+// from before that change and one from after refuse each other's
+// hello as malformed, just as they would a foreign version. No broker
+// emits notify since notify-batch was added; its grammar stays for codec
 // measurements.
 //
 // Encoding appends into pooled buffers — a port writer gathers every
@@ -112,7 +115,6 @@ func MarshalFrame(codec WireCodec, buf []byte, fr *Frame) ([]byte, error) {
 		}
 		buf = append(buf, kindHello, flags)
 		buf = appendString(buf, fr.Hello)
-		buf = appendString(buf, fr.Addr)
 		buf = append(buf, fr.Cluster)
 	case fr.Ack != "":
 		buf = append(buf, kindAck)
@@ -307,7 +309,6 @@ func decodePayload(payload []byte, fr *Frame) error {
 			}
 			fr.Client = flags == 1
 			fr.Hello = d.string()
-			fr.Addr = d.string()
 		} else {
 			fr.Ack = d.string()
 		}

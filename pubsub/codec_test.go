@@ -155,7 +155,7 @@ func TestCodecNotifyBatchRoundTrip(t *testing.T) {
 func handshakeTestFrames() []Frame {
 	return []Frame{
 		{Hello: "alice", Client: true},
-		{Hello: "B1", Addr: "127.0.0.1:7001", Cluster: 1},
+		{Hello: "B1", Cluster: 1},
 		{Hello: "B1"},
 		{Ack: "B2", Cluster: 1},
 		{Ack: "B2"},

@@ -52,8 +52,8 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		[]byte{binMagic, binVersion, 10, 0, 0, 0, byte(broker.MsgGossipDelta), 0x00, 0, 0, 0, 0, 0, 0, 0, 0},
 		[]byte{binMagic, binVersion, 2, 0, 0, 0, byte(broker.MsgPingReq), 0x02},
 		[]byte{binMagic, binVersion, 6, 0, 0, 0, byte(broker.MsgPingReq), 0x00, 0x02, 'B', '3', 0x07},
-		[]byte{binMagic, binVersion, 6, 0, 0, 0, kindHello, 0x02, 0x01, 'B', 0x00, 0x00},
-		[]byte{binMagic, binVersion, 5, 0, 0, 0, kindHello, 0x00, 0x01, 'B', 0x00},
+		[]byte{binMagic, binVersion, 5, 0, 0, 0, kindHello, 0x02, 0x01, 'B', 0x00},
+		[]byte{binMagic, binVersion, 4, 0, 0, 0, kindHello, 0x00, 0x01, 'B'},
 	)
 	return seeds
 }

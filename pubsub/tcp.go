@@ -6,27 +6,35 @@ package pubsub
 // # Wire protocol
 //
 // Every frame on a connection is one length-prefixed binary frame (see
-// codec.go). The first is a hello identifying the sender (and whether
-// it is a client or a peer broker); the accepting side answers with an
-// ack naming its broker. Both advertise whether the sender runs a
-// cluster layer. A hello the acceptor cannot accept — a foreign header
-// version, bytes that are not a frame, a frame that is not a hello —
-// closes the connection with one handshake_refused flight event and
-// nothing else; an ack the dialer cannot accept is a lost link.
+// codec.go). A link — to a client or to a peer broker — is ONE duplex
+// connection: subscriptions travel over it toward publishers and
+// publications come back on the reverse path. The dialer's first frame
+// is a hello naming it (and whether it is a client); the acceptor
+// registers the link and answers with an ack before any other frame,
+// and a dialing broker reads that ack before it registers its own end.
+// Hello and ack advertise the sender's cluster version, so both ends
+// of a peer link know each other's from the handshake. A hello the acceptor cannot accept — a foreign header version, bytes
+// that are not a frame, a frame that is not a hello — closes the
+// connection with one handshake_refused flight event and nothing
+// else; an ack the dialer cannot accept is a lost link.
 //
 // Every frame after the handshake carries one broker.Message —
 // including the SUBBATCH/UNSUBBATCH bursts that feed batch admission.
-// Peer brokers hold one outbound connection per direction (A dials B
-// and B dials A), so no multiplexing is needed; clients hold a single
-// duplex connection on which the ack and notifications are pushed
-// back.
+// Both ends of a peer link run the same reader and writer, and each
+// sends its own link sync (broker.Broker.LinkSync) once the link is up.
+//
+// A broker holds at most one live connection per name: install keeps
+// one of two (a re-dial replaces the old connection; of two brokers'
+// simultaneous dials, the smaller ID's survives). Re-dialing a lost
+// link is left to the end configured with it: the cluster reconnect
+// loop, or brokerd -peer.
 //
 // # Concurrency model
 //
 // The pipeline has three stages, and the serialization boundary is
 // exactly the broker's own locking discipline (see internal/broker):
 //
-//   - one READER goroutine per inbound connection decodes frames and
+//   - one READER goroutine per connection decodes frames and
 //     feeds them, in connection order, into broker.Handle. Publishes
 //     run under the broker's shared lock — matching proceeds
 //     CONCURRENTLY across connections — while subscribes and
@@ -36,7 +44,7 @@ package pubsub
 //     already buffered coalesces them (up to maxPublishCoalesce) into
 //     ONE HandlePublishBatch call, paying the RWMutex once per run
 //     instead of once per frame at high rates.
-//   - one WRITER goroutine per outbound port encodes frames from a
+//   - one WRITER goroutine per connection encodes frames from a
 //     buffered queue into pooled buffers, so a slow or stalled peer
 //     never blocks matching and concurrent publishes never interleave
 //     frame bytes. Whatever is already queued when it wakes goes out
@@ -72,11 +80,6 @@ type Frame struct {
 	Hello string
 	// Client marks a hello as coming from a client (not a broker).
 	Client bool
-	// Addr carries a dialing broker's own listen address so the
-	// accepting side can dial back and complete the bidirectional
-	// link without being configured with the peer itself (best-effort:
-	// useful when the address is reachable from the acceptor).
-	Addr string
 	// Ack identifies the accepting broker on its first frame back.
 	Ack string
 	// Cluster advertises, on hello and ack frames, the cluster
@@ -136,25 +139,27 @@ func withSendQueue(n int) TCPOption {
 	return func(c *tcpConfig) { c.queueLen = n }
 }
 
-// tcpPort is one outbound destination: a connection, its writer
-// goroutine's queue, and a kill switch.
+// tcpPort is one link's sending side: a connection, its writer
+// goroutine's queue, and a kill switch. Its fields are set before
+// install makes it visible.
 type tcpPort struct {
-	name string
-	peer bool // a neighbor broker (as opposed to a client)
-	conn net.Conn
+	name   string
+	peer   bool // a neighbor broker (as opposed to a client)
+	dialed bool // this broker dialed the connection (see install)
+	conn   net.Conn
 	// cluster is the membership protocol version the destination
-	// advertised; control frames (ping/pong/gossip) are dropped when
-	// it is 0 — peers without a cluster layer must never see them.
-	// Peer ports learn it when the peer's hello or ack arrives.
-	cluster atomic.Uint32
+	// advertised in the handshake; control frames (ping/pong/gossip)
+	// are dropped when it is 0 — peers without a cluster layer must
+	// never see them.
+	cluster uint8
+	ack     *Frame // the acceptor's ack, written before any queued frame
 	ch      chan broker.Message
 	dead    chan struct{} // closed when the port is torn down mid-stream
 	once    sync.Once
 
 	// stats counts frames queued toward this destination by wire kind
 	// (atomic fixed-array adds — zero allocations on the frame path);
-	// writeHist/clock time the encode+write stage. All three are set
-	// once in addPort, before the port is visible to senders.
+	// writeHist/clock time the encode+write stage.
 	stats     *obs.LinkStats
 	writeHist *obs.Histogram
 	clock     func() time.Time
@@ -253,17 +258,10 @@ type tcpServer struct {
 	ports map[string]*tcpPort
 	// +guarded_by:mu
 	readers map[net.Conn]struct{}
-	// peerClu records, per peer broker, the cluster protocol version
-	// it advertised (hello on its inbound connection, or ack on our
-	// outbound one).
-	// +guarded_by:mu
-	peerClu map[string]uint8
 	// hooks are the cluster layer's peer-link callbacks (up on an
-	// established outbound link, down on a lost one). Invoked on their
-	// own goroutines so a callback may dial or send without deadlocking
-	// against s.mu. Events are at-least-once: a replaced connection or
-	// a redial can surface spurious down/up pairs, and the membership
-	// layer is expected to treat them idempotently.
+	// established link, down on a lost one). Invoked on their own
+	// goroutines so a callback may dial or send without deadlocking
+	// against s.mu; the membership layer treats them idempotently.
 	// +guarded_by:mu
 	hooks struct {
 		up, down func(peer string)
@@ -290,7 +288,7 @@ type tcpServer struct {
 	stopping chan struct{} // Shutdown began: stop accepting/registering
 	closed   chan struct{} // hard close: abandon queued frames
 
-	readerWg sync.WaitGroup // accept loop + per-connection readers
+	readerWg sync.WaitGroup // accept loop, handshakes and per-connection readers
 	writerWg sync.WaitGroup // per-port writers
 	snapWg   sync.WaitGroup // periodic snapshot loop
 	shutOnce sync.Once
@@ -312,7 +310,6 @@ func newTCPServer(b *broker.Broker, addr string, cfg tcpConfig) (*tcpServer, err
 		cfg:      cfg,
 		ports:    make(map[string]*tcpPort),
 		readers:  make(map[net.Conn]struct{}),
-		peerClu:  make(map[string]uint8),
 		stopping: make(chan struct{}),
 		closed:   make(chan struct{}),
 	}
@@ -330,18 +327,11 @@ func newTCPServer(b *broker.Broker, addr string, cfg tcpConfig) (*tcpServer, err
 // addr returns the bound listener address.
 func (s *tcpServer) addr() string { return s.ln.Addr().String() }
 
-// errPortExists reports that a live port already serves the name.
-var errPortExists = errors.New("pubsub: port already connected")
-
-// addPort registers an outbound port and starts its writer. With
-// replace=true (clients: a redial takes over the stream) any previous
-// port is killed; with replace=false (peers: concurrent dials from
-// ConnectPeer and the hello dial-back converge on one link) a live
-// existing port wins and errPortExists is returned.
-func (s *tcpServer) addPort(name string, conn net.Conn, replace, peer bool) (*tcpPort, error) {
-	p := &tcpPort{
+// newPort builds a port for one connection; the caller sets the peer
+// fields and installs it.
+func (s *tcpServer) newPort(name string, conn net.Conn) *tcpPort {
+	return &tcpPort{
 		name:      name,
-		peer:      peer,
 		conn:      conn,
 		ch:        make(chan broker.Message, s.cfg.queueLen),
 		dead:      make(chan struct{}),
@@ -349,95 +339,127 @@ func (s *tcpServer) addPort(name string, conn net.Conn, replace, peer bool) (*tc
 		writeHist: s.hWrite,
 		clock:     s.obsClock,
 	}
+}
+
+// install registers p as the port for its name and starts its writer.
+// A live port already serving the name is replaced when the same end
+// dialed both connections (that end dialed again, so it gave up on
+// the old one); when two brokers dialed each other, the connection
+// dialed by the smaller ID is kept. install reports false, without
+// registering p, when the live port is kept. Settling a peer's
+// connections records one link_replaced flight event; the losing
+// connection never fires the peer-down hook. A tie-break loser this
+// broker dialed stays open until its acceptor, which may not have
+// switched to the winner yet, closes it: closing it here would look
+// like a lost link there. Its reader keeps dispatching what arrives
+// and closes it at the end; every other loser is closed now.
+func (s *tcpServer) install(p *tcpPort) (bool, error) {
 	s.mu.Lock()
 	select {
 	case <-s.stopping:
 		s.mu.Unlock()
-		return nil, fmt.Errorf("pubsub: broker %s is shutting down", s.b.ID())
+		p.conn.Close()
+		return false, fmt.Errorf("pubsub: broker %s is shutting down", s.b.ID())
 	default:
 	}
-	if peer {
-		p.cluster.Store(uint32(s.peerClu[name]))
-	}
-	if old, ok := s.ports[name]; ok {
-		if !replace && old.alive() {
-			s.mu.Unlock()
-			return nil, errPortExists
+	if old := s.ports[p.name]; old != nil && old.alive() {
+		reason, loser := "redial", old
+		if old.dialed != p.dialed {
+			reason = "tie-break"
+			if p.dialed != (s.b.ID() < p.name) {
+				loser = p
+			}
 		}
-		// A client redial, or a peer link that broke: take over.
-		old.kill()
+		if p.peer {
+			s.reg.Flight().Record("link_replaced", s.b.ID(), p.name+" "+reason)
+		}
+		loser.kill()
+		if !loser.dialed || reason != "tie-break" {
+			loser.conn.Close()
+		}
+		if loser == p {
+			s.mu.Unlock()
+			return false, nil
+		}
 	}
-	s.ports[name] = p
+	s.ports[p.name] = p
 	// Count the writer before releasing the lock: shutdown closes the
 	// registered ports' queues under the same lock, so a port is never
 	// registered without its writer being awaited.
 	s.writerWg.Add(1)
 	s.mu.Unlock()
 	go s.runWriter(p)
-	return p, nil
+	return true, nil
 }
 
-// runWriter drains one port's queue onto its connection, one write per
-// run of queued frames (writeQueued). A closed queue (graceful
-// shutdown) is drained to the last frame; a killed port (replacement,
-// encode error, hard close) exits immediately.
+// runWriter sends the port's ack, if any, and then drains its queue
+// onto the connection, one write per run of queued frames
+// (writeQueued). A closed queue (graceful shutdown) is drained to the
+// last frame and the connection closed; a killed port (replacement,
+// lost link, hard close) exits at once, and whoever killed it owns the
+// connection.
 func (s *tcpServer) runWriter(p *tcpPort) {
 	defer s.writerWg.Done()
-	defer p.conn.Close()
+	if p.ack != nil && writeFrame(p.conn, p.ack) != nil {
+		s.drop(p)
+		return
+	}
 	for {
 		select {
 		case <-p.dead:
 			return
 		case msg, ok := <-p.ch:
 			if !ok {
+				p.conn.Close()
 				return
 			}
 			open, err := p.writeQueued(&msg)
 			if err != nil {
 				// The destination vanished; message loss on broken links
 				// is the lossy-environment behavior the protocol already
-				// tolerates. A lost peer link is surfaced to the cluster
-				// layer so its reconnect loop can engage.
-				p.kill()
-				if p.peer {
-					s.firePeerDown(p.name)
-				}
+				// tolerates.
+				s.drop(p)
 				return
 			}
 			if !open {
+				p.conn.Close()
 				return
 			}
 		}
 	}
 }
 
-// firePeerUp / firePeerDown invoke the cluster layer's link hooks on
-// their own goroutine (a hook may dial or send, which takes s.mu).
-// Nothing fires once shutdown began.
-func (s *tcpServer) firePeerUp(id string)   { s.firePeerHook(id, true) }
-func (s *tcpServer) firePeerDown(id string) { s.firePeerHook(id, false) }
+// drop tears down a port whose connection failed and closes the
+// connection. The first teardown of a peer port that was not replaced
+// reports the link lost, so the cluster layer's reconnect loop can
+// engage.
+func (s *tcpServer) drop(p *tcpPort) {
+	first := p.kill()
+	p.conn.Close()
+	if first && p.peer {
+		s.firePeerHook(p.name, false)
+	}
+}
 
+// firePeerHook records peer_up or peer_down and invokes the cluster
+// layer's matching link hook on its own goroutine (a hook may dial or
+// send, which takes s.mu). No hook fires once shutdown began.
 func (s *tcpServer) firePeerHook(id string, up bool) {
+	kind := "peer_down"
 	s.mu.Lock()
 	h := s.hooks.down
 	if up {
-		h = s.hooks.up
+		kind, h = "peer_up", s.hooks.up
 	}
 	s.mu.Unlock()
-	kind := "peer_down"
-	if up {
-		kind = "peer_up"
-	}
 	s.reg.Flight().Record(kind, s.b.ID(), id)
-	if h == nil {
-		return
-	}
 	select {
 	case <-s.stopping:
-		return
 	default:
+		if h != nil {
+			go h(id)
+		}
 	}
-	go h(id)
 }
 
 // setPeerHooks registers the cluster layer's link callbacks.
@@ -455,47 +477,34 @@ func (s *tcpServer) clusterVer() uint8 {
 	return 0
 }
 
-// peerCluster reports the cluster protocol version a peer advertised.
-func (s *tcpServer) peerCluster(id string) uint8 {
+// linkCluster reports the cluster protocol version a peer advertised
+// in the handshake of its current (or last) connection.
+func (s *tcpServer) linkCluster(id string) uint8 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.peerClu[id]
+	if p := s.ports[id]; p != nil && p.peer {
+		return p.cluster
+	}
+	return 0
+}
+
+// livePeer returns the live port to a peer broker, or nil.
+func (s *tcpServer) livePeer(id string) *tcpPort {
+	s.mu.Lock()
+	p := s.ports[id]
+	s.mu.Unlock()
+	if p == nil || !p.peer || !p.alive() {
+		return nil
+	}
+	return p
 }
 
 // sendPeer queues one message for a peer broker. It reports whether a
 // live link to the peer existed and the message passed the cluster
 // gate — delivery itself stays best-effort, like all sends.
 func (s *tcpServer) sendPeer(id string, msg broker.Message) bool {
-	s.mu.Lock()
-	p := s.ports[id]
-	s.mu.Unlock()
-	if p == nil || !p.peer || !p.alive() {
-		return false
-	}
-	return s.sendTo(p, msg)
-}
-
-// learnPeer records the cluster protocol version a peer broker
-// advertised and applies it to the live outbound port. The LATEST
-// advertisement wins: every hello/ack comes from a live connection. A
-// peer whose advertisement reveals a cluster layer for the first time
-// gets the peer-up hook re-fired: until this moment every control
-// frame toward it was dropped (sendTo's cluster gate), so the
-// membership layer must restart its probe cycle now that pings can
-// flow.
-func (s *tcpServer) learnPeer(id string, cluster uint8) {
-	s.mu.Lock()
-	prevClu := s.peerClu[id]
-	s.peerClu[id] = cluster
-	linked := false
-	if p, ok := s.ports[id]; ok {
-		p.cluster.Store(uint32(cluster))
-		linked = p.alive()
-	}
-	s.mu.Unlock()
-	if linked && prevClu == 0 && cluster != 0 {
-		s.firePeerUp(id)
-	}
+	p := s.livePeer(id)
+	return p != nil && s.sendTo(p, msg)
 }
 
 // send queues one outbound message; it drops when the destination is
@@ -515,11 +524,10 @@ func (s *tcpServer) send(o broker.Outbound) {
 // hard-closing — transient absence is the lossy-link behavior the
 // protocol already tolerates. Control frames (ping, pong, gossip,
 // ping-req, gossip-delta) are dropped, counted, toward destinations
-// that advertised no cluster layer — a hand-wired peer, or a fresh
-// link whose ack is still in flight: membership does not extend to
-// them.
+// that advertised no cluster layer — a hand-wired peer: membership
+// does not extend to them.
 func (s *tcpServer) sendTo(p *tcpPort, msg broker.Message) bool {
-	if msg.Kind.IsControl() && p.cluster.Load() == 0 {
+	if msg.Kind.IsControl() && p.cluster == 0 {
 		s.b.CountControlDrop()
 		s.reg.Flight().Record("frame_drop", s.b.ID(), p.name+" "+msg.Kind.String())
 		return false
@@ -580,9 +588,10 @@ func (s *tcpServer) acceptLoop() {
 	}
 }
 
-// trackReader registers an inbound connection so Shutdown can stop its
-// decoder at a frame boundary. Returns false when the server is
-// already stopping.
+// trackReader registers a connection's reader so Shutdown can stop its
+// decoder at a frame boundary and wait for it. Returns false when the
+// server is already stopping: the port's writer then closes the
+// connection once shutdown has drained it.
 func (s *tcpServer) trackReader(conn net.Conn) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -592,6 +601,7 @@ func (s *tcpServer) trackReader(conn net.Conn) bool {
 	default:
 	}
 	s.readers[conn] = struct{}{}
+	s.readerWg.Add(1)
 	return true
 }
 
@@ -599,6 +609,7 @@ func (s *tcpServer) untrackReader(conn net.Conn) {
 	s.mu.Lock()
 	delete(s.readers, conn)
 	s.mu.Unlock()
+	s.readerWg.Done()
 }
 
 // maxPublishCoalesce caps how many already-buffered publish frames a
@@ -606,14 +617,14 @@ func (s *tcpServer) untrackReader(conn net.Conn) {
 // a coalesced run can add ahead of a queued subscribe.
 const maxPublishCoalesce = 64
 
-// serveConn reads the hello, answers with the ack, registers the port,
-// then feeds messages into the dispatch pipeline, coalescing buffered
-// publish runs.
+// serveConn runs the accepting end of the handshake — read the hello,
+// register the neighbor or client and its port, whose writer sends the
+// ack ahead of every other frame — and then serves the connection.
 func (s *tcpServer) serveConn(conn net.Conn) {
 	defer s.readerWg.Done()
-	reader := newFrameReader(conn)
+	r := newFrameReader(conn)
 	var hello Frame
-	if err := reader.read(&hello); err != nil || hello.Hello == "" {
+	if err := r.read(&hello); err != nil || hello.Hello == "" {
 		// Refused: a foreign header version, bytes that are not a frame,
 		// or a frame that is not a hello. A connection that closed before
 		// saying anything is not worth an event.
@@ -623,74 +634,117 @@ func (s *tcpServer) serveConn(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	from := hello.Hello
-	reader.instrument(s.hDecode, s.obsClock)
-	linkStats := s.reg.Link(from)
-	ack := &Frame{Ack: s.b.ID(), Cluster: s.clusterVer()}
-
+	p := s.newPort(hello.Hello, conn)
+	p.ack = &Frame{Ack: s.b.ID(), Cluster: s.clusterVer()}
 	if hello.Client {
-		s.b.AttachClient(from)
+		s.b.AttachClient(p.name)
 	} else {
-		// Inbound peer link: the neighbor dialed us; data frames flow
-		// only inward on this connection (we reply over our own dial).
-		if err := s.b.ConnectNeighbor(from); err != nil {
+		if err := s.b.ConnectNeighbor(p.name); err != nil {
 			conn.Close()
 			return
 		}
-		s.learnPeer(from, hello.Cluster)
+		p.peer, p.cluster = true, hello.Cluster
 	}
-	// The ack goes out before a client's port exists, so it precedes
-	// any notification; on an inbound peer connection it is the only
-	// frame we ever write.
-	if err := writeFrame(conn, ack); err != nil {
-		conn.Close()
+	if ok, _ := s.install(p); !ok {
 		return
 	}
-	var port *tcpPort
-	if hello.Client {
-		p, err := s.addPort(from, conn, true, false)
-		if err != nil {
-			conn.Close()
-			return
-		}
-		port = p
-	} else if hello.Addr != "" {
-		// If we have no live outbound channel to this neighbor and it
-		// told us where it listens, dial back so the link becomes
-		// bidirectional without explicit two-sided configuration — and
-		// so a neighbor that restarted is re-linked by its own hello.
-		s.mu.Lock()
-		p := s.ports[from]
-		s.mu.Unlock()
-		if p == nil || !p.alive() {
-			go s.dialPeer(from, hello.Addr)
-		}
+	if p.peer {
+		s.linkUp(p)
 	}
-	if !s.trackReader(conn) {
-		if port == nil {
-			conn.Close()
-		}
-		return
+	if s.trackReader(conn) {
+		s.serve(p, r)
 	}
-	defer s.untrackReader(conn)
-	if port == nil {
-		// We own the close for read-only peer connections; client
-		// connections are closed by their port's writer.
-		defer conn.Close()
-	}
-	// Note: an inbound peer stream ending does NOT fire the peer-down
-	// hook. Losing dial races close redundant connections as a matter
-	// of course (ConnectPeer's errPortExists path), and treating those
-	// closes as link loss makes membership flap through spurious
-	// down→re-dial→link-sync cycles. The authoritative loss signals
-	// are the outbound connection failing (its writer or its ack
-	// reader, see dialPeer) and the cluster layer's own ping timeouts.
+}
 
-	fail := func() {
-		if port != nil {
-			port.kill()
-		}
+// dialPeer dials a neighbor broker at addr, sends the hello, reads the
+// ack, and only then registers the link, and reports whether THIS
+// call established it: false (with nil error) when a live link
+// already existed — then nothing is dialed — or when the neighbor's
+// own concurrent dial won the tie-break (see install). An established
+// link has queued its link sync when dialPeer returns.
+func (s *tcpServer) dialPeer(id, addr string) (bool, error) {
+	if s.livePeer(id) != nil {
+		return false, nil
 	}
+	conn, err := net.DialTimeout("tcp", addr, peerDialTimeout)
+	if err != nil {
+		return false, fmt.Errorf("pubsub: dial peer %s at %s: %w", id, addr, err)
+	}
+	if err := writeFrame(conn, &Frame{Hello: s.b.ID(), Cluster: s.clusterVer()}); err != nil {
+		conn.Close()
+		return false, fmt.Errorf("pubsub: hello to %s: %w", id, err)
+	}
+	r := newFrameReader(conn)
+	var ack Frame
+	conn.SetReadDeadline(time.Now().Add(peerDialTimeout))
+	ackErr := r.read(&ack)
+	conn.SetReadDeadline(time.Time{})
+	if ackErr == nil && ack.Ack == "" {
+		ackErr = errors.New("first frame from the peer is not an ack")
+	}
+	if err := s.b.ConnectNeighbor(id); err != nil {
+		conn.Close()
+		return false, err
+	}
+	p := s.newPort(id, conn)
+	p.peer, p.dialed, p.cluster = true, true, ack.Cluster
+	ok, err := s.install(p)
+	switch {
+	case err != nil:
+		return false, err
+	case ok && ackErr != nil:
+		// An ack we cannot accept — a foreign version, a refused
+		// duplicate, the neighbor going away — is a lost link.
+		s.drop(p)
+		return true, nil
+	case ok:
+		s.linkUp(p)
+	}
+	// A connection that lost the tie-break is read until the neighbor
+	// closes it.
+	if s.trackReader(conn) {
+		go s.serve(p, r)
+	} else if !ok {
+		conn.Close()
+	}
+	return ok, nil
+}
+
+// peerDialTimeout bounds a single peer dial attempt, and the wait for
+// its ack, so a reconnect loop probing a dead host cannot stall for
+// the kernel's full connect timeout.
+const peerDialTimeout = 3 * time.Second
+
+// linkUp starts a freshly installed peer link: its link sync — the
+// coverage roots for the neighbor as ONE SUBBATCH — is queued first,
+// then the cluster layer hears that the link is up.
+func (s *tcpServer) linkUp(p *tcpPort) {
+	for _, o := range s.b.LinkSync(p.name) {
+		s.sendTo(p, o.Msg)
+	}
+	s.firePeerHook(p.name, true)
+}
+
+// serve reads a tracked connection until it ends, feeding messages in
+// connection order into the dispatch pipeline and coalescing buffered
+// publish runs. Both ends of a peer link and the broker end of a
+// client's run it. A connection that ends — or sends what the broker
+// refuses — tears its port down, except that during shutdown the
+// writer of a live port drains it and closes the connection.
+func (s *tcpServer) serve(p *tcpPort, r *frameReader) {
+	defer func() {
+		s.untrackReader(p.conn)
+		select {
+		case <-s.stopping:
+			if p.alive() {
+				return
+			}
+		default:
+		}
+		s.drop(p)
+	}()
+	r.instrument(s.hDecode, s.obsClock)
+	from := p.name
 	var (
 		fr      Frame
 		pubRun  []broker.Message
@@ -698,8 +752,7 @@ func (s *tcpServer) serveConn(conn net.Conn) {
 	)
 	for {
 		if !pending {
-			if err := reader.read(&fr); err != nil {
-				fail()
+			if err := r.read(&fr); err != nil {
 				return
 			}
 		}
@@ -707,10 +760,9 @@ func (s *tcpServer) serveConn(conn net.Conn) {
 		if fr.Msg == nil {
 			continue
 		}
-		linkStats.Recv(int(fr.Msg.Kind))
+		p.stats.Recv(int(fr.Msg.Kind))
 		if fr.Msg.Kind != broker.MsgPublish {
 			if err := s.dispatch(from, *fr.Msg); err != nil {
-				fail()
 				return
 			}
 			continue
@@ -722,7 +774,7 @@ func (s *tcpServer) serveConn(conn net.Conn) {
 		pubRun = append(pubRun[:0], *fr.Msg)
 		var runErr error
 		for len(pubRun) < maxPublishCoalesce {
-			ok, err := reader.tryRead(&fr)
+			ok, err := r.tryRead(&fr)
 			if err != nil {
 				runErr = err
 				break
@@ -737,96 +789,13 @@ func (s *tcpServer) serveConn(conn net.Conn) {
 				pending = true
 				break
 			}
-			linkStats.Recv(int(fr.Msg.Kind))
+			p.stats.Recv(int(fr.Msg.Kind))
 			pubRun = append(pubRun, *fr.Msg)
 		}
-		if err := s.dispatchPublishBatch(from, pubRun); err != nil {
-			fail()
-			return
-		}
-		if runErr != nil {
-			fail()
+		if err := s.dispatchPublishBatch(from, pubRun); err != nil || runErr != nil {
 			return
 		}
 	}
-}
-
-// dialPeer dials a neighbor broker at addr, registers the overlay
-// link, starts the outbound writer, and reports whether THIS call
-// established the link: false (with nil error) when a live port
-// already existed and the new connection was discarded (see
-// Broker.ConnectPeer).
-func (s *tcpServer) dialPeer(id, addr string) (bool, error) {
-	conn, err := net.DialTimeout("tcp", addr, peerDialTimeout)
-	if err != nil {
-		return false, fmt.Errorf("pubsub: dial peer %s at %s: %w", id, addr, err)
-	}
-	hello := &Frame{Hello: s.b.ID(), Addr: s.advertiseAddr(), Cluster: s.clusterVer()}
-	if err := writeFrame(conn, hello); err != nil {
-		conn.Close()
-		return false, fmt.Errorf("pubsub: hello to %s: %w", id, err)
-	}
-	if err := s.b.ConnectNeighbor(id); err != nil {
-		conn.Close()
-		return false, err
-	}
-	p, err := s.addPort(id, conn, false, true)
-	if err != nil {
-		conn.Close()
-		if errors.Is(err, errPortExists) {
-			// A concurrent dial (ours or the peer's dial-back) already
-			// established the link; connecting twice is success.
-			return false, nil
-		}
-		return false, err
-	}
-	// A freshly established (or re-established) outbound link starts
-	// with the link sync: the coverage roots for this neighbor as ONE
-	// SUBBATCH.
-	for _, o := range s.b.LinkSync(id) {
-		s.send(o)
-	}
-	// Tell the cluster layer the link is up.
-	s.firePeerUp(id)
-	// The acceptor's only traffic on this connection is its ack, so
-	// the read after it blocks until the connection ends. Anything
-	// else — a refused or foreign-version ack, a frame that is not an
-	// ack, the peer going away — is a lost link: kill the port so a
-	// returning peer's hello finds it dead and dials back.
-	go func() {
-		r := newFrameReader(conn)
-		var fr Frame
-		for r.read(&fr) == nil && fr.Ack != "" {
-			s.learnPeer(id, fr.Cluster)
-		}
-		if p.kill() {
-			s.firePeerDown(id)
-		}
-	}()
-	return true, nil
-}
-
-// peerDialTimeout bounds a single peer dial attempt so a reconnect
-// loop probing a dead host cannot stall for the kernel's full connect
-// timeout.
-const peerDialTimeout = 3 * time.Second
-
-// advertiseAddr returns the listen address to offer peers for
-// dial-back, or "" when the listener is bound to an unspecified host
-// ("[::]:7001", "0.0.0.0:7001") — advertising that would make a
-// remote peer dial itself. Overlays listening on wildcard addresses
-// need two-sided peer configuration, exactly as before dial-back
-// existed.
-func (s *tcpServer) advertiseAddr() string {
-	addr := s.addr()
-	host, _, err := net.SplitHostPort(addr)
-	if err != nil {
-		return ""
-	}
-	if host == "" || host == "::" || host == "0.0.0.0" {
-		return ""
-	}
-	return addr
 }
 
 // closeRead shuts the read side of a connection so its decoder stops
@@ -979,8 +948,8 @@ func ListenBroker(id, addr string, policy Policy, cfg Config, opts ...TCPOption)
 }
 
 // TCPTransport hosts the overlay on real sockets within one process:
-// every broker gets its own loopback listener, Connect dials both
-// directions, and Open dials a real client connection. It exists so
+// every broker gets its own loopback listener, Connect dials one peer
+// link, and Open dials a real client connection. It exists so
 // the same program (and the same tests) can run against the
 // deployable stack; multi-process deployments use ListenBroker and
 // Dial directly.
@@ -1055,8 +1024,8 @@ func (t *TCPTransport) Brokers() []string {
 	return out
 }
 
-// Connect links two brokers bidirectionally: each side dials the
-// other.
+// Connect links two brokers: a dials b, and the one duplex connection
+// carries both directions.
 func (t *TCPTransport) Connect(a, b string) error {
 	t.mu.Lock()
 	ba, oka := t.brokers[a]
@@ -1068,10 +1037,7 @@ func (t *TCPTransport) Connect(a, b string) error {
 	if !okb {
 		return fmt.Errorf("pubsub: unknown broker %s", b)
 	}
-	if _, err := ba.ConnectPeer(b, bb.Addr()); err != nil {
-		return err
-	}
-	_, err := bb.ConnectPeer(a, ba.Addr())
+	_, err := ba.ConnectPeer(b, bb.Addr())
 	return err
 }
 

@@ -84,20 +84,19 @@ func (b *Broker) Addr() string {
 func (b *Broker) Metrics() Metrics { return b.core.Metrics() }
 
 // ConnectPeer dials a neighbor broker at a real address and registers
-// the overlay link — the cross-process form of Transport.Connect. For
-// a bidirectional overlay the remote side must dial back (its own
-// ConnectPeer); an inbound hello auto-registers the reverse link for
-// routing, but only an outbound dial gives this side a channel to
-// forward on. A dial that establishes the link sends the link sync
-// (broker.Broker.LinkSync) over it first.
+// the overlay link — the cross-process form of Transport.Connect. The
+// link is one duplex connection, so one side dialing is enough; once
+// the handshake is done each end sends its link sync
+// (broker.Broker.LinkSync) over it. If both sides dial each other at
+// once, both keep the connection dialed by the smaller ID.
 //
-// established reports whether THIS call created the outbound link
-// (false with a nil error when a live link already existed —
-// connecting twice is still success). The cluster reconnect loop uses
+// established reports whether THIS call created the link: false with
+// a nil error when a live link already existed (nothing is dialed) or
+// the neighbor's concurrent dial won. The cluster reconnect loop uses
 // the distinction: only a genuinely re-established connection proves
-// the peer reachable, while a no-op dial against an existing —
-// possibly stalled — connection proves nothing. In-process brokers
-// return an error: their links are wired through Transport.Connect.
+// the peer reachable, while a no-op against an existing — possibly
+// stalled — connection proves nothing. In-process brokers return an
+// error: their links are wired through Transport.Connect.
 func (b *Broker) ConnectPeer(id, addr string) (established bool, err error) {
 	if b.srv == nil {
 		return false, fmt.Errorf("pubsub: sim brokers peer via Transport.Connect, not ConnectPeer")
@@ -127,8 +126,9 @@ func (b *Broker) SendPeer(peer string, msg broker.Message) bool {
 }
 
 // SetPeerHooks registers callbacks invoked when a peer overlay link is
-// established (up: an outbound connection completed) or lost (down: a
-// link's connection died). Events are delivered at-least-once on
+// established (up: a handshake completed, at either end) or lost
+// (down: the link's connection died; a connection replaced by the
+// peer's re-dial or refused as a duplicate does not count). Events are delivered at-least-once on
 // separate goroutines; the cluster membership layer consumes them to
 // drive its failure detector and reconnect loop. In-process brokers
 // have no links of their own and never call them.
@@ -157,12 +157,12 @@ func (b *Broker) SetControlHandler(h broker.ControlHandler) {
 func (b *Broker) Core() *broker.Broker { return b.core }
 
 // PeerClusterVersion reports the cluster protocol version a peer
-// advertised in its hello or ack (0 = no cluster layer).
+// advertised in the handshake of its link (0 = no cluster layer).
 func (b *Broker) PeerClusterVersion(peer string) uint8 {
 	if b.srv == nil {
 		return 0
 	}
-	return b.srv.peerCluster(peer)
+	return b.srv.linkCluster(peer)
 }
 
 // Journal returns the broker's durability journal, nil when it runs

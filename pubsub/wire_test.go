@@ -203,6 +203,11 @@ func TestTCPPublishBatchStaysBatched(t *testing.T) {
 		if err := writeFrame(conn, &Frame{Ack: "P"}); err != nil {
 			return
 		}
+		// Announce a subscription over the same connection so A
+		// forwards matching publications back on it.
+		if err := writeFrame(conn, &Frame{Msg: &broker.Message{Kind: broker.MsgSubscribe, SubID: "ps", Sub: box(0, 100, 0, 100)}}); err != nil {
+			return
+		}
 		for r.read(&fr) == nil {
 			if fr.Msg != nil {
 				frames <- *fr.Msg
@@ -210,19 +215,6 @@ func TestTCPPublishBatchStaysBatched(t *testing.T) {
 		}
 	}()
 	if _, err := a.ConnectPeer("P", ln.Addr().String()); err != nil {
-		t.Fatal(err)
-	}
-	// The fake peer dials A and announces a subscription so A forwards
-	// matching publications to it.
-	peerConn, err := net.Dial("tcp", a.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer peerConn.Close()
-	if err := writeFrame(peerConn, &Frame{Hello: "P"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFrame(peerConn, &Frame{Msg: &broker.Message{Kind: broker.MsgSubscribe, SubID: "ps", Sub: box(0, 100, 0, 100)}}); err != nil {
 		t.Fatal(err)
 	}
 	waitMetric(t, a, 5*time.Second, func(m Metrics) bool { return m.SubsReceived == 1 })
@@ -325,7 +317,7 @@ func TestTCPHandshakeRefusal(t *testing.T) {
 	}
 	cases := map[string][]byte{
 		"client hello v4": foreignHello(t, &Frame{Hello: "alice", Client: true}),
-		"peer hello v4":   foreignHello(t, &Frame{Hello: "OLD", Addr: "127.0.0.1:1"}),
+		"peer hello v4":   foreignHello(t, &Frame{Hello: "OLD"}),
 		"json hello":      []byte(`{"hello":"alice","client":true}` + "\n"),
 		"not a hello":     sub,
 	}
@@ -443,14 +435,13 @@ func TestTCPDialBoundedByContext(t *testing.T) {
 }
 
 // TestTCPRestartedNeighborIsRedialed is the hand-wired re-dial
-// regression. Only R is configured with its neighbor (R dials S); S
-// reaches R through the dial-back R's hello triggers. R is then shut
-// down hard and comes back on the same address with the same wiring.
-// S must notice its outbound link died and dial back again when the
-// new R's hello arrives — with no action on S — or publications at S
+// regression. Only R is configured with its neighbor: R dials S, and
+// the one connection carries both directions. R is then shut down hard
+// and comes back on the same address with the same wiring. Its dial
+// re-links both directions with no action on S, or publications at S
 // never reach R's subscribers again. S also holds a local
-// subscription, so its roots toward R are not empty: the re-dial must
-// carry them as ONE counted link sync.
+// subscription, so its roots toward R are not empty: the new link
+// must carry them from S as ONE counted link sync.
 func TestTCPRestartedNeighborIsRedialed(t *testing.T) {
 	s := listenTestBroker(t, "S", Pairwise)
 	startR := func(addr string) *Broker {
