@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -377,9 +378,9 @@ func WithTableOptions(opts ...subsume.TableOption) Option {
 //
 // Concurrency: Handle serializes subscription-state changes (subscribe
 // and unsubscribe take an exclusive lock, and are the only callers that
-// update the per-port matchers) but lets publications run concurrently —
+// update the matcher) but lets publications run concurrently —
 // handlePublish only reads the routing state, matching through the
-// per-port ITreeIndex, whose queries run in parallel under its read
+// broker's one ITreeIndex, whose queries run in parallel under its read
 // lock, deduplicating through a bounded atomic generation ring and
 // counting through atomic metrics. Driven
 // from a single goroutine (the simulator) the broker behaves exactly
@@ -412,7 +413,7 @@ type Broker struct {
 
 	// routes holds one record per known subscription, by SubID; byID
 	// holds the same records by numeric ID, the key of every coverage
-	// table and matcher.
+	// table and of the matcher.
 	// +guarded_by:mu
 	routes map[string]*route
 	// +guarded_by:mu
@@ -420,14 +421,19 @@ type Broker struct {
 	// +guarded_by:mu
 	nextID subsume.ID
 
-	// paths holds, per port, the routes with a reverse path over it:
-	// the reverse-path routing table. A neighbor's entry is also the
-	// link's received set — every live subscription that arrived over
-	// it, duplicate copies included — which the digest reconciliation
-	// compares against the active set the neighbor's table for this
-	// broker holds (see digest.go).
+	// index matches publications against every route's box, keyed by
+	// the route's numeric ID. It is written only under the exclusive
+	// lock; its queries run in parallel under the shared one.
+	index *match.ITreeIndex
+
+	// paths holds, from ConnectNeighbor on, per neighbor the routes
+	// with a reverse path over it, by SubID: the link's received set —
+	// every live subscription that arrived over it, duplicate copies
+	// included — which the digest reconciliation compares against the
+	// active set the neighbor's table for this broker holds (see
+	// digest.go). A client's reverse paths are the routes it sources.
 	// +guarded_by:mu
-	paths map[string]*revPaths
+	paths map[string]map[string]*route
 
 	// seenPubs deduplicates publications on cyclic overlays. It is a
 	// bounded generation ring (see pubDedup) so long-running brokers
@@ -469,15 +475,6 @@ type route struct {
 	src   string
 }
 
-// revPaths is one port's reverse-path table: the routes announced over
-// the port, by SubID, and the cell-bitset matcher over their boxes,
-// updated in place as routes arrive and leave, so handlePublish checks
-// the filter's candidates instead of scanning the table.
-type revPaths struct {
-	routes map[string]*route
-	match  *match.ITreeIndex
-}
-
 // ControlHandler processes one overlay-control message from a port and
 // returns the messages to emit (e.g. the pong answering a ping). It is
 // called from Handle without any broker lock held and must be safe for
@@ -495,8 +492,9 @@ func (b *Broker) SetControlHandler(h ControlHandler) {
 }
 
 // PublishObserver times the broker-side stages of the publish path:
-// matching (the local clients' per-port matchers) and
-// routing (the neighbor reverse-path scan and outbound ordering). The
+// matching (the one stab of the matcher, and grouping the hits into
+// notifications per client) and routing (choosing the neighbors with a
+// reverse path over some hit). The
 // clock is injected so simulated harnesses time with simulated clocks
 // and the broker stays clockcheck-clean; both histograms and the clock
 // must be non-nil.
@@ -619,7 +617,8 @@ func New(id string, policy store.Policy, opts ...Option) (*Broker, error) {
 		out:        make(map[string]*subsume.Table),
 		routes:     make(map[string]*route),
 		byID:       make(map[subsume.ID]*route),
-		paths:      make(map[string]*revPaths),
+		index:      match.NewITreeIndex(),
+		paths:      make(map[string]map[string]*route),
 	}
 	for _, opt := range opts {
 		opt(b)
@@ -703,18 +702,13 @@ func (b *Broker) Clients() []string {
 	return slices.Clone(b.clients)
 }
 
-// MatchFilterCounts sums, over the per-port matchers, the candidates
-// their cell filters passed to the exact check and the hits among them
-// (see match.ITreeIndex.FilterCounts).
+// MatchFilterCounts returns the candidates the matcher's cell filter
+// has passed to the exact check and the hits among them (see
+// match.ITreeIndex.FilterCounts). Each publication stabs the matcher
+// once, so every live route matching it counts once, whichever port
+// the publication came from.
 func (b *Broker) MatchFilterCounts() (candidates, hits uint64) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	for _, p := range b.paths {
-		c, h := p.match.FilterCounts()
-		candidates += c
-		hits += h
-	}
-	return candidates, hits
+	return b.index.FilterCounts()
 }
 
 // portSet is a sorted set of port names.
@@ -814,6 +808,7 @@ func (b *Broker) ConnectNeighbor(id string) error {
 	}
 	b.neighbors.add(id)
 	b.out[id] = tbl
+	b.paths[id] = make(map[string]*route)
 	if j := b.journal.Load(); j != nil {
 		(*j).RecordAttach(id, false)
 	}
@@ -920,33 +915,6 @@ func (b *Broker) HandlePublishBatch(from string, msgs []Message) ([]Outbound, er
 	return out, nil
 }
 
-// addPath gives r a reverse path over port, unless it has one already.
-//
-// +mustlock:mu
-func (b *Broker) addPath(port string, r *route) {
-	p := b.paths[port]
-	if p == nil {
-		p = &revPaths{routes: make(map[string]*route), match: match.NewITreeIndex()}
-		b.paths[port] = p
-	}
-	if p.routes[r.subID] == nil {
-		p.routes[r.subID] = r
-		p.match.Add(match.ID(r.id), r.sub)
-	}
-}
-
-// dropPath removes r's reverse path over port, if it has one: the port
-// cancelled its copy, a digest sync declared the copy stale, or r
-// retired.
-//
-// +mustlock:mu
-func (b *Broker) dropPath(port string, r *route) {
-	if p := b.paths[port]; p != nil && p.routes[r.subID] != nil {
-		delete(p.routes, r.subID)
-		p.match.Remove(match.ID(r.id))
-	}
-}
-
 // frames appends the messages of the given kind that carry rs to
 // neighbor n: one per item for MsgSubscribe and MsgUnsubscribe, one in
 // all for MsgSubscribeBatch and MsgUnsubscribeBatch.
@@ -1012,19 +980,20 @@ func (b *Broker) handleSubscribeBatch(from string, kind MsgKind, items []BatchSu
 	}
 	fresh := make([]*route, 0, len(items))
 	for _, it := range items {
-		if r := b.routes[it.SubID]; r != nil {
-			if b.neighbors.has(from) {
-				b.addPath(from, r)
-			}
+		r := b.routes[it.SubID]
+		if r != nil {
 			b.metrics.dupSubsDropped.Add(1)
-			continue
+		} else {
+			b.metrics.subsReceived.Add(1)
+			b.nextID++
+			r = &route{subID: it.SubID, id: b.nextID, sub: it.Sub, src: from}
+			b.routes[r.subID], b.byID[r.id] = r, r
+			b.index.Add(match.ID(r.id), r.sub)
+			fresh = append(fresh, r)
 		}
-		b.metrics.subsReceived.Add(1)
-		b.nextID++
-		r := &route{subID: it.SubID, id: b.nextID, sub: it.Sub, src: from}
-		b.routes[r.subID], b.byID[r.id] = r, r
-		b.addPath(from, r)
-		fresh = append(fresh, r)
+		if recv := b.paths[from]; recv != nil { // a neighbor: a reverse path
+			recv[r.subID] = r
+		}
 	}
 	if len(fresh) == 0 {
 		return nil, nil
@@ -1079,15 +1048,15 @@ func (b *Broker) handleUnsubscribeBatch(from string, kind MsgKind, subIDs []stri
 		if r == nil {
 			continue
 		}
-		if r.src != from {
-			b.dropPath(from, r)
+		if r.src != from { // a duplicate path over from, if any
+			delete(b.paths[from], subID)
 			continue
 		}
 		delete(b.routes, subID)
 		delete(b.byID, r.id)
-		b.dropPath(r.src, r)
-		for _, n := range b.neighbors { // duplicate paths
-			b.dropPath(n, r)
+		b.index.Remove(match.ID(r.id))
+		for _, recv := range b.paths {
+			delete(recv, subID)
 		}
 		gone = append(gone, r)
 	}
@@ -1207,7 +1176,7 @@ func (b *Broker) LinkSync(peer string) []Outbound {
 
 // handlePublish runs under the SHARED lock: everything it touches is
 // either read-only routing state (maps mutated only under the
-// exclusive lock), the concurrency-safe matchers, or atomics.
+// exclusive lock), the concurrency-safe matcher, or atomics.
 //
 // +mustlock:mu (shared)
 func (b *Broker) handlePublish(from string, msg Message) ([]Outbound, error) {
@@ -1232,39 +1201,59 @@ func (b *Broker) handlePublish(from string, msg Message) ([]Outbound, error) {
 		stageT0 = po.Clock()
 	}
 
-	var out []Outbound
+	// One stab finds every matching route, whichever ports lead to it.
+	// Sorted by source port, then SubID, the hits fall into one run per
+	// port, and clients come out in sorted order.
+	hits := make([]*route, 0, 64)
+	for _, id := range b.index.Match(msg.Pub) {
+		hits = append(hits, b.byID[subsume.ID(id)])
+	}
+	slices.SortFunc(hits, func(x, y *route) int {
+		if x.src != y.src {
+			return strings.Compare(x.src, y.src)
+		}
+		return strings.Compare(x.subID, y.subID)
+	})
 	// Deliver to local clients whose subscriptions match: one frame per
-	// client, naming every matched subscription. The per-port matcher
-	// checks only its cell filter's candidates instead of scanning the
-	// port's reverse-path table linearly.
-	for _, c := range b.clients {
-		if c == from {
-			continue
+	// client, naming every matched subscription. A client's reverse
+	// paths are the routes it sources.
+	var out []Outbound
+	if len(hits) > 0 {
+		// Room for a frame per client run and a forward per neighbor.
+		size := len(b.neighbors)
+		if b.neighbors.has(from) {
+			size--
 		}
-		p := b.paths[c]
-		if p == nil || p.match.Len() == 0 {
-			continue
-		}
-		hits := p.match.Match(msg.Pub)
-		if len(hits) == 0 {
-			continue
-		}
-		subIDs := make([]string, 0, len(hits))
-		for _, nid := range hits {
-			if r := b.byID[subsume.ID(nid)]; r != nil {
-				subIDs = append(subIDs, r.subID)
+		for i, r := range hits {
+			if (i == 0 || r.src != hits[i-1].src) && r.src != from && b.clients.has(r.src) {
+				size++
 			}
 		}
-		if len(subIDs) == 0 {
+		out = make([]Outbound, 0, size)
+	}
+	var subIDs []string // one backing array for every client's frame
+	for i, j := 0, 0; i < len(hits); i = j {
+		c := hits[i].src
+		j = i + 1
+		for j < len(hits) && hits[j].src == c {
+			j++
+		}
+		if c == from || !b.clients.has(c) {
 			continue
 		}
-		slices.Sort(subIDs)
-		b.metrics.notifications.Add(int64(len(subIDs)))
+		if subIDs == nil {
+			subIDs = make([]string, 0, len(hits)-i)
+		}
+		k := len(subIDs)
+		for _, r := range hits[i:j] {
+			subIDs = append(subIDs, r.subID)
+		}
+		b.metrics.notifications.Add(int64(j - i))
 		out = append(out, Outbound{To: c, Msg: Message{
 			Kind:   MsgNotifyBatch,
 			PubID:  msg.PubID,
 			Pub:    msg.Pub,
-			SubIDs: subIDs,
+			SubIDs: subIDs[k:len(subIDs):len(subIDs)],
 		}})
 	}
 	if po != nil {
@@ -1279,13 +1268,13 @@ func (b *Broker) handlePublish(from string, msg Message) ([]Outbound, error) {
 		if n == from {
 			continue
 		}
-		p := b.paths[n]
-		if p == nil || p.match.Len() == 0 {
-			continue
-		}
-		if p.match.MatchAny(msg.Pub) {
-			b.metrics.pubsForwarded.Add(1)
-			out = append(out, Outbound{To: n, Msg: msg})
+		recv := b.paths[n]
+		for _, r := range hits {
+			if recv[r.subID] != nil {
+				b.metrics.pubsForwarded.Add(1)
+				out = append(out, Outbound{To: n, Msg: msg})
+				break
+			}
 		}
 	}
 	if po != nil {

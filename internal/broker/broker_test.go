@@ -19,7 +19,7 @@ func box(lo1, hi1, lo2, hi2 int64) subscription.Subscription {
 	return subscription.New(interval.New(lo1, hi1), interval.New(lo2, hi2))
 }
 
-func newBroker(t *testing.T, policy store.Policy) *Broker {
+func newBroker(t testing.TB, policy store.Policy) *Broker {
 	t.Helper()
 	b, err := New("B", policy, WithSeed(5),
 		WithTableOptions(subsume.WithTableChecker(
@@ -398,17 +398,14 @@ func TestPublishItreeMatchesLinearReference(t *testing.T) {
 
 			wantNotify := map[string]bool{} // "port/subID"
 			wantForward := map[string]bool{}
-			for port, p := range b.paths {
-				if port == from {
-					continue
+			for subID, r := range b.routes { // a client's reverse paths are the routes it sources
+				if r.src != from && b.clients.has(r.src) && r.sub.Matches(pub) {
+					wantNotify[r.src+"/"+subID] = true
 				}
-				for subID, r := range p.routes {
-					if !r.sub.Matches(pub) {
-						continue
-					}
-					if b.clients.has(port) {
-						wantNotify[port+"/"+subID] = true
-					} else if b.neighbors.has(port) {
+			}
+			for port, recv := range b.paths {
+				for _, r := range recv {
+					if port != from && b.neighbors.has(port) && r.sub.Matches(pub) {
 						wantForward[port] = true
 					}
 				}
@@ -446,9 +443,13 @@ func TestPublishItreeMatchesLinearReference(t *testing.T) {
 	}
 }
 
-// TestMatchFilterCounts: with no churn after the first publication
-// every subscription sits in the matcher's base, so the filter's hits
-// are exactly the notifications, and each was a candidate first.
+// TestMatchFilterCounts: with one subscriber client the filter's hits
+// are exactly the notifications, and each was a candidate first. With
+// neighbours, clients and duplicate paths, each publication stabs the
+// matcher once: every live route matching it is one hit, however many
+// reverse paths it has, and whichever port the publication came from —
+// a route sourced there can still pull the publication to a neighbour
+// over a duplicate path.
 func TestMatchFilterCounts(t *testing.T) {
 	b := newBroker(t, store.PolicyNone)
 	b.AttachClient("S")
@@ -469,6 +470,53 @@ func TestMatchFilterCounts(t *testing.T) {
 	c, h := b.MatchFilterCounts()
 	if n := uint64(b.Metrics().Notifications); h != n || c < h || n == 0 {
 		t.Fatalf("MatchFilterCounts = %d candidates, %d hits; %d notifications", c, h, n)
+	}
+
+	b = newBroker(t, store.PolicyNone)
+	neighbours, ports := []string{"N1", "N2"}, []string{"N1", "N2", "C1", "C2"}
+	for _, n := range neighbours {
+		if err := b.ConnectNeighbor(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.AttachClient("C1")
+	b.AttachClient("C2")
+	handle := func(from string, msg Message) {
+		t.Helper()
+		if _, err := b.Handle(from, msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		lo1, lo2 := rng.Int64N(80), rng.Int64N(80)
+		msg := Message{Kind: MsgSubscribe, SubID: fmt.Sprintf("r%d", i), Sub: box(lo1, lo1+20, lo2, lo2+20)}
+		handle(ports[i%4], msg)
+		if i%3 == 0 { // a copy over every other neighbour: a duplicate path
+			for _, n := range neighbours {
+				if n != ports[i%4] {
+					handle(n, msg)
+				}
+			}
+		}
+		if i%7 == 6 { // retire an earlier route through its source
+			subID := fmt.Sprintf("r%d", i-3)
+			handle(b.routes[subID].src, Message{Kind: MsgUnsubscribe, SubID: subID})
+		}
+	}
+	c0, h0 := b.MatchFilterCounts()
+	var want uint64
+	for i := 0; i < 200; i++ {
+		pub := subscription.NewPublication(rng.Int64N(101), rng.Int64N(101))
+		for _, r := range b.routes {
+			if r.sub.Matches(pub) {
+				want++
+			}
+		}
+		handle(ports[i%4], Message{Kind: MsgPublish, PubID: fmt.Sprintf("q%d", i), Pub: pub})
+	}
+	c, h = b.MatchFilterCounts()
+	if h-h0 != want || c-c0 < want || want == 0 {
+		t.Fatalf("MatchFilterCounts rose by %d candidates, %d hits; %d live routes matched", c-c0, h-h0, want)
 	}
 }
 

@@ -82,19 +82,6 @@ func foldDigest(count int, buckets *[DigestBuckets]uint64) LinkDigest {
 	return LinkDigest{Count: uint32(count), Root: h}
 }
 
-// received returns the link's received set for neighbor port peer: the
-// reverse paths over it, keyed by SubID — every live subscription that
-// arrived over the link, duplicate copies included. Nil when peer is
-// not a neighbor: digests cover overlay links only.
-//
-// +mustlock:mu (shared)
-func (b *Broker) received(peer string) map[string]*route {
-	if p := b.paths[peer]; p != nil && b.neighbors.has(peer) {
-		return p.routes
-	}
-	return nil
-}
-
 // sentActiveLocked visits every subscription this broker actively
 // announced toward peer — the active set of peer's coverage table, the
 // sender-side ground truth the link digest and the sync listing are
@@ -139,7 +126,7 @@ func (b *Broker) outDigestLocked(peer string) (LinkDigest, [DigestBuckets]uint64
 func (b *Broker) recvDigestLocked(peer string) (LinkDigest, [DigestBuckets]uint64) {
 	var buckets [DigestBuckets]uint64
 	count := 0
-	for subID := range b.received(peer) {
+	for subID := range b.paths[peer] {
 		h := subDigestHash(subID)
 		buckets[h>>58] ^= h
 		count++
@@ -172,7 +159,7 @@ func (b *Broker) ReceivedDigest(peer string) LinkDigest {
 func (b *Broker) ReceivedFrom(peer string) []string {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return slices.Sorted(maps.Keys(b.received(peer)))
+	return slices.Sorted(maps.Keys(b.paths[peer]))
 }
 
 // KnowsSubscription reports whether subID is in the broker's routing
@@ -281,7 +268,7 @@ func (b *Broker) handleSyncRoots(from string, msg Message) ([]Outbound, error) {
 	// link only); unknown ones are fresh arrivals from this port.
 	missing := make([]BatchSub, 0, len(msg.Subs))
 	for _, it := range msg.Subs {
-		if b.received(from)[it.SubID] == nil {
+		if b.paths[from][it.SubID] == nil {
 			missing = append(missing, it)
 		}
 	}
@@ -296,14 +283,14 @@ func (b *Broker) handleSyncRoots(from string, msg Message) ([]Outbound, error) {
 	// bucket, absent from the authoritative listing.
 	var staleOwned []string // reverse path points at the sender
 	staleOther := 0
-	for subID, r := range b.received(from) {
+	for subID, r := range b.paths[from] {
 		if listed[subID] || msg.Mask&(1<<uint(digestBucket(subID))) == 0 {
 			continue
 		}
 		if r.src == from {
 			staleOwned = append(staleOwned, subID)
 		} else {
-			b.dropPath(from, r)
+			delete(b.paths[from], subID)
 			staleOther++
 		}
 	}

@@ -113,7 +113,7 @@ func (b *Broker) snapshotOpsLocked() []SnapshotOp {
 	// still count toward those links' digests. Synthesized as one
 	// subscribe batch per neighbor that replays down the duplicate path.
 	for _, port := range b.neighbors {
-		recv := b.received(port)
+		recv := b.paths[port]
 		var dups []BatchSub
 		for _, subID := range slices.Sorted(maps.Keys(recv)) {
 			if r := recv[subID]; r.src != port {

@@ -1,0 +1,178 @@
+package broker
+
+import (
+	"fmt"
+	"math/rand/v2"
+	"runtime"
+	"strconv"
+	"testing"
+
+	"probsum/internal/store"
+	"probsum/internal/subscription"
+	"probsum/internal/workload"
+)
+
+// narrowPopulation draws n subscriptions of the narrow comparison mix
+// over 8 attributes, and per subscription one publication inside its
+// box, so publications land where the subscriptions cluster.
+func narrowPopulation(tb testing.TB, n int) ([]BatchSub, []subscription.Publication) {
+	tb.Helper()
+	rng := rand.New(rand.NewPCG(21, 22))
+	stream, err := workload.NewComparisonStream(rng, workload.NarrowComparisonConfig(8))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	subs := make([]BatchSub, n)
+	pubs := make([]subscription.Publication, n)
+	for i := range subs {
+		s := stream.Next()
+		vals := make([]int64, s.Len())
+		for a, b := range s.Bounds {
+			vals[a] = b.Lo + rng.Int64N(b.Hi-b.Lo+1)
+		}
+		subs[i] = BatchSub{SubID: "s" + strconv.Itoa(i), Sub: s}
+		pubs[i] = subscription.Publication{Values: vals}
+	}
+	return subs, pubs
+}
+
+// subscribeSpread subscribes subs round-robin over the client ports,
+// one SUBBATCH per port.
+func subscribeSpread(tb testing.TB, b *Broker, clients []string, subs []BatchSub) {
+	tb.Helper()
+	per := make([][]BatchSub, len(clients))
+	for i, s := range subs {
+		per[i%len(clients)] = append(per[i%len(clients)], s)
+	}
+	for i, c := range clients {
+		if _, err := b.Handle(c, Message{Kind: MsgSubscribeBatch, Subs: per[i]}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBrokerPublish publishes through Broker.Handle into 20k
+// narrow-mix subscriptions spread over N client ports. Every case
+// delivers the same notifications for the same publications, so the
+// ns/op spread across N is what the number of ports costs; run with a
+// fixed -benchtime Nx to compare notifications/op across cases.
+func BenchmarkBrokerPublish(b *testing.B) {
+	subs, pubs := narrowPopulation(b, 20_000)
+	for _, n := range []int{1, 100, 1000} {
+		b.Run(fmt.Sprintf("clients-%d", n), func(b *testing.B) {
+			br := newBroker(b, store.PolicyNone)
+			clients := make([]string, n)
+			for i := range clients {
+				clients[i] = fmt.Sprintf("c%04d", i)
+				br.AttachClient(clients[i])
+			}
+			br.AttachClient("pub")
+			subscribeSpread(b, br, clients, subs)
+			before := br.Metrics().Notifications
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				msg := Message{Kind: MsgPublish, PubID: strconv.Itoa(i), Pub: pubs[i%len(pubs)]}
+				if _, err := br.Handle("pub", msg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(br.Metrics().Notifications-before)/float64(b.N), "notifications/op")
+		})
+	}
+}
+
+// BenchmarkBrokerHeapPerSub reports the heap a broker holds per
+// subscription — boxes, IDs and routing state included — after 20k
+// narrow-mix subscriptions from one client, with 0, 1 and 2 neighbour
+// coverage tables (flooding, so every table holds every subscription).
+func BenchmarkBrokerHeapPerSub(b *testing.B) {
+	const n = 20_000
+	for _, tables := range []int{0, 1, 2} {
+		b.Run(fmt.Sprintf("tables-%d", tables), func(b *testing.B) {
+			var perSub float64
+			for b.Loop() {
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				br := newBroker(b, store.PolicyNone)
+				for i := range tables {
+					if err := br.ConnectNeighbor(fmt.Sprintf("n%d", i)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				br.AttachClient("c")
+				subs, _ := narrowPopulation(b, n)
+				subscribeSpread(b, br, []string{"c"}, subs)
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				perSub = float64(after.HeapAlloc-before.HeapAlloc) / n
+				runtime.KeepAlive(br)
+			}
+			b.ReportMetric(perSub, "B/sub")
+		})
+	}
+}
+
+// TestPublishAllocs pins the allocations of one publication through
+// Handle: a broker with one subscriber client and 20 matching routes,
+// and a broker with neighbours only, where a publication from one is
+// forwarded to the two that announced its 2 matching routes. Three of
+// each count are the dedup set's insert; the rest are the matcher's
+// result, the outbound slice and, when a client matched, its SubIDs.
+func TestPublishAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	const runs = 500
+	ids := make([]string, runs+1)
+	for i := range ids {
+		ids[i] = "p" + strconv.Itoa(i)
+	}
+	measure := func(b *Broker, from string, pub subscription.Publication, wantOut int) float64 {
+		i := 0
+		return testing.AllocsPerRun(runs, func() {
+			out, err := b.Handle(from, Message{Kind: MsgPublish, PubID: ids[i], Pub: pub})
+			i++
+			if err != nil || len(out) != wantOut {
+				t.Fatalf("publish: %d outbound, err %v; want %d", len(out), err, wantOut)
+			}
+		})
+	}
+	// boxes returns k boxes containing (50, 50) and k that do not.
+	boxes := func(prefix string, k int) []BatchSub {
+		var subs []BatchSub
+		for i := range k {
+			lo := int64(i % 40)
+			subs = append(subs,
+				BatchSub{SubID: fmt.Sprintf("%s-in%d", prefix, i), Sub: box(lo, 60+lo, 10+lo, 70+lo)},
+				BatchSub{SubID: fmt.Sprintf("%s-out%d", prefix, i), Sub: box(lo, 40+lo, 0, 100)})
+		}
+		return subs
+	}
+	pub := subscription.NewPublication(50, 50)
+
+	client := newBroker(t, store.PolicyNone)
+	client.AttachClient("S")
+	client.AttachClient("P")
+	if _, err := client.Handle("S", Message{Kind: MsgSubscribeBatch, Subs: boxes("s", 20)}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := measure(client, "P", pub, 1), 6.0; got != want {
+		t.Errorf("one client, 20 hits: %.1f allocs per publication, want %.1f", got, want)
+	}
+
+	neighbours := newBroker(t, store.PolicyNone)
+	for _, n := range []string{"N1", "N2", "N3"} {
+		if err := neighbours.ConnectNeighbor(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range []string{"N2", "N3"} {
+		if _, err := neighbours.Handle(n, Message{Kind: MsgSubscribeBatch, Subs: boxes(n, 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := measure(neighbours, "N1", pub, 2), 5.0; got != want {
+		t.Errorf("neighbours only, 2 hits: %.1f allocs per publication, want %.1f", got, want)
+	}
+}

@@ -1,7 +1,7 @@
 // Package cells implements the cell-bitset index that answers both of
 // the system's box queries: which active rows intersect (or contain) an
 // arriving subscription, for the coverage decision in package store, and
-// which subscriptions contain a publication, for the broker's matchers
+// which subscriptions contain a publication, for the broker's matcher
 // in package match.
 //
 // Each indexed row owns a stable slot; freed slots are reused. Per
@@ -253,10 +253,10 @@ func (ix *Index) Query(sc *Scratch, s subscription.Subscription, cover bool) []i
 }
 
 // Stab returns the slots of the rows whose boxes contain the point p,
-// in slot order — with first set, only the first found — and how many
-// slots the filter passed to the exact check. p must have the index's
-// attribute count. The result aliases sc.
-func (ix *Index) Stab(sc *Scratch, p subscription.Publication, first bool) (hits []int32, candidates int) {
+// in slot order, and how many slots the filter passed to the exact
+// check. p must have the index's attribute count. The result aliases
+// sc.
+func (ix *Index) Stab(sc *Scratch, p subscription.Publication) (hits []int32, candidates int) {
 	hits = sc.hits[:0]
 	// The hull gate: every indexed row lies inside the hull.
 	for a, h := range ix.hull {
@@ -279,16 +279,12 @@ func (ix *Index) Stab(sc *Scratch, p subscription.Publication, first bool) (hits
 			}
 		}
 	}
-scan:
 	for i, word := range acc {
 		for ; word != 0; word &= word - 1 {
 			slot := i*64 + bits.TrailingZeros64(word)
 			candidates++
 			if ix.slots[slot].sub.Matches(p) {
 				hits = append(hits, int32(slot))
-				if first {
-					break scan
-				}
 			}
 		}
 	}

@@ -74,13 +74,9 @@ func (mo model) check(t *testing.T, ix *Index, s subscription.Subscription) {
 			}
 		}
 		want := mo.want(func(r subscription.Subscription) bool { return r.Matches(p) })
-		got, candidates := ix.Stab(&sc, p, false)
+		got, candidates := ix.Stab(&sc, p)
 		if !slices.Equal(got, want) || candidates < len(want) {
 			t.Fatalf("Stab(%v) = %v from %d candidates, want %v", p, got, candidates, want)
-		}
-		first, _ := ix.Stab(&sc, p, true)
-		if len(first) != min(len(want), 1) || len(first) == 1 && !slices.Contains(want, first[0]) {
-			t.Fatalf("Stab(%v, first) = %v, want one of %v", p, first, want)
 		}
 	}
 }

@@ -16,9 +16,9 @@ import (
 // count, mirroring Subscription.Matches (which rejects on length
 // mismatch); an unsatisfiable subscription is not indexed.
 //
-// All methods are safe for concurrent use. Match and MatchAny hold the
-// read lock for the whole call and draw their query scratch from a
-// pool, so they run in parallel; Add and Remove take the write lock.
+// All methods are safe for concurrent use. Match holds the read lock
+// for the whole call and draws its query scratch from a pool, so
+// matches run in parallel; Add and Remove take the write lock.
 type ITreeIndex struct {
 	mu sync.RWMutex
 	// subs maps every live subscription to where it is indexed.
@@ -102,30 +102,22 @@ func (x *ITreeIndex) FilterCounts() (candidates, hits uint64) {
 	return x.candidates.Load(), x.hits.Load()
 }
 
-// stab queries the index of p's arity, if any, counts the candidates
-// and hits, and returns the index and the hit slots (aliasing sc).
-//
-// +mustlock:mu (shared)
-func (x *ITreeIndex) stab(sc *cells.Scratch, p subscription.Publication, first bool) (*cells.Index, []int32) {
-	ix := x.byArity[len(p.Values)]
-	if ix == nil {
-		return nil, nil
-	}
-	hits, candidates := ix.Stab(sc, p, first)
-	x.candidates.Add(uint64(candidates))
-	x.hits.Add(uint64(len(hits)))
-	return ix, hits
-}
-
 // Match returns the IDs of the subscriptions containing p, ascending,
-// in O(m·k/64 + candidates) with one allocation: the result. Safe for
-// concurrent callers.
+// in O(m·k/64 + candidates) with one allocation: the result. It
+// queries only the index of p's arity, and counts the candidates and
+// hits. Safe for concurrent callers.
 func (x *ITreeIndex) Match(p subscription.Publication) []ID {
 	sc := scratchPool.Get().(*cells.Scratch)
 	defer scratchPool.Put(sc)
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	ix, hits := x.stab(sc, p, false)
+	ix := x.byArity[len(p.Values)]
+	if ix == nil {
+		return nil
+	}
+	hits, candidates := ix.Stab(sc, p)
+	x.candidates.Add(uint64(candidates))
+	x.hits.Add(uint64(len(hits)))
 	if len(hits) == 0 {
 		return nil
 	}
@@ -137,17 +129,4 @@ func (x *ITreeIndex) Match(p subscription.Publication) []ID {
 	// Hits come in slot order, which slot reuse scrambles.
 	slices.Sort(out)
 	return out
-}
-
-// MatchAny reports whether any indexed subscription matches p,
-// returning at the first verified match — the existence form the
-// broker uses for reverse-path forwarding, where the member list is
-// unused. Safe for concurrent callers.
-func (x *ITreeIndex) MatchAny(p subscription.Publication) bool {
-	sc := scratchPool.Get().(*cells.Scratch)
-	defer scratchPool.Put(sc)
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	_, hits := x.stab(sc, p, true)
-	return len(hits) > 0
 }

@@ -113,31 +113,8 @@ func TestITreeIndexEmptyBounds(t *testing.T) {
 	if got := idx.Match(subscription.NewPublication(7)); !slices.Equal(got, []ID{1}) {
 		t.Fatalf("Match = %v, want [1]", got)
 	}
-	if !idx.MatchAny(subscription.NewPublication(7)) {
-		t.Fatal("MatchAny missed the satisfiable subscription")
-	}
 	if idx.Len() != 2 {
 		t.Fatalf("Len = %d, want 2 (stored, even if unmatchable)", idx.Len())
-	}
-}
-
-// TestITreeIndexMatchAny cross-checks the existence query against the
-// full Match over random churn.
-func TestITreeIndexMatchAny(t *testing.T) {
-	rng := rand.New(rand.NewPCG(9, 10))
-	idx := NewITreeIndex()
-	for i := 0; i < 200; i++ {
-		lo := rng.Int64N(900)
-		idx.Add(ID(i), subscription.New(
-			interval.New(lo, lo+rng.Int64N(60)),
-			interval.New(0, 999), // hull-spanning on the second attribute
-		))
-	}
-	for probe := 0; probe < 300; probe++ {
-		p := subscription.NewPublication(rng.Int64N(1000), rng.Int64N(1000))
-		if got, want := idx.MatchAny(p), len(idx.Match(p)) > 0; got != want {
-			t.Fatalf("MatchAny(%v) = %v, Match says %v", p, got, want)
-		}
 	}
 }
 
@@ -164,8 +141,8 @@ func (o *oracle) remove(idx *ITreeIndex, id ID) {
 	delete(o.live, id)
 }
 
-// check cross-checks Len, and Match and MatchAny on every probe,
-// against the live set.
+// check cross-checks Len, and Match on every probe, against the live
+// set.
 func (o *oracle) check(t *testing.T, idx *ITreeIndex, step int, probes []subscription.Publication) {
 	t.Helper()
 	if idx.Len() != len(o.live) {
@@ -176,9 +153,6 @@ func (o *oracle) check(t *testing.T, idx *ITreeIndex, step int, probes []subscri
 		want := o.bf.Match(p)
 		if !slices.Equal(got, want) {
 			t.Fatalf("step %d, %v: index %v, brute force %v", step, p.Values, got, want)
-		}
-		if any := idx.MatchAny(p); any != (len(want) > 0) {
-			t.Fatalf("step %d, %v: MatchAny = %v, brute force %v", step, p.Values, any, want)
 		}
 	}
 }
@@ -295,7 +269,7 @@ func TestITreeIndexChurnCases(t *testing.T) {
 			o.add(idx, 503, sub1(0, 1000))
 			o.remove(idx, 500)
 		}},
-		{"MatchAny after removals", func(idx *ITreeIndex, o *oracle) {
+		{"after removals", func(idx *ITreeIndex, o *oracle) {
 			for id := ID(1); id <= 40; id++ {
 				o.remove(idx, id) // the low end goes dark
 			}
@@ -383,7 +357,7 @@ func TestITreeIndexConcurrentChurn(t *testing.T) {
 	}()
 	// verify checks one answer against the log read around the call: s0
 	// operations had completed before it, at most s1 had started after.
-	verify := func(p subscription.Publication, got []ID, any, useAny bool, s0, s1 int64) error {
+	verify := func(p subscription.Publication, got []ID, s0, s1 int64) error {
 		var required, allowed []ID
 		for id := ID(1); id <= maxID; id++ {
 			a := added[id].Load()
@@ -398,14 +372,7 @@ func TestITreeIndexConcurrentChurn(t *testing.T) {
 				required = append(required, id)
 			}
 		}
-		switch {
-		case useAny && any && len(allowed) == 0:
-			return fmt.Errorf("MatchAny(%v) = true with nothing live matching", p.Values)
-		case useAny && !any && len(required) > 0:
-			return fmt.Errorf("MatchAny(%v) = false, but %v were live throughout", p.Values, required)
-		case useAny:
-			return nil
-		case !slices.IsSorted(got):
+		if !slices.IsSorted(got) {
 			return fmt.Errorf("Match(%v) = %v: not ascending", p.Values, got)
 		}
 		for _, id := range required {
@@ -426,22 +393,15 @@ func TestITreeIndexConcurrentChurn(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			r := rand.New(rand.NewPCG(uint64(w), 35))
-			for probe := 0; ; probe++ {
+			for {
 				select {
 				case <-finished:
 					return
 				default:
 				}
 				p := subscription.NewPublication(r.Int64N(125), r.Int64N(125))
-				useAny := probe%2 == 1
 				s0 := done.Load()
-				var got []ID
-				var any bool
-				if useAny {
-					any = idx.MatchAny(p)
-				} else {
-					got = idx.Match(p)
-				}
+				got := idx.Match(p)
 				s1 := started.Load()
 				select {
 				case read <- struct{}{}:
@@ -450,7 +410,7 @@ func TestITreeIndexConcurrentChurn(t *testing.T) {
 				}
 				// Keep reading after a failure, or the writer starves;
 				// report only the first.
-				if err := verify(p, got, any, useAny, s0, s1); err != nil && failed.CompareAndSwap(false, true) {
+				if err := verify(p, got, s0, s1); err != nil && failed.CompareAndSwap(false, true) {
 					t.Error(err)
 				}
 			}
@@ -486,8 +446,8 @@ func narrowPopulation(tb testing.TB, n int) ([]subscription.Subscription, []subs
 }
 
 // TestITreeIndexAllocs pins the read path's allocations after churn has
-// freed and reused slots: MatchAny makes none, and Match one, the
-// exact-size result (the hits collect in pooled scratch).
+// freed and reused slots: Match makes one, the exact-size result (the
+// hits collect in pooled scratch).
 func TestITreeIndexAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race")
@@ -505,9 +465,6 @@ func TestITreeIndexAllocs(t *testing.T) {
 	}
 	idx.Add(ID(1), subs[2]) // a replaced entry
 	i := 0
-	if a := testing.AllocsPerRun(500, func() { idx.MatchAny(pubs[i%len(pubs)]); i++ }); a != 0 {
-		t.Errorf("MatchAny allocates %.1f per call, want 0", a)
-	}
 	if a := testing.AllocsPerRun(500, func() { idx.Match(pubs[i%len(pubs)]); i++ }); a > 1 {
 		t.Errorf("Match allocates %.1f per call, want <= 1", a)
 	}

@@ -15,12 +15,12 @@ import (
 func TestITreeEmpty(t *testing.T) {
 	idx := NewITreeIndex()
 	p := subscription.NewPublication(5)
-	if got := idx.Match(p); got != nil || idx.MatchAny(p) {
-		t.Errorf("empty index: Match = %v, MatchAny = %v", got, idx.MatchAny(p))
+	if got := idx.Match(p); got != nil {
+		t.Errorf("empty index: Match = %v", got)
 	}
 	idx.Add(1, subscription.New(interval.Empty()))
-	if got := idx.Match(p); got != nil || idx.MatchAny(p) {
-		t.Errorf("unsatisfiable only: Match = %v, MatchAny = %v", got, idx.MatchAny(p))
+	if got := idx.Match(p); got != nil {
+		t.Errorf("unsatisfiable only: Match = %v", got)
 	}
 }
 
@@ -101,7 +101,7 @@ func TestITreeDeepSkewedInput(t *testing.T) {
 }
 
 // TestITreeIndexGridEdges cross-checks the cell arithmetic where it can
-// go wrong, for both Match and MatchAny. Each case indexes IDs 1..n
+// go wrong. Each case indexes IDs 1..n
 // (slot i holds ID i+1), removes some of them, and probes the rest.
 func TestITreeIndexGridEdges(t *testing.T) {
 	const lo, hi = math.MinInt64, math.MaxInt64

@@ -500,7 +500,7 @@ func (st *Store) Match(p subscription.Publication) []ID {
 	var out []ID
 	frontier := make([]ID, 0, 8)
 	if ix := st.active[len(p.Values)]; ix != nil {
-		hits, _ := ix.Stab(&st.scratch, p, false)
+		hits, _ := ix.Stab(&st.scratch, p)
 		for _, slot := range hits {
 			id, _ := ix.Row(slot)
 			out = append(out, ID(id))

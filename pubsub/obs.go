@@ -66,8 +66,10 @@ func registerBrokerMetrics(reg *obs.Registry, core *broker.Broker) {
 		pick := pick
 		reg.RegisterCounter(name, func() int64 { return int64(pick(core.Metrics())) })
 	}
-	// The matchers' filter precision: candidates checked exactly over
-	// hits found. Candidates far above hits mean a degenerate hull.
+	// The broker matcher's filter precision: candidates checked exactly
+	// over hits found, where a publication's hits are the live routes
+	// matching it, each once. Candidates far above hits mean a
+	// degenerate hull.
 	reg.RegisterCounter("broker_match_candidates", func() int64 {
 		c, _ := core.MatchFilterCounts()
 		return int64(c)
