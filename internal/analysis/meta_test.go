@@ -66,8 +66,8 @@ func TestBrokervetCleanOnTree(t *testing.T) {
 func TestGuardAnnotationsPresent(t *testing.T) {
 	expected := map[string]map[string][]string{
 		"probsum/internal/broker": {
-			"Broker":   {"neighbors", "clients", "out", "routes", "byID", "nextID", "paths"},
-			"pubDedup": {"gens"},
+			"Broker":   {"neighbors", "clients", "out", "routes", "byID", "nextID", "routePeak", "paths"},
+			"pubDedup": {"cur", "prev"},
 		},
 		"probsum/pubsub": {
 			"tcpServer":     {"ports", "readers", "hooks"},

@@ -18,6 +18,7 @@ import (
 	"cmp"
 	"fmt"
 	"maps"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -352,7 +353,8 @@ func WithSeed(seed uint64) Option {
 
 // withDedupLimit bounds the publication-deduplication memory: the
 // broker remembers at least the last n distinct publication IDs (and
-// at most ~2n, see pubDedup). The default is 65536. Publications
+// at most ~2n, in pointer-free tables the collector never scans, see
+// pubDedup). The default is 65536. Publications
 // re-arriving after more than the horizon of newer distinct
 // publications may be processed again — the same at-least-once
 // tolerance the protocol already has for lossy links, traded here for
@@ -381,8 +383,8 @@ func WithTableOptions(opts ...subsume.TableOption) Option {
 // update the matcher) but lets publications run concurrently —
 // handlePublish only reads the routing state, matching through the
 // broker's one ITreeIndex, whose queries run in parallel under its read
-// lock, deduplicating through a bounded atomic generation ring and
-// counting through atomic metrics. Driven
+// lock, deduplicating through a bounded two-generation table under its
+// own short mutex and counting through atomic metrics. Driven
 // from a single goroutine (the simulator) the broker behaves exactly
 // as before: all locks are uncontended and every decision sequence is
 // deterministic. Driven from the TCP transport's per-connection
@@ -420,6 +422,10 @@ type Broker struct {
 	byID map[subsume.ID]*route
 	// +guarded_by:mu
 	nextID subsume.ID
+	// routePeak is the most routes held since the last collection the
+	// broker asked for (see shedCollectMin).
+	// +guarded_by:mu
+	routePeak int
 
 	// index matches publications against every route's box, keyed by
 	// the route's numeric ID. It is written only under the exclusive
@@ -436,9 +442,11 @@ type Broker struct {
 	paths map[string]map[string]*route
 
 	// seenPubs deduplicates publications on cyclic overlays. It is a
-	// bounded generation ring (see pubDedup) so long-running brokers
-	// do not grow memory without limit; lookups and inserts run under
-	// the shared lock, racing on atomics instead of b.mu.
+	// bounded two-generation table (see pubDedup), so long-running
+	// brokers do not grow memory without limit, laid out without
+	// pointers, so its ~2·dedupLimit IDs add nothing to the collector's
+	// mark work. Lookups and inserts run under the shared lock and
+	// serialize on pubDedup's own mutex instead of b.mu.
 	dedupLimit int
 	seenPubs   pubDedup
 
@@ -517,90 +525,6 @@ func (b *Broker) SetPublishObserver(o *PublishObserver) {
 		panic("broker: PublishObserver needs Clock, Match, and Route")
 	}
 	b.pubObs.Store(o)
-}
-
-// pubDedup is a bounded duplicate-suppression set: two sync.Map
-// generations of at most limit entries each. Inserts go to the
-// current generation; when it fills, the previous generation is
-// dropped and the current one takes its place. An ID is a duplicate
-// when either generation holds it, so the horizon — the number of
-// newer distinct IDs after which a repeat can slip through — is at
-// least limit and the memory bound is ~2·limit entries. Concurrent
-// inserts during a rotation can land in the generation that just
-// became previous; they stay findable, and the one-rotation-at-a-time
-// mutex keeps the bound intact.
-type pubDedup struct {
-	limit int64
-	mu    sync.Mutex // serializes rotation, not lookups
-	// gens is read lock-free on the publish path; mu serializes the
-	// generation swap in rotate.
-	// +guarded_by:mu (writes)
-	gens atomic.Pointer[dedupGens]
-}
-
-type dedupGens struct {
-	cur  *dedupGen
-	prev *dedupGen
-}
-
-type dedupGen struct {
-	m sync.Map
-	n atomic.Int64
-}
-
-func (d *pubDedup) init(limit int) {
-	d.limit = int64(limit)
-	//brokervet:allow lockcheck constructor path: the broker is not shared yet
-	d.gens.Store(&dedupGens{cur: &dedupGen{}, prev: &dedupGen{}})
-}
-
-// seen records id and reports whether it was already known.
-func (d *pubDedup) seen(id string) bool {
-	g := d.gens.Load()
-	if _, ok := g.prev.m.Load(id); ok {
-		// Refresh a previous-generation hit into the current generation.
-		// Without this, an ID re-sighted just before its generation
-		// rotates away is dropped with it — the documented at-least-limit
-		// horizon from the LAST sighting would shrink to as little as one
-		// newer distinct ID when the current generation sits at the
-		// rotation boundary.
-		if _, loaded := g.cur.m.LoadOrStore(id, struct{}{}); !loaded {
-			if g.cur.n.Add(1) >= d.limit {
-				d.rotate(g)
-			}
-		}
-		return true
-	}
-	if _, loaded := g.cur.m.LoadOrStore(id, struct{}{}); loaded {
-		return true
-	}
-	if g.cur.n.Add(1) >= d.limit {
-		d.rotate(g)
-	}
-	return false
-}
-
-// rotate retires the previous generation. Only the first caller that
-// observed the full generation rotates; latecomers see the new
-// pointer and return.
-func (d *pubDedup) rotate(old *dedupGens) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.gens.Load() != old {
-		return
-	}
-	d.gens.Store(&dedupGens{cur: &dedupGen{}, prev: old.cur})
-}
-
-// size counts the tracked IDs across both generations (test hook for
-// the memory bound).
-func (d *pubDedup) size() int {
-	g := d.gens.Load()
-	n := 0
-	for _, gen := range []*dedupGen{g.cur, g.prev} {
-		gen.m.Range(func(any, any) bool { n++; return true })
-	}
-	return n
 }
 
 // New creates a broker. Policy selects subscription-forwarding
@@ -835,31 +759,10 @@ func (b *Broker) AttachClient(id string) {
 func (b *Broker) Handle(from string, msg Message) ([]Outbound, error) {
 	switch msg.Kind {
 	case MsgSubscribe, MsgUnsubscribe, MsgSubscribeBatch, MsgUnsubscribeBatch, MsgSyncRoots:
-		// State-changing kinds: handled under the exclusive lock and —
-		// on success — journaled inside the same critical section, so
-		// the journal's record order is exactly the application order.
-		// A per-item SUBSCRIBE or UNSUBSCRIBE is a burst of one; the
-		// journal still records the message that arrived.
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		var out []Outbound
-		var err error
-		switch msg.Kind {
-		case MsgSubscribe:
-			out, err = b.handleSubscribeBatch(from, msg.Kind, []BatchSub{{SubID: msg.SubID, Sub: msg.Sub}})
-		case MsgUnsubscribe:
-			out, err = b.handleUnsubscribeBatch(from, msg.Kind, []string{msg.SubID})
-		case MsgSubscribeBatch:
-			out, err = b.handleSubscribeBatch(from, msg.Kind, msg.Subs)
-		case MsgUnsubscribeBatch:
-			out, err = b.handleUnsubscribeBatch(from, msg.Kind, msg.SubIDs)
-		case MsgSyncRoots:
-			out, err = b.handleSyncRoots(from, msg)
-		}
-		if err == nil {
-			if j := b.journal.Load(); j != nil {
-				(*j).RecordMessage(from, &msg)
-			}
+		out, shed, err := b.handleStateChange(from, msg)
+		if shed {
+			// Outside the lock: publishes go on while the collector runs.
+			runtime.GC()
 		}
 		return out, err
 	case MsgPublish:
@@ -944,6 +847,53 @@ func frames(out []Outbound, n string, kind MsgKind, rs []*route) []Outbound {
 	}
 	return out
 }
+
+// handleStateChange applies a state-changing message under the
+// exclusive lock and — on success — journals it inside the same
+// critical section, so the journal's record order is exactly the
+// application order. A per-item SUBSCRIBE or UNSUBSCRIBE is a burst of
+// one; the journal still records the message that arrived. shed
+// reports that the broker has dropped to half the routes it held at
+// its peak since the last collection (see shedCollectMin).
+func (b *Broker) handleStateChange(from string, msg Message) (out []Outbound, shed bool, err error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	switch msg.Kind {
+	case MsgSubscribe:
+		out, err = b.handleSubscribeBatch(from, msg.Kind, []BatchSub{{SubID: msg.SubID, Sub: msg.Sub}})
+	case MsgUnsubscribe:
+		out, err = b.handleUnsubscribeBatch(from, msg.Kind, []string{msg.SubID})
+	case MsgSubscribeBatch:
+		out, err = b.handleSubscribeBatch(from, msg.Kind, msg.Subs)
+	case MsgUnsubscribeBatch:
+		out, err = b.handleUnsubscribeBatch(from, msg.Kind, msg.SubIDs)
+	case MsgSyncRoots:
+		out, err = b.handleSyncRoots(from, msg)
+	}
+	if err == nil {
+		if j := b.journal.Load(); j != nil {
+			(*j).RecordMessage(from, &msg)
+		}
+	}
+	n := len(b.byID)
+	b.routePeak = max(b.routePeak, n)
+	if b.routePeak >= shedCollectMin && n <= b.routePeak/2 {
+		b.routePeak, shed = n, true
+	}
+	return out, shed, err
+}
+
+// shedCollectMin is the smallest route peak whose halving makes the
+// broker ask the runtime for a collection. The collector paces itself
+// by the heap it marked last: after a mass unsubscription that mark may
+// still count the routes just dropped, and the heap may then grow to
+// twice the old peak before the next cycle — or not, depending on
+// where the last cycle fell relative to the peak, which varies from one
+// run of the same traffic to the next. Collecting once the route count
+// has halved makes the broker's peak memory depend on the traffic
+// alone. Below this size a forced collection costs more than the few
+// megabytes it could save.
+const shedCollectMin = 4096
 
 // handleSubscribeBatch admits a subscription burst that arrived as
 // kind: a SUBBATCH, the missing roots of a sync listing, or the one
@@ -1176,7 +1126,8 @@ func (b *Broker) LinkSync(peer string) []Outbound {
 
 // handlePublish runs under the SHARED lock: everything it touches is
 // either read-only routing state (maps mutated only under the
-// exclusive lock), the concurrency-safe matcher, or atomics.
+// exclusive lock), the concurrency-safe matcher, the dedup window
+// behind its own mutex, or atomics.
 //
 // +mustlock:mu (shared)
 func (b *Broker) handlePublish(from string, msg Message) ([]Outbound, error) {
@@ -1204,8 +1155,11 @@ func (b *Broker) handlePublish(from string, msg Message) ([]Outbound, error) {
 	// One stab finds every matching route, whichever ports lead to it.
 	// Sorted by source port, then SubID, the hits fall into one run per
 	// port, and clients come out in sorted order.
-	hits := make([]*route, 0, 64)
-	for _, id := range b.index.Match(msg.Pub) {
+	// Up to 64 hits fit the stack; a longer list is allocated once, at
+	// its length, rather than regrown by append.
+	ids := b.index.Match(msg.Pub)
+	hits := slices.Grow(make([]*route, 0, 64), len(ids))
+	for _, id := range ids {
 		hits = append(hits, b.byID[subsume.ID(id)])
 	}
 	slices.SortFunc(hits, func(x, y *route) int {

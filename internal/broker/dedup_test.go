@@ -2,6 +2,12 @@ package broker
 
 import (
 	"fmt"
+	"hash/maphash"
+	"maps"
+	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"probsum/internal/store"
@@ -130,4 +136,191 @@ func TestPubDedupDefaultUnchanged(t *testing.T) {
 	if m.PubsReceived != 100 || m.DupPubsDropped != 900 {
 		t.Fatalf("received %d / dropped %d, want 100 / 900", m.PubsReceived, m.DupPubsDropped)
 	}
+}
+
+// dedupModel is pubDedup's contract written out plainly: two map
+// generations, the current one rotating out when it reaches limit, and
+// a previous-generation hit refreshed into the current one.
+type dedupModel struct {
+	limit     int
+	cur, prev map[string]bool
+}
+
+func (m *dedupModel) seen(id string) bool {
+	if m.prev[id] {
+		m.put(id)
+		return true
+	}
+	return m.put(id)
+}
+
+func (m *dedupModel) put(id string) bool {
+	if m.cur[id] {
+		return true
+	}
+	m.cur[id] = true
+	if len(m.cur) >= m.limit {
+		m.cur, m.prev = make(map[string]bool), m.cur
+	}
+	return false
+}
+
+// dedupInput encodes a limit and an ID stream over the alphabet "ab"
+// in FuzzPubDedup's input format.
+func dedupInput(limit int, ids ...string) []byte {
+	data := []byte{byte(limit - 1)}
+	for _, id := range ids {
+		data = append(data, byte(len(id)-1))
+		for _, c := range []byte(id) {
+			data = append(data, c-'a')
+		}
+	}
+	return data
+}
+
+// FuzzPubDedup drives the dedup window and dedupModel through the same
+// ID stream: every seen must agree, the window must stay within its
+// ~2·limit bound, and ids must list exactly the model's IDs. The input
+// is a limit byte (1-16), then per ID an op byte: with its top bit set
+// it repeats one of the 128 latest IDs; otherwise it is a new ID of
+// 1-40 bytes over "ab", one input byte each, so IDs share prefixes and
+// repeat by chance too.
+func FuzzPubDedup(f *testing.F) {
+	// The current generation reaches limit exactly, then the next ID
+	// finds its generation emptied.
+	f.Add(dedupInput(3, "a", "b", "aa", "ab", "a", "b", "aa", "ba"))
+	// "a" is refreshed out of the previous generation one insert before
+	// a rotation and must survive the next one.
+	f.Add(dedupInput(3, "a", "b", "aa", "a", "ab", "ba", "bb", "a"))
+	// 25 rotations through 16 and 32 slots at load ½, long IDs among
+	// them: the hash seed is random per window, and in a sample of 2,000
+	// seeds every run had a probe run off the table's end and wrap
+	// (TestDedupGenProbeWrap forces it).
+	var ids []string
+	for i := range 400 {
+		binary := strconv.FormatInt(int64(i%37), 2)
+		ids = append(ids, strings.Repeat("ab", i%20)+strings.NewReplacer("0", "a", "1", "b").Replace(binary))
+	}
+	f.Add(dedupInput(16, ids...))
+	// Repeat ops, and a 40-byte ID cut short by the end of the input.
+	f.Add([]byte{15, 0x81, 3, 0, 1, 0, 1, 0x80, 0x83, 39})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		limit := 1 + int(data[0]%16)
+		data = data[1:]
+		var d pubDedup
+		d.init(limit)
+		m := &dedupModel{limit: limit, cur: map[string]bool{}, prev: map[string]bool{}}
+		var stream []string
+		for len(data) > 0 {
+			op := data[0]
+			data = data[1:]
+			var id string
+			if op&0x80 != 0 && len(stream) > 0 {
+				id = stream[len(stream)-1-int(op&0x7f)%len(stream)]
+			} else {
+				n := min(1+int(op&0x7f)%40, len(data))
+				b := []byte("a") // the input ended at the op byte
+				if n > 0 {
+					b = make([]byte, n)
+					for i := range b {
+						b[i] = "ab"[data[i]&1]
+					}
+				}
+				data = data[n:]
+				id = string(b)
+			}
+			stream = append(stream, id)
+			if got, want := d.seen(id), m.seen(id); got != want {
+				t.Fatalf("step %d: seen(%q) = %v, model says %v", len(stream), id, got, want)
+			}
+			if got, want := d.size(), len(m.cur)+len(m.prev); got != want || got >= 2*limit {
+				t.Fatalf("step %d: size %d, model %d, limit %d", len(stream), got, want, limit)
+			}
+		}
+		got := d.ids()
+		slices.Sort(got)
+		want := slices.Sorted(maps.Keys(m.cur))
+		for id := range m.prev {
+			if !m.cur[id] {
+				want = append(want, id)
+			}
+		}
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("ids() = %q, model holds %q", got, want)
+		}
+	})
+}
+
+// TestDedupGenProbeWrap places IDs whose hash points at a table's last
+// slot: the probe must wrap to slot 0, and every ID must stay findable
+// by its full bytes although all hashes are equal.
+func TestDedupGenProbeWrap(t *testing.T) {
+	seed := maphash.MakeSeed()
+	g := dedupGen{slots: make([]int32, minDedupSlots)}
+	last := uint64(minDedupSlots - 1)
+	ids := []string{"a", "ab", "abb", "b", "ba"}
+	for _, id := range ids {
+		if g.put(seed, last, id) {
+			t.Fatalf("fresh %q reported present", id)
+		}
+	}
+	for i, s := range []int{minDedupSlots - 1, 0, 1, 2, 3} {
+		if g.slots[s] != int32(i+1) {
+			t.Fatalf("slot %d holds %d, want ID %d: slots %v", s, g.slots[s], i+1, g.slots)
+		}
+	}
+	for _, id := range ids {
+		if !g.put(seed, last, id) {
+			t.Fatalf("%q not found past the wrap", id)
+		}
+	}
+	if g.has(last, "aa") {
+		t.Fatal(`"aa" found though never added`)
+	}
+}
+
+// BenchmarkPubDedup measures seen on fresh IDs at the default limit,
+// past several rotations (ns/op, B/op and allocs/op are steady state),
+// and the heap of a window whose two generations are full: B/id and
+// the live heap objects it holds, read after a collection.
+func BenchmarkPubDedup(b *testing.B) {
+	const limit = 65536
+	ids := make([]string, 4*limit)
+	for i := range ids {
+		ids[i] = "p" + strconv.Itoa(1000000+i)
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	full := new(pubDedup)
+	full.init(limit)
+	for _, id := range ids[:2*limit-1] {
+		full.seen(id)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	n := full.size()
+	runtime.KeepAlive(full)
+
+	var d pubDedup
+	d.init(limit)
+	for _, id := range ids {
+		d.seen(id)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		if d.seen(ids[i%len(ids)]) {
+			b.Fatal("a fresh ID reported seen")
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/float64(n), "B/id")
+	b.ReportMetric(float64(after.HeapObjects-before.HeapObjects), "objects")
 }

@@ -162,21 +162,3 @@ func (b *Broker) MarkPubsSeen(pubIDs []string) {
 		b.seenPubs.seen(id)
 	}
 }
-
-// ids enumerates the tracked publication IDs across both generations
-// (deduplicated).
-func (d *pubDedup) ids() []string {
-	g := d.gens.Load()
-	seen := make(map[string]bool)
-	for _, gen := range []*dedupGen{g.cur, g.prev} {
-		gen.m.Range(func(k, _ any) bool {
-			seen[k.(string)] = true
-			return true
-		})
-	}
-	out := make([]string, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	return out
-}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"testing"
 
@@ -113,12 +114,53 @@ func BenchmarkBrokerHeapPerSub(b *testing.B) {
 	}
 }
 
+// TestCollectsAfterShedding checks that the broker asks for one
+// collection when an unsubscription burst leaves it half the routes of
+// its peak, and none while its peak is under shedCollectMin. Automatic
+// collection is off, so every cycle counted is one the broker asked
+// for.
+func TestCollectsAfterShedding(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	br := newBroker(t, store.PolicyNone)
+	br.AttachClient("c")
+	subs, _ := narrowPopulation(t, shedCollectMin)
+	subscribeSpread(t, br, []string{"c"}, subs)
+	// unsubscribe retires subs[from:to] in one burst and returns the
+	// number of collections that ran meanwhile.
+	unsubscribe := func(from, to int) uint32 {
+		t.Helper()
+		ids := make([]string, 0, to-from)
+		for _, s := range subs[from:to] {
+			ids = append(ids, s.SubID)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := br.Handle("c", Message{Kind: MsgUnsubscribeBatch, SubIDs: ids}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.NumGC - before.NumGC
+	}
+	half, quarter := shedCollectMin/2, shedCollectMin/4
+	if n := unsubscribe(0, half-1); n != 0 {
+		t.Errorf("%d routes of %d left: %d collections, want 0", shedCollectMin-half+1, shedCollectMin, n)
+	}
+	if n := unsubscribe(half-1, half); n != 1 {
+		t.Errorf("%d routes of %d left: %d collections, want 1", half, shedCollectMin, n)
+	}
+	if n := unsubscribe(half, shedCollectMin-quarter); n != 0 {
+		t.Errorf("%d routes of a %d peak left: %d collections, want 0", quarter, half, n)
+	}
+}
+
 // TestPublishAllocs pins the allocations of one publication through
 // Handle: a broker with one subscriber client and 20 matching routes,
 // and a broker with neighbours only, where a publication from one is
-// forwarded to the two that announced its 2 matching routes. Three of
-// each count are the dedup set's insert; the rest are the matcher's
-// result, the outbound slice and, when a client matched, its SubIDs.
+// forwarded to the two that announced its 2 matching routes. The
+// counts are the matcher's result, the outbound slice and, when a
+// client matched, its SubIDs; the message stays on the stack, since
+// only the state-changing kinds hand it to the journal, and the dedup
+// window's insert allocates nothing once its tables have grown.
 func TestPublishAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race")
@@ -157,7 +199,7 @@ func TestPublishAllocs(t *testing.T) {
 	if _, err := client.Handle("S", Message{Kind: MsgSubscribeBatch, Subs: boxes("s", 20)}); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := measure(client, "P", pub, 1), 6.0; got != want {
+	if got, want := measure(client, "P", pub, 1), 3.0; got != want {
 		t.Errorf("one client, 20 hits: %.1f allocs per publication, want %.1f", got, want)
 	}
 
@@ -172,7 +214,7 @@ func TestPublishAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := measure(neighbours, "N1", pub, 2), 5.0; got != want {
+	if got, want := measure(neighbours, "N1", pub, 2), 2.0; got != want {
 		t.Errorf("neighbours only, 2 hits: %.1f allocs per publication, want %.1f", got, want)
 	}
 }
