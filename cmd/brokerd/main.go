@@ -44,10 +44,11 @@
 //
 // With -data-dir the broker is durable: every state-changing arrival
 // is appended to a CRC-framed journal in that directory (fsynced in
-// batches of -journal-sync records) and compacted into a snapshot
-// every -snapshot-interval. A broker restarted with the same -data-dir
-// recovers its subscriptions, reverse paths, and dedup window from
-// disk — clients do not re-subscribe — and the link-digest
+// batches of -journal-sync events: a record each, or one per
+// publication ID in a publish run's record) and compacted into a
+// snapshot every -snapshot-interval. A broker restarted with the same
+// -data-dir recovers its subscriptions, reverse paths, and dedup
+// window from disk — clients do not re-subscribe — and the link-digest
 // reconciliation protocol repairs whatever diverged from its peers
 // while it was down:
 //
@@ -110,7 +111,7 @@ func run() error {
 		mesh        = flag.Bool("mesh", false, "run the cluster layer with no seeds — the form for the FIRST broker of a seed-node cluster (later ones point -seed-node at it)")
 		pingEvery   = flag.Duration("ping-interval", 500*time.Millisecond, "cluster failure-detector ping interval")
 		dataDir     = flag.String("data-dir", "", "durable state directory: journal + snapshots; restart recovers from it (empty = in-memory only)")
-		journalSync = flag.Int("journal-sync", 64, "fsync the journal every N records (1 = every record; needs -data-dir)")
+		journalSync = flag.Int("journal-sync", 64, "fsync the journal every N events: a record, or one publication ID of a publish run's record (1 = every record; needs -data-dir)")
 		snapEvery   = flag.Duration("snapshot-interval", 30*time.Second, "journal compaction interval (needs -data-dir)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus text), /metrics.json, and /flight on this HTTP address (empty = disabled)")
 	)

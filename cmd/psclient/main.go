@@ -196,16 +196,18 @@ func runStats(subClient, pubClient *pubsub.Client, schema *subsume.Schema, subsI
 	if err != nil {
 		return err
 	}
-	cs := pubsub.NewClientStats()
-	subClient.SetStats(cs)
-	pubClient.SetStats(cs)
-
 	ctx, cancel := opCtx()
 	err = subClient.Subscribe(ctx, name+"/probe", sub)
 	cancel()
 	if err != nil {
 		return err
 	}
+	if err := awaitProbeRoute(subClient, pubClient, pub, name, opCtx); err != nil {
+		return err
+	}
+	cs := pubsub.NewClientStats()
+	subClient.SetStats(cs)
+	pubClient.SetStats(cs)
 	for i := 0; i < count; i++ {
 		ctx, cancel := opCtx()
 		err := pubClient.Publish(ctx, fmt.Sprintf("%s/p%d", name, i+1), pub)
@@ -223,6 +225,34 @@ func runStats(subClient, pubClient *pubsub.Client, schema *subsume.Schema, subsI
 	}
 	printHistogram(cs.Snapshot(), count)
 	return nil
+}
+
+// awaitProbeRoute publishes unmeasured warm-up events until one is
+// delivered. The subscription and the probes leave over two
+// connections, and a send returns before its frame is on the wire, so
+// the broker may see the first probe before the subscription it
+// should match; the measured probes start once the route is in place.
+func awaitProbeRoute(subClient, pubClient *pubsub.Client, pub subsume.Publication, name string,
+	opCtx func() (context.Context, context.CancelFunc)) error {
+	ctx, cancel := opCtx()
+	defer cancel()
+	retry := time.NewTicker(50 * time.Millisecond)
+	defer retry.Stop()
+	for i := 1; ; i++ {
+		if err := pubClient.Publish(ctx, fmt.Sprintf("%s/warm%d", name, i), pub); err != nil {
+			return err
+		}
+		select {
+		case _, ok := <-subClient.Notifications():
+			if !ok {
+				return fmt.Errorf("connection closed before the probe subscription took effect")
+			}
+			return nil
+		case <-retry.C:
+		case <-ctx.Done():
+			return fmt.Errorf("probe subscription never took effect: %w", ctx.Err())
+		}
+	}
 }
 
 // printHistogram renders one latency profile: headline quantiles plus

@@ -9,7 +9,7 @@
 //
 //  1. lock discipline at append sites — RecordMessage / RecordAttach
 //     record state transitions and must be called with the receiver's
-//     state lock held exclusively; RecordPubSeen records the dedup
+//     state lock held exclusively; RecordPubsSeen records the dedup
 //     window and may run under the shared (publish-path) lock;
 //  2. completeness — once a type journals at all, every exported
 //     method that (transitively, via same-receiver calls) mutates a
@@ -100,7 +100,7 @@ func run(pass *analysis.Pass) error {
 					}
 					mi.journals = true
 					required := analysis.Exclusive
-					if append_.Name() == "RecordPubSeen" {
+					if append_.Name() == "RecordPubsSeen" {
 						required = analysis.Shared
 					}
 					held := analysis.Unlocked

@@ -9,9 +9,9 @@ import "sync"
 // analyzer keys on Record* methods of *Journal*-named types.
 type Journal struct{}
 
-func (j *Journal) RecordMessage(from string)  {}
-func (j *Journal) RecordAttach(port string)   {}
-func (j *Journal) RecordPubSeen(pubID string) {}
+func (j *Journal) RecordMessage(from string)      {}
+func (j *Journal) RecordAttach(port string)       {}
+func (j *Journal) RecordPubsSeen(pubIDs []string) {}
 
 type Broker struct {
 	mu      sync.RWMutex
@@ -34,7 +34,7 @@ func (b *Broker) Handle(from string) {
 func (b *Broker) Publish(pubID string) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	b.journal.RecordPubSeen(pubID)
+	b.journal.RecordPubsSeen([]string{pubID})
 }
 
 // Bad: a state-transition append under only the shared lock.
@@ -46,7 +46,7 @@ func (b *Broker) badSharedAppend(from string) {
 
 // Bad: a dedup append with no lock at all.
 func (b *Broker) badUnlockedAppend(pubID string) {
-	b.journal.RecordPubSeen(pubID) // want `journal append RecordPubSeen must run with the receiver's state lock held shared \(RLock\) \(held: unlocked\)`
+	b.journal.RecordPubsSeen([]string{pubID}) // want `journal append RecordPubsSeen must run with the receiver's state lock held shared \(RLock\) \(held: unlocked\)`
 }
 
 // applyLocked mutates and journals under a caller-held lock: the
@@ -98,6 +98,7 @@ func (b *Broker) internalTouch(k string) {
 
 // Reset drops all state; recovery re-derives it wholesale, so the
 // missing append is deliberate.
+//
 //brokervet:allow journalcheck reset runs only before recovery replay, nothing to journal
 func (b *Broker) Reset() {
 	b.mu.Lock()

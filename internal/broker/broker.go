@@ -768,7 +768,11 @@ func (b *Broker) Handle(from string, msg Message) ([]Outbound, error) {
 	case MsgPublish:
 		b.mu.RLock()
 		defer b.mu.RUnlock()
-		return b.handlePublish(from, msg)
+		out, fresh, err := b.handlePublish(from, msg)
+		if j := b.journal.Load(); j != nil && fresh {
+			(*j).RecordPubsSeen([]string{msg.PubID})
+		}
+		return out, err
 	case MsgPublishBatch:
 		b.mu.RLock()
 		defer b.mu.RUnlock()
@@ -800,22 +804,37 @@ func (b *Broker) Handle(from string, msg Message) ([]Outbound, error) {
 // high-rate connection pays the RWMutex once per run instead of once
 // per frame. Outputs are the concatenation of the per-message outputs
 // in input order, so per-destination delivery order is exactly what a
-// per-message loop would produce.
+// per-message loop would produce. The run's first-seen publication IDs
+// are journaled as one record before it returns, an error included.
 func (b *Broker) HandlePublishBatch(from string, msgs []Message) ([]Outbound, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
+	j := b.journal.Load()
+	var seen []string
+	if j != nil {
+		seen = make([]string, 0, len(msgs))
+	}
 	var out []Outbound
+	var err error
 	for i := range msgs {
 		if msgs[i].Kind != MsgPublish {
-			return out, fmt.Errorf("broker %s: non-publish kind %v in publish batch from %s", b.id, msgs[i].Kind, from)
+			err = fmt.Errorf("broker %s: non-publish kind %v in publish batch from %s", b.id, msgs[i].Kind, from)
+			break
 		}
-		o, err := b.handlePublish(from, msgs[i])
-		if err != nil {
-			return out, err
+		o, fresh, herr := b.handlePublish(from, msgs[i])
+		if herr != nil {
+			err = herr
+			break
+		}
+		if fresh && j != nil {
+			seen = append(seen, msgs[i].PubID)
 		}
 		out = append(out, o...)
 	}
-	return out, nil
+	if len(seen) > 0 {
+		(*j).RecordPubsSeen(seen)
+	}
+	return out, err
 }
 
 // frames appends the messages of the given kind that carry rs to
@@ -1062,13 +1081,23 @@ func (b *Broker) handleUnsubscribeBatch(from string, kind MsgKind, subIDs []stri
 //
 // +mustlock:mu (shared)
 func (b *Broker) handlePublishBatchMsg(from string, msg Message) ([]Outbound, error) {
+	j := b.journal.Load()
+	var seen []string
+	if j != nil {
+		seen = make([]string, 0, len(msg.Pubs))
+	}
 	var out []Outbound
 	var fwd map[string][]BatchPub
+	var err error
 	for i := range msg.Pubs {
 		it := &msg.Pubs[i]
-		o, err := b.handlePublish(from, Message{Kind: MsgPublish, PubID: it.PubID, Pub: it.Pub})
-		if err != nil {
-			return out, fmt.Errorf("broker %s: publish batch item %d: %w", b.id, i, err)
+		o, fresh, herr := b.handlePublish(from, Message{Kind: MsgPublish, PubID: it.PubID, Pub: it.Pub})
+		if herr != nil {
+			err = fmt.Errorf("broker %s: publish batch item %d: %w", b.id, i, herr)
+			break
+		}
+		if fresh && j != nil {
+			seen = append(seen, it.PubID)
 		}
 		for _, ob := range o {
 			if ob.Msg.Kind == MsgPublish && b.neighbors.has(ob.To) {
@@ -1080,6 +1109,12 @@ func (b *Broker) handlePublishBatchMsg(from string, msg Message) ([]Outbound, er
 				out = append(out, ob)
 			}
 		}
+	}
+	if len(seen) > 0 {
+		(*j).RecordPubsSeen(seen)
+	}
+	if err != nil {
+		return out, err
 	}
 	for _, n := range b.neighbors {
 		if batch := fwd[n]; len(batch) > 0 {
@@ -1127,24 +1162,21 @@ func (b *Broker) LinkSync(peer string) []Outbound {
 // handlePublish runs under the SHARED lock: everything it touches is
 // either read-only routing state (maps mutated only under the
 // exclusive lock), the concurrency-safe matcher, the dedup window
-// behind its own mutex, or atomics.
+// behind its own mutex, or atomics. fresh reports the first sighting
+// of the publication's ID, which the caller journals (so a restarted
+// broker keeps its dedup window: at-most-once across the restart, for
+// IDs that reached the synced journal) before the outputs leave.
 //
 // +mustlock:mu (shared)
-func (b *Broker) handlePublish(from string, msg Message) ([]Outbound, error) {
+func (b *Broker) handlePublish(from string, msg Message) (out []Outbound, fresh bool, err error) {
 	if msg.PubID == "" {
-		return nil, fmt.Errorf("broker %s: publish without PubID", b.id)
+		return nil, false, fmt.Errorf("broker %s: publish without PubID", b.id)
 	}
 	if b.seenPubs.seen(msg.PubID) {
 		b.metrics.dupPubsDropped.Add(1)
-		return nil, nil
+		return nil, false, nil
 	}
 	b.metrics.pubsReceived.Add(1)
-	if j := b.journal.Load(); j != nil {
-		// First sighting of this publication: journal the ID so a
-		// restarted broker keeps its dedup window (at-most-once across
-		// the restart, for IDs that reached the synced journal).
-		(*j).RecordPubSeen(msg.PubID)
-	}
 
 	po := b.pubObs.Load()
 	var stageT0 time.Time
@@ -1171,7 +1203,6 @@ func (b *Broker) handlePublish(from string, msg Message) ([]Outbound, error) {
 	// Deliver to local clients whose subscriptions match: one frame per
 	// client, naming every matched subscription. A client's reverse
 	// paths are the routes it sources.
-	var out []Outbound
 	if len(hits) > 0 {
 		// Room for a frame per client run and a forward per neighbor.
 		size := len(b.neighbors)
@@ -1234,5 +1265,5 @@ func (b *Broker) handlePublish(from string, msg Message) ([]Outbound, error) {
 	if po != nil {
 		po.Route.Observe(po.Clock().Sub(stageT0))
 	}
-	return out, nil
+	return out, true, nil
 }

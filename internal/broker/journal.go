@@ -16,7 +16,7 @@ import (
 // Journal receives the broker's durability events. RecordMessage and
 // RecordAttach are called with the broker's exclusive lock held (so
 // record order is exactly application order) and must not call back
-// into the broker; RecordPubSeen is called under the shared lock from
+// into the broker; RecordPubsSeen is called under the shared lock from
 // concurrent publish handlers and must be safe for concurrent use.
 // Implementations swallow their own I/O errors (a broker does not
 // fail routing because a disk write failed).
@@ -27,8 +27,10 @@ type Journal interface {
 	// RecordMessage records one state-changing arrival (subscribe /
 	// unsubscribe / their batches / sync-roots) after it was applied.
 	RecordMessage(from string, msg *Message)
-	// RecordPubSeen records the first sighting of a publication ID.
-	RecordPubSeen(pubID string)
+	// RecordPubsSeen records the first sightings of one publish run's
+	// publication IDs, in arrival order, before any output of the run
+	// leaves the broker. The slice is only valid during the call.
+	RecordPubsSeen(pubIDs []string)
 }
 
 // SetJournal attaches (or, with nil, detaches) the durability

@@ -174,6 +174,9 @@ type DirStore struct {
 	// openStats captures what the opening scan found, surfaced through
 	// the first Replay so recovery can report torn-tail truncation.
 	openStats ReplayStats
+	// frame is Append's framing buffer, reused across records.
+	// +guarded_by:mu
+	frame []byte
 }
 
 // Open opens (creating if needed) the persistent store in dir. The
@@ -335,6 +338,10 @@ func (s *DirStore) WriteSnapshot(payload []byte) error {
 	return s.resetJournal()
 }
 
+// maxKeptFrame is the largest framing buffer Append keeps for the next
+// record.
+const maxKeptFrame = 64 << 10
+
 // Append frames one record onto the journal.
 func (s *DirStore) Append(rec []byte) error {
 	if len(rec) > MaxRecord {
@@ -342,7 +349,12 @@ func (s *DirStore) Append(rec []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, err := s.f.Write(appendRecord(nil, rec))
+	s.frame = appendRecord(s.frame[:0], rec)
+	_, err := s.f.Write(s.frame)
+	// One outsized record does not pin its buffer for the store's life.
+	if cap(s.frame) > maxKeptFrame {
+		s.frame = nil
+	}
 	if err != nil {
 		return fmt.Errorf("persist: append: %w", err)
 	}

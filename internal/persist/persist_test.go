@@ -307,3 +307,25 @@ func TestScanJournalNeverPanics(t *testing.T) {
 		}
 	}
 }
+
+// TestDirStoreAppendAllocs pins Append's framing buffer reuse: a
+// steady stream of small records allocates nothing per record.
+func TestDirStoreAppendAllocs(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rec := bytes.Repeat([]byte{0x5A}, 200)
+	if allocs := testing.AllocsPerRun(200, func() {
+		if err := s.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Append allocates %.1f times per record, want 0", allocs)
+	}
+	recs, _ := replayAll(t, s)
+	if len(recs) != 201 || !bytes.Equal(recs[200], rec) {
+		t.Fatalf("replayed %d records, want 201 copies of the record", len(recs))
+	}
+}

@@ -212,10 +212,12 @@ type BrokerJournal struct {
 	// +guarded_by:mu
 	memberSource func() []broker.MemberInfo
 
-	// SyncEvery is the fsync batch size: the journal syncs after
-	// every n-th record (1 = sync every record; the constructor
-	// default is 64). A crash loses at most the unsynced tail —
-	// exactly what the digest reconciliation protocol repairs.
+	// SyncEvery is the fsync batch size: the journal syncs once n
+	// events were appended since the last sync (1 = sync every record;
+	// the constructor default is 64). A record is one event, except a
+	// pubids record, which counts each ID it holds. A crash loses at
+	// most the unsynced tail — exactly what the digest reconciliation
+	// protocol repairs.
 	syncEvery int
 }
 
@@ -230,10 +232,10 @@ func NewBrokerJournal(b *broker.Broker, st persist.Store, syncEvery int) *Broker
 	return &BrokerJournal{b: b, store: st, syncEvery: syncEvery}
 }
 
-// append writes one record and applies the fsync batching policy.
-// Safe for concurrent use; called under the broker's locks, so it
-// must never call back into the broker.
-func (j *BrokerJournal) append(rec []byte) {
+// append writes one record carrying n events and applies the fsync
+// batching policy. Safe for concurrent use; called under the broker's
+// locks, so it must never call back into the broker.
+func (j *BrokerJournal) append(rec []byte, n int) {
 	if rec == nil {
 		return
 	}
@@ -245,7 +247,7 @@ func (j *BrokerJournal) append(rec []byte) {
 		}
 		return
 	}
-	j.unsynced++
+	j.unsynced += n
 	if j.unsynced >= j.syncEvery {
 		if err := j.store.Sync(); err != nil && j.err == nil {
 			j.err = err
@@ -256,24 +258,25 @@ func (j *BrokerJournal) append(rec []byte) {
 
 // RecordAttach implements broker.Journal.
 func (j *BrokerJournal) RecordAttach(port string, client bool) {
-	j.append(encodeAttachRecord(port, client))
+	j.append(encodeAttachRecord(port, client), 1)
 }
 
 // RecordMessage implements broker.Journal.
 func (j *BrokerJournal) RecordMessage(from string, msg *broker.Message) {
-	j.append(encodeMessageRecord(from, msg))
+	j.append(encodeMessageRecord(from, msg), 1)
 }
 
-// RecordPubSeen implements broker.Journal.
-func (j *BrokerJournal) RecordPubSeen(pubID string) {
-	j.append(encodePubIDsRecord([]string{pubID}))
+// RecordPubsSeen implements broker.Journal: one pubids record for the
+// run, counted as one event per ID against SyncEvery.
+func (j *BrokerJournal) RecordPubsSeen(pubIDs []string) {
+	j.append(encodePubIDsRecord(pubIDs), len(pubIDs))
 }
 
 // RecordMembers appends the cluster member list as one membership
 // record; later records supersede earlier ones on recovery. Called by
 // the cluster layer on membership changes (debounced by its ticker).
 func (j *BrokerJournal) RecordMembers(ms []broker.MemberInfo) {
-	j.append(encodeMembersRecord(ms))
+	j.append(encodeMembersRecord(ms), 1)
 }
 
 // SetMemberSource registers the function snapshots call to capture

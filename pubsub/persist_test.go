@@ -9,6 +9,7 @@ package pubsub
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -295,6 +296,20 @@ func TestRestartDedupSurvivesRestart(t *testing.T) {
 	if _, ok := recvOne(t, sub, 2*time.Second); !ok {
 		t.Fatal("pre-restart delivery did not arrive")
 	}
+	// A PUBBATCH run is journaled as one record of its IDs.
+	const k = 8
+	batch := make([]BatchPub, k)
+	for i := range batch {
+		batch[i] = BatchPub{PubID: fmt.Sprintf("b%d", i), Pub: subscription.NewPublication(25, 25)}
+	}
+	if err := pub.PublishBatch(ctx, batch); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < k; i++ {
+		if _, ok := recvOne(t, sub, 2*time.Second); !ok {
+			t.Fatalf("pre-restart batch delivery %d did not arrive", i)
+		}
+	}
 
 	// Graceful restart from the same directory.
 	sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -324,9 +339,13 @@ func TestRestartDedupSurvivesRestart(t *testing.T) {
 		_, bound = recvOne(t, sub2, 500*time.Millisecond)
 	}
 
-	// The same producer retrying p1 after the restart: a duplicate,
-	// dropped. A fresh p2 flows normally.
+	// The same producer retrying p1 and the batch after the restart:
+	// duplicates, all dropped. A fresh p2 flows normally.
+	dups := b2.Metrics().DupPubsDropped
 	if err := pub2.Publish(ctx, "p1", subscription.NewPublication(25, 25)); err != nil {
+		t.Fatal(err)
+	}
+	if err := pub2.PublishBatch(ctx, batch); err != nil {
 		t.Fatal(err)
 	}
 	if err := pub2.Publish(ctx, "p2", subscription.NewPublication(25, 25)); err != nil {
@@ -341,5 +360,135 @@ func TestRestartDedupSurvivesRestart(t *testing.T) {
 	}
 	if extra, ok := recvOne(t, sub2, 300*time.Millisecond); ok {
 		t.Fatalf("duplicate p1 re-delivered after restart: %+v", extra)
+	}
+	if got := b2.Metrics().DupPubsDropped - dups; got != 1+k {
+		t.Errorf("dropped %d duplicates after restart, want %d (p1 and the batch)", got, 1+k)
+	}
+}
+
+// journalRecords returns the store's journal records.
+func journalRecords(t *testing.T, st persist.Store) [][]byte {
+	t.Helper()
+	var recs [][]byte
+	if _, err := st.Replay(func(rec []byte) error {
+		recs = append(recs, append([]byte(nil), rec...))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// pubIDsOf decodes a pubids record.
+func pubIDsOf(t *testing.T, rec []byte) []string {
+	t.Helper()
+	if rec[0] != recPubIDs {
+		t.Fatalf("record kind %d, want pubids (%d)", rec[0], recPubIDs)
+	}
+	d := binDecoder{buf: rec[1:]}
+	ids := make([]string, d.count(1))
+	for i := range ids {
+		ids[i] = d.string()
+	}
+	if d.err != nil || len(d.buf) != 0 {
+		t.Fatalf("malformed pubids record: %v, %d trailing bytes", d.err, len(d.buf))
+	}
+	return ids
+}
+
+// TestPublishRunJournalsOneRecord: a publish run, coalesced by a reader
+// or sent as one PUBBATCH, journals its k first-seen IDs as ONE pubids
+// record before it returns, skipping the duplicate among them; a
+// broker recovered from that journal drops all k as duplicates.
+func TestPublishRunJournalsOneRecord(t *testing.T) {
+	const k = 5
+	ids := make([]string, k)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("p%d", i+1)
+	}
+	// The run: k fresh IDs with p0, seen before the run, in the middle.
+	order := append(append(append([]string(nil), ids[:2]...), "p0"), ids[2:]...)
+	pub := func(id string) broker.Message {
+		return broker.Message{Kind: broker.MsgPublish, PubID: id, Pub: subscription.NewPublication(10, 10)}
+	}
+	runs := map[string]func(b *broker.Broker) (broker.Metrics, error){
+		"coalesced": func(b *broker.Broker) (broker.Metrics, error) {
+			msgs := make([]broker.Message, len(order))
+			for i, id := range order {
+				msgs[i] = pub(id)
+			}
+			_, err := b.HandlePublishBatch("alice", msgs)
+			return b.Metrics(), err
+		},
+		"pubbatch": func(b *broker.Broker) (broker.Metrics, error) {
+			items := make([]broker.BatchPub, len(order))
+			for i, id := range order {
+				items[i] = broker.BatchPub{PubID: id, Pub: subscription.NewPublication(10, 10)}
+			}
+			_, err := b.Handle("alice", broker.Message{Kind: broker.MsgPublishBatch, Pubs: items})
+			return b.Metrics(), err
+		},
+	}
+	for name, run := range runs {
+		t.Run(name, func(t *testing.T) {
+			st := persist.NewMemStore()
+			b, _ := newJournaledBroker(t, st, 1000)
+			b.AttachClient("alice")
+			if _, err := b.Handle("alice", pub("p0")); err != nil {
+				t.Fatal(err)
+			}
+			before := len(journalRecords(t, st))
+			if _, err := run(b); err != nil {
+				t.Fatal(err)
+			}
+			recs := journalRecords(t, st)
+			if len(recs) != before+1 {
+				t.Fatalf("the run appended %d records, want 1", len(recs)-before)
+			}
+			if got := pubIDsOf(t, recs[before]); !slices.Equal(got, ids) {
+				t.Fatalf("run record holds %v, want %v", got, ids)
+			}
+
+			b2, err := broker.New("B1", store.PolicyPairwise)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := RecoverBroker(b2, st); err != nil {
+				t.Fatal(err)
+			}
+			m, err := run(b2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.PubsReceived != 0 || m.DupPubsDropped != k+1 {
+				t.Fatalf("recovered broker received %d and dropped %d of the run, want 0 and %d", m.PubsReceived, m.DupPubsDropped, k+1)
+			}
+		})
+	}
+}
+
+// TestJournalSyncCountsIDs: the fsync batch counts publication IDs,
+// not records, so a run of n IDs syncs a journal batched at n, and a
+// shorter run stays in the unsynced tail a crash drops.
+func TestJournalSyncCountsIDs(t *testing.T) {
+	const syncEvery = 4
+	st := persist.NewMemStore()
+	b, _ := newJournaledBroker(t, st, syncEvery)
+	run := func(ids ...string) {
+		t.Helper()
+		msgs := make([]broker.Message, len(ids))
+		for i, id := range ids {
+			msgs[i] = broker.Message{Kind: broker.MsgPublish, PubID: id, Pub: subscription.NewPublication(1)}
+		}
+		if _, err := b.HandlePublishBatch("N1", msgs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run("a1", "a2", "a3", "a4") // four IDs, one record: synced
+	run("b1", "b2", "b3")       // three more: below the batch
+	st.Crash()
+	recs := journalRecords(t, st)
+	if len(recs) != 1 || !slices.Equal(pubIDsOf(t, recs[0]), []string{"a1", "a2", "a3", "a4"}) {
+		t.Fatalf("after the crash the journal holds %d records, want the synced four-ID run alone", len(recs))
 	}
 }

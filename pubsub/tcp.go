@@ -48,7 +48,11 @@ package pubsub
 //     buffered queue into pooled buffers, so a slow or stalled peer
 //     never blocks matching and concurrent publishes never interleave
 //     frame bytes. Whatever is already queued when it wakes goes out
-//     in the same write (up to maxWriteBatch bytes).
+//     in the same write (up to maxWriteBatch bytes). A client's end
+//     coalesces too: a send encodes its frame on the caller's
+//     goroutine into the client's pending buffer, and the client's
+//     one writer writes whatever is pending with one call per wake-up
+//     (see tcpClient).
 //   - Shutdown stops readers at a frame boundary, waits for in-flight
 //     handling, then closes the writer queues so every already-queued
 //     frame drains before the connections close.
@@ -119,9 +123,10 @@ func WithDataDir(dir string) TCPOption {
 }
 
 // WithJournalSync sets the journal's fsync batch: the log is forced
-// to stable storage after every n-th record (1 = every record;
-// default 64). Smaller n narrows the window a crash can lose at the
-// price of more fsyncs on the subscribe path.
+// to stable storage once n events were appended since the last sync,
+// where a record is one event and a publish run's pubids record counts
+// each ID it holds (1 = every record; default 64). Smaller n narrows
+// the window a crash can lose at the price of more fsyncs.
 func WithJournalSync(n int) TCPOption {
 	return func(c *tcpConfig) { c.syncEvery = n }
 }
@@ -1132,10 +1137,47 @@ func (t *TCPTransport) Shutdown(ctx context.Context) error {
 	return firstErr
 }
 
-// tcpClient is the socket side of a Client.
+// maxClientPending bounds the encoded bytes a client holds for its
+// writer: a send that finds this much already pending waits for the
+// writer to take it (see tcpClient.send).
+const maxClientPending = 256 << 10
+
+// clientCloseDrain bounds how long Close waits for the writer to flush
+// what was already accepted before it closes the connection under it.
+const clientCloseDrain = 5 * time.Second
+
+// errClientClosed is what a send on a closed client returns.
+var errClientClosed = fmt.Errorf("pubsub: client closed: %w", net.ErrClosed)
+
+// tcpClient is the socket side of a Client. A send encodes its frame
+// on the caller's goroutine into pending; one writer goroutine swaps
+// the buffer out and writes it with one call per wake-up, so the sends
+// that arrive while a write is in flight leave together in the next.
 type tcpClient struct {
 	conn net.Conn
-	mu   sync.Mutex // serializes writes
+	mu   sync.Mutex
+	// ready wakes the writer: pending gained bytes or err was set.
+	ready *sync.Cond
+	// room wakes senders waiting on the pending bound: the writer took
+	// the buffer, err was set, or a waiter's context ended.
+	room *sync.Cond
+	// +guarded_by:mu
+	pending []byte
+	// err is sticky: the first write error, or errClientClosed once
+	// Close began. Every later send returns it.
+	// +guarded_by:mu
+	err  error
+	done chan struct{} // closed when the writer exits
+}
+
+// newTCPClient wraps a connection whose handshake is done and starts
+// its writer.
+func newTCPClient(conn net.Conn) *tcpClient {
+	c := &tcpClient{conn: conn, done: make(chan struct{})}
+	c.ready = sync.NewCond(&c.mu)
+	c.room = sync.NewCond(&c.mu)
+	go c.run()
+	return c
 }
 
 // Dial connects a client to a broker's listen address — the
@@ -1174,27 +1216,93 @@ func Dial(ctx context.Context, addr, name string) (*Client, error) {
 		conn.Close()
 		return nil, fmt.Errorf("pubsub: handshake with %s: %w", addr, err)
 	}
-	c := &Client{name: name, impl: &tcpClient{conn: conn}, q: newNotifyQueue()}
+	c := &Client{name: name, impl: newTCPClient(conn), q: newNotifyQueue()}
 	go readNotifications(r, c.q)
 	return c, nil
 }
 
-// send encodes one message into a pooled buffer and writes it in one
-// call, honoring the context's deadline.
+// send encodes msg onto the pending buffer and returns: the frame is
+// accepted, and msg's slices are the caller's again. A send that finds
+// maxClientPending bytes pending waits for the writer to take them, or
+// until ctx ends; ctx bounds that wait, not the write.
 func (c *tcpClient) send(ctx context.Context, msg broker.Message) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if d, ok := ctx.Deadline(); ok {
-		c.conn.SetWriteDeadline(d)
-		defer c.conn.SetWriteDeadline(time.Time{})
+	if c.err == nil && len(c.pending) >= maxClientPending {
+		if err := c.waitRoom(ctx); err != nil {
+			return err
+		}
 	}
-	if err := writeFrame(c.conn, &Frame{Msg: &msg}); err != nil {
+	if c.err != nil {
+		return c.err
+	}
+	wake := len(c.pending) == 0
+	var err error
+	if c.pending, err = MarshalFrame(CodecBinary5, c.pending, &Frame{Msg: &msg}); err != nil {
 		return fmt.Errorf("pubsub: send: %w", err)
 	}
+	if wake {
+		c.ready.Signal()
+	}
 	return nil
+}
+
+// waitRoom waits until the pending bytes drop below maxClientPending,
+// the client fails or closes, or ctx ends, whose error it returns.
+//
+// +mustlock:mu
+func (c *tcpClient) waitRoom(ctx context.Context) error {
+	stop := context.AfterFunc(ctx, func() {
+		c.mu.Lock()
+		c.room.Broadcast()
+		c.mu.Unlock()
+	})
+	defer stop()
+	for c.err == nil && len(c.pending) >= maxClientPending {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		c.room.Wait()
+	}
+	return nil
+}
+
+// run is the writer: it takes whatever is pending and writes it in one
+// call, until a write fails or the client is closed and drained.
+func (c *tcpClient) run() {
+	defer close(c.done)
+	var buf []byte
+	for {
+		c.mu.Lock()
+		for len(c.pending) == 0 && c.err == nil {
+			c.ready.Wait()
+		}
+		if len(c.pending) == 0 {
+			c.mu.Unlock()
+			return
+		}
+		buf, c.pending = c.pending, buf[:0]
+		c.room.Broadcast()
+		c.mu.Unlock()
+		if _, err := c.conn.Write(buf); err != nil {
+			c.mu.Lock()
+			if c.err == nil {
+				c.err = fmt.Errorf("pubsub: send: %w", err)
+			}
+			c.pending = nil
+			c.room.Broadcast()
+			c.mu.Unlock()
+			return
+		}
+		// A burst far past the bound (one huge batch) does not pin its
+		// buffer for the client's lifetime.
+		if cap(buf) > 2*maxClientPending {
+			buf = nil
+		}
+	}
 }
 
 // readNotifications feeds pushed notifications into the queue, one
@@ -1213,4 +1321,32 @@ func readNotifications(r *frameReader, q *notifyQueue) {
 	q.finish()
 }
 
-func (c *tcpClient) close() error { return c.conn.Close() }
+// close stops accepting sends, waits up to clientCloseDrain for the
+// writer to flush what was accepted, and closes the connection. It
+// reports a flush that did not finish: the drain timed out, or a write
+// failed, now or before.
+func (c *tcpClient) close() error {
+	c.mu.Lock()
+	if c.err == nil {
+		c.err = errClientClosed
+	}
+	c.ready.Signal()
+	c.room.Broadcast()
+	c.mu.Unlock()
+	t := time.NewTimer(clientCloseDrain)
+	defer t.Stop()
+	select {
+	case <-c.done:
+	case <-t.C:
+		c.conn.Close()
+		return fmt.Errorf("pubsub: close: unsent frames dropped after %v", clientCloseDrain)
+	}
+	c.mu.Lock()
+	err := c.err
+	c.mu.Unlock()
+	cerr := c.conn.Close()
+	if err != errClientClosed {
+		return err
+	}
+	return cerr
+}

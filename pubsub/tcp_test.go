@@ -3,6 +3,7 @@ package pubsub
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -494,4 +495,190 @@ func TestTCPWriterCoalescesQueuedFrames(t *testing.T) {
 			t.Error("port survived an encode error")
 		}
 	})
+}
+
+// gatedClient is a client whose socket side writes to conn; it is
+// closed at cleanup.
+func gatedClient(t *testing.T, conn net.Conn) (*Client, *tcpClient) {
+	t.Helper()
+	tc := newTCPClient(conn)
+	c := &Client{name: "c", impl: tc, q: newNotifyQueue()}
+	t.Cleanup(func() { c.Close() })
+	return c, tc
+}
+
+// TestTCPClientCoalescesWrites pins the client's writer: publishes made
+// while a write is in flight leave together in the next write, in the
+// order they were made.
+func TestTCPClientCoalescesWrites(t *testing.T) {
+	conn := newGatedConn()
+	c, _ := gatedClient(t, conn)
+	ctx := testCtx(t)
+	const total = 101
+	if err := c.Publish(ctx, "p000", subscription.NewPublication(0)); err != nil {
+		t.Fatal(err)
+	}
+	<-conn.entered
+	for i := 1; i < total; i++ {
+		if err := c.Publish(ctx, fmt.Sprintf("p%03d", i), subscription.NewPublication(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(conn.release)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := conn.frames(t)
+	if len(got) != total {
+		t.Fatalf("decoded %d frames, want %d", len(got), total)
+	}
+	for i, m := range got {
+		if want := fmt.Sprintf("p%03d", i); m.PubID != want || m.Pub.Values[0] != int64(i) {
+			t.Fatalf("frame %d is %s %v, want %s (%d)", i, m.PubID, m.Pub.Values, want, i)
+		}
+	}
+	if conn.writes > 3 {
+		t.Errorf("%d writes for %d publishes, want at most 3", conn.writes, total)
+	}
+}
+
+// TestTCPClientBatchCopiedAtSend: a send encodes before it returns, so
+// a caller that overwrites its batch slice, the publications' values
+// included, at once still sends what it passed.
+func TestTCPClientBatchCopiedAtSend(t *testing.T) {
+	conn := newGatedConn()
+	c, _ := gatedClient(t, conn)
+	ctx := testCtx(t)
+	if err := c.Publish(ctx, "first", subscription.NewPublication(0)); err != nil {
+		t.Fatal(err)
+	}
+	<-conn.entered // the batch below waits behind this write
+	const rounds, size = 4, 16
+	batch := make([]BatchPub, size)
+	for i := range batch {
+		batch[i].Pub = subscription.NewPublication(0)
+	}
+	for r := 0; r < rounds; r++ {
+		for i := range batch {
+			batch[i].PubID = fmt.Sprintf("r%d-%d", r, i)
+			batch[i].Pub.Values[0] = int64(r*size + i)
+		}
+		if err := c.PublishBatch(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range batch {
+		batch[i].PubID, batch[i].Pub.Values[0] = "overwritten", -1
+	}
+	close(conn.release)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := conn.frames(t)
+	if len(got) != 1+rounds {
+		t.Fatalf("decoded %d frames, want %d", len(got), 1+rounds)
+	}
+	for r, m := range got[1:] {
+		if len(m.Pubs) != size {
+			t.Fatalf("batch %d carries %d items, want %d", r, len(m.Pubs), size)
+		}
+		for i, it := range m.Pubs {
+			if want := fmt.Sprintf("r%d-%d", r, i); it.PubID != want || it.Pub.Values[0] != int64(r*size+i) {
+				t.Fatalf("batch %d item %d = %s %v, want %s (%d)", r, i, it.PubID, it.Pub.Values, want, r*size+i)
+			}
+		}
+	}
+}
+
+// TestTCPClientCloseFlushes: Close sends every publication accepted
+// before it, so a burst followed at once by Close reaches the broker
+// whole.
+func TestTCPClientCloseFlushes(t *testing.T) {
+	b := listenTestBroker(t, "B1", Flood)
+	ctx := testCtx(t)
+	pub, err := Dial(ctx, b.Addr(), "bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const total = 1000
+	for i := 0; i < total; i++ {
+		if err := pub.Publish(ctx, fmt.Sprintf("p%d", i), subscription.NewPublication(int64(i), 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pub.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitMetric(t, b, 5*time.Second, func(m Metrics) bool { return m.PubsReceived == total })
+	if err := pub.Publish(ctx, "late", subscription.NewPublication(0, 0)); !errors.Is(err, net.ErrClosed) {
+		t.Errorf("publish after Close = %v, want net.ErrClosed", err)
+	}
+}
+
+// TestTCPClientPendingBound: with the connection stalled, the pending
+// bytes fill up to maxClientPending and the next send waits until its
+// context ends, then returns the context's error.
+func TestTCPClientPendingBound(t *testing.T) {
+	conn := newGatedConn()
+	c, tc := gatedClient(t, conn)
+	ctx := testCtx(t)
+	pad := strings.Repeat("x", 1000)
+	if err := c.Publish(ctx, "first", subscription.NewPublication(0)); err != nil {
+		t.Fatal(err)
+	}
+	<-conn.entered
+	full := func() bool {
+		tc.mu.Lock()
+		defer tc.mu.Unlock()
+		return len(tc.pending) >= maxClientPending
+	}
+	for i := 0; !full(); i++ {
+		if i > 2*maxClientPending/len(pad) {
+			t.Fatal("pending bytes never reached the bound")
+		}
+		if err := c.Publish(ctx, fmt.Sprintf("p%d-%s", i, pad), subscription.NewPublication(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const wait = 50 * time.Millisecond
+	dctx, cancel := context.WithTimeout(ctx, wait)
+	defer cancel()
+	start := time.Now()
+	err := c.Publish(dctx, "over", subscription.NewPublication(0))
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("send past the bound = %v, want context.DeadlineExceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed < wait || elapsed > wait+2*time.Second {
+		t.Errorf("send past the bound returned after %v, want its deadline (%v)", elapsed, wait)
+	}
+	close(conn.release)
+}
+
+// failConn is a connection whose every write fails.
+type failConn struct {
+	net.Conn // unused methods panic
+	err      error
+}
+
+func (c failConn) Write([]byte) (int, error) { return 0, c.err }
+func (c failConn) Close() error              { return nil }
+
+// TestTCPClientWriteErrorSticky: once a write fails, every later send
+// returns that error, and so does Close, whose flush did not happen.
+func TestTCPClientWriteErrorSticky(t *testing.T) {
+	boom := errors.New("connection reset")
+	c, tc := gatedClient(t, failConn{err: boom})
+	ctx := testCtx(t)
+	if err := c.Publish(ctx, "p1", subscription.NewPublication(0)); err != nil {
+		t.Fatalf("first send = %v, want it accepted", err)
+	}
+	<-tc.done // the writer exits on the failed write
+	for _, id := range []string{"p2", "p3"} {
+		if err := c.Publish(ctx, id, subscription.NewPublication(0)); !errors.Is(err, boom) {
+			t.Fatalf("send %s after the write error = %v, want %v", id, err, boom)
+		}
+	}
+	if err := c.Close(); !errors.Is(err, boom) {
+		t.Fatalf("Close after the write error = %v, want %v", err, boom)
+	}
 }

@@ -198,6 +198,16 @@ func (b *Broker) Observability() *obs.Registry {
 // Client is a subscriber/publisher endpoint, transport-independent.
 // Operations are context-aware; notifications stream on a channel.
 // A Client is safe for concurrent use.
+//
+// A send (Subscribe, Unsubscribe, Publish and their batches) returns
+// once its frame is accepted. On the simulator the operation has then
+// run to quiescence. On TCP the frame has been encoded, so the caller
+// may reuse everything it passed, values included, and the client's
+// writer puts it on the wire later, together with whatever else is
+// pending. The context bounds the wait for room when the client
+// already holds a full buffer of unsent frames, not the write itself.
+// A failed write fails every later send with its error; Close flushes
+// what was accepted.
 type Client struct {
 	name string
 	impl clientImpl
@@ -219,7 +229,8 @@ type clientImpl interface {
 // Name returns the client's endpoint name.
 func (c *Client) Name() string { return c.name }
 
-// Subscribe announces a subscription under a globally unique ID.
+// Subscribe announces a subscription under a globally unique ID. It
+// returns once the frame is accepted (see Client).
 func (c *Client) Subscribe(ctx context.Context, subID string, s Subscription) error {
 	if subID == "" {
 		return fmt.Errorf("pubsub: empty subscription id")
@@ -232,7 +243,9 @@ func (c *Client) Subscribe(ctx context.Context, subID string, s Subscription) er
 // coverage tables with a single batch call (broad subscriptions
 // suppress narrow ones arriving alongside them) and forwards the
 // surviving items onward as one frame, so the burst stays batched
-// end to end across the overlay. An empty burst is a no-op.
+// end to end across the overlay. An empty burst is a no-op. It
+// returns once the frame is accepted (see Client); the subs slice may
+// be reused at once.
 func (c *Client) SubscribeBatch(ctx context.Context, subs []BatchSub) error {
 	if len(subs) == 0 {
 		return nil
@@ -245,7 +258,8 @@ func (c *Client) SubscribeBatch(ctx context.Context, subs []BatchSub) error {
 	return c.impl.send(ctx, broker.Message{Kind: broker.MsgSubscribeBatch, Subs: subs})
 }
 
-// Unsubscribe cancels a previously announced subscription.
+// Unsubscribe cancels a previously announced subscription. It returns
+// once the frame is accepted (see Client).
 func (c *Client) Unsubscribe(ctx context.Context, subID string) error {
 	if subID == "" {
 		return fmt.Errorf("pubsub: empty subscription id")
@@ -256,7 +270,9 @@ func (c *Client) Unsubscribe(ctx context.Context, subID string) error {
 // UnsubscribeBatch cancels a burst of subscriptions as ONE protocol
 // message: each broker removes the burst from each per-neighbor table
 // with a single batch call and re-announces the promotions as one
-// subscribe batch per neighbor. An empty burst is a no-op.
+// subscribe batch per neighbor. An empty burst is a no-op. It returns
+// once the frame is accepted (see Client); the subIDs slice may be
+// reused at once.
 func (c *Client) UnsubscribeBatch(ctx context.Context, subIDs []string) error {
 	if len(subIDs) == 0 {
 		return nil
@@ -270,7 +286,8 @@ func (c *Client) UnsubscribeBatch(ctx context.Context, subIDs []string) error {
 }
 
 // Publish sends a publication under a globally unique ID (the overlay
-// deduplicates on it).
+// deduplicates on it). It returns once the frame is accepted (see
+// Client); ctx bounds the wait for room, not the write.
 func (c *Client) Publish(ctx context.Context, pubID string, p Publication) error {
 	if pubID == "" {
 		return fmt.Errorf("pubsub: empty publication id")
@@ -287,8 +304,8 @@ func (c *Client) Publish(ctx context.Context, pubID string, p Publication) error
 // a deliberate producer-side burst stays batched end to end across the
 // overlay. Publications are processed in slice order with the same
 // dedup and delivery semantics as per-item Publish. An empty burst is
-// a no-op. Against brokers that predate the PUBBATCH frame the burst
-// is transparently sent as per-item frames.
+// a no-op. It returns once the frame is accepted (see Client); the
+// pubs slice may be reused at once.
 func (c *Client) PublishBatch(ctx context.Context, pubs []BatchPub) error {
 	if len(pubs) == 0 {
 		return nil
@@ -314,8 +331,12 @@ func (c *Client) PublishBatch(ctx context.Context, pubs []BatchPub) error {
 func (c *Client) Notifications() <-chan Notification { return c.q.ch }
 
 // Close detaches the client and discards unread notifications. On TCP
-// this closes the connection; the broker keeps the client's
-// subscriptions (a later Open/Dial with the same name resumes them).
+// it first flushes every frame already accepted — waiting a bounded
+// time for a stalled connection, and returning an error when the flush
+// did not finish — and then closes the connection; later sends fail
+// with an error wrapping net.ErrClosed. The broker
+// keeps the client's subscriptions (a later Open/Dial with the same
+// name resumes them).
 func (c *Client) Close() error {
 	err := c.impl.close()
 	c.q.abandon()
