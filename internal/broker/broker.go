@@ -935,6 +935,14 @@ const shedCollectMin = 4096
 // scale harness's delivery oracle, TestScaleFloodMatchesOracle). The
 // copy also counts in the link's received set, so the digest balances.
 //
+// The up-front validation covers every error Table.SubscribeBatch can
+// return: the broker assigns fresh table IDs, drops repeats before the
+// tables see them, and rejects a burst holding an empty SubID or an
+// unsatisfiable box (no attributes included). Attribute counts
+// partition a table, so a mix of counts is admitted, each count
+// decided on its own. A burst that passes validation therefore reaches
+// the routes, the matcher and every table alike.
+//
 // +mustlock:mu
 func (b *Broker) handleSubscribeBatch(from string, kind MsgKind, items []BatchSub) ([]Outbound, error) {
 	// Validate before mutating anything: the wire is untrusted, and a

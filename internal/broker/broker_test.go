@@ -291,8 +291,10 @@ func TestHandleErrors(t *testing.T) {
 // — no SubID, an unsatisfiable box, a box without attributes — must not
 // reach the routing state, whether it arrives alone or in a batch
 // behind a valid item, and whether or not a neighbor table would have
-// seen it. A leftover would be backfilled into every later neighbor
-// table, whose admission then fails, so no further link could form.
+// seen it, under every coverage policy: the routes, the matcher, every
+// neighbor table and the journal are as before. A leftover would be
+// backfilled into every later neighbor table, whose admission then
+// fails, so no further link could form.
 func TestRejectedSubscribeLeavesNoTrace(t *testing.T) {
 	bad := map[string]BatchSub{
 		"no-id":         {SubID: "", Sub: box(0, 1, 0, 1)},
@@ -300,39 +302,143 @@ func TestRejectedSubscribeLeavesNoTrace(t *testing.T) {
 		"no-attributes": {SubID: "bad", Sub: subscription.New()},
 	}
 	ids := []string{"", "bad", "good", "live", "from-n1"}
+	// view adds to observe what the tables and the journal hold.
+	type view struct {
+		brokerView
+		Roots   map[string][]BatchSub
+		Journal []string
+	}
+	look := func(b *Broker, j *msgJournal) view {
+		v := view{brokerView: observe(b, ids), Roots: make(map[string][]BatchSub), Journal: slices.Clone(j.subIDs)}
+		for _, n := range b.Neighbors() {
+			v.Roots[n] = b.NeighborRoots(n)
+		}
+		return v
+	}
 	for _, neighbor := range []bool{false, true} {
 		for what, it := range bad {
 			for _, kind := range []MsgKind{MsgSubscribe, MsgSubscribeBatch} {
 				t.Run(fmt.Sprintf("neighbor=%v/%s/%s", neighbor, kind, what), func(t *testing.T) {
-					b := newBroker(t, store.PolicyPairwise)
-					b.AttachClient("C")
-					if _, err := b.Handle("C", Message{Kind: MsgSubscribe, SubID: "live", Sub: box(0, 10, 0, 10)}); err != nil {
-						t.Fatal(err)
-					}
-					if neighbor {
-						if err := b.ConnectNeighbor("N1"); err != nil {
+					for _, policy := range []store.Policy{store.PolicyNone, store.PolicyPairwise, store.PolicyGroup} {
+						b := newBroker(t, policy)
+						j := &msgJournal{}
+						b.SetJournal(j)
+						b.AttachClient("C")
+						b.AttachClient("P")
+						if _, err := b.Handle("C", Message{Kind: MsgSubscribe, SubID: "live", Sub: box(0, 10, 0, 10)}); err != nil {
 							t.Fatal(err)
 						}
-						if _, err := b.Handle("N1", Message{Kind: MsgSubscribe, SubID: "from-n1", Sub: box(20, 30, 20, 30)}); err != nil {
+						if neighbor {
+							if err := b.ConnectNeighbor("N1"); err != nil {
+								t.Fatal(err)
+							}
+							if _, err := b.Handle("N1", Message{Kind: MsgSubscribe, SubID: "from-n1", Sub: box(0, 30, 0, 30)}); err != nil {
+								t.Fatal(err)
+							}
+						}
+						msg := Message{Kind: kind, SubID: it.SubID, Sub: it.Sub}
+						if kind == MsgSubscribeBatch {
+							msg = Message{Kind: kind, Subs: []BatchSub{{SubID: "good", Sub: box(0, 50, 0, 50)}, it}}
+						}
+						before := look(b, j)
+						if _, err := b.Handle("C", msg); err == nil {
+							t.Fatalf("%v: %v of %+v accepted", policy, kind, it)
+						}
+						if after := look(b, j); !reflect.DeepEqual(after, before) {
+							t.Fatalf("%v: rejection changed the broker:\nbefore %+v\nafter  %+v", policy, before, after)
+						}
+						// The matcher: a point inside every satisfiable box above
+						// notifies C of live alone.
+						out, err := b.Handle("P", Message{Kind: MsgPublish, PubID: "probe", Pub: subscription.NewPublication(1, 1)})
+						if err != nil {
 							t.Fatal(err)
 						}
-					}
-					msg := Message{Kind: kind, SubID: it.SubID, Sub: it.Sub}
-					if kind == MsgSubscribeBatch {
-						msg = Message{Kind: kind, Subs: []BatchSub{{SubID: "good", Sub: box(40, 50, 40, 50)}, it}}
-					}
-					before := observe(b, ids)
-					if _, err := b.Handle("C", msg); err == nil {
-						t.Fatalf("%v of %+v accepted", kind, it)
-					}
-					if after := observe(b, ids); !reflect.DeepEqual(after, before) {
-						t.Fatalf("rejection changed the broker:\nbefore %+v\nafter  %+v", before, after)
-					}
-					if err := b.ConnectNeighbor("N2"); err != nil {
-						t.Fatalf("a later link failed: %v", err)
+						var notified []string
+						for _, o := range out {
+							if o.To == "C" {
+								notified = append(notified, o.Msg.SubIDs...)
+							}
+						}
+						if !slices.Equal(notified, []string{"live"}) {
+							t.Fatalf("%v: the probe publication notified C of %v, want [live]", policy, notified)
+						}
+						if err := b.ConnectNeighbor("N2"); err != nil {
+							t.Fatalf("%v: a later link failed: %v", policy, err)
+						}
 					}
 				})
 			}
+		}
+	}
+}
+
+// msgJournal keeps the subscription IDs of the messages a broker
+// journals.
+type msgJournal struct{ subIDs []string }
+
+func (j *msgJournal) RecordAttach(string, bool) {}
+func (j *msgJournal) RecordPubsSeen([]string)   {}
+func (j *msgJournal) RecordMessage(_ string, msg *Message) {
+	j.subIDs = append(j.subIDs, msg.SubID)
+}
+
+// TestMixedAttributeCountsPartition: under the group policy a client's
+// subscriptions of two attribute counts are both admitted, and the
+// routes, the matcher, every neighbor's table and the journal agree on
+// them. Each count is decided on its own; an arrival of a count no
+// active subscription has is active, not an error.
+func TestMixedAttributeCountsPartition(t *testing.T) {
+	b := newBroker(t, store.PolicyGroup)
+	j := &msgJournal{}
+	b.SetJournal(j)
+	for _, n := range []string{"n1", "n2"} {
+		if err := b.ConnectNeighbor(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.AttachClient("c")
+	s3 := subscription.New(interval.New(0, 10), interval.New(0, 10), interval.New(0, 10))
+	for _, m := range []Message{
+		{Kind: MsgSubscribe, SubID: "s2", Sub: box(0, 10, 0, 10)},
+		{Kind: MsgSubscribe, SubID: "s3", Sub: s3},
+	} {
+		out, err := b.Handle("c", m)
+		if err != nil {
+			t.Fatalf("subscribe %s: %v", m.SubID, err)
+		}
+		if len(out) != 2 {
+			t.Fatalf("subscribe %s forwarded %+v, want one frame to each neighbor", m.SubID, out)
+		}
+	}
+	if n := b.SubscriptionCount(); n != 2 {
+		t.Errorf("%d routes, want 2", n)
+	}
+	if !slices.Equal(j.subIDs, []string{"s2", "s3"}) {
+		t.Errorf("journaled %v, want [s2 s3]", j.subIDs)
+	}
+	for _, n := range []string{"n1", "n2"} {
+		var roots []string
+		for _, it := range b.NeighborRoots(n) {
+			roots = append(roots, it.SubID)
+		}
+		slices.Sort(roots)
+		if !slices.Equal(roots, []string{"s2", "s3"}) {
+			t.Errorf("%s's table holds the roots %v, want [s2 s3]", n, roots)
+		}
+	}
+	for _, c := range []struct {
+		pub  subscription.Publication
+		want string
+	}{
+		{subscription.NewPublication(5, 5), "s2"},
+		{subscription.NewPublication(5, 5, 5), "s3"},
+	} {
+		out, err := b.Handle("n1", Message{Kind: MsgPublish, PubID: c.want, Pub: c.pub})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != 1 || out[0].To != "c" || !slices.Equal(out[0].Msg.SubIDs, []string{c.want}) {
+			t.Errorf("publication %v: outbound %+v, want one notification of %s to c", c.pub.Values, out, c.want)
 		}
 	}
 }

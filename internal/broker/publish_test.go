@@ -85,32 +85,36 @@ func BenchmarkBrokerPublish(b *testing.B) {
 // BenchmarkBrokerHeapPerSub reports the heap a broker holds per
 // subscription — boxes, IDs and routing state included — after 20k
 // narrow-mix subscriptions from one client, with 0, 1 and 2 neighbour
-// coverage tables (flooding, so every table holds every subscription).
+// coverage tables, under each coverage policy. Every table holds every
+// subscription; under pairwise and group a covered one also holds its
+// coverer links.
 func BenchmarkBrokerHeapPerSub(b *testing.B) {
 	const n = 20_000
-	for _, tables := range []int{0, 1, 2} {
-		b.Run(fmt.Sprintf("tables-%d", tables), func(b *testing.B) {
-			var perSub float64
-			for b.Loop() {
-				var before, after runtime.MemStats
-				runtime.GC()
-				runtime.ReadMemStats(&before)
-				br := newBroker(b, store.PolicyNone)
-				for i := range tables {
-					if err := br.ConnectNeighbor(fmt.Sprintf("n%d", i)); err != nil {
-						b.Fatal(err)
+	for _, policy := range []store.Policy{store.PolicyNone, store.PolicyPairwise, store.PolicyGroup} {
+		for _, tables := range []int{0, 1, 2} {
+			b.Run(fmt.Sprintf("%s/tables-%d", policy, tables), func(b *testing.B) {
+				var perSub float64
+				for b.Loop() {
+					var before, after runtime.MemStats
+					runtime.GC()
+					runtime.ReadMemStats(&before)
+					br := newBroker(b, policy)
+					for i := range tables {
+						if err := br.ConnectNeighbor(fmt.Sprintf("n%d", i)); err != nil {
+							b.Fatal(err)
+						}
 					}
+					br.AttachClient("c")
+					subs, _ := narrowPopulation(b, n)
+					subscribeSpread(b, br, []string{"c"}, subs)
+					runtime.GC()
+					runtime.ReadMemStats(&after)
+					perSub = float64(after.HeapAlloc-before.HeapAlloc) / n
+					runtime.KeepAlive(br)
 				}
-				br.AttachClient("c")
-				subs, _ := narrowPopulation(b, n)
-				subscribeSpread(b, br, []string{"c"}, subs)
-				runtime.GC()
-				runtime.ReadMemStats(&after)
-				perSub = float64(after.HeapAlloc-before.HeapAlloc) / n
-				runtime.KeepAlive(br)
-			}
-			b.ReportMetric(perSub, "B/sub")
-		})
+				b.ReportMetric(perSub, "B/sub")
+			})
+		}
 	}
 }
 

@@ -330,15 +330,10 @@ func (st *Store) decideCoverage(s subscription.Subscription) (Status, []ID, core
 		}
 		return StatusCovered, []ID{ID(ids[best])}, core.Result{}, nil
 	default: // PolicyGroup
-		// The checker rejects a set of another attribute count than s,
-		// but the candidates come from s's count alone, so the store
-		// raises that error itself.
-		if _, ok := st.active[s.Len()]; !ok && len(st.active) > 0 {
-			return 0, nil, core.Result{}, fmt.Errorf("store: no active subscription has %d attributes: %w",
-				s.Len(), subscription.ErrSchemaMismatch)
-		}
-		// The candidates come in slot order; the checker orders them by
-		// ID itself, as if they were sorted.
+		// The candidates are rows of s's attribute count alone, so each
+		// count is decided as if the store held no other. They come in
+		// slot order; the checker orders them by ID itself, as if they
+		// were sorted.
 		ids, subs := st.candidates(s, false)
 		if err := st.checker.CoveredIntoKeyed(&st.checkRes, s, subs, ids); err != nil {
 			return 0, nil, core.Result{}, err

@@ -122,31 +122,62 @@ func TestSubscribeErrors(t *testing.T) {
 	}
 }
 
-// TestSubscribeSchemaMismatch: under the group policy an arrival whose
-// attribute count differs from the active set's is an error wrapping
-// subscription.ErrSchemaMismatch, with the candidate index on or off,
-// and leaves the store as it was; one without attributes is an error.
+// TestSubscribeSchemaMismatch: attribute counts partition a group
+// store. A store fed subscriptions of two counts, with the candidate
+// index on or off, decides every arrival and every removal as a
+// single-count store fed only that count would, and holds the union of
+// their active sets; a subscription without attributes is an error.
 func TestSubscribeSchemaMismatch(t *testing.T) {
-	for _, pruning := range []bool{true, false} {
-		st, err := New(PolicyGroup)
-		if err != nil {
-			t.Fatal(err)
+	rng := rand.New(rand.NewPCG(7, 11))
+	subs := make([]subscription.Subscription, 160)
+	for i := range subs {
+		bounds := make([]interval.Interval, 2+rng.IntN(2))
+		for a := range bounds {
+			lo := rng.Int64N(80)
+			bounds[a] = interval.New(lo, lo+1+rng.Int64N(40))
 		}
-		st.unpruned = !pruning
-		for id, s := range []subscription.Subscription{box(0, 10, 0, 10), box(5, 20, 0, 10)} {
-			if _, err := st.Subscribe(ID(id), s); err != nil {
-				t.Fatal(err)
+		subs[i] = subscription.New(bounds...)
+	}
+	for _, pruning := range []bool{true, false} {
+		mixed := groupStore(t)
+		mixed.unpruned = !pruning
+		single := map[int]*Store{2: groupStore(t), 3: groupStore(t)}
+		covered := map[int]int{}
+		for i, s := range subs {
+			got, err := mixed.Subscribe(ID(i), s)
+			want, werr := single[s.Len()].Subscribe(ID(i), s)
+			if err != nil || werr != nil {
+				t.Fatalf("pruning %v: subscribe %d: mixed %v, single-count %v", pruning, i, err, werr)
+			}
+			if got.Status != want.Status || !slices.Equal(got.Coverers, want.Coverers) {
+				t.Fatalf("pruning %v: subscribe %d (%d attributes): mixed %v %v, single-count %v %v",
+					pruning, i, s.Len(), got.Status, got.Coverers, want.Status, want.Coverers)
+			}
+			if got.Status == StatusCovered {
+				covered[s.Len()]++
 			}
 		}
-		odd := subscription.New(interval.New(2, 3), interval.New(2, 3), interval.New(2, 3))
-		if _, err := st.Subscribe(2, odd); !errors.Is(err, subscription.ErrSchemaMismatch) {
-			t.Errorf("pruning %v: mixed-arity error = %v, want a schema mismatch", pruning, err)
+		if covered[2] == 0 || covered[3] == 0 {
+			t.Fatalf("covered arrivals by attribute count = %v; the stream must cover some of each", covered)
 		}
-		if _, err := st.Subscribe(3, subscription.New()); err == nil {
+		for i := 0; i < len(subs); i += 3 {
+			got, err := mixed.Unsubscribe(ID(i))
+			want, werr := single[subs[i].Len()].Unsubscribe(ID(i))
+			if err != nil || werr != nil || !slices.Equal(got.Promoted, want.Promoted) {
+				t.Fatalf("pruning %v: unsubscribe %d: mixed %v %v, single-count %v %v",
+					pruning, i, got.Promoted, err, want.Promoted, werr)
+			}
+		}
+		want := append(single[2].ActiveIDs(), single[3].ActiveIDs()...)
+		slices.Sort(want)
+		if got := mixed.ActiveIDs(); !slices.Equal(got, want) {
+			t.Errorf("pruning %v: active %v, want the single-count stores' union %v", pruning, got, want)
+		}
+		if _, err := mixed.Subscribe(ID(len(subs)), subscription.New()); err == nil {
 			t.Errorf("pruning %v: a subscription without attributes was admitted", pruning)
 		}
-		if st.Len() != 2 {
-			t.Errorf("pruning %v: %d subscriptions stored after the rejected ones, want 2", pruning, st.Len())
+		if n := single[2].Len() + single[3].Len(); mixed.Len() != n {
+			t.Errorf("pruning %v: %d subscriptions stored, want %d", pruning, mixed.Len(), n)
 		}
 	}
 }

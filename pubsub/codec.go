@@ -46,17 +46,15 @@ package pubsub
 // emits notify since notify-batch was added; its grammar stays for codec
 // measurements.
 //
-// Encoding appends into pooled buffers — a port writer gathers every
-// frame already queued into one of them and writes it with one call;
-// decoding parses in place from the connection's read
-// buffer — the payload is never copied into an intermediate frame,
-// only the fields that outlive it (strings, bounds, values) are
-// materialized.
+// Encoding appends to the sending connection's pending buffer, which
+// its writer writes with one call (connWriter); decoding parses in
+// place from the connection's read buffer — the payload is never
+// copied into an intermediate frame, only the fields that outlive it
+// (strings, bounds, values) are materialized.
 
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"unicode/utf8"
 
 	"probsum/internal/broker"
@@ -83,15 +81,6 @@ const (
 	kindHello = 0xF0
 	kindAck   = 0xF1
 )
-
-// encBufPool pools encode scratch buffers across writers, readers'
-// replies, and client sends.
-var encBufPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 4096); return &b },
-}
-
-func getEncBuf() *[]byte  { return encBufPool.Get().(*[]byte) }
-func putEncBuf(b *[]byte) { *b = (*b)[:0]; encBufPool.Put(b) }
 
 // MarshalFrame appends the wire encoding of fr to buf and returns the
 // extended slice. codec must be CodecBinary5. A frame is a hello

@@ -107,14 +107,15 @@ func registerCheckerMetrics(reg *obs.Registry, b *broker.Broker) {
 	}
 }
 
-// registerQueueDepths exposes per-port send-queue depth as a labeled
-// gauge family (and the sum as a plain gauge).
+// registerQueueDepths exposes per-port send-queue depth — the frames
+// a port's writer accepted and has not yet taken — as a labeled gauge
+// family (and the sum as a plain gauge).
 func registerQueueDepths(reg *obs.Registry, s *tcpServer) {
 	depths := func(emit func(string, int64)) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		for name, p := range s.ports {
-			emit(name, int64(len(p.ch)))
+			emit(name, int64(p.depth()))
 		}
 	}
 	reg.RegisterGaugeVec("send_queue_depth", depths)

@@ -13,10 +13,11 @@ package pubsub
 // registers the link and answers with an ack before any other frame,
 // and a dialing broker reads that ack before it registers its own end.
 // Hello and ack advertise the sender's cluster version, so both ends
-// of a peer link know each other's from the handshake. A hello the acceptor cannot accept — a foreign header version, bytes
-// that are not a frame, a frame that is not a hello — closes the
-// connection with one handshake_refused flight event and nothing
-// else; an ack the dialer cannot accept is a lost link.
+// of a peer link know each other's from the handshake. A hello the
+// acceptor cannot accept closes the connection with one
+// handshake_refused flight event and nothing else: a foreign header
+// version, bytes that are not a frame, or a frame that is not a hello.
+// An ack the dialer cannot accept is a lost link.
 //
 // Every frame after the handshake carries one broker.Message —
 // including the SUBBATCH/UNSUBBATCH bursts that feed batch admission.
@@ -44,22 +45,19 @@ package pubsub
 //     already buffered coalesces them (up to maxPublishCoalesce) into
 //     ONE HandlePublishBatch call, paying the RWMutex once per run
 //     instead of once per frame at high rates.
-//   - one WRITER goroutine per connection encodes frames from a
-//     buffered queue into pooled buffers, so a slow or stalled peer
-//     never blocks matching and concurrent publishes never interleave
-//     frame bytes. Whatever is already queued when it wakes goes out
-//     in the same write (up to maxWriteBatch bytes). A client's end
-//     coalesces too: a send encodes its frame on the caller's
-//     goroutine into the client's pending buffer, and the client's
-//     one writer writes whatever is pending with one call per wake-up
-//     (see tcpClient).
+//   - one WRITER per connection, the same at both ends (connWriter):
+//     a send encodes its frame on the sender's goroutine into the
+//     connection's pending buffer, and one goroutine writes whatever
+//     is pending with one call per wake-up. A slow or stalled peer
+//     never blocks matching beyond the pending bound, and concurrent
+//     senders never interleave frame bytes.
 //   - Shutdown stops readers at a frame boundary, waits for in-flight
-//     handling, then closes the writer queues so every already-queued
-//     frame drains before the connections close.
+//     handling, then closes the writers so every accepted frame is
+//     written before the connections close.
 //
 // Per-destination delivery order is preserved end to end: a reader
-// enqueues each frame's output before decoding the next, and a single
-// writer drains each queue in FIFO order.
+// sends each frame's output before decoding the next, and a writer
+// writes its frames in the order they were accepted.
 
 import (
 	"context"
@@ -103,8 +101,6 @@ const clusterProtoVersion = 1
 type TCPOption func(*tcpConfig)
 
 type tcpConfig struct {
-	queueLen int
-
 	dataDir      string        // durability directory ("" = in-memory only)
 	syncEvery    int           // journal fsync batch (0 = BrokerJournal default)
 	snapInterval time.Duration // periodic snapshot cadence (0 = 30s)
@@ -137,46 +133,29 @@ func WithSnapshotInterval(d time.Duration) TCPOption {
 	return func(c *tcpConfig) { c.snapInterval = d }
 }
 
-// withSendQueue sets the per-port outbound queue length (default 256
-// frames). A full queue applies backpressure to the readers that are
-// producing for it.
-func withSendQueue(n int) TCPOption {
-	return func(c *tcpConfig) { c.queueLen = n }
-}
-
-// tcpPort is one link's sending side: a connection, its writer
-// goroutine's queue, and a kill switch. Its fields are set before
-// install makes it visible.
+// tcpPort is one link's sending side: the connection's writer and
+// what the broker knows of the link. Its fields are set before install
+// makes it visible; the writer's state is the port's liveness (alive,
+// kill).
 type tcpPort struct {
+	*connWriter
 	name   string
 	peer   bool // a neighbor broker (as opposed to a client)
 	dialed bool // this broker dialed the connection (see install)
-	conn   net.Conn
 	// cluster is the membership protocol version the destination
 	// advertised in the handshake; control frames (ping/pong/gossip)
 	// are dropped when it is 0 — peers without a cluster layer must
 	// never see them.
 	cluster uint8
-	ack     *Frame // the acceptor's ack, written before any queued frame
-	ch      chan broker.Message
-	dead    chan struct{} // closed when the port is torn down mid-stream
-	once    sync.Once
-
-	// stats counts frames queued toward this destination by wire kind
-	// (atomic fixed-array adds — zero allocations on the frame path);
-	// writeHist/clock time the encode+write stage.
-	stats     *obs.LinkStats
-	writeHist *obs.Histogram
-	clock     func() time.Time
+	// stats counts frames sent toward this destination by wire kind
+	// (atomic fixed-array adds — zero allocations on the frame path).
+	stats *obs.LinkStats
 }
 
-// writeFrame encodes one handshake or message frame into a pooled
-// buffer and writes it in a single call.
+// writeFrame encodes one handshake frame and writes it in a single
+// call.
 func writeFrame(conn net.Conn, fr *Frame) error {
-	buf := getEncBuf()
-	defer putEncBuf(buf)
-	data, err := MarshalFrame(CodecBinary5, (*buf)[:0], fr)
-	*buf = data[:0]
+	data, err := MarshalFrame(CodecBinary5, nil, fr)
 	if err != nil {
 		return err
 	}
@@ -184,79 +163,10 @@ func writeFrame(conn net.Conn, fr *Frame) error {
 	return err
 }
 
-// maxWriteBatch bounds the bytes a port writer gathers from its queue
-// before it writes; the frame that crosses it is the last one taken.
-const maxWriteBatch = 64 << 10
-
-// writeQueued encodes first and then every message already waiting in
-// the queue, without blocking, into one pooled buffer until the buffer
-// passes maxWriteBatch, and writes them with one call. It reports
-// whether the queue is still open: a queue closed mid-drain still gets
-// what was gathered written. An encode error still writes the frames
-// before it, then returns that error. The encode+write stage is timed
-// once and split evenly over the frames it carried.
-func (p *tcpPort) writeQueued(first *broker.Message) (open bool, err error) {
-	t0 := p.clock()
-	buf := getEncBuf()
-	defer putEncBuf(buf)
-	frames := 0
-	data, err := MarshalFrame(CodecBinary5, (*buf)[:0], &Frame{Msg: first})
-	if err == nil {
-		frames++
-	}
-	open = true
-drain:
-	for err == nil && len(data) < maxWriteBatch {
-		select {
-		case msg, ok := <-p.ch:
-			if !ok {
-				open = false
-				break drain
-			}
-			// A failed encode leaves data as it was.
-			if data, err = MarshalFrame(CodecBinary5, data, &Frame{Msg: &msg}); err == nil {
-				frames++
-			}
-		default:
-			break drain
-		}
-	}
-	*buf = data[:0]
-	if frames > 0 {
-		if _, werr := p.conn.Write(data); werr != nil {
-			err = werr
-		}
-		share := p.clock().Sub(t0) / time.Duration(frames)
-		for range frames {
-			p.writeHist.Observe(share)
-		}
-	}
-	return open, err
-}
-
-// kill marks the port dead: senders stop enqueueing and the writer
-// exits without draining. It reports whether this call was the one
-// that killed it.
-func (p *tcpPort) kill() (first bool) {
-	p.once.Do(func() { close(p.dead); first = true })
-	return first
-}
-
-// alive reports whether the port has not been killed.
-func (p *tcpPort) alive() bool {
-	select {
-	case <-p.dead:
-		return false
-	default:
-		return true
-	}
-}
-
 // tcpServer hosts one broker behind a TCP listener.
 type tcpServer struct {
-	b   *broker.Broker
-	ln  net.Listener
-	cfg tcpConfig
+	b  *broker.Broker
+	ln net.Listener
 
 	mu sync.Mutex
 	// +guarded_by:mu
@@ -291,7 +201,6 @@ type tcpServer struct {
 	obsClock func() time.Time
 
 	stopping chan struct{} // Shutdown began: stop accepting/registering
-	closed   chan struct{} // hard close: abandon queued frames
 
 	readerWg sync.WaitGroup // accept loop, handshakes and per-connection readers
 	writerWg sync.WaitGroup // per-port writers
@@ -301,10 +210,7 @@ type tcpServer struct {
 }
 
 // newTCPServer starts a server for the given broker on addr.
-func newTCPServer(b *broker.Broker, addr string, cfg tcpConfig) (*tcpServer, error) {
-	if cfg.queueLen <= 0 {
-		cfg.queueLen = 256
-	}
+func newTCPServer(b *broker.Broker, addr string) (*tcpServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("pubsub: listen %s: %w", addr, err)
@@ -312,11 +218,9 @@ func newTCPServer(b *broker.Broker, addr string, cfg tcpConfig) (*tcpServer, err
 	s := &tcpServer{
 		b:        b,
 		ln:       ln,
-		cfg:      cfg,
 		ports:    make(map[string]*tcpPort),
 		readers:  make(map[net.Conn]struct{}),
 		stopping: make(chan struct{}),
-		closed:   make(chan struct{}),
 	}
 	s.reg = newServerRegistry(b)
 	s.hDecode = s.reg.Histogram(histFrameDecode)
@@ -332,18 +236,13 @@ func newTCPServer(b *broker.Broker, addr string, cfg tcpConfig) (*tcpServer, err
 // addr returns the bound listener address.
 func (s *tcpServer) addr() string { return s.ln.Addr().String() }
 
-// newPort builds a port for one connection; the caller sets the peer
-// fields and installs it.
+// newPort builds a port for one connection, its writer timed by the
+// server's stage histograms; the caller sets the peer fields and
+// installs it.
 func (s *tcpServer) newPort(name string, conn net.Conn) *tcpPort {
-	return &tcpPort{
-		name:      name,
-		conn:      conn,
-		ch:        make(chan broker.Message, s.cfg.queueLen),
-		dead:      make(chan struct{}),
-		stats:     s.reg.Link(name),
-		writeHist: s.hWrite,
-		clock:     s.obsClock,
-	}
+	w := newConnWriter(conn)
+	w.enqHist, w.writeHist, w.clock = s.hEnqueue, s.hWrite, s.obsClock
+	return &tcpPort{connWriter: w, name: name, stats: s.reg.Link(name)}
 }
 
 // install registers p as the port for its name and starts its writer.
@@ -389,48 +288,28 @@ func (s *tcpServer) install(p *tcpPort) (bool, error) {
 	}
 	s.ports[p.name] = p
 	// Count the writer before releasing the lock: shutdown closes the
-	// registered ports' queues under the same lock, so a port is never
+	// registered ports' writers under the same lock, so a port is never
 	// registered without its writer being awaited.
 	s.writerWg.Add(1)
 	s.mu.Unlock()
-	go s.runWriter(p)
+	go s.runPort(p)
 	return true, nil
 }
 
-// runWriter sends the port's ack, if any, and then drains its queue
-// onto the connection, one write per run of queued frames
-// (writeQueued). A closed queue (graceful shutdown) is drained to the
-// last frame and the connection closed; a killed port (replacement,
-// lost link, hard close) exits at once, and whoever killed it owns the
-// connection.
-func (s *tcpServer) runWriter(p *tcpPort) {
+// runPort runs the port's writer and acts on why it ended: a killed
+// port (replacement, lost link, hard close) belongs to whoever killed
+// it; a port closed by shutdown was drained and closes its
+// connection; a failed write or an unencodable message drops the port.
+// Message loss on broken links is the lossy-environment behavior the
+// protocol already tolerates.
+func (s *tcpServer) runPort(p *tcpPort) {
 	defer s.writerWg.Done()
-	if p.ack != nil && writeFrame(p.conn, p.ack) != nil {
+	switch p.run() {
+	case errKilled:
+	case errClosed:
+		p.conn.Close()
+	default:
 		s.drop(p)
-		return
-	}
-	for {
-		select {
-		case <-p.dead:
-			return
-		case msg, ok := <-p.ch:
-			if !ok {
-				p.conn.Close()
-				return
-			}
-			open, err := p.writeQueued(&msg)
-			if err != nil {
-				// The destination vanished; message loss on broken links
-				// is the lossy-environment behavior the protocol already
-				// tolerates.
-				s.drop(p)
-				return
-			}
-			if !open {
-				p.conn.Close()
-				return
-			}
-		}
 	}
 }
 
@@ -504,7 +383,7 @@ func (s *tcpServer) livePeer(id string) *tcpPort {
 	return p
 }
 
-// sendPeer queues one message for a peer broker. It reports whether a
+// sendPeer sends one message to a peer broker. It reports whether a
 // live link to the peer existed and the message passed the cluster
 // gate — delivery itself stays best-effort, like all sends.
 func (s *tcpServer) sendPeer(id string, msg broker.Message) bool {
@@ -512,7 +391,7 @@ func (s *tcpServer) sendPeer(id string, msg broker.Message) bool {
 	return p != nil && s.sendTo(p, msg)
 }
 
-// send queues one outbound message; it drops when the destination is
+// send sends one outbound message; it drops when the destination is
 // unknown.
 func (s *tcpServer) send(o broker.Outbound) {
 	s.mu.Lock()
@@ -523,11 +402,12 @@ func (s *tcpServer) send(o broker.Outbound) {
 	}
 }
 
-// sendTo queues one message onto a resolved port and reports whether
-// it passed the cluster gate. It blocks when the port's queue is full
-// (backpressure) and drops when the port is dead or the server is
-// hard-closing — transient absence is the lossy-link behavior the
-// protocol already tolerates. Control frames (ping, pong, gossip,
+// sendTo sends one message on a resolved port and reports whether it
+// passed the cluster gate. It waits while the port's pending bound is
+// reached (backpressure) and drops when the port is dead — transient
+// absence is the lossy-link behavior the protocol already tolerates.
+// A message the port cannot encode is dropped with the port, after the
+// frames accepted before it. Control frames (ping, pong, gossip,
 // ping-req, gossip-delta) are dropped, counted, toward destinations
 // that advertised no cluster layer — a hand-wired peer: membership
 // does not extend to them.
@@ -538,18 +418,16 @@ func (s *tcpServer) sendTo(p *tcpPort, msg broker.Message) bool {
 		return false
 	}
 	p.stats.Sent(int(msg.Kind))
-	t0 := s.obsClock()
-	select {
-	case p.ch <- msg:
-	case <-p.dead:
-	case <-s.closed:
+	// A writer that still accepts sends refuses only a frame it cannot
+	// encode; finishing one that already ended changes nothing.
+	if err := p.send(context.Background(), msg); err != nil {
+		p.finish(err)
 	}
-	s.hEnqueue.Observe(s.obsClock().Sub(t0))
 	return true
 }
 
 // dispatch runs one inbound message through the broker and fans the
-// results out to the per-port queues.
+// results out to the ports.
 func (s *tcpServer) dispatch(from string, msg broker.Message) error {
 	outs, err := s.b.Handle(from, msg)
 	if err != nil {
@@ -623,8 +501,8 @@ func (s *tcpServer) untrackReader(conn net.Conn) {
 const maxPublishCoalesce = 64
 
 // serveConn runs the accepting end of the handshake — read the hello,
-// register the neighbor or client and its port, whose writer sends the
-// ack ahead of every other frame — and then serves the connection.
+// register the neighbor or client and its port, whose first frame is
+// the ack — and then serves the connection.
 func (s *tcpServer) serveConn(conn net.Conn) {
 	defer s.readerWg.Done()
 	r := newFrameReader(conn)
@@ -640,7 +518,8 @@ func (s *tcpServer) serveConn(conn net.Conn) {
 		return
 	}
 	p := s.newPort(hello.Hello, conn)
-	p.ack = &Frame{Ack: s.b.ID(), Cluster: s.clusterVer()}
+	// The writer is not running yet, so the ack is the first frame.
+	p.sendFrame(context.Background(), &Frame{Ack: s.b.ID(), Cluster: s.clusterVer()})
 	if hello.Client {
 		s.b.AttachClient(p.name)
 	} else {
@@ -666,27 +545,19 @@ func (s *tcpServer) serveConn(conn net.Conn) {
 // call established it: false (with nil error) when a live link
 // already existed — then nothing is dialed — or when the neighbor's
 // own concurrent dial won the tie-break (see install). An established
-// link has queued its link sync when dialPeer returns.
+// link has sent its link sync when dialPeer returns.
 func (s *tcpServer) dialPeer(id, addr string) (bool, error) {
 	if s.livePeer(id) != nil {
 		return false, nil
 	}
-	conn, err := net.DialTimeout("tcp", addr, peerDialTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), peerDialTimeout)
+	defer cancel()
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return false, fmt.Errorf("pubsub: dial peer %s at %s: %w", id, addr, err)
 	}
-	if err := writeFrame(conn, &Frame{Hello: s.b.ID(), Cluster: s.clusterVer()}); err != nil {
-		conn.Close()
-		return false, fmt.Errorf("pubsub: hello to %s: %w", id, err)
-	}
-	r := newFrameReader(conn)
-	var ack Frame
-	conn.SetReadDeadline(time.Now().Add(peerDialTimeout))
-	ackErr := r.read(&ack)
-	conn.SetReadDeadline(time.Time{})
-	if ackErr == nil && ack.Ack == "" {
-		ackErr = errors.New("first frame from the peer is not an ack")
-	}
+	r, ack, ackErr := handshake(ctx, conn, &Frame{Hello: s.b.ID(), Cluster: s.clusterVer()})
 	if err := s.b.ConnectNeighbor(id); err != nil {
 		conn.Close()
 		return false, err
@@ -698,7 +569,7 @@ func (s *tcpServer) dialPeer(id, addr string) (bool, error) {
 	case err != nil:
 		return false, err
 	case ok && ackErr != nil:
-		// An ack we cannot accept — a foreign version, a refused
+		// A handshake that failed — a foreign version, a refused
 		// duplicate, the neighbor going away — is a lost link.
 		s.drop(p)
 		return true, nil
@@ -715,13 +586,33 @@ func (s *tcpServer) dialPeer(id, addr string) (bool, error) {
 	return ok, nil
 }
 
-// peerDialTimeout bounds a single peer dial attempt, and the wait for
-// its ack, so a reconnect loop probing a dead host cannot stall for
+// peerDialTimeout bounds a single peer dial attempt, its handshake
+// included, so a reconnect loop probing a dead host cannot stall for
 // the kernel's full connect timeout.
 const peerDialTimeout = 3 * time.Second
 
+// handshake sends hello on a freshly dialed connection and reads the
+// acceptor's ack. ctx bounds the exchange: a context that ends first
+// closes the connection, which is what unblocks it.
+func handshake(ctx context.Context, conn net.Conn, hello *Frame) (*frameReader, Frame, error) {
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	r := newFrameReader(conn)
+	var ack Frame
+	err := writeFrame(conn, hello)
+	if err == nil {
+		err = r.read(&ack)
+	}
+	if err == nil && ack.Ack == "" {
+		err = errors.New("first frame back is not an ack")
+	}
+	if !stop() {
+		err = ctx.Err()
+	}
+	return r, ack, err
+}
+
 // linkUp starts a freshly installed peer link: its link sync — the
-// coverage roots for the neighbor as ONE SUBBATCH — is queued first,
+// coverage roots for the neighbor as ONE SUBBATCH — is sent first,
 // then the cluster layer hears that the link is up.
 func (s *tcpServer) linkUp(p *tcpPort) {
 	for _, o := range s.b.LinkSync(p.name) {
@@ -814,10 +705,10 @@ func closeRead(conn net.Conn) {
 }
 
 // shutdown gracefully stops the server: no new connections, readers
-// stopped at a frame boundary, in-flight messages handled, writer
-// queues drained, then all connections closed. The context bounds the
-// drain; on expiry remaining frames are abandoned and connections
-// closed hard.
+// stopped at a frame boundary, in-flight messages handled, writers
+// drained, then all connections closed. The context bounds the drain;
+// on expiry every port is killed, which abandons its pending frames
+// and wakes the senders waiting for room, and connections close hard.
 func (s *tcpServer) shutdown(ctx context.Context) error {
 	s.shutOnce.Do(func() {
 		close(s.stopping)
@@ -831,11 +722,11 @@ func (s *tcpServer) shutdown(ctx context.Context) error {
 		done := make(chan struct{})
 		go func() {
 			s.readerWg.Wait()
-			// Readers are gone: nobody enqueues anymore, so closing the
-			// queues lets each writer drain to the last frame and exit.
+			// Readers are gone: nobody sends anymore, so closing the
+			// writers lets each drain to the last frame and exit.
 			s.mu.Lock()
 			for _, p := range s.ports {
-				close(p.ch)
+				p.finish(errClosed)
 			}
 			s.mu.Unlock()
 			s.writerWg.Wait()
@@ -845,7 +736,6 @@ func (s *tcpServer) shutdown(ctx context.Context) error {
 		case <-done:
 		case <-ctx.Done():
 			s.shutErr = ctx.Err()
-			close(s.closed) // unblock senders stuck on full queues
 			s.mu.Lock()
 			for _, p := range s.ports {
 				p.kill()
@@ -930,7 +820,7 @@ func ListenBroker(id, addr string, policy Policy, cfg Config, opts ...TCPOption)
 		b.SetJournal(j)
 		st = ds
 	}
-	srv, err := newTCPServer(b, addr, tc)
+	srv, err := newTCPServer(b, addr)
 	if err != nil {
 		if st != nil {
 			st.Close()
@@ -1137,49 +1027,6 @@ func (t *TCPTransport) Shutdown(ctx context.Context) error {
 	return firstErr
 }
 
-// maxClientPending bounds the encoded bytes a client holds for its
-// writer: a send that finds this much already pending waits for the
-// writer to take it (see tcpClient.send).
-const maxClientPending = 256 << 10
-
-// clientCloseDrain bounds how long Close waits for the writer to flush
-// what was already accepted before it closes the connection under it.
-const clientCloseDrain = 5 * time.Second
-
-// errClientClosed is what a send on a closed client returns.
-var errClientClosed = fmt.Errorf("pubsub: client closed: %w", net.ErrClosed)
-
-// tcpClient is the socket side of a Client. A send encodes its frame
-// on the caller's goroutine into pending; one writer goroutine swaps
-// the buffer out and writes it with one call per wake-up, so the sends
-// that arrive while a write is in flight leave together in the next.
-type tcpClient struct {
-	conn net.Conn
-	mu   sync.Mutex
-	// ready wakes the writer: pending gained bytes or err was set.
-	ready *sync.Cond
-	// room wakes senders waiting on the pending bound: the writer took
-	// the buffer, err was set, or a waiter's context ended.
-	room *sync.Cond
-	// +guarded_by:mu
-	pending []byte
-	// err is sticky: the first write error, or errClientClosed once
-	// Close began. Every later send returns it.
-	// +guarded_by:mu
-	err  error
-	done chan struct{} // closed when the writer exits
-}
-
-// newTCPClient wraps a connection whose handshake is done and starts
-// its writer.
-func newTCPClient(conn net.Conn) *tcpClient {
-	c := &tcpClient{conn: conn, done: make(chan struct{})}
-	c.ready = sync.NewCond(&c.mu)
-	c.room = sync.NewCond(&c.mu)
-	go c.run()
-	return c
-}
-
 // Dial connects a client to a broker's listen address — the
 // cross-process form of Transport.Open, used by cmd/psclient. The
 // name identifies the client on its broker; redialing with the same
@@ -1197,112 +1044,16 @@ func Dial(ctx context.Context, addr, name string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pubsub: dial %s: %w", addr, err)
 	}
-	// Closing the connection is what unblocks the handshake when the
-	// context ends first.
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	r := newFrameReader(conn)
-	var ack Frame
-	err = writeFrame(conn, &Frame{Hello: name, Client: true})
-	if err == nil {
-		err = r.read(&ack)
-	}
-	if err == nil && ack.Ack == "" {
-		err = fmt.Errorf("first frame from the broker is not an ack")
-	}
-	if !stop() {
-		err = ctx.Err()
-	}
+	r, _, err := handshake(ctx, conn, &Frame{Hello: name, Client: true})
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("pubsub: handshake with %s: %w", addr, err)
 	}
-	c := &Client{name: name, impl: newTCPClient(conn), q: newNotifyQueue()}
+	w := newConnWriter(conn)
+	go w.run()
+	c := &Client{name: name, impl: w, q: newNotifyQueue()}
 	go readNotifications(r, c.q)
 	return c, nil
-}
-
-// send encodes msg onto the pending buffer and returns: the frame is
-// accepted, and msg's slices are the caller's again. A send that finds
-// maxClientPending bytes pending waits for the writer to take them, or
-// until ctx ends; ctx bounds that wait, not the write.
-func (c *tcpClient) send(ctx context.Context, msg broker.Message) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err == nil && len(c.pending) >= maxClientPending {
-		if err := c.waitRoom(ctx); err != nil {
-			return err
-		}
-	}
-	if c.err != nil {
-		return c.err
-	}
-	wake := len(c.pending) == 0
-	var err error
-	if c.pending, err = MarshalFrame(CodecBinary5, c.pending, &Frame{Msg: &msg}); err != nil {
-		return fmt.Errorf("pubsub: send: %w", err)
-	}
-	if wake {
-		c.ready.Signal()
-	}
-	return nil
-}
-
-// waitRoom waits until the pending bytes drop below maxClientPending,
-// the client fails or closes, or ctx ends, whose error it returns.
-//
-// +mustlock:mu
-func (c *tcpClient) waitRoom(ctx context.Context) error {
-	stop := context.AfterFunc(ctx, func() {
-		c.mu.Lock()
-		c.room.Broadcast()
-		c.mu.Unlock()
-	})
-	defer stop()
-	for c.err == nil && len(c.pending) >= maxClientPending {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		c.room.Wait()
-	}
-	return nil
-}
-
-// run is the writer: it takes whatever is pending and writes it in one
-// call, until a write fails or the client is closed and drained.
-func (c *tcpClient) run() {
-	defer close(c.done)
-	var buf []byte
-	for {
-		c.mu.Lock()
-		for len(c.pending) == 0 && c.err == nil {
-			c.ready.Wait()
-		}
-		if len(c.pending) == 0 {
-			c.mu.Unlock()
-			return
-		}
-		buf, c.pending = c.pending, buf[:0]
-		c.room.Broadcast()
-		c.mu.Unlock()
-		if _, err := c.conn.Write(buf); err != nil {
-			c.mu.Lock()
-			if c.err == nil {
-				c.err = fmt.Errorf("pubsub: send: %w", err)
-			}
-			c.pending = nil
-			c.room.Broadcast()
-			c.mu.Unlock()
-			return
-		}
-		// A burst far past the bound (one huge batch) does not pin its
-		// buffer for the client's lifetime.
-		if cap(buf) > 2*maxClientPending {
-			buf = nil
-		}
-	}
 }
 
 // readNotifications feeds pushed notifications into the queue, one
@@ -1321,31 +1072,253 @@ func readNotifications(r *frameReader, q *notifyQueue) {
 	q.finish()
 }
 
-// close stops accepting sends, waits up to clientCloseDrain for the
-// writer to flush what was accepted, and closes the connection. It
-// reports a flush that did not finish: the drain timed out, or a write
-// failed, now or before.
-func (c *tcpClient) close() error {
-	c.mu.Lock()
-	if c.err == nil {
-		c.err = errClientClosed
+// maxPending bounds the encoded bytes a connection's writer holds: a
+// send that finds this much pending waits for the writer to take it.
+const maxPending = 256 << 10
+
+// clientCloseDrain bounds how long a client's Close waits for its
+// writer to flush what was already accepted before it closes the
+// connection under it.
+const clientCloseDrain = 5 * time.Second
+
+var (
+	// errClosed ends a writer closed gracefully (shutdown, Client.Close):
+	// what was accepted is written first. Later sends return it.
+	errClosed = fmt.Errorf("pubsub: connection closed: %w", net.ErrClosed)
+	// errKilled ends a killed port's writer at once, pending frames
+	// abandoned.
+	errKilled = errors.New("pubsub: port killed")
+)
+
+// connWriter is the sending side of one connection, a broker's port or
+// a client alike. A send encodes its frame on the caller's goroutine
+// into pending, so the caller may reuse what it passed at once; one
+// goroutine (run) swaps the buffer out and writes it with one call per
+// wake-up, so the sends that arrive while a write is in flight leave
+// together in the next, in the order they were accepted.
+type connWriter struct {
+	conn net.Conn
+	// enqHist and writeHist, set on a port's writer only, time a send's
+	// wait to be accepted and each frame's encode+write (see run); clock
+	// is nil on a client's writer, which is not timed.
+	enqHist, writeHist *obs.Histogram
+	clock              func() time.Time
+
+	mu sync.Mutex
+	// ready wakes the writer: pending gained bytes or err was set.
+	ready *sync.Cond
+	// room wakes senders waiting on the pending bound: the writer took
+	// the buffer, err was set, or a waiter's context ended.
+	room *sync.Cond
+	// +guarded_by:mu
+	pending []byte
+	// frames counts the frames in pending, and encode their summed
+	// encode time.
+	// +guarded_by:mu
+	frames int
+	// +guarded_by:mu
+	encode time.Duration
+	// err, once set, refuses every later send: errClosed or the cause
+	// passed to finish (pending is still written), errKilled, or the
+	// first write error (pending is abandoned).
+	// +guarded_by:mu
+	err  error
+	done chan struct{} // closed when run returns
+}
+
+// newConnWriter wraps a connection; the caller starts run.
+func newConnWriter(conn net.Conn) *connWriter {
+	w := &connWriter{conn: conn, done: make(chan struct{})}
+	w.ready = sync.NewCond(&w.mu)
+	w.room = sync.NewCond(&w.mu)
+	return w
+}
+
+// send sends one message (see sendFrame).
+func (w *connWriter) send(ctx context.Context, msg broker.Message) error {
+	return w.sendFrame(ctx, &Frame{Msg: &msg})
+}
+
+// sendFrame encodes fr onto the pending buffer and returns: the frame
+// is accepted, and fr's slices are the caller's again. A send that
+// finds maxPending bytes pending waits for the writer to take them,
+// for the writer to end, or for ctx to end; ctx bounds that wait, not
+// the write. A frame that does not encode is refused and changes
+// nothing; a writer that ended refuses with its err.
+func (w *connWriter) sendFrame(ctx context.Context, fr *Frame) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	c.ready.Signal()
-	c.room.Broadcast()
-	c.mu.Unlock()
+	var t0 time.Time
+	if w.clock != nil {
+		t0 = w.clock()
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err == nil && len(w.pending) >= maxPending {
+		if err := w.waitRoom(ctx); err != nil {
+			return err
+		}
+	}
+	if w.err != nil {
+		return w.err
+	}
+	var t1 time.Time
+	if w.clock != nil {
+		t1 = w.clock()
+		w.enqHist.Observe(t1.Sub(t0))
+	}
+	wake := len(w.pending) == 0
+	var err error
+	if w.pending, err = MarshalFrame(CodecBinary5, w.pending, fr); err != nil {
+		return fmt.Errorf("pubsub: send: %w", err)
+	}
+	w.frames++
+	if w.clock != nil {
+		w.encode += w.clock().Sub(t1)
+	}
+	if wake {
+		w.ready.Signal()
+	}
+	return nil
+}
+
+// waitRoom waits until the pending bytes drop below maxPending, the
+// writer ends, or ctx ends, whose error it returns.
+//
+// +mustlock:mu
+func (w *connWriter) waitRoom(ctx context.Context) error {
+	stop := context.AfterFunc(ctx, func() {
+		w.mu.Lock()
+		w.room.Broadcast()
+		w.mu.Unlock()
+	})
+	defer stop()
+	for w.err == nil && len(w.pending) >= maxPending {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		w.room.Wait()
+	}
+	return nil
+}
+
+// run is the writer: it takes whatever is pending and writes it in one
+// call, until err is set and nothing is left to write, and returns err.
+// A timed writer observes each written frame once in writeHist, the
+// frames' encode time and the write's duration split evenly.
+func (w *connWriter) run() error {
+	defer close(w.done)
+	var buf []byte
+	for {
+		w.mu.Lock()
+		for len(w.pending) == 0 && w.err == nil {
+			w.ready.Wait()
+		}
+		if len(w.pending) == 0 {
+			err := w.err
+			w.mu.Unlock()
+			return err
+		}
+		buf, w.pending = w.pending, buf[:0]
+		frames, encode := w.frames, w.encode
+		w.frames, w.encode = 0, 0
+		w.room.Broadcast()
+		w.mu.Unlock()
+		var t0 time.Time
+		if w.clock != nil {
+			t0 = w.clock()
+		}
+		_, err := w.conn.Write(buf)
+		if w.clock != nil {
+			share := (encode + w.clock().Sub(t0)) / time.Duration(frames)
+			for range frames {
+				w.writeHist.Observe(share)
+			}
+		}
+		if err != nil {
+			return w.failed(err)
+		}
+		// A burst far past the bound (one huge batch) does not pin its
+		// buffer for the connection's lifetime.
+		if cap(buf) > 2*maxPending {
+			buf = nil
+		}
+	}
+}
+
+// failed records a write error, abandons what is pending and returns
+// the writer's err. The error replaces errClosed, so a flush that
+// failed is reported as such, but not a kill or finish's cause.
+func (w *connWriter) failed(werr error) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err == nil || w.err == errClosed {
+		w.err = fmt.Errorf("pubsub: send: %w", werr)
+	}
+	w.pending, w.frames, w.encode = nil, 0, 0
+	w.room.Broadcast()
+	return w.err
+}
+
+// finish refuses later sends with cause, unless the writer already
+// ended; the writer writes what is pending and returns cause.
+func (w *connWriter) finish(cause error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err == nil {
+		w.err = cause
+	}
+	w.ready.Signal()
+	w.room.Broadcast()
+}
+
+// kill ends the writer without writing what is pending and wakes the
+// senders waiting for room. It reports whether this call killed it.
+func (w *connWriter) kill() (first bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	first = w.err != errKilled
+	w.err, w.pending, w.frames, w.encode = errKilled, nil, 0, 0
+	w.ready.Signal()
+	w.room.Broadcast()
+	return first
+}
+
+// alive reports whether the writer has not been killed.
+func (w *connWriter) alive() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.err != errKilled
+}
+
+// depth is the number of frames accepted and not yet taken by the
+// writer.
+func (w *connWriter) depth() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.frames
+}
+
+// close closes a client's writer: it stops accepting sends, waits up to
+// clientCloseDrain for the writer to flush what was accepted, and
+// closes the connection. It reports a flush that did not finish: the
+// drain timed out, or a write failed, now or before.
+func (w *connWriter) close() error {
+	w.finish(errClosed)
 	t := time.NewTimer(clientCloseDrain)
 	defer t.Stop()
 	select {
-	case <-c.done:
+	case <-w.done:
 	case <-t.C:
-		c.conn.Close()
+		w.conn.Close()
 		return fmt.Errorf("pubsub: close: unsent frames dropped after %v", clientCloseDrain)
 	}
-	c.mu.Lock()
-	err := c.err
-	c.mu.Unlock()
-	cerr := c.conn.Close()
-	if err != errClientClosed {
+	w.mu.Lock()
+	err := w.err
+	w.mu.Unlock()
+	cerr := w.conn.Close()
+	if err != errClosed {
 		return err
 	}
 	return cerr

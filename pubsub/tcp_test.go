@@ -308,31 +308,95 @@ func TestTCPShutdownDrainsInFlight(t *testing.T) {
 	}
 }
 
-// TestTCPServeHardShutdown exercises the drain-timeout path: a
-// subscriber that never reads eventually fills its queue; shutdown
-// with an expired context must still terminate promptly.
+// TestTCPServeHardShutdown exercises the drain-timeout path. A raw
+// connection handshakes as a client, subscribes and never reads again,
+// so the broker's writer to it stalls in a write and the port's
+// pending bytes reach their bound; publications go on until a broker
+// send to that port waits for room. Shutdown with an expired context
+// must still return promptly: the waiting send has to wake.
 func TestTCPServeHardShutdown(t *testing.T) {
-	b := listenTestBroker(t, "B1", Pairwise, withSendQueue(4))
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	b, err := ListenBroker("B1", "127.0.0.1:0", Pairwise, Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No teardown waits for the broker: a shutdown that hangs must fail
+	// this test, not stall the run.
+	t.Cleanup(func() { go b.Shutdown(expired) })
 	ctx := testCtx(t)
-	sub := dialTest(t, b.Addr(), "alice")
-	pub := dialTest(t, b.Addr(), "bob")
-	_ = sub
-
-	if err := sub.Subscribe(ctx, "s1", box(0, 100, 0, 100)); err != nil {
+	raw, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	raw.(*net.TCPConn).SetReadBuffer(4 << 10)
+	if err := writeFrame(raw, &Frame{Hello: "alice", Client: true}); err != nil {
+		t.Fatal(err)
+	}
+	var ack Frame
+	if err := newFrameReader(raw).read(&ack); err != nil || ack.Ack != "B1" {
+		t.Fatalf("handshake: ack %+v, err %v", ack, err)
+	}
+	sub := &broker.Message{Kind: broker.MsgSubscribe, SubID: "s1", Sub: box(0, 100, 0, 100)}
+	if err := writeFrame(raw, &Frame{Msg: sub}); err != nil {
 		t.Fatal(err)
 	}
 	waitMetric(t, b, 2*time.Second, func(m Metrics) bool { return m.SubsReceived == 1 })
-	for i := 0; i < 64; i++ {
-		if err := pub.Publish(ctx, fmt.Sprintf("p%d", i), subscription.NewPublication(50, 50)); err != nil {
-			t.Fatal(err)
+
+	b.srv.mu.Lock()
+	port := b.srv.ports["alice"]
+	b.srv.mu.Unlock()
+	full := func() bool {
+		port.mu.Lock()
+		defer port.mu.Unlock()
+		return len(port.pending) >= maxPending
+	}
+	// stalled waits until the broker has taken in all sent
+	// publications (false) or stops taking them in while alice's pending
+	// bytes sit at the bound (true): its reader for bob is then waiting
+	// for room.
+	stalled := func(sent int) bool {
+		last, since := -1, time.Now()
+		for ctx.Err() == nil {
+			got := b.Metrics().PubsReceived
+			switch {
+			case got == sent:
+				return false
+			case got != last || !full():
+				last, since = got, time.Now()
+			case time.Since(since) > 100*time.Millisecond:
+				return true
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		t.Fatal(ctx.Err())
+		return false
+	}
+	pub := dialTest(t, b.Addr(), "bob")
+	pad := strings.Repeat("x", 1000)
+	for sent := 0; !stalled(sent); {
+		if sent > 50*maxPending/len(pad) {
+			t.Fatal("no broker send to the stalled subscriber waited for room")
+		}
+		for range 256 {
+			if err := pub.Publish(ctx, fmt.Sprintf("p%d-%s", sent, pad), subscription.NewPublication(50, 50)); err != nil {
+				t.Fatal(err)
+			}
+			sent++
 		}
 	}
-	done, cancel := context.WithCancel(context.Background())
-	cancel()
+
+	returned := make(chan struct{})
 	start := time.Now()
-	b.Shutdown(done) // returns ctx error; termination is what matters
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("hard shutdown took %v", elapsed)
+	go func() {
+		b.Shutdown(expired) // returns ctx error; termination is what matters
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("hard shutdown still running after %v", time.Since(start))
 	}
 }
 
@@ -377,8 +441,8 @@ func TestTCPNotifyOneFramePerPublication(t *testing.T) {
 	}
 }
 
-// gatedConn records what a port writer writes and holds the first
-// Write until released, so a test can fill the queue behind it.
+// gatedConn records what a writer writes and holds the first Write
+// until released, so a test can fill the pending buffer behind it.
 type gatedConn struct {
 	net.Conn // unused methods panic
 	entered  chan struct{}
@@ -425,23 +489,25 @@ func (c *gatedConn) frames(t *testing.T) []*broker.Message {
 	return out
 }
 
-// TestTCPWriterCoalescesQueuedFrames pins the port writer's drain: the
-// frames queued while a write is in flight go out together in as few
-// writes as the byte bound allows, in FIFO order. A queue closed
-// mid-drain still delivers its tail; an unencodable message lets the
-// frames before it out and then kills the port.
+// TestTCPWriterCoalescesQueuedFrames pins a port's writer: the frames
+// sent while a write is in flight go out together in the next write,
+// in FIFO order, and the write stage observes each frame once. A
+// writer closed mid-drain still writes its tail; an unencodable
+// message lets the frames before it out and then drops the port.
 func TestTCPWriterCoalescesQueuedFrames(t *testing.T) {
-	// ~1 KiB per frame, so 99 queued frames cross maxWriteBatch once.
+	// ~1 KiB per frame: a write carries whatever is pending, however
+	// large.
 	pad := strings.Repeat("x", 1000)
 	msg := func(i int) broker.Message {
 		return broker.Message{Kind: broker.MsgPublish, PubID: fmt.Sprintf("p%03d-%s", i, pad), Pub: subscription.NewPublication(int64(i))}
 	}
 	start := func(conn net.Conn) (*tcpServer, *tcpPort) {
 		s := &tcpServer{}
-		p := &tcpPort{name: "c", conn: conn, ch: make(chan broker.Message, 128), dead: make(chan struct{}),
-			writeHist: obs.NewHistogram(), clock: time.Now}
+		w := newConnWriter(conn)
+		w.enqHist, w.writeHist, w.clock = obs.NewHistogram(), obs.NewHistogram(), time.Now
+		p := &tcpPort{connWriter: w, name: "c", stats: &obs.LinkStats{}}
 		s.writerWg.Add(1)
-		go s.runWriter(p)
+		go s.runPort(p)
 		return s, p
 	}
 	checkOrder := func(t *testing.T, got []*broker.Message, n int) {
@@ -459,55 +525,59 @@ func TestTCPWriterCoalescesQueuedFrames(t *testing.T) {
 	t.Run("closed mid-drain", func(t *testing.T) {
 		conn := newGatedConn()
 		s, p := start(conn)
-		p.ch <- msg(0)
+		s.sendTo(p, msg(0))
 		<-conn.entered
 		const total = 100
 		for i := 1; i < total; i++ {
-			p.ch <- msg(i)
+			s.sendTo(p, msg(i))
 		}
-		close(p.ch) // graceful shutdown while the first write is in flight
+		p.finish(errClosed) // graceful shutdown while the first write is in flight
 		close(conn.release)
 		s.writerWg.Wait()
 		checkOrder(t, conn.frames(t), total)
-		// One write for the first frame, then 99 KiB in two writes.
-		if conn.writes != 3 {
-			t.Errorf("%d writes for %d frames, want 3", conn.writes, total)
+		// One write for the first frame, one for the other 99 (~99 KiB).
+		if conn.writes != 2 {
+			t.Errorf("%d writes for %d frames, want 2", conn.writes, total)
 		}
 		if c := p.writeHist.Snapshot().Count; c != total {
 			t.Errorf("write stage observed %d times, want once per frame (%d)", c, total)
+		}
+		if c := p.enqHist.Snapshot().Count; c != total {
+			t.Errorf("enqueue stage observed %d times, want once per frame (%d)", c, total)
 		}
 	})
 
 	t.Run("encode error", func(t *testing.T) {
 		conn := newGatedConn()
 		s, p := start(conn)
-		p.ch <- msg(0)
+		s.sendTo(p, msg(0))
 		<-conn.entered
 		for i := 1; i < 5; i++ {
-			p.ch <- msg(i)
+			s.sendTo(p, msg(i))
 		}
-		p.ch <- broker.Message{Kind: broker.MsgKind(99)}
-		p.ch <- msg(5)
+		s.sendTo(p, broker.Message{Kind: broker.MsgKind(99)})
+		s.sendTo(p, msg(5))
 		close(conn.release)
 		s.writerWg.Wait()
 		checkOrder(t, conn.frames(t), 5)
-		if p.alive() {
+		if p.alive() || p.kill() {
 			t.Error("port survived an encode error")
 		}
 	})
 }
 
-// gatedClient is a client whose socket side writes to conn; it is
-// closed at cleanup.
-func gatedClient(t *testing.T, conn net.Conn) (*Client, *tcpClient) {
+// gatedClient is a client whose writer writes to conn; it is closed
+// at cleanup.
+func gatedClient(t *testing.T, conn net.Conn) (*Client, *connWriter) {
 	t.Helper()
-	tc := newTCPClient(conn)
-	c := &Client{name: "c", impl: tc, q: newNotifyQueue()}
+	w := newConnWriter(conn)
+	go w.run()
+	c := &Client{name: "c", impl: w, q: newNotifyQueue()}
 	t.Cleanup(func() { c.Close() })
-	return c, tc
+	return c, w
 }
 
-// TestTCPClientCoalescesWrites pins the client's writer: publishes made
+// TestTCPClientCoalescesWrites pins a client's writer: publishes made
 // while a write is in flight leave together in the next write, in the
 // order they were made.
 func TestTCPClientCoalescesWrites(t *testing.T) {
@@ -616,11 +686,11 @@ func TestTCPClientCloseFlushes(t *testing.T) {
 }
 
 // TestTCPClientPendingBound: with the connection stalled, the pending
-// bytes fill up to maxClientPending and the next send waits until its
+// bytes fill up to maxPending and the next send waits until its
 // context ends, then returns the context's error.
 func TestTCPClientPendingBound(t *testing.T) {
 	conn := newGatedConn()
-	c, tc := gatedClient(t, conn)
+	c, w := gatedClient(t, conn)
 	ctx := testCtx(t)
 	pad := strings.Repeat("x", 1000)
 	if err := c.Publish(ctx, "first", subscription.NewPublication(0)); err != nil {
@@ -628,12 +698,12 @@ func TestTCPClientPendingBound(t *testing.T) {
 	}
 	<-conn.entered
 	full := func() bool {
-		tc.mu.Lock()
-		defer tc.mu.Unlock()
-		return len(tc.pending) >= maxClientPending
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return len(w.pending) >= maxPending
 	}
 	for i := 0; !full(); i++ {
-		if i > 2*maxClientPending/len(pad) {
+		if i > 2*maxPending/len(pad) {
 			t.Fatal("pending bytes never reached the bound")
 		}
 		if err := c.Publish(ctx, fmt.Sprintf("p%d-%s", i, pad), subscription.NewPublication(int64(i))); err != nil {
@@ -667,12 +737,12 @@ func (c failConn) Close() error              { return nil }
 // returns that error, and so does Close, whose flush did not happen.
 func TestTCPClientWriteErrorSticky(t *testing.T) {
 	boom := errors.New("connection reset")
-	c, tc := gatedClient(t, failConn{err: boom})
+	c, w := gatedClient(t, failConn{err: boom})
 	ctx := testCtx(t)
 	if err := c.Publish(ctx, "p1", subscription.NewPublication(0)); err != nil {
 		t.Fatalf("first send = %v, want it accepted", err)
 	}
-	<-tc.done // the writer exits on the failed write
+	<-w.done // the writer exits on the failed write
 	for _, id := range []string{"p2", "p3"} {
 		if err := c.Publish(ctx, id, subscription.NewPublication(0)); !errors.Is(err, boom) {
 			t.Fatalf("send %s after the write error = %v, want %v", id, err, boom)
