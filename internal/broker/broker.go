@@ -533,6 +533,9 @@ func New(id string, policy store.Policy, opts ...Option) (*Broker, error) {
 	if id == "" {
 		return nil, fmt.Errorf("broker: empty id")
 	}
+	if err := policy.Validate(); err != nil {
+		return nil, fmt.Errorf("broker %s: %w", id, err)
+	}
 	b := &Broker{
 		id:         id,
 		policy:     policy,
@@ -549,20 +552,6 @@ func New(id string, policy store.Policy, opts ...Option) (*Broker, error) {
 	}
 	b.seenPubs.init(b.dedupLimit)
 	return b, nil
-}
-
-// tablePolicy converts the store-level policy to the public one.
-func tablePolicy(p store.Policy) (subsume.Policy, error) {
-	switch p {
-	case store.PolicyNone:
-		return subsume.Flood, nil
-	case store.PolicyPairwise:
-		return subsume.Pairwise, nil
-	case store.PolicyGroup:
-		return subsume.Group, nil
-	default:
-		return 0, fmt.Errorf("invalid policy %d", p)
-	}
 }
 
 // ID returns the broker identifier.
@@ -691,20 +680,14 @@ func (b *Broker) ConnectNeighbor(id string) error {
 	if b.neighbors.has(id) {
 		return nil
 	}
-	policy, err := tablePolicy(b.policy)
-	if err != nil {
-		return fmt.Errorf("broker %s: neighbor %s: %w", b.id, id, err)
-	}
 	// Caller options first; the per-neighbor seed comes after so it
 	// always wins — independent checker streams are a broker
-	// invariant, not a knob.
-	opts := slices.Clone(b.tableOpts)
-	if b.policy == store.PolicyGroup {
-		opts = append(opts, subsume.WithTableChecker(
-			subsume.WithSeed(b.seed^fnv1a(b.id), fnv1a(id)|1),
-		))
-	}
-	tbl, err := subsume.NewTable(policy, opts...)
+	// invariant, not a knob. A table ignores checker options unless
+	// its policy is Group.
+	opts := append(slices.Clone(b.tableOpts), subsume.WithTableChecker(
+		subsume.WithSeed(b.seed^fnv1a(b.id), fnv1a(id)|1),
+	))
+	tbl, err := subsume.NewTable(b.policy, opts...)
 	if err != nil {
 		return fmt.Errorf("broker %s: neighbor %s: %w", b.id, id, err)
 	}

@@ -35,10 +35,8 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New("", store.PolicyNone); err == nil {
 		t.Error("empty id accepted")
 	}
-	if b, err := New("B", store.Policy(42)); err != nil {
-		t.Fatal(err)
-	} else if err := b.ConnectNeighbor("n1"); err == nil {
-		t.Error("invalid policy accepted at ConnectNeighbor")
+	if _, err := New("B", store.Policy(42)); err == nil {
+		t.Error("invalid policy accepted")
 	}
 	b := newBroker(t, store.PolicyNone)
 	if err := b.ConnectNeighbor("B"); err == nil {

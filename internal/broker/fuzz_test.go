@@ -7,9 +7,11 @@ import (
 	"slices"
 	"testing"
 
+	"probsum/internal/core"
 	"probsum/internal/interval"
 	"probsum/internal/store"
 	"probsum/internal/subscription"
+	"probsum/subsume"
 )
 
 // brokerView is what a step may change in a broker, read through its
@@ -149,6 +151,40 @@ func digestOf(subIDs []string) LinkDigest {
 	return foldDigest(len(subIDs), &buckets)
 }
 
+// checkCoverage checks every neighbor table of b against the model m:
+// the table holds every subscription not sourced from its neighbor,
+// its active ones are NeighborRoots, and each of the others is held
+// covered, so subsume.Exact must find it covered by the active ones of
+// its own attribute count. Boxes this small must be decided without
+// RSPC: an input that exhausts its trials is a finding.
+func checkCoverage(t *testing.T, step int, b *Broker, m *refModel, neighbors []string) {
+	t.Helper()
+	for _, n := range neighbors {
+		roots := make(map[string]bool)
+		byCount := make(map[int][]subscription.Subscription)
+		for _, r := range b.NeighborRoots(n) {
+			if m.src[r.SubID] == n || !m.box[r.SubID].Equal(r.Sub) {
+				t.Fatalf("step %d: %s's table holds %s %v active; model: %v from %q", step, n, r.SubID, r.Sub, m.box[r.SubID], m.src[r.SubID])
+			}
+			roots[r.SubID] = true
+			byCount[r.Sub.Len()] = append(byCount[r.Sub.Len()], r.Sub)
+		}
+		for id, src := range m.src {
+			if src == n || roots[id] {
+				continue
+			}
+			covered, err := subsume.Exact(m.box[id], byCount[m.box[id].Len()])
+			if err != nil || !covered {
+				t.Fatalf("step %d: %s's table holds %s %v covered, but its active set %v does not cover it (err %v)",
+					step, n, id, m.box[id], byCount[m.box[id].Len()], err)
+			}
+		}
+	}
+	if d := b.CheckerStats().Decisions[core.ReasonTrialsExhausted]; d != 0 {
+		t.Fatalf("step %d: %d decisions exhausted RSPC trials", step, d)
+	}
+}
+
 // FuzzBrokerHandle decodes the input into Handle steps on one broker
 // with neighbors N1, N2 and clients C1, C2, and checks every step
 // against refModel. After each step a failed one must have changed
@@ -160,14 +196,19 @@ func digestOf(subIDs []string) LinkDigest {
 // scan of the model's reverse paths, and a subscribe or unsubscribe
 // step must answer in the kind that arrived.
 //
-// Byte 0 picks the policy, none or pairwise; boxes have 2 attributes.
-// Each step is an opcode byte (mod 5: SUBSCRIBE, SUBBATCH, UNSUBSCRIBE,
-// UNSUBBATCH, PUBLISH), a port byte, a count byte for the batch kinds
-// (1–3 items), and per item an ID byte (s0–s6, or none) — for the
-// subscribe kinds followed by a shape byte (mod 16: 0 unsatisfiable,
-// 1 no attributes, else valid) and two (lo, width) byte pairs, each
-// mod 12. A publication is an ID byte (p0–p6, or none; repeats are
-// duplicates) and two values over [0, 15].
+// Every neighbor table's covered subscriptions must be exactly covered
+// by its active ones (checkCoverage).
+//
+// Byte 0 picks the policy (mod 3: none, pairwise, group). Each step is
+// an opcode byte (mod 5: SUBSCRIBE, SUBBATCH, UNSUBSCRIBE, UNSUBBATCH,
+// PUBLISH), a port byte, a count byte for the batch kinds (1–3 items),
+// and per item an ID byte (s0–s6, or none) — for the subscribe kinds
+// followed by a shape byte and one (lo, width) byte pair, each mod 12,
+// per attribute. The shape byte's low four bits pick 0 unsatisfiable,
+// 1 no attributes, else valid; its high four bits, mod 3, pick 2, 3 or
+// 1 attributes. A publication is an ID byte (p0–p6, or none; repeats
+// are duplicates) and its values over [0, 15], the first of which
+// picks 2, 3 or 1 values the way a shape byte does.
 func FuzzBrokerHandle(f *testing.F) {
 	f.Add([]byte{1, 0, 2, 1, 2, 0, 9, 1, 2, 0, 4, 1, 1, 3, 5, 0, 3, 3, 1, 1, 0, 7, 7, 4, 0, 3, 4})
 	ports := []string{"N1", "N2", "C1", "C2"}
@@ -176,10 +217,7 @@ func FuzzBrokerHandle(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		policy := store.PolicyNone
-		if data[0]%2 == 1 {
-			policy = store.PolicyPairwise
-		}
+		policy := []store.Policy{store.PolicyNone, store.PolicyPairwise, store.PolicyGroup}[data[0]%3]
 		data = data[1:]
 		next := func() int {
 			if len(data) == 0 {
@@ -195,22 +233,27 @@ func FuzzBrokerHandle(f *testing.F) {
 			}
 			return ""
 		}
+		// attrs maps a byte's high four bits to 2, 3 or 1 attributes, so
+		// bytes below 16 keep the two-attribute shapes.
+		attrs := func(b int) int { return 1 + (b>>4+1)%3 }
 		item := func() (it BatchSub, valid bool) {
 			it.SubID = id("s")
-			shape := next() % 16
-			var bounds [2]interval.Interval
+			shapeByte := next()
+			shape := shapeByte % 16
+			bounds := make([]interval.Interval, attrs(shapeByte))
 			for a := range bounds {
 				lo := int64(next() % 12)
 				bounds[a] = interval.New(lo, lo+int64(next()%12))
 			}
 			switch shape {
 			case 0:
-				bounds[1] = interval.New(bounds[1].Hi+1, bounds[1].Lo)
-				it.Sub = subscription.New(bounds[:]...)
+				last := &bounds[len(bounds)-1]
+				*last = interval.New(last.Hi+1, last.Lo)
+				it.Sub = subscription.New(bounds...)
 			case 1:
 				it.Sub = subscription.New()
 			default:
-				it.Sub = subscription.New(bounds[:]...)
+				it.Sub = subscription.New(bounds...)
 			}
 			return it, it.SubID != "" && shape > 1
 		}
@@ -263,7 +306,13 @@ func FuzzBrokerHandle(f *testing.F) {
 				m.unsubscribe(from, ids)
 			default:
 				pubID := id("p")
-				pub := subscription.NewPublication(int64(next()%16), int64(next()%16))
+				first := next()
+				values := make([]int64, attrs(first))
+				values[0] = int64(first % 16)
+				for v := 1; v < len(values); v++ {
+					values[v] = int64(next() % 16)
+				}
+				pub := subscription.NewPublication(values...)
 				msg = Message{Kind: MsgPublish, PubID: pubID, Pub: pub}
 				valid = pubID != ""
 				if valid {
@@ -327,6 +376,7 @@ func FuzzBrokerHandle(f *testing.F) {
 					t.Fatalf("step %d: ReceivedDigest(%s) %+v, digest of ReceivedFrom %+v", step, p, d, digestOf(got))
 				}
 			}
+			checkCoverage(t, step, b, m, neighbors)
 			replayed := observe(replaySnapshot(t, policy, view.Ops), subIDs)
 			if replayed.Count != view.Count || !maps.Equal(replayed.Sources, view.Sources) ||
 				!reflect.DeepEqual(replayed.Recv, view.Recv) {

@@ -22,7 +22,9 @@ import (
 // ID identifies a subscription within a store.
 type ID int64
 
-// Policy selects how arriving subscriptions are reduced.
+// Policy selects how arriving subscriptions are reduced: the paper's
+// three ways to forward subscriptions (§6.4). It is the one policy type
+// of the library; subsume.Policy and pubsub.Policy are aliases of it.
 type Policy int
 
 // Coverage policies.
@@ -38,11 +40,11 @@ const (
 	PolicyGroup
 )
 
-// String returns the policy name.
+// String returns the policy name: "flood", "pairwise" or "group".
 func (p Policy) String() string {
 	switch p {
 	case PolicyNone:
-		return "none"
+		return "flood"
 	case PolicyPairwise:
 		return "pairwise"
 	case PolicyGroup:
@@ -50,6 +52,14 @@ func (p Policy) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// Validate reports whether p is one of the three policies.
+func (p Policy) Validate() error {
+	if p < PolicyNone || p > PolicyGroup {
+		return fmt.Errorf("invalid policy %d", p)
+	}
+	return nil
 }
 
 // Status describes where a subscription currently lives.
@@ -190,8 +200,8 @@ type Store struct {
 // reusable scratch, so it must not be shared with another store or
 // goroutine.
 func New(policy Policy, opts ...Option) (*Store, error) {
-	if policy < PolicyNone || policy > PolicyGroup {
-		return nil, fmt.Errorf("store: invalid policy %d", policy)
+	if err := policy.Validate(); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	st := &Store{policy: policy, nodes: make(map[ID]*node), active: make(map[int]*cells.Index)}
 	for _, opt := range opts {

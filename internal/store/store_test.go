@@ -444,9 +444,16 @@ func TestMatchFindsAllStoredMatches(t *testing.T) {
 }
 
 func TestPolicyAndStatusStrings(t *testing.T) {
-	if PolicyNone.String() != "none" || PolicyPairwise.String() != "pairwise" ||
-		PolicyGroup.String() != "group" || Policy(9).String() != "unknown" {
-		t.Error("policy strings wrong")
+	for p, want := range map[Policy]string{
+		PolicyNone: "flood", PolicyPairwise: "pairwise", PolicyGroup: "group",
+		Policy(0): "unknown", Policy(9): "unknown",
+	} {
+		if got := p.String(); got != want {
+			t.Errorf("Policy(%d).String() = %q, want %q", int(p), got, want)
+		}
+		if err := p.Validate(); (err == nil) != (want != "unknown") {
+			t.Errorf("Policy(%d).Validate() = %v", int(p), err)
+		}
 	}
 	if StatusActive.String() != "active" || StatusCovered.String() != "covered" {
 		t.Error("status strings wrong")

@@ -212,7 +212,7 @@ type BrokerJournal struct {
 	// +guarded_by:mu
 	memberSource func() []broker.MemberInfo
 
-	// SyncEvery is the fsync batch size: the journal syncs once n
+	// syncEvery is the fsync batch size: the journal syncs once n
 	// events were appended since the last sync (1 = sync every record;
 	// the constructor default is 64). A record is one event, except a
 	// pubids record, which counts each ID it holds. A crash loses at

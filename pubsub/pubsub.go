@@ -32,33 +32,23 @@ import (
 	"probsum/subsume"
 )
 
-// Policy selects subscription-forwarding reduction.
-type Policy int
+// Policy selects subscription-forwarding reduction. It is
+// store.Policy, the library's one policy type (subsume.Policy is the
+// same type); its String names the three policies "flood", "pairwise"
+// and "group", and ParsePolicy is its inverse.
+type Policy = store.Policy
 
 // Coverage policies.
 const (
 	// Flood forwards every subscription (no reduction).
-	Flood Policy = iota + 1
+	Flood = store.PolicyNone
 	// Pairwise suppresses subscriptions covered by a single
 	// previously forwarded subscription (exact, classical).
-	Pairwise
+	Pairwise = store.PolicyPairwise
 	// Group suppresses subscriptions covered by the union of
 	// previously forwarded subscriptions, decided probabilistically.
-	Group
+	Group = store.PolicyGroup
 )
-
-func (p Policy) String() string {
-	switch p {
-	case Flood:
-		return "flood"
-	case Pairwise:
-		return "pairwise"
-	case Group:
-		return "group"
-	default:
-		return "unknown"
-	}
-}
 
 // ParsePolicy parses a policy name as accepted by the CLI tools:
 // "flood" (or "none"), "pairwise", and "group". It is the single
@@ -74,19 +64,6 @@ func ParsePolicy(s string) (Policy, error) {
 		return Group, nil
 	default:
 		return 0, fmt.Errorf("pubsub: unknown policy %q (want flood | pairwise | group)", s)
-	}
-}
-
-func (p Policy) toStore() (store.Policy, error) {
-	switch p {
-	case Flood:
-		return store.PolicyNone, nil
-	case Pairwise:
-		return store.PolicyPairwise, nil
-	case Group:
-		return store.PolicyGroup, nil
-	default:
-		return 0, fmt.Errorf("pubsub: invalid policy %d", p)
 	}
 }
 
@@ -144,7 +121,7 @@ type Config struct {
 	Seed uint64
 	// DropRate injects per-message loss on broker-to-broker links of a
 	// SimTransport (default 0), modeling the lossy sensor and MANET
-	// environments the paper targets.
+	// environments the paper targets. TCP brokers reject it.
 	DropRate float64
 }
 

@@ -162,12 +162,38 @@ func TestPolicyValidation(t *testing.T) {
 	if _, err := pubsub.NewSimTransport(pubsub.Policy(99), pubsub.Config{}); err == nil {
 		t.Error("invalid policy accepted")
 	}
-	for p, want := range map[pubsub.Policy]string{
-		pubsub.Flood: "flood", pubsub.Pairwise: "pairwise", pubsub.Group: "group",
-		pubsub.Policy(9): "unknown",
+	// A TCP broker takes a valid policy and no simulated loss, from
+	// either constructor.
+	for name, c := range map[string]struct {
+		policy pubsub.Policy
+		cfg    pubsub.Config
+	}{
+		"invalid policy": {pubsub.Policy(99), pubsub.Config{}},
+		"drop rate":      {pubsub.Group, pubsub.Config{DropRate: 0.5}},
 	} {
-		if p.String() != want {
-			t.Errorf("Policy(%d).String() = %q", p, p.String())
+		if tr, err := pubsub.NewTCPTransport(c.policy, c.cfg); err == nil {
+			tr.Shutdown(context.Background())
+			t.Errorf("NewTCPTransport accepted %s", name)
 		}
+		if b, err := pubsub.ListenBroker("P", "127.0.0.1:0", c.policy, c.cfg); err == nil {
+			b.Shutdown(context.Background())
+			t.Errorf("ListenBroker accepted %s", name)
+		}
+	}
+}
+
+// TestParsePolicy: ParsePolicy is the inverse of Policy.String, and
+// takes "none" for flooding too.
+func TestParsePolicy(t *testing.T) {
+	for _, p := range []pubsub.Policy{pubsub.Flood, pubsub.Pairwise, pubsub.Group} {
+		if got, err := pubsub.ParsePolicy(p.String()); err != nil || got != p {
+			t.Errorf("ParsePolicy(%q) = %v, %v", p.String(), got, err)
+		}
+	}
+	if got, err := pubsub.ParsePolicy("none"); err != nil || got != pubsub.Flood {
+		t.Errorf("ParsePolicy(\"none\") = %v, %v", got, err)
+	}
+	if _, err := pubsub.ParsePolicy("unknown"); err == nil {
+		t.Error("ParsePolicy accepted \"unknown\"")
 	}
 }

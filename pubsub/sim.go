@@ -7,7 +7,6 @@ import (
 
 	"probsum/internal/broker"
 	"probsum/internal/simnet"
-	"probsum/internal/store"
 )
 
 // SimTransport hosts the overlay on the deterministic in-process
@@ -21,7 +20,7 @@ import (
 // serializes the simulator), but determinism of course only holds for
 // a deterministic caller.
 type SimTransport struct {
-	policy store.Policy
+	policy Policy
 	cfg    Config
 
 	mu       sync.Mutex
@@ -34,9 +33,8 @@ type SimTransport struct {
 // NewSimTransport creates an empty simulated overlay with the given
 // coverage policy and tuning.
 func NewSimTransport(policy Policy, cfg Config) (*SimTransport, error) {
-	sp, err := policy.toStore()
-	if err != nil {
-		return nil, err
+	if err := policy.Validate(); err != nil {
+		return nil, fmt.Errorf("pubsub: %w", err)
 	}
 	cfg = cfg.withDefaults()
 	var opts []simnet.Option
@@ -44,7 +42,7 @@ func NewSimTransport(policy Policy, cfg Config) (*SimTransport, error) {
 		opts = append(opts, simnet.WithFailures(cfg.DropRate, 0, cfg.Seed^0xfa11))
 	}
 	return &SimTransport{
-		policy:  sp,
+		policy:  policy,
 		cfg:     cfg,
 		net:     simnet.New(opts...),
 		brokers: make(map[string]*Broker),

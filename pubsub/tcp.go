@@ -784,14 +784,14 @@ func (s *tcpServer) snapshotLoop(interval time.Duration) {
 // ListenBroker starts one broker listening on addr (e.g.
 // "127.0.0.1:0" or ":7001") — the standalone daemon form used by
 // cmd/brokerd. Peer links are added with Broker.ConnectPeer; clients
-// connect with Dial. Stop it with Broker.Shutdown.
+// connect with Dial. Stop it with Broker.Shutdown. It rejects an
+// invalid policy and a nonzero Config.DropRate (see validateTCP).
 func ListenBroker(id, addr string, policy Policy, cfg Config, opts ...TCPOption) (*Broker, error) {
-	sp, err := policy.toStore()
-	if err != nil {
+	if err := validateTCP(policy, cfg); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	b, err := broker.New(id, sp,
+	b, err := broker.New(id, policy,
 		broker.WithSeed(cfg.Seed),
 		broker.WithTableOptions(cfg.TableOptions()...))
 	if err != nil {
@@ -859,16 +859,25 @@ type TCPTransport struct {
 	shutdown bool
 }
 
-// NewTCPTransport creates an empty TCP overlay with the given coverage
-// policy and tuning. Brokers listen on ephemeral loopback ports.
-// Config.DropRate is a simulator-only feature and rejected here: TCP
-// links get their loss from the real network.
-func NewTCPTransport(policy Policy, cfg Config, opts ...TCPOption) (*TCPTransport, error) {
-	if _, err := policy.toStore(); err != nil {
-		return nil, err
+// validateTCP checks what a TCP broker is given: a valid policy, and
+// no Config.DropRate, a simulator-only feature: TCP links get their
+// loss from the real network.
+func validateTCP(policy Policy, cfg Config) error {
+	if err := policy.Validate(); err != nil {
+		return fmt.Errorf("pubsub: %w", err)
 	}
 	if cfg.DropRate > 0 {
-		return nil, fmt.Errorf("pubsub: failure injection is simulator-only; TCP transports take real losses")
+		return fmt.Errorf("pubsub: failure injection is simulator-only; TCP transports take real losses")
+	}
+	return nil
+}
+
+// NewTCPTransport creates an empty TCP overlay with the given coverage
+// policy and tuning. Brokers listen on ephemeral loopback ports. It
+// rejects what ListenBroker would (see validateTCP).
+func NewTCPTransport(policy Policy, cfg Config, opts ...TCPOption) (*TCPTransport, error) {
+	if err := validateTCP(policy, cfg); err != nil {
+		return nil, err
 	}
 	return &TCPTransport{
 		policy:  policy,

@@ -8,55 +8,29 @@
 package subsume
 
 import (
-	"fmt"
 	"sync"
 
 	"probsum/internal/core"
 	"probsum/internal/store"
 )
 
-// Policy selects how a Table reduces arriving subscriptions.
-type Policy int
+// Policy selects how a Table reduces arriving subscriptions. It is
+// store.Policy, the library's one policy type, whose String names the
+// three policies "flood", "pairwise" and "group".
+type Policy = store.Policy
 
 // Coverage policies.
 const (
 	// Flood keeps every subscription active (no reduction).
-	Flood Policy = iota + 1
+	Flood = store.PolicyNone
 	// Pairwise suppresses a subscription only when a single active
 	// subscription covers it (classical deterministic systems).
-	Pairwise
+	Pairwise = store.PolicyPairwise
 	// Group suppresses a subscription when the probabilistic checker
 	// decides the active set jointly covers it (the paper's
 	// contribution).
-	Group
+	Group = store.PolicyGroup
 )
-
-// String returns the policy name.
-func (p Policy) String() string {
-	switch p {
-	case Flood:
-		return "flood"
-	case Pairwise:
-		return "pairwise"
-	case Group:
-		return "group"
-	default:
-		return "unknown"
-	}
-}
-
-func (p Policy) toStore() (store.Policy, error) {
-	switch p {
-	case Flood:
-		return store.PolicyNone, nil
-	case Pairwise:
-		return store.PolicyPairwise, nil
-	case Group:
-		return store.PolicyGroup, nil
-	default:
-		return 0, fmt.Errorf("subsume: invalid policy %d", p)
-	}
-}
 
 // ID identifies a subscription within a Table.
 type ID = store.ID
@@ -144,10 +118,6 @@ type Table struct {
 
 // NewTable builds a coverage table under the given policy.
 func NewTable(policy Policy, opts ...TableOption) (*Table, error) {
-	sp, err := policy.toStore()
-	if err != nil {
-		return nil, err
-	}
 	var cfg tableConfig
 	for _, opt := range opts {
 		opt(&cfg)
@@ -160,7 +130,7 @@ func NewTable(policy Policy, opts ...TableOption) (*Table, error) {
 		}
 		sopts = append(sopts, store.WithChecker(checker))
 	}
-	st, err := store.New(sp, sopts...)
+	st, err := store.New(policy, sopts...)
 	if err != nil {
 		return nil, err
 	}

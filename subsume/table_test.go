@@ -362,9 +362,4 @@ func TestTableValidation(t *testing.T) {
 	if m := tbl.Metrics(); m.Subscribes != 2 || m.Unsubscribes != 0 {
 		t.Errorf("rejected operations were counted: %+v", m)
 	}
-	for _, p := range []subsume.Policy{subsume.Flood, subsume.Pairwise, subsume.Group, subsume.Policy(0)} {
-		if p.String() == "" {
-			t.Errorf("empty String for %d", int(p))
-		}
-	}
 }
