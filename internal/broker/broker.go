@@ -57,10 +57,11 @@ const (
 	// and the promotions it caused are re-announced as one
 	// MsgSubscribeBatch.
 	MsgUnsubscribeBatch
-	// MsgPublishBatch carries a producer-side burst of publications in
-	// one frame; the broker processes the run under a single shared-lock
-	// acquisition (the wire-reader coalescing path, made deliberate) and
-	// re-forwards the matching publications per neighbor as one batch.
+	// MsgPublishBatch carries a run of publications in one frame: a
+	// producer-side burst, or the publish frames a wire reader found
+	// already buffered. The broker processes the run under a single
+	// shared-lock acquisition and re-forwards the matching publications
+	// per neighbor as one batch.
 	MsgPublishBatch
 	// MsgPing probes a neighbor's liveness (cluster failure detector).
 	// Control kinds are not routing traffic: the broker hands them to
@@ -509,7 +510,7 @@ func (b *Broker) SetControlHandler(h ControlHandler) {
 // Observation is two clock reads and two atomic adds per publication
 // — zero allocations (pinned by TestPublishObserverZeroAlloc).
 type PublishObserver struct {
-	Clock func() time.Time
+	Clock func() time.Duration
 	Match *obs.Histogram
 	Route *obs.Histogram
 }
@@ -550,7 +551,9 @@ func New(id string, policy store.Policy, opts ...Option) (*Broker, error) {
 	for _, opt := range opts {
 		opt(b)
 	}
-	b.seenPubs.init(b.dedupLimit)
+	if err := b.seenPubs.init(b.dedupLimit); err != nil {
+		return nil, fmt.Errorf("broker %s: %w", id, err)
+	}
 	return b, nil
 }
 
@@ -738,7 +741,9 @@ func (b *Broker) AttachClient(id string) {
 // Handle processes one message arriving on port from and returns the
 // messages to emit. It is the broker's entire behavior. Subscribe and
 // unsubscribe are mutually exclusive; publishes from different callers
-// run concurrently (see the type comment).
+// run concurrently (see the type comment). An error comes with what
+// the broker decided before it — for a publish run, the outputs of the
+// items ahead of the bad one — which the caller still sends.
 func (b *Broker) Handle(from string, msg Message) ([]Outbound, error) {
 	switch msg.Kind {
 	case MsgSubscribe, MsgUnsubscribe, MsgSubscribeBatch, MsgUnsubscribeBatch, MsgSyncRoots:
@@ -748,18 +753,10 @@ func (b *Broker) Handle(from string, msg Message) ([]Outbound, error) {
 			runtime.GC()
 		}
 		return out, err
-	case MsgPublish:
+	case MsgPublish, MsgPublishBatch:
 		b.mu.RLock()
 		defer b.mu.RUnlock()
-		out, fresh, err := b.handlePublish(from, msg)
-		if j := b.journal.Load(); j != nil && fresh {
-			(*j).RecordPubsSeen([]string{msg.PubID})
-		}
-		return out, err
-	case MsgPublishBatch:
-		b.mu.RLock()
-		defer b.mu.RUnlock()
-		return b.handlePublishBatchMsg(from, msg)
+		return b.handlePublishRun(from, msg)
 	case MsgSyncRequest:
 		b.mu.RLock()
 		defer b.mu.RUnlock()
@@ -779,45 +776,6 @@ func (b *Broker) Handle(from string, msg Message) ([]Outbound, error) {
 	default:
 		return nil, fmt.Errorf("broker %s: unexpected message kind %v from %s", b.id, msg.Kind, from)
 	}
-}
-
-// HandlePublishBatch processes a run of MsgPublish messages arriving
-// back-to-back on one port under a SINGLE shared-lock acquisition —
-// the wire readers coalesce queued publish frames into one call so a
-// high-rate connection pays the RWMutex once per run instead of once
-// per frame. Outputs are the concatenation of the per-message outputs
-// in input order, so per-destination delivery order is exactly what a
-// per-message loop would produce. The run's first-seen publication IDs
-// are journaled as one record before it returns, an error included.
-func (b *Broker) HandlePublishBatch(from string, msgs []Message) ([]Outbound, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	j := b.journal.Load()
-	var seen []string
-	if j != nil {
-		seen = make([]string, 0, len(msgs))
-	}
-	var out []Outbound
-	var err error
-	for i := range msgs {
-		if msgs[i].Kind != MsgPublish {
-			err = fmt.Errorf("broker %s: non-publish kind %v in publish batch from %s", b.id, msgs[i].Kind, from)
-			break
-		}
-		o, fresh, herr := b.handlePublish(from, msgs[i])
-		if herr != nil {
-			err = herr
-			break
-		}
-		if fresh && j != nil {
-			seen = append(seen, msgs[i].PubID)
-		}
-		out = append(out, o...)
-	}
-	if len(seen) > 0 {
-		(*j).RecordPubsSeen(seen)
-	}
-	return out, err
 }
 
 // frames appends the messages of the given kind that carry rs to
@@ -1061,60 +1019,6 @@ func (b *Broker) handleUnsubscribeBatch(from string, kind MsgKind, subIDs []stri
 	return out, nil
 }
 
-// handlePublishBatchMsg processes a deliberate producer-side
-// publication burst (MsgPublishBatch) under the SHARED lock already
-// held by Handle — one lock acquisition for the whole frame, the
-// wire-reader coalescing path made deliberate. Each item runs the
-// per-publication path (dedup, local delivery, reverse-path matching);
-// forwards are re-grouped into ONE MsgPublishBatch per neighbor,
-// preserving arrival order, so the burst stays batched end to end
-// across the overlay.
-//
-// +mustlock:mu (shared)
-func (b *Broker) handlePublishBatchMsg(from string, msg Message) ([]Outbound, error) {
-	j := b.journal.Load()
-	var seen []string
-	if j != nil {
-		seen = make([]string, 0, len(msg.Pubs))
-	}
-	var out []Outbound
-	var fwd map[string][]BatchPub
-	var err error
-	for i := range msg.Pubs {
-		it := &msg.Pubs[i]
-		o, fresh, herr := b.handlePublish(from, Message{Kind: MsgPublish, PubID: it.PubID, Pub: it.Pub})
-		if herr != nil {
-			err = fmt.Errorf("broker %s: publish batch item %d: %w", b.id, i, herr)
-			break
-		}
-		if fresh && j != nil {
-			seen = append(seen, it.PubID)
-		}
-		for _, ob := range o {
-			if ob.Msg.Kind == MsgPublish && b.neighbors.has(ob.To) {
-				if fwd == nil {
-					fwd = make(map[string][]BatchPub)
-				}
-				fwd[ob.To] = append(fwd[ob.To], BatchPub{PubID: it.PubID, Pub: it.Pub})
-			} else {
-				out = append(out, ob)
-			}
-		}
-	}
-	if len(seen) > 0 {
-		(*j).RecordPubsSeen(seen)
-	}
-	if err != nil {
-		return out, err
-	}
-	for _, n := range b.neighbors {
-		if batch := fwd[n]; len(batch) > 0 {
-			out = append(out, Outbound{To: n, Msg: Message{Kind: MsgPublishBatch, Pubs: batch}})
-		}
-	}
-	return out, nil
-}
-
 // NeighborRoots exports the ACTIVE subscriptions announced to a
 // neighbor — the forwarding roots the neighbor must know for routing
 // to work, exactly the set LinkSync sends a healed or restarted peer.
@@ -1150,27 +1054,111 @@ func (b *Broker) LinkSync(peer string) []Outbound {
 	return []Outbound{{To: peer, Msg: Message{Kind: MsgSubscribeBatch, Subs: roots}}}
 }
 
-// handlePublish runs under the SHARED lock: everything it touches is
-// either read-only routing state (maps mutated only under the
-// exclusive lock), the concurrency-safe matcher, the dedup window
-// behind its own mutex, or atomics. fresh reports the first sighting
-// of the publication's ID, which the caller journals (so a restarted
-// broker keeps its dedup window: at-most-once across the restart, for
-// IDs that reached the synced journal) before the outputs leave.
+// pubRun is one publish run on its way through the broker: the
+// outputs decided so far and the buffers its items share.
+type pubRun struct {
+	// batch marks a MsgPublishBatch run; a MsgPublish is a run of one,
+	// whose forwards go to out as they are decided.
+	batch bool
+	// out is the run's one output slice: notifications in item order,
+	// then the forwards.
+	out []Outbound
+	// fwd holds a batch's forwards per neighbor, indexed like
+	// b.neighbors: the items routed there, in arrival order.
+	fwd [][]BatchPub
+	// ids is the matcher's result buffer, reused across the items;
+	// subIDs backs the notifications' SubIDs, one array per item with
+	// client hits sized to them, whose room the next item may use.
+	ids    []match.ID
+	subIDs []string
+	// seen collects the first-seen publication IDs when a journal is
+	// attached.
+	seen []string
+}
+
+// forward routes it to neighbor n, the k-th of the broker's neighbors:
+// a run of one sends it as a MsgPublish, a batch adds it to n's batch,
+// which can take at most left more items.
+func (run *pubRun) forward(k int, n string, neighbors int, it *BatchPub, left int) {
+	if !run.batch {
+		run.out = append(run.out, Outbound{To: n, Msg: Message{Kind: MsgPublish, PubID: it.PubID, Pub: it.Pub}})
+		return
+	}
+	if run.fwd == nil {
+		run.fwd = make([][]BatchPub, neighbors)
+	}
+	if run.fwd[k] == nil {
+		run.fwd[k] = make([]BatchPub, 0, left)
+	}
+	run.fwd[k] = append(run.fwd[k], *it)
+}
+
+// handlePublishRun processes a publish run under the SHARED lock held
+// by Handle: a MsgPublish is a run of one, a MsgPublishBatch a run of
+// its items in arrival order. A run forwards in its own kind: a
+// MsgPublish as a MsgPublish, a batch as ONE MsgPublishBatch per
+// neighbor, after the notifications, so a burst stays batched end to
+// end across the overlay. The run's first-seen IDs are journaled as ONE
+// record before it returns (a restarted broker keeps its dedup window:
+// at-most-once across the restart, for IDs that reached the synced
+// journal). An item without a PubID ends the run: what the items before
+// it decided — notifications and the forwards batched so far — is
+// returned with the error, and their first-seen IDs are journaled.
 //
 // +mustlock:mu (shared)
-func (b *Broker) handlePublish(from string, msg Message) (out []Outbound, fresh bool, err error) {
-	if msg.PubID == "" {
-		return nil, false, fmt.Errorf("broker %s: publish without PubID", b.id)
+func (b *Broker) handlePublishRun(from string, msg Message) ([]Outbound, error) {
+	run := pubRun{batch: msg.Kind == MsgPublishBatch}
+	items := msg.Pubs
+	if !run.batch {
+		items = []BatchPub{{PubID: msg.PubID, Pub: msg.Pub}}
 	}
-	if b.seenPubs.seen(msg.PubID) {
+	j := b.journal.Load()
+	if j != nil {
+		run.seen = make([]string, 0, len(items))
+	}
+	var err error
+	for i := range items {
+		if err = b.handlePublish(from, &run, &items[i], len(items)-i); err != nil {
+			if run.batch {
+				err = fmt.Errorf("broker %s: publish batch item %d: %w", b.id, i, err)
+			}
+			break
+		}
+	}
+	for k, pubs := range run.fwd {
+		if len(pubs) > 0 {
+			run.out = append(run.out, Outbound{To: b.neighbors[k], Msg: Message{Kind: MsgPublishBatch, Pubs: pubs}})
+		}
+	}
+	if len(run.seen) > 0 {
+		(*j).RecordPubsSeen(run.seen)
+	}
+	return run.out, err
+}
+
+// handlePublish runs one item of a publish run under the SHARED lock:
+// everything it touches is either read-only routing state (maps mutated
+// only under the exclusive lock), the concurrency-safe matcher, the
+// dedup window behind its own mutex, or atomics. It appends the item's
+// notifications and forwards to run; left counts the run's items from
+// this one on, the most a neighbor's batch can still take.
+//
+// +mustlock:mu (shared)
+func (b *Broker) handlePublish(from string, run *pubRun, it *BatchPub, left int) error {
+	if it.PubID == "" {
+		return fmt.Errorf("broker %s: publish without PubID", b.id)
+	}
+	if b.seenPubs.seen(it.PubID) {
 		b.metrics.dupPubsDropped.Add(1)
-		return nil, false, nil
+		return nil
 	}
 	b.metrics.pubsReceived.Add(1)
+	if run.seen != nil {
+		run.seen = append(run.seen, it.PubID)
+	}
 
 	po := b.pubObs.Load()
-	var stageT0 time.Time
+	var stageT0 time.Duration
 	if po != nil {
 		stageT0 = po.Clock()
 	}
@@ -1180,9 +1168,9 @@ func (b *Broker) handlePublish(from string, msg Message) (out []Outbound, fresh 
 	// port, and clients come out in sorted order.
 	// Up to 64 hits fit the stack; a longer list is allocated once, at
 	// its length, rather than regrown by append.
-	ids := b.index.Match(msg.Pub)
-	hits := slices.Grow(make([]*route, 0, 64), len(ids))
-	for _, id := range ids {
+	run.ids = b.index.AppendMatch(run.ids[:0], it.Pub)
+	hits := slices.Grow(make([]*route, 0, 64), len(run.ids))
+	for _, id := range run.ids {
 		hits = append(hits, b.byID[subsume.ID(id)])
 	}
 	slices.SortFunc(hits, func(x, y *route) int {
@@ -1195,19 +1183,22 @@ func (b *Broker) handlePublish(from string, msg Message) (out []Outbound, fresh 
 	// client, naming every matched subscription. A client's reverse
 	// paths are the routes it sources.
 	if len(hits) > 0 {
-		// Room for a frame per client run and a forward per neighbor.
-		size := len(b.neighbors)
-		if b.neighbors.has(from) {
-			size--
+		// Room for a frame per client run and, in a run of one, a
+		// forward per neighbor.
+		size := 0
+		if !run.batch {
+			size = len(b.neighbors)
+			if b.neighbors.has(from) {
+				size--
+			}
 		}
 		for i, r := range hits {
 			if (i == 0 || r.src != hits[i-1].src) && r.src != from && b.clients.has(r.src) {
 				size++
 			}
 		}
-		out = make([]Outbound, 0, size)
+		run.out = slices.Grow(run.out, size)
 	}
-	var subIDs []string // one backing array for every client's frame
 	for i, j := 0, 0; i < len(hits); i = j {
 		c := hits[i].src
 		j = i + 1
@@ -1217,30 +1208,30 @@ func (b *Broker) handlePublish(from string, msg Message) (out []Outbound, fresh 
 		if c == from || !b.clients.has(c) {
 			continue
 		}
-		if subIDs == nil {
-			subIDs = make([]string, 0, len(hits)-i)
+		if cap(run.subIDs)-len(run.subIDs) < j-i {
+			run.subIDs = make([]string, 0, len(hits)-i)
 		}
-		k := len(subIDs)
+		k := len(run.subIDs)
 		for _, r := range hits[i:j] {
-			subIDs = append(subIDs, r.subID)
+			run.subIDs = append(run.subIDs, r.subID)
 		}
 		b.metrics.notifications.Add(int64(j - i))
-		out = append(out, Outbound{To: c, Msg: Message{
+		run.out = append(run.out, Outbound{To: c, Msg: Message{
 			Kind:   MsgNotifyBatch,
-			PubID:  msg.PubID,
-			Pub:    msg.Pub,
-			SubIDs: subIDs[k:len(subIDs):len(subIDs)],
+			PubID:  it.PubID,
+			Pub:    it.Pub,
+			SubIDs: run.subIDs[k:len(run.subIDs):len(run.subIDs)],
 		}})
 	}
 	if po != nil {
 		t1 := po.Clock()
-		po.Match.Observe(t1.Sub(stageT0))
+		po.Match.Observe(t1 - stageT0)
 		stageT0 = t1
 	}
 	// Reverse-path forwarding: send to every neighbor that announced a
 	// matching subscription. Clients and neighbors are each walked in
 	// sorted order, so the output is deterministic without a sort.
-	for _, n := range b.neighbors {
+	for k, n := range b.neighbors {
 		if n == from {
 			continue
 		}
@@ -1248,13 +1239,13 @@ func (b *Broker) handlePublish(from string, msg Message) (out []Outbound, fresh 
 		for _, r := range hits {
 			if recv[r.subID] != nil {
 				b.metrics.pubsForwarded.Add(1)
-				out = append(out, Outbound{To: n, Msg: msg})
+				run.forward(k, n, len(b.neighbors), it, left)
 				break
 			}
 		}
 	}
 	if po != nil {
-		po.Route.Observe(po.Clock().Sub(stageT0))
+		po.Route.Observe(po.Clock() - stageT0)
 	}
-	return out, true, nil
+	return nil
 }

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"fmt"
 	"hash/maphash"
 	"sync"
 )
@@ -34,13 +35,28 @@ type pubDedup struct {
 
 // dedupGen is one generation: an open-addressing hash table with linear
 // probing. The IDs lie back to back in arena, the i-th ending at
-// ends[i]; a slot holds 0 (empty) or 1+i. The slot count is a power of
-// two at least twice the ID count, so the load factor stays ≤ ½.
-// Probes compare the full ID bytes, so no decision rests on a hash.
+// ends[i]; a slot holds 0 (empty) or, for the i-th ID, 1+i in its low
+// dedupIndexBits and the top bits of the ID's hash above them (its
+// tag). The slot count is a power of two at least twice the ID count,
+// so the load factor stays ≤ ½. A probe reads an ID's bytes only when
+// the tags agree, and then compares them in full, so no decision rests
+// on a hash.
 type dedupGen struct {
-	slots []int32
+	slots []uint32
 	arena []byte
 	ends  []int
+}
+
+// dedupIndexBits is the width of a slot's 1+index field; the other 12
+// bits hold the tag. A generation therefore holds fewer than 2^20 IDs.
+const (
+	dedupIndexBits = 20
+	dedupIndexMask = 1<<dedupIndexBits - 1
+)
+
+// dedupTag returns the tag of hash h, placed where a slot holds it.
+func dedupTag(h uint64) uint32 {
+	return uint32(h>>(64-(32-dedupIndexBits))) << dedupIndexBits
 }
 
 // minDedupSlots is a generation's first table size; it doubles as IDs
@@ -48,9 +64,14 @@ type dedupGen struct {
 // sees few publications keeps a small window.
 const minDedupSlots = 16
 
-func (d *pubDedup) init(limit int) {
+// init sets the window's limit, which a slot's index field bounds.
+func (d *pubDedup) init(limit int) error {
+	if limit > dedupIndexMask {
+		return fmt.Errorf("dedup limit %d exceeds %d", limit, dedupIndexMask)
+	}
 	d.limit = limit
 	d.seed = maphash.MakeSeed()
+	return nil
 }
 
 // seen records id and reports whether it was already known.
@@ -125,12 +146,13 @@ func (g *dedupGen) id(i int) []byte {
 // slot that ends its probe sequence. The table must not be empty.
 func (g *dedupGen) find(h uint64, id string) (int, bool) {
 	mask := uint64(len(g.slots) - 1)
+	tag := dedupTag(h)
 	for i := h & mask; ; i = (i + 1) & mask {
 		s := g.slots[i]
 		if s == 0 {
 			return int(i), false
 		}
-		if string(g.id(int(s-1))) == id {
+		if s&^dedupIndexMask == tag && string(g.id(int(s&dedupIndexMask)-1)) == id {
 			return int(i), true
 		}
 	}
@@ -156,20 +178,21 @@ func (g *dedupGen) put(seed maphash.Seed, h uint64, id string) bool {
 	}
 	g.arena = append(g.arena, id...)
 	g.ends = append(g.ends, len(g.arena))
-	g.slots[i] = int32(len(g.ends))
+	g.slots[i] = dedupTag(h) | uint32(len(g.ends))
 	return false
 }
 
 // grow doubles the slot table and places every ID again.
 func (g *dedupGen) grow(seed maphash.Seed) {
-	g.slots = make([]int32, max(2*len(g.slots), minDedupSlots))
+	g.slots = make([]uint32, max(2*len(g.slots), minDedupSlots))
 	mask := uint64(len(g.slots) - 1)
 	for k := range g.ends {
-		i := maphash.Bytes(seed, g.id(k)) & mask
+		h := maphash.Bytes(seed, g.id(k))
+		i := h & mask
 		for g.slots[i] != 0 {
 			i = (i + 1) & mask
 		}
-		g.slots[i] = int32(k + 1)
+		g.slots[i] = dedupTag(h) | uint32(k+1)
 	}
 }
 

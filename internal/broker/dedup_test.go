@@ -258,10 +258,14 @@ func FuzzPubDedup(f *testing.F) {
 
 // TestDedupGenProbeWrap places IDs whose hash points at a table's last
 // slot: the probe must wrap to slot 0, and every ID must stay findable
-// by its full bytes although all hashes are equal.
+// by its full bytes although all hashes are equal. Then IDs whose
+// hashes share a tag but differ in their low bits: each lands at its
+// own slot, tagged, and an ID probed under another's hash is not
+// mistaken for it, nor under a hash with the same low bits and another
+// tag.
 func TestDedupGenProbeWrap(t *testing.T) {
 	seed := maphash.MakeSeed()
-	g := dedupGen{slots: make([]int32, minDedupSlots)}
+	g := dedupGen{slots: make([]uint32, minDedupSlots)}
 	last := uint64(minDedupSlots - 1)
 	ids := []string{"a", "ab", "abb", "b", "ba"}
 	for _, id := range ids {
@@ -270,7 +274,7 @@ func TestDedupGenProbeWrap(t *testing.T) {
 		}
 	}
 	for i, s := range []int{minDedupSlots - 1, 0, 1, 2, 3} {
-		if g.slots[s] != int32(i+1) {
+		if g.slots[s] != uint32(i+1) {
 			t.Fatalf("slot %d holds %d, want ID %d: slots %v", s, g.slots[s], i+1, g.slots)
 		}
 	}
@@ -281,6 +285,41 @@ func TestDedupGenProbeWrap(t *testing.T) {
 	}
 	if g.has(last, "aa") {
 		t.Fatal(`"aa" found though never added`)
+	}
+
+	g = dedupGen{slots: make([]uint32, minDedupSlots)}
+	const tag = 0xabc
+	hx, hy := uint64(tag)<<52|4, uint64(tag)<<52|6
+	for _, p := range []struct {
+		h  uint64
+		id string
+	}{{hx, "x"}, {hy, "y"}} {
+		if g.put(seed, p.h, p.id) {
+			t.Fatalf("fresh %q reported present", p.id)
+		}
+	}
+	if g.slots[4] != tag<<dedupIndexBits|1 || g.slots[6] != tag<<dedupIndexBits|2 {
+		t.Fatalf("slots 4 and 6 hold %#x and %#x, want the tag over IDs 1 and 2", g.slots[4], g.slots[6])
+	}
+	if !g.has(hx, "x") || !g.has(hy, "y") {
+		t.Fatal("a tagged ID not found under its own hash")
+	}
+	if g.has(hy, "x") || g.has(hx, "y") {
+		t.Fatal("an ID found under another ID's hash with the same tag")
+	}
+	if g.has(uint64(0x123)<<52|4, "x") {
+		t.Fatal("an ID found under a hash with its low bits and another tag")
+	}
+}
+
+// TestPubDedupLimitBound: a slot's index field holds fewer than 2^20
+// IDs, so a broker refuses a dedup limit of 2^20 or more.
+func TestPubDedupLimitBound(t *testing.T) {
+	if _, err := New("B1", store.PolicyNone, withDedupLimit(1<<20)); err == nil {
+		t.Error("a dedup limit of 2^20 was accepted")
+	}
+	if _, err := New("B1", store.PolicyNone, withDedupLimit(1<<20-1)); err != nil {
+		t.Errorf("a dedup limit of 2^20-1 was refused: %v", err)
 	}
 }
 

@@ -25,9 +25,9 @@ func TestPublishObserverTimesStages(t *testing.T) {
 	}
 	// Manual clock: each call advances 1µs, so every stage measures a
 	// deterministic nonzero duration.
-	now := time.Unix(0, 0)
+	var now time.Duration
 	po := &PublishObserver{
-		Clock: func() time.Time { now = now.Add(time.Microsecond); return now },
+		Clock: func() time.Duration { now += time.Microsecond; return now },
 		Match: obs.NewHistogram(),
 		Route: obs.NewHistogram(),
 	}
@@ -47,7 +47,7 @@ func TestPublishObserverTimesStages(t *testing.T) {
 	// Detach: further publishes must not observe (or read the clock).
 	b.SetPublishObserver(nil)
 	calls := 0
-	po.Clock = func() time.Time { calls++; return time.Unix(0, 0) }
+	po.Clock = func() time.Duration { calls++; return 0 }
 	if _, err := b.Handle("C2", Message{Kind: MsgPublish, PubID: "pX",
 		Pub: subscription.NewPublication(5, 5)}); err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestSetPublishObserverValidates(t *testing.T) {
 			t.Error("incomplete observer accepted")
 		}
 	}()
-	b.SetPublishObserver(&PublishObserver{Clock: time.Now})
+	b.SetPublishObserver(&PublishObserver{Clock: func() time.Duration { return 0 }})
 }
 
 // TestPublishObserverZeroAlloc pins the acceptance criterion:
@@ -109,8 +109,9 @@ func TestPublishObserverZeroAlloc(t *testing.T) {
 	}
 	base := measure(mkBroker())
 	withObs := mkBroker()
+	epoch := time.Now()
 	withObs.SetPublishObserver(&PublishObserver{
-		Clock: time.Now,
+		Clock: func() time.Duration { return time.Since(epoch) },
 		Match: obs.NewHistogram(),
 		Route: obs.NewHistogram(),
 	})

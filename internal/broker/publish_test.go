@@ -164,7 +164,8 @@ func TestCollectsAfterShedding(t *testing.T) {
 // counts are the matcher's result, the outbound slice and, when a
 // client matched, its SubIDs; the message stays on the stack, since
 // only the state-changing kinds hand it to the journal, and the dedup
-// window's insert allocates nothing once its tables have grown.
+// window's insert allocates nothing once its tables have grown. A
+// publish run pays its allocations once, not per publication.
 func TestPublishAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race")
@@ -220,5 +221,38 @@ func TestPublishAllocs(t *testing.T) {
 	}
 	if got, want := measure(neighbours, "N1", pub, 2), 2.0; got != want {
 		t.Errorf("neighbours only, 2 hits: %.1f allocs per publication, want %.1f", got, want)
+	}
+
+	// A run of 32 publications from N1 that each hit N2 alone leaves as
+	// one PUBBATCH. The run's allocations do not grow with its length:
+	// the matcher's result buffer, the per-neighbour index of batches,
+	// N2's batch and the outbound slice, each once.
+	const runLen, runRuns = 32, 100
+	run := newBroker(t, store.PolicyNone)
+	for _, n := range []string{"N1", "N2"} {
+		if err := run.ConnectNeighbor(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := run.Handle("N2", Message{Kind: MsgSubscribeBatch, Subs: boxes("N2", 1)}); err != nil {
+		t.Fatal(err)
+	}
+	batches := make([][]BatchPub, runRuns+1)
+	for i := range batches {
+		batches[i] = make([]BatchPub, runLen)
+		for k := range batches[i] {
+			batches[i][k] = BatchPub{PubID: fmt.Sprintf("r%d-%d", i, k), Pub: pub}
+		}
+	}
+	i := 0
+	got := testing.AllocsPerRun(runRuns, func() {
+		out, err := run.Handle("N1", Message{Kind: MsgPublishBatch, Pubs: batches[i]})
+		i++
+		if err != nil || len(out) != 1 || len(out[0].Msg.Pubs) != runLen {
+			t.Fatalf("publish run: %d outbound, err %v; want one batch of %d", len(out), err, runLen)
+		}
+	})
+	if want := 4.0; got != want {
+		t.Errorf("a run of %d, each hitting one neighbour: %.1f allocs per run, want %.1f", runLen, got, want)
 	}
 }

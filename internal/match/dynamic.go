@@ -107,26 +107,34 @@ func (x *ITreeIndex) FilterCounts() (candidates, hits uint64) {
 // queries only the index of p's arity, and counts the candidates and
 // hits. Safe for concurrent callers.
 func (x *ITreeIndex) Match(p subscription.Publication) []ID {
+	return x.AppendMatch(nil, p)
+}
+
+// AppendMatch is Match appending to dst, so a caller matching many
+// publications reuses one buffer; it allocates only when dst lacks
+// room for the hits.
+func (x *ITreeIndex) AppendMatch(dst []ID, p subscription.Publication) []ID {
 	sc := scratchPool.Get().(*cells.Scratch)
 	defer scratchPool.Put(sc)
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	ix := x.byArity[len(p.Values)]
 	if ix == nil {
-		return nil
+		return dst
 	}
 	hits, candidates := ix.Stab(sc, p)
 	x.candidates.Add(uint64(candidates))
 	x.hits.Add(uint64(len(hits)))
 	if len(hits) == 0 {
-		return nil
+		return dst
 	}
-	out := make([]ID, len(hits))
-	for i, slot := range hits {
+	n := len(dst)
+	dst = slices.Grow(dst, len(hits))
+	for _, slot := range hits {
 		id, _ := ix.Row(slot)
-		out[i] = ID(id)
+		dst = append(dst, ID(id))
 	}
 	// Hits come in slot order, which slot reuse scrambles.
-	slices.Sort(out)
-	return out
+	slices.Sort(dst[n:])
+	return dst
 }

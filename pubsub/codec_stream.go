@@ -28,7 +28,7 @@ type frameReader struct {
 	// stage: unmarshal only, never the blocking socket read. Both nil
 	// or both set.
 	hist  *obs.Histogram
-	clock func() time.Time
+	clock func() time.Duration
 }
 
 func newFrameReader(r io.Reader) *frameReader {
@@ -36,7 +36,7 @@ func newFrameReader(r io.Reader) *frameReader {
 }
 
 // instrument attaches decode-stage timing; zero overhead when unset.
-func (fr *frameReader) instrument(hist *obs.Histogram, clock func() time.Time) {
+func (fr *frameReader) instrument(hist *obs.Histogram, clock func() time.Duration) {
 	fr.hist, fr.clock = hist, clock
 }
 
@@ -55,7 +55,7 @@ func (fr *frameReader) decode(payload []byte, f *Frame) error {
 	}
 	t0 := fr.clock()
 	err := decodePayload(payload, f)
-	fr.hist.Observe(fr.clock().Sub(t0))
+	fr.hist.Observe(fr.clock() - t0)
 	return err
 }
 

@@ -27,14 +27,22 @@ const (
 	histFrameWrite   = "publish_stage_write_ns"
 )
 
+// monoClock returns a stage clock: the monotonic time since the call.
+// A reading is one clock read, where time.Now takes two (wall and
+// monotonic); stage timing needs differences only.
+func monoClock() func() time.Duration {
+	epoch := time.Now()
+	return func() time.Duration { return time.Since(epoch) }
+}
+
 // newServerRegistry builds the registry for one tcpServer and wires
-// the broker core into it: publish-stage observer, counter callbacks,
-// and the flight recorder.
-func newServerRegistry(core *broker.Broker) *obs.Registry {
+// the broker core into it: publish-stage observer timed by clock,
+// counter callbacks, and the flight recorder, which keeps wall time.
+func newServerRegistry(core *broker.Broker, clock func() time.Duration) *obs.Registry {
 	reg := obs.NewRegistry(obs.NewFlightRecorder(512, time.Now))
 	reg.SetKindNamer(func(k int) string { return broker.MsgKind(k).String() })
 	core.SetPublishObserver(&broker.PublishObserver{
-		Clock: time.Now,
+		Clock: clock,
 		Match: reg.Histogram(histMatch),
 		Route: reg.Histogram(histRoute),
 	})

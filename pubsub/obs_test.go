@@ -61,11 +61,18 @@ func TestTCPObservabilityEndToEnd(t *testing.T) {
 	if err := tr.Settle(ctx); err != nil {
 		t.Fatal(err)
 	}
+	// One lone publication, which B1 forwards as a publish frame, then
+	// a batch of the rest, which it forwards as one publish-batch frame.
 	const pubs = 20
-	for i := 0; i < pubs; i++ {
-		if err := pub.Publish(ctx, "p"+string(rune('a'+i)), subsume.NewPublication(50, 50)); err != nil {
-			t.Fatal(err)
-		}
+	if err := pub.Publish(ctx, "pa", subsume.NewPublication(50, 50)); err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]pubsub.BatchPub, pubs-1)
+	for i := range batch {
+		batch[i] = pubsub.BatchPub{PubID: "p" + string(rune('b'+i)), Pub: subsume.NewPublication(50, 50)}
+	}
+	if err := pub.PublishBatch(ctx, batch); err != nil {
+		t.Fatal(err)
 	}
 	if err := tr.Settle(ctx); err != nil {
 		t.Fatal(err)
@@ -112,6 +119,7 @@ func TestTCPObservabilityEndToEnd(t *testing.T) {
 		"probsum_broker_match_candidates",
 		"probsum_broker_match_hits",
 		`probsum_link_frames_sent_total{link="B2",kind="publish"}`,
+		`probsum_link_frames_sent_total{link="B2",kind="publish-batch"}`,
 		"probsum_publish_stage_match_ns_count",
 		"probsum_publish_stage_route_ns_count",
 		"probsum_publish_stage_enqueue_ns_count",
@@ -137,8 +145,8 @@ func TestTCPObservabilityEndToEnd(t *testing.T) {
 			t.Errorf("histogram %s has zero observations", h)
 		}
 	}
-	if link, ok := j.Links["B2"]; !ok || link.Sent["publish"] == 0 {
-		t.Errorf("link B2 publish frames not counted: %+v", j.Links)
+	if link := j.Links["B2"]; link.Sent["publish"] != 1 || link.Sent["publish-batch"] != 1 {
+		t.Errorf("link B2 frames %+v, want one publish and one publish-batch", j.Links)
 	}
 
 	// The simulator transport carries no registry by design.

@@ -396,10 +396,11 @@ func pubIDsOf(t *testing.T, rec []byte) []string {
 	return ids
 }
 
-// TestPublishRunJournalsOneRecord: a publish run, coalesced by a reader
-// or sent as one PUBBATCH, journals its k first-seen IDs as ONE pubids
-// record before it returns, skipping the duplicate among them; a
-// broker recovered from that journal drops all k as duplicates.
+// TestPublishRunJournalsOneRecord: a publish run — a reader's coalesced
+// run and a client's PUBBATCH alike reach the broker as one PUBBATCH —
+// journals its k first-seen IDs as ONE pubids record before it
+// returns, skipping the duplicate among them; a broker recovered from
+// that journal drops all k as duplicates.
 func TestPublishRunJournalsOneRecord(t *testing.T) {
 	const k = 5
 	ids := make([]string, k)
@@ -411,60 +412,48 @@ func TestPublishRunJournalsOneRecord(t *testing.T) {
 	pub := func(id string) broker.Message {
 		return broker.Message{Kind: broker.MsgPublish, PubID: id, Pub: subscription.NewPublication(10, 10)}
 	}
-	runs := map[string]func(b *broker.Broker) (broker.Metrics, error){
-		"coalesced": func(b *broker.Broker) (broker.Metrics, error) {
-			msgs := make([]broker.Message, len(order))
-			for i, id := range order {
-				msgs[i] = pub(id)
-			}
-			_, err := b.HandlePublishBatch("alice", msgs)
-			return b.Metrics(), err
-		},
-		"pubbatch": func(b *broker.Broker) (broker.Metrics, error) {
-			items := make([]broker.BatchPub, len(order))
-			for i, id := range order {
-				items[i] = broker.BatchPub{PubID: id, Pub: subscription.NewPublication(10, 10)}
-			}
-			_, err := b.Handle("alice", broker.Message{Kind: broker.MsgPublishBatch, Pubs: items})
-			return b.Metrics(), err
-		},
+	run := func(b *broker.Broker) (broker.Metrics, error) {
+		items := make([]broker.BatchPub, len(order))
+		for i, id := range order {
+			items[i] = broker.BatchPub{PubID: id, Pub: subscription.NewPublication(10, 10)}
+		}
+		_, err := b.Handle("alice", broker.Message{Kind: broker.MsgPublishBatch, Pubs: items})
+		return b.Metrics(), err
 	}
-	for name, run := range runs {
-		t.Run(name, func(t *testing.T) {
-			st := persist.NewMemStore()
-			b, _ := newJournaledBroker(t, st, 1000)
-			b.AttachClient("alice")
-			if _, err := b.Handle("alice", pub("p0")); err != nil {
-				t.Fatal(err)
-			}
-			before := len(journalRecords(t, st))
-			if _, err := run(b); err != nil {
-				t.Fatal(err)
-			}
-			recs := journalRecords(t, st)
-			if len(recs) != before+1 {
-				t.Fatalf("the run appended %d records, want 1", len(recs)-before)
-			}
-			if got := pubIDsOf(t, recs[before]); !slices.Equal(got, ids) {
-				t.Fatalf("run record holds %v, want %v", got, ids)
-			}
+	t.Run("pubbatch", func(t *testing.T) {
+		st := persist.NewMemStore()
+		b, _ := newJournaledBroker(t, st, 1000)
+		b.AttachClient("alice")
+		if _, err := b.Handle("alice", pub("p0")); err != nil {
+			t.Fatal(err)
+		}
+		before := len(journalRecords(t, st))
+		if _, err := run(b); err != nil {
+			t.Fatal(err)
+		}
+		recs := journalRecords(t, st)
+		if len(recs) != before+1 {
+			t.Fatalf("the run appended %d records, want 1", len(recs)-before)
+		}
+		if got := pubIDsOf(t, recs[before]); !slices.Equal(got, ids) {
+			t.Fatalf("run record holds %v, want %v", got, ids)
+		}
 
-			b2, err := broker.New("B1", store.PolicyPairwise)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := RecoverBroker(b2, st); err != nil {
-				t.Fatal(err)
-			}
-			m, err := run(b2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m.PubsReceived != 0 || m.DupPubsDropped != k+1 {
-				t.Fatalf("recovered broker received %d and dropped %d of the run, want 0 and %d", m.PubsReceived, m.DupPubsDropped, k+1)
-			}
-		})
-	}
+		b2, err := broker.New("B1", store.PolicyPairwise)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RecoverBroker(b2, st); err != nil {
+			t.Fatal(err)
+		}
+		m, err := run(b2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.PubsReceived != 0 || m.DupPubsDropped != k+1 {
+			t.Fatalf("recovered broker received %d and dropped %d of the run, want 0 and %d", m.PubsReceived, m.DupPubsDropped, k+1)
+		}
+	})
 }
 
 // TestJournalSyncCountsIDs: the fsync batch counts publication IDs,
@@ -476,11 +465,11 @@ func TestJournalSyncCountsIDs(t *testing.T) {
 	b, _ := newJournaledBroker(t, st, syncEvery)
 	run := func(ids ...string) {
 		t.Helper()
-		msgs := make([]broker.Message, len(ids))
+		pubs := make([]broker.BatchPub, len(ids))
 		for i, id := range ids {
-			msgs[i] = broker.Message{Kind: broker.MsgPublish, PubID: id, Pub: subscription.NewPublication(1)}
+			pubs[i] = broker.BatchPub{PubID: id, Pub: subscription.NewPublication(1)}
 		}
-		if _, err := b.HandlePublishBatch("N1", msgs); err != nil {
+		if _, err := b.Handle("N1", broker.Message{Kind: broker.MsgPublishBatch, Pubs: pubs}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -490,5 +479,53 @@ func TestJournalSyncCountsIDs(t *testing.T) {
 	recs := journalRecords(t, st)
 	if len(recs) != 1 || !slices.Equal(pubIDsOf(t, recs[0]), []string{"a1", "a2", "a3", "a4"}) {
 		t.Fatalf("after the crash the journal holds %d records, want the synced four-ID run alone", len(recs))
+	}
+}
+
+// TestPublishRunErrorRule: a publish run whose third item has no
+// PubID stops there. What the items before it decided leaves — their
+// notifications and the neighbor's batch of them — their first-seen
+// IDs are journaled, and the item after the bad one is never handled.
+func TestPublishRunErrorRule(t *testing.T) {
+	st := persist.NewMemStore()
+	b, _ := newJournaledBroker(t, st, 1)
+	b.AttachClient("S")
+	b.AttachClient("P")
+	if err := b.ConnectNeighbor("N"); err != nil {
+		t.Fatal(err)
+	}
+	for _, from := range []string{"S", "N"} {
+		if _, err := b.Handle(from, broker.Message{Kind: broker.MsgSubscribe, SubID: from + "-s", Sub: box(0, 100, 0, 100)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pub := subscription.NewPublication(5, 5)
+	out, err := b.Handle("P", broker.Message{Kind: broker.MsgPublishBatch, Pubs: []broker.BatchPub{
+		{PubID: "p1", Pub: pub}, {PubID: "p2", Pub: pub}, {Pub: pub}, {PubID: "p3", Pub: pub},
+	}})
+	if err == nil {
+		t.Fatal("a run with an item without PubID was accepted")
+	}
+	var got []string
+	for _, o := range out {
+		ids := []string{o.Msg.PubID}
+		if o.Msg.Kind == broker.MsgPublishBatch {
+			ids = ids[:0]
+			for _, it := range o.Msg.Pubs {
+				ids = append(ids, it.PubID)
+			}
+		}
+		got = append(got, fmt.Sprintf("%s %v %v", o.To, o.Msg.Kind, ids))
+	}
+	want := []string{"S notify-batch [p1]", "S notify-batch [p2]", "N publish-batch [p1 p2]"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("outputs %q, want %q", got, want)
+	}
+	recs := journalRecords(t, st)
+	if ids := pubIDsOf(t, recs[len(recs)-1]); !slices.Equal(ids, []string{"p1", "p2"}) {
+		t.Fatalf("the run journaled %v, want [p1 p2]", ids)
+	}
+	if m := b.Metrics(); m.PubsReceived != 2 {
+		t.Fatalf("%d publications handled, want 2", m.PubsReceived)
 	}
 }

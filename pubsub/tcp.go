@@ -43,8 +43,10 @@ package pubsub
 //     admission ordered (per port by the reader's sequencing, across
 //     ports by the lock). A reader that finds more publish frames
 //     already buffered coalesces them (up to maxPublishCoalesce) into
-//     ONE HandlePublishBatch call, paying the RWMutex once per run
-//     instead of once per frame at high rates.
+//     ONE PUBBATCH: the broker pays its RWMutex once per run instead
+//     of once per frame, and the run leaves as one PUBBATCH per
+//     neighbor. A lone publish frame is handled, and forwarded, as the
+//     PUBLISH it is.
 //   - one WRITER per connection, the same at both ends (connWriter):
 //     a send encodes its frame on the sender's goroutine into the
 //     connection's pending buffer, and one goroutine writes whatever
@@ -198,7 +200,7 @@ type tcpServer struct {
 	hDecode  *obs.Histogram
 	hEnqueue *obs.Histogram
 	hWrite   *obs.Histogram
-	obsClock func() time.Time
+	obsClock func() time.Duration
 
 	stopping chan struct{} // Shutdown began: stop accepting/registering
 
@@ -222,11 +224,11 @@ func newTCPServer(b *broker.Broker, addr string) (*tcpServer, error) {
 		readers:  make(map[net.Conn]struct{}),
 		stopping: make(chan struct{}),
 	}
-	s.reg = newServerRegistry(b)
+	s.obsClock = monoClock()
+	s.reg = newServerRegistry(b, s.obsClock)
 	s.hDecode = s.reg.Histogram(histFrameDecode)
 	s.hEnqueue = s.reg.Histogram(histFrameEnqueue)
 	s.hWrite = s.reg.Histogram(histFrameWrite)
-	s.obsClock = time.Now
 	registerQueueDepths(s.reg, s)
 	s.readerWg.Add(1)
 	go s.acceptLoop()
@@ -427,23 +429,11 @@ func (s *tcpServer) sendTo(p *tcpPort, msg broker.Message) bool {
 }
 
 // dispatch runs one inbound message through the broker and fans the
-// results out to the ports.
+// results out to the ports in order. A message the broker refuses
+// still sends what the broker decided before the refusal (see
+// broker.Broker.Handle); the caller then drops the port.
 func (s *tcpServer) dispatch(from string, msg broker.Message) error {
 	outs, err := s.b.Handle(from, msg)
-	if err != nil {
-		return err
-	}
-	for _, o := range outs {
-		s.send(o)
-	}
-	return nil
-}
-
-// dispatchPublishBatch runs a coalesced run of publish frames through
-// the broker under ONE shared-lock acquisition and fans the results
-// out in order.
-func (s *tcpServer) dispatchPublishBatch(from string, msgs []broker.Message) error {
-	outs, err := s.b.HandlePublishBatch(from, msgs)
 	for _, o := range outs {
 		s.send(o)
 	}
@@ -496,8 +486,9 @@ func (s *tcpServer) untrackReader(conn net.Conn) {
 }
 
 // maxPublishCoalesce caps how many already-buffered publish frames a
-// reader folds into one HandlePublishBatch call, bounding the latency
-// a coalesced run can add ahead of a queued subscribe.
+// reader folds into one run — one PUBBATCH through the broker —
+// bounding the latency a coalesced run can add ahead of a queued
+// subscribe.
 const maxPublishCoalesce = 64
 
 // serveConn runs the accepting end of the handshake — read the hello,
@@ -643,7 +634,7 @@ func (s *tcpServer) serve(p *tcpPort, r *frameReader) {
 	from := p.name
 	var (
 		fr      Frame
-		pubRun  []broker.Message
+		pubRun  []broker.BatchPub
 		pending bool // fr holds a frame read ahead by the coalescer
 	)
 	for {
@@ -664,10 +655,13 @@ func (s *tcpServer) serve(p *tcpPort, r *frameReader) {
 			continue
 		}
 		// Publish: fold in whatever publish frames the kernel already
-		// delivered, then pay the broker's shared lock once for the
-		// whole run. A buffered non-publish frame ends the run and is
-		// handled on the next iteration.
-		pubRun = append(pubRun[:0], *fr.Msg)
+		// delivered. A run of one is handled as the PUBLISH it is; a
+		// longer run as one PUBBATCH, which pays the broker's shared
+		// lock once and leaves as one PUBBATCH per neighbor. A buffered
+		// non-publish frame ends the run and is handled on the next
+		// iteration.
+		msg := *fr.Msg
+		pubRun = append(pubRun[:0], broker.BatchPub{PubID: msg.PubID, Pub: msg.Pub})
 		var runErr error
 		for len(pubRun) < maxPublishCoalesce {
 			ok, err := r.tryRead(&fr)
@@ -686,9 +680,12 @@ func (s *tcpServer) serve(p *tcpPort, r *frameReader) {
 				break
 			}
 			p.stats.Recv(int(fr.Msg.Kind))
-			pubRun = append(pubRun, *fr.Msg)
+			pubRun = append(pubRun, broker.BatchPub{PubID: fr.Msg.PubID, Pub: fr.Msg.Pub})
 		}
-		if err := s.dispatchPublishBatch(from, pubRun); err != nil || runErr != nil {
+		if len(pubRun) > 1 {
+			msg = broker.Message{Kind: broker.MsgPublishBatch, Pubs: pubRun}
+		}
+		if err := s.dispatch(from, msg); err != nil || runErr != nil {
 			return
 		}
 	}
@@ -1111,7 +1108,7 @@ type connWriter struct {
 	// wait to be accepted and each frame's encode+write (see run); clock
 	// is nil on a client's writer, which is not timed.
 	enqHist, writeHist *obs.Histogram
-	clock              func() time.Time
+	clock              func() time.Duration
 
 	mu sync.Mutex
 	// ready wakes the writer: pending gained bytes or err was set.
@@ -1158,7 +1155,7 @@ func (w *connWriter) sendFrame(ctx context.Context, fr *Frame) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	var t0 time.Time
+	var t0 time.Duration
 	if w.clock != nil {
 		t0 = w.clock()
 	}
@@ -1172,10 +1169,10 @@ func (w *connWriter) sendFrame(ctx context.Context, fr *Frame) error {
 	if w.err != nil {
 		return w.err
 	}
-	var t1 time.Time
+	var t1 time.Duration
 	if w.clock != nil {
 		t1 = w.clock()
-		w.enqHist.Observe(t1.Sub(t0))
+		w.enqHist.Observe(t1 - t0)
 	}
 	wake := len(w.pending) == 0
 	var err error
@@ -1184,7 +1181,7 @@ func (w *connWriter) sendFrame(ctx context.Context, fr *Frame) error {
 	}
 	w.frames++
 	if w.clock != nil {
-		w.encode += w.clock().Sub(t1)
+		w.encode += w.clock() - t1
 	}
 	if wake {
 		w.ready.Signal()
@@ -1234,13 +1231,13 @@ func (w *connWriter) run() error {
 		w.frames, w.encode = 0, 0
 		w.room.Broadcast()
 		w.mu.Unlock()
-		var t0 time.Time
+		var t0 time.Duration
 		if w.clock != nil {
 			t0 = w.clock()
 		}
 		_, err := w.conn.Write(buf)
 		if w.clock != nil {
-			share := (encode + w.clock().Sub(t0)) / time.Duration(frames)
+			share := (encode + w.clock() - t0) / time.Duration(frames)
 			for range frames {
 				w.writeHist.Observe(share)
 			}

@@ -504,7 +504,7 @@ func TestTCPWriterCoalescesQueuedFrames(t *testing.T) {
 	start := func(conn net.Conn) (*tcpServer, *tcpPort) {
 		s := &tcpServer{}
 		w := newConnWriter(conn)
-		w.enqHist, w.writeHist, w.clock = obs.NewHistogram(), obs.NewHistogram(), time.Now
+		w.enqHist, w.writeHist, w.clock = obs.NewHistogram(), obs.NewHistogram(), monoClock()
 		p := &tcpPort{connWriter: w, name: "c", stats: &obs.LinkStats{}}
 		s.writerWg.Add(1)
 		go s.runPort(p)

@@ -6,8 +6,10 @@ package pubsub
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"testing"
 	"time"
 
@@ -236,6 +238,127 @@ func TestTCPPublishBatchStaysBatched(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("forwarded publish batch never arrived")
+	}
+}
+
+// rawClient dials addr as client name and completes the handshake,
+// for tests that write frames by hand; r reads what the broker sends.
+func rawClient(t *testing.T, addr, name string) (conn net.Conn, r *frameReader) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	r, _, err = handshake(testCtx(t), conn, &Frame{Hello: name, Client: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return conn, r
+}
+
+// publishFrames encodes one PUBLISH frame per ID, back to back, for
+// one write.
+func publishFrames(t *testing.T, ids ...string) []byte {
+	t.Helper()
+	var buf []byte
+	for _, id := range ids {
+		var err error
+		msg := &broker.Message{Kind: broker.MsgPublish, PubID: id, Pub: subscription.NewPublication(5, 5)}
+		if buf, err = MarshalFrame(CodecBinary5, buf, &Frame{Msg: msg}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf
+}
+
+// TestTCPPublishRunForwardsOneBatch pins the forwarding rule over real
+// sockets: publish frames that reach a broker in one write are one run
+// and leave toward the neighbor as ONE publish-batch frame, while a
+// lone publish frame leaves as a publish frame. The frames leaving B1
+// are read from its link stats.
+func TestTCPPublishRunForwardsOneBatch(t *testing.T) {
+	b1 := listenTestBroker(t, "B1", Pairwise)
+	b2 := listenTestBroker(t, "B2", Pairwise)
+	if _, err := b1.ConnectPeer("B2", b2.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	ctx := testCtx(t)
+	sub := dialTest(t, b2.Addr(), "S")
+	if err := sub.Subscribe(ctx, "s", box(0, 100, 0, 100)); err != nil {
+		t.Fatal(err)
+	}
+	waitMetric(t, b1, 5*time.Second, func(m Metrics) bool { return m.SubsReceived == 1 })
+	conn, _ := rawClient(t, b1.Addr(), "P")
+	publish := func(ids ...string) {
+		t.Helper()
+		if _, err := conn.Write(publishFrames(t, ids...)); err != nil {
+			t.Fatal(err)
+		}
+		for range ids {
+			if _, ok := recvOne(t, sub, 5*time.Second); !ok {
+				t.Fatal("a publication never reached the subscriber")
+			}
+		}
+	}
+	sent := func() (batches, pubs uint64) {
+		s := b1.Observability().JSON().Links["B2"].Sent
+		return s["publish-batch"], s["publish"]
+	}
+
+	const n = 8
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("p%d", i)
+	}
+	publish(ids...)
+	if batches, pubs := sent(); batches != 1 || pubs != 0 {
+		t.Fatalf("a run of %d left B1 as %d publish-batch and %d publish frames, want 1 and 0", n, batches, pubs)
+	}
+	publish("lone")
+	if batches, pubs := sent(); batches != 1 || pubs != 1 {
+		t.Fatalf("a lone publication left B1 as %d publish-batch and %d publish frames, want 0 and 1 more", batches-1, pubs)
+	}
+}
+
+// TestTCPPublishRunErrorDropsPort: in publish frames that arrive in
+// one write, the third has no PubID. The two before it are delivered,
+// the broker then drops the connection, and the frame after it is
+// never handled.
+func TestTCPPublishRunErrorDropsPort(t *testing.T) {
+	b := listenTestBroker(t, "B1", Pairwise)
+	ctx := testCtx(t)
+	sub := dialTest(t, b.Addr(), "S")
+	if err := sub.Subscribe(ctx, "s", box(0, 100, 0, 100)); err != nil {
+		t.Fatal(err)
+	}
+	waitMetric(t, b, 5*time.Second, func(m Metrics) bool { return m.SubsReceived == 1 })
+	conn, r := rawClient(t, b.Addr(), "P")
+	if _, err := conn.Write(publishFrames(t, "p1", "p2", "", "p3")); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"p1", "p2"} {
+		n, ok := recvOne(t, sub, 5*time.Second)
+		if !ok || n.PubID != want {
+			t.Fatalf("got %q (delivered %v), want %s", n.PubID, ok, want)
+		}
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var fr Frame
+	for {
+		err := r.read(&fr)
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatal("the broker kept the connection after the bad frame")
+		}
+		if err != nil {
+			break
+		}
+	}
+	if got := b.Metrics().PubsReceived; got != 2 {
+		t.Fatalf("%d publications handled, want the 2 before the bad frame", got)
+	}
+	if n, ok := recvOne(t, sub, 100*time.Millisecond); ok {
+		t.Fatalf("%s delivered after the bad frame", n.PubID)
 	}
 }
 
