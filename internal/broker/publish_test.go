@@ -118,6 +118,48 @@ func BenchmarkBrokerHeapPerSub(b *testing.B) {
 	}
 }
 
+// BenchmarkBrokerAdmit reports the cost of admitting 3,000 narrow-mix
+// subscriptions from one client, in SUBBATCHes of 100, into a broker
+// with 1, 2, 4 and 8 neighbour coverage tables, under each coverage
+// policy: ns/sub and allocs/sub over the admissions alone. Every table
+// takes every arrival, so the spread across table counts is what each
+// table's own decision costs.
+func BenchmarkBrokerAdmit(b *testing.B) {
+	const n, batch = 3000, 100
+	subs, _ := narrowPopulation(b, n)
+	for _, policy := range []store.Policy{store.PolicyNone, store.PolicyPairwise, store.PolicyGroup} {
+		for _, tables := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%s/tables-%d", policy, tables), func(b *testing.B) {
+				var mallocs uint64
+				for b.Loop() {
+					b.StopTimer()
+					br := newBroker(b, policy)
+					for i := range tables {
+						if err := br.ConnectNeighbor(fmt.Sprintf("n%d", i)); err != nil {
+							b.Fatal(err)
+						}
+					}
+					br.AttachClient("c")
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					b.StartTimer()
+					for i := 0; i < n; i += batch {
+						if _, err := br.Handle("c", Message{Kind: MsgSubscribeBatch, Subs: subs[i : i+batch]}); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StopTimer()
+					runtime.ReadMemStats(&after)
+					mallocs += after.Mallocs - before.Mallocs
+					b.StartTimer()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/sub")
+				b.ReportMetric(float64(mallocs)/float64(b.N*n), "allocs/sub")
+			})
+		}
+	}
+}
+
 // TestCollectsAfterShedding checks that the broker asks for one
 // collection when an unsubscription burst leaves it half the routes of
 // its peak, and none while its peak is under shedCollectMin. Automatic

@@ -57,7 +57,7 @@ type entry struct {
 }
 
 // Scratch is one query's working memory: the word accumulator, the
-// filtered attributes and the hit buffer. The zero value is ready. A
+// filtered attributes (Hit's bitset offsets) and the hit buffer. The zero value is ready. A
 // query's result aliases its Scratch until the next query with it, so
 // concurrent queries need separate Scratches.
 type Scratch struct {
@@ -290,6 +290,38 @@ func (ix *Index) Stab(sc *Scratch, p subscription.Publication) (hits []int32, ca
 	}
 	sc.hits = hits
 	return hits, candidates
+}
+
+// Hit returns the first slot, in slot order, whose row contains the
+// point p, or -1 when none does: Stab's first hit, found one bitset
+// word at a time so it stops there. p must have the index's attribute
+// count.
+func (ix *Index) Hit(sc *Scratch, p []int64) int32 {
+	for a, h := range ix.hull {
+		if !h.Contains(p[a]) {
+			return -1
+		}
+	}
+	// Per attribute, the offsets of p's cell bitset and the wild bitset.
+	offs := sc.attrs[:0]
+	for a, v := range p {
+		base := a * (gridCells + 1)
+		offs = append(offs, (base+ix.cell(a, v))*ix.words, (base+gridCells)*ix.words)
+	}
+	sc.attrs = offs
+	for i := range ix.used() {
+		word := ^uint64(0)
+		for j := 0; j < len(offs) && word != 0; j += 2 {
+			word &= ix.rows[offs[j]+i] | ix.rows[offs[j+1]+i]
+		}
+		for ; word != 0; word &= word - 1 {
+			slot := i*64 + bits.TrailingZeros64(word)
+			if ix.slots[slot].sub.ContainsPoint(p) {
+				return int32(slot)
+			}
+		}
+	}
+	return -1
 }
 
 // words returns the accumulator, n words long.

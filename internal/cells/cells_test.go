@@ -78,6 +78,13 @@ func (mo model) check(t *testing.T, ix *Index, s subscription.Subscription) {
 		if !slices.Equal(got, want) || candidates < len(want) {
 			t.Fatalf("Stab(%v) = %v from %d candidates, want %v", p, got, candidates, want)
 		}
+		first := int32(-1)
+		if len(want) > 0 {
+			first = want[0]
+		}
+		if got := ix.Hit(&sc, p.Values); got != first {
+			t.Fatalf("Hit(%v) = %d, want %d (first of %v)", p, got, first, want)
+		}
 	}
 }
 
@@ -237,7 +244,8 @@ var fuzzExtremes = []int64{
 // FuzzCandidateIndex decodes the input into add, remove and probe steps
 // over one attribute count and, at every probe, requires the
 // intersection and containment queries and the point stabs at the
-// probe's corners to equal a brute-force scan of the live rows.
+// probe's corners, in full and first-hit form, to equal a brute-force
+// scan of the live rows.
 //
 // Byte 0 picks the attribute count m (1–3). Each step is an opcode byte
 // and its operands: opcode%4 of 0 or 1 adds the next ID (negated for 1,

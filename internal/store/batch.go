@@ -1,15 +1,14 @@
 package store
 
-// Batch subscribe: arrival bursts re-run the candidate query and the
-// conflict table once per subscription. SubscribeBatch amortizes the
-// burst two ways:
-//
-//   - the burst is processed in descending box-volume order (ties by
-//     ID), so the subscriptions most likely to cover others activate
-//     first and the rest fall to the cheap pairwise fast path instead
-//     of a full probabilistic check against a grown active set;
-//   - validation (duplicates, satisfiability) happens up front, so the
-//     per-item loop is decision + insert only.
+// Batch subscribe: SubscribeBatch admits a burst with one Subscribe
+// per item, so each item costs what it costs alone. What the batch buys
+// is a smaller table, not speed: the burst is processed in descending
+// box-volume order (ties by ID), so the subscriptions most likely to
+// cover others activate first and more of the rest are found covered. A
+// burst of 512 narrow-mix subscriptions leaves 32 active in volume order
+// against 288 in arrival order, at about the same time per item. The
+// whole burst is validated (duplicates, satisfiability) before any item
+// is admitted.
 //
 // Because the processing order is volume-sorted rather than arrival
 // order, a burst can reach a different (smaller or equal active set)

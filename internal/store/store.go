@@ -87,8 +87,8 @@ type node struct {
 	id       ID
 	sub      subscription.Subscription
 	status   Status
-	coverers map[ID]struct{} // nodes whose union covers this one
-	children map[ID]struct{} // nodes listing this one as coverer
+	coverers map[ID]struct{} // nodes whose union covers this one; nil while none
+	children map[ID]struct{} // nodes listing this one as coverer; nil until the first
 	slot     int32           // position in its attribute count's index while active
 }
 
@@ -127,9 +127,12 @@ type UnsubscribeResult struct {
 // also counted in Capped, in which case the trial cap cut the run
 // short and the bound does not hold.
 type CheckerStats struct {
-	// Calls counts checker runs: admissions plus the re-checks counted
-	// in RecheckCalls. CandidateRows sums the rows handed to them.
+	// Calls counts coverage decisions: admissions plus the re-checks
+	// counted in RecheckCalls. Probed counts those the point walk
+	// decided before any row was gathered (see walk); CandidateRows sums
+	// the rows gathered for the rest, so a walk decision adds none.
 	Calls         uint64
+	Probed        uint64
 	CandidateRows uint64
 	// Unsubscribes counts removals of present subscriptions;
 	// RecheckCalls counts the checker runs those removals caused to
@@ -148,6 +151,7 @@ type CheckerStats struct {
 // Add accumulates o into s.
 func (s *CheckerStats) Add(o CheckerStats) {
 	s.Calls += o.Calls
+	s.Probed += o.Probed
 	s.CandidateRows += o.CandidateRows
 	s.Unsubscribes += o.Unsubscribes
 	s.RecheckCalls += o.RecheckCalls
@@ -190,6 +194,7 @@ type Store struct {
 	candIDs  []int64
 	candSubs []subscription.Subscription
 	checkRes core.Result
+	point    []int64 // the walk's point
 
 	stats CheckerStats
 }
@@ -320,7 +325,8 @@ func (st *Store) Get(id ID) (subscription.Subscription, Status, bool) {
 // pairwise scan sees only the rows containing s and the probabilistic
 // checker only the rows intersecting s — sound, because a pairwise
 // coverer contains s and a subscription disjoint from s contributes
-// nothing to any cover of s.
+// nothing to any cover of s. Under PolicyGroup the point walk answers
+// first, and the checker runs only when the walk ends undecided.
 func (st *Store) decideCoverage(s subscription.Subscription) (Status, []ID, core.Result, error) {
 	switch st.policy {
 	case PolicyNone:
@@ -340,6 +346,12 @@ func (st *Store) decideCoverage(s subscription.Subscription) (Status, []ID, core
 		}
 		return StatusCovered, []ID{ID(ids[best])}, core.Result{}, nil
 	default: // PolicyGroup
+		if status, coverers, res, ok := st.walk(s); ok {
+			st.stats.Calls++
+			st.stats.Probed++
+			st.stats.Decisions[res.Reason]++
+			return status, coverers, res, nil
+		}
 		// The candidates are rows of s's attribute count alone, so each
 		// count is decided as if the store held no other. They come in
 		// slot order; the checker orders them by ID itself, as if they
@@ -366,6 +378,60 @@ func (st *Store) decideCoverage(s subscription.Subscription) (Status, []ID, core
 		}
 		return StatusCovered, coverers, res, nil
 	}
+}
+
+// walk decides s's group coverage with a few point stabs into the
+// active index, before any row is gathered: the cheapest exact answers
+// of Algorithm 4. A point p starts at the centre of s. A p that no
+// active row contains is a point witness: s is not covered. A row
+// containing p that also contains s makes s pairwise covered, and the
+// coverer is named as the checker names it: the lowest-ID row
+// containing s. Otherwise p moves just outside that row, on the first
+// attribute where the row ends inside s, trying attributes from the
+// step's (mod m) on: to the row's Hi+1, or else its Lo-1, so p stays
+// inside s. After 2m+1 stabs the walk gives up (ok false) and the
+// checker decides. Both answers are exact, so they are the checker's
+// status and coverers; a NO's reason and witness may differ from the
+// checker's, a YES's do not. The unpruned reference never walks, so
+// the equivalence tests check the walk against the checker.
+func (st *Store) walk(s subscription.Subscription) (Status, []ID, core.Result, bool) {
+	m := s.Len()
+	ix := st.active[m]
+	if ix == nil || st.unpruned {
+		return 0, nil, core.Result{}, false
+	}
+	p := slices.Grow(st.point[:0], m)[:m]
+	st.point = p
+	for a, b := range s.Bounds {
+		// Unsigned, so a full-int64 bound cannot overflow.
+		p[a] = b.Lo + int64((uint64(b.Hi)-uint64(b.Lo))/2)
+	}
+	for step := range 2*m + 1 {
+		slot := ix.Hit(&st.scratch, p)
+		if slot < 0 {
+			res := core.Result{Decision: core.NotCovered, Reason: core.ReasonPointWitness, CoveringRow: -1, PointWitness: slices.Clone(p)}
+			return StatusActive, nil, res, true
+		}
+		_, row := ix.Row(slot)
+		if row.Covers(s) {
+			ids, _ := st.candidates(s, true)
+			res := core.Result{Decision: core.Covered, Reason: core.ReasonPairwiseCover, CoveringRow: -1}
+			return StatusCovered, []ID{ID(slices.Min(ids))}, res, true
+		}
+		for j := range m {
+			a := (step + j) % m
+			r, b := row.Bounds[a], s.Bounds[a]
+			if r.Hi < b.Hi {
+				p[a] = r.Hi + 1
+				break
+			}
+			if r.Lo > b.Lo {
+				p[a] = r.Lo - 1
+				break
+			}
+		}
+	}
+	return 0, nil, core.Result{}, false
 }
 
 // resolveCoverers maps a group-coverage result's candidate indices to
@@ -404,22 +470,31 @@ func (st *Store) Subscribe(id ID, s subscription.Subscription) (SubscribeResult,
 	if err != nil {
 		return SubscribeResult{}, err
 	}
-	n := &node{
-		id:       id,
-		sub:      s,
-		status:   status,
-		coverers: make(map[ID]struct{}, len(coverers)),
-		children: make(map[ID]struct{}),
-	}
-	for _, c := range coverers {
-		n.coverers[c] = struct{}{}
-		st.nodes[c].children[id] = struct{}{}
-	}
+	n := &node{id: id, sub: s, status: status}
+	st.link(n, coverers)
 	st.nodes[id] = n
 	if status == StatusActive {
 		st.activate(n)
 	}
 	return SubscribeResult{Status: status, Coverers: coverers, Checker: checkRes}, nil
+}
+
+// link makes coverers n's coverers and n their child. Both maps are
+// made on first need: most subscriptions are active and cover nothing.
+func (st *Store) link(n *node, coverers []ID) {
+	n.coverers = nil
+	if len(coverers) == 0 {
+		return
+	}
+	n.coverers = make(map[ID]struct{}, len(coverers))
+	for _, c := range coverers {
+		n.coverers[c] = struct{}{}
+		p := st.nodes[c]
+		if p.children == nil {
+			p.children = make(map[ID]struct{})
+		}
+		p.children[n.id] = struct{}{}
+	}
 }
 
 // Unsubscribe removes id. When an active subscription leaves, covered
@@ -451,7 +526,7 @@ func (st *Store) Unsubscribe(id ID) (UnsubscribeResult, error) {
 	for c := range n.children {
 		children = append(children, c)
 	}
-	sort.Slice(children, func(i, j int) bool { return children[i] < children[j] })
+	slices.Sort(children)
 
 	for _, cid := range children {
 		child := st.nodes[cid]
@@ -483,12 +558,8 @@ func (st *Store) revalidate(child *node) (promoted bool, err error) {
 	for c := range child.coverers {
 		delete(st.nodes[c].children, child.id)
 	}
-	child.coverers = make(map[ID]struct{}, len(coverers))
+	st.link(child, coverers)
 	if status == StatusCovered {
-		for _, c := range coverers {
-			child.coverers[c] = struct{}{}
-			st.nodes[c].children[child.id] = struct{}{}
-		}
 		child.status = StatusCovered
 		return false, nil
 	}

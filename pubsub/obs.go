@@ -95,10 +95,13 @@ func registerBrokerMetrics(reg *obs.Registry, core *broker.Broker) {
 // exhausted) is wrong with probability at most δ unless it is also
 // counted in broker_checker_capped; every other decision is exact.
 // broker_checker_recheck_calls over broker_table_unsubscribes is the
-// checker cost of one removal.
+// checker cost of one removal; broker_checker_probed over
+// broker_checker_calls is the share decided by a few point stabs,
+// before any candidate row was gathered.
 func registerCheckerMetrics(reg *obs.Registry, b *broker.Broker) {
 	for name, pick := range map[string]func(store.CheckerStats) uint64{
 		"broker_checker_calls":          func(s store.CheckerStats) uint64 { return s.Calls },
+		"broker_checker_probed":         func(s store.CheckerStats) uint64 { return s.Probed },
 		"broker_checker_candidate_rows": func(s store.CheckerStats) uint64 { return s.CandidateRows },
 		"broker_checker_recheck_calls":  func(s store.CheckerStats) uint64 { return s.RecheckCalls },
 		"broker_table_unsubscribes":     func(s store.CheckerStats) uint64 { return s.Unsubscribes },

@@ -187,8 +187,8 @@ func TestClientStatsUnknownDeliveryIgnored(t *testing.T) {
 
 // TestTCPCheckerAccountingExposed: the coverage checker's accounting —
 // decisions by reason, RSPC trials, capped answers, re-checks per
-// removal — is scraped from the broker that takes the decisions, under
-// fixed names.
+// removal, decisions the point walk took without gathering rows — is
+// scraped from the broker that takes the decisions, under fixed names.
 func TestTCPCheckerAccountingExposed(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -215,7 +215,10 @@ func TestTCPCheckerAccountingExposed(t *testing.T) {
 
 	// B2's table toward B1 sees: two actives, then s3 covered by their
 	// union (no single one covers it), then the retirement of s1, which
-	// re-checks s3 — named s1 as a coverer — and promotes it.
+	// re-checks s3 — named s1 as a coverer — and promotes it. The walk
+	// finds a point of s2, and of s3 on its re-check, outside every row;
+	// for s3 against both rows it steps back and forth until the
+	// checker takes over.
 	schema := subsume.UniformSchema(2, 0, 100)
 	box := func(lo, hi int64) subsume.Subscription {
 		return subsume.NewSubscription(schema).Range("x1", lo, hi).Build()
@@ -244,7 +247,8 @@ func TestTCPCheckerAccountingExposed(t *testing.T) {
 	got := b2.Observability().JSON().Counters
 	for name, want := range map[string]int64{
 		"broker_checker_calls":                        4, // s1, s2, s3, s3 again
-		"broker_checker_candidate_rows":               0 + 1 + 2 + 1,
+		"broker_checker_probed":                       2, // s2 and the re-check of s3
+		"broker_checker_candidate_rows":               0 + 0 + 2 + 0,
 		"broker_checker_recheck_calls":                1,
 		"broker_table_unsubscribes":                   1,
 		"broker_checker_rspc_trials":                  0,
@@ -252,9 +256,9 @@ func TestTCPCheckerAccountingExposed(t *testing.T) {
 		"broker_checker_decisions_residual_cover":     1,
 		"broker_checker_decisions_trials_exhausted":   0,
 		"broker_checker_decisions_pairwise_cover":     0,
-		"broker_checker_decisions_polyhedron_witness": 2,
+		"broker_checker_decisions_polyhedron_witness": 0,
 		"broker_checker_decisions_empty_mcs":          1, // s1 against the empty table
-		"broker_checker_decisions_point_witness":      0,
+		"broker_checker_decisions_point_witness":      2, // the walk's NOs for s2 and s3 again
 	} {
 		v, ok := got[name]
 		if !ok {
