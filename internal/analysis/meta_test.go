@@ -144,7 +144,7 @@ func TestMetricsMethodsExist(t *testing.T) {
 		byPath[p.ImportPath] = p
 	}
 	for path, want := range map[string]map[string][]string{
-		"probsum/internal/broker": {"Broker": {"Metrics", "NeighborTableMetrics"}},
+		"probsum/internal/broker": {"Broker": {"Metrics", "CheckerStats"}},
 		"probsum/pubsub/cluster":  {"Node": {"Metrics"}},
 	} {
 		pkg, ok := byPath[path]

@@ -25,11 +25,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"probsum/internal/core"
 	"probsum/internal/match"
 	"probsum/internal/obs"
 	"probsum/internal/store"
 	"probsum/internal/subscription"
-	"probsum/subsume"
 )
 
 // MsgKind enumerates protocol messages.
@@ -368,12 +368,14 @@ func withDedupLimit(n int) Option {
 	}
 }
 
-// WithTableOptions appends subsume table options applied to every
-// per-neighbor coverage table — error probability and trial cap
-// (pubsub.Config converts to exactly these). The broker's per-neighbor checker seed is applied
-// after them, so a WithSeed among the checker options is overridden
-// to keep table streams independent.
-func WithTableOptions(opts ...subsume.TableOption) Option {
+// WithTableOptions appends store options for every per-neighbor
+// coverage table ConnectNeighbor builds with store.New: checker options
+// such as error probability and trial cap (pubsub.Config.TableOptions
+// converts to exactly these). The broker's per-neighbor checker seed is
+// appended after them, so a seed among them is overridden to keep
+// table streams independent. store.WithChecker must not be passed: the
+// tables would share one checker.
+func WithTableOptions(opts ...store.Option) Option {
 	return func(b *Broker) { b.tableOpts = append(b.tableOpts, opts...) }
 }
 
@@ -395,7 +397,7 @@ type Broker struct {
 	id        string
 	policy    store.Policy
 	seed      uint64
-	tableOpts []subsume.TableOption
+	tableOpts []store.Option
 
 	// mu guards the routing state below: exclusive for subscribe /
 	// unsubscribe / topology changes, shared for publish.
@@ -411,8 +413,11 @@ type Broker struct {
 
 	// out holds one coverage table per neighbor: the subscriptions this
 	// broker has forwarded to that neighbor, reduced under the policy.
+	// A store has no lock of its own: mu guards it, exclusive for the
+	// admissions and removals, shared for the reads (Get, ActiveIDs,
+	// CheckerStats).
 	// +guarded_by:mu
-	out map[string]*subsume.Table
+	out map[string]*store.Store
 
 	// routes holds one record per known subscription, by SubID; byID
 	// holds the same records by numeric ID, the key of every coverage
@@ -420,9 +425,9 @@ type Broker struct {
 	// +guarded_by:mu
 	routes map[string]*route
 	// +guarded_by:mu
-	byID map[subsume.ID]*route
+	byID map[store.ID]*route
 	// +guarded_by:mu
-	nextID subsume.ID
+	nextID store.ID
 	// routePeak is the most routes held since the last collection the
 	// broker asked for (see shedCollectMin).
 	// +guarded_by:mu
@@ -479,7 +484,7 @@ type Broker struct {
 // one whose cancellation retires it).
 type route struct {
 	subID string
-	id    subsume.ID
+	id    store.ID
 	sub   subscription.Subscription
 	src   string
 }
@@ -542,9 +547,9 @@ func New(id string, policy store.Policy, opts ...Option) (*Broker, error) {
 		policy:     policy,
 		seed:       1,
 		dedupLimit: 65536,
-		out:        make(map[string]*subsume.Table),
+		out:        make(map[string]*store.Store),
 		routes:     make(map[string]*route),
-		byID:       make(map[subsume.ID]*route),
+		byID:       make(map[store.ID]*route),
 		index:      match.NewITreeIndex(),
 		paths:      make(map[string]map[string]*route),
 	}
@@ -563,21 +568,6 @@ func (b *Broker) ID() string { return b.id }
 // Metrics returns a copy of the activity counters.
 func (b *Broker) Metrics() Metrics { return b.metrics.snapshot() }
 
-// NeighborTableMetrics returns the coverage-table operation counters
-// for one neighbor port — how the subscriptions forwarded to that
-// neighbor were admitted (per-item vs batch, suppressed, promoted).
-// Tests use it to assert that wire bursts reach batch admission as
-// single calls; operators can read it to size per-link routing state.
-func (b *Broker) NeighborTableMetrics(id string) (subsume.TableMetrics, bool) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	t, ok := b.out[id]
-	if !ok {
-		return subsume.TableMetrics{}, false
-	}
-	return t.Metrics(), true
-}
-
 // CheckerStats sums the checker accounting of the broker's coverage
 // tables, one per neighbor; tables are never dropped, so the sums only
 // grow. It is what an operator reads to see whether δ is being
@@ -587,8 +577,8 @@ func (b *Broker) CheckerStats() store.CheckerStats {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	var sum store.CheckerStats
-	for _, t := range b.out {
-		sum.Add(t.Metrics().Checker)
+	for _, st := range b.out {
+		sum.Add(st.CheckerStats())
 	}
 	return sum
 }
@@ -670,10 +660,9 @@ func fnv1a(s string) uint64 {
 }
 
 // ConnectNeighbor registers a neighbor port and creates its outgoing
-// coverage table through the public subsume.Table API. The
-// per-neighbor checker seed is applied after any caller-supplied table
-// options, so every table keeps an independent, reproducible stream
-// (see WithSeed).
+// coverage table with store.New. The per-neighbor checker seed is
+// applied after any caller-supplied table options, so every table
+// keeps an independent, reproducible stream (see WithSeed).
 func (b *Broker) ConnectNeighbor(id string) error {
 	if id == b.id {
 		return fmt.Errorf("broker %s: cannot neighbor itself", b.id)
@@ -685,12 +674,12 @@ func (b *Broker) ConnectNeighbor(id string) error {
 	}
 	// Caller options first; the per-neighbor seed comes after so it
 	// always wins — independent checker streams are a broker
-	// invariant, not a knob. A table ignores checker options unless
+	// invariant, not a knob. A store ignores checker options unless
 	// its policy is Group.
-	opts := append(slices.Clone(b.tableOpts), subsume.WithTableChecker(
-		subsume.WithSeed(b.seed^fnv1a(b.id), fnv1a(id)|1),
+	opts := append(slices.Clone(b.tableOpts), store.WithCheckerOptions(
+		core.WithSeed(b.seed^fnv1a(b.id), fnv1a(id)|1),
 	))
-	tbl, err := subsume.NewTable(b.policy, opts...)
+	tbl, err := store.New(b.policy, opts...)
 	if err != nil {
 		return fmt.Errorf("broker %s: neighbor %s: %w", b.id, id, err)
 	}
@@ -701,10 +690,11 @@ func (b *Broker) ConnectNeighbor(id string) error {
 	// when the link formed — a broker that gains a neighbor mid-life
 	// (cluster healing, late joins) then has a correct root set for
 	// the transport to synchronize over the new link (see
-	// LinkSync). One batch call, ascending-ID order, so the
-	// admission is deterministic and coverage within the backfill is
-	// found immediately.
-	var ids []subsume.ID
+	// LinkSync). One batch call, which the store admits in descending
+	// box volume, ties broken by ascending ID, so the admission is
+	// deterministic and coverage within the backfill is found
+	// immediately.
+	var ids []store.ID
 	var subs []subscription.Subscription
 	for _, r := range b.sortedRoutes() {
 		if r.src != id {
@@ -858,7 +848,7 @@ const shedCollectMin = 4096
 // handleSubscribeBatch admits a subscription burst that arrived as
 // kind: a SUBBATCH, the missing roots of a sync listing, or the one
 // item of a SUBSCRIBE. Per neighbor the whole burst goes through ONE
-// Table.SubscribeBatch call — within-burst coverage is found
+// Store.SubscribeBatch call — within-burst coverage is found
 // immediately, so a broad subscription suppresses the narrow ones
 // arriving alongside it — and the items admitted active for that
 // neighbor are forwarded in the same kind.
@@ -876,7 +866,7 @@ const shedCollectMin = 4096
 // scale harness's delivery oracle, TestScaleFloodMatchesOracle). The
 // copy also counts in the link's received set, so the digest balances.
 //
-// The up-front validation covers every error Table.SubscribeBatch can
+// The up-front validation covers every error Store.SubscribeBatch can
 // return: the broker assigns fresh table IDs, drops repeats before the
 // tables see them, and rejects a burst holding an empty SubID or an
 // unsatisfiable box (no attributes included). Attribute counts
@@ -916,7 +906,7 @@ func (b *Broker) handleSubscribeBatch(from string, kind MsgKind, items []BatchSu
 	if len(fresh) == 0 {
 		return nil, nil
 	}
-	ids := make([]subsume.ID, len(fresh))
+	ids := make([]store.ID, len(fresh))
 	subs := make([]subscription.Subscription, len(fresh))
 	for i, r := range fresh {
 		ids[i], subs[i] = r.id, r.sub
@@ -948,7 +938,7 @@ func (b *Broker) handleSubscribeBatch(from string, kind MsgKind, items []BatchSu
 // UNSUBSCRIBE. Cancellations follow the subscription's tree: only the
 // owning port's retires it, a copy arriving over another link retires
 // that port's duplicate reverse path, and unknown IDs are dropped. Per
-// neighbor the retirements run through ONE Table.UnsubscribeBatch call;
+// neighbor the retirements run through ONE Store.UnsubscribeBatch call;
 // the neighbor is sent, in the same kind, the cancellations of the
 // subscriptions it was sent, and then the promotions the burst caused
 // (Section 5) as SUBSCRIBE frames after an UNSUBSCRIBE, one SUBBATCH
@@ -981,7 +971,7 @@ func (b *Broker) handleUnsubscribeBatch(from string, kind MsgKind, subIDs []stri
 	if len(gone) == 0 {
 		return nil, nil
 	}
-	ids := make([]subsume.ID, len(gone))
+	ids := make([]store.ID, len(gone))
 	for i, r := range gone {
 		ids[i] = r.id
 	}
@@ -1171,7 +1161,7 @@ func (b *Broker) handlePublish(from string, run *pubRun, it *BatchPub, left int)
 	run.ids = b.index.AppendMatch(run.ids[:0], it.Pub)
 	hits := slices.Grow(make([]*route, 0, 64), len(run.ids))
 	for _, id := range run.ids {
-		hits = append(hits, b.byID[subsume.ID(id)])
+		hits = append(hits, b.byID[store.ID(id)])
 	}
 	slices.SortFunc(hits, func(x, y *route) int {
 		if x.src != y.src {

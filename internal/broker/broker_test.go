@@ -8,11 +8,11 @@ import (
 	"slices"
 	"testing"
 
+	"probsum/internal/core"
 	"probsum/internal/interval"
 	"probsum/internal/match"
 	"probsum/internal/store"
 	"probsum/internal/subscription"
-	"probsum/subsume"
 )
 
 func box(lo1, hi1, lo2, hi2 int64) subscription.Subscription {
@@ -22,9 +22,9 @@ func box(lo1, hi1, lo2, hi2 int64) subscription.Subscription {
 func newBroker(t testing.TB, policy store.Policy) *Broker {
 	t.Helper()
 	b, err := New("B", policy, WithSeed(5),
-		WithTableOptions(subsume.WithTableChecker(
-			subsume.WithErrorProbability(1e-9),
-			subsume.WithMaxTrials(10_000))))
+		WithTableOptions(store.WithCheckerOptions(
+			core.WithErrorProbability(1e-9),
+			core.WithMaxTrials(10_000))))
 	if err != nil {
 		t.Fatal(err)
 	}

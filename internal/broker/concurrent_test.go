@@ -14,9 +14,19 @@ import (
 // transport relies on: publications from many goroutines run in
 // parallel (shared lock) while subscribes/unsubscribes interleave
 // (exclusive lock), with duplicate suppression and metrics staying
-// exact. Run under -race in CI.
+// exact. The neighbor's coverage table has no lock of its own, so its
+// readers — LinkDigest, LinkSync (NeighborRoots), CheckerStats and a
+// sync request — run beside bursts that admit covered subscriptions
+// and promote them by retiring their coverer, under each policy that
+// covers. Run under -race in CI.
 func TestConcurrentPublish(t *testing.T) {
-	b := newBroker(t, store.PolicyPairwise)
+	for _, policy := range []store.Policy{store.PolicyPairwise, store.PolicyGroup} {
+		t.Run(policy.String(), func(t *testing.T) { testConcurrentPublish(t, policy) })
+	}
+}
+
+func testConcurrentPublish(t *testing.T, policy store.Policy) {
+	b := newBroker(t, policy)
 	if err := b.ConnectNeighbor("N1"); err != nil {
 		t.Fatal(err)
 	}
@@ -33,6 +43,30 @@ func TestConcurrentPublish(t *testing.T) {
 		goroutines = 4
 		pubsEach   = 200
 	)
+	// The table's readers, on the shared lock, until the writers stop.
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, ok := b.LinkDigest("N1"); !ok {
+				t.Error("LinkDigest: N1 is not a neighbor")
+				return
+			}
+			b.LinkSync("N1")
+			b.CheckerStats()
+			if _, err := b.Handle("N1", Message{Kind: MsgSyncRequest, Buckets: make([]uint64, DigestBuckets)}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
 	var notified atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -54,6 +88,28 @@ func TestConcurrentPublish(t *testing.T) {
 						return
 					}
 				}
+				// Every 8th another is a burst in this goroutine's own
+				// region, away from the publications: a root and two
+				// disjoint boxes it covers, whose retirement promotes both.
+				if i%8 == 4 {
+					x := int64(200 + 100*g)
+					root := fmt.Sprintf("r%d-%d", g, i)
+					kids := []string{root + "a", root + "b"}
+					for _, m := range []Message{
+						{Kind: MsgSubscribeBatch, Subs: []BatchSub{
+							{SubID: root, Sub: box(x, x+50, 0, 50)},
+							{SubID: kids[0], Sub: box(x+10, x+20, 10, 20)},
+							{SubID: kids[1], Sub: box(x+30, x+40, 10, 20)},
+						}},
+						{Kind: MsgUnsubscribeBatch, SubIDs: []string{root}},
+						{Kind: MsgUnsubscribeBatch, SubIDs: kids},
+					} {
+						if _, err := b.Handle(port, m); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
 				outs, err := b.Handle(port, Message{
 					Kind:  MsgPublish,
 					PubID: fmt.Sprintf("p%d-%d", g, i),
@@ -72,6 +128,8 @@ func TestConcurrentPublish(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	close(stop)
+	readers.Wait()
 	if t.Failed() {
 		return
 	}
@@ -87,6 +145,13 @@ func TestConcurrentPublish(t *testing.T) {
 	}
 	if m.Notifications != total {
 		t.Errorf("Notifications metric = %d, want %d", m.Notifications, total)
+	}
+	// Each burst's two covered boxes were promoted in N1's table.
+	if want := goroutines * pubsEach / 8 * 2; m.Promotions != want {
+		t.Errorf("Promotions = %d, want %d", m.Promotions, want)
+	}
+	if roots := b.NeighborRoots("N1"); len(roots) != 1 || roots[0].SubID != "base" {
+		t.Errorf("N1's roots after the churn = %v, want only base", roots)
 	}
 
 	// Duplicate suppression is exact under racing re-publishes.

@@ -171,6 +171,14 @@ func WithChecker(c *core.Checker) Option {
 	return func(st *Store) { st.checker = c }
 }
 
+// WithCheckerOptions appends options (error probability, trial cap,
+// seed, …) for the checker New builds under PolicyGroup; a later
+// option overrides an earlier one of the same kind. Ignored by other
+// policies, and when WithChecker supplies the checker.
+func WithCheckerOptions(opts ...core.Option) Option {
+	return func(st *Store) { st.copts = append(st.copts, opts...) }
+}
+
 // Store is a broker-local subscription table. It is not safe for
 // concurrent use; brokers own one store each and serialize access.
 //
@@ -183,6 +191,7 @@ func WithChecker(c *core.Checker) Option {
 type Store struct {
 	policy  Policy
 	checker *core.Checker
+	copts   []core.Option // for the checker New builds
 	nodes   map[ID]*node
 	active  map[int]*cells.Index // by attribute count; none is empty
 	// unpruned makes candidates return every active row of the
@@ -200,10 +209,10 @@ type Store struct {
 }
 
 // New returns an empty store with the given policy. PolicyGroup
-// requires a checker (a default one is created when none is supplied).
-// The checker becomes store-owned: it carries a random stream and
-// reusable scratch, so it must not be shared with another store or
-// goroutine.
+// requires a checker: unless WithChecker supplies one, New builds it
+// from the WithCheckerOptions options. The checker becomes
+// store-owned: it carries a random stream and reusable scratch, so it
+// must not be shared with another store or goroutine.
 func New(policy Policy, opts ...Option) (*Store, error) {
 	if err := policy.Validate(); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -213,7 +222,7 @@ func New(policy Policy, opts ...Option) (*Store, error) {
 		opt(st)
 	}
 	if policy == PolicyGroup && st.checker == nil {
-		c, err := core.NewChecker()
+		c, err := core.NewChecker(st.copts...)
 		if err != nil {
 			return nil, err
 		}

@@ -10,6 +10,8 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,7 +20,6 @@ import (
 	"probsum/internal/simnet"
 	"probsum/internal/store"
 	"probsum/internal/subscription"
-	"probsum/subsume"
 )
 
 // simCluster is a 3-node chain B1–B2–B3 with membership nodes and
@@ -29,10 +30,55 @@ type simCluster struct {
 	clock *simnet.Clock
 	ids   []string
 	nodes map[string]*Node
-	// preHeal is B2's table toward B3 just before a partition heals;
-	// preHealMetrics the broker counters of each side of the cut.
-	preHeal        subsume.TableMetrics
+	// preHealMetrics are the broker counters of each side of the cut
+	// just before a partition heals; healedB1 and healedB2 record the
+	// subscription frames B2 applies from B1 and B3 from B2 from the
+	// heal on.
 	preHealMetrics map[string]broker.Metrics
+	healedB1       *arrivals
+	healedB2       *arrivals
+}
+
+// arrivals is a broker.Journal that records, as "kind/items", every
+// subscription frame its broker applies from one port: what the link
+// from that port carried, read at the receiving end.
+type arrivals struct {
+	from string
+	mu   sync.Mutex
+	got  []string
+}
+
+func (a *arrivals) RecordAttach(string, bool) {}
+func (a *arrivals) RecordPubsSeen([]string)   {}
+
+func (a *arrivals) RecordMessage(from string, msg *broker.Message) {
+	items := 1
+	switch {
+	case from != a.from:
+		return
+	case msg.Kind == broker.MsgSubscribeBatch:
+		items = len(msg.Subs)
+	case msg.Kind != broker.MsgSubscribe:
+		return
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.got = append(a.got, fmt.Sprintf("%s/%d", msg.Kind, items))
+}
+
+// frames returns the frames recorded so far.
+func (a *arrivals) frames() []string {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return slices.Clone(a.got)
+}
+
+// record attaches an arrivals journal to broker b for frames from port
+// from.
+func record(b *broker.Broker, from string) *arrivals {
+	a := &arrivals{from: from}
+	b.SetJournal(a)
+	return a
 }
 
 func newSimCluster(t *testing.T) *simCluster {
@@ -197,7 +243,8 @@ func runPartitionScenario(t *testing.T, partition bool) (alice, carol map[string
 	sc.publish("carol", "pm2", 50)  // would match a1 across the cut
 
 	if partition {
-		sc.preHeal, _ = sc.net.Broker("B2").NeighborTableMetrics("B3")
+		sc.healedB1 = record(sc.net.Broker("B2"), "B1")
+		sc.healedB2 = record(sc.net.Broker("B3"), "B2")
 		sc.preHealMetrics = map[string]broker.Metrics{
 			"B1": sc.net.Broker("B1").Metrics(),
 			"B2": sc.net.Broker("B2").Metrics(),
@@ -385,17 +432,19 @@ func TestPartitionHealsToOracle(t *testing.T) {
 	if m1.Deaths == 0 || m1.Recoveries == 0 || m1.DialFailures == 0 {
 		t.Errorf("B1 failure-detector metrics did not move: %+v", m1)
 	}
-	// The link-sync batch reached the downstream coverage table as
-	// ONE batch admission: B2's table toward B3 admitted {a2} (a1 was
-	// deduplicated as already known). Per-item arrivals before the heal
-	// are batches of one, so count from the heal on.
-	tm, ok := sc.net.Broker("B2").NeighborTableMetrics("B3")
-	if !ok {
-		t.Fatal("B2 has no coverage table for B3")
-	}
-	batches, items := tm.Batches-sc.preHeal.Batches, tm.BatchItems-sc.preHeal.BatchItems
-	if batches != 1 || items != 1 {
-		t.Errorf("B2→B3 table admissions since the heal: %d batches with %d items, want 1 batch of 1 (metrics %+v)",
-			batches, items, tm)
+	// B1's link sync reached B2 as ONE SUBBATCH of its two roots, and
+	// left B2 toward B3 as ONE SUBBATCH of {a2} (a1 was deduplicated as
+	// already known).
+	for _, c := range []struct {
+		link string
+		a    *arrivals
+		want []string
+	}{
+		{"B1→B2", sc.healedB1, []string{"subscribe-batch/2"}},
+		{"B2→B3", sc.healedB2, []string{"subscribe-batch/1"}},
+	} {
+		if got := c.a.frames(); !slices.Equal(got, c.want) {
+			t.Errorf("%s subscription frames since the heal: %v, want %v", c.link, got, c.want)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -176,6 +177,7 @@ func TestClusterKillRestartTCP(t *testing.T) {
 	// {s1, s2} — as ONE link-sync SUBBATCH that B2 admits and forwards
 	// to B3.
 	pre := b1.Metrics()
+	fromB2 := record(b3.Core(), "B2")
 	n2b, b2b, err := Start(topo, "B2", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -197,15 +199,13 @@ func TestClusterKillRestartTCP(t *testing.T) {
 	if syncs, subs := post.LinkSyncs-pre.LinkSyncs, post.LinkSyncSubs-pre.LinkSyncSubs; syncs < 1 || subs != 2*syncs {
 		t.Errorf("B1 link syncs since the restart: %d carrying %d subs, want at least 1 of 2 subs each", syncs, subs)
 	}
-	// The restarted broker admitted the synced roots as ONE batch call
-	// into its coverage table toward B3.
-	tm, ok := b2b.Core().NeighborTableMetrics("B3")
-	if !ok {
-		t.Fatal("restarted B2 has no coverage table for B3")
-	}
-	if tm.Batches != 1 || tm.BatchItems != 2 {
-		t.Errorf("restarted B2→B3 admissions: %d batches with %d items, want 1 batch of 2 (metrics %+v)",
-			tm.Batches, tm.BatchItems, tm)
+	// The synced roots left the restarted broker toward B3 as ONE
+	// SUBBATCH of both: forwarded on B1's sync, or as B2's own link
+	// sync when its link to B3 came up after it. A later re-link
+	// repeats the link sync, so every frame must carry both roots.
+	waitFor(t, 5*time.Second, "B2's SUBBATCH to reach B3", func() bool { return len(fromB2.frames()) > 0 })
+	if got := fromB2.frames(); slices.ContainsFunc(got, func(f string) bool { return f != "subscribe-batch/2" }) {
+		t.Errorf("subscription frames B3 applied from the restarted B2: %v, want each to be subscribe-batch/2", got)
 	}
 
 	// Post-heal delivery matches the never-failed oracle: publications
@@ -336,8 +336,7 @@ func TestClusterSeedMeshDiscovery(t *testing.T) {
 		return ok23 && ok32 && m23.State == StateAlive && m32.State == StateAlive
 	})
 	waitFor(t, 10*time.Second, "a direct B2–B3 overlay link", func() bool {
-		_, ok := b2.Core().NeighborTableMetrics("B3")
-		return ok
+		return slices.Contains(b2.Core().Neighbors(), "B3")
 	})
 }
 

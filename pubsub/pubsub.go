@@ -138,11 +138,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// TableOptions converts the network tuning into subsume.Table options
-// — the exact options AddBroker applies to every per-neighbor coverage
-// table (per-neighbor checker seeding is layered on top by the broker;
-// Config.Seed feeds that derivation, not an option here). Exported so
-// a standalone subsume.Table can share a network's tuning.
+// TableOptions converts the network tuning into coverage-table
+// options — the exact options ListenBroker and both transports'
+// AddBroker apply to every per-neighbor coverage table (per-neighbor
+// checker seeding is layered on top by the broker; Config.Seed feeds
+// that derivation, not an option here). Exported so a standalone
+// subsume.Table can share a network's tuning.
 func (c Config) TableOptions() []subsume.TableOption {
 	c = c.withDefaults()
 	return []subsume.TableOption{

@@ -1,7 +1,7 @@
 package pubsub
 
-// Wire-level tests: batch frames reach batch admission as single
-// calls, a handshake in any other dialect is refused on both sides,
+// Wire-level tests: bursts cross a link as single batch frames, a
+// handshake in any other dialect is refused on both sides,
 // and a hand-wired link survives its neighbor restarting.
 
 import (
@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -24,11 +25,13 @@ func tile(i int64) Subscription {
 	return subscription.New(interval.New(i*10, i*10+5), interval.New(0, 5))
 }
 
-// TestTCPSubscribeBatchReachesTableOnce is the ISSUE 4 acceptance
-// assertion: a wire SUBBATCH of N subscriptions must arrive at the
-// downstream coverage table as ONE Table.SubscribeBatch call of N
-// items — not N per-item admissions.
-func TestTCPSubscribeBatchReachesTableOnce(t *testing.T) {
+// TestTCPSubscribeBatchCrossesLinkAsOneFrame: a client's SUBBATCH of
+// n subscriptions leaves A toward B as ONE subscribe-batch frame that
+// carries all n — not n per-item frames — and an unsubscribe burst as
+// one unsubscribe-batch frame that sends no second subscribe-batch.
+// The frames are read from A's per-link stats, the items from the
+// brokers' counters.
+func TestTCPSubscribeBatchCrossesLinkAsOneFrame(t *testing.T) {
 	a := listenTestBroker(t, "A", Pairwise)
 	b := listenTestBroker(t, "B", Pairwise)
 	if _, err := a.ConnectPeer("B", b.Addr()); err != nil {
@@ -39,6 +42,9 @@ func TestTCPSubscribeBatchReachesTableOnce(t *testing.T) {
 	}
 	ctx := testCtx(t)
 	c := dialTest(t, a.Addr(), "alice")
+	sent := func(kind broker.MsgKind) uint64 {
+		return a.Observability().JSON().Links["B"].Sent[kind.String()]
+	}
 
 	const n = 16
 	subs := make([]BatchSub, n)
@@ -50,34 +56,36 @@ func TestTCPSubscribeBatchReachesTableOnce(t *testing.T) {
 	}
 	// The burst floods A → B as one frame; wait for B to admit it.
 	waitMetric(t, b, 5*time.Second, func(m Metrics) bool { return m.SubsReceived == n })
-
-	tm, ok := a.Core().NeighborTableMetrics("B")
-	if !ok {
-		t.Fatal("A has no coverage table for B")
+	if batches, items := sent(broker.MsgSubscribeBatch), sent(broker.MsgSubscribe); batches != 1 || items != 0 {
+		t.Fatalf("a burst of %d left A as %d subscribe-batch and %d subscribe frames, want 1 and 0", n, batches, items)
 	}
-	if tm.Batches != 1 || tm.BatchItems != n {
-		t.Fatalf("A→B table admissions: %d batch calls with %d items, want 1 call with %d items (metrics %+v)",
-			tm.Batches, tm.BatchItems, n, tm)
-	}
-	if tm.Subscribes != n {
-		t.Fatalf("A→B table saw %d subscribes, want %d", tm.Subscribes, n)
+	if m := a.Metrics(); m.SubsForwarded != n {
+		t.Fatalf("A forwarded %d subscriptions to B, want all %d in the one frame", m.SubsForwarded, n)
 	}
 
-	// The forwarded SUBBATCH must feed B's own tables as one batch
-	// too (B has only neighbor A, the arrival port, so nothing is
-	// admitted — assert via B's table for A staying empty and the
-	// unsubscribe path instead).
 	if err := c.UnsubscribeBatch(ctx, []string{"s0", "s1", "s2"}); err != nil {
 		t.Fatal(err)
 	}
-	waitMetric(t, b, 5*time.Second, func(m Metrics) bool { return m.SubsReceived == n }) // unchanged
 	waitMetric(t, a, 5*time.Second, func(m Metrics) bool { return m.UnsubsForwarded == 3 })
-	tm, _ = a.Core().NeighborTableMetrics("B")
-	if tm.Unsubscribes != 3 {
-		t.Fatalf("A→B table unsubscribes = %d, want 3", tm.Unsubscribes)
+	deadline := time.Now().Add(5 * time.Second)
+	for sent(broker.MsgUnsubscribeBatch) == 0 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
 	}
-	if tm.Batches != 1 {
-		t.Fatalf("unsubscribe burst triggered %d extra subscribe batches", tm.Batches-1)
+	if batches, items := sent(broker.MsgUnsubscribeBatch), sent(broker.MsgUnsubscribe); batches != 1 || items != 0 {
+		t.Fatalf("an unsubscribe burst of 3 left A as %d unsubscribe-batch and %d unsubscribe frames, want 1 and 0", batches, items)
+	}
+	if batches := sent(broker.MsgSubscribeBatch); batches != 1 {
+		t.Fatalf("the unsubscribe burst sent %d more subscribe-batch frames", batches-1)
+	}
+	// The one frame carried all three: B retires them.
+	deadline = time.Now().Add(5 * time.Second)
+	for _, id := range []string{"s0", "s1", "s2"} {
+		for _, known := b.Core().KnowsSubscription(id); known; _, known = b.Core().KnowsSubscription(id) {
+			if time.Now().After(deadline) {
+				t.Fatalf("B still routes %s after the unsubscribe burst", id)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
 	}
 }
 
@@ -475,7 +483,7 @@ func TestTCPHandshakeRefusal(t *testing.T) {
 			if m := b.Metrics(); m.SubsReceived != 0 {
 				t.Fatalf("refused connection's subscribe was processed: %+v", m)
 			}
-			if _, attached := b.Core().NeighborTableMetrics("OLD"); attached {
+			if slices.Contains(b.Core().Neighbors(), "OLD") {
 				t.Fatal("refused peer hello registered a neighbor")
 			}
 		})

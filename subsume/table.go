@@ -10,7 +10,6 @@ package subsume
 import (
 	"sync"
 
-	"probsum/internal/core"
 	"probsum/internal/store"
 )
 
@@ -87,17 +86,15 @@ type TableMetrics struct {
 // ErrDuplicateID is returned when subscribing an ID already in use.
 var ErrDuplicateID = store.ErrDuplicateID
 
-// TableOption configures a Table.
-type TableOption func(*tableConfig)
-
-type tableConfig struct {
-	copts []core.Option
-}
+// TableOption configures a Table. It is store.Option: NewTable hands
+// its options to store.New, which builds the table's checker.
+type TableOption = store.Option
 
 // WithTableChecker appends checker options (WithErrorProbability,
-// WithMaxTrials, WithSeed, …) for the table's checker under Group.
+// WithMaxTrials, WithSeed, …) for the table's checker under Group;
+// the other policies ignore them.
 func WithTableChecker(opts ...Option) TableOption {
-	return func(c *tableConfig) { c.copts = append(c.copts, opts...) }
+	return store.WithCheckerOptions(opts...)
 }
 
 // Table is a maintained coverage table, safe for concurrent callers:
@@ -118,19 +115,7 @@ type Table struct {
 
 // NewTable builds a coverage table under the given policy.
 func NewTable(policy Policy, opts ...TableOption) (*Table, error) {
-	var cfg tableConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	var sopts []store.Option
-	if policy == Group {
-		checker, err := core.NewChecker(cfg.copts...)
-		if err != nil {
-			return nil, err
-		}
-		sopts = append(sopts, store.WithChecker(checker))
-	}
-	st, err := store.New(policy, sopts...)
+	st, err := store.New(policy, opts...)
 	if err != nil {
 		return nil, err
 	}

@@ -320,6 +320,15 @@ func TestTableValidation(t *testing.T) {
 	if _, err := subsume.NewTable(subsume.Policy(42)); err == nil {
 		t.Error("invalid policy accepted")
 	}
+	// Checker options are checked where the checker is built: under
+	// Group only.
+	badChecker := subsume.WithTableChecker(subsume.WithErrorProbability(2))
+	if _, err := subsume.NewTable(subsume.Group, badChecker); err == nil {
+		t.Error("invalid checker option accepted under Group")
+	}
+	if _, err := subsume.NewTable(subsume.Pairwise, badChecker); err != nil {
+		t.Errorf("checker option not ignored under Pairwise: %v", err)
+	}
 	tbl, err := subsume.NewTable(subsume.Flood)
 	if err != nil {
 		t.Fatal(err)
