@@ -67,7 +67,7 @@ func TestBrokervetCleanOnTree(t *testing.T) {
 func TestGuardAnnotationsPresent(t *testing.T) {
 	expected := map[string]map[string][]string{
 		"probsum/internal/broker": {
-			"Broker":   {"neighbors", "clients", "out", "routes", "byID", "nextID", "routePeak", "paths"},
+			"Broker":   {"neighbors", "clients", "out", "routes", "tables", "seq", "routePeak", "paths"},
 			"pubDedup": {"cur", "prev"},
 		},
 		"probsum/internal/match": {

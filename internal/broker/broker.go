@@ -25,8 +25,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"probsum/internal/cells"
 	"probsum/internal/core"
-	"probsum/internal/match"
 	"probsum/internal/obs"
 	"probsum/internal/store"
 	"probsum/internal/subscription"
@@ -384,12 +384,11 @@ func WithTableOptions(opts ...store.Option) Option {
 // Concurrency: Handle serializes subscription-state changes (subscribe
 // and unsubscribe take an exclusive lock, and are the only callers that
 // update the matcher) but lets publications run concurrently —
-// handlePublish only reads the routing state, matching through the
-// broker's one ITreeIndex, whose queries run in parallel under its read
-// lock, deduplicating through a bounded two-generation table under its
-// own short mutex and counting through atomic metrics. Driven
-// from a single goroutine (the simulator) the broker behaves exactly
-// as before: all locks are uncontended and every decision sequence is
+// handlePublish only reads the routing state, stabbing the slot tables'
+// cell indexes with a scratch of its own, deduplicating through a
+// bounded two-generation table under its own short mutex and counting
+// through atomic metrics. Driven from a single goroutine (the
+// simulator) the broker behaves exactly as before: all locks are uncontended and every decision sequence is
 // deterministic. Driven from the TCP transport's per-connection
 // goroutines, publish matching parallelizes across connections while
 // coverage-table admission stays ordered per port.
@@ -419,24 +418,22 @@ type Broker struct {
 	// +guarded_by:mu
 	out map[string]*store.Store
 
-	// routes holds one record per known subscription, by SubID; byID
-	// holds the same records by numeric ID, the key of every coverage
-	// table and of the matcher.
+	// routes holds one record per known subscription, by SubID.
 	// +guarded_by:mu
 	routes map[string]*route
+	// tables is the matcher: one slot table per attribute count some
+	// route has. A route's numeric ID names its slot (see routeID), so
+	// a stab's hits and an ID from a coverage table both reach the
+	// route by indexing.
 	// +guarded_by:mu
-	byID map[store.ID]*route
+	tables []*slotTable
+	// seq counts the routes admitted; the last one's ID carries it.
 	// +guarded_by:mu
-	nextID store.ID
+	seq int64
 	// routePeak is the most routes held since the last collection the
 	// broker asked for (see shedCollectMin).
 	// +guarded_by:mu
 	routePeak int
-
-	// index matches publications against every route's box, keyed by
-	// the route's numeric ID. It is written only under the exclusive
-	// lock; its queries run in parallel under the shared one.
-	index *match.ITreeIndex
 
 	// paths holds, from ConnectNeighbor on, per neighbor the routes
 	// with a reverse path over it, by SubID: the link's received set —
@@ -476,12 +473,54 @@ type Broker struct {
 	pubObs atomic.Pointer[PublishObserver]
 
 	metrics counters
+	// candidates counts the slots the matcher's cell filter passed to
+	// the exact check, hits those of them that matched.
+	candidates, hits atomic.Uint64
 }
 
+// Route IDs. A route's numeric ID, the key of every coverage table, is
+// seq<<slotBits | slot: seq numbers the broker's admissions from 1, and
+// slot is the route's slot in its attribute count's slot table. ID
+// order is therefore admission order, and the ID resolves to its route
+// by indexing (routeByID). A slot table holds at most maxSlots routes,
+// and seq stops at maxSeq, so every ID is a positive int64; a burst that
+// would pass either limit is refused whole. At 350k admissions a
+// second, maxSeq lasts ~18 days of nonstop admission, and a restarted
+// broker numbers its journal replay from 1 again.
+const (
+	slotBits = 24
+	maxSlots = 1 << slotBits
+	maxSeq   = 1<<(63-slotBits) - 1
+)
+
+// routeID returns the ID of the route admitted as seq into slot.
+func routeID(seq int64, slot int32) store.ID {
+	return store.ID(seq<<slotBits | int64(slot))
+}
+
+// slotOf returns the slot a route ID carries.
+func slotOf(id store.ID) int32 { return int32(id & (maxSlots - 1)) }
+
+// slotTable is the matcher of one attribute count: a cell index over
+// its routes' boxes, and per slot of the index the route there (nil
+// once freed). A publication stabs only its own count's table,
+// mirroring Subscription.Matches, which rejects on length mismatch.
+type slotTable struct {
+	m      int
+	ix     *cells.Index
+	routes []*route
+}
+
+// stabScratch holds the cell-index query scratch of publish runs in
+// flight: a run takes one and returns it when done, so concurrent runs
+// under the shared lock never share a scratch.
+var stabScratch = sync.Pool{New: func() any { return new(cells.Scratch) }}
+
 // route is one subscription's routing record: its identifier, the
-// per-broker numeric ID its coverage-table and matcher entries carry,
-// its box, and the port it first arrived on (the owning port, the only
-// one whose cancellation retires it).
+// per-broker numeric ID its coverage-table entries carry, which names
+// its matcher slot (see routeID), its box, and the port it first
+// arrived on (the owning port, the only one whose cancellation retires
+// it).
 type route struct {
 	subID string
 	id    store.ID
@@ -549,8 +588,6 @@ func New(id string, policy store.Policy, opts ...Option) (*Broker, error) {
 		dedupLimit: 65536,
 		out:        make(map[string]*store.Store),
 		routes:     make(map[string]*route),
-		byID:       make(map[store.ID]*route),
-		index:      match.NewITreeIndex(),
 		paths:      make(map[string]map[string]*route),
 	}
 	for _, opt := range opts {
@@ -608,13 +645,14 @@ func (b *Broker) Clients() []string {
 	return slices.Clone(b.clients)
 }
 
-// MatchFilterCounts returns the candidates the matcher's cell filter
-// has passed to the exact check and the hits among them (see
-// match.ITreeIndex.FilterCounts). Each publication stabs the matcher
-// once, so every live route matching it counts once, whichever port
-// the publication came from.
+// MatchFilterCounts returns how many slots the matcher's cell filter
+// has passed to the exact check, and how many of those matched, over
+// the broker's life. Each publication stabs its attribute count's slot
+// table once, so every live route matching it counts once, whichever
+// port the publication came from. Candidates far above hits mean the
+// filter sheds little: a degenerate hull.
 func (b *Broker) MatchFilterCounts() (candidates, hits uint64) {
-	return b.index.FilterCounts()
+	return b.candidates.Load(), b.hits.Load()
 }
 
 // portSet is a sorted set of port names.
@@ -643,6 +681,87 @@ func (b *Broker) sortedRoutes() []*route {
 	rs := slices.Collect(maps.Values(b.routes))
 	slices.SortFunc(rs, func(x, y *route) int { return cmp.Compare(x.id, y.id) })
 	return rs
+}
+
+// table returns the slot table of attribute count m, or nil.
+//
+// +mustlock:mu (shared)
+func (b *Broker) table(m int) *slotTable {
+	for _, t := range b.tables {
+		if t.m == m {
+			return t
+		}
+	}
+	return nil
+}
+
+// routeByID returns the live route with numeric ID id, or nil: the
+// entry at id's slot of the table whose route there carries id.
+//
+// +mustlock:mu (shared)
+func (b *Broker) routeByID(id store.ID) *route {
+	slot := int(slotOf(id))
+	for _, t := range b.tables {
+		if slot < len(t.routes) {
+			if r := t.routes[slot]; r != nil && r.id == id {
+				return r
+			}
+		}
+	}
+	return nil
+}
+
+// index admits r to its count's slot table, creating the table on first
+// use, and numbers it: the next seq, and the slot it landed in.
+//
+// +mustlock:mu
+func (b *Broker) index(r *route) {
+	m := r.sub.Len()
+	t := b.table(m)
+	if t == nil {
+		t = &slotTable{m: m, ix: cells.New(m)}
+		b.tables = append(b.tables, t)
+	}
+	b.seq++
+	// The index's own row ID goes unread: a hit's route is routes[slot].
+	slot := t.ix.Add(b.seq, r.sub)
+	r.id = routeID(b.seq, slot)
+	if int(slot) == len(t.routes) {
+		t.routes = append(t.routes, r)
+	} else {
+		t.routes[slot] = r
+	}
+}
+
+// unindex frees r's slot, dropping its table once empty so that a later
+// population starts from a fresh grid.
+//
+// +mustlock:mu
+func (b *Broker) unindex(r *route) {
+	i := slices.IndexFunc(b.tables, func(t *slotTable) bool { return t.m == r.sub.Len() })
+	t, slot := b.tables[i], slotOf(r.id)
+	t.ix.Remove(slot)
+	t.routes[slot] = nil
+	if t.ix.Len() == 0 {
+		b.tables = slices.Delete(b.tables, i, i+1)
+	}
+}
+
+// idRoom refuses a burst of items the route IDs cannot number, counting
+// every item as fresh and of the fullest attribute count: seq would pass
+// maxSeq, or a slot table would hold more than maxSlots routes.
+//
+// +mustlock:mu (shared)
+func (b *Broker) idRoom(items []BatchSub) error {
+	if b.seq > maxSeq-int64(len(items)) {
+		return fmt.Errorf("broker %s: route IDs exhausted: %d admitted, a burst of %d would pass %d", b.id, b.seq, len(items), int64(maxSeq))
+	}
+	for _, t := range b.tables {
+		if t.ix.Len() > maxSlots-len(items) {
+			return fmt.Errorf("broker %s: %d routes of %d attributes, a burst of %d could pass %d", b.id, t.ix.Len(), t.m, len(items), maxSlots)
+		}
+	}
+	return nil
 }
 
 // fnv1a hashes a string into a 64-bit seed component.
@@ -825,7 +944,7 @@ func (b *Broker) handleStateChange(from string, msg Message) (out []Outbound, sh
 			(*j).RecordMessage(from, &msg)
 		}
 	}
-	n := len(b.byID)
+	n := len(b.routes)
 	b.routePeak = max(b.routePeak, n)
 	if b.routePeak >= shedCollectMin && n <= b.routePeak/2 {
 		b.routePeak, shed = n, true
@@ -869,10 +988,11 @@ const shedCollectMin = 4096
 // The up-front validation covers every error Store.SubscribeBatch can
 // return: the broker assigns fresh table IDs, drops repeats before the
 // tables see them, and rejects a burst holding an empty SubID or an
-// unsatisfiable box (no attributes included). Attribute counts
-// partition a table, so a mix of counts is admitted, each count
-// decided on its own. A burst that passes validation therefore reaches
-// the routes, the matcher and every table alike.
+// unsatisfiable box (no attributes included), or one the route IDs
+// cannot number (see idRoom). Attribute counts partition a table, so a
+// mix of counts is admitted, each count decided on its own. A burst
+// that passes validation therefore reaches the routes, the matcher and
+// every table alike.
 //
 // +mustlock:mu
 func (b *Broker) handleSubscribeBatch(from string, kind MsgKind, items []BatchSub) ([]Outbound, error) {
@@ -886,6 +1006,9 @@ func (b *Broker) handleSubscribeBatch(from string, kind MsgKind, items []BatchSu
 			return nil, fmt.Errorf("broker %s: subscription %s is unsatisfiable", b.id, it.SubID)
 		}
 	}
+	if err := b.idRoom(items); err != nil {
+		return nil, err
+	}
 	fresh := make([]*route, 0, len(items))
 	for _, it := range items {
 		r := b.routes[it.SubID]
@@ -893,10 +1016,9 @@ func (b *Broker) handleSubscribeBatch(from string, kind MsgKind, items []BatchSu
 			b.metrics.dupSubsDropped.Add(1)
 		} else {
 			b.metrics.subsReceived.Add(1)
-			b.nextID++
-			r = &route{subID: it.SubID, id: b.nextID, sub: it.Sub, src: from}
-			b.routes[r.subID], b.byID[r.id] = r, r
-			b.index.Add(match.ID(r.id), r.sub)
+			r = &route{subID: it.SubID, sub: it.Sub, src: from}
+			b.index(r)
+			b.routes[r.subID] = r
 			fresh = append(fresh, r)
 		}
 		if recv := b.paths[from]; recv != nil { // a neighbor: a reverse path
@@ -961,8 +1083,7 @@ func (b *Broker) handleUnsubscribeBatch(from string, kind MsgKind, subIDs []stri
 			continue
 		}
 		delete(b.routes, subID)
-		delete(b.byID, r.id)
-		b.index.Remove(match.ID(r.id))
+		b.unindex(r)
 		for _, recv := range b.paths {
 			delete(recv, subID)
 		}
@@ -996,7 +1117,7 @@ func (b *Broker) handleUnsubscribeBatch(from string, kind MsgKind, subIDs []stri
 		}
 		promoted := make([]*route, 0, len(res.Promoted))
 		for _, pid := range res.Promoted {
-			if r := b.byID[pid]; r != nil {
+			if r := b.routeByID(pid); r != nil {
 				promoted = append(promoted, r)
 			}
 		}
@@ -1056,10 +1177,12 @@ type pubRun struct {
 	// fwd holds a batch's forwards per neighbor, indexed like
 	// b.neighbors: the items routed there, in arrival order.
 	fwd [][]BatchPub
-	// ids is the matcher's result buffer, reused across the items;
+	// sc is the run's stab scratch, from stabScratch; candidates and
+	// hits sum the run's stabs for MatchFilterCounts.
+	sc               *cells.Scratch
+	candidates, hits int
 	// subIDs backs the notifications' SubIDs, one array per item with
 	// client hits sized to them, whose room the next item may use.
-	ids    []match.ID
 	subIDs []string
 	// seen collects the first-seen publication IDs when a journal is
 	// attached.
@@ -1097,7 +1220,8 @@ func (run *pubRun) forward(k int, n string, neighbors int, it *BatchPub, left in
 //
 // +mustlock:mu (shared)
 func (b *Broker) handlePublishRun(from string, msg Message) ([]Outbound, error) {
-	run := pubRun{batch: msg.Kind == MsgPublishBatch}
+	run := pubRun{batch: msg.Kind == MsgPublishBatch, sc: stabScratch.Get().(*cells.Scratch)}
+	defer stabScratch.Put(run.sc)
 	items := msg.Pubs
 	if !run.batch {
 		items = []BatchPub{{PubID: msg.PubID, Pub: msg.Pub}}
@@ -1123,15 +1247,20 @@ func (b *Broker) handlePublishRun(from string, msg Message) ([]Outbound, error) 
 	if len(run.seen) > 0 {
 		(*j).RecordPubsSeen(run.seen)
 	}
+	if run.candidates > 0 {
+		b.candidates.Add(uint64(run.candidates))
+		b.hits.Add(uint64(run.hits))
+	}
 	return run.out, err
 }
 
 // handlePublish runs one item of a publish run under the SHARED lock:
-// everything it touches is either read-only routing state (maps mutated
-// only under the exclusive lock), the concurrency-safe matcher, the
-// dedup window behind its own mutex, or atomics. It appends the item's
-// notifications and forwards to run; left counts the run's items from
-// this one on, the most a neighbor's batch can still take.
+// everything it touches is either read-only routing state (the maps and
+// slot tables mutated only under the exclusive lock), the run's own
+// stab scratch, the dedup window behind its own mutex, or atomics. It
+// appends the item's notifications and forwards to run; left counts
+// the run's items from this one on, the most a neighbor's batch can
+// still take.
 //
 // +mustlock:mu (shared)
 func (b *Broker) handlePublish(from string, run *pubRun, it *BatchPub, left int) error {
@@ -1158,10 +1287,17 @@ func (b *Broker) handlePublish(from string, run *pubRun, it *BatchPub, left int)
 	// port, and clients come out in sorted order.
 	// Up to 64 hits fit the stack; a longer list is allocated once, at
 	// its length, rather than regrown by append.
-	run.ids = b.index.AppendMatch(run.ids[:0], it.Pub)
-	hits := slices.Grow(make([]*route, 0, 64), len(run.ids))
-	for _, id := range run.ids {
-		hits = append(hits, b.byID[store.ID(id)])
+	var slots []int32
+	t := b.table(len(it.Pub.Values))
+	if t != nil {
+		var candidates int
+		slots, candidates = t.ix.Stab(run.sc, it.Pub)
+		run.candidates += candidates
+		run.hits += len(slots)
+	}
+	hits := slices.Grow(make([]*route, 0, 64), len(slots))
+	for _, slot := range slots {
+		hits = append(hits, t.routes[slot])
 	}
 	slices.SortFunc(hits, func(x, y *route) int {
 		if x.src != y.src {

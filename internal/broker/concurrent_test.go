@@ -2,6 +2,7 @@ package broker
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -174,5 +175,111 @@ func testConcurrentPublish(t *testing.T, policy store.Policy) {
 	}
 	if m.DupPubsDropped != goroutines*50-1 {
 		t.Errorf("DupPubsDropped = %d, want %d", m.DupPubsDropped, goroutines*50-1)
+	}
+}
+
+// TestConcurrentSlotReuse retires and re-admits routes of two attribute
+// counts over and over, so their slots are freed and taken again, while
+// publications of both counts read the slot tables under the shared
+// lock. Every publication notifies C of its standing route exactly once,
+// and W of churn routes only, each named once. Run under -race in CI.
+func TestConcurrentSlotReuse(t *testing.T) {
+	b := newBroker(t, store.PolicyNone)
+	if err := b.ConnectNeighbor("N1"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []string{"C", "W", "P0", "P1"} {
+		b.AttachClient(c)
+	}
+	points := []subscription.Publication{
+		subscription.NewPublication(50, 50),
+		subscription.NewPublication(50, 50, 50),
+	}
+	for i, p := range points {
+		base := BatchSub{SubID: fmt.Sprintf("base%d", i), Sub: boxM(len(p.Values), 0, 100, 100)}
+		if _, err := b.Handle("C", Message{Kind: MsgSubscribeBatch, Subs: []BatchSub{base}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const cycles, pubsEach = 200, 400
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the churn: 8 routes of each count per cycle, all matching
+		defer wg.Done()
+		defer close(done)
+		for c := range cycles {
+			var burst []BatchSub
+			var ids []string
+			for k := range 16 {
+				id := fmt.Sprintf("w%d-%d", c, k)
+				burst = append(burst, BatchSub{SubID: id, Sub: boxM(2+k%2, int64(k), 100, 100)})
+				ids = append(ids, id)
+			}
+			for _, m := range []Message{
+				{Kind: MsgSubscribeBatch, Subs: burst},
+				{Kind: MsgUnsubscribeBatch, SubIDs: ids},
+			} {
+				if _, err := b.Handle("W", m); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	for g := range 2 {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			port := fmt.Sprintf("P%d", g)
+			// At least pubsEach publications, and on until the churn ends.
+			for i := 0; ; i++ {
+				if i >= pubsEach {
+					select {
+					case <-done:
+						return
+					default:
+					}
+				}
+				p := points[(g+i)%2]
+				out, err := b.Handle(port, Message{Kind: MsgPublish, PubID: fmt.Sprintf("%s-%d", port, i), Pub: p})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				base := 0
+				for _, o := range out {
+					switch {
+					case o.To == "C":
+						base += len(o.Msg.SubIDs)
+						if want := fmt.Sprintf("base%d", len(p.Values)-2); !slices.Equal(o.Msg.SubIDs, []string{want}) {
+							t.Errorf("publication %v notified C of %v, want [%s]", p.Values, o.Msg.SubIDs, want)
+						}
+					case o.To == "W":
+						if len(o.Msg.SubIDs) > 8 || !slices.IsSorted(o.Msg.SubIDs) || slices.ContainsFunc(o.Msg.SubIDs, func(id string) bool { return id[0] != 'w' }) {
+							t.Errorf("publication %v notified W of %v", p.Values, o.Msg.SubIDs)
+						}
+					}
+				}
+				if base != 1 {
+					t.Errorf("publication %v notified C %d times", p.Values, base)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	// Only the standing routes are left, in two tables whose slots were
+	// reused rather than grown per admission.
+	if n := b.SubscriptionCount(); n != 2 {
+		t.Fatalf("%d routes left, want 2", n)
+	}
+	for _, tbl := range b.tables {
+		if tbl.ix.Len() != 1 || len(tbl.routes) > 9 {
+			t.Errorf("count %d: %d live routes in %d slots, want 1 in at most 9", tbl.m, tbl.ix.Len(), len(tbl.routes))
+		}
 	}
 }

@@ -94,7 +94,7 @@ func (b *Broker) sentActiveLocked(peer string, visit func(r *route)) bool {
 		return false
 	}
 	for _, sid := range tbl.ActiveIDs() {
-		if r := b.byID[sid]; r != nil {
+		if r := b.routeByID(sid); r != nil {
 			visit(r)
 		}
 	}

@@ -9,8 +9,8 @@ import (
 	"probsum/internal/subscription"
 )
 
-// ITreeIndex is the dynamic matcher the broker publish path uses. The
-// name is historical: it once held per-attribute interval trees, and now
+// ITreeIndex is a dynamic matcher keyed by ID (see the package doc for
+// who uses it). The name is historical: it once held per-attribute interval trees, and now
 // holds one cells.Index per attribute count, which Add and Remove update
 // in place. A publication consults only the index of its own attribute
 // count, mirroring Subscription.Matches (which rejects on length

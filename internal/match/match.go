@@ -1,11 +1,16 @@
-// Package match implements publication-to-subscription matching, the
-// hot path of a content-based broker. Two matchers are provided:
+// Package match implements publication-to-subscription matching over
+// a set keyed by ID. Two matchers are provided:
 //
 //   - BruteForce: O(k·m) linear scan, the correctness oracle.
-//   - ITreeIndex: the broker's dynamic matcher. The cell bitsets of
-//     package cells filter the candidates, and each candidate is checked
-//     exactly, so its answers are BruteForce's. Add and Remove update
-//     the bitsets in place.
+//   - ITreeIndex: a dynamic matcher. The cell bitsets of package cells
+//     filter the candidates, and each candidate is checked exactly, so
+//     its answers are BruteForce's. Add and Remove update the bitsets
+//     in place.
+//
+// The broker does not use this package: it matches through cell
+// indexes of its own, whose slots its route IDs carry (package broker).
+// ITreeIndex is kept for the replay benchmark (bench/replay) and this
+// package's own benchmarks, BruteForce for tests.
 //
 // Algorithm 5 of the paper (two-phase matching against uncovered, then
 // covered subscriptions) is implemented in package store.

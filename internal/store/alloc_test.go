@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"testing"
 
 	"probsum/internal/core"
@@ -53,5 +54,45 @@ func TestAdmissionAllocs(t *testing.T) {
 		i++
 	}); a > 2 {
 		t.Errorf("Subscribe plus Unsubscribe allocates %.2f per round trip, want <= 2", a)
+	}
+}
+
+// TestWalkWitnessesKept keeps the result of every arrival the walk
+// answers NO: the witnesses are carved from shared chunks, yet each
+// still holds, after all the admissions and churn that follow, the
+// point it was returned with, ends its capacity at its length so an
+// append cannot reach its neighbour, and lies inside its arrival.
+func TestWalkWitnessesKept(t *testing.T) {
+	st, err := New(PolicyGroup, WithCheckerOptions(core.WithSeed(35, 36)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := subscribeStream(t, 37, 38, 1500, workload.NarrowComparisonConfig(6))
+	type kept struct {
+		w, was  []int64
+		arrival int
+	}
+	var ws []kept
+	for i, s := range subs {
+		res, err := st.Subscribe(ID(i), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := res.Checker.PointWitness; w != nil {
+			ws = append(ws, kept{w, slices.Clone(w), i})
+		}
+		if i%4 == 3 {
+			if _, err := st.Unsubscribe(ID(i - 2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(ws) < 128 {
+		t.Fatalf("%d witnesses, want at least two chunks' worth", len(ws))
+	}
+	for _, k := range ws {
+		if !slices.Equal(k.w, k.was) || cap(k.w) != len(k.w) || !subs[k.arrival].ContainsPoint(k.w) {
+			t.Fatalf("arrival %d: witness %v (cap %d), returned as %v", k.arrival, k.w, cap(k.w), k.was)
+		}
 	}
 }

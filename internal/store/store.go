@@ -204,6 +204,9 @@ type Store struct {
 	candSubs []subscription.Subscription
 	checkRes core.Result
 	point    []int64 // the walk's point
+	// witnesses is the chunk the walk's kept witnesses are carved from
+	// (see witness).
+	witnesses []int64
 
 	stats CheckerStats
 }
@@ -335,8 +338,10 @@ func (st *Store) Get(id ID) (subscription.Subscription, Status, bool) {
 // checker only the rows intersecting s — sound, because a pairwise
 // coverer contains s and a subscription disjoint from s contributes
 // nothing to any cover of s. Under PolicyGroup the point walk answers
-// first, and the checker runs only when the walk ends undecided.
-func (st *Store) decideCoverage(s subscription.Subscription) (Status, []ID, core.Result, error) {
+// first, and the checker runs only when the walk ends undecided. keep
+// says the caller hands the result on: only then is a walk's witness
+// copied out of the walk's scratch.
+func (st *Store) decideCoverage(s subscription.Subscription, keep bool) (Status, []ID, core.Result, error) {
 	switch st.policy {
 	case PolicyNone:
 		return StatusActive, nil, core.Result{}, nil
@@ -356,6 +361,9 @@ func (st *Store) decideCoverage(s subscription.Subscription) (Status, []ID, core
 		return StatusCovered, []ID{ID(ids[best])}, core.Result{}, nil
 	default: // PolicyGroup
 		if status, coverers, res, ok := st.walk(s); ok {
+			if keep && res.PointWitness != nil {
+				res.PointWitness = st.witness(res.PointWitness)
+			}
 			st.stats.Calls++
 			st.stats.Probed++
 			st.stats.Decisions[res.Reason]++
@@ -401,8 +409,9 @@ func (st *Store) decideCoverage(s subscription.Subscription) (Status, []ID, core
 // inside s. After 2m+1 stabs the walk gives up (ok false) and the
 // checker decides. Both answers are exact, so they are the checker's
 // status and coverers; a NO's reason and witness may differ from the
-// checker's, a YES's do not. The unpruned reference never walks, so
-// the equivalence tests check the walk against the checker.
+// checker's, a YES's do not. A NO's witness is the walk's point, which
+// the next walk overwrites. The unpruned reference never walks, so the
+// equivalence tests check the walk against the checker.
 func (st *Store) walk(s subscription.Subscription) (Status, []ID, core.Result, bool) {
 	m := s.Len()
 	ix := st.active[m]
@@ -418,7 +427,7 @@ func (st *Store) walk(s subscription.Subscription) (Status, []ID, core.Result, b
 	for step := range 2*m + 1 {
 		slot := ix.Hit(&st.scratch, p)
 		if slot < 0 {
-			res := core.Result{Decision: core.NotCovered, Reason: core.ReasonPointWitness, CoveringRow: -1, PointWitness: slices.Clone(p)}
+			res := core.Result{Decision: core.NotCovered, Reason: core.ReasonPointWitness, CoveringRow: -1, PointWitness: p}
 			return StatusActive, nil, res, true
 		}
 		_, row := ix.Row(slot)
@@ -441,6 +450,19 @@ func (st *Store) walk(s subscription.Subscription) (Status, []ID, core.Result, b
 		}
 	}
 	return 0, nil, core.Result{}, false
+}
+
+// witness returns a copy of the walk's witness p, carved from the
+// store's witness chunk: one allocation per 64 witnesses. A full chunk
+// is replaced, never reused, and each copy's capacity ends at its
+// length, so no later witness or append overwrites a copy handed out.
+func (st *Store) witness(p []int64) []int64 {
+	if cap(st.witnesses)-len(st.witnesses) < len(p) {
+		st.witnesses = make([]int64, 0, 64*len(p))
+	}
+	n := len(st.witnesses)
+	st.witnesses = append(st.witnesses, p...)
+	return st.witnesses[n:len(st.witnesses):len(st.witnesses)]
 }
 
 // resolveCoverers maps a group-coverage result's candidate indices to
@@ -475,7 +497,7 @@ func (st *Store) Subscribe(id ID, s subscription.Subscription) (SubscribeResult,
 	if !s.IsSatisfiable() {
 		return SubscribeResult{}, core.ErrUnsatisfiable
 	}
-	status, coverers, checkRes, err := st.decideCoverage(s)
+	status, coverers, checkRes, err := st.decideCoverage(s, true)
 	if err != nil {
 		return SubscribeResult{}, err
 	}
@@ -556,7 +578,7 @@ func (st *Store) Unsubscribe(id ID) (UnsubscribeResult, error) {
 // active set: it is rewired to the new cover, or promoted to active
 // when there is none.
 func (st *Store) revalidate(child *node) (promoted bool, err error) {
-	status, coverers, _, err := st.decideCoverage(child.sub)
+	status, coverers, _, err := st.decideCoverage(child.sub, false)
 	if err != nil {
 		return false, err
 	}

@@ -30,18 +30,32 @@ func randomTableSub(rng *rand.Rand, schema *subsume.Schema) subsume.Subscription
 // TestTableStoreParity drives a churn script with subscribe and
 // unsubscribe batches through the public Table (explicit seed) and a
 // raw internal store with an identically seeded checker: statuses,
-// active sets, promotions, Match results and checker accounting must
-// agree exactly — the acceptance pin that a Table is the sequential
-// coverage table behind a lock.
+// active sets, promotions, Match results and, after every step, checker
+// accounting must agree exactly — the acceptance pin that a Table is
+// the sequential coverage table behind a lock. It runs twice: with the
+// default checker, and with the residual stage off on both sides, so
+// that the undecided arrivals reach RSPC, whose trials the table
+// counts only if its checker options arrived.
 func TestTableStoreParity(t *testing.T) {
+	for _, pass := range []struct {
+		name string
+		opts []core.Option
+	}{
+		{"default", nil},
+		{"residual-off", []core.Option{core.WithResidual(false)}},
+	} {
+		t.Run(pass.name, func(t *testing.T) { testTableStoreParity(t, pass.opts) })
+	}
+}
+
+func testTableStoreParity(t *testing.T, extra []core.Option) {
 	schema := tableSchema()
-	tbl, err := subsume.NewTable(subsume.Group,
-		subsume.WithTableChecker(subsume.WithSeed(7, 8), subsume.WithMaxTrials(5000)),
-	)
+	opts := append([]core.Option{core.WithSeed(7, 8), core.WithMaxTrials(5000)}, extra...)
+	tbl, err := subsume.NewTable(subsume.Group, subsume.WithTableChecker(opts...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	chk, err := core.NewChecker(core.WithSeed(7, 8), core.WithMaxTrials(5000))
+	chk, err := core.NewChecker(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,6 +150,9 @@ func TestTableStoreParity(t *testing.T) {
 		p := subsume.NewPublication(rng.Int64N(1000), rng.Int64N(1000))
 		if got, want := tbl.Match(p), oracle.Match(p); !slices.Equal(got, want) {
 			t.Fatalf("step %d: Match %v vs oracle %v", step, got, want)
+		}
+		if got, want := tbl.Metrics().Checker, oracle.CheckerStats(); got != want {
+			t.Fatalf("step %d: checker accounting %+v vs oracle %+v", step, got, want)
 		}
 	}
 	if tbl.Len() != oracle.Len() || tbl.ActiveLen() != oracle.ActiveLen() || tbl.CoveredLen() != oracle.CoveredLen() {
