@@ -1,8 +1,8 @@
-// Scale smoke: 200 simulated brokers on a ring+chords overlay,
-// running the SWIM-style membership protocol (random probing, delta
-// gossip, hash-armed anti-entropy) to convergence and through a
-// steady-state measurement window — deterministically, in one
-// process, on a manual clock.
+// Scale smoke: 200 real brokers on the deterministic simulator, wired
+// as a ring+chords overlay, running the SWIM-style membership
+// protocol (random probing, delta gossip carrying each link's digest,
+// hash-armed anti-entropy) to convergence and through a steady-state
+// measurement window — in one process, on a manual clock.
 //
 // Run with: go run ./examples/scale
 // Exits non-zero when the protocol regresses (CI smoke): convergence

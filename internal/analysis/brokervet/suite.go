@@ -13,14 +13,16 @@ import (
 )
 
 // CriticalPackages are the determinism-critical packages clockcheck
-// polices: everything the seeded chaos harness (cluster.RunChaos) and
-// the simnet oracle runs execute. The broker core is included because
-// both transports replay it deterministically, and the observability
-// layer because its histograms and flight recorder run inside those
-// deterministic paths — every timestamp it touches must come from an
-// injected clock, never the wall.
+// polices: everything the seeded chaos harness (cluster.RunChaos), the
+// scale harness (scale.Run, whose report is pinned bit-reproducible)
+// and the simnet oracle runs execute. The broker core is included
+// because both transports replay it deterministically, and the
+// observability layer because its histograms and flight recorder run
+// inside those deterministic paths — every timestamp it touches must
+// come from an injected clock, never the wall.
 var CriticalPackages = []string{
 	"probsum/pubsub/cluster",
+	"probsum/pubsub/cluster/scale",
 	"probsum/internal/simnet",
 	"probsum/internal/broker",
 	"probsum/internal/obs",

@@ -76,7 +76,7 @@ func runScript(t *testing.T, topoSeed uint64, policy store.Policy, sc randomScri
 		if !ok {
 			break
 		}
-		if err := n.ClientSubscribe(sc.subAt[id], id, sub); err != nil {
+		if err := n.ClientSend(sc.subAt[id], broker.Message{Kind: broker.MsgSubscribe, SubID: id, Sub: sub}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := n.Run(); err != nil {
@@ -84,7 +84,7 @@ func runScript(t *testing.T, topoSeed uint64, policy store.Policy, sc randomScri
 		}
 	}
 	for _, id := range sc.cancel {
-		if err := n.ClientUnsubscribe(sc.subAt[id], id); err != nil {
+		if err := n.ClientSend(sc.subAt[id], broker.Message{Kind: broker.MsgUnsubscribe, SubID: id}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := n.Run(); err != nil {
@@ -92,7 +92,7 @@ func runScript(t *testing.T, topoSeed uint64, policy store.Policy, sc randomScri
 		}
 	}
 	for i, p := range sc.pubs {
-		if err := n.ClientPublish("publisher", fmt.Sprintf("p%d", i), p); err != nil {
+		if err := n.ClientSend("publisher", broker.Message{Kind: broker.MsgPublish, PubID: fmt.Sprintf("p%d", i), Pub: p}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := n.Run(); err != nil {
@@ -177,7 +177,7 @@ func TestGroupPolicySavesTraffic(t *testing.T) {
 				if !ok {
 					break
 				}
-				if err := n.ClientSubscribe(sc.subAt[id], id, sub); err != nil {
+				if err := n.ClientSend(sc.subAt[id], broker.Message{Kind: broker.MsgSubscribe, SubID: id, Sub: sub}); err != nil {
 					t.Fatal(err)
 				}
 			}

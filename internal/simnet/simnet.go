@@ -16,7 +16,6 @@ import (
 
 	"probsum/internal/broker"
 	"probsum/internal/store"
-	"probsum/internal/subscription"
 )
 
 // item is one in-flight message addressed to a broker.
@@ -86,6 +85,10 @@ type Network struct {
 	// dead process.
 	crashed map[string]bool
 
+	// sent counts every message a broker emitted, by kind, before any
+	// drop, partition or crash decides its fate.
+	sent map[broker.MsgKind]uint64
+
 	dropped     int
 	duplicated  int
 	delayed     int
@@ -99,6 +102,7 @@ func New(opts ...Option) *Network {
 		brokers:   make(map[string]*broker.Broker),
 		clientAt:  make(map[string]string),
 		delivered: make(map[string][]broker.Message),
+		sent:      make(map[broker.MsgKind]uint64),
 	}
 	for _, opt := range opts {
 		opt(n)
@@ -178,47 +182,15 @@ func (n *Network) AttachClient(client, brokerID string) error {
 	return nil
 }
 
-// enqueueFromClient injects a client-originated message.
-func (n *Network) enqueueFromClient(client string, msg broker.Message) error {
+// ClientSend enqueues a message from a client port toward its broker;
+// call Run to process it. The broker rejects a kind it does not handle.
+func (n *Network) ClientSend(client string, msg broker.Message) error {
 	bid, ok := n.clientAt[client]
 	if !ok {
 		return fmt.Errorf("simnet: unknown client %s", client)
 	}
 	n.queue = append(n.queue, item{to: bid, from: client, msg: msg})
 	return nil
-}
-
-// ClientSubscribe issues a subscription from a client.
-func (n *Network) ClientSubscribe(client, subID string, sub subscription.Subscription) error {
-	return n.enqueueFromClient(client, broker.Message{Kind: broker.MsgSubscribe, SubID: subID, Sub: sub})
-}
-
-// ClientUnsubscribe cancels a subscription from a client.
-func (n *Network) ClientUnsubscribe(client, subID string) error {
-	return n.enqueueFromClient(client, broker.Message{Kind: broker.MsgUnsubscribe, SubID: subID})
-}
-
-// ClientSubscribeBatch issues a subscription burst from a client as a
-// single batch message (one batch admission per broker table).
-func (n *Network) ClientSubscribeBatch(client string, subs []broker.BatchSub) error {
-	return n.enqueueFromClient(client, broker.Message{Kind: broker.MsgSubscribeBatch, Subs: subs})
-}
-
-// ClientUnsubscribeBatch cancels a burst of subscriptions from a
-// client as a single batch message.
-func (n *Network) ClientUnsubscribeBatch(client string, subIDs []string) error {
-	return n.enqueueFromClient(client, broker.Message{Kind: broker.MsgUnsubscribeBatch, SubIDs: subIDs})
-}
-
-// ClientPublish issues a publication from a client.
-func (n *Network) ClientPublish(client, pubID string, pub subscription.Publication) error {
-	return n.enqueueFromClient(client, broker.Message{Kind: broker.MsgPublish, PubID: pubID, Pub: pub})
-}
-
-// ClientPublishBatch issues a publication burst from a client as a
-// single PUBBATCH message (one shared-lock acquisition per broker).
-func (n *Network) ClientPublishBatch(client string, pubs []broker.BatchPub) error {
-	return n.enqueueFromClient(client, broker.Message{Kind: broker.MsgPublishBatch, Pubs: pubs})
 }
 
 // Run processes queued messages until the network is quiescent,
@@ -363,6 +335,7 @@ func (n *Network) Inject(fromBroker string, o broker.Outbound) {
 // mailbox or onto the link toward a neighbor broker (with optional
 // failure injection).
 func (n *Network) route(fromBroker string, o broker.Outbound) {
+	n.sent[o.Msg.Kind]++
 	if o.Msg.Kind == broker.MsgNotifyBatch {
 		n.delivered[o.To] = append(n.delivered[o.To], o.Msg)
 		return
@@ -417,6 +390,17 @@ func (n *Network) Delivered(client string) []broker.Message {
 // experiment phases).
 func (n *Network) ClearDeliveries() {
 	n.delivered = make(map[string][]broker.Message)
+}
+
+// FramesByKind returns how many messages brokers have emitted, keyed by
+// kind name: every routed, injected and client-bound message, counted
+// before drop, partition or crash loses it.
+func (n *Network) FramesByKind() map[string]uint64 {
+	out := make(map[string]uint64, len(n.sent))
+	for k, c := range n.sent {
+		out[k.String()] = c
+	}
+	return out
 }
 
 // Dropped and Duplicated report failure-injection activity.

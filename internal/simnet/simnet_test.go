@@ -36,7 +36,7 @@ func TestFigure1DeliveryTrees(t *testing.T) {
 	// s1 is broad, s2 ⊑ s1.
 	s1 := box(0, 100, 0, 100)
 	s2 := box(40, 60, 40, 60)
-	if err := n.ClientSubscribe("S1", "s1", s1); err != nil {
+	if err := n.ClientSend("S1", broker.Message{Kind: broker.MsgSubscribe, SubID: "s1", Sub: s1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := n.Run(); err != nil {
@@ -48,7 +48,7 @@ func TestFigure1DeliveryTrees(t *testing.T) {
 		t.Errorf("s1 flooding sent %d messages, want 8", got)
 	}
 
-	if err := n.ClientSubscribe("S2", "s2", s2); err != nil {
+	if err := n.ClientSend("S2", broker.Message{Kind: broker.MsgSubscribe, SubID: "s2", Sub: s2}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := n.Run(); err != nil {
@@ -67,7 +67,7 @@ func TestFigure1DeliveryTrees(t *testing.T) {
 
 	// n1 matches both subscriptions: the delivery tree from P1@B9 is
 	// B9, B7, B4, B3, B1, B6 (paper text).
-	if err := n.ClientPublish("P1", "n1", subscription.NewPublication(50, 50)); err != nil {
+	if err := n.ClientSend("P1", broker.Message{Kind: broker.MsgPublish, PubID: "n1", Pub: subscription.NewPublication(50, 50)}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := n.Run(); err != nil {
@@ -90,7 +90,7 @@ func TestFigure1DeliveryTrees(t *testing.T) {
 	}
 
 	// n2 matches only s1: delivery tree from P2@B5 is B5, B4, B3, B1.
-	if err := n.ClientPublish("P2", "n2", subscription.NewPublication(10, 10)); err != nil {
+	if err := n.ClientSend("P2", broker.Message{Kind: broker.MsgPublish, PubID: "n2", Pub: subscription.NewPublication(10, 10)}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := n.Run(); err != nil {
@@ -132,8 +132,8 @@ func TestChainPropagationAndGroupCoverage(t *testing.T) {
 	n.AttachClient("pub", "B5")
 
 	// Two halves that jointly cover a later subscription.
-	n.ClientSubscribe("sub1", "left", box(0, 60, 0, 100))
-	n.ClientSubscribe("sub1", "right", box(40, 100, 0, 100))
+	n.ClientSend("sub1", broker.Message{Kind: broker.MsgSubscribe, SubID: "left", Sub: box(0, 60, 0, 100)})
+	n.ClientSend("sub1", broker.Message{Kind: broker.MsgSubscribe, SubID: "right", Sub: box(40, 100, 0, 100)})
 	if _, err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestChainPropagationAndGroupCoverage(t *testing.T) {
 
 	// A subscription covered by the union of the two: suppressed at B1
 	// already, so no forwards at all.
-	n.ClientSubscribe("sub2", "mid", box(20, 80, 10, 90))
+	n.ClientSend("sub2", broker.Message{Kind: broker.MsgSubscribe, SubID: "mid", Sub: box(20, 80, 10, 90)})
 	if _, err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestChainPropagationAndGroupCoverage(t *testing.T) {
 
 	// Publications matching "mid" still arrive at the subscriber
 	// because the covering subscriptions route them.
-	n.ClientPublish("pub", "p1", subscription.NewPublication(50, 50))
+	n.ClientSend("pub", broker.Message{Kind: broker.MsgPublish, PubID: "p1", Pub: subscription.NewPublication(50, 50)})
 	if _, err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +173,8 @@ func TestUnsubscribePromotionPropagates(t *testing.T) {
 	n.AttachClient("c2", "B1")
 	n.AttachClient("pub", "B3")
 
-	n.ClientSubscribe("c1", "big", box(0, 100, 0, 100))
-	n.ClientSubscribe("c2", "small", box(40, 60, 40, 60))
+	n.ClientSend("c1", broker.Message{Kind: broker.MsgSubscribe, SubID: "big", Sub: box(0, 100, 0, 100)})
+	n.ClientSend("c2", broker.Message{Kind: broker.MsgSubscribe, SubID: "small", Sub: box(40, 60, 40, 60)})
 	if _, err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestUnsubscribePromotionPropagates(t *testing.T) {
 	}
 
 	// Cancel big: small must be late-forwarded so routing still works.
-	n.ClientUnsubscribe("c1", "big")
+	n.ClientSend("c1", broker.Message{Kind: broker.MsgUnsubscribe, SubID: "big"})
 	if _, err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestUnsubscribePromotionPropagates(t *testing.T) {
 		t.Error("expected promotions after unsubscribing the coverer")
 	}
 
-	n.ClientPublish("pub", "p1", subscription.NewPublication(50, 50))
+	n.ClientSend("pub", broker.Message{Kind: broker.MsgPublish, PubID: "p1", Pub: subscription.NewPublication(50, 50)})
 	if _, err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestCyclicTopologyDeduplication(t *testing.T) {
 	}
 	n.AttachClient("sub", "B1")
 	n.AttachClient("pub", "B3")
-	n.ClientSubscribe("sub", "s", box(0, 10, 0, 10))
+	n.ClientSend("sub", broker.Message{Kind: broker.MsgSubscribe, SubID: "s", Sub: box(0, 10, 0, 10)})
 	steps, err := n.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +231,7 @@ func TestCyclicTopologyDeduplication(t *testing.T) {
 	if n.TotalMetrics().DupSubsDropped == 0 {
 		t.Error("expected duplicate subscription drops on the cycle")
 	}
-	n.ClientPublish("pub", "p", subscription.NewPublication(5, 5))
+	n.ClientSend("pub", broker.Message{Kind: broker.MsgPublish, PubID: "p", Pub: subscription.NewPublication(5, 5)})
 	if _, err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestGridBroadcastAllSubscribersNotified(t *testing.T) {
 		if err := n.AttachClient(client, at); err != nil {
 			t.Fatal(err)
 		}
-		if err := n.ClientSubscribe(client, fmt.Sprintf("s%d", i), box(0, 50, 0, 50)); err != nil {
+		if err := n.ClientSend(client, broker.Message{Kind: broker.MsgSubscribe, SubID: fmt.Sprintf("s%d", i), Sub: box(0, 50, 0, 50)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -260,7 +260,7 @@ func TestGridBroadcastAllSubscribersNotified(t *testing.T) {
 	if _, err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
-	n.ClientPublish("pub", "p", subscription.NewPublication(25, 25))
+	n.ClientSend("pub", broker.Message{Kind: broker.MsgPublish, PubID: "p", Pub: subscription.NewPublication(25, 25)})
 	if _, err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -278,11 +278,11 @@ func TestFailureInjectionDuplicatesAreIdempotent(t *testing.T) {
 	}
 	n.AttachClient("sub", "B1")
 	n.AttachClient("pub", "B4")
-	n.ClientSubscribe("sub", "s", box(0, 10, 0, 10))
+	n.ClientSend("sub", broker.Message{Kind: broker.MsgSubscribe, SubID: "s", Sub: box(0, 10, 0, 10)})
 	if _, err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
-	n.ClientPublish("pub", "p", subscription.NewPublication(5, 5))
+	n.ClientSend("pub", broker.Message{Kind: broker.MsgPublish, PubID: "p", Pub: subscription.NewPublication(5, 5)})
 	if _, err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -301,14 +301,14 @@ func TestFailureInjectionDropsLoseMessages(t *testing.T) {
 	}
 	n.AttachClient("sub", "B1")
 	n.AttachClient("pub", "B3")
-	n.ClientSubscribe("sub", "s", box(0, 10, 0, 10))
+	n.ClientSend("sub", broker.Message{Kind: broker.MsgSubscribe, SubID: "s", Sub: box(0, 10, 0, 10)})
 	if _, err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if n.Dropped() == 0 {
 		t.Fatal("expected drops")
 	}
-	n.ClientPublish("pub", "p", subscription.NewPublication(5, 5))
+	n.ClientSend("pub", broker.Message{Kind: broker.MsgPublish, PubID: "p", Pub: subscription.NewPublication(5, 5)})
 	if _, err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestNetworkConfigErrors(t *testing.T) {
 	if err := n.AttachClient("c", "nope"); err == nil {
 		t.Error("attach to unknown broker accepted")
 	}
-	if err := n.ClientSubscribe("ghost", "s", box(0, 1, 0, 1)); err == nil {
+	if err := n.ClientSend("ghost", broker.Message{Kind: broker.MsgSubscribe, SubID: "s", Sub: box(0, 1, 0, 1)}); err == nil {
 		t.Error("subscribe from unknown client accepted")
 	}
 	if err := n.AddBroker("B1", store.PolicyNone); err != nil {
@@ -349,7 +349,7 @@ func TestStarTopologyFanout(t *testing.T) {
 	}
 	n.AttachClient("sub", "B2")
 	n.AttachClient("pub", "B5")
-	n.ClientSubscribe("sub", "s", box(0, 10, 0, 10))
+	n.ClientSend("sub", broker.Message{Kind: broker.MsgSubscribe, SubID: "s", Sub: box(0, 10, 0, 10)})
 	if _, err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestStarTopologyFanout(t *testing.T) {
 	if got := n.TotalMetrics().SubsForwarded; got != 4 {
 		t.Errorf("forwards = %d, want 4", got)
 	}
-	n.ClientPublish("pub", "p", subscription.NewPublication(1, 1))
+	n.ClientSend("pub", broker.Message{Kind: broker.MsgPublish, PubID: "p", Pub: subscription.NewPublication(1, 1)})
 	if _, err := n.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -239,7 +239,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 				delete(live, subID)
 				liveIDs = append(liveIDs[:victim], liveIDs[victim+1:]...)
 				r.report.Unsubscribes++
-				if err := r.net.ClientUnsubscribe(client, subID); err != nil {
+				if err := r.net.ClientSend(client, broker.Message{Kind: broker.MsgUnsubscribe, SubID: subID}); err != nil {
 					return nil, err
 				}
 			} else {
@@ -249,7 +249,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 				liveIDs = append(liveIDs, subID)
 				r.report.Subscribes++
 				s := subscription.New(interval.New(lo, lo+width), interval.New(lo, lo+width))
-				if err := r.net.ClientSubscribe(client, subID, s); err != nil {
+				if err := r.net.ClientSend(client, broker.Message{Kind: broker.MsgSubscribe, SubID: subID, Sub: s}); err != nil {
 					return nil, err
 				}
 			}
@@ -307,7 +307,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		from := "c-" + r.ids[i%chaosBrokers]
 		pubID := fmt.Sprintf("probe-%d", i)
 		r.report.Probes++
-		if err := r.net.ClientPublish(from, pubID, subscription.NewPublication(mid, mid)); err != nil {
+		if err := r.net.ClientSend(from, broker.Message{Kind: broker.MsgPublish, PubID: pubID, Pub: subscription.NewPublication(mid, mid)}); err != nil {
 			return nil, err
 		}
 		if _, err := r.net.Run(); err != nil {

@@ -157,7 +157,7 @@ func (sc *simCluster) step(d time.Duration, ticks int) {
 func (sc *simCluster) subscribe(client, subID string, lo, hi int64) {
 	sc.t.Helper()
 	s := subscription.New(interval.New(lo, hi), interval.New(lo, hi))
-	if err := sc.net.ClientSubscribe(client, subID, s); err != nil {
+	if err := sc.net.ClientSend(client, broker.Message{Kind: broker.MsgSubscribe, SubID: subID, Sub: s}); err != nil {
 		sc.t.Fatal(err)
 	}
 	if _, err := sc.net.Run(); err != nil {
@@ -167,7 +167,7 @@ func (sc *simCluster) subscribe(client, subID string, lo, hi int64) {
 
 func (sc *simCluster) publish(client, pubID string, v int64) {
 	sc.t.Helper()
-	if err := sc.net.ClientPublish(client, pubID, subscription.NewPublication(v, v)); err != nil {
+	if err := sc.net.ClientSend(client, broker.Message{Kind: broker.MsgPublish, PubID: pubID, Pub: subscription.NewPublication(v, v)}); err != nil {
 		sc.t.Fatal(err)
 	}
 	if _, err := sc.net.Run(); err != nil {
@@ -337,7 +337,7 @@ func TestFlapDuringBackfillDigestGC(t *testing.T) {
 	// toward B2 dies on the dead link) and opens a2.
 	sc.net.SetLink("B1", "B2", false)
 	sc.step(250*time.Millisecond, 40)
-	if err := sc.net.ClientUnsubscribe("alice", "a1"); err != nil {
+	if err := sc.net.ClientSend("alice", broker.Message{Kind: broker.MsgUnsubscribe, SubID: "a1"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sc.net.Run(); err != nil {

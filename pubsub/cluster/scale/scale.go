@@ -1,17 +1,19 @@
 // Package scale is a deterministic membership-at-scale harness: it
-// runs hundreds to thousands of cluster.Node instances over a pure
-// in-memory frame router (no brokers, no sockets, no goroutines) and
-// measures what the paper's evaluation cares about at that size —
-// how many protocol rounds a sparse overlay needs before every node
-// sees every member alive, and how many gossip bytes per member per
-// round the steady state costs once it has.
+// runs hundreds to thousands of real brokers, each with a
+// cluster.Node from cluster.NewSimNode, on the internal/simnet
+// simulator (no sockets, no goroutines) and measures what the paper's
+// evaluation cares about at that size — how many protocol rounds a
+// sparse overlay needs before every node sees every member alive, how
+// many gossip bytes per member per round the steady state costs once
+// it has, and, with Config.Subs, how many subscription frames each
+// link carries.
 //
 // The overlay is a ring plus a few pseudo-random chord links per node
 // (a small-world graph: O(log n) diameter at constant degree), the
-// clock is a manual variable advanced one PingEvery per round, and
-// every random choice derives from Config.Seed — the same seed always
-// produces the same round-by-round trace, which is what lets CI gate
-// on the numbers.
+// simnet.Clock is advanced one PingEvery per round, and every random
+// choice derives from Config.Seed — the same seed always produces the
+// same round-by-round trace, which is what lets CI gate on the
+// numbers.
 package scale
 
 import (
@@ -21,6 +23,7 @@ import (
 
 	"probsum/internal/broker"
 	"probsum/internal/interval"
+	"probsum/internal/simnet"
 	"probsum/internal/store"
 	"probsum/internal/subscription"
 	"probsum/pubsub/cluster"
@@ -94,8 +97,8 @@ type Report struct {
 	// the whole run, bootstrap included.
 	TotalControlBytes uint64
 	// SubFrames counts the subscription-announcement frames (SUB,
-	// SUBBATCH) that crossed broker links during the subscription
-	// phase; SubFramesPerLink is the same count per directed overlay
+	// SUBBATCH) brokers sent during the subscription phase;
+	// SubFramesPerLink is the same count per directed overlay
 	// link — what per-link coverage leaves of a flood.
 	SubFrames        uint64
 	SubFramesPerLink float64
@@ -105,114 +108,11 @@ type Report struct {
 	// brute-force oracle expects — the delivery-equivalence gate.
 	Deliveries   int
 	DeliveryHash uint64
-	// FramesByKind counts every frame the router carried over the whole
-	// run, keyed by wire kind name — the per-kind traffic profile the
-	// observability layer exposes per link on real transports, summed
-	// across the simulated overlay here.
+	// FramesByKind counts every message a broker emitted over the
+	// whole run, keyed by wire kind name — the per-kind traffic profile
+	// the observability layer exposes per link on real transports,
+	// summed across the simulated overlay here.
 	FramesByKind map[string]uint64
-}
-
-// frame is one in-flight control message.
-type frame struct {
-	from, to string
-	msg      broker.Message
-}
-
-// harness owns the nodes and the frame router. Everything is
-// single-threaded: Tick and HandleControl run on the caller's
-// goroutine, sends append to the queue, and the round loop drains it
-// to empty (delta budgets guarantee the drain terminates).
-type harness struct {
-	ids     []string
-	nodes   []*cluster.Node
-	brokers []*broker.Broker
-	index   map[string]int
-	queue   []frame
-	now     time.Time
-	err     error // first broker error; deliver stops on it
-
-	subFrames    uint64
-	deliveries   int
-	deliveryHash uint64
-	framesByKind map[string]uint64
-}
-
-// link adapts one harness slot to cluster.Link. Connects succeed
-// inline (the graph has no partitions — this harness measures cost,
-// not healing, which the chaos and partition suites cover).
-type link struct {
-	h  *harness
-	id string
-}
-
-func (l *link) Self() string { return l.id }
-
-func (l *link) Send(peer string, msg broker.Message) bool {
-	l.h.queue = append(l.h.queue, frame{l.id, peer, msg})
-	return true
-}
-
-func (l *link) Connect(peer, addr string, done func(established bool, err error)) {
-	done(true, nil)
-}
-
-func (l *link) ClusterCapable(peer string) bool              { return true }
-func (l *link) Digest(peer string) (broker.LinkDigest, bool) { return broker.LinkDigest{}, false }
-
-// deliver drains the frame queue to empty, routing every reply. FIFO
-// order keeps runs reproducible. Control frames dispatch to the
-// destination's membership node, broker frames to its broker, and
-// frames addressed to a client port are terminal deliveries.
-func (h *harness) deliver() {
-	for len(h.queue) > 0 && h.err == nil {
-		f := h.queue[0]
-		h.queue = h.queue[1:]
-		h.framesByKind[f.msg.Kind.String()]++
-		i, ok := h.index[f.to]
-		if !ok {
-			// A client port: record the notifications and stop routing.
-			if f.msg.Kind == broker.MsgNotifyBatch {
-				for _, subID := range f.msg.SubIDs {
-					h.deliveries++
-					h.deliveryHash ^= hash64(f.to + "|" + subID + "|" + f.msg.PubID)
-				}
-			}
-			continue
-		}
-		if f.msg.Kind.IsControl() {
-			for _, out := range h.nodes[i].HandleControl(f.from, f.msg) {
-				h.queue = append(h.queue, frame{f.to, out.To, out.Msg})
-			}
-			continue
-		}
-		switch f.msg.Kind {
-		case broker.MsgSubscribe, broker.MsgSubscribeBatch:
-			h.subFrames++
-		}
-		outs, err := h.brokers[i].Handle(f.from, f.msg)
-		if err != nil {
-			h.err = fmt.Errorf("scale: %s handling %v from %s: %w", f.to, f.msg.Kind, f.from, err)
-			return
-		}
-		for _, out := range outs {
-			h.queue = append(h.queue, frame{f.to, out.To, out.Msg})
-		}
-	}
-	h.queue = nil // release the grown backing array between rounds
-}
-
-// inject runs one client-originated message through broker i and
-// drains everything it causes.
-func (h *harness) inject(i int, msg broker.Message) {
-	outs, err := h.brokers[i].Handle("c-"+h.ids[i], msg)
-	if err != nil {
-		h.err = fmt.Errorf("scale: %s injecting %v: %w", h.ids[i], msg.Kind, err)
-		return
-	}
-	for _, out := range outs {
-		h.queue = append(h.queue, frame{h.ids[i], out.To, out.Msg})
-	}
-	h.deliver()
 }
 
 // hash64 is FNV-1a with an avalanche tail, for order-independent
@@ -233,11 +133,12 @@ func hash64(s string) uint64 {
 	return h
 }
 
-// converged reports whether every node sees all n members alive.
-func (h *harness) converged() bool {
-	for _, n := range h.nodes {
+// converged reports whether every node sees all len(nodes) members
+// alive.
+func converged(nodes []*cluster.Node) bool {
+	for _, n := range nodes {
 		alive, total := n.AliveCount()
-		if alive != len(h.nodes) || total != len(h.nodes) {
+		if alive != len(nodes) || total != len(nodes) {
 			return false
 		}
 	}
@@ -245,14 +146,20 @@ func (h *harness) converged() bool {
 }
 
 // totals sums the traffic counters across all nodes.
-func (h *harness) totals() (bytes, fullGossip, deltaFrames uint64) {
-	for _, n := range h.nodes {
+func totals(nodes []*cluster.Node) (bytes, fullGossip, deltaFrames uint64) {
+	for _, n := range nodes {
 		m := n.Metrics()
 		bytes += m.ControlBytesSent
 		fullGossip += m.GossipSent
 		deltaFrames += m.DeltaFramesSent
 	}
 	return
+}
+
+// subFrames counts the subscription announcements brokers have sent.
+func subFrames(net *simnet.Network) uint64 {
+	k := net.FramesByKind()
+	return k[broker.MsgSubscribe.String()] + k[broker.MsgSubscribeBatch.String()]
 }
 
 // Run executes one scale experiment.
@@ -262,14 +169,8 @@ func Run(cfg Config) (Report, error) {
 		return Report{}, fmt.Errorf("scale: need at least 3 members, got %d", cfg.N)
 	}
 	const pingEvery = time.Second
-	h := &harness{
-		ids:          make([]string, cfg.N),
-		nodes:        make([]*cluster.Node, cfg.N),
-		index:        make(map[string]int, cfg.N),
-		now:          time.Unix(0, 0),
-		framesByKind: make(map[string]uint64),
-	}
-	clock := func() time.Time { return h.now }
+	net := simnet.New()
+	clock := simnet.NewClock()
 	ncfg := cluster.Config{
 		PingEvery:     pingEvery,
 		GossipEvery:   pingEvery,
@@ -278,20 +179,23 @@ func Run(cfg Config) (Report, error) {
 		ReconnectMin:  pingEvery,
 		ReconnectMax:  4 * pingEvery,
 		Seed:          cfg.Seed,
-		Clock:         clock,
 	}
-	h.brokers = make([]*broker.Broker, cfg.N)
-	for i := range h.nodes {
+	ids := make([]string, cfg.N)
+	nodes := make([]*cluster.Node, cfg.N)
+	for i := range nodes {
 		id := fmt.Sprintf("b%04d", i)
-		h.ids[i] = id
-		h.index[id] = i
-		h.nodes[i] = cluster.NewNode(cluster.Member{ID: id, Addr: id}, &link{h: h, id: id}, ncfg)
-		b, err := broker.New(id, store.PolicyPairwise)
+		ids[i] = id
+		if err := net.AddBroker(id, store.PolicyPairwise); err != nil {
+			return Report{}, err
+		}
+		if err := net.AttachClient("c-"+id, id); err != nil {
+			return Report{}, err
+		}
+		n, err := cluster.NewSimNode(net, id, clock, ncfg)
 		if err != nil {
 			return Report{}, err
 		}
-		h.brokers[i] = b
-		b.AttachClient("c-" + id)
+		nodes[i] = n
 	}
 
 	// Overlay: ring + chords. Each link is registered on both ends, so
@@ -302,12 +206,9 @@ func Run(cfg Config) (Report, error) {
 		if i == j {
 			return false
 		}
-		h.nodes[i].AddMember(cluster.Member{ID: h.ids[j], Addr: h.ids[j]}, true)
-		h.nodes[j].AddMember(cluster.Member{ID: h.ids[i], Addr: h.ids[i]}, true)
-		if err := h.brokers[i].ConnectNeighbor(h.ids[j]); err != nil {
-			return false
-		}
-		if err := h.brokers[j].ConnectNeighbor(h.ids[i]); err != nil {
+		nodes[i].AddMember(cluster.Member{ID: ids[j], Addr: ids[j]}, true)
+		nodes[j].AddMember(cluster.Member{ID: ids[i], Addr: ids[i]}, true)
+		if err := net.Connect(ids[i], ids[j]); err != nil {
 			return false
 		}
 		degree[i]++
@@ -329,12 +230,22 @@ func Run(cfg Config) (Report, error) {
 		}
 	}
 
-	round := func() {
-		h.now = h.now.Add(pingEvery)
-		for _, n := range h.nodes {
+	round := func() error {
+		clock.Advance(pingEvery)
+		for _, n := range nodes {
 			n.Tick()
 		}
-		h.deliver()
+		_, err := net.Run()
+		return err
+	}
+	// send runs one client-originated message from the client of broker
+	// i and everything it causes.
+	send := func(i int, msg broker.Message) error {
+		if err := net.ClientSend("c-"+ids[i], msg); err != nil {
+			return err
+		}
+		_, err := net.Run()
+		return err
 	}
 
 	rep := Report{N: cfg.N, Links: links}
@@ -347,19 +258,23 @@ func Run(cfg Config) (Report, error) {
 		if rep.ConvergedRound > maxRounds {
 			return rep, fmt.Errorf("scale: n=%d not converged after %d rounds", cfg.N, maxRounds)
 		}
-		round()
-		if h.converged() {
+		if err := round(); err != nil {
+			return rep, fmt.Errorf("scale: %w", err)
+		}
+		if converged(nodes) {
 			break
 		}
 	}
 	rep.ConvergedTime = time.Duration(rep.ConvergedRound) * pingEvery
 
 	// Phase 2: steady-state measurement window.
-	bytes0, full0, delta0 := h.totals()
+	bytes0, full0, delta0 := totals(nodes)
 	for r := 0; r < steadyRounds; r++ {
-		round()
+		if err := round(); err != nil {
+			return rep, fmt.Errorf("scale: %w", err)
+		}
 	}
-	bytes1, full1, delta1 := h.totals()
+	bytes1, full1, delta1 := totals(nodes)
 	rep.SteadyBytesPerMemberRound = float64(bytes1-bytes0) / float64(cfg.N*steadyRounds)
 	rep.SteadyFullGossipFrames = full1 - full0
 	rep.SteadyDeltaFrames = delta1 - delta0
@@ -378,19 +293,18 @@ func Run(cfg Config) (Report, error) {
 			sub    subscription.Subscription
 		}
 		subs := make([]subRec, cfg.Subs)
-		frames0 := h.subFrames
+		frames0 := subFrames(net)
 		for k := range subs {
 			origin := rng.IntN(cfg.N)
 			lo := int64(rng.IntN(4000))
 			width := int64(16 + rng.IntN(112))
 			s := subscription.New(interval.New(lo, lo+width), interval.New(lo, lo+width))
 			subs[k] = subRec{origin, fmt.Sprintf("s%05d", k), s}
-			h.inject(origin, broker.Message{Kind: broker.MsgSubscribe, SubID: subs[k].id, Sub: s})
-			if h.err != nil {
-				return rep, h.err
+			if err := send(origin, broker.Message{Kind: broker.MsgSubscribe, SubID: subs[k].id, Sub: s}); err != nil {
+				return rep, fmt.Errorf("scale: %w", err)
 			}
 		}
-		rep.SubFrames = h.subFrames - frames0
+		rep.SubFrames = subFrames(net) - frames0
 		rep.SubFramesPerLink = float64(rep.SubFrames) / float64(2*links)
 		var want int
 		var wantHash uint64
@@ -400,24 +314,32 @@ func Run(cfg Config) (Report, error) {
 			origin := rng.IntN(cfg.N)
 			pubID := fmt.Sprintf("p%05d", k)
 			pub := subscription.NewPublication(mid, mid)
-			h.inject(origin, broker.Message{Kind: broker.MsgPublish, PubID: pubID, Pub: pub})
-			if h.err != nil {
-				return rep, h.err
+			if err := send(origin, broker.Message{Kind: broker.MsgPublish, PubID: pubID, Pub: pub}); err != nil {
+				return rep, fmt.Errorf("scale: %w", err)
 			}
 			for _, sr := range subs {
 				if sr.origin != origin && sr.sub.Matches(pub) {
 					want++
-					wantHash ^= hash64("c-" + h.ids[sr.origin] + "|" + sr.id + "|" + pubID)
+					wantHash ^= hash64("c-" + ids[sr.origin] + "|" + sr.id + "|" + pubID)
 				}
 			}
 		}
-		rep.Deliveries = h.deliveries
-		rep.DeliveryHash = h.deliveryHash
+		for _, id := range ids {
+			for _, m := range net.Delivered("c-" + id) {
+				if m.Kind != broker.MsgNotifyBatch {
+					continue
+				}
+				for _, subID := range m.SubIDs {
+					rep.Deliveries++
+					rep.DeliveryHash ^= hash64("c-" + id + "|" + subID + "|" + m.PubID)
+				}
+			}
+		}
 		if rep.Deliveries != want || rep.DeliveryHash != wantHash {
 			return rep, fmt.Errorf("scale: delivery divergence: %d (%#x) delivered, oracle expects %d (%#x)",
 				rep.Deliveries, rep.DeliveryHash, want, wantHash)
 		}
 	}
-	rep.FramesByKind = h.framesByKind
+	rep.FramesByKind = net.FramesByKind()
 	return rep, nil
 }

@@ -156,24 +156,7 @@ func (sc *simClient) send(ctx context.Context, msg broker.Message) error {
 	if t.shutdown {
 		return fmt.Errorf("pubsub: transport is shut down")
 	}
-	var err error
-	switch msg.Kind {
-	case broker.MsgSubscribe:
-		err = t.net.ClientSubscribe(sc.name, msg.SubID, msg.Sub)
-	case broker.MsgUnsubscribe:
-		err = t.net.ClientUnsubscribe(sc.name, msg.SubID)
-	case broker.MsgPublish:
-		err = t.net.ClientPublish(sc.name, msg.PubID, msg.Pub)
-	case broker.MsgSubscribeBatch:
-		err = t.net.ClientSubscribeBatch(sc.name, msg.Subs)
-	case broker.MsgUnsubscribeBatch:
-		err = t.net.ClientUnsubscribeBatch(sc.name, msg.SubIDs)
-	case broker.MsgPublishBatch:
-		err = t.net.ClientPublishBatch(sc.name, msg.Pubs)
-	default:
-		err = fmt.Errorf("pubsub: unsupported client message kind %v", msg.Kind)
-	}
-	if err != nil {
+	if err := t.net.ClientSend(sc.name, msg); err != nil {
 		return err
 	}
 	if _, err := t.net.Run(); err != nil {
