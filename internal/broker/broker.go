@@ -421,12 +421,15 @@ type Broker struct {
 	// routes holds one record per known subscription, by SubID.
 	// +guarded_by:mu
 	routes map[string]*route
-	// tables is the matcher: one slot table per attribute count some
-	// route has. A route's numeric ID names its slot (see routeID), so
-	// a stab's hits and an ID from a coverage table both reach the
-	// route by indexing.
+	// tables is the matcher: per attribute count some route has, one
+	// cell index whose slots hold the routes themselves (nil once
+	// freed), the count's slot table. A route's numeric ID names its
+	// slot (see routeID), so a stab's hits and an ID from a coverage
+	// table both reach the route by indexing. A publication stabs only
+	// its own count's table, mirroring Subscription.Matches, which
+	// rejects on length mismatch.
 	// +guarded_by:mu
-	tables []*slotTable
+	tables []*cells.Index[route]
 	// seq counts the routes admitted; the last one's ID carries it.
 	// +guarded_by:mu
 	seq int64
@@ -500,16 +503,6 @@ func routeID(seq int64, slot int32) store.ID {
 
 // slotOf returns the slot a route ID carries.
 func slotOf(id store.ID) int32 { return int32(id & (maxSlots - 1)) }
-
-// slotTable is the matcher of one attribute count: a cell index over
-// its routes' boxes, and per slot of the index the route there (nil
-// once freed). A publication stabs only its own count's table,
-// mirroring Subscription.Matches, which rejects on length mismatch.
-type slotTable struct {
-	m      int
-	ix     *cells.Index
-	routes []*route
-}
 
 // stabScratch holds the cell-index query scratch of publish runs in
 // flight: a run takes one and returns it when done, so concurrent runs
@@ -686,9 +679,9 @@ func (b *Broker) sortedRoutes() []*route {
 // table returns the slot table of attribute count m, or nil.
 //
 // +mustlock:mu (shared)
-func (b *Broker) table(m int) *slotTable {
+func (b *Broker) table(m int) *cells.Index[route] {
 	for _, t := range b.tables {
-		if t.m == m {
+		if t.Attrs() == m {
 			return t
 		}
 	}
@@ -696,16 +689,14 @@ func (b *Broker) table(m int) *slotTable {
 }
 
 // routeByID returns the live route with numeric ID id, or nil: the
-// entry at id's slot of the table whose route there carries id.
+// route at id's slot of the table whose route there carries id.
 //
 // +mustlock:mu (shared)
 func (b *Broker) routeByID(id store.ID) *route {
-	slot := int(slotOf(id))
+	slot := slotOf(id)
 	for _, t := range b.tables {
-		if slot < len(t.routes) {
-			if r := t.routes[slot]; r != nil && r.id == id {
-				return r
-			}
+		if r := t.Row(slot); r != nil && r.id == id {
+			return r
 		}
 	}
 	return nil
@@ -719,18 +710,11 @@ func (b *Broker) index(r *route) {
 	m := r.sub.Len()
 	t := b.table(m)
 	if t == nil {
-		t = &slotTable{m: m, ix: cells.New(m)}
+		t = cells.New(m, func(r *route) *subscription.Subscription { return &r.sub })
 		b.tables = append(b.tables, t)
 	}
 	b.seq++
-	// The index's own row ID goes unread: a hit's route is routes[slot].
-	slot := t.ix.Add(b.seq, r.sub)
-	r.id = routeID(b.seq, slot)
-	if int(slot) == len(t.routes) {
-		t.routes = append(t.routes, r)
-	} else {
-		t.routes[slot] = r
-	}
+	r.id = routeID(b.seq, t.Add(r))
 }
 
 // unindex frees r's slot, dropping its table once empty so that a later
@@ -738,11 +722,10 @@ func (b *Broker) index(r *route) {
 //
 // +mustlock:mu
 func (b *Broker) unindex(r *route) {
-	i := slices.IndexFunc(b.tables, func(t *slotTable) bool { return t.m == r.sub.Len() })
-	t, slot := b.tables[i], slotOf(r.id)
-	t.ix.Remove(slot)
-	t.routes[slot] = nil
-	if t.ix.Len() == 0 {
+	i := slices.IndexFunc(b.tables, func(t *cells.Index[route]) bool { return t.Attrs() == r.sub.Len() })
+	t := b.tables[i]
+	t.Remove(slotOf(r.id))
+	if t.Len() == 0 {
 		b.tables = slices.Delete(b.tables, i, i+1)
 	}
 }
@@ -757,8 +740,8 @@ func (b *Broker) idRoom(items []BatchSub) error {
 		return fmt.Errorf("broker %s: route IDs exhausted: %d admitted, a burst of %d would pass %d", b.id, b.seq, len(items), int64(maxSeq))
 	}
 	for _, t := range b.tables {
-		if t.ix.Len() > maxSlots-len(items) {
-			return fmt.Errorf("broker %s: %d routes of %d attributes, a burst of %d could pass %d", b.id, t.ix.Len(), t.m, len(items), maxSlots)
+		if t.Len() > maxSlots-len(items) {
+			return fmt.Errorf("broker %s: %d routes of %d attributes, a burst of %d could pass %d", b.id, t.Len(), t.Attrs(), len(items), maxSlots)
 		}
 	}
 	return nil
@@ -1291,13 +1274,13 @@ func (b *Broker) handlePublish(from string, run *pubRun, it *BatchPub, left int)
 	t := b.table(len(it.Pub.Values))
 	if t != nil {
 		var candidates int
-		slots, candidates = t.ix.Stab(run.sc, it.Pub)
+		slots, candidates = t.Stab(run.sc, it.Pub)
 		run.candidates += candidates
 		run.hits += len(slots)
 	}
 	hits := slices.Grow(make([]*route, 0, 64), len(slots))
 	for _, slot := range slots {
-		hits = append(hits, t.routes[slot])
+		hits = append(hits, t.Row(slot))
 	}
 	slices.SortFunc(hits, func(x, y *route) int {
 		if x.src != y.src {

@@ -278,8 +278,8 @@ func TestConcurrentSlotReuse(t *testing.T) {
 		t.Fatalf("%d routes left, want 2", n)
 	}
 	for _, tbl := range b.tables {
-		if tbl.ix.Len() != 1 || len(tbl.routes) > 9 {
-			t.Errorf("count %d: %d live routes in %d slots, want 1 in at most 9", tbl.m, tbl.ix.Len(), len(tbl.routes))
+		if tbl.Len() != 1 || tbl.Slots() > 9 {
+			t.Errorf("count %d: %d live routes in %d slots, want 1 in at most 9", tbl.Attrs(), tbl.Len(), tbl.Slots())
 		}
 	}
 }

@@ -125,17 +125,23 @@ func heapPerSub(tb testing.TB, policy store.Policy, tables, n int) float64 {
 	return float64(after.HeapAlloc-before.HeapAlloc) / float64(n)
 }
 
-// TestBrokerHeapPerRoute pins what BenchmarkBrokerHeapPerSub's
-// flood/tables-0 case reads, 404.5 B a route, within 5 %: a map keyed
-// by route ID costs ~28 B a route at this size, so one coming back
-// fails the pin.
+// TestBrokerHeapPerRoute pins two figures BenchmarkBrokerHeapPerSub
+// reads, each within 5 %: flood/tables-0, 367.2 B a route, and what one
+// flood neighbour table adds to it (tables-1 less tables-0), 209.6 B. A
+// map keyed by route ID costs ~28 B a route at this size, and a copy of
+// each row's ID and box in a cell index's slots ~37 B, so either coming
+// back, into the broker or into a table, fails a pin.
 func TestBrokerHeapPerRoute(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the pin holds for the plain build; -race builds allocate differently")
+		t.Skip("the pins hold for the plain build; -race builds allocate differently")
 	}
-	const pinned = 404.5
-	if got := heapPerSub(t, store.PolicyNone, 0, 20_000); got > pinned*1.05 {
-		t.Errorf("%.1f B a route, want at most %.1f (%.1f + 5 %%)", got, pinned*1.05, pinned)
+	const route, table = 367.2, 209.6
+	base := heapPerSub(t, store.PolicyNone, 0, 20_000)
+	if base > route*1.05 {
+		t.Errorf("%.1f B a route, want at most %.1f (%.1f + 5 %%)", base, route*1.05, route)
+	}
+	if got := heapPerSub(t, store.PolicyNone, 1, 20_000) - base; got > table*1.05 {
+		t.Errorf("a flood table adds %.1f B a route, want at most %.1f (%.1f + 5 %%)", got, table*1.05, table)
 	}
 }
 

@@ -2,8 +2,10 @@ package broker
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
+	"weak"
 
 	"probsum/internal/interval"
 	"probsum/internal/store"
@@ -221,7 +223,7 @@ func TestRouteSlotReuse(t *testing.T) {
 	state := func() (int, []tableState, []BatchSub, LinkDigest) {
 		var ts []tableState
 		for _, t := range b.tables {
-			ts = append(ts, tableState{t.m, t.ix.Len(), len(t.routes)})
+			ts = append(ts, tableState{t.Attrs(), t.Len(), t.Slots()})
 		}
 		d, _ := b.LinkDigest("N")
 		return b.SubscriptionCount(), ts, b.NeighborRoots("N"), d
@@ -241,5 +243,33 @@ func TestRouteSlotReuse(t *testing.T) {
 	handle("C", Message{Kind: MsgSubscribeBatch, Subs: two[:1]})
 	if id := b.routes["late1"].id; id <= 0 || int64(id)>>slotBits != maxSeq {
 		t.Fatalf("the last route's ID is %#x, want seq %#x in its top bits", id, int64(maxSeq))
+	}
+}
+
+// TestRetiredRouteUnreachable requires a freed slot to retain nothing:
+// a route retired from a slot table that lives on, under a neighbour
+// table that held it too, is collected once the broker lets go of it.
+func TestRetiredRouteUnreachable(t *testing.T) {
+	b := newBroker(t, store.PolicyGroup)
+	if err := b.ConnectNeighbor("N"); err != nil {
+		t.Fatal(err)
+	}
+	b.AttachClient("C")
+	handle := func(msg Message) {
+		t.Helper()
+		if _, err := b.Handle("C", msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	handle(Message{Kind: MsgSubscribe, SubID: "stay", Sub: box(0, 10, 0, 10)})
+	handle(Message{Kind: MsgSubscribe, SubID: "gone", Sub: box(20, 30, 0, 10)})
+	gone := weak.Make(b.routes["gone"])
+	handle(Message{Kind: MsgUnsubscribe, SubID: "gone"})
+	runtime.GC()
+	if r := gone.Value(); r != nil {
+		t.Fatalf("retired route %s (ID %#x) is still reachable", r.subID, r.id)
+	}
+	if t2 := b.table(2); t2 == nil || t2.Len() != 1 {
+		t.Fatalf("slot table of count 2 is %+v, want one live route", t2)
 	}
 }

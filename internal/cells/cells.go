@@ -2,13 +2,15 @@
 // the system's box queries: which active rows intersect (or contain) an
 // arriving subscription, for the coverage decision in package store, and
 // which subscriptions contain a publication, for the broker's matcher
-// in package match.
+// and package match.
 //
-// Each indexed row owns a stable slot; freed slots are reused. Per
-// attribute, a grid hull is cut into gridCells equal cells, and each
-// cell holds a bitset over slots marking the rows that overlap it; a
-// row containing the whole grid hull goes into the attribute's wild
-// bitset instead. A free slot has no bit anywhere. A query ANDs, over
+// A slot holds one word, a pointer to the caller's own row (a broker's
+// route, a store's node), whose box is a field of the row. Each row
+// owns a stable slot; freed slots are reused and hold nil, so the index
+// keeps nothing of a removed row alive. Per attribute, a grid hull is
+// cut into gridCells equal cells, and each cell holds a bitset over
+// slots marking the rows that overlap it; a row containing the whole
+// grid hull goes into the attribute's wild bitset instead. A free slot has no bit anywhere. A query ANDs, over
 // at least one attribute, the wild bitset ORed with the cells that can
 // hold a qualifying row: for an intersection, every cell s spans; for a
 // containment, the AND of s's two end cells; for a point, its cell.
@@ -25,6 +27,7 @@ package cells
 import (
 	"math/bits"
 	"slices"
+	"unsafe"
 
 	"probsum/internal/interval"
 	"probsum/internal/subscription"
@@ -34,11 +37,13 @@ import (
 // cut into.
 const gridCells = 64
 
-// Index is a cell-bitset index over satisfiable boxes of one attribute
-// count. Queries only read it, so any number may run in parallel, each
-// with its own Scratch; Add and Remove need exclusive access.
-type Index struct {
+// Index is a cell-bitset index over rows of type T with satisfiable
+// boxes of one attribute count. Queries only read it, so any number may
+// run in parallel, each with its own Scratch; Add and Remove need
+// exclusive access.
+type Index[T any] struct {
 	m     int                 // attribute count
+	off   uintptr             // offset of a row's box within T
 	grid  []interval.Interval // per attribute, the hull the cells cut
 	width []uint64            // per attribute, the cell width
 	hull  []interval.Interval // per attribute, the hull of every row indexed
@@ -46,53 +51,74 @@ type Index struct {
 	// rows holds, per attribute, gridCells cell bitsets then the wild
 	// bitset; each is words long.
 	rows  []uint64
-	slots []entry // per slot, its row; zero when free
+	slots []*T    // per slot, its row; nil when free
 	free  []int32 // freed slots, reused last in, first out
 }
 
-// entry is an indexed row: what Row returns for its slot.
-type entry struct {
-	id  int64
-	sub subscription.Subscription
-}
-
 // Scratch is one query's working memory: the word accumulator, the
-// filtered attributes (Hit's bitset offsets) and the hit buffer. The zero value is ready. A
-// query's result aliases its Scratch until the next query with it, so
-// concurrent queries need separate Scratches.
+// filtered attributes (Hit's bitset offsets), the hit buffer and the
+// gathered boxes. The zero value is ready. A query's result aliases its
+// Scratch until the next query with it, so concurrent queries need
+// separate Scratches.
 type Scratch struct {
 	acc   []uint64
 	attrs []int
 	hits  []int32
+	boxes []subscription.Subscription // Stab's gathered boxes; cleared after each check
 }
 
-// New returns an empty index over boxes of m attributes.
-func New(m int) *Index { return &Index{m: m} }
+// New returns an empty index over rows of m attributes. box returns a
+// pointer to a row's box, a field of the row that must not change while
+// the row is indexed; New calls it once, and panics unless the box lies
+// inside the row, to learn the field's offset, so the exact checks
+// reach a box without a call.
+func New[T any](m int, box func(*T) *subscription.Subscription) *Index[T] {
+	r := new(T)
+	off := uintptr(unsafe.Pointer(box(r))) - uintptr(unsafe.Pointer(r))
+	if off > unsafe.Sizeof(*r) || unsafe.Sizeof(*r)-off < unsafe.Sizeof(subscription.Subscription{}) {
+		panic("cells: a row's box is not a field of the row")
+	}
+	return &Index[T]{m: m, off: off}
+}
+
+// box returns row r's box.
+func (ix *Index[T]) box(r *T) *subscription.Subscription {
+	return (*subscription.Subscription)(unsafe.Add(unsafe.Pointer(r), ix.off))
+}
+
+// Attrs returns the attribute count of the index's boxes.
+func (ix *Index[T]) Attrs() int { return ix.m }
 
 // Len returns the number of indexed rows.
-func (ix *Index) Len() int { return len(ix.slots) - len(ix.free) }
+func (ix *Index[T]) Len() int { return len(ix.slots) - len(ix.free) }
 
-// Row returns the ID and box indexed in a live slot.
-func (ix *Index) Row(slot int32) (int64, subscription.Subscription) {
-	e := ix.slots[slot]
-	return e.id, e.sub
+// Slots returns the number of slots handed out, live or free.
+func (ix *Index[T]) Slots() int { return len(ix.slots) }
+
+// Row returns the row in slot: nil when the slot is free or was never
+// handed out.
+func (ix *Index[T]) Row(slot int32) *T {
+	if int(slot) < len(ix.slots) {
+		return ix.slots[slot]
+	}
+	return nil
 }
 
 // nrows returns the number of bitsets.
-func (ix *Index) nrows() int { return ix.m * (gridCells + 1) }
+func (ix *Index[T]) nrows() int { return ix.m * (gridCells + 1) }
 
 // row returns bitset r (see rows).
-func (ix *Index) row(r int) []uint64 {
+func (ix *Index[T]) row(r int) []uint64 {
 	return ix.rows[r*ix.words : (r+1)*ix.words]
 }
 
 // used returns how many bitset words hold a slot that was ever indexed:
 // the words a query must read.
-func (ix *Index) used() int { return (len(ix.slots) + 63) / 64 }
+func (ix *Index[T]) used() int { return (len(ix.slots) + 63) / 64 }
 
 // cell returns the cell of attribute a holding v, clamped to the edge
 // cells when v lies outside the grid hull.
-func (ix *Index) cell(a int, v int64) int {
+func (ix *Index[T]) cell(a int, v int64) int {
 	g := ix.grid[a]
 	v = min(max(v, g.Lo), g.Hi)
 	// Unsigned, so a hull of [MinInt64, MaxInt64] cannot overflow.
@@ -102,18 +128,19 @@ func (ix *Index) cell(a int, v int64) int {
 // span returns the width of a non-empty interval, unsigned.
 func span(iv interval.Interval) uint64 { return uint64(iv.Hi) - uint64(iv.Lo) }
 
-// Add indexes the satisfiable box s, which has the index's attribute
-// count, under id, and returns the slot it holds until Remove.
-func (ix *Index) Add(id int64, s subscription.Subscription) int32 {
+// Add indexes the non-nil row r, whose box has the index's attribute
+// count, and returns the slot it holds until Remove.
+func (ix *Index[T]) Add(r *T) int32 {
 	var slot int32
 	if k := len(ix.free); k > 0 {
 		slot = ix.free[k-1]
 		ix.free = ix.free[:k-1]
-		ix.slots[slot] = entry{id, s}
+		ix.slots[slot] = r
 	} else {
 		slot = int32(len(ix.slots))
-		ix.slots = append(ix.slots, entry{id, s})
+		ix.slots = append(ix.slots, r)
 	}
+	s := *ix.box(r)
 	recut := ix.grid == nil
 	if recut {
 		ix.grid, ix.hull = slices.Clone(s.Bounds), slices.Clone(s.Bounds)
@@ -138,9 +165,9 @@ func (ix *Index) Add(id int64, s subscription.Subscription) int32 {
 }
 
 // Remove un-indexes the row in slot and frees the slot.
-func (ix *Index) Remove(slot int32) {
+func (ix *Index[T]) Remove(slot int32) {
 	ix.toggle(slot)
-	ix.slots[slot] = entry{}
+	ix.slots[slot] = nil
 	ix.free = append(ix.free, slot)
 }
 
@@ -148,10 +175,10 @@ func (ix *Index) Remove(slot int32) {
 // attribute, or the wild bit where they contain the grid hull. A free
 // slot has no bit set, so toggling it in Add sets exactly these bits,
 // and toggling it in Remove, against the same grid, clears them.
-func (ix *Index) toggle(slot int32) {
+func (ix *Index[T]) toggle(slot int32) {
 	word, bit := int(slot)/64, uint64(1)<<(slot%64)
 	flip := func(r int) { ix.rows[r*ix.words+word] ^= bit }
-	for a, b := range ix.slots[slot].sub.Bounds {
+	for a, b := range ix.box(ix.slots[slot]).Bounds {
 		base := a * (gridCells + 1)
 		if b.ContainsInterval(ix.grid[a]) {
 			flip(base + gridCells)
@@ -165,7 +192,7 @@ func (ix *Index) toggle(slot int32) {
 
 // recut cuts the grid over the hull, sizes the bitsets to the slots,
 // and re-marks every live slot: O(k·m).
-func (ix *Index) recut() {
+func (ix *Index[T]) recut() {
 	copy(ix.grid, ix.hull)
 	for a, g := range ix.grid {
 		ix.width[a] = span(g)/gridCells + 1
@@ -176,8 +203,8 @@ func (ix *Index) recut() {
 	size := ix.nrows() * ix.words
 	ix.rows = slices.Grow(ix.rows[:0], size)[:size]
 	clear(ix.rows)
-	for slot, e := range ix.slots {
-		if e.sub.Bounds != nil {
+	for slot, r := range ix.slots {
+		if r != nil {
 			ix.toggle(int32(slot))
 		}
 	}
@@ -185,7 +212,7 @@ func (ix *Index) recut() {
 
 // grow doubles the bitsets' length, copying each into the wider layout.
 // The grid is unchanged, so no slot is re-marked.
-func (ix *Index) grow() {
+func (ix *Index[T]) grow() {
 	w := ix.words
 	rows := make([]uint64, ix.nrows()*2*w)
 	for r := range ix.nrows() {
@@ -197,7 +224,7 @@ func (ix *Index) grow() {
 // Query returns the slots of the rows whose boxes intersect s — or
 // contain it, with cover set — in slot order. s must have the index's
 // attribute count. The result aliases sc.
-func (ix *Index) Query(sc *Scratch, s subscription.Subscription, cover bool) []int32 {
+func (ix *Index[T]) Query(sc *Scratch, s subscription.Subscription, cover bool) []int32 {
 	// Where s contains the hull it meets every indexed row, so an
 	// intersection query filters and checks only the other attributes
 	// — or attribute 0 alone, whose filter then passes every live row.
@@ -241,7 +268,7 @@ func (ix *Index) Query(sc *Scratch, s subscription.Subscription, cover bool) []i
 	for i, word := range acc {
 		for ; word != 0; word &= word - 1 {
 			slot := i*64 + bits.TrailingZeros64(word)
-			row := ix.slots[slot].sub
+			row := ix.box(ix.slots[slot])
 			if cover && !row.Covers(s) || !cover && !intersects(row.Bounds, s.Bounds, attrs) {
 				continue
 			}
@@ -256,7 +283,7 @@ func (ix *Index) Query(sc *Scratch, s subscription.Subscription, cover bool) []i
 // in slot order, and how many slots the filter passed to the exact
 // check. p must have the index's attribute count. The result aliases
 // sc.
-func (ix *Index) Stab(sc *Scratch, p subscription.Publication) (hits []int32, candidates int) {
+func (ix *Index[T]) Stab(sc *Scratch, p subscription.Publication) (hits []int32, candidates int) {
 	hits = sc.hits[:0]
 	// The hull gate: every indexed row lies inside the hull.
 	for a, h := range ix.hull {
@@ -281,22 +308,33 @@ func (ix *Index) Stab(sc *Scratch, p subscription.Publication) (hits []int32, ca
 	}
 	for i, word := range acc {
 		for ; word != 0; word &= word - 1 {
-			slot := i*64 + bits.TrailingZeros64(word)
-			candidates++
-			if ix.slots[slot].sub.Matches(p) {
-				hits = append(hits, int32(slot))
-			}
+			hits = append(hits, int32(i*64+bits.TrailingZeros64(word)))
 		}
 	}
-	sc.hits = hits
-	return hits, candidates
+	// The candidates' boxes are gathered in a pass of their own, with no
+	// branch between one row and the next, so that many rows' loads are
+	// in flight at once; the checks then read them, and sc drops them.
+	boxes := sc.boxes[:0]
+	for _, slot := range hits {
+		boxes = append(boxes, *ix.box(ix.slots[slot]))
+	}
+	n := 0
+	for k, row := range boxes {
+		if row.Matches(p) {
+			hits[n] = hits[k]
+			n++
+		}
+	}
+	clear(boxes)
+	sc.hits, sc.boxes = hits[:n], boxes
+	return sc.hits, len(boxes)
 }
 
 // Hit returns the first slot, in slot order, whose row contains the
 // point p, or -1 when none does: Stab's first hit, found one bitset
 // word at a time so it stops there. p must have the index's attribute
 // count.
-func (ix *Index) Hit(sc *Scratch, p []int64) int32 {
+func (ix *Index[T]) Hit(sc *Scratch, p []int64) int32 {
 	for a, h := range ix.hull {
 		if !h.Contains(p[a]) {
 			return -1
@@ -316,7 +354,7 @@ func (ix *Index) Hit(sc *Scratch, p []int64) int32 {
 		}
 		for ; word != 0; word &= word - 1 {
 			slot := i*64 + bits.TrailingZeros64(word)
-			if ix.slots[slot].sub.ContainsPoint(p) {
+			if ix.box(ix.slots[slot]).ContainsPoint(p) {
 				return int32(slot)
 			}
 		}

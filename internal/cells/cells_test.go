@@ -9,29 +9,43 @@ import (
 	"probsum/internal/subscription"
 )
 
-// model is the reference state of an index: its live rows by slot.
-type model map[int32]entry
+// row is a caller's row: an ID and its box.
+type row struct {
+	id  int64
+	sub subscription.Subscription
+}
 
-func (mo model) add(t *testing.T, ix *Index, id int64, s subscription.Subscription) int32 {
+func rowBox(r *row) *subscription.Subscription { return &r.sub }
+
+// model is the reference state of an index: its live rows by slot.
+type model map[int32]*row
+
+func (mo model) add(t *testing.T, ix *Index[row], id int64, s subscription.Subscription) int32 {
 	t.Helper()
-	slot := ix.Add(id, s)
+	r := &row{id, s}
+	slot := ix.Add(r)
 	if _, taken := mo[slot]; taken {
 		t.Fatalf("Add(%d) got slot %d, which holds a live row", id, slot)
 	}
-	mo[slot] = entry{id, s}
+	mo[slot] = r
 	return slot
 }
 
-func (mo model) remove(ix *Index, slot int32) {
+// remove frees slot and requires it to hold the zero row after.
+func (mo model) remove(t *testing.T, ix *Index[row], slot int32) {
+	t.Helper()
 	ix.Remove(slot)
+	if r := ix.Row(slot); r != nil {
+		t.Fatalf("Row(%d) after Remove = %+v, want the zero row", slot, *r)
+	}
 	delete(mo, slot)
 }
 
 // want returns the live slots whose rows keep accepts, ascending.
 func (mo model) want(keep func(subscription.Subscription) bool) []int32 {
 	var slots []int32
-	for slot, e := range mo {
-		if keep(e.sub) {
+	for slot, r := range mo {
+		if keep(r.sub) {
 			slots = append(slots, slot)
 		}
 	}
@@ -41,17 +55,21 @@ func (mo model) want(keep func(subscription.Subscription) bool) []int32 {
 
 // check requires every query for s — intersection, containment, and a
 // stab at each of s's two corners in full and first-hit form — to
-// equal a brute-force scan of the live rows, and Len and Row to agree
-// with them.
-func (mo model) check(t *testing.T, ix *Index, s subscription.Subscription) {
+// equal a brute-force scan of the live rows, Len to count them, and
+// Row to return each live slot's row as added (the same pointer) and
+// the zero row past the last slot handed out.
+func (mo model) check(t *testing.T, ix *Index[row], s subscription.Subscription) {
 	t.Helper()
 	if ix.Len() != len(mo) {
 		t.Fatalf("Len = %d, want %d", ix.Len(), len(mo))
 	}
-	for slot, e := range mo {
-		if id, sub := ix.Row(slot); id != e.id || !sub.Equal(e.sub) {
-			t.Fatalf("Row(%d) = %d %v, want %d %v", slot, id, sub, e.id, e.sub)
+	for slot, r := range mo {
+		if got := ix.Row(slot); got != r {
+			t.Fatalf("Row(%d) = %p, want the row added, %p (%d %v)", slot, got, r, r.id, r.sub)
 		}
+	}
+	if r := ix.Row(int32(len(ix.slots))); r != nil {
+		t.Fatalf("Row(%d), past the last slot, = %+v, want the zero row", len(ix.slots), *r)
 	}
 	var sc Scratch
 	for _, cover := range []bool{false, true} {
@@ -176,7 +194,7 @@ func TestIndexEdges(t *testing.T) {
 	}}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ix, mo := New(tc.m), model{}
+			ix, mo := New(tc.m, rowBox), model{}
 			slotOf := map[int64]int32{}
 			next, peak := int64(0), 0
 			for i, st := range tc.steps {
@@ -187,7 +205,7 @@ func TestIndexEdges(t *testing.T) {
 				peak = max(peak, ix.Len())
 				for _, id := range st.remove {
 					if slot, ok := slotOf[id]; ok {
-						mo.remove(ix, slot)
+						mo.remove(t, ix, slot)
 						delete(slotOf, id)
 					}
 				}
@@ -208,7 +226,7 @@ func TestIndexEdges(t *testing.T) {
 // over the hull of every row indexed. Between the two, a query that
 // contains the grid but not the hull must still filter on x1.
 func TestIndexRecut(t *testing.T) {
-	ix, mo := New(2), model{}
+	ix, mo := New(2, rowBox), model{}
 	check := func() {
 		t.Helper()
 		for _, p := range []subscription.Subscription{boxN(995, 1000, 0, 9), boxN(-5, 999, 0, 4)} {
@@ -234,6 +252,18 @@ func TestIndexRecut(t *testing.T) {
 	check()
 }
 
+// TestNewRefusesForeignBox requires New to refuse a box accessor that
+// does not return a field of the row: the exact checks read a box at
+// the offset New measures.
+func TestNewRefusesForeignBox(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a box outside the row")
+		}
+	}()
+	New(1, func(*row) *subscription.Subscription { return new(subscription.Subscription) })
+}
+
 // fuzzExtremes are the bound values a fuzz byte below len(fuzzExtremes)
 // selects; every other byte is a small signed value.
 var fuzzExtremes = []int64{
@@ -245,7 +275,8 @@ var fuzzExtremes = []int64{
 // over one attribute count and, at every probe, requires the
 // intersection and containment queries and the point stabs at the
 // probe's corners, in full and first-hit form, to equal a brute-force
-// scan of the live rows.
+// scan of the live rows, and Row to return each live slot's row as
+// added; after every remove, Row must return the zero row.
 //
 // Byte 0 picks the attribute count m (1–3). Each step is an opcode byte
 // and its operands: opcode%4 of 0 or 1 adds the next ID (negated for 1,
@@ -260,7 +291,7 @@ func FuzzCandidateIndex(f *testing.F) {
 		}
 		m := 1 + int(data[0]%3)
 		data = data[1:]
-		ix, mo := New(m), model{}
+		ix, mo := New(m, rowBox), model{}
 		nextBox := func() (subscription.Subscription, bool) {
 			if len(data) < 2*m {
 				return subscription.Subscription{}, false
@@ -294,7 +325,7 @@ func FuzzCandidateIndex(f *testing.F) {
 				}
 				j := int(data[0]) % len(live)
 				data = data[1:]
-				mo.remove(ix, live[j])
+				mo.remove(t, ix, live[j])
 				live = slices.Delete(live, j, j+1)
 			case 3:
 				s, ok := nextBox()

@@ -167,12 +167,14 @@ func (c *Checker) Covered(s subscription.Subscription, set []subscription.Subscr
 // CoveredInto is Covered writing the outcome into res, reusing res's
 // slice capacity and the checker's internal scratch. A caller that
 // keeps one Result per checker performs zero heap allocations in
-// steady state (covered answers); only definite-NO answers allocate,
-// to copy their witness out of the scratch. Decisions are identical to
-// Covered's for the same random stream.
+// steady state (covered answers, and point witnesses the residual stage
+// finds once res holds room for one); other definite-NO answers
+// allocate, to copy their witness out of the scratch. Decisions are
+// identical to Covered's for the same random stream.
 //
 // res is overwritten entirely; any slices previously returned from it
-// (ReducedSet in particular) are invalidated by the next call.
+// (ReducedSet and PointWitness in particular) are invalidated by the
+// next call.
 func (c *Checker) CoveredInto(res *Result, s subscription.Subscription, set []subscription.Subscription) error {
 	return c.CoveredIntoKeyed(res, s, set, nil)
 }
@@ -240,7 +242,7 @@ func (c *Checker) CoveredIntoKeyed(res *Result, s subscription.Subscription, set
 		case verdict == residualWitness && !flat.contains(c.sc.resid.curLo):
 			res.Decision = NotCovered
 			res.Reason = ReasonPointWitness
-			res.PointWitness = slices.Clone(c.sc.resid.curLo)
+			res.PointWitness = append(res.PointWitness, c.sc.resid.curLo...)
 			return nil
 		}
 	}

@@ -117,7 +117,7 @@ type Result struct {
 	CoveringRow int
 
 	// PointWitness is the witness point when Reason is
-	// ReasonPointWitness; nil otherwise. Found by the residual stage
+	// ReasonPointWitness; empty otherwise. Found by the residual stage
 	// (ExecutedTrials is 0) it lies inside s and outside every
 	// subscription of the set. Found by RSPC it lies inside s and
 	// outside every subscription of the minimized cover set
@@ -158,9 +158,9 @@ type Result struct {
 }
 
 // resetForReuse clears the result for the next CoveredInto call while
-// keeping the ReducedSet capacity, so a reused Result stops allocating
-// once it has seen the workload's largest reduced set.
+// keeping the ReducedSet and PointWitness capacity, so a reused Result
+// stops allocating once it has seen the workload's largest reduced set
+// and its first point witness.
 func (r *Result) resetForReuse() {
-	reduced := r.ReducedSet[:0]
-	*r = Result{CoveringRow: -1, ReducedSet: reduced}
+	*r = Result{CoveringRow: -1, ReducedSet: r.ReducedSet[:0], PointWitness: r.PointWitness[:0]}
 }

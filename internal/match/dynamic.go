@@ -21,26 +21,31 @@ import (
 // matches run in parallel; Add and Remove take the write lock.
 type ITreeIndex struct {
 	mu sync.RWMutex
-	// subs maps every live subscription to where it is indexed.
+	// subs maps every live subscription to its row.
 	// +guarded_by:mu
-	subs map[ID]itreeSlot
+	subs map[ID]*itreeRow
 	// byArity holds the non-empty indexes, keyed by attribute count.
 	// +guarded_by:mu
-	byArity map[int]*cells.Index
+	byArity map[int]*cells.Index[itreeRow]
 	// candidates counts the slots the filter passed to the exact check,
 	// hits those of them that matched.
 	candidates, hits atomic.Uint64
 }
 
-// itreeSlot is where a live subscription is indexed: a slot of the
-// index for its arity m, or none (slot < 0).
-type itreeSlot struct{ m, slot int32 }
+// itreeRow is a live subscription, the row its arity's index holds:
+// its ID, its box, and its slot in that index, or -1 when it is not
+// indexed.
+type itreeRow struct {
+	id   ID
+	sub  subscription.Subscription
+	slot int32
+}
 
 var scratchPool = sync.Pool{New: func() any { return new(cells.Scratch) }}
 
 // NewITreeIndex returns an empty dynamic matcher.
 func NewITreeIndex() *ITreeIndex {
-	return &ITreeIndex{subs: make(map[ID]itreeSlot), byArity: make(map[int]*cells.Index)}
+	return &ITreeIndex{subs: make(map[ID]*itreeRow), byArity: make(map[int]*cells.Index[itreeRow])}
 }
 
 // Add indexes a subscription under id, replacing any previous entry.
@@ -50,16 +55,16 @@ func (x *ITreeIndex) Add(id ID, s subscription.Subscription) {
 	if old, ok := x.subs[id]; ok {
 		x.detach(old)
 	}
-	at := itreeSlot{m: int32(s.Len()), slot: -1}
+	r := &itreeRow{id: id, sub: s, slot: -1}
 	if s.IsSatisfiable() {
 		ix := x.byArity[s.Len()]
 		if ix == nil {
-			ix = cells.New(s.Len())
+			ix = cells.New(s.Len(), func(r *itreeRow) *subscription.Subscription { return &r.sub })
 			x.byArity[s.Len()] = ix
 		}
-		at.slot = ix.Add(int64(id), s)
+		r.slot = ix.Add(r)
 	}
-	x.subs[id] = at
+	x.subs[id] = r
 }
 
 // Remove drops the subscription with the given id, if present.
@@ -76,14 +81,15 @@ func (x *ITreeIndex) Remove(id ID) {
 // once empty so that a later population starts from a fresh grid.
 //
 // +mustlock:mu
-func (x *ITreeIndex) detach(at itreeSlot) {
-	if at.slot < 0 {
+func (x *ITreeIndex) detach(r *itreeRow) {
+	if r.slot < 0 {
 		return
 	}
-	ix := x.byArity[int(at.m)]
-	ix.Remove(at.slot)
+	m := r.sub.Len()
+	ix := x.byArity[m]
+	ix.Remove(r.slot)
 	if ix.Len() == 0 {
-		delete(x.byArity, int(at.m))
+		delete(x.byArity, m)
 	}
 }
 
@@ -131,8 +137,7 @@ func (x *ITreeIndex) AppendMatch(dst []ID, p subscription.Publication) []ID {
 	n := len(dst)
 	dst = slices.Grow(dst, len(hits))
 	for _, slot := range hits {
-		id, _ := ix.Row(slot)
-		dst = append(dst, ID(id))
+		dst = append(dst, ix.Row(slot).id)
 	}
 	// Hits come in slot order, which slot reuse scrambles.
 	slices.Sort(dst[n:])

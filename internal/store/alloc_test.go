@@ -14,8 +14,10 @@ var raceEnabled bool
 // TestAdmissionAllocs pins the admission path's allocations on the
 // narrow mix over 1500 admitted subscriptions: a steady-state
 // candidates call makes none, and a Subscribe plus Unsubscribe round
-// trip no more than two: the node, and the witness or coverer list its
-// decision returns. The node's coverer and child maps are made on first
+// trip fewer than two on average (AllocsPerRun rounds down): the node,
+// and for a covered arrival the coverer list its decision returns. A
+// witness, the walk's or the checker's, is carved from the store's
+// shared chunk. The node's coverer and child maps are made on first
 // link, so an active leaf makes neither.
 func TestAdmissionAllocs(t *testing.T) {
 	if raceEnabled {
@@ -52,8 +54,8 @@ func TestAdmissionAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		i++
-	}); a > 2 {
-		t.Errorf("Subscribe plus Unsubscribe allocates %.2f per round trip, want <= 2", a)
+	}); a > 1 {
+		t.Errorf("Subscribe plus Unsubscribe allocates %.2f per round trip, want < 2", a)
 	}
 }
 

@@ -183,9 +183,10 @@ func WithCheckerOptions(opts ...core.Option) Option {
 // concurrent use; brokers own one store each and serialize access.
 //
 // nodes holds every subscription, active and covered. The active set
-// is held once more, in active: one cell-bitset index (package cells)
-// per attribute count. Every status change adds or removes the row in
-// its count's index, and an index is dropped once empty. The ID-ordered
+// is indexed in active: one cell-bitset index (package cells) per
+// attribute count, whose slots hold the active nodes themselves. Every
+// status change adds or removes the node in its count's index, and an
+// index is dropped once empty. The ID-ordered
 // views (ActiveIDs, ActiveSubscriptions) are derived from nodes on
 // demand, so Subscribe never rescans or re-sorts the whole set.
 type Store struct {
@@ -193,7 +194,7 @@ type Store struct {
 	checker *core.Checker
 	copts   []core.Option // for the checker New builds
 	nodes   map[ID]*node
-	active  map[int]*cells.Index // by attribute count; none is empty
+	active  map[int]*cells.Index[node] // by attribute count; none is empty
 	// unpruned makes candidates return every active row of the
 	// arrival's attribute count: the reference tests compare against.
 	unpruned bool
@@ -220,7 +221,7 @@ func New(policy Policy, opts ...Option) (*Store, error) {
 	if err := policy.Validate(); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	st := &Store{policy: policy, nodes: make(map[ID]*node), active: make(map[int]*cells.Index)}
+	st := &Store{policy: policy, nodes: make(map[ID]*node), active: make(map[int]*cells.Index[node])}
 	for _, opt := range opts {
 		opt(st)
 	}
@@ -246,10 +247,10 @@ func (st *Store) activate(n *node) {
 	m := n.sub.Len()
 	ix := st.active[m]
 	if ix == nil {
-		ix = cells.New(m)
+		ix = cells.New(m, func(n *node) *subscription.Subscription { return &n.sub })
 		st.active[m] = ix
 	}
-	n.slot = ix.Add(int64(n.id), n.sub)
+	n.slot = ix.Add(n)
 }
 
 // deactivate removes n from its attribute count's index, dropping the
@@ -279,8 +280,8 @@ func (st *Store) candidates(s subscription.Subscription, cover bool) ([]int64, [
 		}
 	} else if ix := st.active[s.Len()]; ix != nil {
 		for _, slot := range ix.Query(&st.scratch, s, cover) {
-			id, sub := ix.Row(slot)
-			ids, subs = append(ids, id), append(subs, sub)
+			n := ix.Row(slot)
+			ids, subs = append(ids, int64(n.id)), append(subs, n.sub)
 		}
 	}
 	st.candIDs, st.candSubs = ids, subs
@@ -339,8 +340,8 @@ func (st *Store) Get(id ID) (subscription.Subscription, Status, bool) {
 // coverer contains s and a subscription disjoint from s contributes
 // nothing to any cover of s. Under PolicyGroup the point walk answers
 // first, and the checker runs only when the walk ends undecided. keep
-// says the caller hands the result on: only then is a walk's witness
-// copied out of the walk's scratch.
+// says the caller hands the result on: only then is a witness copied
+// out of the walk's or the checker's scratch.
 func (st *Store) decideCoverage(s subscription.Subscription, keep bool) (Status, []ID, core.Result, error) {
 	switch st.policy {
 	case PolicyNone:
@@ -386,10 +387,14 @@ func (st *Store) decideCoverage(s subscription.Subscription, keep bool) (Status,
 		}
 		coverers := st.resolveCoverers(ids, &st.checkRes)
 		// CoveringRow and ReducedSet index the candidate scratch, and
-		// ReducedSet aliases checkRes, which the next check reuses;
-		// coverers names those rows by ID instead.
+		// ReducedSet and PointWitness alias checkRes, which the next
+		// check reuses; coverers names those rows by ID instead, and a
+		// kept witness is copied out like the walk's.
 		res := st.checkRes
-		res.CoveringRow, res.ReducedSet = -1, nil
+		res.CoveringRow, res.ReducedSet, res.PointWitness = -1, nil, nil
+		if keep && len(st.checkRes.PointWitness) > 0 {
+			res.PointWitness = st.witness(st.checkRes.PointWitness)
+		}
 		if !res.Decision.IsCovered() {
 			return StatusActive, nil, res, nil
 		}
@@ -430,7 +435,7 @@ func (st *Store) walk(s subscription.Subscription) (Status, []ID, core.Result, b
 			res := core.Result{Decision: core.NotCovered, Reason: core.ReasonPointWitness, CoveringRow: -1, PointWitness: p}
 			return StatusActive, nil, res, true
 		}
-		_, row := ix.Row(slot)
+		row := ix.Row(slot).sub
 		if row.Covers(s) {
 			ids, _ := st.candidates(s, true)
 			res := core.Result{Decision: core.Covered, Reason: core.ReasonPairwiseCover, CoveringRow: -1}
@@ -452,7 +457,7 @@ func (st *Store) walk(s subscription.Subscription) (Status, []ID, core.Result, b
 	return 0, nil, core.Result{}, false
 }
 
-// witness returns a copy of the walk's witness p, carved from the
+// witness returns a copy of the witness p, carved from the
 // store's witness chunk: one allocation per 64 witnesses. A full chunk
 // is replaced, never reused, and each copy's capacity ends at its
 // length, so no later witness or append overwrites a copy handed out.
@@ -609,9 +614,9 @@ func (st *Store) Match(p subscription.Publication) []ID {
 	if ix := st.active[len(p.Values)]; ix != nil {
 		hits, _ := ix.Stab(&st.scratch, p)
 		for _, slot := range hits {
-			id, _ := ix.Row(slot)
-			out = append(out, ID(id))
-			frontier = append(frontier, ID(id))
+			id := ix.Row(slot).id
+			out = append(out, id)
+			frontier = append(frontier, id)
 		}
 	}
 	visited := make(map[ID]bool, len(frontier))

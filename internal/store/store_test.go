@@ -3,9 +3,11 @@ package store
 import (
 	"errors"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
+	"weak"
 
 	"probsum/internal/core"
 	"probsum/internal/interval"
@@ -474,5 +476,28 @@ func TestActiveAccessors(t *testing.T) {
 	}
 	if st.Len() != 2 {
 		t.Errorf("Len = %d", st.Len())
+	}
+}
+
+// TestDeactivatedNodeUnreachable requires a freed slot to retain
+// nothing: a node removed from an active index that lives on is
+// collected once the store lets go of it.
+func TestDeactivatedNodeUnreachable(t *testing.T) {
+	st := groupStore(t)
+	for id, s := range []subscription.Subscription{box(0, 10, 0, 10), box(20, 30, 0, 10)} {
+		if _, err := st.Subscribe(ID(id), s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gone := weak.Make(st.nodes[1])
+	if _, err := st.Unsubscribe(1); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	if n := gone.Value(); n != nil {
+		t.Fatalf("unsubscribed node %d is still reachable", n.id)
+	}
+	if ix := st.active[2]; ix == nil || ix.Len() != 1 {
+		t.Fatal("the active index of count 2 does not hold the other node")
 	}
 }

@@ -190,7 +190,12 @@ func (r Result) Covered() bool { return r.inner.Decision.IsCovered() }
 // member of ReducedSet; by the paper's Proposition 4 that proves
 // non-coverage by the full set, though the point itself may fall
 // inside a subscription the reduction removed as redundant.
-func (r Result) PointWitness() []int64 { return r.inner.PointWitness }
+func (r Result) PointWitness() []int64 {
+	if len(r.inner.PointWitness) == 0 {
+		return nil // a reused Result keeps its witness room
+	}
+	return r.inner.PointWitness
+}
 
 // PolyhedronWitness returns the witness box proving non-coverage; the
 // zero Subscription when none was produced.
@@ -256,8 +261,8 @@ func (c *Checker) Covered(s Subscription, set []Subscription) (Result, error) {
 // CoveredInto is Covered for the hot path: the outcome is written into
 // res, reusing its storage and the checker's internal scratch, so a
 // caller that keeps one Result per checker performs zero steady-state
-// heap allocations (only definite-NO answers allocate, to copy their
-// witness out). res is overwritten entirely; slices previously read
+// heap allocations (only definite-NO answers may allocate, to copy
+// their witness out). res is overwritten entirely; slices previously read
 // from it are invalidated by the next call.
 func (c *Checker) CoveredInto(res *Result, s Subscription, set []Subscription) error {
 	return c.inner.CoveredInto(&res.inner, s, set)
