@@ -30,6 +30,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -138,13 +139,18 @@ func run() error {
 			return err
 		}
 	}
-	for _, series := range []string{
-		"probsum_send_queue_depth_total",
-		`probsum_link_frames_sent_total{link="B2",kind="publish"}`,
-	} {
-		if !strings.Contains(text, series) {
-			return fmt.Errorf("/metrics missing series %s", series)
-		}
+	if !strings.Contains(text, "probsum_send_queue_depth_total") {
+		return fmt.Errorf("/metrics missing series probsum_send_queue_depth_total")
+	}
+	// B1 forwards the probes to B2 as PUBLISH frames, or as one
+	// PUBBATCH per run its reader found buffered: either kind counts.
+	toB2 := 0.0
+	for _, kind := range []string{"publish", "publish-batch"} {
+		v, _ := seriesValue(text, `probsum_link_frames_sent_total{link="B2",kind="`+kind+`"}`)
+		toB2 += v
+	}
+	if toB2 == 0 {
+		return fmt.Errorf(`/metrics counts no publication frames sent to B2 (kind "publish" or "publish-batch")`)
 	}
 	fmt.Printf("scraped /metrics: %d lines, core series present and nonzero\n", strings.Count(text, "\n"))
 
@@ -212,14 +218,25 @@ func fetch(url string) (string, error) {
 // requireNonzero finds `series value` in Prometheus text and insists
 // the value is positive.
 func requireNonzero(text, series string) error {
+	v, ok := seriesValue(text, series)
+	if !ok {
+		return fmt.Errorf("/metrics missing series %s", series)
+	}
+	if v <= 0 {
+		return fmt.Errorf("series %s is %v", series, v)
+	}
+	return nil
+}
+
+// seriesValue returns the value of `series value` in Prometheus text,
+// and whether the series is there.
+func seriesValue(text, series string) (float64, bool) {
 	for _, line := range strings.Split(text, "\n") {
 		fields := strings.Fields(line)
 		if len(fields) == 2 && fields[0] == series {
-			if fields[1] == "0" {
-				return fmt.Errorf("series %s is zero", series)
-			}
-			return nil
+			v, err := strconv.ParseFloat(fields[1], 64)
+			return v, err == nil
 		}
 	}
-	return fmt.Errorf("/metrics missing series %s", series)
+	return 0, false
 }

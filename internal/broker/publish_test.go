@@ -150,7 +150,10 @@ func TestBrokerHeapPerRoute(t *testing.T) {
 // with 1, 2, 4 and 8 neighbour coverage tables, under each coverage
 // policy: ns/sub and allocs/sub over the admissions alone. Every table
 // takes every arrival, so the spread across table counts is what each
-// table's own decision costs.
+// table's own decision costs. Under group it also reports the shape of
+// the checker's work from CheckerStats: walked/op, the fraction of
+// decisions the point walk settled, and rows/fallthrough, the candidate
+// rows the checker decided over per decision the walk left to it.
 func BenchmarkBrokerAdmit(b *testing.B) {
 	const n, batch = 3000, 100
 	subs, _ := narrowPopulation(b, n)
@@ -158,6 +161,7 @@ func BenchmarkBrokerAdmit(b *testing.B) {
 		for _, tables := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/tables-%d", policy, tables), func(b *testing.B) {
 				var mallocs uint64
+				var stats store.CheckerStats
 				for b.Loop() {
 					b.StopTimer()
 					br := newBroker(b, policy)
@@ -178,10 +182,17 @@ func BenchmarkBrokerAdmit(b *testing.B) {
 					b.StopTimer()
 					runtime.ReadMemStats(&after)
 					mallocs += after.Mallocs - before.Mallocs
+					stats.Add(br.CheckerStats())
 					b.StartTimer()
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/sub")
 				b.ReportMetric(float64(mallocs)/float64(b.N*n), "allocs/sub")
+				if stats.Calls > 0 {
+					b.ReportMetric(float64(stats.Probed)/float64(stats.Calls), "walked/op")
+					if fell := stats.Calls - stats.Probed; fell > 0 {
+						b.ReportMetric(float64(stats.CandidateRows)/float64(fell), "rows/fallthrough")
+					}
+				}
 			})
 		}
 	}

@@ -14,7 +14,9 @@
 // at least one attribute, the wild bitset ORed with the cells that can
 // hold a qualifying row: for an intersection, every cell s spans; for a
 // containment, the AND of s's two end cells; for a point, its cell.
-// Each surviving slot's box is then checked exactly.
+// Each surviving slot's box is then checked exactly, except by
+// Candidates, the intersection query, which leaves that check to its
+// caller.
 //
 // The grid needs no schema. A value outside the grid hull is clamped to
 // the edge cell, so cell() is monotone and the filter only sheds rows
@@ -221,13 +223,38 @@ func (ix *Index[T]) grow() {
 	ix.rows, ix.words = rows, 2*w
 }
 
-// Query returns the slots of the rows whose boxes intersect s — or
-// contain it, with cover set — in slot order. s must have the index's
-// attribute count. The result aliases sc.
-func (ix *Index[T]) Query(sc *Scratch, s subscription.Subscription, cover bool) []int32 {
+// Containing returns the slots of the rows whose boxes contain s, in
+// slot order. s must have the index's attribute count. The result
+// aliases sc.
+func (ix *Index[T]) Containing(sc *Scratch, s subscription.Subscription) []int32 {
+	hits := ix.filter(sc, s, true)
+	n := 0
+	for _, slot := range hits {
+		if ix.box(ix.slots[slot]).Covers(s) {
+			hits[n] = slot
+			n++
+		}
+	}
+	sc.hits = hits[:n]
+	return sc.hits
+}
+
+// Candidates returns, in slot order, the slots the cell filter of an
+// intersection query passes: every row whose box intersects s, and the
+// few the cells cannot tell from them, with no exact check. A caller
+// that reads each row's box anyway checks it there, so the box is read
+// once. s must have the index's attribute count. The result aliases sc.
+func (ix *Index[T]) Candidates(sc *Scratch, s subscription.Subscription) []int32 {
+	return ix.filter(sc, s, false)
+}
+
+// filter is the bitset pass of a box query: it leaves in sc.hits the
+// slots whose cells can hold a row intersecting s — or containing it,
+// with cover set.
+func (ix *Index[T]) filter(sc *Scratch, s subscription.Subscription, cover bool) []int32 {
 	// Where s contains the hull it meets every indexed row, so an
-	// intersection query filters and checks only the other attributes
-	// — or attribute 0 alone, whose filter then passes every live row.
+	// intersection query filters only the other attributes — or
+	// attribute 0 alone, whose filter then passes every live row.
 	attrs := sc.attrs[:0]
 	for a, b := range s.Bounds {
 		if cover || !b.ContainsInterval(ix.hull[a]) {
@@ -267,12 +294,7 @@ func (ix *Index[T]) Query(sc *Scratch, s subscription.Subscription, cover bool) 
 	hits := sc.hits[:0]
 	for i, word := range acc {
 		for ; word != 0; word &= word - 1 {
-			slot := i*64 + bits.TrailingZeros64(word)
-			row := ix.box(ix.slots[slot])
-			if cover && !row.Covers(s) || !cover && !intersects(row.Bounds, s.Bounds, attrs) {
-				continue
-			}
-			hits = append(hits, int32(slot))
+			hits = append(hits, int32(i*64+bits.TrailingZeros64(word)))
 		}
 	}
 	sc.hits = hits
@@ -366,15 +388,4 @@ func (ix *Index[T]) Hit(sc *Scratch, p []int64) int32 {
 func (sc *Scratch) words(n int) []uint64 {
 	sc.acc = slices.Grow(sc.acc[:0], n)[:n]
 	return sc.acc
-}
-
-// intersects reports whether two boxes of one attribute count meet on
-// each of attrs: a handful of compares with an early exit.
-func intersects(x, y []interval.Interval, attrs []int) bool {
-	for _, a := range attrs {
-		if x[a].Lo > y[a].Hi || x[a].Hi < y[a].Lo {
-			return false
-		}
-	}
-	return true
 }

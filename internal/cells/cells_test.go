@@ -53,9 +53,10 @@ func (mo model) want(keep func(subscription.Subscription) bool) []int32 {
 	return slots
 }
 
-// check requires every query for s — intersection, containment, and a
-// stab at each of s's two corners in full and first-hit form — to
-// equal a brute-force scan of the live rows, Len to count them, and
+// check requires every query for s — intersection (Candidates, with
+// the exact check its callers make), containment, and a stab at each
+// of s's two corners in full and first-hit form — to equal a
+// brute-force scan of the live rows, Len to count them, and
 // Row to return each live slot's row as added (the same pointer) and
 // the zero row past the last slot handed out.
 func (mo model) check(t *testing.T, ix *Index[row], s subscription.Subscription) {
@@ -72,16 +73,23 @@ func (mo model) check(t *testing.T, ix *Index[row], s subscription.Subscription)
 		t.Fatalf("Row(%d), past the last slot, = %+v, want the zero row", len(ix.slots), *r)
 	}
 	var sc Scratch
-	for _, cover := range []bool{false, true} {
-		want := mo.want(func(r subscription.Subscription) bool {
-			if cover {
-				return r.Covers(s)
-			}
-			return r.Intersects(s)
-		})
-		if got := ix.Query(&sc, s, cover); !slices.Equal(got, want) {
-			t.Fatalf("Query(%v, cover %v) = %v, want %v", s, cover, got, want)
+	if got, want := ix.Containing(&sc, s), mo.want(func(r subscription.Subscription) bool { return r.Covers(s) }); !slices.Equal(got, want) {
+		t.Fatalf("Containing(%v) = %v, want %v", s, got, want)
+	}
+	// Candidates passes, in slot order, no free slot and every
+	// intersecting row: the exact check leaves exactly those.
+	var meeting []int32
+	for _, slot := range ix.Candidates(&sc, s) {
+		r := mo[slot]
+		if r == nil {
+			t.Fatalf("Candidates(%v) passed the free slot %d", s, slot)
 		}
+		if r.sub.Intersects(s) {
+			meeting = append(meeting, slot)
+		}
+	}
+	if want := mo.want(func(r subscription.Subscription) bool { return r.Intersects(s) }); !slices.Equal(meeting, want) {
+		t.Fatalf("Candidates(%v) less the rows missing s = %v, want %v", s, meeting, want)
 	}
 	for _, hi := range []bool{false, true} {
 		p := subscription.Publication{Values: make([]int64, s.Len())}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -9,6 +8,7 @@ import (
 	"slices"
 
 	"probsum/internal/conflict"
+	"probsum/internal/interval"
 	"probsum/internal/subscription"
 )
 
@@ -96,13 +96,6 @@ type scratch struct {
 	point []int64
 	flat  flatSet
 	resid residual
-
-	// For keyed input the table is built over sorted, the set permuted
-	// into key order: sorted[p] is set[perm[p]]. aliveBySet is MCS's
-	// survivor mask mapped back to positions in the set.
-	perm       []int
-	sorted     []subscription.Subscription
-	aliveBySet []bool
 }
 
 // NewChecker returns a Checker with the paper's defaults: δ = 1e-6,
@@ -172,49 +165,101 @@ func (c *Checker) Covered(s subscription.Subscription, set []subscription.Subscr
 // allocate, to copy their witness out of the scratch. Decisions are
 // identical to Covered's for the same random stream.
 //
+// It is Begin, an Add per row of set keyed by its index, and Decide,
+// with one difference: a row of set disjoint from s still takes part
+// in the conflict table (Corollary 3, MCS and ρw read it), as the set
+// is the caller's. CoveringRow and ReducedSet are indices into set.
+//
 // res is overwritten entirely; any slices previously returned from it
 // (ReducedSet and PointWitness in particular) are invalidated by the
 // next call.
 func (c *Checker) CoveredInto(res *Result, s subscription.Subscription, set []subscription.Subscription) error {
-	return c.CoveredIntoKeyed(res, s, set, nil)
+	if err := c.Begin(s); err != nil {
+		return err
+	}
+	flat := &c.sc.flat
+	for i := range set {
+		if c.useFast && flat.cover >= 0 {
+			// A row containing s decides (Corollary 1), and no later row
+			// has a lower key: the rest need only the right attribute
+			// count.
+			for j := i; j < len(set) && flat.err == nil; j++ {
+				if n := set[j].Len(); n != flat.m {
+					flat.err = arityError(j, n, flat.m)
+				}
+			}
+			break
+		}
+		c.Add(set[i].Bounds, int64(i))
+	}
+	return c.decide(res, set)
 }
 
-// CoveredIntoKeyed is CoveredInto for a set in no particular order:
-// keys[i] is set[i]'s sort key, and keys is as long as set (nil keys
-// make it CoveredInto). Every decision, witness, cost figure and
-// random draw is what CoveredInto gives for the set sorted by
-// ascending key (equal keys in set order), with CoveringRow and
-// ReducedSet mapped back to positions in set; ReducedSet stays in
-// ascending position order. A caller that orders its rows by key only
-// to check them, as the store does by ID, hands them over unsorted
-// instead: the checker orders its flat layout by key anyway, and only
-// the rare path that builds the conflict table permutes the set.
-func (c *Checker) CoveredIntoKeyed(res *Result, s subscription.Subscription, set []subscription.Subscription, keys []int64) error {
+// Begin starts a check of s against rows handed over one at a time:
+// Add each, then Decide. s must not change until Decide returns. The
+// rows may come in any order; the decision is CoveredInto's on the
+// rows that meet s sorted by ascending key (equal keys in the order
+// added), with every decision, witness, cost figure and random draw
+// the same. A caller that orders its rows by key only to check them,
+// as the store does by ID, hands them over as it finds them instead.
+func (c *Checker) Begin(s subscription.Subscription) error {
 	if !s.IsSatisfiable() {
 		return ErrUnsatisfiable
 	}
+	c.sc.flat.begin(s)
+	return nil
+}
+
+// Add hands the check Begin started its next row: the row's bounds,
+// which are copied, and its sort key. A row disjoint from s is dropped
+// as if never added. A row with another attribute count than s makes
+// Decide return an error naming its position among the rows added.
+func (c *Checker) Add(bounds []interval.Interval, key int64) {
+	c.sc.flat.add(bounds, key)
+}
+
+// Rows returns the number of rows added since Begin that meet s: the
+// set Decide decides over.
+func (c *Checker) Rows() int { return len(c.sc.flat.cand) }
+
+// Decide decides the check Begin started and writes the outcome into
+// res as CoveredInto does. CoveringRow and ReducedSet name rows by
+// their position among the rows added (the first Add is 0);
+// ReducedSet stays in ascending position order.
+func (c *Checker) Decide(res *Result) error {
+	return c.decide(res, nil)
+}
+
+// decide runs Algorithm 4 over the rows added: the conflict table is
+// built over set, or when set is nil over the kept rows in key order.
+func (c *Checker) decide(res *Result, set []subscription.Subscription) error {
 	res.resetForReuse()
-	if len(set) == 0 {
+	flat := &c.sc.flat
+	if flat.err != nil {
+		return flat.err
+	}
+	keyed := set == nil
+	k := len(set)
+	if keyed {
+		k = len(flat.cand)
+	}
+	if k == 0 {
 		res.Decision = NotCovered
 		res.Reason = ReasonEmptyMCS
 		return nil
 	}
 
-	flat := &c.sc.flat
-	cover, err := flat.scan(s, set, keys, c.useFast)
-	if err != nil {
-		return err
-	}
 	var table *conflict.Table // built on first need: the rare path
+	var err error
 	if c.useFast {
-		if cover >= 0 {
+		if flat.cover >= 0 {
 			res.Decision = Covered
 			res.Reason = ReasonPairwiseCover
-			res.CoveringRow = cover
+			res.CoveringRow = flat.cover
 			return nil
 		}
-		if len(set) <= 2*s.Len() {
-			if table, err = c.buildTable(s, set, keys); err != nil {
+		if k <= 2*flat.m {
+			if table, err = c.buildTable(set); err != nil {
 				return err
 			}
 			if table.SortedRowConditionScratch(nil, &c.sc.cs) {
@@ -228,9 +273,8 @@ func (c *Checker) CoveredIntoKeyed(res *Result, s subscription.Subscription, set
 		}
 	}
 
-	flat.sortRows()
+	flat.sortRows(flat.cand)
 	if c.useResidual {
-		flat.fill(set, nil)
 		verdict, tests := c.sc.resid.subtract(flat, c.maxTrials)
 		res.ResidualTests = tests
 		switch {
@@ -248,7 +292,7 @@ func (c *Checker) CoveredIntoKeyed(res *Result, s subscription.Subscription, set
 	}
 
 	if table == nil {
-		if table, err = c.buildTable(s, set, keys); err != nil {
+		if table, err = c.buildTable(set); err != nil {
 			return err
 		}
 	}
@@ -256,9 +300,9 @@ func (c *Checker) CoveredIntoKeyed(res *Result, s subscription.Subscription, set
 	if c.useMCS {
 		c.sc.alive = slices.Grow(c.sc.alive[:0], table.K())[:table.K()]
 		mcs := MCSInto(table, c.sc.alive, &c.sc.cs.An)
-		for i, ok := range mcs.Alive {
+		for t, ok := range mcs.Alive {
 			if ok {
-				res.ReducedSet = append(res.ReducedSet, c.setIndex(i, keys))
+				res.ReducedSet = append(res.ReducedSet, flat.position(t, keyed))
 			}
 		}
 		slices.Sort(res.ReducedSet) // keyed rows map back out of order
@@ -268,6 +312,7 @@ func (c *Checker) CoveredIntoKeyed(res *Result, s subscription.Subscription, set
 			return nil
 		}
 		alive = mcs.Alive
+		flat.keepAlive(alive, keyed)
 	}
 
 	res.LogRho = EstimateLogRho(table, alive)
@@ -280,13 +325,12 @@ func (c *Checker) CoveredIntoKeyed(res *Result, s subscription.Subscription, set
 		res.DCapped = true
 	}
 
-	if cap(c.sc.point) < s.Len() {
-		c.sc.point = make([]int64, s.Len())
+	if cap(c.sc.point) < flat.m {
+		c.sc.point = make([]int64, flat.m)
 	} else {
-		c.sc.point = c.sc.point[:s.Len()]
+		c.sc.point = c.sc.point[:flat.m]
 	}
-	flat.fill(set, c.aliveBySet(alive, keys))
-	out := rspcFlat(s, flat, trials, c.rng, c.sc.point)
+	out := rspcFlat(flat.s, flat, trials, c.rng, c.sc.point)
 	res.ExecutedTrials = out.Trials
 	if out.Found() {
 		res.Decision = NotCovered
@@ -299,51 +343,13 @@ func (c *Checker) CoveredIntoKeyed(res *Result, s subscription.Subscription, set
 	return nil
 }
 
-// buildTable builds the conflict table over set or, for keyed input,
-// over a copy of set permuted into key order: MCS's fixpoint and the
+// buildTable builds the conflict table over set or, when set is nil,
+// over views of the kept rows in key order: MCS's fixpoint and the
 // greedy witness depend on row order, so they must see the rows as
 // CoveredInto would on the sorted set.
-func (c *Checker) buildTable(s subscription.Subscription, set []subscription.Subscription, keys []int64) (*conflict.Table, error) {
-	sc := &c.sc
-	if keys == nil {
-		return &sc.table, sc.table.Reset(s, set)
+func (c *Checker) buildTable(set []subscription.Subscription) (*conflict.Table, error) {
+	if set == nil {
+		set = c.sc.flat.keyViews()
 	}
-	perm := sc.perm[:0]
-	for i := range set {
-		perm = append(perm, i)
-	}
-	slices.SortFunc(perm, func(a, b int) int {
-		if c := cmp.Compare(keys[a], keys[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	sorted := sc.sorted[:0]
-	for _, i := range perm {
-		sorted = append(sorted, set[i])
-	}
-	sc.perm, sc.sorted = perm, sorted
-	return &sc.table, sc.table.Reset(s, sorted)
-}
-
-// setIndex maps table row p to its position in the set.
-func (c *Checker) setIndex(p int, keys []int64) int {
-	if keys == nil {
-		return p
-	}
-	return c.sc.perm[p]
-}
-
-// aliveBySet maps a survivor mask over table rows to one over set
-// positions (nil stays nil).
-func (c *Checker) aliveBySet(alive []bool, keys []int64) []bool {
-	if alive == nil || keys == nil {
-		return alive
-	}
-	out := slices.Grow(c.sc.aliveBySet[:0], len(alive))[:len(alive)]
-	for p, ok := range alive {
-		out[c.sc.perm[p]] = ok
-	}
-	c.sc.aliveBySet = out
-	return out
+	return &c.sc.table, c.sc.table.Reset(c.sc.flat.s, set)
 }

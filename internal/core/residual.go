@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 
+	"probsum/internal/interval"
 	"probsum/internal/subscription"
 )
 
@@ -58,7 +59,7 @@ type residual struct {
 // r.curLo is the low corner of the surviving fragment; on
 // residualCovered r.used marks rows whose union covers s.
 func (r *residual) subtract(f *flatSet, budget int) (residualVerdict, int) {
-	m, rows := f.m, f.rows
+	m, rows := f.m, len(f.order)
 	if cap(r.curLo) < m {
 		r.curLo = make([]int64, m)
 		r.curHi = make([]int64, m)
@@ -90,17 +91,17 @@ walk:
 		copy(curHi, hi[top*m:])
 		lo, hi, next = lo[:top*m], hi[:top*m], next[:top]
 
-		var rowLo, rowHi []int64
+		var box []interval.Interval
 		for ; row < rows; row++ {
 			if tests == budget {
 				verdict = residualUndecided
 				break walk
 			}
 			tests++
-			rowLo, rowHi = f.lo[row*m:(row+1)*m], f.hi[row*m:(row+1)*m]
+			box = f.box(row)
 			meets := true
 			for a, l := range curLo {
-				if l > rowHi[a] || curHi[a] < rowLo[a] {
+				if l > box[a].Hi || curHi[a] < box[a].Lo {
 					meets = false
 					break
 				}
@@ -116,23 +117,23 @@ walk:
 		r.used[row] = true
 		// Peel the slabs of the fragment outside the row, narrowing it
 		// as we go so the off-cuts are pairwise disjoint; what remains
-		// lies inside the row and is dropped. rowLo[a]-1 and rowHi[a]+1
-		// cannot overflow: each is guarded by a strict inequality
-		// against a bound on the far side.
-		for a := range curLo {
-			if curLo[a] < rowLo[a] {
+		// lies inside the row and is dropped. b.Lo-1 and b.Hi+1 cannot
+		// overflow: each is guarded by a strict inequality against a
+		// bound on the far side.
+		for a, b := range box {
+			if curLo[a] < b.Lo {
 				lo = append(lo, curLo...)
 				hi = append(hi, curHi...)
-				hi[len(hi)-m+a] = rowLo[a] - 1
+				hi[len(hi)-m+a] = b.Lo - 1
 				next = append(next, row+1)
-				curLo[a] = rowLo[a]
+				curLo[a] = b.Lo
 			}
-			if curHi[a] > rowHi[a] {
+			if curHi[a] > b.Hi {
 				lo = append(lo, curLo...)
 				hi = append(hi, curHi...)
-				lo[len(lo)-m+a] = rowHi[a] + 1
+				lo[len(lo)-m+a] = b.Hi + 1
 				next = append(next, row+1)
-				curHi[a] = rowHi[a]
+				curHi[a] = b.Hi
 			}
 		}
 	}
@@ -140,13 +141,13 @@ walk:
 	return verdict, tests
 }
 
-// appendUsed appends the original set indices of the used rows to dst
-// in ascending order.
+// appendUsed appends the positions, among the rows added, of the used
+// rows to dst in ascending order.
 func (r *residual) appendUsed(dst []int, f *flatSet) []int {
 	base := len(dst)
 	for row, used := range r.used {
 		if used {
-			dst = append(dst, f.order[row].idx)
+			dst = append(dst, int(f.order[row].idx))
 		}
 	}
 	slices.Sort(dst[base:])
@@ -167,11 +168,14 @@ func ExactCover(s subscription.Subscription, set []subscription.Subscription) (b
 		return true, nil, nil
 	}
 	var f flatSet
-	if _, err := f.scan(s, set, nil, false); err != nil {
-		return false, nil, err
+	f.begin(s)
+	for i := range set {
+		f.add(set[i].Bounds, int64(i))
 	}
-	f.sortRows()
-	f.fill(set, nil)
+	if f.err != nil {
+		return false, nil, f.err
+	}
+	f.sortRows(f.cand)
 	var r residual
 	if verdict, _ := r.subtract(&f, math.MaxInt); verdict == residualWitness {
 		return false, r.curLo, nil

@@ -2,13 +2,13 @@ package core
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
 	"math/rand/v2"
 	"slices"
 
+	"probsum/internal/interval"
 	"probsum/internal/subscription"
 )
 
@@ -64,65 +64,72 @@ func pointInAnyAlive(p []int64, set []subscription.Subscription, alive []bool) b
 	return false
 }
 
-// flatSet lays the alive subscriptions' bounds out as a flat
-// struct-of-arrays — lo and hi as contiguous []int64, row-major — so
-// the RSPC inner loop walks linear memory instead of chasing one
-// bounds slice per subscription. Rows are additionally
-//
-//   - restricted to subscriptions that intersect s (a row disjoint
-//     from s can never contain a point of s, so dropping it cannot
-//     change any membership answer), and
-//   - ordered by descending |row ∩ s|, so the rows most likely to
-//     contain a uniform random point of s are tested first and the
-//     expected early-exit comes sooner — and so the residual stage,
-//     which subtracts the rows from s in this order, lets the rows
-//     that swallow the most cut first. Equal sizes go in ascending
-//     tie-break key: the caller's key for the row, or its index.
+// flatSet lays the candidate rows out for the residual stage and RSPC.
+// Rows arrive one at a time (add). A row disjoint from s is dropped on
+// arrival: it can never contain a point of s, so no membership answer
+// changes. A kept row's bounds are written once, in arrival order,
+// into one flat array of intervals, and every later stage reads them
+// there: the layout, the conflict table's views (keyViews) and the
+// RSPC inner loop, which walks linear memory instead of chasing one
+// bounds slice per subscription. The layout orders the kept rows by
+// descending |row ∩ s|, so the rows most likely to contain a uniform
+// random point of s are tested first and the expected early exit comes
+// sooner — and so the residual stage, which subtracts the rows from s
+// in this order, lets the rows that swallow the most cut first. Equal
+// sizes go in ascending key, then in arrival order.
 //
 // Neither transform changes whether a point is a witness; only the
 // constant factor of the search drops.
 //
-// The layout is built in three steps, so a decision that needs less
-// pays less: scan makes the one pass over the set (and answers
-// Corollary 1 on the way), sortRows orders the rows it kept, and fill
-// writes the bounds of the rows still alive.
+// The layout is built in steps, so a decision that needs less pays
+// less: add makes the one pass over each row (and answers Corollary 1
+// on the way), sortRows orders the kept rows, and keepAlive drops the
+// rows MCS removed.
 type flatSet struct {
-	m    int
-	rows int
-	lo   []int64
-	hi   []int64
+	m int
+	s subscription.Subscription // the tested subscription
 
-	// sLo and sWidth cache the tested subscription's per-attribute
-	// lower bounds and point counts, so drawing a uniform point is a
-	// multiply-shift per attribute with no interval arithmetic.
+	// sLo and sWidth cache s's per-attribute lower bounds and point
+	// counts, so drawing a uniform point is a multiply-shift per
+	// attribute with no interval arithmetic.
 	sLo    []int64
 	sWidth []uint64
 
-	// cand lists the rows scan kept, in set order. order lists the
-	// layout's rows in layout order: order[r].idx is the index in the
-	// original set of the subscription in row r.
-	cand  []rowKey
-	order []rowKey
+	// bounds holds the kept rows' boxes, m intervals a row, in arrival
+	// order.
+	bounds []interval.Interval
+	// cand lists the kept rows in arrival order (cand[r].row is r);
+	// order lists them in layout order once sortRows has run; byKey in
+	// key order, the conflict table's rows, once keyViews has run, and
+	// views are those rows' boxes.
+	cand, order, byKey []rowKey
+	views              []subscription.Subscription
 
-	// minExp and maxExp bound the float exponents of cand's sizes;
-	// buckets is sortRows's histogram over them.
-	minExp, maxExp uint64
-	buckets        []int32
+	n        int   // rows added, kept or not
+	cover    int   // position of the lowest-key row containing s, or -1
+	coverKey int64 // its key
+	err      error // the first row's error, reported by Decide
+
+	// minBits and maxBits bound cand's sizes; buckets is sortRows's
+	// histogram between them.
+	minBits, maxBits uint64
+	buckets          []int32
 }
 
-// rowKey is a selected row's ordering key and original index.
+// rowKey is a kept row's ordering key and where it lives.
 type rowKey struct {
 	// size is math.Float64bits of the float64 product of the row's
 	// intersection widths with s. The product is at least 1 or +Inf
 	// (overflow for huge boxes merely collapses ties), so the bit
 	// patterns order exactly like the sizes.
 	size uint64
-	tie  int64
-	idx  int
+	tie  int64 // the caller's key
+	idx  int32 // position among the rows added
+	row  int32 // place in bounds
 }
 
-// compareRows orders rows by descending size, then ascending tie-break
-// key, then ascending index: a total order, so every sort agrees.
+// compareRows orders rows by descending size, then ascending key, then
+// ascending position: a total order, so every sort agrees.
 func compareRows(a, b rowKey) int {
 	if a.size != b.size {
 		if a.size > b.size {
@@ -130,81 +137,71 @@ func compareRows(a, b rowKey) int {
 		}
 		return 1
 	}
+	return compareKeys(a, b)
+}
+
+// compareKeys orders rows by ascending key, then position: the order
+// the conflict table sees them in.
+func compareKeys(a, b rowKey) int {
 	if c := cmp.Compare(a.tie, b.tie); c != 0 {
 		return c
 	}
 	return cmp.Compare(a.idx, b.idx)
 }
 
-// errNoAttributes rejects a tested subscription with no attributes.
-var errNoAttributes = errors.New("core: tested subscription has no attributes")
-
-// scan makes the one pass over set an admission needs. Per row it
-// checks the attribute count, tests whether the row contains s
-// (Corollary 1), drops the row when it is disjoint from s, and records
-// its intersection size and tie-break key — keys[i], or i when keys is
-// nil — in cand. It returns the containing row with the lowest key
-// (without keys, the lowest index), or -1.
-//
-// With stop set and no keys, scan returns at the first containing row
-// and only checks the attribute counts of the rest; cand is then
-// incomplete, and the caller must not lay it out.
-func (f *flatSet) scan(s subscription.Subscription, set []subscription.Subscription, keys []int64, stop bool) (int, error) {
+// begin empties the layout for a check of s.
+func (f *flatSet) begin(s subscription.Subscription) {
 	m := s.Len()
-	if m == 0 {
-		return -1, errNoAttributes
-	}
-	f.m = m
+	f.m, f.s = m, s
 	f.sLo = slices.Grow(f.sLo[:0], m)[:m]
 	f.sWidth = slices.Grow(f.sWidth[:0], m)[:m]
-	sb := s.Bounds
-	for a, b := range sb {
+	for a, b := range s.Bounds {
 		f.sLo[a] = b.Lo
 		f.sWidth[a] = uint64(b.Hi-b.Lo) + 1
 	}
-	cand := f.cand[:0]
-	minExp, maxExp := uint64(math.MaxUint64), uint64(0)
-	cover, coverKey := -1, int64(0)
-	for i := range set {
-		rb := set[i].Bounds
-		if len(rb) != m {
-			return -1, arityError(i, len(rb), m)
+	f.bounds, f.cand, f.order, f.byKey = f.bounds[:0], f.cand[:0], f.order[:0], f.byKey[:0]
+	f.n, f.cover, f.coverKey, f.err = 0, -1, 0, nil
+	f.minBits, f.maxBits = math.MaxUint64, 0
+}
+
+// add takes the next row: it checks the attribute count, drops the row
+// when it is disjoint from s, tests whether it contains s (Corollary 1)
+// and sizes it, then writes its bounds.
+func (f *flatSet) add(bounds []interval.Interval, key int64) {
+	pos := f.n
+	f.n++
+	m := f.m
+	if len(bounds) != m {
+		if f.err == nil {
+			f.err = arityError(pos, len(bounds), m)
 		}
-		size, inside := 1.0, true
-		for a, b := range rb {
-			lo, hi := max(b.Lo, sb[a].Lo), min(b.Hi, sb[a].Hi)
-			if lo > hi {
-				size = 0 // disjoint: every real size is at least 1
-				break
-			}
-			inside = inside && lo == sb[a].Lo && hi == sb[a].Hi
-			size *= float64(uint64(hi-lo)) + 1
-		}
-		if size == 0 {
-			continue
-		}
-		key := int64(i)
-		if keys != nil {
-			key = keys[i]
-		}
-		if inside && (cover < 0 || key < coverKey) {
-			cover, coverKey = i, key
-			if stop && keys == nil {
-				for j := i + 1; j < len(set); j++ {
-					if n := set[j].Len(); n != m {
-						return -1, arityError(j, n, m)
-					}
-				}
-				f.cand = cand
-				return cover, nil
-			}
-		}
-		bits := math.Float64bits(size)
-		minExp, maxExp = min(minExp, bits>>52), max(maxExp, bits>>52)
-		cand = append(cand, rowKey{size: bits, tie: key, idx: i})
+		return
 	}
-	f.cand, f.minExp, f.maxExp = cand, minExp, maxExp
-	return cover, nil
+	sb := f.s.Bounds[:m]
+	// The bounds go into the room past the kept rows as they are read;
+	// only a kept row extends bounds over them. off stays 0 while the
+	// row contains s: it ORs, with no branch, where the intersection's
+	// ends differ from s's.
+	n := len(f.bounds)
+	f.bounds = slices.Grow(f.bounds, m)
+	dst := f.bounds[n : n+m]
+	size, off := 1.0, int64(0)
+	for a, b := range bounds {
+		lo, hi := max(b.Lo, sb[a].Lo), min(b.Hi, sb[a].Hi)
+		if lo > hi {
+			return // disjoint
+		}
+		dst[a] = b
+		off |= (lo ^ sb[a].Lo) | (hi ^ sb[a].Hi)
+		size *= float64(uint64(hi-lo)) + 1
+	}
+	if off == 0 && (f.cover < 0 || key < f.coverKey) {
+		f.cover, f.coverKey = pos, key
+	}
+	bits := math.Float64bits(size)
+	f.minBits, f.maxBits = min(f.minBits, bits), max(f.maxBits, bits)
+	f.cand = append(f.cand, rowKey{size: bits, tie: key, idx: int32(pos), row: int32(len(f.cand))})
+	f.bounds = f.bounds[:n+m]
 }
 
 // arityError reports set row i with n attributes against s's m.
@@ -213,49 +210,106 @@ func arityError(i, n, m int) error {
 		i, n, m, subscription.ErrSchemaMismatch)
 }
 
-// bucketSortMax is the largest exponent bucket sortRows insertion-sorts;
-// a larger one (identical subscriptions, or the paper's extreme
-// scenario, put many rows in one bucket) goes to slices.SortFunc so the
-// sort is never quadratic.
-const bucketSortMax = 32
+// box returns the bounds of layout row r.
+func (f *flatSet) box(r int) []interval.Interval {
+	i := int(f.order[r].row) * f.m
+	return f.bounds[i : i+f.m : i+f.m]
+}
 
-// sortRows orders cand into order by compareRows without a comparison
-// sort on the common path. One counting pass buckets the rows by the
-// float exponent of their size, largest first; it is stable, so each
-// bucket holds its rows in set order. Each bucket, a handful of rows
-// on a dense set, is then insertion-sorted.
-func (f *flatSet) sortRows() {
-	cand := f.cand
-	f.order = slices.Grow(f.order[:0], len(cand))[:len(cand)]
-	if len(cand) == 0 {
+// keyViews returns the kept rows in key order as subscriptions whose
+// bounds are views of the flat copy, for the conflict table; byKey
+// lists the same rows.
+func (f *flatSet) keyViews() []subscription.Subscription {
+	f.byKey = append(f.byKey[:0], f.cand...)
+	slices.SortFunc(f.byKey, compareKeys)
+	views := f.views[:0]
+	for _, k := range f.byKey {
+		i := int(k.row) * f.m
+		views = append(views, subscription.Subscription{Bounds: f.bounds[i : i+f.m : i+f.m]})
+	}
+	f.views = views
+	return views
+}
+
+// position returns the position among the rows added of the conflict
+// table's row t: t itself when the table holds every row added
+// (keyed false), else the place of t's row in byKey.
+func (f *flatSet) position(t int, keyed bool) int {
+	if keyed {
+		return int(f.byKey[t].idx)
+	}
+	return t
+}
+
+// keepAlive drops from the layout the rows whose conflict-table rows
+// MCS removed (see position for keyed), keeping the layout order.
+func (f *flatSet) keepAlive(alive []bool, keyed bool) {
+	if !keyed {
+		f.order = slices.DeleteFunc(f.order, func(k rowKey) bool { return !alive[k.idx] })
 		return
 	}
-	order, top := f.order, f.maxExp
-	n := int(top-f.minExp) + 1
+	// The survivors in key order, then sorted again: compareRows is a
+	// total order, so this is the layout filtered.
+	kept := f.byKey[:0]
+	for t, k := range f.byKey {
+		if alive[t] {
+			kept = append(kept, k)
+		}
+	}
+	f.sortRows(kept)
+}
+
+// bucketSortMax is the largest bucket sortRows insertion-sorts; a
+// larger one (identical subscriptions put many rows in one bucket)
+// goes to slices.SortFunc so the sort is never quadratic.
+const bucketSortMax = 32
+
+// sortRows orders rows into order by compareRows without a comparison
+// sort on the common path. One counting pass buckets the rows by the
+// top bits of their size, largest first: the float exponent and as
+// many leading mantissa bits as keep the buckets between minBits and
+// maxBits at most k+9 for k rows, or, when the exponents alone span
+// more, the exponent with its low bits dropped. The pass is
+// stable, and each bucket, a row or two on a dense set, is then
+// insertion-sorted. rows may alias byKey but not order.
+func (f *flatSet) sortRows(rows []rowKey) {
+	order := slices.Grow(f.order[:0], len(rows))[:len(rows)]
+	f.order = order
+	if len(rows) == 0 {
+		return
+	}
+	// Every size lies in [minBits, maxBits], so with shift chosen so
+	// that (maxBits-minBits)>>shift < k+8 the buckets number at most
+	// k+9.
+	shift := uint(bits.Len64((f.maxBits - f.minBits) / uint64(len(rows)+8)))
+	top := f.maxBits >> shift
+	n := int(top-f.minBits>>shift) + 1
 	// buckets[b+1] counts bucket b, then the prefix sum turns buckets[b]
 	// into bucket b's start, and the scatter advances it to its end.
 	buckets := slices.Grow(f.buckets[:0], n+1)[:n+1]
 	clear(buckets)
 	f.buckets = buckets
-	for _, r := range cand {
-		buckets[top-r.size>>52+1]++
+	for _, r := range rows {
+		buckets[top-r.size>>shift+1]++
 	}
 	for b := 1; b <= n; b++ {
 		buckets[b] += buckets[b-1]
 	}
-	for _, r := range cand {
-		b := top - r.size>>52
+	for _, r := range rows {
+		b := top - r.size>>shift
 		order[buckets[b]] = r
 		buckets[b]++
 	}
 	start := 0
 	for _, end := range buckets[:n] {
-		sortBucket(order[start:end])
+		if int(end)-start > 1 {
+			sortBucket(order[start:end])
+		}
 		start = int(end)
 	}
 }
 
-// sortBucket sorts one exponent bucket by compareRows.
+// sortBucket sorts one bucket by compareRows.
 func sortBucket(rows []rowKey) {
 	if len(rows) > bucketSortMax {
 		slices.SortFunc(rows, compareRows)
@@ -270,42 +324,17 @@ func sortBucket(rows []rowKey) {
 	}
 }
 
-// fill lays out the sorted rows of set that alive marks, indexed by
-// position in set (nil keeps every row), dropping the rest from order
-// for good. It reuses all backing storage.
-func (f *flatSet) fill(set []subscription.Subscription, alive []bool) {
-	order := f.order
-	if alive != nil {
-		order = slices.DeleteFunc(order, func(r rowKey) bool { return !alive[r.idx] })
-		f.order = order
-	}
-	m := f.m
-	f.rows = len(order)
-	n := f.rows * m
-	f.lo = slices.Grow(f.lo[:0], n)[:n]
-	f.hi = slices.Grow(f.hi[:0], n)[:n]
-	for r, k := range order {
-		base := r * m
-		for a, b := range set[k.idx].Bounds {
-			f.lo[base+a] = b.Lo
-			f.hi[base+a] = b.Hi
-		}
-	}
-}
-
-// contains reports whether p lies inside at least one row.
+// contains reports whether p lies inside at least one layout row.
 func (f *flatSet) contains(p []int64) bool {
 	m := f.m
 	if len(p) < m {
 		return false
 	}
 	p = p[:m]
-	for base := 0; base+m <= len(f.lo); base += m {
-		loRow := f.lo[base : base+m]
-		hiRow := f.hi[base : base+m]
+	for r := range f.order {
 		inside := true
-		for a, lo := range loRow {
-			if v := p[a]; v < lo || v > hiRow[a] {
+		for a, b := range f.box(r) {
+			if v := p[a]; v < b.Lo || v > b.Hi {
 				inside = false
 				break
 			}

@@ -13,7 +13,9 @@ var raceEnabled bool
 
 // TestAdmissionAllocs pins the admission path's allocations on the
 // narrow mix over 1500 admitted subscriptions: a steady-state
-// candidates call makes none, and a Subscribe plus Unsubscribe round
+// containing call, or check run over the candidate rows, makes none
+// (AllocsPerRun rounds down, and the checker copies out the odd
+// definite-NO witness), and a Subscribe plus Unsubscribe round
 // trip fewer than two on average (AllocsPerRun rounds down): the node,
 // and for a covered arrival the coverer list its decision returns. A
 // witness, the walk's or the checker's, is carved from the store's
@@ -40,11 +42,22 @@ func TestAdmissionAllocs(t *testing.T) {
 	}
 	probes := subs[k:]
 	for _, p := range probes {
-		st.candidates(p, false) // grow the query scratch to its steady size
+		// Grow the query and checker scratch to their steady size.
+		if _, _, err := st.check(p); err != nil {
+			t.Fatal(err)
+		}
+		st.containing(p)
 	}
 	i := 0
-	if a := testing.AllocsPerRun(len(probes), func() { st.candidates(probes[i%len(probes)], i%2 == 0); i++ }); a != 0 {
-		t.Errorf("candidates allocates %.2f per call, want 0", a)
+	if a := testing.AllocsPerRun(len(probes), func() {
+		if p := probes[i%len(probes)]; i%2 == 0 {
+			st.containing(p)
+		} else if _, _, err := st.check(p); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); a != 0 {
+		t.Errorf("containing and check allocate %.2f per call, want 0", a)
 	}
 	if a := testing.AllocsPerRun(500, func() {
 		if _, err := st.Subscribe(k, probes[i%len(probes)]); err != nil {

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"cmp"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -145,49 +144,62 @@ func TestPrunedEquivalenceGroup(t *testing.T) {
 	}
 }
 
-// requireExactCandidates fails unless the candidates for probe are
-// exactly the active rows whose boxes intersect it — and, for the
-// pairwise decision, exactly those containing it. The index returns
-// them in no particular order, so they are compared as a set.
+// requireExactCandidates fails unless the rows the coverage decision
+// for probe considers are exactly the active rows whose boxes
+// intersect it — the rows check hands the checker include every one of
+// them, and the checker keeps exactly those — and, for the pairwise
+// decision, exactly those containing it. A store under a policy that
+// never checks is given a checker for the purpose.
 func requireExactCandidates(t *testing.T, st *Store, probe subscription.Subscription) {
 	t.Helper()
-	for _, cover := range []bool{false, true} {
-		gotIDs, gotSubs := sortedCandidates(st, probe, cover)
-		var wantIDs []ID
-		var wantSubs []subscription.Subscription
-		activeIDs := st.ActiveIDs()
-		for p, row := range st.ActiveSubscriptions() {
-			if cover && row.Covers(probe) || !cover && row.Intersects(probe) {
-				wantIDs = append(wantIDs, activeIDs[p])
-				wantSubs = append(wantSubs, row)
-			}
+	var wantMeet, wantCover []ID
+	activeIDs := st.ActiveIDs()
+	for p, row := range st.ActiveSubscriptions() {
+		if row.Intersects(probe) {
+			wantMeet = append(wantMeet, activeIDs[p])
 		}
-		if !slices.Equal(gotIDs, wantIDs) {
-			t.Fatalf("candidates (cover %v) for %v: got %v, want %v (active %v)", cover, probe, gotIDs, wantIDs, activeIDs)
+		if row.Covers(probe) {
+			wantCover = append(wantCover, activeIDs[p])
 		}
-		for p := range gotSubs {
-			if !gotSubs[p].Equal(wantSubs[p]) {
-				t.Fatalf("candidates (cover %v) for %v: row %d is %v, want %v", cover, probe, gotIDs[p], gotSubs[p], wantSubs[p])
-			}
+	}
+	if got := sortedIDs(st.containing(probe)); !slices.Equal(got, wantCover) {
+		t.Fatalf("containing %v: got %v, want %v (active %v)", probe, got, wantCover, activeIDs)
+	}
+	if st.checker == nil {
+		c, err := core.NewChecker(core.WithSeed(1, 2))
+		if err != nil {
+			t.Fatal(err)
 		}
+		st.checker = c
+	}
+	handed, rows, err := st.check(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := sortedIDs(handed)
+	for _, id := range got {
+		if _, ok := slices.BinarySearch(activeIDs, id); !ok {
+			t.Fatalf("check %v handed the checker %d, not an active row (active %v)", probe, id, activeIDs)
+		}
+	}
+	for _, id := range wantMeet {
+		if _, ok := slices.BinarySearch(got, id); !ok {
+			t.Fatalf("check %v handed the checker %v, which lacks the intersecting row %d", probe, got, id)
+		}
+	}
+	if rows != len(wantMeet) {
+		t.Fatalf("check %v: the checker kept %d rows of %v, want the %d intersecting %v", probe, rows, got, len(wantMeet), wantMeet)
 	}
 }
 
-// sortedCandidates returns copies of st.candidates(probe, cover)
-// sorted by ID.
-func sortedCandidates(st *Store, probe subscription.Subscription, cover bool) ([]ID, []subscription.Subscription) {
-	ids, subs := st.candidates(probe, cover)
-	order := make([]int, len(ids))
-	for i := range order {
-		order[i] = i
+// sortedIDs returns a sorted copy of ids.
+func sortedIDs(ids []int64) []ID {
+	out := make([]ID, len(ids))
+	for i, id := range ids {
+		out[i] = ID(id)
 	}
-	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(ids[a], ids[b]) })
-	sortedIDs := make([]ID, len(ids))
-	sortedSubs := make([]subscription.Subscription, len(ids))
-	for i, j := range order {
-		sortedIDs[i], sortedSubs[i] = ID(ids[j]), subs[j]
-	}
-	return sortedIDs, sortedSubs
+	slices.Sort(out)
+	return out
 }
 
 // TestCandidateIndexConsistency churns a store and cross-checks the

@@ -129,8 +129,9 @@ type UnsubscribeResult struct {
 type CheckerStats struct {
 	// Calls counts coverage decisions: admissions plus the re-checks
 	// counted in RecheckCalls. Probed counts those the point walk
-	// decided before any row was gathered (see walk); CandidateRows sums
-	// the rows gathered for the rest, so a walk decision adds none.
+	// decided before the checker read any row (see walk); CandidateRows
+	// sums the rows the checker decided the rest over, the active rows
+	// meeting the arrival, so a walk decision adds none.
 	Calls         uint64
 	Probed        uint64
 	CandidateRows uint64
@@ -195,14 +196,15 @@ type Store struct {
 	copts   []core.Option // for the checker New builds
 	nodes   map[ID]*node
 	active  map[int]*cells.Index[node] // by attribute count; none is empty
-	// unpruned makes candidates return every active row of the
-	// arrival's attribute count: the reference tests compare against.
+	// unpruned makes containing and check scan every active row of the
+	// arrival's attribute count instead of querying the index, check
+	// decide over all of them, and the walk step aside: the reference
+	// tests compare against.
 	unpruned bool
 
 	// Reusable hot-path buffers.
 	scratch  cells.Scratch
 	candIDs  []int64
-	candSubs []subscription.Subscription
 	checkRes core.Result
 	point    []int64 // the walk's point
 	// witnesses is the chunk the walk's kept witnesses are carved from
@@ -264,28 +266,65 @@ func (st *Store) deactivate(n *node) {
 	}
 }
 
-// candidates returns the IDs and subscriptions the coverage decision
-// for s must consider: exactly the active rows whose boxes intersect s
-// — or, with cover set, contain s — in no particular order; with
-// unpruned set, every active row of s's attribute count. A row of
-// another attribute count neither intersects nor contains s. The
-// returned slices are store-owned scratch, valid until the next call.
-func (st *Store) candidates(s subscription.Subscription, cover bool) ([]int64, []subscription.Subscription) {
-	ids, subs := st.candIDs[:0], st.candSubs[:0]
+// containing returns the IDs of the active rows whose boxes contain s,
+// in no particular order. A row of another attribute count does not
+// contain s. The result is store-owned scratch, valid until the next
+// call.
+func (st *Store) containing(s subscription.Subscription) []int64 {
+	ids := st.candIDs[:0]
 	if st.unpruned {
 		for id, n := range st.nodes {
-			if n.status == StatusActive && n.sub.Len() == s.Len() {
-				ids, subs = append(ids, int64(id)), append(subs, n.sub)
+			if n.status == StatusActive && n.sub.Len() == s.Len() && n.sub.Covers(s) {
+				ids = append(ids, int64(id))
 			}
 		}
 	} else if ix := st.active[s.Len()]; ix != nil {
-		for _, slot := range ix.Query(&st.scratch, s, cover) {
-			n := ix.Row(slot)
-			ids, subs = append(ids, int64(n.id)), append(subs, n.sub)
+		for _, slot := range ix.Containing(&st.scratch, s) {
+			ids = append(ids, int64(ix.Row(slot).id))
 		}
 	}
-	st.candIDs, st.candSubs = ids, subs
-	return ids, subs
+	st.candIDs = ids
+	return ids
+}
+
+// check runs the checker on s against the active rows of s's
+// attribute count and returns how many rows it decided over, and the
+// IDs its result's row positions index, as store-owned scratch valid
+// until the next call. Every row the cell filter passes goes straight
+// to the checker, keyed by ID, in slot order, and the checker drops
+// those disjoint from s as it reads them: the IDs are the rows handed
+// over, in the order handed. With unpruned set, CoveredInto decides
+// over every active row of the count in ID order, disjoint rows
+// included, and the IDs are that set's.
+func (st *Store) check(s subscription.Subscription) ([]int64, int, error) {
+	c := st.checker
+	ids := st.candIDs[:0]
+	if st.unpruned {
+		for id, n := range st.nodes {
+			if n.status == StatusActive && n.sub.Len() == s.Len() {
+				ids = append(ids, int64(id))
+			}
+		}
+		slices.Sort(ids)
+		set := make([]subscription.Subscription, len(ids))
+		for i, id := range ids {
+			set[i] = st.nodes[ID(id)].sub
+		}
+		st.candIDs = ids
+		return ids, len(set), c.CoveredInto(&st.checkRes, s, set)
+	}
+	if err := c.Begin(s); err != nil {
+		return nil, 0, err
+	}
+	if ix := st.active[s.Len()]; ix != nil {
+		for _, slot := range ix.Candidates(&st.scratch, s) {
+			n := ix.Row(slot)
+			c.Add(n.sub.Bounds, int64(n.id))
+			ids = append(ids, int64(n.id))
+		}
+	}
+	st.candIDs = ids
+	return ids, c.Rows(), c.Decide(&st.checkRes)
 }
 
 // ActiveIDs returns the sorted IDs of the active set.
@@ -334,6 +373,21 @@ func (st *Store) Get(id ID) (subscription.Subscription, Status, bool) {
 	return n.sub, n.status, true
 }
 
+// Coverers returns the IDs of the subscriptions whose union covers id,
+// in ascending order: nil when id is active or absent.
+func (st *Store) Coverers(id ID) []ID {
+	n := st.nodes[id]
+	if n == nil || len(n.coverers) == 0 {
+		return nil
+	}
+	out := make([]ID, 0, len(n.coverers))
+	for c := range n.coverers {
+		out = append(out, c)
+	}
+	slices.Sort(out)
+	return out
+}
+
 // decideCoverage classifies s against the current active set. The
 // pairwise scan sees only the rows containing s and the probabilistic
 // checker only the rows intersecting s — sound, because a pairwise
@@ -349,17 +403,11 @@ func (st *Store) decideCoverage(s subscription.Subscription, keep bool) (Status,
 	case PolicyPairwise:
 		// The coverer is the lowest-ID row containing s: the one a scan
 		// of the active set in ID order finds first.
-		ids, subs := st.candidates(s, true)
-		best := -1
-		for i, sub := range subs {
-			if sub.Covers(s) && (best < 0 || ids[i] < ids[best]) {
-				best = i
-			}
-		}
-		if best < 0 {
+		ids := st.containing(s)
+		if len(ids) == 0 {
 			return StatusActive, nil, core.Result{}, nil
 		}
-		return StatusCovered, []ID{ID(ids[best])}, core.Result{}, nil
+		return StatusCovered, []ID{ID(slices.Min(ids))}, core.Result{}, nil
 	default: // PolicyGroup
 		if status, coverers, res, ok := st.walk(s); ok {
 			if keep && res.PointWitness != nil {
@@ -374,18 +422,18 @@ func (st *Store) decideCoverage(s subscription.Subscription, keep bool) (Status,
 		// count is decided as if the store held no other. They come in
 		// slot order; the checker orders them by ID itself, as if they
 		// were sorted.
-		ids, subs := st.candidates(s, false)
-		if err := st.checker.CoveredIntoKeyed(&st.checkRes, s, subs, ids); err != nil {
+		ids, rows, err := st.check(s)
+		if err != nil {
 			return 0, nil, core.Result{}, err
 		}
 		st.stats.Calls++
-		st.stats.CandidateRows += uint64(len(subs))
+		st.stats.CandidateRows += uint64(rows)
 		st.stats.Decisions[st.checkRes.Reason]++
 		st.stats.Trials += uint64(st.checkRes.ExecutedTrials)
 		if st.checkRes.Decision == core.CoveredProbably && st.checkRes.DCapped {
 			st.stats.Capped++
 		}
-		coverers := st.resolveCoverers(ids, &st.checkRes)
+		coverers := st.resolveCoverers(s, ids, &st.checkRes)
 		// CoveringRow and ReducedSet index the candidate scratch, and
 		// ReducedSet and PointWitness alias checkRes, which the next
 		// check reuses; coverers names those rows by ID instead, and a
@@ -403,8 +451,8 @@ func (st *Store) decideCoverage(s subscription.Subscription, keep bool) (Status,
 }
 
 // walk decides s's group coverage with a few point stabs into the
-// active index, before any row is gathered: the cheapest exact answers
-// of Algorithm 4. A point p starts at the centre of s. A p that no
+// active index, before the checker reads any row: the cheapest exact
+// answers of Algorithm 4. A point p starts at the centre of s. A p that no
 // active row contains is a point witness: s is not covered. A row
 // containing p that also contains s makes s pairwise covered, and the
 // coverer is named as the checker names it: the lowest-ID row
@@ -437,7 +485,7 @@ func (st *Store) walk(s subscription.Subscription) (Status, []ID, core.Result, b
 		}
 		row := ix.Row(slot).sub
 		if row.Covers(s) {
-			ids, _ := st.candidates(s, true)
+			ids := st.containing(s)
 			res := core.Result{Decision: core.Covered, Reason: core.ReasonPairwiseCover, CoveringRow: -1}
 			return StatusCovered, []ID{ID(slices.Min(ids))}, res, true
 		}
@@ -470,9 +518,9 @@ func (st *Store) witness(p []int64) []int64 {
 	return st.witnesses[n:len(st.witnesses):len(st.witnesses)]
 }
 
-// resolveCoverers maps a group-coverage result's candidate indices to
-// subscription IDs, in ascending ID order.
-func (st *Store) resolveCoverers(ids []int64, res *core.Result) []ID {
+// resolveCoverers maps a group-coverage result's row positions, which
+// index ids, to subscription IDs, in ascending ID order.
+func (st *Store) resolveCoverers(s subscription.Subscription, ids []int64, res *core.Result) []ID {
 	if !res.Decision.IsCovered() {
 		return nil
 	}
@@ -485,9 +533,11 @@ func (st *Store) resolveCoverers(ids []int64, res *core.Result) []ID {
 	}
 	if len(coverers) == 0 {
 		// MCS was disabled or returned no detail; fall back to the
-		// whole candidate set as the covering group.
+		// candidate rows meeting s as the covering group.
 		for _, id := range ids {
-			coverers = append(coverers, ID(id))
+			if st.nodes[ID(id)].sub.Intersects(s) {
+				coverers = append(coverers, ID(id))
+			}
 		}
 	}
 	slices.Sort(coverers)
