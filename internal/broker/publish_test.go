@@ -125,23 +125,30 @@ func heapPerSub(tb testing.TB, policy store.Policy, tables, n int) float64 {
 	return float64(after.HeapAlloc-before.HeapAlloc) / float64(n)
 }
 
-// TestBrokerHeapPerRoute pins two figures BenchmarkBrokerHeapPerSub
+// TestBrokerHeapPerRoute pins four figures BenchmarkBrokerHeapPerSub
 // reads, each within 5 %: flood/tables-0, 367.2 B a route, and what one
-// flood neighbour table adds to it (tables-1 less tables-0), 209.6 B. A
-// map keyed by route ID costs ~28 B a route at this size, and a copy of
-// each row's ID and box in a cell index's slots ~37 B, so either coming
-// back, into the broker or into a table, fails a pin.
+// neighbour table adds to it (tables-1 less tables-0) under each
+// policy: 209.6 B under flood, 162.9 under pairwise and 236.6 under
+// group. A map keyed by route ID costs ~28 B a route at this size, and
+// a copy of each row's ID and box in a cell index's slots ~37 B, so
+// either coming back, into the broker or into a table, fails a pin; so
+// does a map per forest node, which made a group table add 445.6 B.
 func TestBrokerHeapPerRoute(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the pins hold for the plain build; -race builds allocate differently")
 	}
-	const route, table = 367.2, 209.6
+	const route = 367.2
 	base := heapPerSub(t, store.PolicyNone, 0, 20_000)
 	if base > route*1.05 {
 		t.Errorf("%.1f B a route, want at most %.1f (%.1f + 5 %%)", base, route*1.05, route)
 	}
-	if got := heapPerSub(t, store.PolicyNone, 1, 20_000) - base; got > table*1.05 {
-		t.Errorf("a flood table adds %.1f B a route, want at most %.1f (%.1f + 5 %%)", got, table*1.05, table)
+	for _, c := range []struct {
+		policy store.Policy
+		table  float64
+	}{{store.PolicyNone, 209.6}, {store.PolicyPairwise, 162.9}, {store.PolicyGroup, 236.6}} {
+		if got := heapPerSub(t, c.policy, 1, 20_000) - base; got > c.table*1.05 {
+			t.Errorf("a %s table adds %.1f B a route, want at most %.1f (%.1f + 5 %%)", c.policy, got, c.table*1.05, c.table)
+		}
 	}
 }
 

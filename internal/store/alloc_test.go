@@ -17,10 +17,9 @@ var raceEnabled bool
 // (AllocsPerRun rounds down, and the checker copies out the odd
 // definite-NO witness), and a Subscribe plus Unsubscribe round
 // trip fewer than two on average (AllocsPerRun rounds down): the node,
-// and for a covered arrival the coverer list its decision returns. A
-// witness, the walk's or the checker's, is carved from the store's
-// shared chunk. The node's coverer and child maps are made on first
-// link, so an active leaf makes neither.
+// and for a covered arrival the coverer list its decision returns and
+// the node's copy of it. A witness, the walk's or the checker's, is
+// carved from the store's shared chunk. An active leaf links nothing.
 func TestAdmissionAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")

@@ -2,6 +2,7 @@ package store
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"probsum/internal/core"
@@ -106,7 +107,9 @@ func TestUnsubscribeRechecksOnlyNamedChildren(t *testing.T) {
 	st, covered, _ := admitNarrowMix(t, true)
 	links := 0
 	for _, n := range st.nodes {
-		links += len(n.coverers)
+		if n.slot < 0 {
+			links += len(n.links)
+		}
 	}
 	mean := float64(links) / float64(covered)
 	t.Logf("%d covered nodes name %.1f coverers on average", covered, mean)
@@ -118,7 +121,7 @@ func TestUnsubscribeRechecksOnlyNamedChildren(t *testing.T) {
 	for _, id := range st.ActiveIDs() {
 		named := 0
 		for _, n := range st.nodes {
-			if _, ok := n.coverers[id]; ok {
+			if n.slot < 0 && slices.Contains(n.links, id) {
 				named++
 			}
 		}

@@ -6,13 +6,18 @@
 // a match — together with the Section 4.4 multi-level optimization and
 // the Section 5 cancellation rule (promote covered subscriptions when
 // their coverer unsubscribes).
+//
+// The forest is one level deep. A coverage decision names only active
+// rows, no path demotes an active subscription, and a promoted one
+// keeps no coverers, so every coverer is active and no active
+// subscription has one: the roots are the active set, and each
+// covered subscription hangs directly under the roots that cover it.
 package store
 
 import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"probsum/internal/cells"
 	"probsum/internal/core"
@@ -82,14 +87,25 @@ func (s Status) String() string {
 // ErrDuplicateID is returned when subscribing with an ID already in use.
 var ErrDuplicateID = errors.New("store: duplicate subscription id")
 
-// node is one subscription in the cover forest.
+// node is one subscription in the cover forest. The forest is
+// bipartite (see the package doc): a covered node links to its
+// coverers, all active, and an active node to its children, all
+// covered. So one list serves both, and the slot says which. The four
+// fields keep a node in the 64-byte size class; a second list would
+// take it to 96.
 type node struct {
-	id       ID
-	sub      subscription.Subscription
-	status   Status
-	coverers map[ID]struct{} // nodes whose union covers this one; nil while none
-	children map[ID]struct{} // nodes listing this one as coverer; nil until the first
-	slot     int32           // position in its attribute count's index while active
+	id    ID
+	sub   subscription.Subscription
+	links []ID  // ascending: its coverers while covered, its children while active
+	slot  int32 // position in its attribute count's index; -1 while covered
+}
+
+// status says where n lives, read from its slot.
+func (n *node) status() Status {
+	if n.slot < 0 {
+		return StatusCovered
+	}
+	return StatusActive
 }
 
 // SubscribeResult reports what Subscribe did.
@@ -274,7 +290,7 @@ func (st *Store) containing(s subscription.Subscription) []int64 {
 	ids := st.candIDs[:0]
 	if st.unpruned {
 		for id, n := range st.nodes {
-			if n.status == StatusActive && n.sub.Len() == s.Len() && n.sub.Covers(s) {
+			if n.slot >= 0 && n.sub.Len() == s.Len() && n.sub.Covers(s) {
 				ids = append(ids, int64(id))
 			}
 		}
@@ -301,7 +317,7 @@ func (st *Store) check(s subscription.Subscription) ([]int64, int, error) {
 	ids := st.candIDs[:0]
 	if st.unpruned {
 		for id, n := range st.nodes {
-			if n.status == StatusActive && n.sub.Len() == s.Len() {
+			if n.slot >= 0 && n.sub.Len() == s.Len() {
 				ids = append(ids, int64(id))
 			}
 		}
@@ -331,7 +347,7 @@ func (st *Store) check(s subscription.Subscription) ([]int64, int, error) {
 func (st *Store) ActiveIDs() []ID {
 	ids := make([]ID, 0, st.ActiveLen())
 	for id, n := range st.nodes {
-		if n.status == StatusActive {
+		if n.slot >= 0 {
 			ids = append(ids, id)
 		}
 	}
@@ -370,22 +386,17 @@ func (st *Store) Get(id ID) (subscription.Subscription, Status, bool) {
 	if !ok {
 		return subscription.Subscription{}, 0, false
 	}
-	return n.sub, n.status, true
+	return n.sub, n.status(), true
 }
 
 // Coverers returns the IDs of the subscriptions whose union covers id,
 // in ascending order: nil when id is active or absent.
 func (st *Store) Coverers(id ID) []ID {
 	n := st.nodes[id]
-	if n == nil || len(n.coverers) == 0 {
+	if n == nil || n.slot >= 0 {
 		return nil
 	}
-	out := make([]ID, 0, len(n.coverers))
-	for c := range n.coverers {
-		out = append(out, c)
-	}
-	slices.Sort(out)
-	return out
+	return slices.Clone(n.links)
 }
 
 // decideCoverage classifies s against the current active set. The
@@ -556,7 +567,7 @@ func (st *Store) Subscribe(id ID, s subscription.Subscription) (SubscribeResult,
 	if err != nil {
 		return SubscribeResult{}, err
 	}
-	n := &node{id: id, sub: s, status: status}
+	n := &node{id: id, sub: s, slot: -1}
 	st.link(n, coverers)
 	st.nodes[id] = n
 	if status == StatusActive {
@@ -565,21 +576,23 @@ func (st *Store) Subscribe(id ID, s subscription.Subscription) (SubscribeResult,
 	return SubscribeResult{Status: status, Coverers: coverers, Checker: checkRes}, nil
 }
 
-// link makes coverers n's coverers and n their child. Both maps are
-// made on first need: most subscriptions are active and cover nothing.
+// link gives n a copy of coverers, ascending, as its links, and inserts
+// n into each coverer's links; nil coverers leave n with none. The copy
+// keeps a caller's slice, such as a SubscribeResult's Coverers, apart
+// from the node's list, which unlink edits in place.
 func (st *Store) link(n *node, coverers []ID) {
-	n.coverers = nil
-	if len(coverers) == 0 {
-		return
-	}
-	n.coverers = make(map[ID]struct{}, len(coverers))
+	n.links = slices.Clone(coverers)
 	for _, c := range coverers {
-		n.coverers[c] = struct{}{}
 		p := st.nodes[c]
-		if p.children == nil {
-			p.children = make(map[ID]struct{})
-		}
-		p.children[n.id] = struct{}{}
+		i, _ := slices.BinarySearch(p.links, n.id)
+		p.links = slices.Insert(p.links, i, n.id)
+	}
+}
+
+// unlink removes id from n's links.
+func unlink(n *node, id ID) {
+	if i, ok := slices.BinarySearch(n.links, id); ok {
+		n.links = slices.Delete(n.links, i, i+1)
 	}
 }
 
@@ -592,31 +605,26 @@ func (st *Store) Unsubscribe(id ID) (UnsubscribeResult, error) {
 	if !ok {
 		return UnsubscribeResult{}, nil
 	}
-	res := UnsubscribeResult{Existed: true, WasActive: n.status == StatusActive}
+	res := UnsubscribeResult{Existed: true, WasActive: n.slot >= 0}
 	st.stats.Unsubscribes++
-
-	// Unlink from coverers.
-	for c := range n.coverers {
-		delete(st.nodes[c].children, id)
-	}
 	delete(st.nodes, id)
-	if res.WasActive {
-		st.deactivate(n)
+	if !res.WasActive {
+		for _, c := range n.links {
+			unlink(st.nodes[c], id)
+		}
+		return res, nil
 	}
+	st.deactivate(n)
 
-	// Children losing a coverer must be re-validated; process in ID
-	// order for determinism. Promotions can cascade: a promoted child
-	// re-enters the active set and may itself keep others covered, so
-	// each child is checked against the then-current active set.
-	children := make([]ID, 0, len(n.children))
-	for c := range n.children {
-		children = append(children, c)
-	}
-	slices.Sort(children)
-
-	for _, cid := range children {
+	// Its children lost a coverer and are re-validated in ID order, the
+	// order of its links, for determinism. Promotions can cascade: a
+	// promoted child re-enters the active set and may itself cover the
+	// children after it, so each is checked against the then-current
+	// active set. None of that touches n's links: n is out of the store,
+	// so no decision names it.
+	for _, cid := range n.links {
 		child := st.nodes[cid]
-		delete(child.coverers, id)
+		unlink(child, id)
 		promoted, err := st.revalidate(child)
 		if err != nil {
 			return res, err
@@ -629,9 +637,9 @@ func (st *Store) Unsubscribe(id ID) (UnsubscribeResult, error) {
 }
 
 // revalidate re-decides coverage for a covered node that lost a
-// coverer (already deleted from child.coverers) against the current
-// active set: it is rewired to the new cover, or promoted to active
-// when there is none.
+// coverer (already unlinked) against the current active set: it is
+// rewired to the new cover, or promoted to active, with no links, when
+// there is none.
 func (st *Store) revalidate(child *node) (promoted bool, err error) {
 	status, coverers, _, err := st.decideCoverage(child.sub, false)
 	if err != nil {
@@ -641,59 +649,39 @@ func (st *Store) revalidate(child *node) (promoted bool, err error) {
 		st.stats.RecheckCalls++
 	}
 	// Detach from remaining coverers before rewiring.
-	for c := range child.coverers {
-		delete(st.nodes[c].children, child.id)
+	for _, c := range child.links {
+		unlink(st.nodes[c], child.id)
 	}
 	st.link(child, coverers)
 	if status == StatusCovered {
-		child.status = StatusCovered
 		return false, nil
 	}
-	child.status = StatusActive
 	st.activate(child)
 	return true, nil
 }
 
 // Match implements the multi-level optimization of Section 4.4: match
-// the active set, then descend through the cover forest, testing a
-// covered subscription only when one of its coverers (transitively)
-// matched. Results are sorted by ID.
+// the active set, then test a covered subscription only when one of its
+// coverers matched. The forest being one level deep, that is one pass
+// over the matched roots' children, with no deeper frontier; a child
+// under several matched roots is tested once per root and kept once.
+// Results are sorted by ID.
 func (st *Store) Match(p subscription.Publication) []ID {
 	var out []ID
-	frontier := make([]ID, 0, 8)
 	if ix := st.active[len(p.Values)]; ix != nil {
 		hits, _ := ix.Stab(&st.scratch, p)
 		for _, slot := range hits {
-			id := ix.Row(slot).id
-			out = append(out, id)
-			frontier = append(frontier, id)
-		}
-	}
-	visited := make(map[ID]bool, len(frontier))
-	for _, id := range frontier {
-		visited[id] = true
-	}
-	for len(frontier) > 0 {
-		id := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		children := make([]ID, 0, len(st.nodes[id].children))
-		for c := range st.nodes[id].children {
-			children = append(children, c)
-		}
-		sort.Slice(children, func(i, j int) bool { return children[i] < children[j] })
-		for _, cid := range children {
-			if visited[cid] {
-				continue
-			}
-			visited[cid] = true
-			if st.nodes[cid].sub.Matches(p) {
-				out = append(out, cid)
-				frontier = append(frontier, cid)
+			n := ix.Row(slot)
+			out = append(out, n.id)
+			for _, cid := range n.links {
+				if st.nodes[cid].sub.Matches(p) {
+					out = append(out, cid)
+				}
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // MatchTwoPhase is the literal Algorithm 5: match the active set; if
@@ -704,18 +692,18 @@ func (st *Store) MatchTwoPhase(p subscription.Publication) []ID {
 	var out []ID
 	matched := false
 	for id, n := range st.nodes {
-		if n.status == StatusActive && n.sub.Matches(p) {
+		if n.slot >= 0 && n.sub.Matches(p) {
 			out = append(out, id)
 			matched = true
 		}
 	}
 	if matched {
 		for id, n := range st.nodes {
-			if n.status == StatusCovered && n.sub.Matches(p) {
+			if n.slot < 0 && n.sub.Matches(p) {
 				out = append(out, id)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

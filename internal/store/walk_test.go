@@ -26,7 +26,7 @@ func TestWalkAnswersAreExact(t *testing.T) {
 		if ok {
 			var active []ID
 			for id, n := range st.nodes {
-				if n.status == StatusActive {
+				if n.slot >= 0 {
 					active = append(active, id)
 				}
 			}
