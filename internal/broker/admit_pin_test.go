@@ -130,8 +130,8 @@ func admitPinned(t *testing.T, tables int) (*Broker, []string) {
 func hashTables(t *testing.T, h hash.Hash64, br *Broker, names []string) int {
 	t.Helper()
 	put := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
-	ids := make([]store.ID, 0, len(br.routes))
-	for _, r := range br.routes {
+	ids := make([]store.ID, 0, br.routes.len())
+	for r := range br.routes.all() {
 		ids = append(ids, r.id)
 	}
 	slices.Sort(ids)

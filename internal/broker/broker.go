@@ -17,7 +17,7 @@ package broker
 import (
 	"cmp"
 	"fmt"
-	"maps"
+	"hash/maphash"
 	"runtime"
 	"slices"
 	"strings"
@@ -418,9 +418,10 @@ type Broker struct {
 	// +guarded_by:mu
 	out map[string]*store.Store
 
-	// routes holds one record per known subscription, by SubID.
+	// routes holds one record per known subscription, by SubID. Its
+	// hash seed, drawn in New, keys every received set in paths too.
 	// +guarded_by:mu
-	routes map[string]*route
+	routes routeIndex
 	// tables is the matcher: per attribute count some route has, one
 	// cell index whose slots hold the routes themselves (nil once
 	// freed), the count's slot table. A route's numeric ID names its
@@ -445,7 +446,7 @@ type Broker struct {
 	// active set the neighbor's table for this broker holds (see
 	// digest.go). A client's reverse paths are the routes it sources.
 	// +guarded_by:mu
-	paths map[string]map[string]*route
+	paths map[string]*routeIndex
 
 	// seenPubs deduplicates publications on cyclic overlays. It is a
 	// bounded two-generation table (see pubDedup), so long-running
@@ -580,8 +581,8 @@ func New(id string, policy store.Policy, opts ...Option) (*Broker, error) {
 		seed:       1,
 		dedupLimit: 65536,
 		out:        make(map[string]*store.Store),
-		routes:     make(map[string]*route),
-		paths:      make(map[string]map[string]*route),
+		routes:     routeIndex{seed: maphash.MakeSeed()},
+		paths:      make(map[string]*routeIndex),
 	}
 	for _, opt := range opts {
 		opt(b)
@@ -671,7 +672,7 @@ func (s *portSet) add(id string) bool {
 //
 // +mustlock:mu (shared)
 func (b *Broker) sortedRoutes() []*route {
-	rs := slices.Collect(maps.Values(b.routes))
+	rs := slices.Collect(b.routes.all())
 	slices.SortFunc(rs, func(x, y *route) int { return cmp.Compare(x.id, y.id) })
 	return rs
 }
@@ -810,7 +811,7 @@ func (b *Broker) ConnectNeighbor(id string) error {
 	}
 	b.neighbors.add(id)
 	b.out[id] = tbl
-	b.paths[id] = make(map[string]*route)
+	b.paths[id] = &routeIndex{seed: b.routes.seed}
 	if j := b.journal.Load(); j != nil {
 		(*j).RecordAttach(id, false)
 	}
@@ -927,7 +928,7 @@ func (b *Broker) handleStateChange(from string, msg Message) (out []Outbound, sh
 			(*j).RecordMessage(from, &msg)
 		}
 	}
-	n := len(b.routes)
+	n := b.routes.len()
 	b.routePeak = max(b.routePeak, n)
 	if b.routePeak >= shedCollectMin && n <= b.routePeak/2 {
 		b.routePeak, shed = n, true
@@ -992,20 +993,32 @@ func (b *Broker) handleSubscribeBatch(from string, kind MsgKind, items []BatchSu
 	if err := b.idRoom(items); err != nil {
 		return nil, err
 	}
-	fresh := make([]*route, 0, len(items))
+	// Only the tables of neighbors other than from take the burst, so
+	// with none the fresh routes need no list.
+	takers := len(b.neighbors)
+	recv := b.paths[from] // a neighbor's received set: a reverse path
+	if recv != nil {
+		takers--
+	}
+	var fresh []*route
+	if takers > 0 {
+		fresh = make([]*route, 0, len(items))
+	}
 	for _, it := range items {
-		r := b.routes[it.SubID]
+		r := b.routes.get(it.SubID)
 		if r != nil {
 			b.metrics.dupSubsDropped.Add(1)
 		} else {
 			b.metrics.subsReceived.Add(1)
 			r = &route{subID: it.SubID, sub: it.Sub, src: from}
 			b.index(r)
-			b.routes[r.subID] = r
-			fresh = append(fresh, r)
+			b.routes.put(r)
+			if takers > 0 {
+				fresh = append(fresh, r)
+			}
 		}
-		if recv := b.paths[from]; recv != nil { // a neighbor: a reverse path
-			recv[r.subID] = r
+		if recv != nil {
+			recv.put(r)
 		}
 	}
 	if len(fresh) == 0 {
@@ -1057,18 +1070,20 @@ func (b *Broker) handleUnsubscribeBatch(from string, kind MsgKind, subIDs []stri
 	}
 	var gone []*route
 	for _, subID := range subIDs {
-		r := b.routes[subID]
+		r := b.routes.get(subID)
 		if r == nil {
 			continue
 		}
 		if r.src != from { // a duplicate path over from, if any
-			delete(b.paths[from], subID)
+			if recv := b.paths[from]; recv != nil {
+				recv.del(subID)
+			}
 			continue
 		}
-		delete(b.routes, subID)
+		b.routes.del(subID)
 		b.unindex(r)
 		for _, recv := range b.paths {
-			delete(recv, subID)
+			recv.del(subID)
 		}
 		gone = append(gone, r)
 	}
@@ -1346,7 +1361,7 @@ func (b *Broker) handlePublish(from string, run *pubRun, it *BatchPub, left int)
 		}
 		recv := b.paths[n]
 		for _, r := range hits {
-			if recv[r.subID] != nil {
+			if recv.get(r.subID) != nil {
 				b.metrics.pubsForwarded.Add(1)
 				run.forward(k, n, len(b.neighbors), it, left)
 				break

@@ -492,7 +492,7 @@ func TestPublishItreeMatchesLinearReference(t *testing.T) {
 			i := rng.IntN(len(live))
 			subID := live[i]
 			live = append(live[:i], live[i+1:]...)
-			src := b.routes[subID].src
+			src := b.routes.get(subID).src
 			if _, err := b.Handle(src, Message{Kind: MsgUnsubscribe, SubID: subID}); err != nil {
 				t.Fatal(err)
 			}
@@ -502,13 +502,13 @@ func TestPublishItreeMatchesLinearReference(t *testing.T) {
 
 			wantNotify := map[string]bool{} // "port/subID"
 			wantForward := map[string]bool{}
-			for subID, r := range b.routes { // a client's reverse paths are the routes it sources
+			for r := range b.routes.all() { // a client's reverse paths are the routes it sources
 				if r.src != from && b.clients.has(r.src) && r.sub.Matches(pub) {
-					wantNotify[r.src+"/"+subID] = true
+					wantNotify[r.src+"/"+r.subID] = true
 				}
 			}
 			for port, recv := range b.paths {
-				for _, r := range recv {
+				for r := range recv.all() {
 					if port != from && b.neighbors.has(port) && r.sub.Matches(pub) {
 						wantForward[port] = true
 					}
@@ -604,14 +604,14 @@ func TestMatchFilterCounts(t *testing.T) {
 		}
 		if i%7 == 6 { // retire an earlier route through its source
 			subID := fmt.Sprintf("r%d", i-3)
-			handle(b.routes[subID].src, Message{Kind: MsgUnsubscribe, SubID: subID})
+			handle(b.routes.get(subID).src, Message{Kind: MsgUnsubscribe, SubID: subID})
 		}
 	}
 	c0, h0 := b.MatchFilterCounts()
 	var want uint64
 	for i := 0; i < 200; i++ {
 		pub := subscription.NewPublication(rng.Int64N(101), rng.Int64N(101))
-		for _, r := range b.routes {
+		for r := range b.routes.all() {
 			if r.sub.Matches(pub) {
 				want++
 			}

@@ -27,7 +27,6 @@ package broker
 
 import (
 	"encoding/binary"
-	"maps"
 	"slices"
 )
 
@@ -126,10 +125,12 @@ func (b *Broker) outDigestLocked(peer string) (LinkDigest, [DigestBuckets]uint64
 func (b *Broker) recvDigestLocked(peer string) (LinkDigest, [DigestBuckets]uint64) {
 	var buckets [DigestBuckets]uint64
 	count := 0
-	for subID := range b.paths[peer] {
-		h := subDigestHash(subID)
-		buckets[h>>58] ^= h
-		count++
+	if recv := b.paths[peer]; recv != nil {
+		for r := range recv.all() {
+			h := subDigestHash(r.subID)
+			buckets[h>>58] ^= h
+			count++
+		}
 	}
 	return foldDigest(count, &buckets), buckets
 }
@@ -159,7 +160,14 @@ func (b *Broker) ReceivedDigest(peer string) LinkDigest {
 func (b *Broker) ReceivedFrom(peer string) []string {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return slices.Sorted(maps.Keys(b.paths[peer]))
+	var ids []string
+	if recv := b.paths[peer]; recv != nil {
+		for r := range recv.all() {
+			ids = append(ids, r.subID)
+		}
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // KnowsSubscription reports whether subID is in the broker's routing
@@ -167,7 +175,7 @@ func (b *Broker) ReceivedFrom(peer string) []string {
 func (b *Broker) KnowsSubscription(subID string) (source string, ok bool) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	if r := b.routes[subID]; r != nil {
+	if r := b.routes.get(subID); r != nil {
 		return r.src, true
 	}
 	return "", false
@@ -255,7 +263,8 @@ func (b *Broker) handleSyncRequest(from string, msg Message) ([]Outbound, error)
 //
 // +mustlock:mu
 func (b *Broker) handleSyncRoots(from string, msg Message) ([]Outbound, error) {
-	if !b.neighbors.has(from) {
+	recv := b.paths[from]
+	if recv == nil {
 		return nil, nil
 	}
 	listed := make(map[string]bool, len(msg.Subs))
@@ -268,7 +277,7 @@ func (b *Broker) handleSyncRoots(from string, msg Message) ([]Outbound, error) {
 	// link only); unknown ones are fresh arrivals from this port.
 	missing := make([]BatchSub, 0, len(msg.Subs))
 	for _, it := range msg.Subs {
-		if b.paths[from][it.SubID] == nil {
+		if recv.get(it.SubID) == nil {
 			missing = append(missing, it)
 		}
 	}
@@ -280,23 +289,26 @@ func (b *Broker) handleSyncRoots(from string, msg Message) ([]Outbound, error) {
 		out = append(out, o...)
 	}
 	// Collect stale entries: received over this link, in a masked
-	// bucket, absent from the authoritative listing.
+	// bucket, absent from the authoritative listing. A deletion shifts
+	// entries the scan has not reached yet, so the copies go after it.
 	var staleOwned []string // reverse path points at the sender
-	staleOther := 0
-	for subID, r := range b.paths[from] {
-		if listed[subID] || msg.Mask&(1<<uint(digestBucket(subID))) == 0 {
+	var staleOther []string
+	for r := range recv.all() {
+		if listed[r.subID] || msg.Mask&(1<<uint(digestBucket(r.subID))) == 0 {
 			continue
 		}
 		if r.src == from {
-			staleOwned = append(staleOwned, subID)
+			staleOwned = append(staleOwned, r.subID)
 		} else {
-			delete(b.paths[from], subID)
-			staleOther++
+			staleOther = append(staleOther, r.subID)
 		}
+	}
+	for _, subID := range staleOther {
+		recv.del(subID)
 	}
 	if len(staleOwned) > 0 {
 		// Sorted so the downstream cancellation is deterministic
-		// regardless of map iteration order.
+		// regardless of the index's slot order.
 		slices.Sort(staleOwned)
 		o, err := b.handleUnsubscribeBatch(from, MsgUnsubscribeBatch, staleOwned)
 		if err != nil {
@@ -304,6 +316,6 @@ func (b *Broker) handleSyncRoots(from string, msg Message) ([]Outbound, error) {
 		}
 		out = append(out, o...)
 	}
-	b.metrics.syncStalePruned.Add(int64(len(staleOwned) + staleOther))
+	b.metrics.syncStalePruned.Add(int64(len(staleOwned) + len(staleOther)))
 	return out, nil
 }

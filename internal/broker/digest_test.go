@@ -2,6 +2,7 @@ package broker
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"probsum/internal/store"
@@ -265,6 +266,81 @@ func TestDigestSyncPrunesStaleReversePath(t *testing.T) {
 		if o.To == "C" {
 			t.Fatalf("publication still routed along pruned reverse path: %+v", o)
 		}
+	}
+}
+
+// TestDigestSyncPrunesStaleBucket sends one MsgSyncRoots whose masked
+// bucket holds many stale entries of the link's received set, owned
+// ones and duplicate copies, beside listed ones and entries of other
+// buckets. Every stale entry must go: the owned ones retired, the
+// copies dropped from the link's received set while their routes stay.
+// Pruning the copies while scanning the set would skip entries a
+// deletion shifts back into slots the scan has passed.
+func TestDigestSyncPrunesStaleBucket(t *testing.T) {
+	b := newBroker(t, store.PolicyNone)
+	for _, n := range []string{"C", "D"} {
+		if err := b.ConnectNeighbor(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const stale, listed = 40, 4 // stale of each kind; listed of both
+	bucket := digestBucket("q0")
+	var in, other []string // SubIDs in the masked bucket, and outside it
+	for i := 0; len(in) < 2*stale+listed || len(other) < 8; i++ {
+		id := fmt.Sprintf("q%d", i)
+		if digestBucket(id) == bucket {
+			in = append(in, id)
+		} else if len(other) < 8 {
+			other = append(other, id)
+		}
+	}
+	subscribe := func(from string, ids []string) {
+		t.Helper()
+		var subs []BatchSub
+		for k, id := range ids {
+			subs = append(subs, BatchSub{SubID: id, Sub: box(int64(k), int64(k)+5, 0, 5)})
+		}
+		if _, err := b.Handle(from, Message{Kind: MsgSubscribeBatch, Subs: subs}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Even SubIDs are owned by C; odd ones arrive from D first, then as
+	// copies over C. So are the entries outside the bucket.
+	var owned, copies []string
+	for k, id := range slices.Concat(in, other) {
+		if k%2 == 0 {
+			owned = append(owned, id)
+		} else {
+			copies = append(copies, id)
+		}
+	}
+	subscribe("C", owned)
+	subscribe("D", copies)
+	subscribe("C", copies)
+	var keep []BatchSub // the listing: the first few of each kind
+	for _, id := range in[:listed] {
+		keep = append(keep, BatchSub{SubID: id, Sub: box(0, 5, 0, 5)})
+	}
+	before := b.Metrics().SyncStalePruned
+	if _, err := b.Handle("C", Message{Kind: MsgSyncRoots, Mask: 1 << bucket, Subs: keep}); err != nil {
+		t.Fatal(err)
+	}
+	want := append(slices.Clone(in[:listed]), other...)
+	slices.Sort(want)
+	if got := b.ReceivedFrom("C"); !slices.Equal(got, want) {
+		t.Errorf("received over C after the sync: %v, want %v", got, want)
+	}
+	for k, id := range in {
+		src, ok := b.KnowsSubscription(id)
+		switch {
+		case k%2 == 0 && k >= listed && ok:
+			t.Errorf("stale %s owned by C still known", id)
+		case k%2 == 1 && (!ok || src != "D"):
+			t.Errorf("copy %s: source %q, known %v, want its route from D kept", id, src, ok)
+		}
+	}
+	if got := b.Metrics().SyncStalePruned - before; got != len(in)-listed {
+		t.Errorf("SyncStalePruned rose by %d, want %d", got, len(in)-listed)
 	}
 }
 

@@ -8,9 +8,9 @@
 package broker
 
 import (
-	"maps"
 	"slices"
 	"sort"
+	"strings"
 )
 
 // Journal receives the broker's durability events. RecordMessage and
@@ -115,13 +115,13 @@ func (b *Broker) snapshotOpsLocked() []SnapshotOp {
 	// still count toward those links' digests. Synthesized as one
 	// subscribe batch per neighbor that replays down the duplicate path.
 	for _, port := range b.neighbors {
-		recv := b.paths[port]
 		var dups []BatchSub
-		for _, subID := range slices.Sorted(maps.Keys(recv)) {
-			if r := recv[subID]; r.src != port {
-				dups = append(dups, BatchSub{SubID: subID, Sub: r.sub})
+		for r := range b.paths[port].all() {
+			if r.src != port {
+				dups = append(dups, BatchSub{SubID: r.subID, Sub: r.sub})
 			}
 		}
+		slices.SortFunc(dups, func(x, y BatchSub) int { return strings.Compare(x.SubID, y.SubID) })
 		if len(dups) > 0 {
 			ops = append(ops, SnapshotOp{From: port, Msg: &Message{Kind: MsgSubscribeBatch, Subs: dups}})
 		}
@@ -145,7 +145,7 @@ func (b *Broker) snapshotOpsLocked() []SnapshotOp {
 func (b *Broker) SubscriptionCount() int {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return len(b.routes)
+	return b.routes.len()
 }
 
 // PortCounts returns the number of registered client and neighbor

@@ -87,25 +87,31 @@ func BenchmarkBrokerPublish(b *testing.B) {
 // narrow-mix subscriptions from one client, with 0, 1 and 2 neighbour
 // coverage tables, under each coverage policy. Every table holds every
 // subscription; under pairwise and group a covered one also holds its
-// coverer links.
+// coverer links. In the received case the subscriptions arrive over
+// the one neighbour port instead, so no table takes them and each sits
+// in that link's received set.
 func BenchmarkBrokerHeapPerSub(b *testing.B) {
+	run := func(name string, policy store.Policy, tables int, from string) {
+		b.Run(name, func(b *testing.B) {
+			var perSub float64
+			for b.Loop() {
+				perSub = heapPerSub(b, policy, tables, from, 20_000)
+			}
+			b.ReportMetric(perSub, "B/sub")
+		})
+	}
 	for _, policy := range []store.Policy{store.PolicyNone, store.PolicyPairwise, store.PolicyGroup} {
 		for _, tables := range []int{0, 1, 2} {
-			b.Run(fmt.Sprintf("%s/tables-%d", policy, tables), func(b *testing.B) {
-				var perSub float64
-				for b.Loop() {
-					perSub = heapPerSub(b, policy, tables, 20_000)
-				}
-				b.ReportMetric(perSub, "B/sub")
-			})
+			run(fmt.Sprintf("%s/tables-%d", policy, tables), policy, tables, "c")
 		}
 	}
+	run("received", store.PolicyNone, 1, "n0")
 }
 
-// heapPerSub returns the heap a broker under policy with the given
-// number of neighbour tables holds per subscription once n narrow-mix
-// subscriptions from one client are admitted.
-func heapPerSub(tb testing.TB, policy store.Policy, tables, n int) float64 {
+// heapPerSub returns the heap a broker under policy with neighbour
+// tables n0, n1, … and one client c holds per subscription once n
+// narrow-mix subscriptions from port from are admitted.
+func heapPerSub(tb testing.TB, policy store.Policy, tables int, from string, n int) float64 {
 	tb.Helper()
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -118,35 +124,42 @@ func heapPerSub(tb testing.TB, policy store.Policy, tables, n int) float64 {
 	}
 	br.AttachClient("c")
 	subs, _ := narrowPopulation(tb, n)
-	subscribeSpread(tb, br, []string{"c"}, subs)
+	subscribeSpread(tb, br, []string{from}, subs)
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(br)
 	return float64(after.HeapAlloc-before.HeapAlloc) / float64(n)
 }
 
-// TestBrokerHeapPerRoute pins four figures BenchmarkBrokerHeapPerSub
-// reads, each within 5 %: flood/tables-0, 367.2 B a route, and what one
-// neighbour table adds to it (tables-1 less tables-0) under each
-// policy: 209.6 B under flood, 162.9 under pairwise and 236.6 under
-// group. A map keyed by route ID costs ~28 B a route at this size, and
-// a copy of each row's ID and box in a cell index's slots ~37 B, so
-// either coming back, into the broker or into a table, fails a pin; so
-// does a map per forest node, which made a group table add 445.6 B.
+// TestBrokerHeapPerRoute pins five figures BenchmarkBrokerHeapPerSub
+// reads, each within 5 %: flood/tables-0, 338.3 B a route; received,
+// 353.1 B a route that also sits in a link's received set; and what one
+// neighbour table adds to flood/tables-0 (tables-1 less tables-0) under
+// each policy: 209.6 B under flood, 162.9 under pairwise and 236.6
+// under group. At this size a map keyed by route ID costs ~28 B a
+// route, a map keyed by SubID ~43 B (with the route table and the
+// received set such maps, the first two figures read 367.2 and 411.0),
+// and a copy of each row's ID and box in a cell index's slots ~37 B, so
+// any of them coming back, into the broker or into a table, fails a
+// pin; so does a map per forest node, which made a group table add
+// 445.6 B.
 func TestBrokerHeapPerRoute(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the pins hold for the plain build; -race builds allocate differently")
 	}
-	const route = 367.2
-	base := heapPerSub(t, store.PolicyNone, 0, 20_000)
+	const route, received = 338.3, 353.1
+	base := heapPerSub(t, store.PolicyNone, 0, "c", 20_000)
 	if base > route*1.05 {
 		t.Errorf("%.1f B a route, want at most %.1f (%.1f + 5 %%)", base, route*1.05, route)
+	}
+	if got := heapPerSub(t, store.PolicyNone, 1, "n0", 20_000); got > received*1.05 {
+		t.Errorf("%.1f B a received route, want at most %.1f (%.1f + 5 %%)", got, received*1.05, received)
 	}
 	for _, c := range []struct {
 		policy store.Policy
 		table  float64
 	}{{store.PolicyNone, 209.6}, {store.PolicyPairwise, 162.9}, {store.PolicyGroup, 236.6}} {
-		if got := heapPerSub(t, c.policy, 1, 20_000) - base; got > c.table*1.05 {
+		if got := heapPerSub(t, c.policy, 1, "c", 20_000) - base; got > c.table*1.05 {
 			t.Errorf("a %s table adds %.1f B a route, want at most %.1f (%.1f + 5 %%)", c.policy, got, c.table*1.05, c.table)
 		}
 	}
@@ -154,10 +167,12 @@ func TestBrokerHeapPerRoute(t *testing.T) {
 
 // BenchmarkBrokerAdmit reports the cost of admitting 3,000 narrow-mix
 // subscriptions from one client, in SUBBATCHes of 100, into a broker
-// with 1, 2, 4 and 8 neighbour coverage tables, under each coverage
+// with 0, 1, 2, 4 and 8 neighbour coverage tables, under each coverage
 // policy: ns/sub and allocs/sub over the admissions alone. Every table
 // takes every arrival, so the spread across table counts is what each
-// table's own decision costs. Under group it also reports the shape of
+// table's own decision costs; tables-0, the same under every policy,
+// is the broker's own routing state alone, a single broker's
+// admission. Under group it also reports the shape of
 // the checker's work from CheckerStats: walked/op, the fraction of
 // decisions the point walk settled, and rows/fallthrough, the candidate
 // rows the checker decided over per decision the walk left to it.
@@ -165,7 +180,7 @@ func BenchmarkBrokerAdmit(b *testing.B) {
 	const n, batch = 3000, 100
 	subs, _ := narrowPopulation(b, n)
 	for _, policy := range []store.Policy{store.PolicyNone, store.PolicyPairwise, store.PolicyGroup} {
-		for _, tables := range []int{1, 2, 4, 8} {
+		for _, tables := range []int{0, 1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/tables-%d", policy, tables), func(b *testing.B) {
 				var mallocs uint64
 				var stats store.CheckerStats

@@ -97,7 +97,7 @@ func TestRouteSlotReuse(t *testing.T) {
 	retire := func(subIDs ...string) []Outbound {
 		t.Helper()
 		for _, id := range subIDs {
-			r := b.routes[id]
+			r := b.routes.get(id)
 			freed[place{r.sub.Len(), int(slotOf(r.id))}] = true
 			retired = append(retired, r.id)
 			model.remove(id)
@@ -129,7 +129,7 @@ func TestRouteSlotReuse(t *testing.T) {
 			BatchSub{SubID: kids[1], Sub: boxM(m, x+30, x+40, 10)})
 		handle("C", Message{Kind: MsgSubscribeBatch, Subs: burst})
 		for _, it := range burst {
-			r := b.routes[it.SubID]
+			r := b.routes.get(it.SubID)
 			if p := (place{r.sub.Len(), int(slotOf(r.id))}); freed[p] {
 				reused[p.m]++
 				delete(freed, p)
@@ -209,7 +209,7 @@ func TestRouteSlotReuse(t *testing.T) {
 			}
 		}
 		for _, id := range model.order {
-			if r := b.routes[id]; b.routeByID(r.id) != r {
+			if r := b.routes.get(id); b.routeByID(r.id) != r {
 				t.Fatalf("round %d: %s's ID %#x does not resolve to it", round, id, r.id)
 			}
 		}
@@ -241,7 +241,7 @@ func TestRouteSlotReuse(t *testing.T) {
 	}
 	// The last ID there is still fits, and is positive.
 	handle("C", Message{Kind: MsgSubscribeBatch, Subs: two[:1]})
-	if id := b.routes["late1"].id; id <= 0 || int64(id)>>slotBits != maxSeq {
+	if id := b.routes.get("late1").id; id <= 0 || int64(id)>>slotBits != maxSeq {
 		t.Fatalf("the last route's ID is %#x, want seq %#x in its top bits", id, int64(maxSeq))
 	}
 }
@@ -263,7 +263,7 @@ func TestRetiredRouteUnreachable(t *testing.T) {
 	}
 	handle(Message{Kind: MsgSubscribe, SubID: "stay", Sub: box(0, 10, 0, 10)})
 	handle(Message{Kind: MsgSubscribe, SubID: "gone", Sub: box(20, 30, 0, 10)})
-	gone := weak.Make(b.routes["gone"])
+	gone := weak.Make(b.routes.get("gone"))
 	handle(Message{Kind: MsgUnsubscribe, SubID: "gone"})
 	runtime.GC()
 	if r := gone.Value(); r != nil {
