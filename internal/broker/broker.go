@@ -837,6 +837,13 @@ func (b *Broker) AttachClient(id string) {
 // run concurrently (see the type comment). An error comes with what
 // the broker decided before it — for a publish run, the outputs of the
 // items ahead of the bad one — which the caller still sends.
+//
+// Handle keeps no batch array of msg (Subs, SubIDs, Pubs) once it
+// returns, and neither do its outputs or the journal, which encodes
+// what it records before Handle returns: the caller may reuse those
+// arrays for its next message. It may keep their elements — SubID
+// strings, boxes, publication values — which the caller must not
+// change.
 func (b *Broker) Handle(from string, msg Message) ([]Outbound, error) {
 	switch msg.Kind {
 	case MsgSubscribe, MsgUnsubscribe, MsgSubscribeBatch, MsgUnsubscribeBatch, MsgSyncRoots:
@@ -1005,14 +1012,13 @@ func (b *Broker) handleSubscribeBatch(from string, kind MsgKind, items []BatchSu
 		fresh = make([]*route, 0, len(items))
 	}
 	for _, it := range items {
-		r := b.routes.get(it.SubID)
-		if r != nil {
+		r, added := b.routes.insert(it.SubID)
+		if !added {
 			b.metrics.dupSubsDropped.Add(1)
 		} else {
 			b.metrics.subsReceived.Add(1)
-			r = &route{subID: it.SubID, sub: it.Sub, src: from}
+			r.sub, r.src = it.Sub, from
 			b.index(r)
-			b.routes.put(r)
 			if takers > 0 {
 				fresh = append(fresh, r)
 			}

@@ -65,6 +65,25 @@ func (x *routeIndex) get(subID string) *route {
 	return nil
 }
 
+// insert returns the route with subID, or else adds a route holding
+// only that SubID, for the caller to fill in, and reports it fresh.
+// Either way it hashes and probes once: a fresh route takes the empty
+// slot where the probe ended, the table having grown first.
+func (x *routeIndex) insert(subID string) (r *route, fresh bool) {
+	if 4*(x.n+1) > 3*len(x.slots) {
+		x.grow()
+	}
+	h := maphash.String(x.seed, subID)
+	i, ok := x.find(h, subID)
+	if ok {
+		return x.slots[i], false
+	}
+	r = &route{subID: subID}
+	x.tags[i], x.slots[i] = routeTag(h), r
+	x.n++
+	return r, true
+}
+
 // put adds r, or replaces the route with r's SubID.
 func (x *routeIndex) put(r *route) {
 	if 4*(x.n+1) > 3*len(x.slots) {

@@ -28,8 +28,8 @@ func routeIndexKeys(seed maphash.Seed) [32]string {
 
 // FuzzRouteIndex decodes each input byte into one step on a routeIndex
 // and on a map standing in for it: the low 5 bits pick one of
-// routeIndexKeys's SubIDs, the top 3 bits the operation (0-3 put a new
-// route, 4-6 delete, 7 get). After every step the index must hold as
+// routeIndexKeys's SubIDs, the top 3 bits the operation (0-2 put a new
+// route, 3 insert, 4-6 delete, 7 get). After every step the index must hold as
 // many routes as the map, return the map's route for each of the 32
 // SubIDs, yield exactly the map's routes, and keep no route in an empty
 // slot.
@@ -55,9 +55,15 @@ func FuzzRouteIndex(f *testing.F) {
 		for step, c := range data {
 			k := keys[c&31]
 			switch op := c >> 5; {
-			case op < 4:
+			case op < 3:
 				r := &route{subID: k}
 				x.put(r)
+				model[k] = r
+			case op == 3:
+				r, fresh := x.insert(k)
+				if held := model[k]; fresh != (held == nil) || !fresh && r != held || r.subID != k {
+					t.Fatalf("step %d: insert(%s) = %p (%s), fresh %v; held %p", step, k, r, r.subID, fresh, held)
+				}
 				model[k] = r
 			case op < 7:
 				x.del(k)

@@ -2,6 +2,7 @@ package cells
 
 import (
 	"math"
+	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -69,8 +70,8 @@ func (mo model) check(t *testing.T, ix *Index[row], s subscription.Subscription)
 			t.Fatalf("Row(%d) = %p, want the row added, %p (%d %v)", slot, got, r, r.id, r.sub)
 		}
 	}
-	if r := ix.Row(int32(len(ix.slots))); r != nil {
-		t.Fatalf("Row(%d), past the last slot, = %+v, want the zero row", len(ix.slots), *r)
+	if r := ix.Row(int32(ix.Slots())); r != nil {
+		t.Fatalf("Row(%d), past the last slot, = %+v, want the zero row", ix.Slots(), *r)
 	}
 	var sc Scratch
 	if got, want := ix.Containing(&sc, s), mo.want(func(r subscription.Subscription) bool { return r.Covers(s) }); !slices.Equal(got, want) {
@@ -217,8 +218,8 @@ func TestIndexEdges(t *testing.T) {
 						delete(slotOf, id)
 					}
 				}
-				if len(ix.slots) > peak {
-					t.Fatalf("step %d: %d slots for at most %d live rows: freed slots are not reused", i, len(ix.slots), peak)
+				if ix.Slots() > peak {
+					t.Fatalf("step %d: %d slots for at most %d live rows: freed slots are not reused", i, ix.Slots(), peak)
 				}
 				for _, p := range tc.probes {
 					mo.check(t, ix, p)
@@ -354,4 +355,112 @@ func fuzzBound(b byte) int64 {
 		return fuzzExtremes[b]
 	}
 	return int64(int8(b))
+}
+
+// TestIndexBlocks drives an index past three blocks of slots, then
+// churns it — removals spread over every block, reused slots, and a
+// re-cut of the grid once the blocks exist — and requires every query
+// to equal a brute-force scan, with probes aimed at rows of each block.
+// Each block's rows sit further along x1 than the last block's, so a
+// first hit often lies past the first block. Growth past the first
+// block must copy nothing: the full blocks' bitsets stay where they
+// were allocated, and at most one block lies beyond the slots handed
+// out.
+func TestIndexBlocks(t *testing.T) {
+	const n, m = 40_000, 3
+	rng := rand.New(rand.NewPCG(1, 2))
+	// randBox draws a narrow box, or now and then one wide on an
+	// attribute, with x1 in [off, off+1000).
+	randBox := func(off int64) subscription.Subscription {
+		b := make([]int64, 0, 2*m)
+		for a := range int64(m) {
+			if a > 0 {
+				off = 0
+			}
+			if rng.IntN(20) == 0 {
+				b = append(b, off, off+999)
+				continue
+			}
+			lo := rng.Int64N(1000)
+			b = append(b, off+lo, off+min(lo+rng.Int64N(60), 999))
+		}
+		return boxN(b...)
+	}
+	ix, mo := New(m, rowBox), model{}
+	id := int64(0)
+	add := func() {
+		id++
+		mo.add(t, ix, id, randBox(500*int64(ix.Slots()/blockSlots)))
+	}
+	for range blockSlots {
+		add()
+	}
+	first := &ix.rows[0][0]
+	for ix.Slots() < n {
+		add()
+	}
+	if len(ix.rows) < 3 || len(ix.slots) != len(ix.rows) {
+		t.Fatalf("%d slots in %d bitset blocks and %d slot blocks, want at least 3", ix.Slots(), len(ix.rows), len(ix.slots))
+	}
+	if &ix.rows[0][0] != first {
+		t.Fatal("the first block's bitsets moved when later blocks were added")
+	}
+	if unused := len(ix.rows)*blockSlots - ix.Slots(); unused >= blockSlots {
+		t.Fatalf("%d slots of bitsets unused, want under one block (%d)", unused, blockSlots)
+	}
+	// probe checks queries aimed at a few live rows of every block: their
+	// own boxes, and boxes shifted off them.
+	probe := func(step string) {
+		t.Helper()
+		for b := range ix.slots {
+			aimed := 0
+			for try := 0; try < 200 && aimed < 4; try++ {
+				r := mo[int32(b<<blockShift+rng.IntN(len(ix.slots[b])))]
+				if r == nil {
+					continue
+				}
+				aimed++
+				mo.check(t, ix, r.sub)
+				shifted := r.sub.Clone()
+				for a, iv := range shifted.Bounds {
+					shifted.Bounds[a] = interval.New(iv.Lo+5, iv.Hi+30)
+				}
+				mo.check(t, ix, shifted)
+			}
+			if aimed == 0 {
+				t.Fatalf("%s: no live row found in block %d", step, b)
+			}
+		}
+		mo.check(t, ix, randBox(500))
+	}
+	probe("grown")
+	// Remove a third of the rows at random, over every block, then add
+	// as many again: they must land in the freed slots.
+	slots := ix.Slots()
+	live := make([]int32, 0, len(mo))
+	for slot := range mo {
+		live = append(live, slot)
+	}
+	slices.Sort(live)
+	rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+	for _, slot := range live[:len(live)/3] {
+		mo.remove(t, ix, slot)
+	}
+	probe("after removals")
+	for range len(live) / 3 {
+		add()
+	}
+	if ix.Slots() != slots {
+		t.Fatalf("%d slots after re-adding into %d freed ones, want %d", ix.Slots(), len(live)/3, slots)
+	}
+	probe("after reuse")
+	// A row far past the hull on x2 re-cuts the grid over every block.
+	grid := ix.grid[1]
+	id++
+	mo.add(t, ix, id, boxN(10, 20, 5_000, 5_010, 30, 40))
+	if ix.grid[1] == grid {
+		t.Fatalf("grid %v unchanged after the hull outgrew it", grid)
+	}
+	probe("after the re-cut")
+	mo.check(t, ix, boxN(0, 2_000, 4_000, 6_000, 0, 999))
 }

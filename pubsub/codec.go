@@ -135,7 +135,7 @@ func UnmarshalFrame(data []byte) (Frame, int, error) {
 	if len(data) < binHeader+n {
 		return fr, 0, fmt.Errorf("pubsub: truncated frame (%d of %d payload bytes)", len(data)-binHeader, n)
 	}
-	if err := decodePayload(data[binHeader:binHeader+n], &fr); err != nil {
+	if err := decodePayload(data[binHeader:binHeader+n], &fr, new(msgBuf)); err != nil {
 		return Frame{}, 0, err
 	}
 	return fr, binHeader + n, nil
@@ -286,8 +286,9 @@ func parseBinaryHeader(hdr []byte) (int, error) {
 }
 
 // decodePayload parses one frame payload in place into fr: a handshake
-// frame by its kind byte, anything else as a protocol message.
-func decodePayload(payload []byte, fr *Frame) error {
+// frame by its kind byte, anything else as a protocol message decoded
+// into buf.
+func decodePayload(payload []byte, fr *Frame, buf *msgBuf) error {
 	if len(payload) > 0 && (payload[0] == kindHello || payload[0] == kindAck) {
 		d := binDecoder{buf: payload[1:]}
 		*fr = Frame{}
@@ -310,7 +311,7 @@ func decodePayload(payload []byte, fr *Frame) error {
 		}
 		return d.err
 	}
-	msg, err := decodeBinaryMessage(payload)
+	msg, err := decodeBinaryMessage(payload, buf)
 	if err != nil {
 		return err
 	}
@@ -318,13 +319,63 @@ func decodePayload(payload []byte, fr *Frame) error {
 	return nil
 }
 
+// msgBuf is a reader's decode target, reused from frame to frame: one
+// message and the backing arrays of its batch fields (Subs, SubIDs,
+// Pubs). Their elements — SubID strings, boxes, publication values —
+// are decoded fresh into every frame; the arrays are not, so a message
+// decoded into a msgBuf is valid only until the next decode into it.
+type msgBuf struct {
+	msg    broker.Message
+	subs   []broker.BatchSub
+	subIDs []string
+	pubs   []broker.BatchPub
+}
+
+// maxKeptBatch caps the items of a batch array a msgBuf keeps for the
+// next frame: one outsized batch (a link sync of every root) must not
+// pin its array, nor the elements left in it, for the life of the
+// connection.
+const maxKeptBatch = 1024
+
+// reuse returns n elements backed by *keep's array, regrown when it is
+// too short, and leaves them in *keep for the next frame. Elements past
+// n are cleared, so they keep nothing alive.
+func reuse[E any](keep *[]E, n int) []E {
+	s := *keep
+	if cap(s) < n {
+		s = make([]E, n)
+	} else {
+		if n < len(s) {
+			clear(s[n:])
+		}
+		s = s[:n]
+	}
+	*keep = s
+	return s
+}
+
+// trim drops each batch array longer than maxKeptBatch items.
+func (b *msgBuf) trim() {
+	if cap(b.subs) > maxKeptBatch {
+		b.subs = nil
+	}
+	if cap(b.subIDs) > maxKeptBatch {
+		b.subIDs = nil
+	}
+	if cap(b.pubs) > maxKeptBatch {
+		b.pubs = nil
+	}
+}
+
 // decodeBinaryMessage parses a payload in place: the input slice is
 // only borrowed (callers reuse their read buffers); every field that
-// outlives the call is materialized.
-func decodeBinaryMessage(payload []byte) (*broker.Message, error) {
+// outlives the call is materialized. The message is buf's, its batch
+// fields backed by buf's arrays.
+func decodeBinaryMessage(payload []byte, buf *msgBuf) (*broker.Message, error) {
 	d := binDecoder{buf: payload}
 	kind := broker.MsgKind(d.byte())
-	msg := &broker.Message{Kind: kind}
+	msg := &buf.msg
+	*msg = broker.Message{Kind: kind}
 	switch kind {
 	case broker.MsgSubscribe:
 		msg.SubID = d.string()
@@ -346,7 +397,7 @@ func decodeBinaryMessage(payload []byte) (*broker.Message, error) {
 			d.fail("notify-batch without subscription IDs")
 		}
 		if d.err == nil {
-			msg.SubIDs = make([]string, n)
+			msg.SubIDs = reuse(&buf.subIDs, n)
 			for i := range msg.SubIDs {
 				msg.SubIDs[i] = d.string()
 			}
@@ -356,7 +407,7 @@ func decodeBinaryMessage(payload []byte) (*broker.Message, error) {
 		// remaining payload before allocating.
 		n := d.count(2)
 		if d.err == nil {
-			msg.Subs = make([]broker.BatchSub, n)
+			msg.Subs = reuse(&buf.subs, n)
 			for i := range msg.Subs {
 				msg.Subs[i].SubID = d.string()
 				msg.Subs[i].Sub = d.subscription()
@@ -365,7 +416,7 @@ func decodeBinaryMessage(payload []byte) (*broker.Message, error) {
 	case broker.MsgUnsubscribeBatch:
 		n := d.count(1)
 		if d.err == nil {
-			msg.SubIDs = make([]string, n)
+			msg.SubIDs = reuse(&buf.subIDs, n)
 			for i := range msg.SubIDs {
 				msg.SubIDs[i] = d.string()
 			}
@@ -373,7 +424,7 @@ func decodeBinaryMessage(payload []byte) (*broker.Message, error) {
 	case broker.MsgPublishBatch:
 		n := d.count(2)
 		if d.err == nil {
-			msg.Pubs = make([]broker.BatchPub, n)
+			msg.Pubs = reuse(&buf.pubs, n)
 			for i := range msg.Pubs {
 				msg.Pubs[i].PubID = d.string()
 				msg.Pubs[i].Pub = d.publication()
@@ -429,7 +480,7 @@ func decodeBinaryMessage(payload []byte) (*broker.Message, error) {
 		msg.Mask = d.u64()
 		n := d.count(2)
 		if d.err == nil {
-			msg.Subs = make([]broker.BatchSub, n)
+			msg.Subs = reuse(&buf.subs, n)
 			for i := range msg.Subs {
 				msg.Subs[i].SubID = d.string()
 				msg.Subs[i].Sub = d.subscription()

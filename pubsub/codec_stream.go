@@ -4,9 +4,10 @@ package pubsub
 // inbound connection; it validates every frame header (see codec.go),
 // reuses one payload buffer across frames (pooled decode: a
 // connection's frames never allocate fresh payload storage once the
-// buffer has grown to the connection's frame sizes), and exposes a
-// non-blocking tryRead so readers can coalesce frames that are
-// already buffered without risking a stall on a partial frame.
+// buffer has grown to the connection's frame sizes), decodes every
+// message into one reused msgBuf, and exposes a non-blocking tryRead
+// so readers can coalesce frames that are already buffered without
+// risking a stall on a partial frame.
 
 import (
 	"bufio"
@@ -20,9 +21,17 @@ import (
 // decode on the blocking path, but cannot be coalesced by tryRead.
 const frameReaderBufSize = 64 << 10
 
+// frameReader reads one connection's frames. A decoded message is
+// valid until the reader's next read or tryRead: the message and the
+// arrays behind its Subs, SubIDs and Pubs are the reader's, reused for
+// the next frame, while the elements (SubIDs, boxes, publication
+// values) are fresh in every frame and may be kept. Broker.Handle keeps
+// no batch array of its message, so a reader hands it each message as
+// decoded.
 type frameReader struct {
 	r       *bufio.Reader
 	payload []byte // reused binary-payload scratch
+	buf     msgBuf // reused decode target
 
 	// hist/clock, when set (server-side readers), time the decode
 	// stage: unmarshal only, never the blocking socket read. Both nil
@@ -48,14 +57,18 @@ func (fr *frameReader) grow(n int) []byte {
 	return fr.payload[:n]
 }
 
-// decode parses one payload into f, timing it when instrumented.
+// decode parses one payload into f, its message into fr.buf, timing
+// it when instrumented.
 func (fr *frameReader) decode(payload []byte, f *Frame) error {
-	if fr.hist == nil {
-		return decodePayload(payload, f)
+	var t0 time.Duration
+	if fr.hist != nil {
+		t0 = fr.clock()
 	}
-	t0 := fr.clock()
-	err := decodePayload(payload, f)
-	fr.hist.Observe(fr.clock() - t0)
+	err := decodePayload(payload, f, &fr.buf)
+	if fr.hist != nil {
+		fr.hist.Observe(fr.clock() - t0)
+	}
+	fr.buf.trim()
 	return err
 }
 

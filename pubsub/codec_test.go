@@ -288,3 +288,62 @@ func TestFrameReaderTryReadCoalesces(t *testing.T) {
 		t.Fatalf("coalesced %v, want [p2 p3]", got)
 	}
 }
+
+// TestFrameReaderReusesBatchArrays pins the reader's decode reuse: each
+// frame decodes as UnmarshalFrame decodes it, a batch field reuses the
+// array of the last frame of its kind with the elements past its length
+// cleared, the elements a message handed out stay as decoded, and an
+// array over maxKeptBatch items is not kept.
+func TestFrameReaderReusesBatchArrays(t *testing.T) {
+	subs := func(prefix string, n int) []broker.BatchSub {
+		out := make([]broker.BatchSub, n)
+		for i := range out {
+			out[i] = broker.BatchSub{SubID: fmt.Sprintf("%s%d", prefix, i), Sub: box(int64(i), int64(i+5), 0, 9)}
+		}
+		return out
+	}
+	msgs := []*broker.Message{
+		{Kind: broker.MsgSubscribeBatch, Subs: subs("a", 3)},
+		{Kind: broker.MsgPublish, PubID: "p", Pub: subscription.NewPublication(1, 2)},
+		{Kind: broker.MsgSubscribeBatch, Subs: subs("b", 2)},
+		{Kind: broker.MsgUnsubscribeBatch, SubIDs: []string{"a0", "a1"}},
+		{Kind: broker.MsgPublishBatch, Pubs: []broker.BatchPub{{PubID: "q", Pub: subscription.NewPublication(3, 4)}}},
+		{Kind: broker.MsgSubscribeBatch, Subs: subs("c", maxKeptBatch+1)},
+		{Kind: broker.MsgSubscribeBatch, Subs: subs("d", 1)},
+	}
+	var stream []byte
+	for _, m := range msgs {
+		var err error
+		if stream, err = MarshalFrame(CodecBinary5, stream, &Frame{Msg: m}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := newFrameReader(bytes.NewReader(stream))
+	got := make([][]broker.BatchSub, len(msgs))
+	var first broker.BatchSub
+	for i, m := range msgs {
+		var fr Frame
+		if err := r.read(&fr); err != nil {
+			t.Fatal(err)
+		}
+		if want := (Frame{Msg: m}); !reflect.DeepEqual(fr, want) {
+			t.Fatalf("frame %d = %+v, want %+v", i, fr.Msg, m)
+		}
+		got[i] = fr.Msg.Subs
+		if i == 0 {
+			first = fr.Msg.Subs[0]
+		}
+	}
+	if &got[2][0] != &got[0][0] {
+		t.Error("the second SUBBATCH did not reuse the first one's array")
+	}
+	if tail := got[0][:3][2]; !reflect.DeepEqual(tail, broker.BatchSub{}) {
+		t.Errorf("element 2 past the second SUBBATCH's length holds %+v, want it cleared", tail)
+	}
+	if want := subs("a", 1)[0]; !reflect.DeepEqual(first, want) {
+		t.Errorf("an element of the first SUBBATCH became %+v after later frames, want %+v", first, want)
+	}
+	if &got[6][0] == &got[5][0] || cap(got[6]) > maxKeptBatch {
+		t.Errorf("the SUBBATCH after one of %d items reused its array (cap %d)", maxKeptBatch+1, cap(got[6]))
+	}
+}

@@ -158,7 +158,7 @@ func applyRecord(b *broker.Broker, payload []byte) error {
 		if d.err != nil {
 			return d.err
 		}
-		msg, err := decodeBinaryMessage(d.buf)
+		msg, err := decodeBinaryMessage(d.buf, new(msgBuf))
 		if err != nil {
 			return err
 		}
