@@ -64,7 +64,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -218,9 +217,12 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("-metrics-addr: %w", err)
 		}
-		msrv := &http.Server{Handler: reg.Handler()}
-		go msrv.Serve(ln)
-		defer msrv.Close()
+		go func() {
+			if err := reg.Serve(ln); err != nil {
+				fmt.Fprintf(os.Stderr, "-metrics-addr: %v\n", err)
+			}
+		}()
+		defer ln.Close()
 		fmt.Printf("metrics on http://%s/metrics\n", ln.Addr())
 	}
 

@@ -4,7 +4,8 @@
 // Two brokers link up over TCP, a subscriber attaches to B2 and a
 // publisher to B1, and a burst of publications flows across the wire.
 // B1's metrics registry — the same one `brokerd -metrics-addr`
-// serves — is mounted on a real HTTP listener and scraped three ways:
+// serves — answers on a real TCP listener through the registry's own
+// responder and is scraped three ways:
 //
 //   - /metrics       Prometheus text: per-link frame counts by kind,
 //     publish-path stage histograms (decode, match,
@@ -115,9 +116,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: reg.Handler()}
-	go srv.Serve(ln)
-	defer srv.Close()
+	go reg.Serve(ln)
+	defer ln.Close()
 	baseURL := "http://" + ln.Addr().String()
 
 	text, err := fetch(baseURL + "/metrics")

@@ -26,7 +26,11 @@
 // block lies unused. A query computes each attribute's cells once and
 // ANDs each block's words into one accumulator over all of them. A
 // block is a 2 KiB run per bitset: with 64-word blocks, 512 B runs,
-// the matcher's stabs ran ~4 % slower.
+// the matcher's stabs ran ~4 % slower. A query reads the words up to
+// the highest live slot only, so once a burst of rows is retired the
+// queries cost what the rows left make them cost, not what the burst
+// did; each block counts its live slots, so a removal of the highest
+// skips the emptied blocks and scans at most one for the next.
 //
 // The grid needs no schema. A value outside the grid hull is clamped to
 // the edge cell, so cell() is monotone and the filter only sheds rows
@@ -78,6 +82,8 @@ type Index[T any] struct {
 	// free; slot s is slots[s>>blockShift][s%blockSlots].
 	slots [][]*T
 	free  []int32 // freed slots, reused last in, first out
+	live  []int32 // per block, its live slots
+	top   int32   // one past the highest live slot
 }
 
 // Scratch is one query's working memory: the word accumulator, the
@@ -145,9 +151,13 @@ func (ix *Index[T]) at(slot int32) **T {
 // nrows returns the number of bitsets.
 func (ix *Index[T]) nrows() int { return ix.m * (gridCells + 1) }
 
-// used returns how many bitset words, over all blocks, hold a slot that
-// was ever indexed: the words a query must read.
-func (ix *Index[T]) used() int { return (ix.Slots() + 63) / 64 }
+// used returns how many bitset words, over all blocks, reach the
+// highest live slot: the words a query must read.
+func (ix *Index[T]) used() int { return (int(ix.top) + 63) / 64 }
+
+// blocks returns how many blocks a query must read: those up to the
+// one holding the highest live slot.
+func (ix *Index[T]) blocks() int { return (int(ix.top) + blockSlots - 1) >> blockShift }
 
 // inBlock returns block b's part of acc, an accumulator of used()
 // words over every block.
@@ -187,6 +197,8 @@ func (ix *Index[T]) Add(r *T) int32 {
 		last := len(ix.slots) - 1
 		ix.slots[last] = append(ix.slots[last], r)
 	}
+	ix.live[slot>>blockShift]++
+	ix.top = max(ix.top, slot+1)
 	s := *ix.box(r)
 	recut := ix.grid == nil
 	if recut {
@@ -213,6 +225,30 @@ func (ix *Index[T]) Remove(slot int32) {
 	ix.toggle(slot)
 	*ix.at(slot) = nil
 	ix.free = append(ix.free, slot)
+	ix.live[slot>>blockShift]--
+	if slot+1 == ix.top {
+		ix.lower()
+	}
+}
+
+// lower moves top down to one past the highest live slot once the slot
+// below it was freed: it skips the blocks with no live slot and scans
+// the highest block with one from the top down.
+func (ix *Index[T]) lower() {
+	b := int(ix.top-1) >> blockShift
+	for b >= 0 && ix.live[b] == 0 {
+		b--
+	}
+	if b < 0 {
+		ix.top = 0
+		return
+	}
+	rs := ix.slots[b]
+	i := min(len(rs), int(ix.top)-b<<blockShift) - 1
+	for rs[i] == nil {
+		i--
+	}
+	ix.top = int32(b<<blockShift + i + 1)
 }
 
 // toggle flips a slot's bits: the cells its bounds span on each
@@ -269,6 +305,7 @@ func (ix *Index[T]) grow() {
 	ix.words = max(ix.words, 1)
 	ix.rows = append(ix.rows, make([]uint64, ix.nrows()*ix.words))
 	ix.slots = append(ix.slots, make([]*T, 0, 64*ix.words))
+	ix.live = append(ix.live, 0)
 }
 
 // Containing returns the slots of the rows whose boxes contain s, in
@@ -321,7 +358,7 @@ func (ix *Index[T]) filter(sc *Scratch, s subscription.Subscription, cover bool)
 	sc.offs = offs
 	w := ix.words
 	all := sc.words(ix.used())
-	for b, rows := range ix.rows {
+	for b, rows := range ix.rows[:ix.blocks()] {
 		acc := ix.inBlock(all, b)
 		for i := range acc {
 			acc[i] = ^uint64(0)
@@ -386,7 +423,7 @@ func (ix *Index[T]) Stab(sc *Scratch, p subscription.Publication) (hits []int32,
 	}
 	offs := sc.offs
 	all := sc.words(ix.used())
-	for b, rows := range ix.rows {
+	for b, rows := range ix.rows[:ix.blocks()] {
 		acc := ix.inBlock(all, b)
 		for k := 0; k < len(offs); k += 2 {
 			cell, wild := rows[offs[k]:], rows[offs[k+1]:]
@@ -431,9 +468,9 @@ func (ix *Index[T]) Hit(sc *Scratch, p []int64) int32 {
 		return -1
 	}
 	offs := sc.offs
-	for b, rows := range ix.rows {
+	for b, rows := range ix.rows[:ix.blocks()] {
 		rs := ix.slots[b]
-		for i := range (len(rs) + 63) / 64 {
+		for i := range (min(len(rs), int(ix.top)-b<<blockShift) + 63) / 64 {
 			word := ^uint64(0)
 			for k := 0; k < len(offs) && word != 0; k += 2 {
 				word &= rows[offs[k]+i] | rows[offs[k+1]+i]

@@ -57,18 +57,24 @@ func (mo model) want(keep func(subscription.Subscription) bool) []int32 {
 // check requires every query for s — intersection (Candidates, with
 // the exact check its callers make), containment, and a stab at each
 // of s's two corners in full and first-hit form — to equal a
-// brute-force scan of the live rows, Len to count them, and
-// Row to return each live slot's row as added (the same pointer) and
-// the zero row past the last slot handed out.
+// brute-force scan of the live rows, Len to count them, the queries'
+// reach to end one past the highest live slot, and Row to return each
+// live slot's row as added (the same pointer) and the zero row past
+// the last slot handed out.
 func (mo model) check(t *testing.T, ix *Index[row], s subscription.Subscription) {
 	t.Helper()
 	if ix.Len() != len(mo) {
 		t.Fatalf("Len = %d, want %d", ix.Len(), len(mo))
 	}
+	top := int32(0)
 	for slot, r := range mo {
 		if got := ix.Row(slot); got != r {
 			t.Fatalf("Row(%d) = %p, want the row added, %p (%d %v)", slot, got, r, r.id, r.sub)
 		}
+		top = max(top, slot+1)
+	}
+	if ix.top != top {
+		t.Fatalf("top = %d, want %d, one past the highest live slot", ix.top, top)
 	}
 	if r := ix.Row(int32(ix.Slots())); r != nil {
 		t.Fatalf("Row(%d), past the last slot, = %+v, want the zero row", ix.Slots(), *r)
@@ -463,4 +469,130 @@ func TestIndexBlocks(t *testing.T) {
 	}
 	probe("after the re-cut")
 	mo.check(t, ix, boxN(0, 2_000, 4_000, 6_000, 0, 999))
+}
+
+// TestRetiredBurstShrinksQueries admits a burst of rows over a base
+// population, retires it — first every row of the second block, then
+// the rest in random order — and requires every query to equal a
+// brute-force scan and to read only the words up to the base's highest
+// slot: the emptied second block is skipped, not scanned. Re-admitting
+// the burst must reuse the freed slots last in, first out, as before.
+func TestRetiredBurstShrinksQueries(t *testing.T) {
+	const base, burst, m = 20_000, 30_000, 3
+	rng := rand.New(rand.NewPCG(3, 4))
+	randBox := func() subscription.Subscription {
+		b := make([]int64, 0, 2*m)
+		for range m {
+			lo := rng.Int64N(1000)
+			b = append(b, lo, min(lo+rng.Int64N(80), 999))
+		}
+		return boxN(b...)
+	}
+	ix, mo := New(m, rowBox), model{}
+	for id := range int64(base + burst) {
+		mo.add(t, ix, id, randBox())
+	}
+	wide := ix.used()
+	probe := func(step string) {
+		t.Helper()
+		for range 8 {
+			mo.check(t, ix, randBox())
+		}
+		if t.Failed() {
+			t.Fatalf("after %s", step)
+		}
+	}
+	probe("the burst")
+	// Every slot of the second block goes, base rows among them, then
+	// the rest of the burst in random order.
+	var rest []int32
+	for slot := range mo {
+		if slot>>blockShift == 1 {
+			mo.remove(t, ix, slot)
+		} else if slot >= base {
+			rest = append(rest, slot)
+		}
+	}
+	slices.Sort(rest)
+	rng.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
+	for i, slot := range rest {
+		mo.remove(t, ix, slot)
+		if i%5_000 == 0 {
+			probe("a partial retirement")
+		}
+	}
+	if ix.live[1] != 0 || ix.top != blockSlots {
+		t.Fatalf("top %d with %d live slots in block 1, want %d and 0", ix.top, ix.live[1], blockSlots)
+	}
+	if got, want := ix.used(), blockWords; got != want || got >= wide {
+		t.Fatalf("queries read %d words after the retirement, want %d (%d before)", got, want, wide)
+	}
+	probe("the retirement")
+	// The freed slots are handed out again last in, first out.
+	slots := ix.Slots()
+	for i := range rest {
+		want := rest[len(rest)-1-i]
+		if got := mo.add(t, ix, int64(base+i), randBox()); got != want {
+			t.Fatalf("re-admission %d took slot %d, want %d", i, got, want)
+		}
+	}
+	if ix.Slots() != slots {
+		t.Fatalf("%d slots after re-admission, want %d", ix.Slots(), slots)
+	}
+	probe("re-admission")
+}
+
+// BenchmarkStabAfterBurst stabs 20,000 narrow rows of 6 attributes as
+// admitted (fresh), and after 100,000 more were admitted and retired
+// (retired): the two read the same words.
+func BenchmarkStabAfterBurst(b *testing.B) {
+	const base, burst, m = 20_000, 100_000, 6
+	rng := rand.New(rand.NewPCG(5, 6))
+	randBox := func() subscription.Subscription {
+		s := subscription.Subscription{Bounds: make([]interval.Interval, m)}
+		for a := range s.Bounds {
+			lo := rng.Int64N(1000)
+			s.Bounds[a] = interval.New(lo, min(lo+200+rng.Int64N(400), 999))
+		}
+		return s
+	}
+	rows := make([]row, base+burst)
+	for i := range rows {
+		rows[i] = row{int64(i), randBox()}
+	}
+	pubs := make([]subscription.Publication, 1024)
+	for i := range pubs {
+		pubs[i].Values = make([]int64, m)
+		for a := range pubs[i].Values {
+			pubs[i].Values[a] = rng.Int64N(1000)
+		}
+	}
+	for _, retired := range []bool{false, true} {
+		name := "fresh"
+		if retired {
+			name = "retired"
+		}
+		b.Run(name, func(b *testing.B) {
+			ix := New(m, rowBox)
+			for i := range rows[:base] {
+				ix.Add(&rows[i])
+			}
+			if retired {
+				for i := range rows[base:] {
+					ix.Add(&rows[base+i])
+				}
+				for slot := int32(base + burst - 1); slot >= base; slot-- {
+					ix.Remove(slot)
+				}
+			}
+			var sc Scratch
+			hits := 0
+			b.ResetTimer()
+			for i := range b.N {
+				h, _ := ix.Stab(&sc, pubs[i%len(pubs)])
+				hits += len(h)
+			}
+			b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+		})
+	}
 }

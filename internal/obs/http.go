@@ -1,17 +1,23 @@
 package obs
 
-// Exposition: Prometheus text format and JSON, plus an http.Handler
-// serving /metrics (text), /metrics.json, and /flight. Hand-rolled on
-// the stdlib — the whole point of internal/obs is zero dependencies.
+// Exposition: Prometheus text format and JSON, plus a GET-only
+// HTTP/1.1 responder serving /metrics (text), /metrics.json, and
+// /flight. Hand-rolled on the stdlib, and not on net/http: the whole
+// point of internal/obs is zero dependencies, and importing net/http
+// links the HTTP/2 and TLS stacks into every broker (DESIGN "Export").
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"net/http"
+	"net"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // namePrefix is prepended to every exported series.
@@ -167,36 +173,146 @@ func (r *Registry) JSON() JSONMetrics {
 	return out
 }
 
-// Handler returns an http.Handler serving:
+const (
+	// maxHeader caps a request's header: a scrape's is a few hundred
+	// bytes.
+	maxHeader = 8 << 10
+	// connTimeout bounds how long one connection may take to send its
+	// request and read the answer.
+	connTimeout = 5 * time.Second
+	// maxConns bounds the connections served at once; past it, Serve
+	// accepts the next once one ends, within connTimeout.
+	maxConns = 64
+
+	textPlain = "text/plain; charset=utf-8"
+)
+
+// Serve answers scrapes on ln until ln is closed, then returns nil
+// (within connTimeout, if maxConns connections are open); it returns
+// any other accept error. Each connection carries one GET and is
+// served by a goroutine of its own:
 //
 //	/metrics       Prometheus text exposition
 //	/metrics.json  JSON document (counters, gauges, histograms, links)
 //	/flight        flight-recorder dump (text; ?json=1 for JSON)
-func (r *Registry) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = r.WritePrometheus(w)
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(r.JSON())
-	})
-	mux.HandleFunc("/flight", func(w http.ResponseWriter, req *http.Request) {
-		fr := r.Flight()
-		if req.URL.Query().Get("json") != "" {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(fr.Events())
+//
+// Other paths read 404, other methods 405, a malformed request line
+// 400, and a header over 8 KiB 431. A connection still open when Serve
+// returns ends within its deadline.
+func (r *Registry) Serve(ln net.Listener) error {
+	sem := make(chan struct{}, maxConns)
+	for {
+		sem <- struct{}{}
+		c, err := ln.Accept()
+		if err != nil {
+			if errors.Is(err, net.ErrClosed) {
+				return nil
+			}
+			return err
+		}
+		go func() {
+			defer func() { <-sem }()
+			r.serveConn(c)
+		}()
+	}
+}
+
+// serveConn reads one request's whole header, so that closing never
+// resets a request it has not read, and writes the answer with
+// Connection: close.
+func (r *Registry) serveConn(c net.Conn) {
+	defer c.Close()
+	//brokervet:allow clockcheck a socket deadline: no metric or event reads this clock
+	_ = c.SetDeadline(time.Now().Add(connTimeout))
+	buf := make([]byte, maxHeader)
+	n, end := 0, -1
+	for end < 0 {
+		if n == len(buf) {
+			respond(c, 431, textPlain, []byte("request header too large\n"))
+			drain(c)
 			return
 		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		for _, line := range fr.Dump() {
-			fmt.Fprintln(w, line)
+		k, err := c.Read(buf[n:])
+		n += k
+		end = bytes.Index(buf[:n], []byte("\r\n\r\n"))
+		if err != nil && end < 0 {
+			return // gone, or timed out, before the header ended
 		}
-	})
-	return mux
+	}
+	line, _, _ := bytes.Cut(buf[:end], []byte("\r\n"))
+	// The request line is "METHOD TARGET HTTP/1.x".
+	f := strings.Split(string(line), " ")
+	switch {
+	case len(f) != 3 || f[0] == "" || !strings.HasPrefix(f[1], "/") || !strings.HasPrefix(f[2], "HTTP/1."):
+		respond(c, 400, textPlain, []byte("malformed request line\n"))
+	case f[0] != "GET":
+		respond(c, 405, textPlain, []byte("method not allowed\n"))
+	default:
+		r.route(c, f[1])
+	}
+}
+
+// route renders the body target names into a buffer and writes it.
+func (r *Registry) route(c net.Conn, target string) {
+	path, rawQuery, _ := strings.Cut(target, "?")
+	var b bytes.Buffer
+	ctype := "application/json"
+	switch path {
+	case "/metrics":
+		ctype = "text/plain; version=0.0.4; charset=utf-8"
+		_ = r.WritePrometheus(&b)
+	case "/metrics.json":
+		writeJSON(&b, r.JSON())
+	case "/flight":
+		fr := r.Flight()
+		if q, _ := url.ParseQuery(rawQuery); q.Get("json") != "" {
+			writeJSON(&b, fr.Events())
+			break
+		}
+		ctype = textPlain
+		for _, line := range fr.Dump() {
+			fmt.Fprintln(&b, line)
+		}
+	default:
+		respond(c, 404, textPlain, []byte("404 page not found\n"))
+		return
+	}
+	respond(c, 200, ctype, b.Bytes())
+}
+
+// writeJSON writes v as indented JSON.
+func writeJSON(w io.Writer, v any) {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
+}
+
+var statusText = map[int]string{
+	200: "OK",
+	400: "Bad Request",
+	404: "Not Found",
+	405: "Method Not Allowed",
+	431: "Request Header Fields Too Large",
+}
+
+// respond writes one whole response in a single write.
+func respond(c net.Conn, code int, ctype string, body []byte) {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n", code, statusText[code], ctype, len(body))
+	if code == 405 {
+		b.WriteString("Allow: GET\r\n")
+	}
+	b.WriteString("\r\n")
+	b.Write(body)
+	_, _ = c.Write(b.Bytes())
+}
+
+// drain half-closes c and reads what the client still sends, until it
+// closes or the deadline passes, so that the answer to a request left
+// unread is not lost to a reset.
+func drain(c net.Conn) {
+	if cw, ok := c.(interface{ CloseWrite() error }); ok {
+		_ = cw.CloseWrite()
+	}
+	_, _ = io.Copy(io.Discard, c)
 }

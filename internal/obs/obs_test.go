@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -156,55 +154,6 @@ func TestRegistryPrometheusRendering(t *testing.T) {
 	}
 	if sb2.String() != out {
 		t.Fatal("scrape output not deterministic")
-	}
-}
-
-func TestRegistryJSONAndHandler(t *testing.T) {
-	fr := NewFlightRecorder(8, func() time.Time { return time.Unix(9, 0) })
-	r := NewRegistry(fr)
-	r.RegisterCounter("pubs_received", func() int64 { return 2 })
-	r.Histogram("notify_ns").Observe(time.Millisecond)
-	fr.Record("suspect", "b1", "b3 missed ack")
-
-	srv := httptest.NewServer(r.Handler())
-	defer srv.Close()
-
-	get := func(path string) string {
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var sb strings.Builder
-		buf := make([]byte, 4096)
-		for {
-			n, err := resp.Body.Read(buf)
-			sb.Write(buf[:n])
-			if err != nil {
-				break
-			}
-		}
-		return sb.String()
-	}
-
-	if body := get("/metrics"); !strings.Contains(body, "probsum_pubs_received 2") {
-		t.Fatalf("/metrics missing counter:\n%s", body)
-	}
-	var doc JSONMetrics
-	if err := json.Unmarshal([]byte(get("/metrics.json")), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Counters["pubs_received"] != 2 {
-		t.Fatalf("json counters = %v", doc.Counters)
-	}
-	if h := doc.Histograms["notify_ns"]; h.Count != 1 || h.P50Ns == 0 {
-		t.Fatalf("json histogram = %+v", h)
-	}
-	if body := get("/flight"); !strings.Contains(body, "suspect") || !strings.Contains(body, "b3 missed ack") {
-		t.Fatalf("/flight missing event:\n%s", body)
-	}
-	if body := get("/flight?json=1"); !strings.Contains(body, `"kind": "suspect"`) {
-		t.Fatalf("/flight?json=1 missing event:\n%s", body)
 	}
 }
 
