@@ -220,11 +220,38 @@ func hostScale(report, base BenchReport) float64 {
 	return min(max(scale, 0.25), 4.0)
 }
 
+// gated reports whether the regression gate compares benchmark name.
+func gated(name string) bool {
+	for _, p := range regressionGated {
+		if strings.HasPrefix(name, p) {
+			return true
+		}
+	}
+	return false
+}
+
+// notProduced returns, in baseline order, the gated baseline entries
+// the report does not hold: benchmarks the run no longer produces.
+func notProduced(report, base BenchReport) []string {
+	have := make(map[string]bool, len(report.Benchmarks))
+	for _, b := range report.Benchmarks {
+		have[b.Name] = true
+	}
+	var names []string
+	for _, b := range base.Benchmarks {
+		if gated(b.Name) && !have[b.Name] {
+			names = append(names, b.Name)
+		}
+	}
+	return names
+}
+
 // checkRegressions compares a fresh report against a committed
 // baseline file and errors when any gated benchmark's ns/op regressed
 // by more than maxRegress (0.30 = +30%) after host-speed
-// normalization. Benchmarks present on only one side are skipped, so
-// adding or retiring benchmarks never breaks the gate.
+// normalization. A benchmark the baseline lacks is not compared, and a
+// gated baseline entry the run no longer produces is reported as not
+// produced, so adding or retiring benchmarks never breaks the gate.
 func checkRegressions(report BenchReport, baselinePath string, maxRegress float64) error {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -243,14 +270,6 @@ func checkRegressions(report BenchReport, baselinePath string, maxRegress float6
 	for _, b := range base.Benchmarks {
 		baseNs[b.Name] = b.NsPerOp
 	}
-	gated := func(name string) bool {
-		for _, p := range regressionGated {
-			if strings.HasPrefix(name, p) {
-				return true
-			}
-		}
-		return false
-	}
 	var failures []string
 	for _, b := range report.Benchmarks {
 		old, ok := baseNs[b.Name]
@@ -265,6 +284,9 @@ func checkRegressions(report BenchReport, baselinePath string, maxRegress float6
 				fmt.Sprintf("%s: %.1f -> %.1f ns/op (%+.1f%% > %+.0f%%)",
 					b.Name, old, b.NsPerOp, 100*delta, 100*maxRegress))
 		}
+	}
+	for _, name := range notProduced(report, base) {
+		fmt.Fprintf(os.Stderr, "gate  not produced: %s\n", name)
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("bench regressions vs %s:\n  %s",

@@ -24,9 +24,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unique"
 
 	"probsum/internal/cells"
 	"probsum/internal/core"
+	"probsum/internal/interval"
 	"probsum/internal/obs"
 	"probsum/internal/store"
 	"probsum/internal/subscription"
@@ -514,13 +516,22 @@ var stabScratch = sync.Pool{New: func() any { return new(cells.Scratch) }}
 // per-broker numeric ID its coverage-table entries carry, which names
 // its matcher slot (see routeID), its box, and the port it first
 // arrived on (the owning port, the only one whose cancellation retires
-// it).
+// it). The box is the pointer the matcher reads (cells.First) and the
+// attribute count, not a slice header, and the port an interned
+// handle, not a string: the fields fill the 48-byte size class.
 type route struct {
 	subID string
 	id    store.ID
-	sub   subscription.Subscription
-	src   string
+	first *interval.Interval
+	src   unique.Handle[string]
+	m     uint32
 }
+
+// sub returns r's box.
+func (r *route) sub() subscription.Subscription { return cells.Box(r.first, r.m) }
+
+// port returns the name of the port r first arrived on.
+func (r *route) port() string { return r.src.Value() }
 
 // ControlHandler processes one overlay-control message from a port and
 // returns the messages to emit (e.g. the pong answering a ping). It is
@@ -708,10 +719,10 @@ func (b *Broker) routeByID(id store.ID) *route {
 //
 // +mustlock:mu
 func (b *Broker) index(r *route) {
-	m := r.sub.Len()
+	m := int(r.m)
 	t := b.table(m)
 	if t == nil {
-		t = cells.New(m, func(r *route) *subscription.Subscription { return &r.sub })
+		t = cells.New(m, func(r *route) **interval.Interval { return &r.first })
 		b.tables = append(b.tables, t)
 	}
 	b.seq++
@@ -723,7 +734,7 @@ func (b *Broker) index(r *route) {
 //
 // +mustlock:mu
 func (b *Broker) unindex(r *route) {
-	i := slices.IndexFunc(b.tables, func(t *cells.Index[route]) bool { return t.Attrs() == r.sub.Len() })
+	i := slices.IndexFunc(b.tables, func(t *cells.Index[route]) bool { return t.Attrs() == int(r.m) })
 	t := b.tables[i]
 	t.Remove(slotOf(r.id))
 	if t.Len() == 0 {
@@ -800,8 +811,8 @@ func (b *Broker) ConnectNeighbor(id string) error {
 	var ids []store.ID
 	var subs []subscription.Subscription
 	for _, r := range b.sortedRoutes() {
-		if r.src != id {
-			ids, subs = append(ids, r.id), append(subs, r.sub)
+		if r.port() != id {
+			ids, subs = append(ids, r.id), append(subs, r.sub())
 		}
 	}
 	if len(ids) > 0 {
@@ -888,7 +899,7 @@ func frames(out []Outbound, n string, kind MsgKind, rs []*route) []Outbound {
 		for _, r := range rs {
 			m := Message{Kind: kind, SubID: r.subID}
 			if kind == MsgSubscribe {
-				m.Sub = r.sub
+				m.Sub = r.sub()
 			}
 			out = append(out, Outbound{To: n, Msg: m})
 		}
@@ -901,7 +912,7 @@ func frames(out []Outbound, n string, kind MsgKind, rs []*route) []Outbound {
 	default:
 		subs := make([]BatchSub, len(rs))
 		for i, r := range rs {
-			subs[i] = BatchSub{SubID: r.subID, Sub: r.sub}
+			subs[i] = BatchSub{SubID: r.subID, Sub: r.sub()}
 		}
 		out = append(out, Outbound{To: n, Msg: Message{Kind: kind, Subs: subs}})
 	}
@@ -1011,13 +1022,14 @@ func (b *Broker) handleSubscribeBatch(from string, kind MsgKind, items []BatchSu
 	if takers > 0 {
 		fresh = make([]*route, 0, len(items))
 	}
+	src := unique.Make(from)
 	for _, it := range items {
 		r, added := b.routes.insert(it.SubID)
 		if !added {
 			b.metrics.dupSubsDropped.Add(1)
 		} else {
 			b.metrics.subsReceived.Add(1)
-			r.sub, r.src = it.Sub, from
+			r.first, r.m, r.src = cells.First(it.Sub), uint32(it.Sub.Len()), src
 			b.index(r)
 			if takers > 0 {
 				fresh = append(fresh, r)
@@ -1033,7 +1045,7 @@ func (b *Broker) handleSubscribeBatch(from string, kind MsgKind, items []BatchSu
 	ids := make([]store.ID, len(fresh))
 	subs := make([]subscription.Subscription, len(fresh))
 	for i, r := range fresh {
-		ids[i], subs[i] = r.id, r.sub
+		ids[i], subs[i] = r.id, r.sub()
 	}
 	var out []Outbound
 	for _, n := range b.neighbors {
@@ -1080,7 +1092,7 @@ func (b *Broker) handleUnsubscribeBatch(from string, kind MsgKind, subIDs []stri
 		if r == nil {
 			continue
 		}
-		if r.src != from { // a duplicate path over from, if any
+		if r.port() != from { // a duplicate path over from, if any
 			if recv := b.paths[from]; recv != nil {
 				recv.del(subID)
 			}
@@ -1146,7 +1158,7 @@ func (b *Broker) NeighborRoots(id string) []BatchSub {
 	defer b.mu.RUnlock()
 	var out []BatchSub
 	b.sentActiveLocked(id, func(r *route) {
-		out = append(out, BatchSub{SubID: r.subID, Sub: r.sub})
+		out = append(out, BatchSub{SubID: r.subID, Sub: r.sub()})
 	})
 	return out
 }
@@ -1288,7 +1300,8 @@ func (b *Broker) handlePublish(from string, run *pubRun, it *BatchPub, left int)
 
 	// One stab finds every matching route, whichever ports lead to it.
 	// Sorted by source port, then SubID, the hits fall into one run per
-	// port, and clients come out in sorted order.
+	// port, and clients come out in sorted order. Routes from one port
+	// share its handle, so only hits from two ports compare names.
 	// Up to 64 hits fit the stack; a longer list is allocated once, at
 	// its length, rather than regrown by append.
 	var slots []int32
@@ -1305,7 +1318,7 @@ func (b *Broker) handlePublish(from string, run *pubRun, it *BatchPub, left int)
 	}
 	slices.SortFunc(hits, func(x, y *route) int {
 		if x.src != y.src {
-			return strings.Compare(x.src, y.src)
+			return strings.Compare(x.port(), y.port())
 		}
 		return strings.Compare(x.subID, y.subID)
 	})
@@ -1323,18 +1336,19 @@ func (b *Broker) handlePublish(from string, run *pubRun, it *BatchPub, left int)
 			}
 		}
 		for i, r := range hits {
-			if (i == 0 || r.src != hits[i-1].src) && r.src != from && b.clients.has(r.src) {
+			if (i == 0 || r.src != hits[i-1].src) && r.port() != from && b.clients.has(r.port()) {
 				size++
 			}
 		}
 		run.out = slices.Grow(run.out, size)
 	}
 	for i, j := 0, 0; i < len(hits); i = j {
-		c := hits[i].src
+		src := hits[i].src
 		j = i + 1
-		for j < len(hits) && hits[j].src == c {
+		for j < len(hits) && hits[j].src == src {
 			j++
 		}
+		c := src.Value()
 		if c == from || !b.clients.has(c) {
 			continue
 		}

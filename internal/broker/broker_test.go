@@ -492,7 +492,7 @@ func TestPublishItreeMatchesLinearReference(t *testing.T) {
 			i := rng.IntN(len(live))
 			subID := live[i]
 			live = append(live[:i], live[i+1:]...)
-			src := b.routes.get(subID).src
+			src := b.routes.get(subID).port()
 			if _, err := b.Handle(src, Message{Kind: MsgUnsubscribe, SubID: subID}); err != nil {
 				t.Fatal(err)
 			}
@@ -503,13 +503,13 @@ func TestPublishItreeMatchesLinearReference(t *testing.T) {
 			wantNotify := map[string]bool{} // "port/subID"
 			wantForward := map[string]bool{}
 			for r := range b.routes.all() { // a client's reverse paths are the routes it sources
-				if r.src != from && b.clients.has(r.src) && r.sub.Matches(pub) {
-					wantNotify[r.src+"/"+r.subID] = true
+				if r.port() != from && b.clients.has(r.port()) && r.sub().Matches(pub) {
+					wantNotify[r.port()+"/"+r.subID] = true
 				}
 			}
 			for port, recv := range b.paths {
 				for r := range recv.all() {
-					if port != from && b.neighbors.has(port) && r.sub.Matches(pub) {
+					if port != from && b.neighbors.has(port) && r.sub().Matches(pub) {
 						wantForward[port] = true
 					}
 				}
@@ -604,7 +604,7 @@ func TestMatchFilterCounts(t *testing.T) {
 		}
 		if i%7 == 6 { // retire an earlier route through its source
 			subID := fmt.Sprintf("r%d", i-3)
-			handle(b.routes.get(subID).src, Message{Kind: MsgUnsubscribe, SubID: subID})
+			handle(b.routes.get(subID).port(), Message{Kind: MsgUnsubscribe, SubID: subID})
 		}
 	}
 	c0, h0 := b.MatchFilterCounts()
@@ -612,7 +612,7 @@ func TestMatchFilterCounts(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		pub := subscription.NewPublication(rng.Int64N(101), rng.Int64N(101))
 		for r := range b.routes.all() {
-			if r.sub.Matches(pub) {
+			if r.sub().Matches(pub) {
 				want++
 			}
 		}

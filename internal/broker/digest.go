@@ -176,7 +176,7 @@ func (b *Broker) KnowsSubscription(subID string) (source string, ok bool) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	if r := b.routes.get(subID); r != nil {
-		return r.src, true
+		return r.port(), true
 	}
 	return "", false
 }
@@ -232,7 +232,7 @@ func (b *Broker) handleSyncRequest(from string, msg Message) ([]Outbound, error)
 	var subs []BatchSub
 	b.sentActiveLocked(from, func(r *route) {
 		if mask&(1<<uint(digestBucket(r.subID))) != 0 {
-			subs = append(subs, BatchSub{SubID: r.subID, Sub: r.sub})
+			subs = append(subs, BatchSub{SubID: r.subID, Sub: r.sub()})
 		}
 	})
 	b.metrics.syncRootsResent.Add(int64(len(subs)))
@@ -297,7 +297,7 @@ func (b *Broker) handleSyncRoots(from string, msg Message) ([]Outbound, error) {
 		if listed[r.subID] || msg.Mask&(1<<uint(digestBucket(r.subID))) == 0 {
 			continue
 		}
-		if r.src == from {
+		if r.port() == from {
 			staleOwned = append(staleOwned, r.subID)
 		} else {
 			staleOther = append(staleOther, r.subID)

@@ -109,7 +109,7 @@ func (b *Broker) snapshotOpsLocked() []SnapshotOp {
 	// Subscriptions in ascending numeric-ID order — admission order —
 	// each synthesized as a subscribe from its first-arrival port.
 	for _, r := range b.sortedRoutes() {
-		ops = append(ops, SnapshotOp{From: r.src, Msg: &Message{Kind: MsgSubscribe, SubID: r.subID, Sub: r.sub}})
+		ops = append(ops, SnapshotOp{From: r.port(), Msg: &Message{Kind: MsgSubscribe, SubID: r.subID, Sub: r.sub()}})
 	}
 	// Duplicate receptions: copies that arrived over non-source links
 	// still count toward those links' digests. Synthesized as one
@@ -117,8 +117,8 @@ func (b *Broker) snapshotOpsLocked() []SnapshotOp {
 	for _, port := range b.neighbors {
 		var dups []BatchSub
 		for r := range b.paths[port].all() {
-			if r.src != port {
-				dups = append(dups, BatchSub{SubID: r.subID, Sub: r.sub})
+			if r.port() != port {
+				dups = append(dups, BatchSub{SubID: r.subID, Sub: r.sub()})
 			}
 		}
 		slices.SortFunc(dups, func(x, y BatchSub) int { return strings.Compare(x.SubID, y.SubID) })

@@ -5,9 +5,12 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"testing"
+	"unsafe"
 
+	"probsum/internal/interval"
 	"probsum/internal/store"
 	"probsum/internal/subscription"
 	"probsum/internal/workload"
@@ -90,34 +93,37 @@ func BenchmarkBrokerPublish(b *testing.B) {
 
 // BenchmarkBrokerHeapPerSub reports the heap a broker holds per
 // subscription — boxes, IDs and routing state included — after 20k
-// narrow-mix subscriptions from one client, with 0, 1 and 2 neighbour
-// coverage tables, under each coverage policy. Every table holds every
-// subscription; under pairwise and group a covered one also holds its
-// coverer links. In the received case the subscriptions arrive over
-// the one neighbour port instead, so no table takes them and each sits
-// in that link's received set.
+// 8-attribute narrow-mix subscriptions from one client, with 0, 1 and
+// 2 neighbour coverage tables, under each coverage policy. Every table
+// holds every subscription; under pairwise and group a covered one also
+// holds its coverer links. In the received case the subscriptions
+// arrive over the one neighbour port instead, so no table takes them
+// and each sits in that link's received set. The fanout-peak case is a
+// lone broker at psbench fanout-1hop's peak: 120k 6-attribute
+// subscriptions from one client.
 func BenchmarkBrokerHeapPerSub(b *testing.B) {
-	run := func(name string, policy store.Policy, tables int, from string) {
+	run := func(name string, policy store.Policy, tables int, from string, n, m int) {
 		b.Run(name, func(b *testing.B) {
 			var perSub float64
 			for b.Loop() {
-				perSub = heapPerSub(b, policy, tables, from, 20_000)
+				perSub = heapPerSub(b, policy, tables, from, n, m)
 			}
 			b.ReportMetric(perSub, "B/sub")
 		})
 	}
 	for _, policy := range []store.Policy{store.PolicyNone, store.PolicyPairwise, store.PolicyGroup} {
 		for _, tables := range []int{0, 1, 2} {
-			run(fmt.Sprintf("%s/tables-%d", policy, tables), policy, tables, "c")
+			run(fmt.Sprintf("%s/tables-%d", policy, tables), policy, tables, "c", 20_000, 8)
 		}
 	}
-	run("received", store.PolicyNone, 1, "n0")
+	run("received", store.PolicyNone, 1, "n0", 20_000, 8)
+	run("fanout-peak", store.PolicyNone, 0, "c", 120_000, 6)
 }
 
 // heapPerSub returns the heap a broker under policy with neighbour
 // tables n0, n1, … and one client c holds per subscription once n
-// narrow-mix subscriptions from port from are admitted.
-func heapPerSub(tb testing.TB, policy store.Policy, tables int, from string, n int) float64 {
+// narrow-mix subscriptions of m attributes from port from are admitted.
+func heapPerSub(tb testing.TB, policy store.Policy, tables int, from string, n, m int) float64 {
 	tb.Helper()
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -129,7 +135,7 @@ func heapPerSub(tb testing.TB, policy store.Policy, tables int, from string, n i
 		}
 	}
 	br.AttachClient("c")
-	subs, _ := narrowPopulation(tb, n)
+	subs, _ := narrowPopulationOf(tb, n, m)
 	subscribeSpread(tb, br, []string{from}, subs)
 	runtime.GC()
 	runtime.ReadMemStats(&after)
@@ -138,36 +144,49 @@ func heapPerSub(tb testing.TB, policy store.Policy, tables int, from string, n i
 }
 
 // TestBrokerHeapPerRoute pins five figures BenchmarkBrokerHeapPerSub
-// reads, each within 5 %: flood/tables-0, 338.3 B a route; received,
-// 353.1 B a route that also sits in a link's received set; and what one
+// reads, each within 5 %: flood/tables-0, 326.0 B a route; received,
+// 340.8 B a route that also sits in a link's received set; and what one
 // neighbour table adds to flood/tables-0 (tables-1 less tables-0) under
-// each policy: 209.6 B under flood, 162.9 under pairwise and 236.6
+// each policy: 197.5 B under flood, 147.7 under pairwise and 220.6
 // under group. At this size a map keyed by route ID costs ~28 B a
 // route, a map keyed by SubID ~43 B (with the route table and the
 // received set such maps, the first two figures read 367.2 and 411.0),
-// and a copy of each row's ID and box in a cell index's slots ~37 B, so
-// any of them coming back, into the broker or into a table, fails a
-// pin; so does a map per forest node, which made a group table add
-// 445.6 B.
+// a copy of each row's ID and box in a cell index's slots ~37 B, and a
+// box held as a slice header, or a port as a string, in the route or
+// the store node 16 B (the figures read 342.0, 356.8, 213.3, 163.7 and
+// 236.5 with both), so any of them coming back, into the broker or
+// into a table, fails a pin; so does a map per forest node, which made
+// a group table add 445.6 B. TestRouteNodeLayout names the record that
+// grew.
 func TestBrokerHeapPerRoute(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the pins hold for the plain build; -race builds allocate differently")
 	}
-	const route, received = 338.3, 353.1
-	base := heapPerSub(t, store.PolicyNone, 0, "c", 20_000)
+	const route, received = 326.0, 340.8
+	base := heapPerSub(t, store.PolicyNone, 0, "c", 20_000, 8)
 	if base > route*1.05 {
 		t.Errorf("%.1f B a route, want at most %.1f (%.1f + 5 %%)", base, route*1.05, route)
 	}
-	if got := heapPerSub(t, store.PolicyNone, 1, "n0", 20_000); got > received*1.05 {
+	if got := heapPerSub(t, store.PolicyNone, 1, "n0", 20_000, 8); got > received*1.05 {
 		t.Errorf("%.1f B a received route, want at most %.1f (%.1f + 5 %%)", got, received*1.05, received)
 	}
 	for _, c := range []struct {
 		policy store.Policy
 		table  float64
-	}{{store.PolicyNone, 209.6}, {store.PolicyPairwise, 162.9}, {store.PolicyGroup, 236.6}} {
-		if got := heapPerSub(t, c.policy, 1, "c", 20_000) - base; got > c.table*1.05 {
+	}{{store.PolicyNone, 197.5}, {store.PolicyPairwise, 147.7}, {store.PolicyGroup, 220.6}} {
+		if got := heapPerSub(t, c.policy, 1, "c", 20_000, 8) - base; got > c.table*1.05 {
 			t.Errorf("a %s table adds %.1f B a route, want at most %.1f (%.1f + 5 %%)", c.policy, got, c.table*1.05, c.table)
 		}
+	}
+}
+
+// TestRouteNodeLayout requires a route to fit the 48-byte size class,
+// so that a field creeping back fails by name, not through a heap
+// figure. The test of the same name in package store does the same for
+// a coverage-table node.
+func TestRouteNodeLayout(t *testing.T) {
+	if got := unsafe.Sizeof(route{}); got > 48 {
+		t.Errorf("a route takes %d B, want at most 48", got)
 	}
 }
 
@@ -466,4 +485,55 @@ func TestPublishAllocs(t *testing.T) {
 	if want := 3.0; got != want {
 		t.Errorf("a run of %d, each hitting one neighbour: %.1f allocs per run, want %.1f", runLen, got, want)
 	}
+}
+
+// TestNotifyOrderByClientName attaches two clients in reverse name
+// order, with overlapping subscriptions admitted out of SubID order,
+// and requires each publication's NOTIFYBATCH frames to leave in
+// client-name order, each naming its SubIDs in ascending order. A
+// client whose connection drops keeps its routes, and attaching again
+// under its name, after a collection, keeps them grouping with the new
+// ones: every route from one port carries the same interned handle.
+func TestNotifyOrderByClientName(t *testing.T) {
+	b := newBroker(t, store.PolicyNone)
+	b.AttachClient("zed")
+	b.AttachClient("amy")
+	b.AttachClient("pub")
+	box := func(lo, hi int64) subscription.Subscription {
+		return subscription.New(interval.New(lo, hi), interval.New(0, 100))
+	}
+	subscribe := func(port string, subs ...BatchSub) {
+		t.Helper()
+		if _, err := b.Handle(port, Message{Kind: MsgSubscribeBatch, Subs: subs}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	publish := func(pubID string, want ...string) {
+		t.Helper()
+		out, err := b.Handle("pub", Message{Kind: MsgPublish, PubID: pubID, Pub: subscription.NewPublication(25, 50)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]string, len(out))
+		for i, o := range out {
+			if o.Msg.Kind != MsgNotifyBatch {
+				t.Fatalf("%s: output %d is a %v to %s, want a notify-batch", pubID, i, o.Msg.Kind, o.To)
+			}
+			got[i] = fmt.Sprintf("%s %v", o.To, o.Msg.SubIDs)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: frames %q, want %q", pubID, got, want)
+		}
+	}
+	subscribe("zed", BatchSub{"z3", box(0, 50)}, BatchSub{"z10", box(10, 60)}, BatchSub{"z2", box(40, 100)})
+	subscribe("amy", BatchSub{"a9", box(20, 80)}, BatchSub{"a1", box(0, 30)})
+	publish("p1", "amy [a1 a9]", "zed [z10 z3]")
+
+	runtime.GC()
+	b.AttachClient("zed")
+	subscribe("zed", BatchSub{"z1", box(20, 30)})
+	if old, fresh := b.routes.get("z3"), b.routes.get("z1"); old.src != fresh.src {
+		t.Fatalf("zed's routes from before and after it attached again carry different handles")
+	}
+	publish("p2", "amy [a1 a9]", "zed [z1 z10 z3]")
 }

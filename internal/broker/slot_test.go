@@ -98,7 +98,7 @@ func TestRouteSlotReuse(t *testing.T) {
 		t.Helper()
 		for _, id := range subIDs {
 			r := b.routes.get(id)
-			freed[place{r.sub.Len(), int(slotOf(r.id))}] = true
+			freed[place{int(r.m), int(slotOf(r.id))}] = true
 			retired = append(retired, r.id)
 			model.remove(id)
 		}
@@ -130,7 +130,7 @@ func TestRouteSlotReuse(t *testing.T) {
 		handle("C", Message{Kind: MsgSubscribeBatch, Subs: burst})
 		for _, it := range burst {
 			r := b.routes.get(it.SubID)
-			if p := (place{r.sub.Len(), int(slotOf(r.id))}); freed[p] {
+			if p := (place{int(r.m), int(slotOf(r.id))}); freed[p] {
 				reused[p.m]++
 				delete(freed, p)
 			}

@@ -5,7 +5,8 @@
 // and package match.
 //
 // A slot holds one word, a pointer to the caller's own row (a broker's
-// route, a store's node), whose box is a field of the row. Each row
+// route, a store's node), whose box is a field of the row: a pointer to
+// its first bound, the index's own attribute count long (see Box). Each row
 // owns a stable slot; freed slots are reused and hold nil, so the index
 // keeps nothing of a removed row alive. Per attribute, a grid hull is
 // cut into gridCells equal cells, and each cell holds a bitset over
@@ -95,26 +96,47 @@ type Scratch struct {
 	acc   []uint64
 	offs  []int
 	hits  []int32
-	boxes []subscription.Subscription // Stab's gathered boxes; cleared after each check
+	boxes []*interval.Interval // Stab's gathered boxes; cleared after each check
 }
 
-// New returns an empty index over rows of m attributes. box returns a
-// pointer to a row's box, a field of the row that must not change while
-// the row is indexed; New calls it once, and panics unless the box lies
-// inside the row, to learn the field's offset, so the exact checks
-// reach a box without a call.
-func New[T any](m int, box func(*T) *subscription.Subscription) *Index[T] {
+// New returns an empty index over rows of m attributes. box returns the
+// place of a row's box, a field of the row holding a pointer to the
+// first of its m bounds (First), which must not change while the row is
+// indexed; New calls it once, and panics unless the field lies inside
+// the row, to learn its offset, so the exact checks reach a box without
+// a call.
+func New[T any](m int, box func(*T) **interval.Interval) *Index[T] {
 	r := new(T)
 	off := uintptr(unsafe.Pointer(box(r))) - uintptr(unsafe.Pointer(r))
-	if off > unsafe.Sizeof(*r) || unsafe.Sizeof(*r)-off < unsafe.Sizeof(subscription.Subscription{}) {
+	if off > unsafe.Sizeof(*r) || unsafe.Sizeof(*r)-off < unsafe.Sizeof((*interval.Interval)(nil)) {
 		panic("cells: a row's box is not a field of the row")
 	}
 	return &Index[T]{m: m, off: off}
 }
 
+// First returns what a row keeps of its box s: a pointer to s's first
+// bound, which keeps every bound alive, or nil when s has none. Box
+// turns it back into s, given s's attribute count.
+func First(s subscription.Subscription) *interval.Interval {
+	if len(s.Bounds) == 0 {
+		return nil
+	}
+	return &s.Bounds[0]
+}
+
+// Box returns the box of m bounds whose first one First returned.
+func Box(first *interval.Interval, m uint32) subscription.Subscription {
+	return subscription.Subscription{Bounds: unsafe.Slice(first, m)}
+}
+
+// first returns the first bound of row r's box.
+func (ix *Index[T]) first(r *T) *interval.Interval {
+	return *(**interval.Interval)(unsafe.Add(unsafe.Pointer(r), ix.off))
+}
+
 // box returns row r's box.
-func (ix *Index[T]) box(r *T) *subscription.Subscription {
-	return (*subscription.Subscription)(unsafe.Add(unsafe.Pointer(r), ix.off))
+func (ix *Index[T]) box(r *T) subscription.Subscription {
+	return Box(ix.first(r), uint32(ix.m))
 }
 
 // Attrs returns the attribute count of the index's boxes.
@@ -199,7 +221,7 @@ func (ix *Index[T]) Add(r *T) int32 {
 	}
 	ix.live[slot>>blockShift]++
 	ix.top = max(ix.top, slot+1)
-	s := *ix.box(r)
+	s := ix.box(r)
 	recut := ix.grid == nil
 	if recut {
 		ix.grid, ix.hull = slices.Clone(s.Bounds), slices.Clone(s.Bounds)
@@ -445,11 +467,11 @@ func (ix *Index[T]) Stab(sc *Scratch, p subscription.Publication) (hits []int32,
 	// in flight at once; the checks then read them, and sc drops them.
 	boxes, slots := sc.boxes[:0], ix.slots
 	for _, slot := range hits {
-		boxes = append(boxes, *ix.box(slots[slot>>blockShift][slot&(blockSlots-1)]))
+		boxes = append(boxes, ix.first(slots[slot>>blockShift][slot&(blockSlots-1)]))
 	}
-	n := 0
-	for k, row := range boxes {
-		if row.Matches(p) {
+	n, m := 0, uint32(ix.m)
+	for k, first := range boxes {
+		if Box(first, m).Matches(p) {
 			hits[n] = hits[k]
 			n++
 		}

@@ -10,20 +10,22 @@ import (
 	"probsum/internal/subscription"
 )
 
-// row is a caller's row: an ID and its box.
+// row is a caller's row: an ID and its box, as the index reads it (the
+// first bound) and as the model reads it.
 type row struct {
-	id  int64
-	sub subscription.Subscription
+	id    int64
+	first *interval.Interval
+	sub   subscription.Subscription
 }
 
-func rowBox(r *row) *subscription.Subscription { return &r.sub }
+func rowBox(r *row) **interval.Interval { return &r.first }
 
 // model is the reference state of an index: its live rows by slot.
 type model map[int32]*row
 
 func (mo model) add(t *testing.T, ix *Index[row], id int64, s subscription.Subscription) int32 {
 	t.Helper()
-	r := &row{id, s}
+	r := &row{id, First(s), s}
 	slot := ix.Add(r)
 	if _, taken := mo[slot]; taken {
 		t.Fatalf("Add(%d) got slot %d, which holds a live row", id, slot)
@@ -276,7 +278,7 @@ func TestNewRefusesForeignBox(t *testing.T) {
 			t.Fatal("New accepted a box outside the row")
 		}
 	}()
-	New(1, func(*row) *subscription.Subscription { return new(subscription.Subscription) })
+	New(1, func(*row) **interval.Interval { return new(*interval.Interval) })
 }
 
 // fuzzExtremes are the bound values a fuzz byte below len(fuzzExtremes)
@@ -558,7 +560,8 @@ func BenchmarkStabAfterBurst(b *testing.B) {
 	}
 	rows := make([]row, base+burst)
 	for i := range rows {
-		rows[i] = row{int64(i), randBox()}
+		s := randBox()
+		rows[i] = row{int64(i), First(s), s}
 	}
 	pubs := make([]subscription.Publication, 1024)
 	for i := range pubs {

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"probsum/internal/cells"
+	"probsum/internal/interval"
 	"probsum/internal/subscription"
 )
 
@@ -33,12 +34,13 @@ type ITreeIndex struct {
 }
 
 // itreeRow is a live subscription, the row its arity's index holds:
-// its ID, its box, and its slot in that index, or -1 when it is not
-// indexed.
+// its ID, its box as the index reads it (cells.First) and its attribute
+// count, and its slot in that index, or -1 when it is not indexed.
 type itreeRow struct {
-	id   ID
-	sub  subscription.Subscription
-	slot int32
+	id    ID
+	first *interval.Interval
+	m     uint32
+	slot  int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(cells.Scratch) }}
@@ -55,11 +57,11 @@ func (x *ITreeIndex) Add(id ID, s subscription.Subscription) {
 	if old, ok := x.subs[id]; ok {
 		x.detach(old)
 	}
-	r := &itreeRow{id: id, sub: s, slot: -1}
+	r := &itreeRow{id: id, first: cells.First(s), m: uint32(s.Len()), slot: -1}
 	if s.IsSatisfiable() {
 		ix := x.byArity[s.Len()]
 		if ix == nil {
-			ix = cells.New(s.Len(), func(r *itreeRow) *subscription.Subscription { return &r.sub })
+			ix = cells.New(s.Len(), func(r *itreeRow) **interval.Interval { return &r.first })
 			x.byArity[s.Len()] = ix
 		}
 		r.slot = ix.Add(r)
@@ -85,7 +87,7 @@ func (x *ITreeIndex) detach(r *itreeRow) {
 	if r.slot < 0 {
 		return
 	}
-	m := r.sub.Len()
+	m := int(r.m)
 	ix := x.byArity[m]
 	ix.Remove(r.slot)
 	if ix.Len() == 0 {

@@ -55,7 +55,7 @@ func admitNarrowMix(t *testing.T, residual bool) (st *Store, covered, falseCover
 		// cover s with no help from the rest of the active set.
 		named := make([]subscription.Subscription, len(res.Coverers))
 		for i, c := range res.Coverers {
-			named[i] = st.nodes[c].sub
+			named[i] = st.nodes[c].sub()
 		}
 		if ok, _, _ := core.ExactCover(s, named); !ok {
 			t.Errorf("id %d: its %d recorded coverers do not cover it", id, len(named))

@@ -138,7 +138,7 @@ func checkForest(t *testing.T, st *Store, step int) {
 		if coverers != nil {
 			t.Fatalf("step %d: active node %d has Coverers %v", step, id, coverers)
 		}
-		if ix := st.active[n.sub.Len()]; ix == nil || ix.Row(n.slot) != n {
+		if ix := st.active[int(n.m)]; ix == nil || ix.Row(n.slot) != n {
 			t.Fatalf("step %d: active node %d is not at its slot %d", step, id, n.slot)
 		}
 	}

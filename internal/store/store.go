@@ -21,6 +21,7 @@ import (
 
 	"probsum/internal/cells"
 	"probsum/internal/core"
+	"probsum/internal/interval"
 	"probsum/internal/subscription"
 )
 
@@ -90,15 +91,20 @@ var ErrDuplicateID = errors.New("store: duplicate subscription id")
 // node is one subscription in the cover forest. The forest is
 // bipartite (see the package doc): a covered node links to its
 // coverers, all active, and an active node to its children, all
-// covered. So one list serves both, and the slot says which. The four
-// fields keep a node in the 64-byte size class; a second list would
-// take it to 96.
+// covered. So one list serves both, and the slot says which. Its box
+// is the pointer the index reads (cells.First) and the attribute
+// count, not a slice header: the fields fill the 48-byte size class
+// exactly, and a second list would take a node to 80.
 type node struct {
 	id    ID
-	sub   subscription.Subscription
-	links []ID  // ascending: its coverers while covered, its children while active
-	slot  int32 // position in its attribute count's index; -1 while covered
+	first *interval.Interval
+	links []ID   // ascending: its coverers while covered, its children while active
+	m     uint32 // attribute count
+	slot  int32  // position in its attribute count's index; -1 while covered
 }
+
+// sub returns n's box.
+func (n *node) sub() subscription.Subscription { return cells.Box(n.first, n.m) }
 
 // status says where n lives, read from its slot.
 func (n *node) status() Status {
@@ -262,10 +268,10 @@ func (st *Store) CheckerStats() CheckerStats { return st.stats }
 
 // activate adds n to its attribute count's index.
 func (st *Store) activate(n *node) {
-	m := n.sub.Len()
+	m := int(n.m)
 	ix := st.active[m]
 	if ix == nil {
-		ix = cells.New(m, func(n *node) *subscription.Subscription { return &n.sub })
+		ix = cells.New(m, func(n *node) **interval.Interval { return &n.first })
 		st.active[m] = ix
 	}
 	n.slot = ix.Add(n)
@@ -274,7 +280,7 @@ func (st *Store) activate(n *node) {
 // deactivate removes n from its attribute count's index, dropping the
 // index once it is empty so a later population starts from a fresh grid.
 func (st *Store) deactivate(n *node) {
-	m := n.sub.Len()
+	m := int(n.m)
 	ix := st.active[m]
 	ix.Remove(n.slot)
 	if ix.Len() == 0 {
@@ -290,7 +296,7 @@ func (st *Store) containing(s subscription.Subscription) []int64 {
 	ids := st.candIDs[:0]
 	if st.unpruned {
 		for id, n := range st.nodes {
-			if n.slot >= 0 && n.sub.Len() == s.Len() && n.sub.Covers(s) {
+			if n.slot >= 0 && int(n.m) == s.Len() && n.sub().Covers(s) {
 				ids = append(ids, int64(id))
 			}
 		}
@@ -317,14 +323,14 @@ func (st *Store) check(s subscription.Subscription) ([]int64, int, error) {
 	ids := st.candIDs[:0]
 	if st.unpruned {
 		for id, n := range st.nodes {
-			if n.slot >= 0 && n.sub.Len() == s.Len() {
+			if n.slot >= 0 && int(n.m) == s.Len() {
 				ids = append(ids, int64(id))
 			}
 		}
 		slices.Sort(ids)
 		set := make([]subscription.Subscription, len(ids))
 		for i, id := range ids {
-			set[i] = st.nodes[ID(id)].sub
+			set[i] = st.nodes[ID(id)].sub()
 		}
 		st.candIDs = ids
 		return ids, len(set), c.CoveredInto(&st.checkRes, s, set)
@@ -335,7 +341,7 @@ func (st *Store) check(s subscription.Subscription) ([]int64, int, error) {
 	if ix := st.active[s.Len()]; ix != nil {
 		for _, slot := range ix.Candidates(&st.scratch, s) {
 			n := ix.Row(slot)
-			c.Add(n.sub.Bounds, int64(n.id))
+			c.Add(n.sub().Bounds, int64(n.id))
 			ids = append(ids, int64(n.id))
 		}
 	}
@@ -360,7 +366,7 @@ func (st *Store) ActiveSubscriptions() []subscription.Subscription {
 	ids := st.ActiveIDs()
 	out := make([]subscription.Subscription, len(ids))
 	for i, id := range ids {
-		out[i] = st.nodes[id].sub
+		out[i] = st.nodes[id].sub()
 	}
 	return out
 }
@@ -386,7 +392,7 @@ func (st *Store) Get(id ID) (subscription.Subscription, Status, bool) {
 	if !ok {
 		return subscription.Subscription{}, 0, false
 	}
-	return n.sub, n.status(), true
+	return n.sub(), n.status(), true
 }
 
 // Coverers returns the IDs of the subscriptions whose union covers id,
@@ -494,7 +500,7 @@ func (st *Store) walk(s subscription.Subscription) (Status, []ID, core.Result, b
 			res := core.Result{Decision: core.NotCovered, Reason: core.ReasonPointWitness, CoveringRow: -1, PointWitness: p}
 			return StatusActive, nil, res, true
 		}
-		row := ix.Row(slot).sub
+		row := ix.Row(slot).sub()
 		if row.Covers(s) {
 			ids := st.containing(s)
 			res := core.Result{Decision: core.Covered, Reason: core.ReasonPairwiseCover, CoveringRow: -1}
@@ -546,7 +552,7 @@ func (st *Store) resolveCoverers(s subscription.Subscription, ids []int64, res *
 		// MCS was disabled or returned no detail; fall back to the
 		// candidate rows meeting s as the covering group.
 		for _, id := range ids {
-			if st.nodes[ID(id)].sub.Intersects(s) {
+			if st.nodes[ID(id)].sub().Intersects(s) {
 				coverers = append(coverers, ID(id))
 			}
 		}
@@ -567,7 +573,7 @@ func (st *Store) Subscribe(id ID, s subscription.Subscription) (SubscribeResult,
 	if err != nil {
 		return SubscribeResult{}, err
 	}
-	n := &node{id: id, sub: s, slot: -1}
+	n := &node{id: id, first: cells.First(s), m: uint32(s.Len()), slot: -1}
 	st.link(n, coverers)
 	st.nodes[id] = n
 	if status == StatusActive {
@@ -641,7 +647,7 @@ func (st *Store) Unsubscribe(id ID) (UnsubscribeResult, error) {
 // rewired to the new cover, or promoted to active, with no links, when
 // there is none.
 func (st *Store) revalidate(child *node) (promoted bool, err error) {
-	status, coverers, _, err := st.decideCoverage(child.sub, false)
+	status, coverers, _, err := st.decideCoverage(child.sub(), false)
 	if err != nil {
 		return false, err
 	}
@@ -674,7 +680,7 @@ func (st *Store) Match(p subscription.Publication) []ID {
 			n := ix.Row(slot)
 			out = append(out, n.id)
 			for _, cid := range n.links {
-				if st.nodes[cid].sub.Matches(p) {
+				if st.nodes[cid].sub().Matches(p) {
 					out = append(out, cid)
 				}
 			}
@@ -692,14 +698,14 @@ func (st *Store) MatchTwoPhase(p subscription.Publication) []ID {
 	var out []ID
 	matched := false
 	for id, n := range st.nodes {
-		if n.slot >= 0 && n.sub.Matches(p) {
+		if n.slot >= 0 && n.sub().Matches(p) {
 			out = append(out, id)
 			matched = true
 		}
 	}
 	if matched {
 		for id, n := range st.nodes {
-			if n.slot < 0 && n.sub.Matches(p) {
+			if n.slot < 0 && n.sub().Matches(p) {
 				out = append(out, id)
 			}
 		}

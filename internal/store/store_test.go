@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 	"weak"
 
 	"probsum/internal/core"
@@ -499,5 +500,15 @@ func TestDeactivatedNodeUnreachable(t *testing.T) {
 	}
 	if ix := st.active[2]; ix == nil || ix.Len() != 1 {
 		t.Fatal("the active index of count 2 does not hold the other node")
+	}
+}
+
+// TestRouteNodeLayout requires a coverage-table node to fit the 48-byte
+// size class, so that a field creeping back fails by name, not through
+// a heap figure. The test of the same name in package broker does the
+// same for a route.
+func TestRouteNodeLayout(t *testing.T) {
+	if got := unsafe.Sizeof(node{}); got > 48 {
+		t.Errorf("a node takes %d B, want at most 48", got)
 	}
 }

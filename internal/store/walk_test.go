@@ -39,8 +39,8 @@ func TestWalkAnswersAreExact(t *testing.T) {
 					t.Fatalf("arrival %d %v: NO %+v, witness not inside it", i, s, res)
 				}
 				for _, id := range active {
-					if st.nodes[id].sub.ContainsPoint(w) {
-						t.Fatalf("arrival %d: witness %v lies in active row %d %v", i, w, id, st.nodes[id].sub)
+					if st.nodes[id].sub().ContainsPoint(w) {
+						t.Fatalf("arrival %d: witness %v lies in active row %d %v", i, w, id, st.nodes[id].sub())
 					}
 				}
 			case StatusCovered:
@@ -48,7 +48,7 @@ func TestWalkAnswersAreExact(t *testing.T) {
 				if res.Decision != core.Covered || res.Reason != core.ReasonPairwiseCover {
 					t.Fatalf("arrival %d: YES %+v", i, res)
 				}
-				want := slices.IndexFunc(active, func(id ID) bool { return st.nodes[id].sub.Covers(s) })
+				want := slices.IndexFunc(active, func(id ID) bool { return st.nodes[id].sub().Covers(s) })
 				if want < 0 || !slices.Equal(coverers, []ID{active[want]}) {
 					t.Fatalf("arrival %d: walk named %v, lowest containing active row is index %d of %v", i, coverers, want, active)
 				}
